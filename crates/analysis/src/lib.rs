@@ -13,11 +13,10 @@
 //!   Rules: determinism hygiene, panic hygiene, unsafe hygiene, API
 //!   hygiene. Run it with `cargo run -p xability-analysis --bin xlint`.
 //! * [`sched`] — **`xsched`**, a loom-lite bounded interleaving
-//!   explorer: shadow models of the riskiest shared structures, executed
+//!   explorer: models of the riskiest shared structures, executed
 //!   under *exhaustive* 2-thread schedule enumeration, with the
 //!   enumeration count asserted against `C(a+b, a)`. Run it with
-//!   `cargo run -p xability-analysis --bin xsched` (writes
-//!   `BENCH_analysis.json`).
+//!   `cargo run -p xability-analysis --bin xsched`.
 //!
 //! Both engines gate CI (the `analysis` job); the fixture self-tests
 //! under `fixtures/` prove every lint rule fires on seeded violations

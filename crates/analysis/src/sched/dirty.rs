@@ -11,12 +11,12 @@
 //! tests and shows up only on interleavings where verdicts land
 //! mid-stream.
 //!
-//! Unlike the seglog/interner models, this one runs the **real**
-//! `xability-core` types rather than a shadow: thread A is the event
-//! producer (declares + pushes), thread B calls `verdict()` at every
-//! enumerated point, and the invariant checked at each B-step is
-//! incremental ≡ batch — verdict equality including reasons, which the
-//! engine guarantees byte-identical by construction.
+//! Like the seglog/interner models, this one runs the **real**
+//! `xability-core` types: thread A is the event producer (declares +
+//! pushes), thread B calls `verdict()` at every enumerated point, and the
+//! invariant checked at each B-step is incremental ≡ batch — verdict
+//! equality including reasons, which the engine guarantees byte-identical
+//! by construction.
 
 use xability_core::xable::checker::{Checker, FastChecker};
 use xability_core::xable::IncrementalChecker;

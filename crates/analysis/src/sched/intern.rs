@@ -1,21 +1,22 @@
-//! Shadow model: interner insert vs. shared-reader probe.
+//! Model: interner insert vs. shared-reader probe.
 //!
 //! `core::intern::Interner` claims two things the checker engine leans
 //! on: symbol assignment is **linearizable** (one item, one symbol,
 //! forever — dense and stable no matter how interning interleaves with
 //! anything else), and an [`InternerReader`] is a stable snapshot — it
 //! resolves every symbol assigned before it was taken and never observes
-//! later interning. [`ShadowInterner`] mirrors the append-only log +
-//! probe-index algorithm; [`BrokenInterner`] seeds the classic bug — its
-//! reader holds a *live* handle to the symbol table instead of a
-//! snapshot, which resolves correctly on most schedules and drifts
-//! exactly when an insert lands between taking the reader and probing it.
-//!
-//! [`InternerReader`]: xability_core::intern::InternerReader
+//! later interning. The model drives the **real** `Interner` (its action
+//! table) through the [`SymbolTable`] trait; [`BrokenInterner`] seeds the
+//! classic bug — its reader holds a *live* handle to the symbol table
+//! instead of a snapshot, which resolves correctly on most schedules and
+//! drifts exactly when an insert lands between taking the reader and
+//! probing it.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+
+use xability_core::{ActionName, Interner, InternerReader};
 
 use super::Interleave;
 
@@ -34,37 +35,25 @@ pub trait SymbolTable: Default {
     fn reader_entries(reader: &Self::Reader) -> Vec<String>;
 }
 
-/// Faithful shadow of `Interner`: an append-only item log (the single
-/// authority) plus a probe index; readers are `Rc` snapshots of the log.
-#[derive(Default)]
-pub struct ShadowInterner {
-    items: Vec<Rc<String>>,
-    index: BTreeMap<String, u32>,
-}
-
-impl SymbolTable for ShadowInterner {
-    type Reader = Vec<Rc<String>>;
+impl SymbolTable for Interner {
+    type Reader = InternerReader;
 
     fn intern(&mut self, item: &str) -> u32 {
-        if let Some(&sym) = self.index.get(item) {
-            return sym;
-        }
-        let sym = self.items.len() as u32;
-        self.items.push(Rc::new(item.to_owned()));
-        self.index.insert(item.to_owned(), sym);
-        sym
+        self.intern_action(&ActionName::idempotent(item))
     }
 
     fn entries(&self) -> Vec<String> {
-        self.items.iter().map(|s| (**s).clone()).collect()
+        (0..self.action_count() as u32)
+            .map(|sym| self.action(sym).name().to_owned())
+            .collect()
     }
 
-    fn reader(&self) -> Vec<Rc<String>> {
-        self.items.clone()
+    fn reader(&self) -> InternerReader {
+        Interner::reader(self)
     }
 
-    fn reader_entries(reader: &Vec<Rc<String>>) -> Vec<String> {
-        reader.iter().map(|s| (**s).clone()).collect()
+    fn reader_entries(reader: &InternerReader) -> Vec<String> {
+        reader.actions().map(|a| a.name().to_owned()).collect()
     }
 }
 
@@ -211,8 +200,8 @@ mod tests {
     use crate::sched::{binomial, explore};
 
     #[test]
-    fn shadow_interner_passes_every_interleaving() {
-        let explored = explore("intern", InternModel::<ShadowInterner>::standard);
+    fn real_interner_passes_every_interleaving() {
+        let explored = explore("intern", InternModel::<Interner>::standard);
         assert_eq!(explored.schedules, binomial(11, 5), "exhaustiveness");
         assert_eq!(explored.violations, 0, "{:?}", explored.first_violation);
     }
@@ -229,30 +218,5 @@ mod tests {
             explored.violations < explored.schedules,
             "schedules where all interning precedes the first reader must pass"
         );
-    }
-
-    #[test]
-    fn shadow_mirrors_the_real_interner() {
-        use xability_core::{ActionName, Value};
-        let mut shadow = ShadowInterner::default();
-        let mut real = xability_core::intern::Interner::new();
-        for item in ["put", "get", "put", "del", "get", "put"] {
-            let s = shadow.intern(item);
-            let r = real.intern_action(&ActionName::idempotent(item));
-            assert_eq!(s, r, "symbol for {item}");
-        }
-        let shadow_reader = shadow.reader();
-        let real_reader = real.reader();
-        shadow.intern("late");
-        real.intern_action(&ActionName::idempotent("late"));
-        real.intern_value(&Value::from(1));
-        assert_eq!(
-            ShadowInterner::reader_entries(&shadow_reader),
-            real_reader
-                .actions()
-                .map(|a| a.name().to_owned())
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(real_reader.action_count(), 3);
     }
 }

@@ -22,8 +22,8 @@
 //! behaviors of the real structures are exactly the operation
 //! interleavings enumerated here. What the bound *does* limit is depth:
 //! a bug that needs 3 threads or longer op chains is out of range, which
-//! is why the schedule/state counts are asserted and tracked in
-//! `BENCH_analysis.json` rather than waved at.
+//! is why the schedule counts are asserted by `xsched` and the
+//! self-tests rather than waved at.
 //!
 //! A schedule over `a` ops of thread A and `b` ops of thread B is a
 //! bitstring with `a` zeros and `b` ones; there are `C(a+b, a)` of them,
@@ -61,7 +61,7 @@ pub trait Interleave {
 /// The outcome of exhaustively exploring one model.
 #[derive(Debug, Clone)]
 pub struct Explored {
-    /// Model name (for reports and `BENCH_analysis.json`).
+    /// Model name (for reports).
     pub model: String,
     /// `(ops A, ops B)` as declared by the model.
     pub ops: (usize, usize),

@@ -1,20 +1,20 @@
-//! Shadow model: seglog snapshot-while-append.
+//! Model: seglog snapshot-while-append.
 //!
 //! `core::seglog::AppendLog` claims that a snapshot taken at any moment
 //! keeps reading its exact prefix while the owner appends past it — the
 //! copy-on-write tail (an `Arc::get_mut` probe that copies the open
 //! segment once when a snapshot still aliases it) is the whole mechanism.
-//! [`ShadowLog`] mirrors that algorithm entry for entry (with `Rc` in
-//! place of `Arc`: identical strong-count semantics, no atomics needed in
-//! a sequentialized schedule), and [`BrokenLog`] is the deliberate
-//! mutation: it shares the open tail with snapshots and appends in place,
-//! exactly the bug the CoW probe exists to prevent. The self-tests assert
-//! the explorer passes the shadow on *every* interleaving and catches the
-//! broken variant on the subset of schedules where an append overlaps a
-//! live snapshot.
+//! The model drives the **real** `AppendLog<u32>` through the [`CowLog`]
+//! trait, and [`BrokenLog`] is the deliberate mutation: it shares the
+//! open tail with snapshots and appends in place, exactly the bug the CoW
+//! probe exists to prevent. The self-tests assert the explorer passes the
+//! real log on *every* interleaving and catches the broken variant on the
+//! subset of schedules where an append overlaps a live snapshot.
 
 use std::cell::RefCell;
 use std::rc::Rc;
+
+use xability_core::seglog::{AppendLog, LogView};
 
 use super::Interleave;
 
@@ -23,9 +23,11 @@ const SEGMENT: usize = 4;
 
 /// The log shapes the model runs over: correct (CoW) or broken (shared
 /// tail).
-pub trait CowLog: Default {
+pub trait CowLog {
     /// The snapshot handle type.
     type View;
+    /// An empty log.
+    fn empty() -> Self;
     /// Appends one entry.
     fn push(&mut self, value: u32);
     /// The live contents, in order.
@@ -36,66 +38,27 @@ pub trait CowLog: Default {
     fn view_contents(view: &Self::View) -> Vec<u32>;
 }
 
-/// Faithful shadow of `AppendLog`: segmented storage, refcount-probed
-/// copy-on-write of the open tail.
-#[derive(Default)]
-pub struct ShadowLog {
-    segments: Vec<Rc<Vec<u32>>>,
-    len: usize,
-}
+impl CowLog for AppendLog<u32> {
+    type View = LogView<u32>;
 
-/// Shadow of `LogView`: shared segments plus a length fence.
-pub struct ShadowView {
-    segments: Vec<Rc<Vec<u32>>>,
-    len: usize,
-}
-
-impl CowLog for ShadowLog {
-    type View = ShadowView;
+    fn empty() -> Self {
+        AppendLog::new(SEGMENT)
+    }
 
     fn push(&mut self, value: u32) {
-        let needs_segment = self
-            .segments
-            .last()
-            .map_or(true, |seg| seg.len() == SEGMENT);
-        if needs_segment {
-            self.segments.push(Rc::new(Vec::with_capacity(SEGMENT)));
-        }
-        let tail = self.segments.last_mut().expect("segment was just ensured");
-        if let Some(vec) = Rc::get_mut(tail) {
-            vec.push(value);
-        } else {
-            // The CoW probe: a snapshot aliases the open tail — copy it
-            // once and append privately.
-            let mut copy = Vec::with_capacity(SEGMENT);
-            copy.extend(tail.iter().copied());
-            copy.push(value);
-            *tail = Rc::new(copy);
-        }
-        self.len += 1;
+        AppendLog::push(self, value);
     }
 
     fn contents(&self) -> Vec<u32> {
-        self.segments
-            .iter()
-            .flat_map(|s| s.iter().copied())
-            .take(self.len)
-            .collect()
+        (0..self.len()).map(|i| *self.get(i)).collect()
     }
 
-    fn snapshot(&self) -> ShadowView {
-        ShadowView {
-            segments: self.segments.clone(),
-            len: self.len,
-        }
+    fn snapshot(&self) -> LogView<u32> {
+        AppendLog::snapshot(self)
     }
 
-    fn view_contents(view: &ShadowView) -> Vec<u32> {
-        view.segments
-            .iter()
-            .flat_map(|s| s.iter().copied())
-            .take(view.len)
-            .collect()
+    fn view_contents(view: &LogView<u32>) -> Vec<u32> {
+        view.iter().copied().collect()
     }
 }
 
@@ -113,6 +76,10 @@ pub struct BrokenView {
 
 impl CowLog for BrokenLog {
     type View = BrokenView;
+
+    fn empty() -> Self {
+        BrokenLog::default()
+    }
 
     fn push(&mut self, value: u32) {
         let needs_segment = self
@@ -179,7 +146,7 @@ impl<L: CowLog> SeglogModel<L> {
     /// schedules.
     pub fn standard() -> Self {
         SeglogModel {
-            log: L::default(),
+            log: L::empty(),
             appends: 6,
             b_ops: vec![BOp::Snap, BOp::Check, BOp::Snap, BOp::Check, BOp::Check],
             snaps: Vec::new(),
@@ -232,8 +199,8 @@ mod tests {
     use crate::sched::{binomial, explore};
 
     #[test]
-    fn shadow_log_passes_every_interleaving() {
-        let explored = explore("seglog", SeglogModel::<ShadowLog>::standard);
+    fn real_log_passes_every_interleaving() {
+        let explored = explore("seglog", SeglogModel::<AppendLog<u32>>::standard);
         assert_eq!(explored.schedules, binomial(11, 5), "exhaustiveness");
         assert_eq!(explored.violations, 0, "{:?}", explored.first_violation);
     }
@@ -249,32 +216,6 @@ mod tests {
         assert!(
             explored.violations < explored.schedules,
             "schedules where all appends precede the first snapshot must pass"
-        );
-    }
-
-    #[test]
-    fn shadow_mirrors_the_real_append_log() {
-        // Entry-for-entry agreement with core's AppendLog on the same
-        // op sequence, so the shadow cannot drift from what it models.
-        let mut shadow = ShadowLog::default();
-        let mut real = xability_core::seglog::AppendLog::new(SEGMENT);
-        for i in 0..10u32 {
-            shadow.push(i);
-            real.push(i);
-        }
-        let snap_shadow = shadow.snapshot();
-        let snap_real = real.snapshot();
-        for i in 10..14u32 {
-            shadow.push(i);
-            real.push(i);
-        }
-        assert_eq!(
-            ShadowLog::view_contents(&snap_shadow),
-            snap_real.iter().copied().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            shadow.contents(),
-            (0..real.len()).map(|i| *real.get(i)).collect::<Vec<_>>()
         );
     }
 }

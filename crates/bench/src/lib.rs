@@ -1,9 +1,10 @@
-//! # xability-bench — benchmark workload builders
+//! # xability-bench — trace builders
 //!
-//! Shared history/scenario generators used by the criterion benches in
-//! `benches/`. One bench group per paper figure (F1–F7) and per claim
-//! (C1–C3); the mapping to the paper is documented in DESIGN.md §6 and the
-//! results narrative lives in EXPERIMENTS.md.
+//! Four deterministic history generators (retry, failed-attempt and
+//! protocol-shaped traces) shared by the cross-crate integration tests
+//! under `tests/`. Nothing here measures anything: wall-clock numbers come
+//! from the standalone `xbench` package (`xbench/README.md`,
+//! `BENCHMARK.json`), which carries its own generators.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -85,51 +86,10 @@ pub fn n_requests_with_cancelled_rounds(n: usize) -> (History, Vec<(ActionId, Va
     (History::from_events(events), ops)
 }
 
-/// Schema version of the shared `provenance` block carried by every
-/// `BENCH_*.json` artifact. Bump when the block's fields change.
-pub const BENCH_PROVENANCE_SCHEMA: u32 = 1;
-
-/// The shared provenance block every `BENCH_*.json` emitter embeds: the
-/// artifact schema version, the emitting bench's name, the workspace
-/// package version, the machine's `available_parallelism`, and the build
-/// profile (via `debug_assertions` — committed artifacts must come from
-/// release builds). Returned as a `"provenance": { … }` JSON fragment
-/// (no surrounding braces or trailing comma) so emitters splice it into
-/// their hand-rolled JSON uniformly.
-///
-/// This is the one sanctioned place bench artifacts record
-/// machine-dependent facts; everything under `crates/obs`, `crates/sim`,
-/// and `crates/core` stays clock- and machine-free (DESIGN.md §11).
-pub fn bench_provenance(bench: &str) -> String {
-    let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    format!(
-        "\"provenance\": {{ \"schema_version\": {BENCH_PROVENANCE_SCHEMA}, \
-         \"bench\": \"{bench}\", \"package_version\": \"{}\", \
-         \"available_parallelism\": {parallelism}, \"debug_assertions\": {} }}",
-        env!("CARGO_PKG_VERSION"),
-        cfg!(debug_assertions),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use xability_core::xable::{Checker, FastChecker};
-
-    #[test]
-    fn provenance_block_has_the_schema_fields() {
-        let block = bench_provenance("selftest");
-        assert!(block.starts_with("\"provenance\": {"));
-        for field in [
-            "\"schema_version\": 1",
-            "\"bench\": \"selftest\"",
-            "\"package_version\"",
-            "\"available_parallelism\"",
-            "\"debug_assertions\"",
-        ] {
-            assert!(block.contains(field), "provenance lost `{field}`: {block}");
-        }
-    }
 
     #[test]
     fn generators_produce_xable_histories() {

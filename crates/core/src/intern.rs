@@ -272,12 +272,8 @@ fn lookup<T: std::hash::Hash + Eq + Clone>(
 
 /// Approximate heap bytes owned by a [`Value`] (not counting the inline
 /// enum itself): string contents, list/pair element storage, recursively.
-///
-/// The store's `TraceStore::approx_bytes` accounting and the
-/// `benches/store.rs` owned-`Vec<Event>` baseline use this same
-/// estimator, so the bytes-per-event comparison in `BENCH_store.json`
-/// cannot silently diverge.
-pub fn value_heap_bytes(value: &Value) -> usize {
+/// Feeds [`Interner::approx_bytes`].
+fn value_heap_bytes(value: &Value) -> usize {
     match value {
         Value::Nil | Value::Bool(_) | Value::Int(_) => 0,
         Value::Str(s) => s.len(),

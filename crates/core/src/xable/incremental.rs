@@ -479,7 +479,7 @@ impl IncrementalState {
     /// [`IncrementalState::observe`], byte-identical in every later
     /// verdict (pinned by the `observe_batch` proptests).
     ///
-    /// The whole slice runs through [`Engine::observe_batch`]'s
+    /// The whole slice runs through the engine's `observe_batch` and its
     /// batch-local symbol/group memos (one hash probe per *distinct*
     /// name/input/group in the batch instead of several per event), the
     /// aggregate is borrowed once per batch instead of once per event,

@@ -207,6 +207,33 @@ struct Spill {
     error: Option<io::Error>,
 }
 
+impl Spill {
+    /// Seals the store's events from the end of the chain up to `end` as
+    /// the next cold segment and counts the seal.
+    fn seal_through(&mut self, end: usize, store: &TraceStore, obs: &LedgerObs) -> io::Result<()> {
+        let start = self.log.next_first_event();
+        let snap = store.snapshot();
+        self.log.seal(
+            snap.interner(),
+            end - start,
+            &mut (start..end).map(|i| snap.repr(i)),
+        )?;
+        obs.spill_seals.inc();
+        obs.spill_sealed_events.add((end - start) as u64);
+        Ok(())
+    }
+
+    /// Surfaces the sticky error of a failed background seal. The error
+    /// stays stored — the chain stays frozen rather than sealing past a
+    /// hole — so every call reports the original failure's kind and text.
+    fn sticky_error(&self) -> io::Result<()> {
+        match &self.error {
+            Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
+            None => Ok(()),
+        }
+    }
+}
+
 impl Default for Ledger {
     fn default() -> Self {
         Ledger::new()
@@ -304,6 +331,10 @@ impl Ledger {
     /// crash via [`Ledger::reopen_spill`]. Events already recorded spill
     /// immediately. The policy is event-count based — no clocks.
     ///
+    /// The spill is a *mirror*: the in-memory store keeps every event, so
+    /// of `config` only `spill_threshold` and `codec` apply and
+    /// `evict_on_seal` is ignored.
+    ///
     /// # Errors
     ///
     /// Fails if a spill is already attached, the config's threshold is
@@ -327,7 +358,7 @@ impl Ledger {
             error: None,
         });
         self.maybe_spill();
-        self.spill_error()
+        self.spill.as_ref().map_or(Ok(()), Spill::sticky_error)
     }
 
     /// Seals every full `spill_threshold` chunk that accumulated beyond
@@ -338,40 +369,11 @@ impl Ledger {
         let Some(spill) = &mut self.spill else {
             return;
         };
-        if spill.error.is_some() {
-            return;
-        }
-        while self.store.len() - spill.log.next_first_event() >= spill.threshold {
-            let start = spill.log.next_first_event();
-            let end = start + spill.threshold;
-            let snap = self.store.snapshot();
-            if let Err(e) = spill.log.seal(
-                snap.interner(),
-                end - start,
-                &mut (start..end).map(|i| snap.repr(i)),
-            ) {
-                spill.error = Some(e);
-                return;
-            }
-            self.obs.spill_seals.inc();
-            self.obs.spill_sealed_events.add((end - start) as u64);
-        }
-    }
-
-    fn spill_error(&mut self) -> io::Result<()> {
-        match self.spill.as_mut().and_then(|s| s.error.take()) {
-            Some(e) => {
-                // Re-arm: the error is being surfaced now; keep the chain
-                // frozen rather than sealing past a hole.
-                if let Some(spill) = &mut self.spill {
-                    spill.error = Some(io::Error::new(
-                        e.kind(),
-                        format!("spill previously failed: {e}"),
-                    ));
-                }
-                Err(e)
-            }
-            None => Ok(()),
+        while spill.error.is_none()
+            && self.store.len() - spill.log.next_first_event() >= spill.threshold
+        {
+            let end = spill.log.next_first_event() + spill.threshold;
+            spill.error = spill.seal_through(end, &self.store, &self.obs).err();
         }
     }
 
@@ -384,25 +386,16 @@ impl Ledger {
     /// Fails if no spill is attached, if a background seal failed earlier
     /// (the sticky error is surfaced here), or if the tail seal fails.
     pub fn flush_spill(&mut self) -> io::Result<usize> {
-        if self.spill.is_none() {
+        let Some(spill) = &mut self.spill else {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "no spill attached to flush",
             ));
-        }
-        self.spill_error()?;
-        let spill = self.spill.as_mut().expect("checked above");
-        let start = spill.log.next_first_event();
+        };
+        spill.sticky_error()?;
         let end = self.store.len();
-        if end > start {
-            let snap = self.store.snapshot();
-            spill.log.seal(
-                snap.interner(),
-                end - start,
-                &mut (start..end).map(|i| snap.repr(i)),
-            )?;
-            self.obs.spill_seals.inc();
-            self.obs.spill_sealed_events.add((end - start) as u64);
+        if end > spill.log.next_first_event() {
+            spill.seal_through(end, &self.store, &self.obs)?;
         }
         Ok(spill.log.next_first_event())
     }
@@ -1031,6 +1024,32 @@ mod tests {
             live_verdict.is_xable()
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_seal_error_is_sticky_and_stable_across_flushes() {
+        let dir = tmpdir("spill-sticky");
+        let a = ActionId::base(ActionName::idempotent("put"));
+        let mut ledger = Ledger::new();
+        let config = TierConfig {
+            spill_threshold: 2,
+            ..TierConfig::default()
+        };
+        ledger.attach_spill(&dir, config).expect("attach");
+        // Pull the directory out from under the chain: the background
+        // seal of the first full chunk fails inside `record_event`.
+        std::fs::remove_dir_all(&dir).expect("remove spill dir");
+        ledger.record_event(Event::start(a.clone(), Value::from(1)), t(1), "svc");
+        ledger.record_event(Event::complete(a.clone(), Value::from(1)), t(2), "svc");
+
+        let first = ledger.flush_spill().expect_err("sticky error surfaces");
+        // Another full chunk arrives: the chain must not seal past the hole.
+        ledger.record_event(Event::start(a.clone(), Value::from(2)), t(3), "svc");
+        ledger.record_event(Event::complete(a, Value::from(2)), t(4), "svc");
+        let second = ledger.flush_spill().expect_err("and stays");
+        assert_eq!(first.kind(), second.kind());
+        assert_eq!(first.to_string(), second.to_string());
+        assert!(ledger.spill_segments().expect("attached").is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every layer of the reproduction is ultimately a consumer of one event
 //! stream: the ledger records it, the online monitor folds it, the batch
-//! checkers re-read it, the benches replay it. This crate is that stream's
+//! checkers re-read it, tests replay it. This crate is that stream's
 //! home — one append-only store, many cheap read-only views — so that a
 //! multi-million-event trace is stored **once**, compactly, instead of as
 //! heap-heavy `Vec<Event>` copies per component.
@@ -23,8 +23,8 @@
 //!   primitive behind `Ledger::attach_monitor`.
 //! * [`trace`] is the versioned binary record/replay format
 //!   ([`write_trace`] / [`read_trace`]): the harness dumps a run's trace
-//!   to disk, tests and benches replay it bit-for-bit. Version 3 frames
-//!   the payload behind a [`Codec`] with a recorded checksum.
+//!   to disk, tests replay it bit-for-bit. Version 3 frames the payload
+//!   behind a [`Codec`] with a recorded checksum.
 //! * [`tier`] is the durable tier: [`TieredStore`] keeps a hot in-memory
 //!   tail and spills sealed, optionally-compressed cold segments to disk
 //!   ([`segfile`]), with crash-safe recovery and [`HistoryRead`] views
@@ -71,12 +71,12 @@ pub use codec::{crc32, lz_compress, lz_decompress, Codec, Crc32};
 pub use segfile::{LoadedSegment, RecoveredLog, RecoveryReport, SegmentInfo, SegmentLog};
 pub use store::{EventRepr, HistoryView, TraceCursor, TraceSnapshot, TraceStore};
 pub use tier::{
-    read_tiered_trace, recover_store, remove_tiered_trace, write_tiered_trace, TierConfig,
-    TieredStore, TieredView, REQUESTS_MANIFEST,
+    read_tiered_trace, recover_store, write_tiered_trace, TierConfig, TieredStore, TieredView,
+    REQUESTS_MANIFEST,
 };
 pub use trace::{
     read_trace, write_trace, write_trace_file, write_trace_file_with_meta, write_trace_with_meta,
     write_trace_with_options, RecordedTrace, META_PAYLOAD_CRC, TRACE_FORMAT_COMPRESSED_VERSION,
     TRACE_FORMAT_MAX_VERSION, TRACE_FORMAT_MIN_VERSION, TRACE_FORMAT_VERSION,
 };
-pub use xability_core::intern::{value_heap_bytes, Interner, InternerReader};
+pub use xability_core::intern::{Interner, InternerReader};

@@ -19,7 +19,6 @@
 //! so this module stays clean under the workspace's
 //! `determinism-wall-clock` lint.
 
-use std::fs;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -53,16 +52,6 @@ impl Default for TierConfig {
             spill_threshold: EVENT_SEGMENT,
             codec: Codec::None,
             evict_on_seal: true,
-        }
-    }
-}
-
-impl TierConfig {
-    /// The default policy with a different codec.
-    pub fn with_codec(codec: Codec) -> Self {
-        TierConfig {
-            codec,
-            ..TierConfig::default()
         }
     }
 }
@@ -496,17 +485,10 @@ pub fn read_tiered_trace(dir: impl AsRef<Path>) -> io::Result<(RecordedTrace, Re
     ))
 }
 
-/// Removes a tiered trace directory if present (test/bench hygiene).
-pub fn remove_tiered_trace(dir: impl AsRef<Path>) -> io::Result<()> {
-    match fs::remove_dir_all(dir) {
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-        other => other,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
     use xability_core::{ActionId, ActionName, Value};
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -689,8 +671,7 @@ mod tests {
         assert_eq!(replayed.requests, requests);
         assert_eq!(replayed.meta_value("scenario"), Some("dump-test"));
         assert_eq!(replayed.store.view().to_history(), flat.view().to_history());
-        remove_tiered_trace(&dir).expect("cleanup");
-        assert!(!dir.exists());
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

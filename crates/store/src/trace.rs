@@ -4,7 +4,7 @@
 //! sequence, both symbol tables, and the packed event stream. Re-reading
 //! one rebuilds a [`TraceStore`] with identical symbols and events, so a
 //! harness run can be dumped to disk and re-checked bit-for-bit by tests
-//! and benches (`tests/corpus/` keeps a small committed corpus).
+//! (`tests/corpus/` keeps a small committed corpus).
 //!
 //! ## Layout (version 2, all integers little-endian)
 //!
@@ -13,7 +13,6 @@
 //! version  u32                      — TRACE_FORMAT_VERSION
 //! meta     u32 count, then per pair:  key u32 len + UTF-8 bytes,
 //!                                     value u32 len + UTF-8 bytes
-//!                                     (version ≥ 2 only; absent in v1)
 //! actions  u32 count, then per name:  kind u8 (0 idem, 1 undo),
 //!                                     name  u32 len + UTF-8 bytes
 //! values   u32 count, then per value: recursive value encoding (below)
@@ -48,9 +47,7 @@
 //! over the payload bytes it consumed and rejects a mismatch.
 //!
 //! The version is checked on read; an unknown magic or version is an
-//! `InvalidData` error, never a silent misparse. Version 1 files (the
-//! same layout minus the meta section) still read, with empty metadata —
-//! the committed corpus never goes stale on a format bump.
+//! `InvalidData` error, never a silent misparse.
 //!
 //! The meta section carries provenance, not semantics: free-form
 //! key/value strings (generator name, master seed, fault-plan summary,
@@ -77,8 +74,8 @@ pub const TRACE_FORMAT_VERSION: u32 = 2;
 /// layout with the post-meta payload behind a codec frame.
 pub const TRACE_FORMAT_COMPRESSED_VERSION: u32 = 3;
 
-/// The oldest trace format version the reader still accepts.
-pub const TRACE_FORMAT_MIN_VERSION: u32 = 1;
+/// The oldest trace format version the reader accepts.
+pub const TRACE_FORMAT_MIN_VERSION: u32 = 2;
 
 /// The newest trace format version the reader accepts.
 pub const TRACE_FORMAT_MAX_VERSION: u32 = TRACE_FORMAT_COMPRESSED_VERSION;
@@ -117,8 +114,8 @@ pub struct RecordedTrace {
     /// The rebuilt store, symbol-for-symbol identical to the recorded
     /// one.
     pub store: TraceStore,
-    /// Free-form provenance pairs from the file's meta section (empty
-    /// for version-1 files). Order is preserved exactly as written.
+    /// Free-form provenance pairs from the file's meta section. Order is
+    /// preserved exactly as written.
     pub meta: Vec<(String, String)>,
 }
 
@@ -517,7 +514,7 @@ pub fn read_trace<R: Read>(r: &mut R) -> io::Result<RecordedTrace> {
 }
 
 /// Parses the file prelude: magic, version (range-checked), and the meta
-/// section (absent in version 1).
+/// section.
 pub(crate) fn read_header<R: Read>(r: &mut R) -> io::Result<(u32, Vec<(String, String)>)> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -532,17 +529,12 @@ pub(crate) fn read_header<R: Read>(r: &mut R) -> io::Result<(u32, Vec<(String, S
         )));
     }
 
-    // The meta section arrived in version 2; v1 files go straight to the
-    // action symbol table.
-    let mut meta = Vec::new();
-    if version >= 2 {
-        let meta_count = read_u32(r)? as usize;
-        meta.reserve(meta_count.min(1 << 12));
-        for _ in 0..meta_count {
-            let key = read_str(r)?;
-            let value = read_str(r)?;
-            meta.push((key, value));
-        }
+    let meta_count = read_u32(r)? as usize;
+    let mut meta = Vec::with_capacity(meta_count.min(1 << 12));
+    for _ in 0..meta_count {
+        let key = read_str(r)?;
+        let value = read_str(r)?;
+        meta.push((key, value));
     }
     Ok((version, meta))
 }
@@ -608,7 +600,7 @@ pub(crate) struct RawSections {
     pub(crate) events: Vec<EventRepr>,
 }
 
-/// Reads the post-meta payload: directly for versions 1–2, through the
+/// Reads the post-meta payload: directly for version 2, through the
 /// codec frame for version 3.
 fn read_body<R: Read>(r: &mut R, version: u32) -> io::Result<RawSections> {
     if version < TRACE_FORMAT_COMPRESSED_VERSION {
@@ -761,11 +753,16 @@ mod tests {
 
     #[test]
     fn future_version_is_rejected() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&TRACE_MAGIC);
-        bytes.extend_from_slice(&(TRACE_FORMAT_MAX_VERSION + 1).to_le_bytes());
-        let err = read_trace(&mut bytes.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("version"));
+        // Either side of the accepted range: the retired meta-less
+        // version 1 and a version this build does not know yet.
+        for version in [TRACE_FORMAT_MIN_VERSION - 1, TRACE_FORMAT_MAX_VERSION + 1] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&TRACE_MAGIC);
+            bytes.extend_from_slice(&version.to_le_bytes());
+            let err = read_trace(&mut bytes.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("version"));
+        }
     }
 
     #[test]
@@ -973,26 +970,5 @@ mod tests {
         // Lookup returns the *first* pair under a duplicated key.
         assert_eq!(replayed.meta_value("master_seed"), Some("42"));
         assert_eq!(replayed.meta_value("absent"), None);
-    }
-
-    #[test]
-    fn version_1_files_without_meta_still_read() {
-        // A v2 stream minus the meta section *is* a v1 stream: synthesize
-        // one by rewriting the version field and splicing out the (empty)
-        // meta count, then check the payload replays identically.
-        let (requests, store) = sample();
-        let mut v2 = Vec::new();
-        write_trace(&mut v2, &requests, &store.snapshot()).unwrap();
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&TRACE_MAGIC);
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&v2[12..]); // skip magic + version + meta count
-        let replayed = read_trace(&mut v1.as_slice()).unwrap();
-        assert_eq!(replayed.requests, requests);
-        assert_eq!(
-            replayed.store.view().to_history(),
-            store.view().to_history()
-        );
-        assert!(replayed.meta.is_empty());
     }
 }

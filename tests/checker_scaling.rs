@@ -198,13 +198,13 @@ proptest! {
 }
 
 /// A 10k-event heavy-traffic trace with a verdict read after **every**
-/// push. This is the workload BENCH_checker.json measures: were the
-/// verdict still O(#groups), this single test would perform ~16M group
-/// re-decisions (3,334 groups × 10k verdicts) and crawl; with the dirty
-/// aggregate it re-decides only the touched group per push. The batch
-/// oracle is asserted at 64 evenly spaced checkpoints and at every one of
-/// the last 32 prefixes (batch itself is O(prefix), so a full per-prefix
-/// sweep would reintroduce the very O(n²) the aggregate removes).
+/// push. Were the verdict still O(#groups), this single test would
+/// perform ~16M group re-decisions (3,334 groups × 10k verdicts) and
+/// crawl; with the dirty aggregate it re-decides only the touched group
+/// per push. The batch oracle is asserted at 64 evenly spaced checkpoints
+/// and at every one of the last 32 prefixes (batch itself is O(prefix),
+/// so a full per-prefix sweep would reintroduce the very O(n²) the
+/// aggregate removes).
 #[test]
 fn ten_thousand_event_trace_verdict_after_every_push() {
     const EVENTS: usize = 10_002; // 3,334 requests × 3 events

@@ -1,94 +1,28 @@
-//! The observability overhead gate: full instrumentation must cost at
-//! most 5 % of throughput on the store-ingest-with-online-monitor axis
-//! (the `BENCH_store.json` headline), and a noop registry must be free
-//! in the same sense.
-//!
-//! Wall-clock ratios are machine-dependent, so the comparison is
-//! min-of-N (the minimum suppresses scheduler noise that a mean would
-//! smear into the ratio) and the gating test is `#[ignore]`d by default:
-//! CI runs it explicitly in the release profile ("obs overhead smoke"),
-//! where the hot paths are actually optimized. A debug-profile run of
-//! the tier-1 suite neither pays for nor flakes on it.
-
-use std::time::{Duration, Instant};
+//! Instrumented-ingest smoke: a store-ingest pass with the online
+//! monitor attached to a live registry works and records checker
+//! metrics. What the instrumentation costs in wall-clock is measured by
+//! xbench (`obs.attach_overhead_pct`), not asserted here.
 
 use xability::core::xable::IncrementalState;
-use xability::core::{ActionId, History, Value};
 use xability::obs::Obs;
 use xability::store::TraceStore;
 use xability_bench::n_retried_requests;
 
-/// One ingest pass: append every event to the store while the online
-/// monitor observes it, then take the verdict. Mirrors
-/// `benches/obs.rs::ingest_with_monitor`.
-fn ingest_pass(h: &History, ops: &[(ActionId, Value)], obs: Option<&Obs>) -> Duration {
+#[test]
+fn instrumented_ingest_smoke() {
+    let (h, ops) = n_retried_requests(500);
+    let obs = Obs::new();
     let mut store = TraceStore::new();
     let mut monitor = IncrementalState::new();
-    if let Some(obs) = obs {
-        monitor.attach_obs(obs);
-    }
-    for (a, iv) in ops {
+    monitor.attach_obs(&obs);
+    for (a, iv) in &ops {
         monitor.declare(a.clone(), iv.clone());
     }
-    let start = Instant::now();
     for ev in h.iter() {
         monitor.observe(ev);
         store.push(ev);
     }
-    let elapsed = start.elapsed();
     assert!(monitor.verdict_over(&store.view()).is_xable());
-    elapsed
-}
-
-fn min_of(n: usize, mut f: impl FnMut() -> Duration) -> Duration {
-    (0..n).map(|_| f()).min().expect("n > 0")
-}
-
-#[test]
-#[ignore = "release-profile CI smoke (obs overhead); run with --ignored"]
-fn full_instrumentation_stays_within_five_percent_of_ingest_throughput() {
-    const REQUESTS: usize = 200_000; // × 3 events per request
-    const ROUNDS: usize = 5;
-    let (h, ops) = n_retried_requests(REQUESTS);
-
-    // Interleave the postures round-robin so slow drift (thermal, cache)
-    // hits all three equally instead of biasing the later ones.
-    let live = Obs::new();
-    let noop = Obs::noop();
-    let mut off_best = Duration::MAX;
-    let mut noop_best = Duration::MAX;
-    let mut on_best = Duration::MAX;
-    for _ in 0..ROUNDS {
-        off_best = off_best.min(ingest_pass(&h, &ops, None));
-        noop_best = noop_best.min(ingest_pass(&h, &ops, Some(&noop)));
-        on_best = on_best.min(ingest_pass(&h, &ops, Some(&live)));
-    }
-
-    let overhead =
-        |with: Duration, base: Duration| (with.as_secs_f64() / base.as_secs_f64() - 1.0) * 100.0;
-    let on_overhead = overhead(on_best, off_best);
-    let noop_overhead = overhead(noop_best, off_best);
-    println!(
-        "obs overhead: off {:?}, noop {:?} ({noop_overhead:+.2}%), on {:?} ({on_overhead:+.2}%)",
-        off_best, noop_best, on_best
-    );
-    assert!(
-        on_overhead <= 5.0,
-        "full instrumentation costs {on_overhead:.2}% of ingest throughput (budget: 5%)"
-    );
-    assert!(
-        noop_overhead <= 5.0,
-        "a noop registry costs {noop_overhead:.2}% of ingest throughput (budget: 5%)"
-    );
-}
-
-#[test]
-fn instrumented_ingest_smoke() {
-    // The non-gating cousin that tier-1 always runs: the instrumented
-    // pass works and actually records checker metrics.
-    let (h, ops) = n_retried_requests(500);
-    let obs = Obs::new();
-    let _ = min_of(1, || ingest_pass(&h, &ops, Some(&obs)));
     let snapshot = obs.snapshot();
     assert!(snapshot.counter("checker.verdicts").unwrap_or(0) >= 1);
     assert!(snapshot.counter("checker.refreshes").unwrap_or(0) >= 1);
