@@ -189,6 +189,9 @@ pub struct ConsensusEngine<V> {
     peers: Vec<ProcessId>,
     round_timeout: SimDuration,
     instances: BTreeMap<InstanceId, Instance<V>>,
+    /// The instances the tick can still act on: participating and
+    /// undecided. Entered where `participating` is set, left in `decide`.
+    active: BTreeSet<InstanceId>,
     /// Decisions reached inside nested calls (e.g. a coordinator whose own
     /// implicit ack already forms a majority); drained by the public entry
     /// points so callers observe every decision exactly once.
@@ -213,6 +216,7 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
             peers,
             round_timeout,
             instances: BTreeMap::new(),
+            active: BTreeSet::new(),
             undrained: Vec::new(),
         }
     }
@@ -252,6 +256,7 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
         if !inst.participating {
             inst.participating = true;
             inst.round_started_at = now;
+            self.active.insert(instance.clone());
             self.broadcast_estimate(net, &instance);
         }
         // A coordinator alone in a singleton group decides synchronously.
@@ -379,16 +384,25 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
     }
 
     /// Periodic driver: applies round timeouts and failure-detector
-    /// suspicions, returning newly decided pairs (always empty today, but
-    /// kept symmetric with [`ConsensusEngine::on_message`] so embedders can
-    /// treat both uniformly).
+    /// suspicions to every participating, undecided instance, in instance
+    /// order, returning newly decided pairs. A tick itself only nacks and
+    /// advances rounds: with two or more peers a decision takes a peer's
+    /// message, so nothing is decided here. The one path that decides
+    /// without a message is a singleton group's coordinator re-proposing
+    /// as it enters a round, and that decision is drained here as in
+    /// [`ConsensusEngine::on_message`].
+    ///
+    /// Costs O(undecided instances), not O(instances ever seen).
     pub fn on_tick(&mut self, net: &mut dyn ConsensusNet<V>) -> Vec<(InstanceId, V)> {
-        let ids: Vec<InstanceId> = self
-            .instances
-            .iter()
-            .filter(|(_, i)| i.decided.is_none() && i.participating)
-            .map(|(id, _)| id.clone())
-            .collect();
+        let ids: Vec<InstanceId> = self.active.iter().cloned().collect();
+        debug_assert!(
+            ids.iter().eq(self
+                .instances
+                .iter()
+                .filter(|(_, i)| i.decided.is_none() && i.participating)
+                .map(|(id, _)| id)),
+            "the active set is exactly the participating, undecided instances"
+        );
         for id in ids {
             let inst = self.instances.get(&id).expect("listed");
             let coord = self.coordinator(inst.round);
@@ -418,6 +432,7 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
         }
         inst.participating = true;
         inst.round_started_at = net.now();
+        self.active.insert(id.clone());
         self.broadcast_estimate(net, id);
     }
 
@@ -521,6 +536,7 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
             return Vec::new();
         }
         inst.decided = Some(value.clone());
+        self.active.remove(id);
         if !inst.decision_relayed {
             inst.decision_relayed = true;
             for &p in &self.peers {
@@ -595,5 +611,98 @@ mod tests {
             vec![ProcessId(0), ProcessId(1)],
             SimDuration::from_millis(50),
         );
+    }
+
+    /// A network that records sends, with a settable clock and suspicions.
+    #[derive(Default)]
+    struct TestNet {
+        now: SimTime,
+        suspected: BTreeSet<ProcessId>,
+        sent: Vec<(ProcessId, ConsensusMsg<u32>)>,
+    }
+
+    impl ConsensusNet<u32> for TestNet {
+        fn send(&mut self, to: ProcessId, msg: ConsensusMsg<u32>) {
+            self.sent.push((to, msg));
+        }
+
+        fn now(&self) -> SimTime {
+            self.now
+        }
+
+        fn suspects(&self, p: ProcessId) -> bool {
+            self.suspected.contains(&p)
+        }
+    }
+
+    #[test]
+    fn tick_drives_only_participating_undecided_instances() {
+        let [p0, p1, p2] = [0, 1, 2].map(ProcessId);
+        let mut net = TestNet::default();
+        let mut engine = ConsensusEngine::new(p1, vec![p0, p1, p2], SimDuration::from_millis(50));
+        let [live, learned, settled, stranger] = ["a", "b", "c", "d"].map(InstanceId::new);
+        let decide = |instance: &InstanceId| ConsensusMsg::Decide {
+            instance: instance.clone(),
+            value: 9,
+        };
+
+        // Participating and undecided: the only one a tick may touch.
+        assert_eq!(engine.propose(&mut net, live.clone(), 1), None);
+        // Decided without ever participating (learned from a peer).
+        assert_eq!(engine.on_message(&mut net, p0, decide(&learned)).len(), 1);
+        // Participating, then decided.
+        assert_eq!(engine.propose(&mut net, settled.clone(), 3), None);
+        assert_eq!(engine.on_message(&mut net, p0, decide(&settled)).len(), 1);
+        // Known but never joined: a stray ack creates the entry only.
+        let stray = ConsensusMsg::Ack {
+            instance: stranger.clone(),
+            round: 0,
+        };
+        assert!(engine.on_message(&mut net, p2, stray).is_empty());
+        assert_eq!(engine.active.iter().collect::<Vec<_>>(), [&live]);
+
+        // Rounds time out and every coordinator but us is suspected, tick
+        // after tick: the live instance is nacked and advanced each time,
+        // the other three are never mentioned and never move.
+        net.sent.clear();
+        net.suspected = BTreeSet::from([p0, p2]);
+        for tick in 1..=100 {
+            net.now = SimTime::from_millis(100 * tick);
+            assert!(engine.on_tick(&mut net).is_empty());
+        }
+        assert!(net.sent.iter().all(|(_, m)| m.instance() == &live));
+        let nacks = net
+            .sent
+            .iter()
+            .filter(|(_, m)| matches!(m, ConsensusMsg::Nack { .. }));
+        assert_eq!(nacks.count(), 100);
+        assert_eq!(engine.instances[&live].round, 100);
+        for idle in [&learned, &settled, &stranger] {
+            assert_eq!(engine.instances[idle].round, 0);
+        }
+        assert_eq!(engine.read(&learned), Some(&9));
+        assert_eq!(engine.read(&stranger), None);
+
+        // Once decided, the live instance leaves the tick too.
+        assert_eq!(engine.on_message(&mut net, p0, decide(&live)).len(), 1);
+        assert!(engine.active.is_empty());
+        net.sent.clear();
+        net.now = SimTime::from_secs(60);
+        assert!(engine.on_tick(&mut net).is_empty());
+        assert!(net.sent.is_empty());
+    }
+
+    #[test]
+    fn singleton_group_decides_inside_propose_and_ticks_find_nothing() {
+        let me = ProcessId(0);
+        let mut net = TestNet::default();
+        let mut engine = ConsensusEngine::new(me, vec![me], SimDuration::from_millis(50));
+        let id = InstanceId::new("solo");
+        assert_eq!(engine.propose(&mut net, id.clone(), 4), Some(4));
+        assert!(engine.active.is_empty());
+        net.now = SimTime::from_secs(1);
+        assert!(engine.on_tick(&mut net).is_empty());
+        assert!(net.sent.is_empty());
+        assert_eq!(engine.read(&id), Some(&4));
     }
 }

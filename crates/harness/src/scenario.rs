@@ -6,6 +6,7 @@
 //! paper's correctness obligations R1–R4 (§4) plus direct exactly-once
 //! accounting on the side-effect ledger.
 
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
@@ -462,9 +463,13 @@ impl Scenario {
         let service_actor = world
             .actor_as::<ServiceActor>(ProcessId(self.replicas))
             .expect("service exists");
+        let mut by_id: BTreeMap<&str, &LogicalRequest> = BTreeMap::new();
+        for req in &requests {
+            by_id.entry(&req.id).or_insert(req);
+        }
         let mut r4_ok = true;
         for (req_id, result) in &results {
-            if let Some(req) = requests.iter().find(|r| &r.id == req_id) {
+            if let Some(req) = by_id.get(req_id.as_str()) {
                 if !service_actor
                     .core()
                     .is_possible_reply(&req.action, &req.payload, result)

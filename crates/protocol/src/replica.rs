@@ -139,6 +139,24 @@ struct RequestState {
     received_directly: bool,
 }
 
+impl RequestState {
+    /// The highest known round and its owner.
+    fn top(&self) -> Option<(u64, ProcessId)> {
+        self.rounds.iter().next_back().map(|(&r, &o)| (r, o))
+    }
+
+    /// Whether a cleaner pass has nothing left to do for this request at
+    /// `round`: the result is known and delivered from here, and (for an
+    /// undoable action) this replica already ran the round's cleaning. A
+    /// round cleaned *before* the result was learned is not inert — the
+    /// next pass still owes the client the deviation-2 reply.
+    fn inert_at(&self, round: u64) -> bool {
+        self.result.is_some()
+            && self.delivered_by_me
+            && (!self.req.action.is_undoable() || self.cleaning.contains(&round))
+    }
+}
+
 /// What a consensus decision was proposed *for* (the continuation).
 #[derive(Debug, Clone)]
 enum Intent {
@@ -236,6 +254,11 @@ pub struct XReplica {
     engine: ConsensusEngine<Decision>,
     config: XReplicaConfig,
     requests: BTreeMap<String, RequestState>,
+    /// The cleaner's index: request ids filed under the owner of their
+    /// highest known round, so a pass visits only what suspected owners
+    /// left behind. A request is re-filed when a higher round's owner is
+    /// learned and dropped once a pass finds it inert at its top round.
+    by_owner: BTreeMap<ProcessId, BTreeSet<String>>,
     intents: BTreeMap<InstanceId, Intent>,
     pending: BTreeMap<u64, InFlight>,
     /// Results learned before the request itself (decision reordering).
@@ -253,6 +276,7 @@ impl XReplica {
             engine: ConsensusEngine::new(me, peers, config.consensus_round_timeout),
             config,
             requests: BTreeMap::new(),
+            by_owner: BTreeMap::new(),
             intents: BTreeMap::new(),
             pending: BTreeMap::new(),
             orphan_results: BTreeMap::new(),
@@ -294,8 +318,8 @@ impl XReplica {
     pub fn max_round(&self, req_id: &str) -> u64 {
         self.requests
             .get(req_id)
-            .and_then(|st| st.rounds.keys().next_back().copied())
-            .unwrap_or(0)
+            .and_then(RequestState::top)
+            .map_or(0, |(round, _)| round)
     }
 
     // ---- helpers ----
@@ -515,21 +539,39 @@ impl XReplica {
 
     /// One pass of the cleaner: for every request whose highest-round owner
     /// is suspected, run cleaning-mode result coordination (or deliver the
-    /// already-known result).
+    /// already-known result). Visits the suspected owners' filed requests
+    /// in ascending request-id order — the order of a walk over `requests`.
     fn cleaning_scan(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
-        let candidates: Vec<(String, u64, ProcessId)> = self
-            .requests
-            .iter()
-            .filter_map(|(id, st)| {
-                let (&round, &owner) = st.rounds.iter().next_back()?;
-                Some((id.clone(), round, owner))
-            })
-            .collect();
+        let mut candidates: Vec<(String, u64, ProcessId)> = Vec::new();
+        for &owner in ctx.suspected_set().iter().filter(|&&o| o != self.me) {
+            for id in self.by_owner.get(&owner).into_iter().flatten() {
+                let (round, _) = self.requests[id].top().expect("filed with a round");
+                candidates.push((id.clone(), round, owner));
+            }
+        }
+        candidates.sort_unstable();
+        debug_assert!(
+            candidates
+                .iter()
+                .filter(|(id, round, _)| !self.requests[id].inert_at(*round))
+                .cloned()
+                .eq(self.requests.iter().filter_map(|(id, st)| {
+                    let (round, owner) = st.top()?;
+                    (owner != self.me && ctx.suspects(owner) && !st.inert_at(round))
+                        .then(|| (id.clone(), round, owner))
+                })),
+            "the index lists what a scan of every request would act on, in its order"
+        );
         for (req_id, round, owner) in candidates {
-            if owner == self.me || !ctx.suspects(owner) {
+            let st = self.requests.get(&req_id).expect("listed");
+            // A pass changes only requests it has already visited.
+            debug_assert_eq!(st.top(), Some((round, owner)));
+            if st.inert_at(round) {
+                if let Some(filed) = self.by_owner.get_mut(&owner) {
+                    filed.remove(&req_id);
+                }
                 continue;
             }
-            let st = self.requests.get(&req_id).expect("listed");
             let undoable = st.req.action.is_undoable();
             if let Some(v) = st.result.clone() {
                 // Deviation 2: the owner may have crashed after agreement
@@ -616,7 +658,17 @@ impl XReplica {
                 let req = req.clone();
                 let req_id = req.id.clone();
                 let st = self.ensure_request(req, client);
+                let prev_top = st.top();
                 st.rounds.insert(round, owner);
+                if prev_top.map_or(true, |(top, _)| round > top) {
+                    if let Some(filed) = prev_top.and_then(|(_, o)| self.by_owner.get_mut(&o)) {
+                        filed.remove(&req_id);
+                    }
+                    self.by_owner
+                        .entry(owner)
+                        .or_default()
+                        .insert(req_id.clone());
+                }
                 if owner == me {
                     self.start_execution(ctx, &req_id, round);
                 }
@@ -945,6 +997,124 @@ impl Actor<ProtoMsg> for XReplica {
     ) {
         if suspected {
             self.cleaning_scan(ctx);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xability_consensus::ConsensusMsg;
+    use xability_core::ActionName;
+    use xability_sim::{SimConfig, SimTime, World};
+
+    /// A scripted process: sends each `(delay, to, msg)` of its script and
+    /// records what it receives.
+    #[derive(Default)]
+    struct Puppet {
+        script: Vec<(SimDuration, ProcessId, ProtoMsg)>,
+        timers: BTreeMap<TimerId, usize>,
+        received: Vec<ProtoMsg>,
+    }
+
+    impl Actor<ProtoMsg> for Puppet {
+        fn on_start(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
+            for (i, (delay, _, _)) in self.script.iter().enumerate() {
+                self.timers.insert(ctx.set_timer(*delay), i);
+            }
+        }
+
+        fn on_message(&mut self, _: &mut Context<'_, ProtoMsg>, _: ProcessId, msg: ProtoMsg) {
+            self.received.push(msg);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_, ProtoMsg>, timer: TimerId) {
+            let (_, to, msg) = self.script[self.timers[&timer]].clone();
+            ctx.send(to, msg);
+        }
+    }
+
+    fn decide(instance: InstanceId, value: Decision) -> ProtoMsg {
+        ProtoMsg::Consensus(ConsensusMsg::Decide { instance, value })
+    }
+
+    /// The cleaner's late-result obligation (deviation 2): the owner is
+    /// suspected, this replica cleans its round with no result known, and
+    /// the result is learned passively afterwards — decided in a later
+    /// round whose owner this replica has not heard of, so the request
+    /// stays under the suspected owner. The next pass owes the client
+    /// exactly one reply; an index that forgot the request after its first
+    /// visit would starve the client.
+    #[test]
+    fn result_learned_after_cleaning_is_delivered_by_the_next_pass() {
+        let [owner, me, peer, client, service] = [0, 1, 2, 3, 4].map(ProcessId);
+        let value = Value::from("the-result");
+        for action in [
+            ActionName::idempotent("issue"),
+            ActionName::undoable("reserve"),
+        ] {
+            let req = LogicalRequest::new("req-0", action.clone(), Value::Nil, service);
+            let late = if action.is_undoable() {
+                let commit = Decision::Outcome {
+                    abort: false,
+                    value: Some(value.clone()),
+                };
+                decide(outcome_instance("req-0", 2), commit)
+            } else {
+                let agreed = Decision::ResultAgreed(Some(value.clone()));
+                decide(result_instance("req-0", 2), agreed)
+            };
+            let owned = Decision::Owner { owner, req, client };
+            let script = vec![
+                (
+                    SimDuration::from_millis(1),
+                    me,
+                    decide(owner_instance("req-0", 1), owned),
+                ),
+                (SimDuration::from_millis(150), me, late),
+            ];
+
+            let mut world: World<ProtoMsg> = World::new(SimConfig::with_seed(7));
+            world.add_process("owner", Box::new(Puppet::default()));
+            let replica = XReplica::new(me, vec![owner, me, peer], XReplicaConfig::default());
+            world.add_process("replica", Box::new(replica));
+            let scripted = Puppet {
+                script,
+                ..Puppet::default()
+            };
+            world.add_process("peer", Box::new(scripted));
+            world.add_process("client", Box::new(Puppet::default()));
+            world.add_process("service", Box::new(Puppet::default()));
+            world.schedule_crash(owner, SimTime::from_millis(5));
+
+            // The owner is suspected and its round cleaned; no result yet,
+            // so the request must stay filed under the suspected owner.
+            world.run_until(SimTime::from_millis(140));
+            let replica = world.actor_as::<XReplica>(me).expect("replica");
+            assert!(world.suspected_by(me).contains(&owner));
+            assert_eq!(replica.metrics().cleanings, 1);
+            assert_eq!(replica.metrics().replies_sent, 0);
+            assert!(replica.by_owner[&owner].contains("req-0"));
+
+            // The result arrives; the next pass delivers it once, after
+            // which the request is inert and leaves the index.
+            world.run_until(SimTime::from_millis(400));
+            let replica = world.actor_as::<XReplica>(me).expect("replica");
+            assert_eq!(replica.request_result("req-0"), Some(&value));
+            assert_eq!(replica.metrics().cleanings, 1);
+            assert_eq!(replica.metrics().replies_sent, 1, "{action}");
+            assert!(!replica.by_owner[&owner].contains("req-0"));
+            let replies: Vec<&ProtoMsg> = world
+                .actor_as::<Puppet>(client)
+                .expect("client")
+                .received
+                .iter()
+                .collect();
+            assert!(
+                matches!(replies[..], [ProtoMsg::ClientResult { req_id, result }]
+                    if req_id == "req-0" && *result == value),
+                "{action}: {replies:?}"
+            );
         }
     }
 }

@@ -17,6 +17,7 @@
 //! compact side table.
 
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -108,6 +109,17 @@ impl fmt::Display for MonitorAlreadyAttached {
 }
 
 impl std::error::Error for MonitorAlreadyAttached {}
+
+/// What the effect log holds for one `(action, key)`: the counts
+/// [`Ledger::applied_count`], [`Ledger::committed_count`] and
+/// [`Ledger::dangling_tentative_count`] would each scan the log for.
+#[derive(Debug, Default)]
+struct EffectTally {
+    applied: usize,
+    committed: usize,
+    /// Per round: tentative effects, and reverted + committed ones.
+    rounds: BTreeMap<u64, (usize, usize)>,
+}
 
 /// The global ledger of events, effects, and detected service-level protocol
 /// violations.
@@ -748,23 +760,44 @@ impl Ledger {
     /// Each entry of `requests` is `(action, key)`; idempotence/undoability
     /// is taken from the [`ActionName`].
     pub fn exactly_once_violations(&self, requests: &[(ActionName, Value)]) -> Vec<String> {
+        // One pass over the effect log, then a lookup per request — the
+        // log and the request list both grow with the session.
+        let mut tallies: BTreeMap<(&ActionName, &Value), EffectTally> = BTreeMap::new();
+        for e in &self.effects {
+            let tally = tallies.entry((&e.action, &e.key)).or_default();
+            match e.kind {
+                EffectKind::Applied => tally.applied += 1,
+                EffectKind::Tentative => tally.rounds.entry(e.round).or_default().0 += 1,
+                EffectKind::Reverted => tally.rounds.entry(e.round).or_default().1 += 1,
+                EffectKind::Committed => {
+                    tally.committed += 1;
+                    tally.rounds.entry(e.round).or_default().1 += 1;
+                }
+            }
+        }
+        let absent = EffectTally::default();
         let mut out = Vec::new();
         for (action, key) in requests {
+            let tally = tallies.get(&(action, key)).unwrap_or(&absent);
             if action.is_idempotent() {
-                let n = self.applied_count(action, key);
+                let n = tally.applied;
                 if n != 1 {
                     out.push(format!(
                         "idempotent request ({action}, {key}) applied its effect {n} times (want 1)"
                     ));
                 }
             } else {
-                let n = self.committed_count(action, key);
+                let n = tally.committed;
                 if n != 1 {
                     out.push(format!(
                         "undoable request ({action}, {key}) committed {n} times (want 1)"
                     ));
                 }
-                let dangling = self.dangling_tentative_count(action, key);
+                let dangling: usize = tally
+                    .rounds
+                    .values()
+                    .map(|(tentative, resolved)| tentative.saturating_sub(*resolved))
+                    .sum();
                 if dangling != 0 {
                     out.push(format!(
                         "undoable request ({action}, {key}) left {dangling} dangling tentative effect(s)"
