@@ -296,14 +296,14 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
                 .instances
                 .entry(instance.clone())
                 .or_insert_with(|| Instance::new(now));
-            if let Some(decided) = inst.decided.clone() {
+            if let Some(decided) = &inst.decided {
                 // Help late peers: re-send the decision to the sender.
                 if !matches!(msg, ConsensusMsg::Decide { .. }) {
                     net.send(
                         from,
                         ConsensusMsg::Decide {
-                            instance: instance.clone(),
-                            value: decided,
+                            instance,
+                            value: decided.clone(),
                         },
                     );
                 }
@@ -536,6 +536,11 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
             return Vec::new();
         }
         inst.decided = Some(value.clone());
+        // Every path that reads the per-round state returns first on a
+        // decided instance, so only the decision is kept from here on.
+        inst.estimate = None;
+        inst.estimates.clear();
+        inst.acks.clear();
         self.active.remove(id);
         if !inst.decision_relayed {
             inst.decision_relayed = true;
@@ -690,6 +695,83 @@ mod tests {
         net.now = SimTime::from_secs(60);
         assert!(engine.on_tick(&mut net).is_empty());
         assert!(net.sent.is_empty());
+    }
+
+    #[test]
+    fn decided_instance_keeps_only_its_decision_and_still_answers_late_peers() {
+        let [p0, p1, p2] = [0, 1, 2].map(ProcessId);
+        let mut net = TestNet::default();
+        // p0 coordinates round 0: its own estimate plus p1's is a majority,
+        // and p1's ack on top of its own implicit one decides.
+        let mut engine = ConsensusEngine::new(p0, vec![p0, p1, p2], SimDuration::from_millis(50));
+        let id = InstanceId::new("i");
+        assert_eq!(engine.propose(&mut net, id.clone(), 7), None);
+        let estimate = ConsensusMsg::Estimate {
+            instance: id.clone(),
+            round: 0,
+            value: 8,
+            ts: 0,
+        };
+        assert!(engine.on_message(&mut net, p1, estimate).is_empty());
+        let inst = &engine.instances[&id];
+        assert!(inst.estimate.is_some() && inst.estimates.len() == 2 && inst.proposed);
+        let ack = ConsensusMsg::Ack {
+            instance: id.clone(),
+            round: 0,
+        };
+        // Equal timestamps: the estimate of the highest process id wins.
+        assert_eq!(engine.on_message(&mut net, p1, ack), [(id.clone(), 8)]);
+
+        let inst = &engine.instances[&id];
+        assert_eq!(inst.decided, Some(8));
+        assert_eq!(inst.estimate, None);
+        assert!(inst.estimates.is_empty() && inst.acks.is_empty());
+
+        // Whatever a late peer still sends, at this round or a later one,
+        // it gets the decision back and nothing else happens.
+        for round in [0, 3] {
+            let late = [
+                ConsensusMsg::Estimate {
+                    instance: id.clone(),
+                    round,
+                    value: 9,
+                    ts: round,
+                },
+                ConsensusMsg::Propose {
+                    instance: id.clone(),
+                    round,
+                    value: 9,
+                },
+                ConsensusMsg::Ack {
+                    instance: id.clone(),
+                    round,
+                },
+                ConsensusMsg::Nack {
+                    instance: id.clone(),
+                    round,
+                },
+            ];
+            for msg in late {
+                net.sent.clear();
+                assert!(engine.on_message(&mut net, p2, msg).is_empty());
+                let decide = ConsensusMsg::Decide {
+                    instance: id.clone(),
+                    value: 8,
+                };
+                assert_eq!(net.sent, [(p2, decide)]);
+            }
+        }
+        net.sent.clear();
+        let other = ConsensusMsg::Decide {
+            instance: id.clone(),
+            value: 8,
+        };
+        assert!(engine.on_message(&mut net, p2, other).is_empty());
+        net.now = SimTime::from_secs(60);
+        assert!(engine.on_tick(&mut net).is_empty());
+        assert!(net.sent.is_empty());
+        assert_eq!(engine.propose(&mut net, id.clone(), 1), Some(8));
+        assert_eq!(engine.instances[&id].round, 0);
     }
 
     #[test]

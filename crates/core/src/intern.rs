@@ -270,8 +270,11 @@ fn lookup<T: std::hash::Hash + Eq + Clone>(
         .find(|&sym| log.get(sym as usize) == item)
 }
 
-/// Approximate heap bytes owned by a [`Value`] (not counting the inline
-/// enum itself): string contents, list/pair element storage, recursively.
+/// Approximate heap bytes behind a [`Value`] (not counting the inline
+/// enum itself): string contents, list/pair element storage, recursively;
+/// no allocator or reference-count headers. Compound values share their
+/// contents with every clone, so this is an upper bound on the bytes the
+/// value *owns* — the exact figure only when nothing else holds it.
 /// Feeds [`Interner::approx_bytes`].
 fn value_heap_bytes(value: &Value) -> usize {
     match value {

@@ -6,6 +6,7 @@
 //! histories, consensus payloads, and deduplication tables.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -15,6 +16,12 @@ use serde::{Deserialize, Serialize};
 /// different subsystems are directly comparable, and so that the theory crate
 /// stays free of type parameters that would leak into every downstream
 /// signature.
+///
+/// Values are immutable, and the compound variants share their contents:
+/// `clone()` of a `Str`, `List` or `Pair` is a reference-count bump, never
+/// a copy of the tree, so a request payload can ride through every
+/// consensus message, service invocation and ledger entry as one
+/// allocation. Equality, order and hashing are structural (by contents).
 ///
 /// # Examples
 ///
@@ -36,11 +43,11 @@ pub enum Value {
     /// A signed integer.
     Int(i64),
     /// A string.
-    Str(String),
+    Str(Arc<str>),
     /// An ordered sequence of values.
-    List(Vec<Value>),
+    List(Arc<[Value]>),
     /// A key/value pair; maps are encoded as sorted lists of pairs.
-    Pair(Box<(Value, Value)>),
+    Pair(Arc<(Value, Value)>),
 }
 
 impl Value {
@@ -59,7 +66,7 @@ impl Value {
 
     /// Builds a pair value.
     pub fn pair(first: Value, second: Value) -> Self {
-        Value::Pair(Box::new((first, second)))
+        Value::Pair(Arc::new((first, second)))
     }
 
     /// Returns the contained integer, if this is an `Int`.
@@ -125,9 +132,28 @@ impl Value {
     /// assert_eq!(m.lookup(&Value::from("cc")), None);
     /// ```
     pub fn lookup(&self, key: &Value) -> Option<&Value> {
-        let items = self.as_list()?;
-        items.iter().find_map(|item| match item {
-            Value::Pair(p) if &p.0 == key => Some(&p.1),
+        self.lookup_by(|k| k == key)
+    }
+
+    /// [`Value::lookup`] for a string key, without building a key value.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use xability_core::Value;
+    /// let m = Value::list([Value::pair(Value::from("amount"), Value::from(250))]);
+    /// assert_eq!(m.lookup_str("amount"), Some(&Value::from(250)));
+    /// assert_eq!(m.lookup_str("cc"), None);
+    /// ```
+    pub fn lookup_str(&self, key: &str) -> Option<&Value> {
+        self.lookup_by(|k| k.as_str() == Some(key))
+    }
+
+    /// The second component of the first pair in this list whose first
+    /// component satisfies `is_key`.
+    fn lookup_by(&self, is_key: impl Fn(&Value) -> bool) -> Option<&Value> {
+        self.as_list()?.iter().find_map(|item| match item {
+            Value::Pair(p) if is_key(&p.0) => Some(&p.1),
             _ => None,
         })
     }
@@ -159,13 +185,13 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_owned())
+        Value::Str(Arc::from(s))
     }
 }
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Str(s)
+        Value::Str(Arc::from(s))
     }
 }
 
@@ -238,6 +264,12 @@ mod tests {
         assert_eq!(m.lookup(&Value::from("a")), Some(&Value::from(1)));
         assert_eq!(m.lookup(&Value::from("b")), None);
         assert_eq!(Value::Nil.lookup(&Value::from("a")), None);
+        // The string-keyed form answers the same, key value or not.
+        assert_eq!(m.lookup_str("a"), Some(&Value::from(1)));
+        assert_eq!(m.lookup_str("b"), None);
+        assert_eq!(Value::Nil.lookup_str("a"), None);
+        let int_keyed = Value::list([Value::pair(Value::from(1), Value::from(2))]);
+        assert_eq!(int_keyed.lookup_str("1"), None);
     }
 
     #[test]
@@ -269,5 +301,98 @@ mod tests {
             assert!(!format!("{v}").is_empty());
             assert!(!format!("{v:?}").is_empty());
         }
+    }
+
+    /// A value with every variant, nested both ways.
+    fn sample() -> Value {
+        Value::list([
+            Value::Nil,
+            Value::from(true),
+            Value::from(-7),
+            Value::from("a\"b"),
+            Value::pair(
+                Value::from("k"),
+                Value::list([Value::from(1), Value::from("10")]),
+            ),
+            Value::list([]),
+        ])
+    }
+
+    /// Trace bytes, verdict reason strings, interner symbols and every
+    /// `BTreeMap<Value, _>` walk depend on these; the literals were recorded
+    /// with the owned `String`/`Vec`/`Box` layout this one replaced.
+    #[test]
+    fn order_hash_debug_and_display_are_those_of_the_owned_layout() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+
+        let v = sample();
+        assert_eq!(
+            format!("{v:?}"),
+            r#"List([Nil, Bool(true), Int(-7), Str("a\"b"), Pair((Str("k"), List([Int(1), Str("10")]))), List([])])"#
+        );
+        assert_eq!(
+            format!("{v}"),
+            r#"[nil, true, -7, "a\"b", ("k", [1, "10"]), []]"#
+        );
+        let mut hasher = DefaultHasher::new();
+        v.hash(&mut hasher);
+        assert_eq!(hasher.finish(), 0x505a_0318_aa89_51bb);
+
+        // Variant order first, then contents: bytewise strings ("10" < "9"),
+        // lexicographic lists, pairs by first then second component.
+        let ascending = [
+            Value::Nil,
+            Value::from(false),
+            Value::from(true),
+            Value::from(-1),
+            Value::from(2),
+            Value::from(""),
+            Value::from("10"),
+            Value::from("9"),
+            Value::from("a"),
+            Value::list([]),
+            Value::list([Value::from(1)]),
+            Value::list([Value::from(1), Value::Nil]),
+            Value::list([Value::from(2)]),
+            Value::pair(Value::Nil, Value::Nil),
+            Value::pair(Value::Nil, Value::from(0)),
+            Value::pair(Value::from(0), Value::Nil),
+        ];
+        for (i, a) in ascending.iter().enumerate() {
+            for (j, b) in ascending.iter().enumerate() {
+                assert_eq!(a.cmp(b), i.cmp(&j), "{a} vs {b}");
+                assert_eq!(a == b, i == j, "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn clone_shares_the_contents() {
+        fn same_allocation(a: &Value, b: &Value) -> bool {
+            match (a, b) {
+                (Value::Str(a), Value::Str(b)) => Arc::ptr_eq(a, b),
+                (Value::List(a), Value::List(b)) => Arc::ptr_eq(a, b),
+                (Value::Pair(a), Value::Pair(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            }
+        }
+        let v = sample();
+        let items = v.as_list().unwrap();
+        for original in [&v, &items[3], &items[4]] {
+            assert!(same_allocation(original, &original.clone()), "{original}");
+        }
+        // Equal contents built twice are equal, yet distinct allocations.
+        assert_eq!(v, sample());
+        assert!(!same_allocation(&v, &sample()));
+    }
+
+    /// The fleet and `PipelinedMonitor` move values and events across
+    /// threads; fails to compile if the sharing is ever `Rc`.
+    #[test]
+    fn values_and_events_cross_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Value>();
+        assert_send_sync::<crate::Event>();
     }
 }

@@ -373,7 +373,7 @@ impl Scenario {
         let requests = self.workload.requests(service_id);
         let added = world.add_process(
             "client",
-            Box::new(Client::new(replica_ids.clone(), requests.clone())),
+            Box::new(Client::new(replica_ids.clone(), requests)),
         );
         assert_eq!(added, client_id);
 
@@ -413,21 +413,21 @@ impl Scenario {
         let settle = world.now() + SimDuration::from_millis(500);
         world.run_until(settle);
 
-        self.evaluate(world, ledger, requests, client_id, &replica_ids, obs)
+        self.evaluate(world, ledger, client_id, &replica_ids, obs)
     }
 
     fn evaluate(
         &self,
         world: World<ProtoMsg>,
         ledger: SharedLedger,
-        requests: Vec<LogicalRequest>,
         client_id: ProcessId,
         replica_ids: &[ProcessId],
         obs: Obs,
     ) -> RunReport {
         let client = world.actor_as::<Client>(client_id).expect("client exists");
         let finished = client.is_done();
-        let completed = client.completed_requests().to_vec();
+        let requests = client.plan();
+        let completed = client.completed_requests().len();
         let client_metrics = *client.metrics();
         let latencies: Vec<SimDuration> = client.latencies().iter().map(|(_, d)| *d).collect();
         let results: Vec<(String, Value)> = client
@@ -436,24 +436,27 @@ impl Scenario {
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
 
+        // What the client submitted: the completed prefix of the plan plus
+        // the request in flight, each with its formal input value.
+        let submitted_prefix = &requests[..(completed + 1).min(requests.len())];
+        let keys: Vec<Value> = submitted_prefix.iter().map(LogicalRequest::key).collect();
+
         // Exactly-once accounting over the ledger, for the *completed*
         // requests (successfully submitted ⇒ exactly once).
-        let completed_keys: Vec<(ActionName, Value)> = completed
+        let completed_keys: Vec<(ActionName, Value)> = submitted_prefix[..completed]
             .iter()
-            .map(|r| (r.action.clone(), r.key()))
+            .zip(&keys)
+            .map(|(r, key)| (r.action.clone(), key.clone()))
             .collect();
         let exactly_once_violations = ledger.borrow().exactly_once_violations(&completed_keys);
 
         // R3: the server-side history must be x-able w.r.t. the submitted
         // sequence (the last submitted request may be unfinished).
-        let submitted: Vec<xability_core::Request> = requests
+        let submitted: Vec<xability_core::Request> = submitted_prefix
             .iter()
-            .take((completed.len() + 1).min(requests.len()))
-            .map(|r| {
-                xability_core::Request::new(
-                    xability_core::ActionId::base(r.action.clone()),
-                    r.key(),
-                )
+            .zip(keys)
+            .map(|(r, key)| {
+                xability_core::Request::new(xability_core::ActionId::base(r.action.clone()), key)
             })
             .collect();
         let r3 = r3_violation_for(&ledger, &submitted);
@@ -464,7 +467,7 @@ impl Scenario {
             .actor_as::<ServiceActor>(ProcessId(self.replicas))
             .expect("service exists");
         let mut by_id: BTreeMap<&str, &LogicalRequest> = BTreeMap::new();
-        for req in &requests {
+        for req in requests {
             by_id.entry(&req.id).or_insert(req);
         }
         let mut r4_ok = true;
@@ -514,7 +517,7 @@ impl Scenario {
             scheme: self.scheme,
             seed: self.seed,
             total_requests: requests.len(),
-            completed_requests: completed.len(),
+            completed_requests: completed,
             finished,
             client: client_metrics,
             latencies,

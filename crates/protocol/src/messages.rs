@@ -2,6 +2,7 @@
 //! external services, plus the consensus decision values.
 
 use std::fmt;
+use std::sync::Arc;
 
 use xability_consensus::{ConsensusMsg, InstanceId};
 use xability_core::{ActionName, Value};
@@ -46,7 +47,7 @@ impl LogicalRequest {
 
     /// The request id as a [`Value`] (the formal input value).
     pub fn key(&self) -> Value {
-        Value::from(self.id.clone())
+        Value::from(self.id.as_str())
     }
 
     /// The service invocation executing this request in `round`.
@@ -68,8 +69,11 @@ pub enum Decision {
     Owner {
         /// The owning replica.
         owner: ProcessId,
-        /// The request (carried so every replica learns it).
-        req: LogicalRequest,
+        /// The request (carried so every replica learns it). Shared: the
+        /// estimates, proposals and decisions of an owner agreement, and
+        /// every replica's bookkeeping for the request, hold the owner's
+        /// one allocation.
+        req: Arc<LogicalRequest>,
         /// The client to answer.
         client: ProcessId,
     },
@@ -196,5 +200,15 @@ mod tests {
         assert_eq!(sreq.round, 4);
         assert_eq!(sreq.key, Value::from("r1"));
         assert_eq!(format!("{req}"), "transferᵘ(r1)");
+    }
+
+    /// Messages share their request and values with the results and events
+    /// the fleet and the pipelined monitor do move between threads; fails
+    /// to compile if any of that sharing is ever `Rc`.
+    #[test]
+    fn messages_and_decisions_cross_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<ProtoMsg>();
+        assert_send_sync::<Decision>();
     }
 }

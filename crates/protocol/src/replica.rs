@@ -43,6 +43,7 @@
 //! consensus objects arbitrating exactly-once semantics.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use xability_consensus::{ConsensusEngine, CtxNet, InstanceId};
 use xability_core::Value;
@@ -118,7 +119,9 @@ impl ReplicaObs {
 /// Per-request bookkeeping.
 #[derive(Debug)]
 struct RequestState {
-    req: LogicalRequest,
+    /// Shared with the owner-agreement messages that carried it here: one
+    /// allocation per submission, not one per replica.
+    req: Arc<LogicalRequest>,
     client: ProcessId,
     /// Every client incarnation that submitted this request to this
     /// replica; results are delivered to all of them (resubmitted requests
@@ -324,20 +327,27 @@ impl XReplica {
 
     // ---- helpers ----
 
-    fn ensure_request(&mut self, req: LogicalRequest, client: ProcessId) -> &mut RequestState {
-        let id = req.id.clone();
-        let orphan = self.orphan_results.remove(&id);
-        let entry = self.requests.entry(id).or_insert_with(|| RequestState {
-            req,
-            client,
-            extra_clients: BTreeSet::new(),
-            rounds: BTreeMap::new(),
-            result: None,
-            cleaning: BTreeSet::new(),
-            owned: BTreeSet::new(),
-            delivered_by_me: false,
-            received_directly: false,
-        });
+    fn ensure_request(
+        &mut self,
+        req: &Arc<LogicalRequest>,
+        client: ProcessId,
+    ) -> &mut RequestState {
+        let orphan = self.orphan_results.remove(&req.id);
+        if !self.requests.contains_key(&req.id) {
+            let fresh = RequestState {
+                req: Arc::clone(req),
+                client,
+                extra_clients: BTreeSet::new(),
+                rounds: BTreeMap::new(),
+                result: None,
+                cleaning: BTreeSet::new(),
+                owned: BTreeSet::new(),
+                delivered_by_me: false,
+                received_directly: false,
+            };
+            self.requests.insert(req.id.clone(), fresh);
+        }
+        let entry = self.requests.get_mut(&req.id).expect("just ensured");
         if entry.result.is_none() {
             entry.result = orphan;
         }
@@ -471,17 +481,17 @@ impl XReplica {
     fn process_request(
         &mut self,
         ctx: &mut Context<'_, ProtoMsg>,
-        req: LogicalRequest,
+        req: Arc<LogicalRequest>,
         client: ProcessId,
         round: u64,
     ) {
         let inst = owner_instance(&req.id, round);
+        self.ensure_request(&req, client);
         let proposal = Decision::Owner {
             owner: self.me,
-            req: req.clone(),
+            req,
             client,
         };
-        self.ensure_request(req, client);
         self.propose_with_intent(ctx, inst, proposal, Intent::OwnRound);
     }
 
@@ -492,7 +502,7 @@ impl XReplica {
         if st.result.is_some() || !st.owned.insert(round) {
             return;
         }
-        let req = st.req.clone();
+        let req = Arc::clone(&st.req);
         self.obs.rounds_owned.inc();
         self.obs.executions.inc();
         self.obs
@@ -531,7 +541,7 @@ impl XReplica {
         if st.result.is_some() || st.rounds.contains_key(&next) {
             return;
         }
-        let (req, client) = (st.req.clone(), st.client);
+        let (req, client) = (Arc::clone(&st.req), st.client);
         self.process_request(ctx, req, client, next);
     }
 
@@ -652,25 +662,22 @@ impl XReplica {
         // decisions regardless of who proposed.
         match (&dec, parse_instance(&inst)) {
             (Decision::Owner { owner, req, client }, Some(("owner", _, round))) => {
-                let me = self.me;
-                let owner = *owner;
-                let client = *client;
-                let req = req.clone();
-                let req_id = req.id.clone();
+                let (owner, client) = (*owner, *client);
+                let req_id = req.id.as_str();
                 let st = self.ensure_request(req, client);
                 let prev_top = st.top();
                 st.rounds.insert(round, owner);
                 if prev_top.map_or(true, |(top, _)| round > top) {
                     if let Some(filed) = prev_top.and_then(|(_, o)| self.by_owner.get_mut(&o)) {
-                        filed.remove(&req_id);
+                        filed.remove(req_id);
                     }
                     self.by_owner
                         .entry(owner)
                         .or_default()
-                        .insert(req_id.clone());
+                        .insert(req_id.to_owned());
                 }
-                if owner == me {
-                    self.start_execution(ctx, &req_id, round);
+                if owner == self.me {
+                    self.start_execution(ctx, req_id, round);
                 }
             }
             (Decision::ResultAgreed(Some(v)), Some(("result", req_id, _))) => {
@@ -761,7 +768,7 @@ impl XReplica {
         let Some(st) = self.requests.get(req_id) else {
             return;
         };
-        let req = st.req.clone();
+        let req = Arc::clone(&st.req);
         self.obs.cancels.inc();
         self.invoke(
             ctx,
@@ -785,7 +792,7 @@ impl XReplica {
         let Some(st) = self.requests.get(req_id) else {
             return;
         };
-        let req = st.req.clone();
+        let req = Arc::clone(&st.req);
         self.obs.commits.inc();
         self.invoke(
             ctx,
@@ -865,7 +872,7 @@ impl XReplica {
                         let Some(st) = self.requests.get(&req_id) else {
                             return;
                         };
-                        let req = st.req.clone();
+                        let req = Arc::clone(&st.req);
                         self.obs.executions.inc();
                         self.invoke(
                             ctx,
@@ -954,9 +961,9 @@ impl Actor<ProtoMsg> for XReplica {
                     // already responsible for it.
                     return;
                 }
-                let req_id = req.id.clone();
-                self.process_request(ctx, req, from, 1);
-                if let Some(st) = self.requests.get_mut(&req_id) {
+                let req = Arc::new(req);
+                self.process_request(ctx, Arc::clone(&req), from, 1);
+                if let Some(st) = self.requests.get_mut(&req.id) {
                     st.received_directly = true;
                 }
             }
@@ -1004,9 +1011,16 @@ impl Actor<ProtoMsg> for XReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use rand::rngs::StdRng;
     use xability_consensus::ConsensusMsg;
     use xability_core::ActionName;
+    use xability_services::{shared_ledger, BusinessLogic, ServiceConfig, ServiceCore};
     use xability_sim::{SimConfig, SimTime, World};
+
+    use crate::{Client, ServiceActor};
 
     /// A scripted process: sends each `(delay, to, msg)` of its script and
     /// records what it receives.
@@ -1064,7 +1078,11 @@ mod tests {
                 let agreed = Decision::ResultAgreed(Some(value.clone()));
                 decide(result_instance("req-0", 2), agreed)
             };
-            let owned = Decision::Owner { owner, req, client };
+            let owned = Decision::Owner {
+                owner,
+                req: Arc::new(req),
+                client,
+            };
             let script = vec![
                 (
                     SimDuration::from_millis(1),
@@ -1115,6 +1133,75 @@ mod tests {
                     if req_id == "req-0" && *result == value),
                 "{action}: {replies:?}"
             );
+        }
+    }
+
+    /// Business logic that keeps the payloads it is asked to apply.
+    struct Recorder(Rc<RefCell<Vec<Value>>>);
+
+    impl BusinessLogic for Recorder {
+        fn name(&self) -> &str {
+            "recorder"
+        }
+
+        fn actions(&self) -> Vec<ActionName> {
+            vec![ActionName::undoable("reserve")]
+        }
+
+        fn apply(&mut self, _: &ActionName, _: &Value, payload: &Value, _: &mut StdRng) -> Value {
+            self.0.borrow_mut().push(payload.clone());
+            Value::from("done")
+        }
+    }
+
+    /// The request path shares, end to end: the payload the service
+    /// executes is the client's allocation, and all three replicas file the
+    /// request under the one `LogicalRequest` the owner agreement decided.
+    #[test]
+    fn a_request_is_one_allocation_from_client_plan_to_service_and_replicas() {
+        let replicas = [0, 1, 2].map(ProcessId);
+        let [service, client] = [3, 4].map(ProcessId);
+        let payload = Value::list([Value::pair(Value::from("seats"), Value::from(1))]);
+        let plan: Vec<LogicalRequest> = (0..3)
+            .map(|i| {
+                let action = ActionName::undoable("reserve");
+                LogicalRequest::new(format!("req-{i}"), action, payload.clone(), service)
+            })
+            .collect();
+
+        let mut world: World<ProtoMsg> = World::new(SimConfig::with_seed(11));
+        for id in replicas {
+            let replica = XReplica::new(id, replicas.to_vec(), XReplicaConfig::default());
+            world.add_process(format!("replica{}", id.0), Box::new(replica));
+        }
+        let applied = Rc::new(RefCell::new(Vec::new()));
+        let logic = Box::new(Recorder(Rc::clone(&applied)));
+        let core = ServiceCore::new(logic, ServiceConfig::default(), shared_ledger());
+        world.add_process("service", Box::new(ServiceActor::new(core)));
+        world.add_process("client", Box::new(Client::new(replicas.to_vec(), plan)));
+        let done = |w: &World<ProtoMsg>| w.actor_as::<Client>(client).expect("client").is_done();
+        assert!(world.run_while(|w| !done(w), SimTime::from_secs(10)));
+        world.run_until(world.now() + SimDuration::from_millis(500));
+
+        let same_list = |a: &Value, b: &Value| match (a, b) {
+            (Value::List(a), Value::List(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        let plan = world.actor_as::<Client>(client).expect("client").plan();
+        assert_eq!(applied.borrow().len(), plan.len());
+        for (req, executed) in plan.iter().zip(applied.borrow().iter()) {
+            assert!(same_list(&req.payload, executed), "{req}");
+            assert!(same_list(&req.payload, &payload), "{req}");
+
+            let first = world.actor_as::<XReplica>(replicas[0]).expect("replica");
+            let decided = match first.engine.read(&owner_instance(&req.id, 1)) {
+                Some(Decision::Owner { req, .. }) => req,
+                other => panic!("{req}: owner agreement decided {other:?}"),
+            };
+            for id in replicas {
+                let replica = world.actor_as::<XReplica>(id).expect("replica");
+                assert!(Arc::ptr_eq(&replica.requests[&req.id].req, decided), "{id}");
+            }
         }
     }
 }

@@ -28,7 +28,7 @@ use xability_core::{ActionName, Value};
 use crate::logic::BusinessLogic;
 
 fn field<'v>(payload: &'v Value, key: &str) -> Option<&'v Value> {
-    payload.lookup(&Value::from(key))
+    payload.lookup_str(key)
 }
 
 fn str_field(payload: &Value, key: &str) -> Option<String> {

@@ -228,6 +228,11 @@ pub struct World<M> {
     cancelled_timers: BTreeSet<TimerId>,
     partitions: Vec<PartitionWindow>,
     link_obs: LinkObs,
+    /// The effect buffers a callback's [`Context`] fills, lent to each
+    /// dispatch and drained after it, so they are allocated once per world.
+    outbox: Vec<(ProcessId, M)>,
+    new_timers: Vec<(SimDuration, TimerId)>,
+    newly_cancelled: Vec<TimerId>,
 }
 
 impl<M> std::fmt::Debug for World<M> {
@@ -256,6 +261,9 @@ impl<M: std::fmt::Debug + Clone + 'static> World<M> {
             cancelled_timers: BTreeSet::new(),
             partitions: Vec::new(),
             link_obs: LinkObs::new(Obs::noop()),
+            outbox: Vec::new(),
+            new_timers: Vec::new(),
+            newly_cancelled: Vec::new(),
         }
     }
 
@@ -645,20 +653,20 @@ impl<M: std::fmt::Debug + Clone + 'static> World<M> {
             rng: &mut self.rng,
             suspected: &self.slots[p.0].fd.suspected,
             next_timer: &mut self.next_timer,
-            outbox: Vec::new(),
-            new_timers: Vec::new(),
-            cancelled_timers: Vec::new(),
+            outbox: std::mem::take(&mut self.outbox),
+            new_timers: std::mem::take(&mut self.new_timers),
+            cancelled_timers: std::mem::take(&mut self.newly_cancelled),
         };
         f(actor.as_mut(), &mut ctx);
         let Context {
-            outbox,
-            new_timers,
-            cancelled_timers,
+            mut outbox,
+            mut new_timers,
+            cancelled_timers: mut newly_cancelled,
             ..
         } = ctx;
         self.slots[p.0].actor = Some(actor);
 
-        for (to, msg) in outbox {
+        for (to, msg) in outbox.drain(..) {
             assert!(
                 to.0 < self.slots.len(),
                 "send to unknown process {to} from {p}"
@@ -667,13 +675,15 @@ impl<M: std::fmt::Debug + Clone + 'static> World<M> {
             self.link_obs.bump("sim.link.sent", p, to);
             self.route_message(p, to, msg);
         }
-        for (delay, timer) in new_timers {
+        for (delay, timer) in new_timers.drain(..) {
             let at = self.now + delay;
             self.push_event(at, EventKind::Timer { process: p, timer });
         }
-        for timer in cancelled_timers {
-            self.cancelled_timers.insert(timer);
-        }
+        self.cancelled_timers.extend(newly_cancelled.drain(..));
+        // Applying effects never dispatches, so the buffers come back empty.
+        self.outbox = outbox;
+        self.new_timers = new_timers;
+        self.newly_cancelled = newly_cancelled;
     }
 }
 

@@ -238,7 +238,7 @@ fn write_value_at<W: Write>(w: &mut W, value: &Value, depth: usize) -> io::Resul
         Value::List(items) => {
             w.write_all(&[4])?;
             write_len(w, items.len(), "list element")?;
-            for item in items {
+            for item in items.iter() {
                 write_value_at(w, item, depth + 1)?;
             }
             Ok(())
@@ -274,14 +274,14 @@ fn read_value_at<R: Read>(r: &mut R, depth: usize) -> io::Result<Value> {
             r.read_exact(&mut buf)?;
             Ok(Value::Int(i64::from_le_bytes(buf)))
         }
-        3 => Ok(Value::Str(read_str(r)?)),
+        3 => Ok(Value::from(read_str(r)?)),
         4 => {
             let count = read_u32(r)? as usize;
             let mut items = Vec::with_capacity(count.min(1 << 16));
             for _ in 0..count {
                 items.push(read_value_at(r, depth + 1)?);
             }
-            Ok(Value::List(items))
+            Ok(Value::list(items))
         }
         5 => {
             let first = read_value_at(r, depth + 1)?;

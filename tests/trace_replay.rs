@@ -19,7 +19,7 @@ use xability::harness::{
     ShrunkViolation, ViolationKind, Workload,
 };
 use xability::sim::SimTime;
-use xability::store::{RecordedTrace, TraceStore};
+use xability::store::{write_trace_with_meta, RecordedTrace, TraceStore};
 use xability_bench::{n_requests_with_cancelled_rounds, n_retried_requests};
 
 const CORPUS_DIR: &str = "tests/corpus";
@@ -322,8 +322,21 @@ fn every_corpus_file_parses_under_the_current_format() {
             continue;
         }
         seen += 1;
-        RecordedTrace::read_from_file(&path)
+        let replayed = RecordedTrace::read_from_file(&path)
             .unwrap_or_else(|e| panic!("{} failed to parse: {e}", path.display()));
+        // …and what was read writes back to the committed bytes: symbol
+        // order, value encodings and meta all survive the in-memory form.
+        let mut rewritten = Vec::new();
+        let snapshot = replayed.store.snapshot();
+        write_trace_with_meta(
+            &mut rewritten,
+            &replayed.requests,
+            &snapshot,
+            &replayed.meta,
+        )
+        .unwrap_or_else(|e| panic!("{} failed to re-encode: {e}", path.display()));
+        let committed = std::fs::read(&path).expect("read corpus entry");
+        assert!(rewritten == committed, "{} re-encodes", path.display());
     }
     assert!(
         seen >= CORPUS.len() + EXPLORED.len(),
