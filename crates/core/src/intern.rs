@@ -18,9 +18,7 @@
 //! sharing the underlying segments — which other threads can resolve
 //! symbols against while the owner keeps interning.
 
-use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
-use std::hash::BuildHasher;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::action::ActionName;
 use crate::seglog::{AppendLog, LogView};
@@ -50,14 +48,12 @@ const SYMBOL_SEGMENT: usize = 1024;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Interner {
-    hasher: RandomState,
     actions: AppendLog<ActionName>,
-    /// Lookup index keyed by hash; the log is the single authority for
-    /// the interned names, so nothing is deep-stored twice. Buckets hold
-    /// the (rare) hash collisions.
-    action_index: HashMap<u64, Vec<u32>>,
+    /// Lookup index over the log's symbols; the log is the single
+    /// authority for the interned names, so nothing is deep-stored twice.
+    action_index: SymbolIndex,
     values: AppendLog<Value>,
-    value_index: HashMap<u64, Vec<u32>>,
+    value_index: SymbolIndex,
 }
 
 impl Default for Interner {
@@ -70,11 +66,10 @@ impl Interner {
     /// An empty interner.
     pub fn new() -> Self {
         Interner {
-            hasher: RandomState::new(),
             actions: AppendLog::new(SYMBOL_SEGMENT),
-            action_index: HashMap::new(),
+            action_index: SymbolIndex::default(),
             values: AppendLog::new(SYMBOL_SEGMENT),
-            value_index: HashMap::new(),
+            value_index: SymbolIndex::default(),
         }
     }
 
@@ -84,12 +79,7 @@ impl Interner {
     ///
     /// Panics if more than `u32::MAX` distinct names are interned.
     pub fn intern_action(&mut self, name: &ActionName) -> u32 {
-        intern(
-            &self.hasher,
-            &mut self.actions,
-            &mut self.action_index,
-            name,
-        )
+        intern(&mut self.actions, &mut self.action_index, name)
     }
 
     /// The symbol of `value`, interning it on first sight.
@@ -98,20 +88,20 @@ impl Interner {
     ///
     /// Panics if more than `u32::MAX` distinct values are interned.
     pub fn intern_value(&mut self, value: &Value) -> u32 {
-        intern(&self.hasher, &mut self.values, &mut self.value_index, value)
+        intern(&mut self.values, &mut self.value_index, value)
     }
 
     /// The symbol of `name` if it has already been interned — a pure
     /// lookup that never inserts (for deciders answering questions about
     /// keys the history may never have mentioned).
     pub fn lookup_action(&self, name: &ActionName) -> Option<u32> {
-        lookup(&self.hasher, &self.actions, &self.action_index, name)
+        lookup(&self.actions, &self.action_index, name)
     }
 
     /// The symbol of `value` if it has already been interned — a pure
     /// lookup that never inserts.
     pub fn lookup_value(&self, value: &Value) -> Option<u32> {
-        lookup(&self.hasher, &self.values, &self.value_index, value)
+        lookup(&self.values, &self.value_index, value)
     }
 
     /// Resolves an action symbol.
@@ -154,11 +144,11 @@ impl Interner {
         }
     }
 
-    /// Approximate heap bytes held by the symbol tables: segment storage
-    /// plus the per-entry heap behind names and values (each stored once
-    /// — the lookup indexes hold only hashes and symbols, counted by
-    /// entry size; their exact `HashMap` footprint is implementation
-    /// defined).
+    /// Approximate heap bytes held by the symbol tables: segment storage,
+    /// the per-entry heap behind names and values (each stored once), and
+    /// the two lookup indexes at their allocated size — 5 bytes per slot
+    /// (a `u32` symbol and a one-byte hash tag), which at the indexes'
+    /// load factor is between 5.7 and 11.4 bytes per interned symbol.
     pub fn approx_bytes(&self) -> usize {
         let name_heap: usize = (0..self.actions.len())
             .map(|i| self.actions.get(i).name().len())
@@ -166,13 +156,12 @@ impl Interner {
         let value_heap: usize = (0..self.values.len())
             .map(|i| value_heap_bytes(self.values.get(i)))
             .sum();
-        let index_entries = (self.actions.len() + self.values.len())
-            * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>());
         self.actions.segment_bytes()
             + self.values.segment_bytes()
             + name_heap
             + value_heap
-            + index_entries
+            + self.action_index.heap_bytes()
+            + self.value_index.heap_bytes()
     }
 }
 
@@ -227,47 +216,181 @@ impl InternerReader {
     }
 }
 
-/// The one interning routine behind both symbol tables: probe the hash
-/// bucket against the log (the single authority for the interned items),
+/// The hasher behind the interner's indexes and the checker engine's
+/// symbol-pair maps: each word is folded in with a rotate, an xor and one
+/// multiplication, which is about as little work as a hash can be.
+///
+/// It is **deterministic** — no per-process seed, so a table's layout is a
+/// pure function of its keys — and **not collision-resistant**: whoever
+/// chooses the keys can make them collide. That is the right trade for
+/// tables keyed by the program's own dense symbols and by trace values a
+/// collision can only slow down (every probe ends in an equality check),
+/// and none of these tables is ever iterated, so the layout reaches no
+/// output. Do not key a table on adversarial input with it.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct SymbolHasher(u64);
+
+/// [`SymbolHasher`] as a `HashMap`'s third type parameter.
+pub(crate) type SymbolBuild = BuildHasherDefault<SymbolHasher>;
+
+impl SymbolHasher {
+    /// 2⁶⁴ / φ, odd: the multiplier of Fibonacci hashing.
+    const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::MULTIPLIER);
+    }
+}
+
+impl Hasher for SymbolHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(
+                chunk.try_into().expect("chunks_exact yields 8 bytes"),
+            ));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    /// The product's high bits are its best-mixed ones; folding them onto
+    /// the low half serves tables that index by the low bits.
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+fn hash_of<T: Hash>(item: &T) -> u64 {
+    let mut hasher = SymbolHasher::default();
+    item.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// The lookup index of one symbol table: an open-addressed, linearly
+/// probed table of the log's symbols. It stores no key — a probe compares
+/// against the log, the single authority — only, beside each symbol, a
+/// one-byte tag of the key's hash, so a probe walks a dense byte array and
+/// reaches into the log (a cache miss per distinct symbol) almost only for
+/// the slot that matches. Symbols are never removed, so there are no
+/// tombstones; the table doubles when an insert would take it past 7/8
+/// full.
+#[derive(Debug, Clone, Default)]
+struct SymbolIndex {
+    /// Per slot: [`SymbolIndex::VACANT`], or a tag with the high bit set.
+    tags: Vec<u8>,
+    /// Per slot: the symbol, meaningful where the tag is not vacant.
+    symbols: Vec<u32>,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl SymbolIndex {
+    const VACANT: u8 = 0;
+
+    /// The tag is cut from the hash's top bits and the home slot from its
+    /// low bits, so the keys that crowd one neighbourhood still differ in
+    /// their tags.
+    fn tag(hash: u64) -> u8 {
+        0x80 | (hash >> 57) as u8
+    }
+
+    /// The symbol filed under `hash` for which `is_match` holds, if any.
+    fn find(&self, hash: u64, mut is_match: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.tags.is_empty() {
+            return None;
+        }
+        let mask = self.tags.len() - 1;
+        let tag = Self::tag(hash);
+        let mut slot = hash as usize & mask;
+        // Terminates: the table is never full.
+        while self.tags[slot] != Self::VACANT {
+            if self.tags[slot] == tag && is_match(self.symbols[slot]) {
+                return Some(self.symbols[slot]);
+            }
+            slot = (slot + 1) & mask;
+        }
+        None
+    }
+
+    /// Files `symbol` — the next one: symbols are dense, so it equals the
+    /// number filed so far — under `hash`. The caller has established, with
+    /// [`find`](Self::find), that no filed symbol matches the key. Growing
+    /// re-files every symbol under `rehash(symbol)`, its key's hash, in
+    /// symbol order: one sequential pass over the log.
+    fn insert(&mut self, hash: u64, symbol: u32, rehash: impl Fn(u32) -> u64) {
+        debug_assert_eq!(symbol as usize, self.len, "symbols are dense");
+        if (self.len + 1) * 8 > self.tags.len() * 7 {
+            let slots = (self.tags.len() * 2).max(2);
+            self.tags = vec![Self::VACANT; slots];
+            self.symbols = vec![0; slots];
+            self.len = 0;
+            for filed in 0..symbol {
+                self.place(rehash(filed), filed);
+            }
+        }
+        self.place(hash, symbol);
+    }
+
+    fn place(&mut self, hash: u64, symbol: u32) {
+        let mask = self.tags.len() - 1;
+        let mut slot = hash as usize & mask;
+        while self.tags[slot] != Self::VACANT {
+            slot = (slot + 1) & mask;
+        }
+        self.tags[slot] = Self::tag(hash);
+        self.symbols[slot] = symbol;
+        self.len += 1;
+    }
+
+    /// Heap bytes allocated for the slots.
+    fn heap_bytes(&self) -> usize {
+        self.tags.capacity() + self.symbols.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// The one interning routine behind both symbol tables: probe the index
+/// against the log (the single authority for the interned items),
 /// appending on a miss.
 ///
 /// # Panics
 ///
 /// Panics if more than `u32::MAX` distinct items are interned.
-fn intern<T: std::hash::Hash + Eq + Clone>(
-    hasher: &RandomState,
-    log: &mut AppendLog<T>,
-    index: &mut HashMap<u64, Vec<u32>>,
-    item: &T,
-) -> u32 {
-    let hash = hasher.hash_one(item);
-    if let Some(bucket) = index.get(&hash) {
-        for &sym in bucket {
-            if log.get(sym as usize) == item {
-                return sym;
-            }
-        }
+fn intern<T: Hash + Eq + Clone>(log: &mut AppendLog<T>, index: &mut SymbolIndex, item: &T) -> u32 {
+    let hash = hash_of(item);
+    if let Some(sym) = index.find(hash, |sym| log.get(sym as usize) == item) {
+        return sym;
     }
     let sym = u32::try_from(log.len()).expect("more than u32::MAX distinct symbols");
     log.push(item.clone());
-    index.entry(hash).or_default().push(sym);
+    index.insert(hash, sym, |filed| hash_of(log.get(filed as usize)));
     sym
 }
 
 /// The read-only probe behind [`Interner::lookup_action`] /
 /// [`Interner::lookup_value`].
-fn lookup<T: std::hash::Hash + Eq + Clone>(
-    hasher: &RandomState,
-    log: &AppendLog<T>,
-    index: &HashMap<u64, Vec<u32>>,
-    item: &T,
-) -> Option<u32> {
-    let hash = hasher.hash_one(item);
-    index
-        .get(&hash)?
-        .iter()
-        .copied()
-        .find(|&sym| log.get(sym as usize) == item)
+fn lookup<T: Hash + Eq + Clone>(log: &AppendLog<T>, index: &SymbolIndex, item: &T) -> Option<u32> {
+    index.find(hash_of(item), |sym| log.get(sym as usize) == item)
 }
 
 /// Approximate heap bytes behind a [`Value`] (not counting the inline
@@ -293,6 +416,7 @@ fn value_heap_bytes(value: &Value) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn interning_is_idempotent_and_dense() {
@@ -377,6 +501,144 @@ mod tests {
             i.intern_value(&Value::from("later"));
             assert_eq!(worker.join().expect("worker"), Value::from("shared"));
         });
+    }
+
+    #[test]
+    fn agrees_with_a_hash_map_model_across_table_doublings() {
+        // ~3k distinct values of every shape among 9k operations: the value
+        // index doubles eleven times (2 → 4096 slots), the action index
+        // five (2 → 64).
+        let value_of = |n: u64| match n % 4 {
+            0 => Value::from(n as i64),
+            1 => Value::from(format!("key-{n:05}")),
+            2 => Value::pair(Value::from("r"), Value::from((n / 4) as i64)),
+            _ => Value::list([Value::from(n as i64), Value::Nil]),
+        };
+        let mut model: HashMap<Value, u32> = HashMap::new();
+        let mut names: HashMap<ActionName, u32> = HashMap::new();
+        let mut interner = Interner::new();
+        let mut readers = Vec::new();
+        let mut clone = None;
+        // A fixed multiplicative walk: revisits old keys between new ones.
+        let mut x = 1u64;
+        for step in 0..9_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let value = value_of((x >> 33) % (step / 3 + 1));
+            if step % 5 == 4 {
+                assert_eq!(interner.lookup_value(&value), model.get(&value).copied());
+                continue;
+            }
+            let next = model.len() as u32;
+            let expected = *model.entry(value.clone()).or_insert(next);
+            assert_eq!(interner.intern_value(&value), expected, "step {step}");
+            assert_eq!(interner.value(expected), &value);
+            if step % 300 == 0 {
+                let name = if step % 600 == 0 {
+                    ActionName::idempotent(format!("a{step}"))
+                } else {
+                    ActionName::undoable(format!("a{step}"))
+                };
+                let next = names.len() as u32;
+                names.insert(name.clone(), next);
+                assert_eq!(interner.intern_action(&name), next);
+                readers.push((interner.reader(), model.len()));
+            }
+            if step == 4_000 {
+                clone = Some((interner.clone(), model.clone()));
+            }
+        }
+        assert!((1_793..=3_584).contains(&model.len()), "a 4096-slot index");
+        assert_eq!(names.len(), 30);
+        assert_eq!(interner.value_count(), model.len());
+        for (value, &sym) in &model {
+            assert_eq!(interner.lookup_value(value), Some(sym));
+            assert_eq!(interner.intern_value(value), sym);
+        }
+        for (name, &sym) in &names {
+            assert_eq!(interner.lookup_action(name), Some(sym));
+        }
+        assert_eq!(
+            interner.value_count(),
+            model.len(),
+            "re-interning adds nothing"
+        );
+        // Readers kept the prefix they were taken at.
+        for (reader, count) in &readers {
+            assert_eq!(reader.value_count(), *count);
+            assert!(reader.values().zip(0..).all(|(v, sym)| model[v] == sym));
+        }
+        // The clone is independent: it kept its own prefix, and numbers
+        // what it sees next by its own count.
+        let (mut clone, at_clone) = clone.expect("cloned at step 4000");
+        assert_eq!(clone.value_count(), at_clone.len());
+        for (value, &sym) in &model {
+            let kept = at_clone.get(value).copied();
+            assert_eq!(clone.lookup_value(value), kept);
+            assert!(kept.is_none() || kept == Some(sym));
+        }
+        let fresh = Value::from("only the clone sees this");
+        assert_eq!(clone.intern_value(&fresh), at_clone.len() as u32);
+        assert_eq!(interner.lookup_value(&fresh), None);
+    }
+
+    #[test]
+    fn index_is_correct_when_every_key_collides() {
+        // A constant hash: one probe chain through the whole table, every
+        // tag equal. Symbols must still be dense, stable and found.
+        let keys: Vec<String> = (0..200).map(|k| format!("k{k}")).collect();
+        let mut index = SymbolIndex::default();
+        for (sym, key) in keys.iter().enumerate() {
+            let find = |index: &SymbolIndex, key: &String| {
+                index.find(7, |filed| &keys[filed as usize] == key)
+            };
+            assert_eq!(find(&index, key), None);
+            index.insert(7, sym as u32, |_| 7);
+            for (earlier, key) in keys[..=sym].iter().enumerate() {
+                assert_eq!(find(&index, key), Some(earlier as u32));
+            }
+        }
+        assert_eq!(index.len, keys.len());
+        // 200 symbols fit a 256-slot table at 7/8 load.
+        assert_eq!(index.heap_bytes(), 256 * 5);
+    }
+
+    #[test]
+    fn index_stays_under_twelve_bytes_per_symbol() {
+        // The figure `approx_bytes` used to charge per symbol; the flat
+        // table must never report more, from the first symbol on.
+        let mut index = SymbolIndex::default();
+        assert_eq!(index.heap_bytes(), 0);
+        for sym in 0..5_000u32 {
+            let hash = |s: u32| hash_of(&s);
+            index.insert(hash(sym), sym, hash);
+            assert!(index.tags.len().is_power_of_two());
+            assert!(index.len * 8 <= index.tags.len() * 7, "load over 7/8");
+            assert!(index.heap_bytes() <= 12 * index.len, "at {sym}");
+        }
+    }
+
+    #[test]
+    fn hasher_is_deterministic_and_spreads_dense_symbol_pairs() {
+        // No per-process seed: the value is the same in every process.
+        assert_eq!(hash_of(&(1u32, 2u32)), 0x6a34_b9ab_56c9_cd2e);
+        assert_ne!(hash_of(&(1u32, 2u32)), hash_of(&(2u32, 1u32)));
+        assert_ne!(hash_of(&"ab"), hash_of(&"ba"));
+        assert_ne!(hash_of(&vec![1u8, 0]), hash_of(&vec![1u8]), "length counts");
+        // Dense symbol pairs — what the engine's maps are keyed by — fall
+        // into low-bit buckets the way random keys would: no crowd, and
+        // about 1/e of the buckets empty.
+        let mut buckets = vec![0u32; 1 << 12];
+        for value in 0..(1u32 << 12) {
+            buckets[hash_of(&(3u32, value)) as usize & 0xfff] += 1;
+        }
+        let (max, empty) = (
+            buckets.iter().max().copied(),
+            buckets.iter().filter(|&&n| n == 0).count(),
+        );
+        assert!(max <= Some(8), "a crowded bucket: {max:?}");
+        assert!((1_300..1_700).contains(&empty), "{empty} empty buckets");
     }
 
     #[test]

@@ -51,7 +51,7 @@
 //! // histories to the exhaustive search.
 //! let verdict = TieredChecker::default().check(&history, &[(ping, Value::Nil)], &[]);
 //! assert!(verdict.is_xable());
-//! assert_eq!(verdict.outputs(), Some(&[Value::from("pong")][..]));
+//! assert_eq!(verdict.outputs(), Some(&vec![Value::from("pong")].into()));
 //! ```
 //!
 //! To verify a history *while it is being produced*, feed events to the

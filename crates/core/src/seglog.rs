@@ -19,7 +19,14 @@
 //! thread keeps reading a stable prefix while the owner keeps appending —
 //! the snapshot-while-appending guarantee the store and the sharded
 //! checker rely on.
+//!
+//! [`AppendLog::set`] overwrites one entry under the same rule: a segment
+//! no snapshot references is written in place, an aliased one is copied
+//! once first, so no view ever observes the write. That makes the log a
+//! persistent array — the online checker keeps every request's current
+//! output in one and hands each verdict a snapshot instead of a copy.
 
+use std::fmt;
 use std::sync::Arc;
 
 /// An append-only log of `T`s stored in fixed-capacity segments.
@@ -63,17 +70,21 @@ impl<T: Clone> AppendLog<T> {
             self.segments.push(Arc::new(Vec::with_capacity(cap)));
         }
         let tail = self.segments.last_mut().expect("just ensured");
-        if let Some(vec) = Arc::get_mut(tail) {
-            vec.push(item);
-        } else {
-            // A snapshot still references the open tail: copy it once
-            // (bounded by the segment capacity) and append privately.
-            let mut copy = Vec::with_capacity(cap);
-            copy.extend(tail.iter().cloned());
-            copy.push(item);
-            *tail = Arc::new(copy);
-        }
+        private(tail, cap).push(item);
         self.len += 1;
+    }
+
+    /// Overwrites the entry at `index`. A segment still referenced by a
+    /// snapshot is copied once first (bounded by the segment capacity), so
+    /// views taken earlier keep reading the old entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= len`.
+    pub fn set(&mut self, index: usize, item: T) {
+        assert!(index < self.len, "AppendLog index {index} out of bounds");
+        let cap = self.segment_capacity;
+        private(&mut self.segments[index / cap], cap)[index % cap] = item;
     }
 
     /// The entry at `index`.
@@ -106,15 +117,61 @@ impl<T: Clone> AppendLog<T> {
     }
 }
 
+/// The segment behind `seg`, writable: in place when nothing else
+/// references it, else through a private copy (made once, with the full
+/// segment capacity so later appends never reallocate it).
+fn private<T: Clone>(seg: &mut Arc<Vec<T>>, cap: usize) -> &mut Vec<T> {
+    if Arc::get_mut(seg).is_none() {
+        let mut copy = Vec::with_capacity(cap);
+        copy.extend(seg.iter().cloned());
+        *seg = Arc::new(copy);
+    }
+    Arc::get_mut(seg).expect("uniquely owned: checked or just copied")
+}
+
 /// An immutable snapshot of the first `len` entries of an [`AppendLog`].
 ///
 /// Cloning is O(#segments); the entries themselves are shared with the
-/// live log (and with every other view).
-#[derive(Debug, Clone)]
+/// live log (and with every other view). Two views are equal when they
+/// hold equal entries in the same order — however the entries are split
+/// into segments and whichever segments the views share — and `Debug`
+/// renders the entries as a list.
+#[derive(Clone)]
 pub struct LogView<T> {
     segments: Vec<Arc<Vec<T>>>,
     len: usize,
     segment_capacity: usize,
+}
+
+impl<T> Default for LogView<T> {
+    fn default() -> Self {
+        LogView::from(Vec::new())
+    }
+}
+
+/// A view over an owned vector, as one segment: no entry is copied.
+impl<T> From<Vec<T>> for LogView<T> {
+    fn from(entries: Vec<T>) -> Self {
+        LogView {
+            len: entries.len(),
+            segment_capacity: entries.len().max(1),
+            segments: vec![Arc::new(entries)],
+        }
+    }
+}
+
+impl<T: PartialEq> PartialEq for LogView<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl<T: Eq> Eq for LogView<T> {}
+
+impl<T: fmt::Debug> fmt::Debug for LogView<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 impl<T> LogView<T> {
@@ -140,7 +197,27 @@ impl<T> LogView<T> {
 
     /// Iterates the snapshot's entries in order.
     pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
-        (0..self.len).map(move |i| self.get(i))
+        // A truncated view's last segment holds entries past `len`.
+        self.segments
+            .iter()
+            .flat_map(|seg| seg.iter())
+            .take(self.len)
+    }
+
+    /// Shortens the view to its first `len` entries (no-op when it is
+    /// already that short), releasing the segments past them.
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.len {
+            self.len = len;
+            self.segments.truncate(len.div_ceil(self.segment_capacity));
+        }
+    }
+
+    /// The segments backing the view, for tests that pin what two views
+    /// share.
+    #[cfg(test)]
+    pub(crate) fn segments(&self) -> &[Arc<Vec<T>>] {
+        &self.segments
     }
 }
 
@@ -205,6 +282,118 @@ mod tests {
         log.push(3);
         // Index 2 exists in the live log but not in the snapshot.
         let _ = snap.get(2);
+    }
+
+    #[test]
+    fn set_leaves_every_earlier_snapshot_unchanged() {
+        let mut log = AppendLog::new(4);
+        for i in 0..10u32 {
+            log.push(i);
+        }
+        let snap = log.snapshot(); // aliases all three segments
+        log.set(1, 100); // closed segment
+        log.set(9, 900); // open tail
+        assert_eq!(
+            snap.iter().copied().collect::<Vec<_>>(),
+            (0..10).collect::<Vec<_>>()
+        );
+        assert_eq!((*log.get(1), *log.get(9)), (100, 900));
+        // Only the written segments were copied; the middle one is shared.
+        let after = log.snapshot();
+        let shared: Vec<bool> = (snap.segments().iter().zip(after.segments()))
+            .map(|(a, b)| Arc::ptr_eq(a, b))
+            .collect();
+        assert_eq!(shared, [false, true, false]);
+        // The copied tail kept its capacity: appends continue in place.
+        let bytes = log.segment_bytes();
+        log.push(10);
+        log.push(11);
+        assert_eq!(log.segment_bytes(), bytes);
+        assert_eq!(snap.len(), 10);
+        assert_eq!(*after.get(9), 900);
+    }
+
+    #[test]
+    fn set_on_an_unshared_segment_writes_in_place() {
+        let mut log = AppendLog::new(4);
+        for i in 0..6u32 {
+            log.push(i);
+        }
+        let before = Arc::as_ptr(&log.segments[0]);
+        log.set(2, 20);
+        drop(log.snapshot()); // a dropped view aliases nothing
+        log.set(3, 30);
+        assert_eq!(Arc::as_ptr(&log.segments[0]), before);
+        assert_eq!((*log.get(2), *log.get(3)), (20, 30));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn set_respects_the_length() {
+        let mut log = AppendLog::new(4);
+        log.push(1u32);
+        log.set(1, 2); // inside the open segment's capacity, past `len`
+    }
+
+    #[test]
+    fn view_equality_is_by_content() {
+        let mut small = AppendLog::new(4);
+        let mut large = AppendLog::new(16);
+        for i in 0..10u32 {
+            small.push(i);
+            large.push(i);
+        }
+        let (a, b) = (small.snapshot(), large.snapshot());
+        // Same entries, different segmentation, nothing shared.
+        assert_eq!(a, b);
+        assert_eq!(a, LogView::from((0..10).collect::<Vec<u32>>()));
+        // Same segments shared or copied: still equal.
+        assert_eq!(a, a.clone());
+        small.set(0, 0); // copies segment 0, same content
+        assert!(!Arc::ptr_eq(
+            &a.segments()[0],
+            &small.snapshot().segments()[0]
+        ));
+        assert_eq!(a, small.snapshot());
+        // `len` bounds the comparison: a truncated view's last segment
+        // still holds the entries past it.
+        let mut cut = a.clone();
+        cut.truncate(5);
+        assert_eq!(cut.segments()[1].len(), 4);
+        assert_eq!(cut, LogView::from(vec![0u32, 1, 2, 3, 4]));
+        assert_ne!(cut, a);
+        assert_ne!(a, LogView::from((1..11).collect::<Vec<u32>>()));
+        assert_eq!(LogView::<u32>::default(), AppendLog::new(4).snapshot());
+    }
+
+    #[test]
+    fn truncate_drops_trailing_segments_and_never_extends() {
+        let mut log = AppendLog::new(4);
+        for i in 0..10u32 {
+            log.push(i);
+        }
+        let mut view = log.snapshot();
+        view.truncate(12);
+        assert_eq!(view.len(), 10);
+        view.truncate(5);
+        assert_eq!(view.iter().copied().collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+        assert_eq!(view.segments().len(), 2);
+        view.truncate(4);
+        assert_eq!(view.segments().len(), 1);
+        view.truncate(0);
+        assert!(view.is_empty() && view.segments().is_empty());
+    }
+
+    #[test]
+    fn view_debug_is_the_list_of_its_entries() {
+        let mut log = AppendLog::new(2);
+        for i in 0..3u32 {
+            log.push(i);
+        }
+        let mut view = log.snapshot();
+        assert_eq!(format!("{view:?}"), "[0, 1, 2]");
+        view.truncate(1);
+        assert_eq!(format!("{view:?}"), "[0]");
     }
 
     #[test]

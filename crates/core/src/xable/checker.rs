@@ -37,7 +37,7 @@
 //!
 //! let verdict = TieredChecker::default().check(&h, &[(ping, Value::Nil)], &[]);
 //! assert!(verdict.is_xable());
-//! assert_eq!(verdict.outputs(), Some(&[Value::from("pong")][..]));
+//! assert_eq!(verdict.outputs(), Some(&vec![Value::from("pong")].into()));
 //! ```
 
 use std::fmt;
@@ -45,6 +45,7 @@ use std::fmt;
 use crate::action::{ActionId, Request};
 use crate::failure_free::failure_free_sequence_outputs;
 use crate::history::{History, HistoryRead};
+use crate::seglog::LogView;
 use crate::value::Value;
 use crate::xable::fast::{decide, Engine};
 use crate::xable::search::{is_xable_search, SearchBudget, SearchResult};
@@ -56,8 +57,12 @@ use crate::xable::search::{is_xable_search, SearchBudget, SearchResult};
 /// reduced to.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Witness {
-    /// Output value of each surviving request, in submission order.
-    pub outputs: Vec<Value>,
+    /// Output value of each surviving request, in submission order — a
+    /// view, so that the online checker's verdicts share the outputs they
+    /// have in common instead of each copying all of them. Views compare
+    /// by content: a batch verdict (one owned vector) equals an online
+    /// one (shared segments) exactly when the outputs are equal.
+    pub outputs: LogView<Value>,
     /// The failure-free history reached by reduction, when the decider
     /// materializes one (the fast checker decides per group and does not).
     pub reduced: Option<History>,
@@ -65,7 +70,7 @@ pub struct Witness {
 
 impl Witness {
     /// A witness carrying only the per-request outputs.
-    pub fn from_outputs(outputs: Vec<Value>) -> Self {
+    pub fn from_outputs(outputs: LogView<Value>) -> Self {
         Witness {
             outputs,
             reduced: None,
@@ -101,7 +106,7 @@ impl Verdict {
     /// A positive verdict carrying only request outputs.
     pub fn xable(outputs: Vec<Value>) -> Self {
         Verdict::Xable {
-            witness: Witness::from_outputs(outputs),
+            witness: Witness::from_outputs(outputs.into()),
         }
     }
 
@@ -125,7 +130,7 @@ impl Verdict {
 
     /// The surviving requests' outputs, when the verdict is positive.
     #[must_use]
-    pub fn outputs(&self) -> Option<&[Value]> {
+    pub fn outputs(&self) -> Option<&LogView<Value>> {
         match self {
             Verdict::Xable { witness } => Some(&witness.outputs),
             _ => None,
@@ -280,7 +285,7 @@ impl Checker for SearchChecker {
                     .expect("search goal guarantees failure-free shape");
                 Verdict::Xable {
                     witness: Witness {
-                        outputs,
+                        outputs: outputs.into(),
                         reduced: Some(witness),
                     },
                 }
@@ -632,7 +637,7 @@ mod tests {
         ] {
             let v = checker.check(&h, &ops, &[]);
             assert!(v.is_xable(), "{}: {v}", checker.name());
-            assert_eq!(v.outputs(), Some(&[Value::from(5)][..]));
+            assert_eq!(v.outputs(), Some(&vec![Value::from(5)].into()));
         }
     }
 

@@ -61,7 +61,7 @@ use crate::action::{ActionId, ActionName};
 use crate::event::Event;
 use crate::failure_free::failure_free_output;
 use crate::history::{History, HistoryRead};
-use crate::intern::Interner;
+use crate::intern::{Interner, SymbolBuild};
 use crate::value::Value;
 use crate::xable::checker::Witness;
 use crate::xable::search::{search_reduction, SearchBudget, SearchResult};
@@ -592,7 +592,7 @@ pub(crate) struct Observed {
 pub(crate) struct Engine {
     interner: Interner,
     /// `(name symbol, input symbol)` → dense group index.
-    group_lookup: HashMap<KeySyms, GroupSym>,
+    group_lookup: HashMap<KeySyms, GroupSym, SymbolBuild>,
     /// Group index → its key symbols.
     keys: Vec<KeySyms>,
     /// Group index → the `(name, base input)` key symbols of its
@@ -862,8 +862,8 @@ impl Engine {
 
     /// The round-stamped children of each parent key, in group-symbol
     /// (first-seen) order — built in one pass over the group table.
-    pub(crate) fn stamped_children_index(&self) -> HashMap<KeySyms, Vec<GroupSym>> {
-        let mut index: HashMap<KeySyms, Vec<GroupSym>> = HashMap::new();
+    pub(crate) fn stamped_children_index(&self) -> HashMap<KeySyms, Vec<GroupSym>, SymbolBuild> {
+        let mut index: HashMap<KeySyms, Vec<GroupSym>, SymbolBuild> = HashMap::default();
         for (sym, parent) in self.stamped_of.iter().enumerate() {
             if let Some(parent) = parent {
                 index.entry(*parent).or_default().push(sym as GroupSym);
@@ -1127,7 +1127,7 @@ pub(crate) fn decide<H: HistoryRead + ?Sized>(
     }
 
     Verdict::Xable {
-        witness: Witness::from_outputs(outputs),
+        witness: Witness::from_outputs(outputs.into()),
     }
 }
 

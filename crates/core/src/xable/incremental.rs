@@ -20,10 +20,15 @@
 //!   decisions, the first failing request, the set of undeclared groups
 //!   that fail to erase, and the effect-order violations between adjacent
 //!   requests) and a verdict call re-decides only the requests whose
-//!   groups were touched since the last call. In steady state — events
-//!   arriving for the newest request while earlier requests sit clean —
-//!   that is amortized O(1) bookkeeping per verdict plus the cost of
-//!   materializing the answer.
+//!   groups were touched since the last call. The aggregate also *owns*
+//!   the answer's bulk, every request's agreed output, in a segmented
+//!   copy-on-write log ([`crate::seglog::AppendLog`]) that a re-decided
+//!   request overwrites in place; a positive verdict's witness is a
+//!   snapshot of that log — O(n / segment) pointer clones for `n`
+//!   requests, sharing every segment with the previous verdict but the
+//!   ones written since. In steady state — events arriving for the newest
+//!   request while earlier requests sit clean — a verdict therefore costs
+//!   O(dirty + n / 1024) and does not slow down as the history grows.
 //!
 //! Because push-side attribution, per-group searches, and the verdict
 //! messages are the *same code* the batch [`super::FastChecker`] runs
@@ -62,6 +67,8 @@ use xability_obs::{Counter, Histogram, Obs};
 use crate::action::{ActionId, Request};
 use crate::event::Event;
 use crate::history::{History, HistoryRead};
+use crate::intern::SymbolBuild;
+use crate::seglog::AppendLog;
 use crate::value::Value;
 use crate::xable::checker::{combine_r3_attempts, Verdict, Witness};
 use crate::xable::fast::{
@@ -108,8 +115,10 @@ enum OpState {
     /// Not yet computed (freshly declared).
     #[default]
     Pending,
-    /// The request's events reduce to a failure-free execution.
-    Ok { output: Value, anchor: usize },
+    /// The request's events reduce to a failure-free execution with its
+    /// effect anchored at this history index; the agreed output is the
+    /// request's entry of [`Aggregate::outputs`].
+    Ok { anchor: usize },
     /// The request fails (or is undecidable) for this reason; the message
     /// is materialized lazily so clean verdicts never format strings.
     Bad(OpFail),
@@ -155,7 +164,8 @@ enum EraseFail {
 ///
 /// > For every request not in `dirty_ops`, `entries[op].state` equals what
 /// > the batch assembly would compute for that request on the current
-/// > prefix; for every group not in `dirty_undeclared` that no request
+/// > prefix, and when that is `Ok`, `outputs[op]` is the output it would
+/// > report; for every group not in `dirty_undeclared` that no request
 /// > watches, `undeclared_fail` records exactly whether (and how) its
 /// > erase search fails; and `order_bad` holds exactly the adjacent
 /// > request pairs whose effect anchors are out of submission order.
@@ -163,23 +173,29 @@ enum EraseFail {
 /// Pushing an event touches one group and therefore dirties at most two
 /// requests (its plain watcher and its stamped watcher) or one undeclared
 /// group; a verdict drains the dirty sets and re-decides only those.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Aggregate {
     /// Per-request interned key (`None` for a non-base declared action).
     op_keys: Vec<Option<KeySyms>>,
     /// Request key → request index (first declarer; duplicates trip
     /// `declare_invalid`).
-    op_lookup: HashMap<KeySyms, usize>,
+    op_lookup: HashMap<KeySyms, usize, SymbolBuild>,
     /// Undoable request key → request index, for adopting round-stamped
     /// transaction groups as they appear.
-    stamped_parents: HashMap<KeySyms, usize>,
+    stamped_parents: HashMap<KeySyms, usize, SymbolBuild>,
     /// Every round-stamped-shaped group per parent key (declared or not),
     /// in group-symbol order — so a late-declared undoable request adopts
     /// its existing rounds.
-    stamped_children: HashMap<KeySyms, Vec<GroupSym>>,
+    stamped_children: HashMap<KeySyms, Vec<GroupSym>, SymbolBuild>,
     /// Per-request cached decisions, index-aligned with the declared
     /// sequence.
     entries: Vec<OpEntry>,
+    /// Per-request agreed output, index-aligned with `entries`: written
+    /// when a request is re-decided `Ok`, `Nil` until the first time, and
+    /// left as it was while the request is not `Ok` — a verdict reads the
+    /// outputs only after finding no such request in the range it reports.
+    /// Verdicts snapshot this log instead of copying it.
+    outputs: AppendLog<Value>,
     /// Sticky first declaration-validation failure (non-base action or
     /// duplicate identity) — mirrors the batch op-list validation.
     declare_invalid: Option<String>,
@@ -198,6 +214,31 @@ struct Aggregate {
     /// Indices `i ≥ 1` where both anchors are defined and
     /// `anchor[i-1] >= anchor[i]`.
     order_bad: BTreeSet<usize>,
+}
+
+/// Requests per segment of [`Aggregate::outputs`]: what one re-decided
+/// request makes the next verdict copy, at most, if the previous one is
+/// still alive.
+const OUTPUT_SEGMENT: usize = 1024;
+
+impl Default for Aggregate {
+    fn default() -> Self {
+        Aggregate {
+            op_keys: Vec::new(),
+            op_lookup: HashMap::default(),
+            stamped_parents: HashMap::default(),
+            stamped_children: HashMap::default(),
+            entries: Vec::new(),
+            outputs: AppendLog::new(OUTPUT_SEGMENT),
+            declare_invalid: None,
+            watchers: Vec::new(),
+            dirty_ops: BTreeSet::new(),
+            dirty_undeclared: BTreeSet::new(),
+            undeclared_fail: BTreeMap::new(),
+            failing_ops: BTreeSet::new(),
+            order_bad: BTreeSet::new(),
+        }
+    }
 }
 
 impl Aggregate {
@@ -408,6 +449,7 @@ impl IncrementalState {
         let agg = self.agg.get_mut();
         let idx = agg.entries.len();
         agg.entries.push(OpEntry::default());
+        agg.outputs.push(Value::Nil);
         agg.dirty_ops.insert(idx);
         if !matches!(action, ActionId::Base(_)) {
             if agg.declare_invalid.is_none() {
@@ -638,37 +680,42 @@ impl IncrementalState {
             }
         }
         while let Some(op) = agg.dirty_ops.pop_first() {
-            let state = self.compute_op_state(&agg.entries[op], h);
-            if matches!(
-                state,
-                OpState::Bad(OpFail::ExecBudget) | OpState::Bad(OpFail::RoundEraseBudget(_))
-            ) {
-                self.obs.op_budget_escalations.inc();
-            }
-            let failing = matches!(state, OpState::Bad(_));
-            agg.entries[op].state = state;
-            if failing {
-                agg.failing_ops.insert(op);
-            } else {
-                agg.failing_ops.remove(&op);
-            }
+            agg.entries[op].state = match self.decide_op(&agg.entries[op], h) {
+                Ok((output, anchor)) => {
+                    agg.outputs.set(op, output);
+                    agg.failing_ops.remove(&op);
+                    OpState::Ok { anchor }
+                }
+                Err(fail) => {
+                    if matches!(fail, OpFail::ExecBudget | OpFail::RoundEraseBudget(_)) {
+                        self.obs.op_budget_escalations.inc();
+                    }
+                    agg.failing_ops.insert(op);
+                    OpState::Bad(fail)
+                }
+            };
             agg.refresh_order_pairs(op);
         }
     }
 
-    /// One request's decision — the same case analysis, in the same
-    /// order, as the batch assembly's per-request loop.
-    fn compute_op_state<H: HistoryRead + ?Sized>(&self, entry: &OpEntry, h: &H) -> OpState {
+    /// One request's decision, `(output, effect anchor)` or why not — the
+    /// same case analysis, in the same order, as the batch assembly's
+    /// per-request loop.
+    fn decide_op<H: HistoryRead + ?Sized>(
+        &self,
+        entry: &OpEntry,
+        h: &H,
+    ) -> Result<(Value, usize), OpFail> {
         let exec_sym = match (entry.plain, entry.stamped.is_empty()) {
-            (Some(_), false) => return OpState::Bad(OpFail::PlainAndStamped),
+            (Some(_), false) => return Err(OpFail::PlainAndStamped),
             (Some(sym), true) => sym,
-            (None, true) => return OpState::Bad(OpFail::NeverExecuted),
+            (None, true) => return Err(OpFail::NeverExecuted),
             (None, false) => {
                 // Round-stamped transactions: exactly one round commits
                 // and must reduce to a failure-free execution; every
                 // other round must erase (cancelled rounds).
                 if entry.committed != 1 {
-                    return OpState::Bad(OpFail::CommittedRounds(entry.committed));
+                    return Err(OpFail::CommittedRounds(entry.committed));
                 }
                 let committed = entry
                     .stamped
@@ -682,12 +729,8 @@ impl IncrementalState {
                     }
                     match self.engine.cells[sym as usize].erases(h, self.budget) {
                         EraseOutcome::Erases => {}
-                        EraseOutcome::Stuck => {
-                            return OpState::Bad(OpFail::RoundNotErasing(sym));
-                        }
-                        EraseOutcome::Budget => {
-                            return OpState::Bad(OpFail::RoundEraseBudget(sym));
-                        }
+                        EraseOutcome::Stuck => return Err(OpFail::RoundNotErasing(sym)),
+                        EraseOutcome::Budget => return Err(OpFail::RoundEraseBudget(sym)),
                     }
                 }
                 committed
@@ -695,9 +738,9 @@ impl IncrementalState {
         };
         let (name, input) = self.engine.resolve(exec_sym);
         match self.engine.cells[exec_sym as usize].exec(h, &name, &input, self.budget) {
-            ExecOutcome::Reduced { output, anchor } => OpState::Ok { output, anchor },
-            ExecOutcome::Stuck => OpState::Bad(OpFail::Stuck),
-            ExecOutcome::Budget => OpState::Bad(OpFail::ExecBudget),
+            ExecOutcome::Reduced { output, anchor } => Ok((output, anchor)),
+            ExecOutcome::Stuck => Err(OpFail::Stuck),
+            ExecOutcome::Budget => Err(OpFail::ExecBudget),
         }
     }
 
@@ -788,13 +831,10 @@ impl IncrementalState {
         if ops_len > 1 && agg.order_bad.range(1..ops_len).next().is_some() {
             return fail(MSG_OUT_OF_ORDER.to_owned());
         }
-        let outputs = agg.entries[..ops_len]
-            .iter()
-            .map(|entry| match &entry.state {
-                OpState::Ok { output, .. } => output.clone(),
-                _ => unreachable!("non-Ok requests were handled above"),
-            })
-            .collect();
+        // Every request below `ops_len` is `Ok` here (none is failing, and
+        // `refresh` left none pending), so its entry of the log is current.
+        let mut outputs = agg.outputs.snapshot();
+        outputs.truncate(ops_len);
         Verdict::Xable {
             witness: Witness::from_outputs(outputs),
         }
@@ -968,7 +1008,9 @@ impl IncrementalChecker {
 mod tests {
     use super::*;
     use crate::action::ActionName;
+    use crate::seglog::LogView;
     use crate::xable::checker::{Checker, FastChecker};
+    use std::sync::Arc;
 
     fn idem(name: &str) -> ActionId {
         ActionId::base(ActionName::idempotent(name))
@@ -1031,7 +1073,7 @@ mod tests {
         inc.push(c(&a, 5));
         let v = inc.verdict();
         assert!(v.is_xable(), "{v}");
-        assert_eq!(v.outputs(), Some(&[Value::from(5)][..]));
+        assert_eq!(v.outputs(), Some(&vec![Value::from(5)].into()));
 
         // A duplicate completion with a *different* output breaks it for
         // good: the group can neither reduce nor erase.
@@ -1219,6 +1261,133 @@ mod tests {
         let v = inc.verdict();
         assert!(v.is_unknown(), "{v}");
         assert_eq!(v, batch(&inc));
+    }
+
+    /// The outputs of a positive verdict, as a vector.
+    fn outputs(v: &Verdict) -> Vec<Value> {
+        v.outputs().expect("x-able").iter().cloned().collect()
+    }
+
+    #[test]
+    fn consecutive_verdicts_share_their_full_output_segments() {
+        // The flat-cost pin, by count: a verdict hands out the aggregate's
+        // output log, not a copy of it, so what two verdicts have in
+        // common they hold once.
+        let a = idem("a");
+        let full = 3;
+        let n = (full * OUTPUT_SEGMENT + 100) as i64;
+        let mut inc = IncrementalChecker::new();
+        let request = |inc: &mut IncrementalChecker, k: i64| {
+            inc.declare(a.clone(), Value::from(k));
+            inc.push_all([s(&a, k), c(&a, 10 * k)]);
+        };
+        (0..n).for_each(|k| request(&mut inc, k));
+        let first = inc.verdict();
+        request(&mut inc, n);
+        let second = inc.verdict();
+        assert_eq!(second, batch(&inc));
+        let (one, two) = (first.outputs().unwrap(), second.outputs().unwrap());
+        assert_eq!((one.len(), two.len()), (n as usize, n as usize + 1));
+        let shared = |x: &LogView<Value>, y: &LogView<Value>| -> Vec<bool> {
+            (x.segments().iter().zip(y.segments()))
+                .map(|(p, q)| Arc::ptr_eq(p, q))
+                .collect()
+        };
+        // The new request's output went into the open fourth segment,
+        // which `first` aliased: that one was copied, the full ones not.
+        assert_eq!(shared(one, two), [true, true, true, false]);
+        assert_eq!(*one.get(n as usize - 1), Value::from(10 * (n - 1)));
+
+        // Re-deciding an old request (a trailing duplicate completion)
+        // copies its segment and no other.
+        inc.push_all([s(&a, 5), c(&a, 50)]);
+        let third = inc.verdict();
+        assert_eq!(third, second);
+        assert_eq!(
+            shared(two, third.outputs().unwrap()),
+            [false, true, true, true]
+        );
+    }
+
+    #[test]
+    fn a_redecided_request_shows_its_current_output_and_old_witnesses_keep_theirs() {
+        let a = idem("a");
+        let u = undo("xfer");
+        let (cancel, commit) = (u.cancel().unwrap(), u.commit().unwrap());
+        let key = Value::from("r0");
+        let round = |k: i64| Value::pair(key.clone(), Value::from(k));
+        let mut inc = IncrementalChecker::new();
+        inc.declare(a.clone(), Value::from(1));
+        inc.declare(u.clone(), key.clone());
+        inc.push_all([s(&a, 1), c(&a, 5)]);
+        // The undoable request is declared and not executed: R3 abandons
+        // it, and the witness is exactly one output short.
+        let unexecuted = inc.verdict();
+        assert_eq!(outputs(&unexecuted), [Value::from(5)]);
+
+        // Round 1 returns 7 and is cancelled: still abandoned.
+        inc.push_all([
+            Event::start(u.clone(), round(1)),
+            c(&u, 7),
+            Event::start(cancel.clone(), round(1)),
+            cnil(&cancel),
+        ]);
+        let cancelled = inc.verdict();
+        assert_eq!(cancelled, batch(&inc));
+        assert_eq!(outputs(&cancelled), [Value::from(5)]);
+
+        // The retry returns 8 and commits; then a trailing duplicate
+        // completion re-decides the first request.
+        inc.push_all([
+            Event::start(u.clone(), round(2)),
+            c(&u, 8),
+            Event::start(commit.clone(), round(2)),
+            cnil(&commit),
+        ]);
+        let committed = inc.verdict();
+        assert_eq!(committed, batch(&inc));
+        assert_eq!(outputs(&committed), [Value::from(5), Value::from(8)]);
+        inc.push_all([s(&a, 1), c(&a, 5)]);
+        let duplicated = inc.verdict();
+        assert_eq!(duplicated, batch(&inc));
+        assert_eq!(duplicated, committed);
+
+        // Every earlier witness still reads what it read when it was made.
+        assert_eq!(outputs(&unexecuted), [Value::from(5)]);
+        assert_eq!(outputs(&cancelled), [Value::from(5)]);
+        assert_eq!(outputs(&committed), [Value::from(5), Value::from(8)]);
+    }
+
+    #[test]
+    fn a_request_that_is_not_ok_contributes_no_output() {
+        let a = idem("a");
+        let b = idem("b");
+        let mut inc = IncrementalChecker::new();
+        inc.declare(a.clone(), Value::from(1));
+        inc.push_all([s(&a, 1), c(&a, 5)]);
+        assert_eq!(outputs(&inc.verdict()), [Value::from(5)]);
+
+        // An open retry: the request's slot still holds 5, the request is
+        // not `Ok`, and no verdict reports the 5 — neither as the last
+        // request (it cannot be abandoned: its effect happened) …
+        inc.push(s(&a, 1));
+        assert_eq!(inc.verdict(), batch(&inc));
+        assert_eq!(inc.verdict().outputs(), None);
+        // … nor behind a later one.
+        inc.declare(b.clone(), Value::from(2));
+        inc.push_all([s(&b, 2), c(&b, 9)]);
+        assert_eq!(inc.verdict(), batch(&inc));
+        assert_eq!(inc.verdict().outputs(), None);
+
+        // The retry completes: both requests report, in order.
+        inc.push(c(&a, 5));
+        assert_eq!(inc.verdict(), batch(&inc));
+        assert_eq!(outputs(&inc.verdict()), [Value::from(5), Value::from(9)]);
+
+        // A declared, never-executed last request is abandoned, and its
+        // never-written slot stays out of the witness.
+        inc.declare(b.clone(), Value::from(3));
+        assert_eq!(outputs(&inc.verdict()).len(), 2);
     }
 
     #[test]
