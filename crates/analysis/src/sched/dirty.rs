@@ -73,8 +73,7 @@ impl DirtyModel {
         let requests: Vec<Request> = self
             .checker
             .requests()
-            .iter()
-            .map(|(action, input)| Request::new(action.clone(), input.clone()))
+            .map(|(action, input)| Request::new(action, input))
             .collect();
         let batch = FastChecker::default().check_requests(self.checker.history(), &requests);
         if incremental != batch {

@@ -1,6 +1,6 @@
 //! # xability-bench — trace builders
 //!
-//! Four deterministic history generators (retry, failed-attempt and
+//! Five deterministic history generators (retry, failed-attempt and
 //! protocol-shaped traces) shared by the cross-crate integration tests
 //! under `tests/`. Nothing here measures anything: wall-clock numbers come
 //! from the standalone `xbench` package (`xbench/README.md`,
@@ -86,6 +86,49 @@ pub fn n_requests_with_cancelled_rounds(n: usize) -> (History, Vec<(ActionId, Va
     (History::from_events(events), ops)
 }
 
+/// A protocol-shaped history of `n` sequential requests cycling through
+/// the four request shapes of xbench's `verify_online` trace — idempotent
+/// clean (2 events), idempotent retried (3), undoable committed in round 1
+/// (4), undoable with round 1 cancelled and round 2 committed (7): 16
+/// events and 5 groups per 4 requests.
+pub fn n_mixed_requests(n: usize) -> (History, Vec<(ActionId, Value)>) {
+    let put = ActionId::base(ActionName::idempotent("put"));
+    let base = ActionName::undoable("xfer");
+    let xfer = ActionId::base(base.clone());
+    let cancel = ActionId::Cancel(base.clone());
+    let commit = ActionId::Commit(base);
+    let mut events = Vec::with_capacity(n * 4);
+    let mut ops = Vec::with_capacity(n);
+    for i in 0..n {
+        let key = Value::from(format!("r{i}"));
+        let output = Value::from(i as i64);
+        let round = |k: i64| Value::pair(key.clone(), Value::from(k));
+        let shape = i % 4;
+        if shape < 2 {
+            if shape == 1 {
+                events.push(Event::start(put.clone(), key.clone()));
+            }
+            events.push(Event::start(put.clone(), key.clone()));
+            events.push(Event::complete(put.clone(), output));
+            ops.push((put.clone(), key));
+            continue;
+        }
+        let mut committed = 1;
+        if shape == 3 {
+            events.push(Event::start(xfer.clone(), round(1)));
+            events.push(Event::start(cancel.clone(), round(1)));
+            events.push(Event::complete(cancel.clone(), Value::Nil));
+            committed = 2;
+        }
+        events.push(Event::start(xfer.clone(), round(committed)));
+        events.push(Event::complete(xfer.clone(), output));
+        events.push(Event::start(commit.clone(), round(committed)));
+        events.push(Event::complete(commit.clone(), Value::Nil));
+        ops.push((xfer.clone(), key));
+    }
+    (History::from_events(events), ops)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,6 +145,9 @@ mod tests {
         assert!(FastChecker::default().check(&h, &ops, &[]).is_xable());
         let (h, ops) = n_retried_requests(4);
         assert_eq!(h.len(), 12);
+        assert!(FastChecker::default().check(&h, &ops, &[]).is_xable());
+        let (h, ops) = n_mixed_requests(8);
+        assert_eq!(h.len(), 32);
         assert!(FastChecker::default().check(&h, &ops, &[]).is_xable());
     }
 }

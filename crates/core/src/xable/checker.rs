@@ -191,7 +191,7 @@ pub trait Checker {
             .iter()
             .map(|r| (r.action().clone(), r.input().clone()))
             .collect();
-        combine_r3_attempts(&ops, |ops, erasable| self.check(h, ops, erasable))
+        combine_r3_over(&ops, |ops, erasable| self.check(h, ops, erasable))
     }
 
     /// [`check`](Checker::check) over any [`HistoryRead`] source — a
@@ -216,21 +216,25 @@ pub trait Checker {
     }
 }
 
-/// Shared R3 combination logic: try the full sequence, then the prefix
-/// with the last request erasable, and pick the more informative verdict.
+/// Shared R3 combination logic over a declared sequence of `declared`
+/// requests: try the full sequence, then the prefix with the last request
+/// erasable, and pick the more informative verdict. `attempt(executed,
+/// abandoned)` answers for the first `executed` requests executing and —
+/// on the second attempt — request `abandoned` erasing.
 ///
 /// Factored out so the batch checkers and the incremental checker answer
-/// the R3 question identically by construction.
+/// the R3 question identically by construction; it runs over lengths so
+/// the incremental checker, which keeps no request list, needs none.
 pub(crate) fn combine_r3_attempts(
-    ops: &[(ActionId, Value)],
-    mut attempt: impl FnMut(&[(ActionId, Value)], &[(ActionId, Value)]) -> Verdict,
+    declared: usize,
+    mut attempt: impl FnMut(usize, Option<usize>) -> Verdict,
 ) -> Verdict {
-    let full = attempt(ops, &[]);
-    if full.is_xable() || ops.is_empty() {
+    let full = attempt(declared, None);
+    if full.is_xable() || declared == 0 {
         return full;
     }
-    let (last, prefix) = ops.split_last().expect("non-empty checked");
-    let partial = attempt(prefix, std::slice::from_ref(last));
+    let last = declared - 1;
+    let partial = attempt(last, Some(last));
     if partial.is_xable() {
         return partial;
     }
@@ -242,6 +246,18 @@ pub(crate) fn combine_r3_attempts(
         (_, Verdict::Unknown { .. }) => partial,
         _ => full,
     }
+}
+
+/// [`combine_r3_attempts`] for a decider that takes its question as
+/// `(ops, erasable)` slices of one request list.
+pub(crate) fn combine_r3_over(
+    ops: &[(ActionId, Value)],
+    mut attempt: impl FnMut(&[(ActionId, Value)], &[(ActionId, Value)]) -> Verdict,
+) -> Verdict {
+    combine_r3_attempts(ops.len(), |executed, abandoned| {
+        let erasable = abandoned.map_or(&[][..], |last| std::slice::from_ref(&ops[last]));
+        attempt(&ops[..executed], erasable)
+    })
 }
 
 /// The reference decider: exhaustive breadth-first search for a reduction

@@ -32,10 +32,43 @@
 //! The engine is **symbol-keyed**: action names and input values are
 //! interned to dense `u32` symbols ([`crate::intern::Interner`] — the same
 //! type the `xability-store` crate packs its events with), a group is the
-//! symbol pair `(name, input)`, and the per-group state lives in a dense
-//! `Vec<GroupCell>` indexed by a dense group symbol. The per-event hot path is
-//! therefore a hash probe and a `Vec` push — no per-event `ActionName` or
-//! `Value` clone, no ordered-map walk.
+//! symbol pair `(name, input)`, and the per-group state lives in dense
+//! columns indexed by a dense group symbol. The per-event hot path is
+//! therefore an index probe and two `u32` writes — no per-event
+//! `ActionName` or `Value` clone, no ordered-map walk.
+//!
+//! **What a group and an event cost.** Every column holds `u32`s, with
+//! `NONE` (`u32::MAX`) for "absent", so the engine indexes at most
+//! `u32::MAX - 1` events, groups and round parents and panics, saying so,
+//! past that (the limit `Ledger::extend_meta` already enforces on a
+//! ledger's events):
+//!
+//! * an **event** costs 4 bytes: its entry of the engine-wide `prev`
+//!   column, the index of the previous event *of its group*. A group's
+//!   events are that chain, walked back from the cell's `last` for `len`
+//!   hops; the ascending index list exists only while a search runs
+//!   (`Engine::indices_of`). The engine numbers events itself — an event's
+//!   index is the count observed before it, orphan completions included
+//!   (they take an index and link to nothing) — so the chain invariant
+//!   `prev[i] < i`, `prev[first] = NONE` holds without trusting a caller.
+//! * a **group** costs 36 bytes of columns and its share of the key index
+//!   (5 bytes a slot, 5.7–11.4 per group at the index's load): a 20-byte
+//!   `GroupCell` (chain tail and length, the commit bit, the two memos),
+//!   its 8-byte key, and two 4-byte links of the round chain — the
+//!   `parents` entry a round-stamped group belongs to, and the next-seen
+//!   round of the same parent. The rounds of one undoable request are that
+//!   chain, appended at the parent's tail as groups are created, so it is
+//!   in group-symbol order and no `Vec` per request is ever built.
+//! * the **memos are tags, not values**: a cell remembers *that* its group
+//!   reduces, where its effect anchors and *where* the agreed output is —
+//!   the index of a base completion of the group itself, which exists
+//!   because rules 18–20 only delete events — and a memo hit re-reads the
+//!   value from the history. The value is already held by the event source
+//!   and by the aggregate's output log; a third copy per group bought
+//!   nothing, since request-aligned verdicts decide each group about once.
+//! * every **lookup** — group by key, round parent by key — is the
+//!   crate's one open-addressed index type, `intern::SymbolIndex`: 5 bytes
+//!   a slot, no stored key, probed against the column that holds the keys.
 //!
 //! The engine is shared by two frontends: [`super::FastChecker`] partitions
 //! a complete history and decides it in one shot (optionally deciding the
@@ -53,17 +86,19 @@
 //! randomly generated histories (`tests/checker_agreement.rs`,
 //! `tests/incremental_props.rs`).
 
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::cell::Cell;
+use std::collections::HashSet;
 use std::fmt;
+use std::mem::size_of;
 
 use crate::action::{ActionId, ActionName};
 use crate::event::Event;
 use crate::failure_free::failure_free_output;
 use crate::history::{History, HistoryRead};
-use crate::intern::{Interner, SymbolBuild};
+use crate::intern::{hash_of, Interner, SymbolIndex};
+use crate::seglog::AppendLog;
 use crate::value::Value;
-use crate::xable::checker::Witness;
+use crate::xable::checker::{combine_r3_over, Witness};
 use crate::xable::search::{search_reduction, SearchBudget, SearchResult};
 
 /// The unified verdict type, re-exported here because this module's
@@ -76,6 +111,24 @@ pub(crate) type GroupSym = u32;
 
 /// Interned group key: `(action-name symbol, input-value symbol)`.
 pub(crate) type KeySyms = (u32, u32);
+
+/// "No such index" in every `u32` column of the monitor (event, group,
+/// request and round-parent ids): the columns hold a `u32` with this
+/// sentinel where an `Option<usize>` would cost four times as much.
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// `n` as a `u32` id below the [`NONE`] sentinel.
+///
+/// # Panics
+///
+/// Panics past `u32::MAX - 1` — the limit `Ledger::extend_meta` already
+/// puts on the events of one ledger (DESIGN.md §7 states it once).
+pub(crate) fn id32(n: usize, what: &str) -> u32 {
+    match u32::try_from(n) {
+        Ok(id) if id != NONE => id,
+        _ => panic!("more than u32::MAX - 1 {what} in one checker engine"),
+    }
+}
 
 const ROLE_BASE: u8 = 0;
 const ROLE_CANCEL: u8 = 1;
@@ -101,6 +154,12 @@ pub(crate) enum ExecOutcome {
         output: Value,
         /// History index of the group's effect anchor.
         anchor: usize,
+        /// History index of a base completion *of this group* whose value
+        /// is `output`. Rules 18–20 only delete events, so the completion
+        /// of the failure-free target is one of the group's own; the memo
+        /// keeps this index instead of the value (the aggregate's output
+        /// log already holds the value) and a hit re-reads it.
+        output_at: usize,
     },
     /// The whole reachable closure was explored; the group does not reduce.
     Stuck,
@@ -210,6 +269,7 @@ fn idempotent_exec_closed_form(
             Some(ExecOutcome::Reduced {
                 output: out.clone(),
                 anchor: indices[pos],
+                output_at: indices[pos],
             })
         }
         _ => Some(ExecOutcome::Stuck),
@@ -253,7 +313,7 @@ fn idempotent_erase_closed_form(sub: &History, budget: SearchBudget) -> Option<E
 
 /// The per-group "reduces to a failure-free execution of `(name, input)`"
 /// search — a pure function of the group's sub-history, shared verbatim by
-/// the memoizing [`GroupCell::exec`] and the sharded worker threads, so
+/// the memoizing [`Engine::exec`] and the sharded worker threads, so
 /// sequential and parallel checks compute identical outcomes. Protocol-
 /// shaped idempotent groups are decided by
 /// [`idempotent_exec_closed_form`] without expanding a single history.
@@ -306,7 +366,18 @@ pub(crate) fn run_exec_search<H: HistoryRead + ?Sized>(
                 .find(is_base_completion)
                 .or_else(|| indices.iter().copied().find(is_base_completion))
                 .unwrap_or(indices[0]);
-            ExecOutcome::Reduced { output, anchor }
+            let output_at = sub
+                .iter()
+                .position(
+                    |ev| matches!(ev, Event::Complete(a, ov) if *a == action && *ov == output),
+                )
+                .map(|pos| indices[pos])
+                .expect("reduction only deletes events: the target's completion is the group's");
+            ExecOutcome::Reduced {
+                output,
+                anchor,
+                output_at,
+            }
         }
         SearchResult::Exhausted => ExecOutcome::Stuck,
         SearchResult::BudgetExceeded => ExecOutcome::Budget,
@@ -331,75 +402,60 @@ pub(crate) fn run_erase_search<H: HistoryRead + ?Sized>(
     }
 }
 
-/// One `(base action, input)` group: its event indices in the underlying
-/// history plus memoized per-group search outcomes.
+/// The memoized exec outcome of a [`GroupCell`], as a one-byte tag: what a
+/// `Reduced` outcome carries lives in the cell's `exec_anchor` /
+/// `exec_output_at` columns.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum ExecMemo {
+    /// Not computed since the group last gained an event.
+    #[default]
+    Unset,
+    Reduced,
+    Stuck,
+    Budget,
+}
+
+/// One `(base action, input)` group: the tail of its event chain plus the
+/// memoized per-group search outcomes — 20 bytes, no heap.
+///
+/// The group's events are a chain through the engine-wide
+/// [`Engine::prev`] column: `last` is the history index of the group's
+/// newest event, `prev[last]` the one before it, and so on for `len` hops.
+/// The ascending index list a search needs is materialised only when a
+/// search runs ([`Engine::indices_of`]).
 ///
 /// The memos use interior mutability because [`decide`] takes the engine
 /// by shared reference: a batch check fills them once, the incremental
 /// checker keeps them warm across pushes (invalidating a cell whenever its
 /// group gains an event), and the sharded batch check primes them from
 /// worker threads before the sequential assembly reads them.
-#[derive(Debug, Default)]
-pub(crate) struct GroupCell {
-    /// Indices into the full history, ascending.
-    pub(crate) indices: Vec<usize>,
+#[derive(Debug)]
+struct GroupCell {
+    /// History index of the group's newest event.
+    last: u32,
+    /// How many events the group holds (the chain's length).
+    len: u32,
+    /// Where a `Reduced` exec memo anchors the group's effect.
+    exec_anchor: Cell<u32>,
+    /// Where a `Reduced` exec memo re-reads the agreed output.
+    exec_output_at: Cell<u32>,
     /// Whether the group contains a completed commit (which never erases).
-    pub(crate) has_commit_completion: bool,
-    exec: RefCell<Option<ExecOutcome>>,
-    erase: RefCell<Option<EraseOutcome>>,
+    has_commit_completion: bool,
+    exec: Cell<ExecMemo>,
+    erase: Cell<Option<EraseOutcome>>,
 }
 
-impl GroupCell {
-    /// Appends an event index, invalidating the memoized outcomes.
-    pub(crate) fn push_index(&mut self, index: usize, is_commit_completion: bool) {
-        self.indices.push(index);
-        self.has_commit_completion |= is_commit_completion;
-        *self.exec.borrow_mut() = None;
-        *self.erase.borrow_mut() = None;
-    }
-
-    /// Whether the group's events reduce to `Λ`, memoized.
-    pub(crate) fn erases<H: HistoryRead + ?Sized>(
-        &self,
-        h: &H,
-        budget: SearchBudget,
-    ) -> EraseOutcome {
-        if let Some(outcome) = *self.erase.borrow() {
-            return outcome;
+impl Default for GroupCell {
+    fn default() -> Self {
+        GroupCell {
+            last: NONE,
+            len: 0,
+            exec_anchor: Cell::new(NONE),
+            exec_output_at: Cell::new(NONE),
+            has_commit_completion: false,
+            exec: Cell::default(),
+            erase: Cell::default(),
         }
-        let outcome = run_erase_search(h, &self.indices, budget);
-        *self.erase.borrow_mut() = Some(outcome);
-        outcome
-    }
-
-    /// Whether the group's events reduce to a failure-free execution of its
-    /// key's action/input, memoized. The target is fully determined by the
-    /// group key: the action is `Base(name)` and the input is the key's
-    /// value (for round-stamped groups the stamped pair *is* the input,
-    /// §5.4).
-    pub(crate) fn exec<H: HistoryRead + ?Sized>(
-        &self,
-        h: &H,
-        name: &ActionName,
-        input: &Value,
-        budget: SearchBudget,
-    ) -> ExecOutcome {
-        if let Some(outcome) = self.exec.borrow().clone() {
-            return outcome;
-        }
-        let outcome = run_exec_search(h, &self.indices, name, input, budget);
-        *self.exec.borrow_mut() = Some(outcome.clone());
-        outcome
-    }
-
-    /// Installs an exec outcome computed elsewhere (a sharded worker).
-    pub(crate) fn prime_exec(&self, outcome: ExecOutcome) {
-        *self.exec.borrow_mut() = Some(outcome);
-    }
-
-    /// Installs an erase outcome computed elsewhere (a sharded worker).
-    pub(crate) fn prime_erase(&self, outcome: EraseOutcome) {
-        *self.erase.borrow_mut() = Some(outcome);
     }
 }
 
@@ -508,6 +564,13 @@ impl Multiplicity {
             Multiplicity::Dense { distinct, .. } => *distinct,
         }
     }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Multiplicity::Small(entries) => entries.capacity() * size_of::<(u32, usize)>(),
+            Multiplicity::Dense { counts, .. } => counts.capacity() * size_of::<u32>(),
+        }
+    }
 }
 
 impl OpenStarts {
@@ -584,28 +647,79 @@ pub(crate) struct Observed {
     pub(crate) commit_completed: bool,
 }
 
+/// The parent of a run of round-stamped groups (§5.4): the key the rounds'
+/// undoable request would be declared under, and the ends of their
+/// sibling chain.
+#[derive(Debug, Clone, Copy)]
+struct RoundParent {
+    /// `(name, base input)` — the name is undoable by construction.
+    key: KeySyms,
+    /// First-seen round; the chain continues through `Engine::sibling_next`.
+    head: GroupSym,
+    /// Last-seen round, where the next one is linked.
+    tail: GroupSym,
+}
+
+/// Entries per segment of [`Engine::prev`].
+const PREV_SEGMENT: usize = 1024;
+
 /// The symbol-keyed partition/attribution engine shared by the batch
 /// [`super::FastChecker`] and the online [`super::IncrementalChecker`]:
-/// the interner, the dense group table, and the streaming attribution
-/// state.
-#[derive(Debug, Default)]
+/// the interner, the dense group table, the per-event chain column and the
+/// streaming attribution state.
+///
+/// What it costs: 4 bytes per observed event (`prev`), and per group a
+/// 20-byte [`GroupCell`], an 8-byte key, two 4-byte round-chain links and
+/// a 5-byte index slot — every column a `u32` with [`NONE`] for "absent".
+/// The engine counts its own events: the index of an observed event is the
+/// number observed before it, so the chains need no caller's word for it.
+#[derive(Debug)]
 pub(crate) struct Engine {
     interner: Interner,
-    /// `(name symbol, input symbol)` → dense group index.
-    group_lookup: HashMap<KeySyms, GroupSym, SymbolBuild>,
+    /// `(name symbol, input symbol)` → dense group index, probed against
+    /// `keys`.
+    group_lookup: SymbolIndex,
     /// Group index → its key symbols.
     keys: Vec<KeySyms>,
-    /// Group index → the `(name, base input)` key symbols of its
-    /// round-stamped parent, when the group's name is undoable and its
-    /// input has the round-stamped shape `Pair(base input, round)` (§5.4).
-    /// The base input is interned when the group is created, so parent
-    /// lookups are symbol probes.
-    stamped_of: Vec<Option<KeySyms>>,
-    /// Group index → its event indices and memoized search outcomes.
-    pub(crate) cells: Vec<GroupCell>,
+    /// Group index → its entry of `parents`, when the group's name is
+    /// undoable and its input has the round-stamped shape
+    /// `Pair(base input, round)` (§5.4); [`NONE`] otherwise. The base input
+    /// is interned when the group is created, so parent lookups are symbol
+    /// probes.
+    stamped_of: Vec<u32>,
+    /// Group index → the next-seen round of the same parent, or [`NONE`].
+    sibling_next: Vec<GroupSym>,
+    /// The round parents, in first-seen order of their first round.
+    parents: Vec<RoundParent>,
+    /// Parent key → entry of `parents`, probed against it.
+    parent_lookup: SymbolIndex,
+    /// Group index → its chain tail and memoized search outcomes.
+    cells: Vec<GroupCell>,
+    /// Per observed event: the previous event of its group, or [`NONE`]
+    /// for a group's first event and for an orphan completion (which joins
+    /// no group but keeps its index, so later links stay right).
+    prev: AppendLog<u32>,
     attribution: AttributionState,
     /// Whether any completion attribution was ambiguous.
     pub(crate) ambiguous: bool,
+}
+
+impl Default for Engine {
+    fn default() -> Self {
+        Engine {
+            interner: Interner::default(),
+            group_lookup: SymbolIndex::default(),
+            keys: Vec::new(),
+            stamped_of: Vec::new(),
+            sibling_next: Vec::new(),
+            parents: Vec::new(),
+            parent_lookup: SymbolIndex::default(),
+            cells: Vec::new(),
+            prev: AppendLog::new(PREV_SEGMENT),
+            attribution: AttributionState::default(),
+            ambiguous: false,
+        }
+    }
 }
 
 impl Engine {
@@ -614,7 +728,7 @@ impl Engine {
     pub(crate) fn from_source<H: HistoryRead + ?Sized>(h: &H) -> Result<Engine, String> {
         let mut eng = Engine::default();
         let mut err: Option<String> = None;
-        h.scan_events(&mut |i, ev| match eng.observe(ev, i) {
+        h.scan_events(&mut |_, ev| match eng.observe(ev) {
             Ok(_) => true,
             Err(reason) => {
                 err = Some(reason);
@@ -627,15 +741,20 @@ impl Engine {
         }
     }
 
-    /// Consumes one event: one streaming attribution step, one group-cell
-    /// append, one memo invalidation — amortized O(1), no name or value
-    /// clone (interning clones only on first sight of a distinct symbol).
+    /// How many events have been observed — the index the next one gets.
+    pub(crate) fn observed(&self) -> usize {
+        self.prev.len()
+    }
+
+    /// Consumes one event: one streaming attribution step, one chain link,
+    /// one memo invalidation — amortized O(1), no name or value clone
+    /// (interning clones only on first sight of a distinct symbol).
     ///
     /// Returns what happened (for dirty tracking), or `Err(reason)` for a
     /// completion whose action has never started (a violation of the event
     /// axioms of §2.2 — definitely not x-able, independent of any
     /// ambiguity).
-    pub(crate) fn observe(&mut self, event: &Event, index: usize) -> Result<Observed, String> {
+    pub(crate) fn observe(&mut self, event: &Event) -> Result<Observed, String> {
         let (key, is_commit_completion) = match event {
             Event::Start(a, iv) => {
                 let ns = self.interner.intern_action(a.base_name());
@@ -645,12 +764,12 @@ impl Engine {
             }
             Event::Complete(a, _) => {
                 let ns = self.interner.intern_action(a.base_name());
-                let vs = self.attribute_completion(ns, role_of(a), a, index)?;
+                let vs = self.attribute_completion(ns, role_of(a), a)?;
                 ((ns, vs), a.is_commit())
             }
         };
         let (group, created) = self.group_of(key);
-        Ok(self.record_in_cell(group, key, created, index, is_commit_completion))
+        Ok(self.record_in_cell(group, key, created, is_commit_completion))
     }
 
     /// Consumes a slice of events observed together — semantically
@@ -665,7 +784,6 @@ impl Engine {
     pub(crate) fn observe_batch(
         &mut self,
         events: &[Event],
-        first_index: usize,
         track: &mut dyn FnMut(Result<Observed, String>),
     ) {
         // Capped like the store's memo: overflow names fall back to the
@@ -673,8 +791,7 @@ impl Engine {
         let mut actions: Vec<(&ActionName, u32)> = Vec::new();
         let mut last_value: Option<(&Value, u32)> = None;
         let mut last_group: Option<(KeySyms, GroupSym)> = None;
-        for (offset, event) in events.iter().enumerate() {
-            let index = first_index + offset;
+        for event in events {
             let name = event.action().base_name();
             let ns = match actions.iter().find(|(n, _)| *n == name) {
                 Some(&(_, sym)) => sym,
@@ -699,15 +816,13 @@ impl Engine {
                     self.attribute_start(ns, role_of(a), vs);
                     ((ns, vs), false)
                 }
-                Event::Complete(a, _) => {
-                    match self.attribute_completion(ns, role_of(a), a, index) {
-                        Ok(vs) => ((ns, vs), a.is_commit()),
-                        Err(reason) => {
-                            track(Err(reason));
-                            continue;
-                        }
+                Event::Complete(a, _) => match self.attribute_completion(ns, role_of(a), a) {
+                    Ok(vs) => ((ns, vs), a.is_commit()),
+                    Err(reason) => {
+                        track(Err(reason));
+                        continue;
                     }
-                }
+                },
             };
             let (group, created) = match last_group {
                 Some((k, sym)) if k == key => (sym, false),
@@ -721,7 +836,6 @@ impl Engine {
                 group,
                 key,
                 created,
-                index,
                 is_commit_completion,
             )));
         }
@@ -736,14 +850,9 @@ impl Engine {
 
     /// Attribution step for a completion: the input symbol of the nearest
     /// open start (or of the most recent start, flagging the ambiguity),
-    /// or `Err` for an orphan completion.
-    fn attribute_completion(
-        &mut self,
-        ns: u32,
-        role: u8,
-        a: &ActionId,
-        index: usize,
-    ) -> Result<u32, String> {
+    /// or `Err` for an orphan completion — which takes its index here,
+    /// with no predecessor, so the chain column stays dense.
+    fn attribute_completion(&mut self, ns: u32, role: u8, a: &ActionId) -> Result<u32, String> {
         let slot = self.attribution.slot(ns, role);
         let open = &mut self.attribution.open[slot];
         if open.distinct() > 1 {
@@ -758,55 +867,104 @@ impl Engine {
                     self.ambiguous = true;
                     Ok(vs)
                 }
-                None => Err(format!(
-                    "completion of {a} at index {index} has no start event (violates the event axioms of §2.2)"
-                )),
+                None => {
+                    let index = self.prev.len();
+                    self.prev.push(NONE);
+                    Err(format!(
+                        "completion of {a} at index {index} has no start event (violates the event axioms of §2.2)"
+                    ))
+                }
             },
         }
     }
 
     /// The dense group of `key`, created on first sight.
     fn group_of(&mut self, key: KeySyms) -> (GroupSym, bool) {
-        match self.group_lookup.get(&key) {
-            Some(&sym) => (sym, false),
+        let hash = hash_of(&key);
+        let keys = &self.keys;
+        if let Some(sym) = self
+            .group_lookup
+            .find(hash, |sym| keys[sym as usize] == key)
+        {
+            return (sym, false);
+        }
+        let sym = id32(self.cells.len(), "groups");
+        // Round-stamped shape: intern the base input now so the parent
+        // key is a pure symbol probe from then on.
+        let parent = if self.interner.action(key.0).is_undoable() {
+            match self.interner.value(key.1) {
+                Value::Pair(p) if matches!(p.1, Value::Int(_)) => {
+                    let base = p.0.clone();
+                    let parent_key = (key.0, self.interner.intern_value(&base));
+                    self.link_round(parent_key, sym)
+                }
+                _ => NONE,
+            }
+        } else {
+            NONE
+        };
+        self.keys.push(key);
+        let keys = &self.keys;
+        self.group_lookup
+            .insert(hash, sym, |filed| Some(hash_of(&keys[filed as usize])));
+        self.stamped_of.push(parent);
+        self.sibling_next.push(NONE);
+        self.cells.push(GroupCell::default());
+        (sym, true)
+    }
+
+    /// Appends the new group `sym` to the sibling chain of `parent_key`
+    /// (creating the parent on its first round) and returns the parent's
+    /// entry. New symbols are assigned in ascending order, so every chain
+    /// is in group-symbol order.
+    fn link_round(&mut self, parent_key: KeySyms, sym: GroupSym) -> u32 {
+        let hash = hash_of(&parent_key);
+        let parents = &self.parents;
+        let found = self
+            .parent_lookup
+            .find(hash, |p| parents[p as usize].key == parent_key);
+        match found {
+            Some(parent) => {
+                let tail = &mut self.parents[parent as usize].tail;
+                self.sibling_next[*tail as usize] = sym;
+                *tail = sym;
+                parent
+            }
             None => {
-                let sym = u32::try_from(self.cells.len()).expect("more than u32::MAX groups");
-                // Round-stamped shape: intern the base input now so the
-                // parent key is a pure symbol probe from then on.
-                let stamped = if self.interner.action(key.0).is_undoable() {
-                    match self.interner.value(key.1) {
-                        Value::Pair(p) if matches!(p.1, Value::Int(_)) => {
-                            let base = p.0.clone();
-                            Some((key.0, self.interner.intern_value(&base)))
-                        }
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
-                self.group_lookup.insert(key, sym);
-                self.keys.push(key);
-                self.stamped_of.push(stamped);
-                self.cells.push(GroupCell::default());
-                (sym, true)
+                let parent = id32(self.parents.len(), "round-stamped requests");
+                self.parents.push(RoundParent {
+                    key: parent_key,
+                    head: sym,
+                    tail: sym,
+                });
+                let parents = &self.parents;
+                self.parent_lookup
+                    .insert(hash, parent, |p| Some(hash_of(&parents[p as usize].key)));
+                parent
             }
         }
     }
 
-    /// Appends the event's index to its group's cell and packages the
-    /// self-contained [`Observed`] record.
+    /// Links the next event index into its group's chain, invalidates the
+    /// group's memos, and packages the self-contained [`Observed`] record.
     fn record_in_cell(
         &mut self,
         group: GroupSym,
         key: KeySyms,
         created: bool,
-        index: usize,
         is_commit_completion: bool,
     ) -> Observed {
-        let stamped_parent = self.stamped_of[group as usize];
+        let parent = self.stamped_of[group as usize];
+        let stamped_parent = (parent != NONE).then(|| self.parents[parent as usize].key);
+        let index = id32(self.prev.len(), "events");
         let cell = &mut self.cells[group as usize];
         let commit_completed = is_commit_completion && !cell.has_commit_completion;
-        cell.push_index(index, is_commit_completion);
+        self.prev.push(cell.last);
+        cell.last = index;
+        cell.len += 1;
+        cell.has_commit_completion |= is_commit_completion;
+        cell.exec.set(ExecMemo::Unset);
+        cell.erase.set(None);
         Observed {
             group,
             key,
@@ -839,7 +997,8 @@ impl Engine {
 
     /// The group with exactly the key `syms`, if any.
     pub(crate) fn group_with_key(&self, syms: KeySyms) -> Option<GroupSym> {
-        self.group_lookup.get(&syms).copied()
+        self.group_lookup
+            .find(hash_of(&syms), |sym| self.keys[sym as usize] == syms)
     }
 
     /// The key symbols of `(name, input)` if both are already interned —
@@ -850,26 +1009,162 @@ impl Engine {
         Some((ns, vs))
     }
 
-    /// Resolves a group's key to its owned `(name, input)` (for search
-    /// targets and messages — off the per-event hot path).
-    pub(crate) fn resolve(&self, sym: GroupSym) -> (ActionName, Value) {
-        let (ns, vs) = self.keys[sym as usize];
-        (
-            self.interner.action(ns).clone(),
-            self.interner.value(vs).clone(),
-        )
+    /// The first-seen round-stamped group whose parent key is `key`, or
+    /// [`NONE`] — the head [`siblings`](Self::siblings) walks from.
+    pub(crate) fn first_round_of(&self, key: KeySyms) -> GroupSym {
+        self.parent_lookup
+            .find(hash_of(&key), |p| self.parents[p as usize].key == key)
+            .map_or(NONE, |p| self.parents[p as usize].head)
     }
 
-    /// The round-stamped children of each parent key, in group-symbol
-    /// (first-seen) order — built in one pass over the group table.
-    pub(crate) fn stamped_children_index(&self) -> HashMap<KeySyms, Vec<GroupSym>, SymbolBuild> {
-        let mut index: HashMap<KeySyms, Vec<GroupSym>, SymbolBuild> = HashMap::default();
-        for (sym, parent) in self.stamped_of.iter().enumerate() {
-            if let Some(parent) = parent {
-                index.entry(*parent).or_default().push(sym as GroupSym);
-            }
+    /// The round `head` and every round of the same parent seen after it,
+    /// in first-seen (= group-symbol) order; nothing for [`NONE`].
+    pub(crate) fn siblings(&self, head: GroupSym) -> impl Iterator<Item = GroupSym> + '_ {
+        let some = |sym: GroupSym| (sym != NONE).then_some(sym);
+        std::iter::successors(some(head), move |&sym| {
+            some(self.sibling_next[sym as usize])
+        })
+    }
+
+    /// How many events the group holds.
+    pub(crate) fn group_len(&self, sym: GroupSym) -> usize {
+        self.cells[sym as usize].len as usize
+    }
+
+    /// Whether the group contains a completed commit.
+    pub(crate) fn has_commit_completion(&self, sym: GroupSym) -> bool {
+        self.cells[sym as usize].has_commit_completion
+    }
+
+    /// The group's event indices into the full history, ascending —
+    /// materialised from the chain, for a search about to run.
+    pub(crate) fn indices_of(&self, sym: GroupSym) -> Vec<usize> {
+        let cell = &self.cells[sym as usize];
+        let mut indices = vec![0usize; cell.len as usize];
+        let mut at = cell.last;
+        for slot in indices.iter_mut().rev() {
+            *slot = at as usize;
+            at = *self.prev.get(at as usize);
         }
-        index
+        debug_assert_eq!(at, NONE, "a group's chain is exactly `len` links long");
+        indices
+    }
+
+    /// Whether the group's events reduce to `Λ`, memoized.
+    pub(crate) fn erases<H: HistoryRead + ?Sized>(
+        &self,
+        sym: GroupSym,
+        h: &H,
+        budget: SearchBudget,
+    ) -> EraseOutcome {
+        let cell = &self.cells[sym as usize];
+        if let Some(outcome) = cell.erase.get() {
+            return outcome;
+        }
+        let outcome = run_erase_search(h, &self.indices_of(sym), budget);
+        cell.erase.set(Some(outcome));
+        outcome
+    }
+
+    /// Whether the group's events reduce to a failure-free execution of its
+    /// key's action/input, memoized. The target is fully determined by the
+    /// group key: the action is `Base(name)` and the input is the key's
+    /// value (for round-stamped groups the stamped pair *is* the input,
+    /// §5.4).
+    ///
+    /// The memo is a tag and two indices, not the outcome: a hit on
+    /// `Reduced` re-reads the agreed output from `h` at `output_at`.
+    pub(crate) fn exec<H: HistoryRead + ?Sized>(
+        &self,
+        sym: GroupSym,
+        h: &H,
+        budget: SearchBudget,
+    ) -> ExecOutcome {
+        let cell = &self.cells[sym as usize];
+        let search = || {
+            let (ns, vs) = self.keys[sym as usize];
+            let (name, input) = (self.interner.action(ns), self.interner.value(vs));
+            run_exec_search(h, &self.indices_of(sym), name, input, budget)
+        };
+        let hit = match cell.exec.get() {
+            ExecMemo::Unset => {
+                let outcome = search();
+                self.prime_exec(sym, &outcome);
+                return outcome;
+            }
+            ExecMemo::Reduced => {
+                let output_at = cell.exec_output_at.get() as usize;
+                ExecOutcome::Reduced {
+                    output: h.event_at(output_at).value().clone(),
+                    anchor: cell.exec_anchor.get() as usize,
+                    output_at,
+                }
+            }
+            ExecMemo::Stuck => ExecOutcome::Stuck,
+            ExecMemo::Budget => ExecOutcome::Budget,
+        };
+        debug_assert_eq!(hit, search(), "exec memo diverged from the search");
+        hit
+    }
+
+    /// Installs an exec outcome (this engine's own, or one a sharded
+    /// worker computed over the same events): the tag, and for `Reduced`
+    /// the two indices — the output value itself is not kept.
+    pub(crate) fn prime_exec(&self, sym: GroupSym, outcome: &ExecOutcome) {
+        let cell = &self.cells[sym as usize];
+        cell.exec.set(match outcome {
+            ExecOutcome::Reduced {
+                anchor, output_at, ..
+            } => {
+                // Both index an observed event, so both fit (`id32` in
+                // `record_in_cell` bounded the event count).
+                cell.exec_anchor.set(*anchor as u32);
+                cell.exec_output_at.set(*output_at as u32);
+                ExecMemo::Reduced
+            }
+            ExecOutcome::Stuck => ExecMemo::Stuck,
+            ExecOutcome::Budget => ExecMemo::Budget,
+        });
+    }
+
+    /// Installs an erase outcome computed elsewhere (a sharded worker).
+    pub(crate) fn prime_erase(&self, sym: GroupSym, outcome: EraseOutcome) {
+        self.cells[sym as usize].erase.set(Some(outcome));
+    }
+
+    /// Heap bytes held, part by part — allocated capacity, not length. The
+    /// interner's row is [`Interner::approx_bytes`], an upper bound: it
+    /// counts value payload the interner shares with whoever produced the
+    /// events.
+    pub(crate) fn byte_parts(&self) -> [(&'static str, usize); 6] {
+        let attribution = &self.attribution;
+        let open_heap: usize = (attribution.open.iter())
+            .map(|open| open.stack.capacity() * size_of::<u32>() + open.multiplicity.heap_bytes())
+            .sum();
+        [
+            ("engine interner", self.interner.approx_bytes()),
+            (
+                "group cells",
+                self.cells.capacity() * size_of::<GroupCell>(),
+            ),
+            ("event chain", self.prev.segment_bytes()),
+            (
+                "group keys + index",
+                self.keys.capacity() * size_of::<KeySyms>() + self.group_lookup.heap_bytes(),
+            ),
+            (
+                "round chains",
+                (self.stamped_of.capacity() + self.sibling_next.capacity()) * size_of::<u32>()
+                    + self.parents.capacity() * size_of::<RoundParent>()
+                    + self.parent_lookup.heap_bytes(),
+            ),
+            (
+                "attribution",
+                attribution.open.capacity() * size_of::<OpenStarts>()
+                    + attribution.last_start_input.capacity() * size_of::<Option<u32>>()
+                    + open_heap,
+            ),
+        ]
     }
 }
 
@@ -944,13 +1239,23 @@ pub(crate) fn fail_verdict(ambiguous: bool, reason: String) -> Verdict {
 // ---------------------------------------------------------------------------
 // The batch assembly.
 
+/// The first round-stamped transaction group of the request `action`
+/// declared under `key` — the head of the engine's sibling chain — or
+/// [`NONE`]: only an undoable base action whose key is interned has rounds.
+fn first_round_of_request(eng: &Engine, action: &ActionId, key: Option<KeySyms>) -> GroupSym {
+    match key {
+        Some(key) if action.is_undoable_base() => eng.first_round_of(key),
+        _ => NONE,
+    }
+}
+
 /// The assembly: decides x-ability of `h` — already partitioned into the
 /// engine's groups — with respect to the ordered request sequence `ops`,
 /// additionally allowing the requests in `erasable` to have left events
 /// that reduce to nothing.
 ///
-/// Per-group searches go through the [`GroupCell`] memos, so a caller that
-/// keeps the cells warm (the incremental checker, the two attempts of an
+/// Per-group searches go through the engine's memos ([`Engine::exec`],
+/// [`Engine::erases`]), so a caller that keeps the cells warm (the incremental checker, the two attempts of an
 /// R3 question, or a sharded pre-pass) pays for each group search at most
 /// once.
 pub(crate) fn decide<H: HistoryRead + ?Sized>(
@@ -976,7 +1281,7 @@ pub(crate) fn decide<H: HistoryRead + ?Sized>(
     }
 
     let fail = |reason: String| fail_verdict(eng.ambiguous, reason);
-    let stamped_children = eng.stamped_children_index();
+    let first_round = |action, key| first_round_of_request(eng, action, key);
 
     // --- Every group must correspond to a declared request, directly or
     // as a round-stamped transaction of a declared undoable request
@@ -993,15 +1298,11 @@ pub(crate) fn decide<H: HistoryRead + ?Sized>(
         if let Some(sym) = eng.group_with_key(key) {
             declared_groups.insert(sym);
         }
-        if action.is_undoable_base() {
-            if let Some(children) = stamped_children.get(&key) {
-                declared_groups.extend(children.iter().copied());
-            }
-        }
+        declared_groups.extend(eng.siblings(first_round(action, Some(key))));
     }
 
-    let erase_group = |cell: &GroupCell, what: &dyn fmt::Display| -> Option<Verdict> {
-        match cell.erases(h, budget) {
+    let erase_group = |sym: GroupSym, what: &dyn fmt::Display| -> Option<Verdict> {
+        match eng.erases(sym, h, budget) {
             EraseOutcome::Erases => None,
             EraseOutcome::Stuck => Some(fail(msg_not_erasing(what))),
             EraseOutcome::Budget => Some(Verdict::Unknown {
@@ -1016,14 +1317,8 @@ pub(crate) fn decide<H: HistoryRead + ?Sized>(
     for (action, input) in ops.iter() {
         let key = eng.lookup_key(action.base_name(), input);
         let plain = key.and_then(|k| eng.group_with_key(k));
-        let stamped: &[GroupSym] = if action.is_undoable_base() {
-            key.and_then(|k| stamped_children.get(&k))
-                .map(Vec::as_slice)
-                .unwrap_or(&[])
-        } else {
-            &[]
-        };
-        let exec_sym: GroupSym = match (plain, stamped.is_empty()) {
+        let stamped = first_round(action, key);
+        let exec_sym: GroupSym = match (plain, stamped == NONE) {
             (Some(_), false) => {
                 return Verdict::Unknown {
                     reason: msg_plain_and_stamped(action, input),
@@ -1037,31 +1332,30 @@ pub(crate) fn decide<H: HistoryRead + ?Sized>(
                 // Round-stamped transactions: exactly one round commits and
                 // must reduce to a failure-free execution; every other round
                 // must erase (cancelled rounds).
-                let committed: Vec<GroupSym> = stamped
-                    .iter()
-                    .copied()
-                    .filter(|&sym| eng.cells[sym as usize].has_commit_completion)
-                    .collect();
-                if committed.len() != 1 {
-                    return fail(msg_committed_rounds(action, input, committed.len()));
+                let is_committed = |sym: &GroupSym| eng.has_commit_completion(*sym);
+                let rounds = eng.siblings(stamped).filter(is_committed).count();
+                if rounds != 1 {
+                    return fail(msg_committed_rounds(action, input, rounds));
                 }
-                let committed = committed[0];
-                for &sym in stamped {
+                let committed = eng
+                    .siblings(stamped)
+                    .find(is_committed)
+                    .expect("counted exactly one committed round");
+                for sym in eng.siblings(stamped) {
                     if sym == committed {
                         continue;
                     }
                     let round = eng.interner().value(eng.key(sym).1);
                     let what = what_cancelled_round(round, action, input);
-                    if let Some(v) = erase_group(&eng.cells[sym as usize], &what) {
+                    if let Some(v) = erase_group(sym, &what) {
                         return v;
                     }
                 }
                 committed
             }
         };
-        let (exec_name, exec_input) = eng.resolve(exec_sym);
-        match eng.cells[exec_sym as usize].exec(h, &exec_name, &exec_input, budget) {
-            ExecOutcome::Reduced { output, anchor } => {
+        match eng.exec(exec_sym, h, budget) {
+            ExecOutcome::Reduced { output, anchor, .. } => {
                 outputs.push(output);
                 anchors.push(anchor);
             }
@@ -1078,18 +1372,13 @@ pub(crate) fn decide<H: HistoryRead + ?Sized>(
 
     for (action, input) in erasable {
         let key = eng.lookup_key(action.base_name(), input);
-        let mut all_cells: Vec<GroupSym> = Vec::new();
-        if let Some(sym) = key.and_then(|k| eng.group_with_key(k)) {
-            all_cells.push(sym);
-        }
-        if action.is_undoable_base() {
-            if let Some(children) = key.and_then(|k| stamped_children.get(&k)) {
-                all_cells.extend(children.iter().copied());
-            }
-        }
-        for sym in all_cells {
-            let what = what_abandoned(action, input);
-            if let Some(v) = erase_group(&eng.cells[sym as usize], &what) {
+        let plain = key.and_then(|k| eng.group_with_key(k));
+        let what = what_abandoned(action, input);
+        for sym in plain
+            .into_iter()
+            .chain(eng.siblings(first_round(action, key)))
+        {
+            if let Some(v) = erase_group(sym, &what) {
                 return v;
             }
         }
@@ -1101,7 +1390,7 @@ pub(crate) fn decide<H: HistoryRead + ?Sized>(
         }
         let (ns, vs) = eng.key(sym);
         let what = what_undeclared(eng.interner().action(ns), eng.interner().value(vs));
-        if let Some(v) = erase_group(&eng.cells[sym as usize], &what) {
+        if let Some(v) = erase_group(sym, &what) {
             return v;
         }
     }
@@ -1139,9 +1428,7 @@ pub(crate) fn check_requests_batch<H: HistoryRead + ?Sized>(
     ops: &[(ActionId, Value)],
 ) -> Verdict {
     match Engine::from_source(h) {
-        Ok(eng) => crate::xable::checker::combine_r3_attempts(ops, |ops, erasable| {
-            decide(h, &eng, budget, ops, erasable)
-        }),
+        Ok(eng) => combine_r3_over(ops, |ops, erasable| decide(h, &eng, budget, ops, erasable)),
         Err(reason) => Verdict::NotXable { reason },
     }
 }
@@ -1158,14 +1445,14 @@ enum SearchKind {
 
 /// One unit of sharded work: everything a worker needs to run one
 /// per-group search. The engine itself is not `Sync` (the memo cells use
-/// `RefCell`), but the borrowed indices/key data is — so jobs carry
-/// borrows for the duration of the scope instead of deep-cloning every
-/// group's index vector.
-#[derive(Debug, Clone, Copy)]
+/// `Cell`), so a job carries its group's index list — materialised from
+/// the chain when the search is planned, as it would be when it runs —
+/// and borrows the key data for the duration of the scope.
+#[derive(Debug)]
 struct ShardJob<'a> {
     sym: GroupSym,
     kind: SearchKind,
-    indices: &'a [usize],
+    indices: Vec<usize>,
     /// The group's resolved key — the exec search target.
     name: &'a ActionName,
     input: &'a Value,
@@ -1190,7 +1477,7 @@ fn plan_searches<'a>(
     jobs: &mut Vec<ShardJob<'a>>,
     planned: &mut HashSet<(GroupSym, SearchKind)>,
 ) {
-    let stamped_children = eng.stamped_children_index();
+    let first_round = |action, key| first_round_of_request(eng, action, Some(key));
     let mut declared_groups: HashSet<GroupSym> = HashSet::new();
     let mut push = |sym: GroupSym, kind: SearchKind| {
         if planned.insert((sym, kind)) {
@@ -1198,7 +1485,7 @@ fn plan_searches<'a>(
             jobs.push(ShardJob {
                 sym,
                 kind,
-                indices: &eng.cells[sym as usize].indices,
+                indices: eng.indices_of(sym),
                 name: eng.interner().action(ns),
                 input: eng.interner().value(vs),
             });
@@ -1214,11 +1501,7 @@ fn plan_searches<'a>(
         if let Some(sym) = eng.group_with_key(key) {
             declared_groups.insert(sym);
         }
-        if action.is_undoable_base() {
-            if let Some(children) = stamped_children.get(&key) {
-                declared_groups.extend(children.iter().copied());
-            }
-        }
+        declared_groups.extend(eng.siblings(first_round(action, key)));
     }
     for (action, input) in ops {
         if !matches!(action, ActionId::Base(_)) {
@@ -1228,22 +1511,14 @@ fn plan_searches<'a>(
             continue;
         };
         let plain = eng.group_with_key(key);
-        let stamped: &[GroupSym] = if action.is_undoable_base() {
-            stamped_children.get(&key).map(Vec::as_slice).unwrap_or(&[])
-        } else {
-            &[]
-        };
-        match (plain, stamped.is_empty()) {
+        let stamped = first_round(action, key);
+        match (plain, stamped == NONE) {
             (Some(sym), true) => push(sym, SearchKind::Exec),
             (None, false) => {
-                let committed: Vec<GroupSym> = stamped
-                    .iter()
-                    .copied()
-                    .filter(|&sym| eng.cells[sym as usize].has_commit_completion)
-                    .collect();
-                if committed.len() == 1 {
-                    for &sym in stamped {
-                        if sym == committed[0] {
+                let committed = |sym: &GroupSym| eng.has_commit_completion(*sym);
+                if eng.siblings(stamped).filter(committed).count() == 1 {
+                    for sym in eng.siblings(stamped) {
+                        if committed(&sym) {
                             push(sym, SearchKind::Exec);
                         } else {
                             push(sym, SearchKind::Erase);
@@ -1264,12 +1539,8 @@ fn plan_searches<'a>(
         if let Some(sym) = eng.group_with_key(key) {
             push(sym, SearchKind::Erase);
         }
-        if action.is_undoable_base() {
-            if let Some(children) = stamped_children.get(&key) {
-                for &sym in children {
-                    push(sym, SearchKind::Erase);
-                }
-            }
+        for sym in eng.siblings(first_round(action, key)) {
+            push(sym, SearchKind::Erase);
         }
     }
     for sym in 0..eng.group_count() as GroupSym {
@@ -1314,10 +1585,9 @@ fn run_sharded<H: HistoryRead + Sync + ?Sized>(
         results.into_iter().flatten().collect()
     };
     for (sym, kind, outcome) in outcomes {
-        let cell = &eng.cells[sym as usize];
         match (kind, outcome) {
-            (SearchKind::Exec, ShardOutcome::Exec(o)) => cell.prime_exec(o),
-            (SearchKind::Erase, ShardOutcome::Erase(o)) => cell.prime_erase(o),
+            (SearchKind::Exec, ShardOutcome::Exec(o)) => eng.prime_exec(sym, &o),
+            (SearchKind::Erase, ShardOutcome::Erase(o)) => eng.prime_erase(sym, o),
             _ => unreachable!("job kind and outcome kind always match"),
         }
     }
@@ -1329,10 +1599,14 @@ fn run_job<H: HistoryRead + ?Sized>(
     job: &ShardJob<'_>,
 ) -> (GroupSym, SearchKind, ShardOutcome) {
     let outcome = match job.kind {
-        SearchKind::Exec => {
-            ShardOutcome::Exec(run_exec_search(h, job.indices, job.name, job.input, budget))
-        }
-        SearchKind::Erase => ShardOutcome::Erase(run_erase_search(h, job.indices, budget)),
+        SearchKind::Exec => ShardOutcome::Exec(run_exec_search(
+            h,
+            &job.indices,
+            job.name,
+            job.input,
+            budget,
+        )),
+        SearchKind::Erase => ShardOutcome::Erase(run_erase_search(h, &job.indices, budget)),
     };
     (job.sym, job.kind, outcome)
 }
@@ -1393,9 +1667,7 @@ pub(crate) fn check_requests_sharded<H: HistoryRead + Sync + ?Sized>(
         }
         run_sharded(h, &eng, budget, &jobs, workers);
     }
-    crate::xable::checker::combine_r3_attempts(ops, |ops, erasable| {
-        decide(h, &eng, budget, ops, erasable)
-    })
+    combine_r3_over(ops, |ops, erasable| decide(h, &eng, budget, ops, erasable))
 }
 
 #[cfg(test)]
@@ -1405,6 +1677,7 @@ mod tests {
     use crate::event::Event;
     use crate::failure_free::eventsof;
     use crate::xable::checker::{Checker, FastChecker};
+    use proptest::prelude::*;
 
     fn fast() -> FastChecker {
         FastChecker::default()
@@ -1464,7 +1737,13 @@ mod tests {
                     let anchor = (0..sub.len())
                         .find(|&i| sub.is_base_completion_at(i))
                         .expect("a reached idempotent group has a completion");
-                    ExecOutcome::Reduced { output, anchor }
+                    // Outputs agree in a reduced idempotent group, so the
+                    // first completion carries the agreed one.
+                    ExecOutcome::Reduced {
+                        output,
+                        anchor,
+                        output_at: anchor,
+                    }
                 }
                 SearchResult::Exhausted => ExecOutcome::Stuck,
                 SearchResult::BudgetExceeded => ExecOutcome::Budget,
@@ -1858,6 +2137,164 @@ mod tests {
         // reported as `Unknown` rather than a definite negative.)
         let v = fast().check(&h, &[], &[(u, key)]);
         assert!(!v.is_xable());
+    }
+
+    /// A small alphabet that reaches every way an event is placed: three
+    /// actions over three inputs (ambiguous attributions), completions of
+    /// an action that may never have started (orphans), and round-stamped
+    /// inputs under two parents (sibling chains).
+    fn arb_chain_event() -> impl Strategy<Value = Event> {
+        let u = undo("u");
+        let cancel = u.cancel().expect("undoable");
+        let commit = u.commit().expect("undoable");
+        let stamped =
+            |parent: &str, round: i64| Value::pair(Value::from(parent), Value::from(round));
+        let actions = [idem("a"), idem("b"), u, cancel, commit];
+        let inputs = [
+            Value::from(1),
+            Value::from(2),
+            stamped("p", 1),
+            stamped("p", 2),
+            stamped("q", 1),
+        ];
+        (0usize..50).prop_map(move |pick| {
+            let (action, value) = (actions[pick % 5].clone(), inputs[pick / 5 % 5].clone());
+            if pick < 25 {
+                Event::start(action, value)
+            } else {
+                Event::complete(action, value)
+            }
+        })
+    }
+
+    /// What the engine's chains must equal: every group's index list and
+    /// every parent's round list, kept in plain vectors from the
+    /// [`Observed`] records alone.
+    #[derive(Default)]
+    struct ChainReference {
+        next_index: usize,
+        groups: Vec<Vec<usize>>,
+        rounds: Vec<(KeySyms, Vec<GroupSym>)>,
+    }
+
+    impl ChainReference {
+        fn record(&mut self, result: Result<Observed, String>) {
+            let index = self.next_index;
+            self.next_index += 1;
+            match result {
+                Ok(obs) => {
+                    if obs.created {
+                        assert_eq!(obs.group as usize, self.groups.len());
+                        self.groups.push(Vec::new());
+                        if let Some(parent) = obs.stamped_parent {
+                            match self.rounds.iter_mut().find(|(key, _)| *key == parent) {
+                                Some((_, rounds)) => rounds.push(obs.group),
+                                None => self.rounds.push((parent, vec![obs.group])),
+                            }
+                        }
+                    }
+                    self.groups[obs.group as usize].push(index);
+                }
+                // An orphan joins no group but has taken its index.
+                Err(reason) => assert!(reason.contains(&format!("at index {index} ")), "{reason}"),
+            }
+        }
+
+        fn assert_matches(&self, eng: &Engine) {
+            assert_eq!(eng.observed(), self.next_index);
+            assert_eq!(eng.group_count(), self.groups.len());
+            for (sym, indices) in self.groups.iter().enumerate() {
+                assert_eq!(&eng.indices_of(sym as GroupSym), indices, "group {sym}");
+                assert_eq!(eng.group_len(sym as GroupSym), indices.len());
+            }
+            for (parent, rounds) in &self.rounds {
+                let chained: Vec<GroupSym> = eng.siblings(eng.first_round_of(*parent)).collect();
+                assert_eq!(&chained, rounds, "rounds of {parent:?}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Chain ≡ vector: however events are attributed — orphans and
+        /// ambiguous completions included — and whether they arrive one by
+        /// one or in batches, each group's materialised index list and
+        /// each parent's round chain equal the reference partition.
+        #[test]
+        fn chain_equals_the_reference_partition(
+            events in prop::collection::vec(arb_chain_event(), 0..40),
+            cut in 0usize..40,
+        ) {
+            let mut single = Engine::default();
+            let mut reference = ChainReference::default();
+            for event in &events {
+                reference.record(single.observe(event));
+                reference.assert_matches(&single);
+            }
+
+            let mut batched = Engine::default();
+            let mut batch_reference = ChainReference::default();
+            let (head, tail) = events.split_at(cut.min(events.len()));
+            for batch in [head, tail] {
+                batched.observe_batch(batch, &mut |result| batch_reference.record(result));
+                batch_reference.assert_matches(&batched);
+            }
+            prop_assert_eq!(&batch_reference.groups, &reference.groups);
+            prop_assert_eq!(&batch_reference.rounds, &reference.rounds);
+            prop_assert_eq!(batched.ambiguous, single.ambiguous);
+        }
+    }
+
+    #[test]
+    fn chain_memo_hit_rereads_the_output_it_indexed() {
+        // A cancelled round, then a committed one whose completion sits
+        // mid-history: the exec memo keeps where the output is, not what
+        // it is, and a hit gives back the very outcome the search gave.
+        let u = undo("xfer");
+        let cancel = u.cancel().unwrap();
+        let commit = u.commit().unwrap();
+        let round = |k: i64| Value::pair(Value::from("r0"), Value::from(k));
+        let h: History = [
+            Event::start(u.clone(), round(1)),
+            Event::start(cancel.clone(), round(1)),
+            cnil(&cancel),
+            Event::start(u.clone(), round(2)),
+            Event::complete(u.clone(), Value::from("ok")),
+            Event::start(commit.clone(), round(2)),
+            cnil(&commit),
+        ]
+        .into_iter()
+        .collect();
+        let eng = Engine::from_source(&h).expect("no orphan");
+        let budget = SearchBudget::small();
+        let parent = eng
+            .lookup_key(u.base_name(), &Value::from("r0"))
+            .expect("the base input is interned with its first round");
+        let rounds: Vec<GroupSym> = eng.siblings(eng.first_round_of(parent)).collect();
+        assert_eq!(rounds, [0, 1]);
+        assert_eq!(eng.indices_of(1), [3, 4, 5, 6]);
+
+        let searched = eng.exec(1, &h, budget);
+        assert_eq!(
+            searched,
+            ExecOutcome::Reduced {
+                output: Value::from("ok"),
+                anchor: 4,
+                output_at: 4,
+            }
+        );
+        assert_eq!(eng.cells[1].exec.get(), ExecMemo::Reduced);
+        // The hit (debug builds re-run the search beside it and compare).
+        assert_eq!(eng.exec(1, &h, budget), searched);
+        assert_eq!(eng.erases(0, &h, budget), EraseOutcome::Erases);
+        assert_eq!(eng.erases(0, &h, budget), EraseOutcome::Erases);
+        // A primed memo answers the same way: a worker's outcome carries
+        // the index, and the value never travels into the cell.
+        let primed = Engine::from_source(&h).expect("no orphan");
+        primed.prime_exec(1, &searched);
+        assert_eq!(primed.exec(1, &h, budget), searched);
+        assert_eq!(size_of::<GroupCell>(), 20);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!
 //! * [`push`](IncrementalChecker::push) consumes one event in amortized
 //!   O(1): a single streaming attribution step (`Engine::observe` in
-//!   [`super::fast`]) appends the event's index to its symbol-keyed
-//!   `(base action, input)` group, invalidates only that group's memoized
+//!   [`super::fast`]) links the event's index into the chain of its
+//!   symbol-keyed `(base action, input)` group, invalidates only that
+//!   group's memoized
 //!   search outcomes, and marks the requests watching the group *dirty*.
 //! * [`declare`](IncrementalChecker::declare) appends an expected request
 //!   to the R3 sequence (requests arrive over time too: the client submits
@@ -38,6 +39,21 @@
 //! `tests/incremental_props.rs` and `tests/checker_scaling.rs` verify the
 //! equality prefix by prefix on random and protocol-shaped histories.
 //!
+//! **What a request costs.** A declared request *is* its interned key: the
+//! aggregate keeps 8 bytes of symbols per request (`op_keys`), and
+//! [`requests`](IncrementalState::requests) reads the `(ActionId, Value)`
+//! pair back through the engine's interner — there is no request vector
+//! repeating what the interner holds (invalid declarations — non-base or
+//! duplicate — sit in a side list). Beside the key a request has a 20-byte
+//! cached decision (its plain group, the head of its round chain, the
+//! committed-round count, an 8-byte state whose `Ok` keeps only the
+//! anchor), a 24-byte slot of the output log, and its share of the key
+//! index — the same 5-bytes-a-slot `SymbolIndex` the engine and the
+//! interner use, probed against `op_keys`. A group adds 8 bytes here: its
+//! two watching requests. Every index is a `u32` with `NONE` for "absent";
+//! the `u32::MAX - 1` limit is the engine's (see [`super::fast`]).
+//! [`IncrementalState::approx_bytes_by_part`] is the table that adds up.
+//!
 //! The per-group state carried online, the dirty-set/aggregate invariant,
 //! and the reason cross-group reduction never occurs (rules 18–20 relate
 //! events of one group only) are spelled out in DESIGN.md §4.3.
@@ -60,74 +76,87 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use std::mem::size_of;
 
 use xability_obs::{Counter, Histogram, Obs};
 
 use crate::action::{ActionId, Request};
 use crate::event::Event;
 use crate::history::{History, HistoryRead};
-use crate::intern::SymbolBuild;
+use crate::intern::{hash_of, SymbolIndex};
 use crate::seglog::AppendLog;
 use crate::value::Value;
 use crate::xable::checker::{combine_r3_attempts, Verdict, Witness};
 use crate::xable::fast::{
-    fail_verdict, msg_committed_rounds, msg_duplicate, msg_erase_budget, msg_exec_budget,
+    fail_verdict, id32, msg_committed_rounds, msg_duplicate, msg_erase_budget, msg_exec_budget,
     msg_never_executed, msg_not_base, msg_not_erasing, msg_plain_and_stamped, msg_stuck,
     what_abandoned, what_cancelled_round, what_undeclared, Engine, EraseOutcome, ExecOutcome,
-    GroupSym, KeySyms, MSG_OUT_OF_ORDER,
+    GroupSym, KeySyms, Observed, MSG_OUT_OF_ORDER, NONE,
 };
 use crate::xable::search::SearchBudget;
 
 /// Which declared requests read a group's decision — the fan-out of one
-/// dirty group. A group is *plain* for the request whose key equals the
-/// group key, and/or a *round-stamped transaction* of the undoable request
-/// whose key equals the group's stamped parent; a group watched by neither
-/// is undeclared and must erase.
-#[derive(Debug, Default, Clone, Copy)]
+/// dirty group, as two request indices with [`NONE`] for "no such
+/// request". A group is *plain* for the request whose key equals the group
+/// key, and/or a *round-stamped transaction* of the undoable request whose
+/// key equals the group's stamped parent; a group watched by neither is
+/// undeclared and must erase.
+#[derive(Debug, Clone, Copy)]
 struct Watchers {
-    plain_op: Option<usize>,
-    stamped_op: Option<usize>,
+    plain_op: u32,
+    stamped_op: u32,
 }
 
 impl Watchers {
     fn is_undeclared(&self) -> bool {
-        self.plain_op.is_none() && self.stamped_op.is_none()
+        self.plain_op == NONE && self.stamped_op == NONE
     }
 }
 
 /// The cached decision of one declared request.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct OpEntry {
-    /// The group whose key equals the request key, if it exists.
-    plain: Option<GroupSym>,
-    /// The round-stamped transaction groups of this (undoable) request,
-    /// in group-symbol (first-seen) order.
-    stamped: Vec<GroupSym>,
+    /// The group whose key equals the request key, or [`NONE`].
+    plain: GroupSym,
+    /// The first-seen round-stamped transaction group of this (undoable)
+    /// request, or [`NONE`]: the head of the engine's sibling chain, which
+    /// lists the rounds in group-symbol (first-seen) order.
+    stamped: GroupSym,
     /// How many stamped transactions have a commit completion.
-    committed: usize,
+    committed: u32,
     /// The memoized decision (recomputed only while the request is dirty).
     state: OpState,
 }
 
-#[derive(Debug, Default, Clone)]
+impl Default for OpEntry {
+    fn default() -> Self {
+        OpEntry {
+            plain: NONE,
+            stamped: NONE,
+            committed: 0,
+            state: OpState::Pending,
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
 enum OpState {
     /// Not yet computed (freshly declared).
-    #[default]
     Pending,
     /// The request's events reduce to a failure-free execution with its
     /// effect anchored at this history index; the agreed output is the
     /// request's entry of [`Aggregate::outputs`].
-    Ok { anchor: usize },
+    Ok { anchor: u32 },
     /// The request fails (or is undecidable) for this reason; the message
     /// is materialized lazily so clean verdicts never format strings.
     Bad(OpFail),
 }
 
 impl OpState {
-    fn anchor(&self) -> Option<usize> {
+    fn anchor(&self) -> Option<u32> {
         match self {
-            OpState::Ok { anchor, .. } => Some(*anchor),
+            OpState::Ok { anchor } => Some(*anchor),
             _ => None,
         }
     }
@@ -141,7 +170,7 @@ enum OpFail {
     /// Both plain and round-stamped events exist (→ `Unknown`).
     PlainAndStamped,
     /// `n != 1` rounds committed.
-    CommittedRounds(usize),
+    CommittedRounds(u32),
     /// A cancelled round's events do not erase.
     RoundNotErasing(GroupSym),
     /// A cancelled round's erase search ran out of budget (→ `Unknown`).
@@ -175,18 +204,20 @@ enum EraseFail {
 /// group; a verdict drains the dirty sets and re-decides only those.
 #[derive(Debug)]
 struct Aggregate {
-    /// Per-request interned key (`None` for a non-base declared action).
-    op_keys: Vec<Option<KeySyms>>,
-    /// Request key → request index (first declarer; duplicates trip
-    /// `declare_invalid`).
-    op_lookup: HashMap<KeySyms, usize, SymbolBuild>,
-    /// Undoable request key → request index, for adopting round-stamped
-    /// transaction groups as they appear.
-    stamped_parents: HashMap<KeySyms, usize, SymbolBuild>,
-    /// Every round-stamped-shaped group per parent key (declared or not),
-    /// in group-symbol order — so a late-declared undoable request adopts
-    /// its existing rounds.
-    stamped_children: HashMap<KeySyms, Vec<GroupSym>, SymbolBuild>,
+    /// Per-request interned key — which, through the engine's interner,
+    /// *is* the declared request: no `(ActionId, Value)` copy is kept
+    /// beside it. `(NONE, NONE)` for an invalid declaration, whose pair
+    /// sits in `invalid`.
+    op_keys: Vec<KeySyms>,
+    /// The invalid declarations — a non-base action, or a key an earlier
+    /// request already declared; either trips `declare_invalid`, so there
+    /// is a handful at most — ascending by request index.
+    invalid: Vec<(usize, ActionId, Value)>,
+    /// Request key → request index, probed against `op_keys`, where every
+    /// row with a key is filed. A round-stamped parent key carries an
+    /// undoable name by construction, so this is also how a new round
+    /// finds its request.
+    op_lookup: SymbolIndex,
     /// Per-request cached decisions, index-aligned with the declared
     /// sequence.
     entries: Vec<OpEntry>,
@@ -225,9 +256,8 @@ impl Default for Aggregate {
     fn default() -> Self {
         Aggregate {
             op_keys: Vec::new(),
-            op_lookup: HashMap::default(),
-            stamped_parents: HashMap::default(),
-            stamped_children: HashMap::default(),
+            invalid: Vec::new(),
+            op_lookup: SymbolIndex::default(),
             entries: Vec::new(),
             outputs: AppendLog::new(OUTPUT_SEGMENT),
             declare_invalid: None,
@@ -242,42 +272,49 @@ impl Default for Aggregate {
 }
 
 impl Aggregate {
+    /// The request declared with `key`, or [`NONE`].
+    fn op_with_key(&self, key: KeySyms) -> u32 {
+        self.op_lookup
+            .find(hash_of(&key), |op| self.op_keys[op as usize] == key)
+            .unwrap_or(NONE)
+    }
+
     /// Records what one observed event did to the partition. The record
     /// is self-contained (key and stamped parent ride along), so tracking
     /// borrows nothing from the engine — which is what lets the batch
     /// path stream records out of `Engine::observe_batch` while the
     /// engine is mutably borrowed.
-    fn track(&mut self, obs: crate::xable::fast::Observed) {
+    fn track(&mut self, obs: Observed) {
         let sym = obs.group;
         if obs.created {
-            let mut w = Watchers::default();
-            let key = obs.key;
-            if let Some(&op) = self.op_lookup.get(&key) {
-                w.plain_op = Some(op);
-                self.entries[op].plain = Some(sym);
+            let mut w = Watchers {
+                plain_op: self.op_with_key(obs.key),
+                stamped_op: NONE,
+            };
+            if w.plain_op != NONE {
+                self.entries[w.plain_op as usize].plain = sym;
             }
             if let Some(parent) = obs.stamped_parent {
-                self.stamped_children.entry(parent).or_default().push(sym);
-                if let Some(&op) = self.stamped_parents.get(&parent) {
-                    w.stamped_op = Some(op);
-                    // New symbols are assigned in ascending order, so the
-                    // per-request round list stays sorted.
-                    self.entries[op].stamped.push(sym);
+                w.stamped_op = self.op_with_key(parent);
+                if w.stamped_op != NONE {
+                    // The engine chains the rounds in first-seen order;
+                    // the request only needs to know where they start.
+                    let entry = &mut self.entries[w.stamped_op as usize];
+                    if entry.stamped == NONE {
+                        entry.stamped = sym;
+                    }
                 }
             }
             self.watchers.push(w);
         }
         let w = self.watchers[sym as usize];
-        if obs.commit_completed {
-            if let Some(op) = w.stamped_op {
-                self.entries[op].committed += 1;
+        if obs.commit_completed && w.stamped_op != NONE {
+            self.entries[w.stamped_op as usize].committed += 1;
+        }
+        for op in [w.plain_op, w.stamped_op] {
+            if op != NONE {
+                self.dirty_ops.insert(op as usize);
             }
-        }
-        if let Some(op) = w.plain_op {
-            self.dirty_ops.insert(op);
-        }
-        if let Some(op) = w.stamped_op {
-            self.dirty_ops.insert(op);
         }
         if w.is_undeclared() {
             self.dirty_undeclared.insert(sym);
@@ -322,10 +359,10 @@ pub struct GroupPrime {
 }
 
 /// The storage-free core of the online checker: the symbol-keyed engine
-/// (attribution state plus per-group partition with warm memo cells), the
-/// declared request sequence, and the dirty-tracked aggregate verdict —
-/// everything the incremental verdict needs *except* the events
-/// themselves.
+/// (attribution state plus per-group partition with warm memo cells) and
+/// the dirty-tracked aggregate verdict, which holds the declared request
+/// sequence as interned keys — everything the incremental verdict needs
+/// *except* the events themselves.
 ///
 /// An `IncrementalState` is a **cursor** over an event stream that lives
 /// elsewhere: [`observe`](IncrementalState::observe) consumes the next
@@ -359,14 +396,11 @@ pub struct GroupPrime {
 #[derive(Debug)]
 pub struct IncrementalState {
     budget: SearchBudget,
-    requests: Vec<(ActionId, Value)>,
+    /// The cursor position is the engine's own event count.
     engine: Engine,
     /// First completion observed without any start of its action — a
     /// permanent violation of the event axioms (§2.2).
     orphan: Option<String>,
-    /// Cursor position: how many events of the underlying stream have
-    /// been consumed.
-    consumed: usize,
     /// Interior mutability: a verdict drains the dirty sets and refreshes
     /// the cached per-request decisions, which is logically a cache fill
     /// behind the `&self` query API.
@@ -426,10 +460,8 @@ impl IncrementalState {
     pub fn with_budget(budget: SearchBudget) -> Self {
         IncrementalState {
             budget,
-            requests: Vec::new(),
             engine: Engine::default(),
             orphan: None,
-            consumed: 0,
             agg: RefCell::new(Aggregate::default()),
             obs: CheckerObs::default(),
         }
@@ -445,54 +477,66 @@ impl IncrementalState {
     /// Appends an expected request to the declared R3 sequence, wiring
     /// any groups that already belong to it (a request may be declared
     /// after its first events were observed) into the aggregate.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX - 1` declared requests (DESIGN.md §7).
     pub fn declare(&mut self, action: ActionId, input: Value) {
         let agg = self.agg.get_mut();
-        let idx = agg.entries.len();
+        let idx = id32(agg.entries.len(), "declared requests");
+        let op = idx as usize;
         agg.entries.push(OpEntry::default());
         agg.outputs.push(Value::Nil);
-        agg.dirty_ops.insert(idx);
-        if !matches!(action, ActionId::Base(_)) {
-            if agg.declare_invalid.is_none() {
-                agg.declare_invalid = Some(msg_not_base(&action));
+        agg.dirty_ops.insert(op);
+        let key = if matches!(action, ActionId::Base(_)) {
+            let key = (
+                self.engine.interner_mut().intern_action(action.base_name()),
+                self.engine.interner_mut().intern_value(&input),
+            );
+            if agg.op_with_key(key) == NONE {
+                Ok(key)
+            } else {
+                Err(msg_duplicate(action.base_name(), &input))
             }
-            agg.op_keys.push(None);
-            self.requests.push((action, input));
-            return;
-        }
-        let key = (
-            self.engine.interner_mut().intern_action(action.base_name()),
-            self.engine.interner_mut().intern_value(&input),
-        );
-        agg.op_keys.push(Some(key));
-        if agg.op_lookup.contains_key(&key) {
-            if agg.declare_invalid.is_none() {
-                agg.declare_invalid = Some(msg_duplicate(action.base_name(), &input));
+        } else {
+            Err(msg_not_base(&action))
+        };
+        let key = match key {
+            Ok(key) => key,
+            Err(reason) => {
+                agg.declare_invalid.get_or_insert(reason);
+                agg.op_keys.push((NONE, NONE));
+                agg.invalid.push((op, action, input));
+                return;
             }
-            self.requests.push((action, input));
-            return;
-        }
-        agg.op_lookup.insert(key, idx);
-        if let Some(sym) = self.engine.group_with_key(key) {
-            agg.entries[idx].plain = Some(sym);
-            agg.watchers[sym as usize].plain_op = Some(idx);
+        };
+        agg.op_keys.push(key);
+        let op_keys = &agg.op_keys;
+        agg.op_lookup.insert(hash_of(&key), idx, |row| {
+            let key = &op_keys[row as usize];
+            (key.0 != NONE).then(|| hash_of(key))
+        });
+        let mut adopt = |sym: GroupSym| {
             agg.dirty_undeclared.remove(&sym);
             agg.undeclared_fail.remove(&sym);
+        };
+        if let Some(sym) = self.engine.group_with_key(key) {
+            agg.entries[op].plain = sym;
+            agg.watchers[sym as usize].plain_op = idx;
+            adopt(sym);
         }
         if action.is_undoable_base() {
-            agg.stamped_parents.insert(key, idx);
-            if let Some(children) = agg.stamped_children.get(&key).cloned() {
-                for sym in children {
-                    agg.watchers[sym as usize].stamped_op = Some(idx);
-                    agg.entries[idx].stamped.push(sym);
-                    if self.engine.cells[sym as usize].has_commit_completion {
-                        agg.entries[idx].committed += 1;
-                    }
-                    agg.dirty_undeclared.remove(&sym);
-                    agg.undeclared_fail.remove(&sym);
+            // Rounds observed before their request was declared: adopt the
+            // engine's chain, in first-seen order.
+            agg.entries[op].stamped = self.engine.first_round_of(key);
+            for sym in self.engine.siblings(agg.entries[op].stamped) {
+                agg.watchers[sym as usize].stamped_op = idx;
+                if self.engine.has_commit_completion(sym) {
+                    agg.entries[op].committed += 1;
                 }
+                adopt(sym);
             }
         }
-        self.requests.push((action, input));
     }
 
     /// Appends an expected [`Request`] to the declared R3 sequence.
@@ -501,12 +545,15 @@ impl IncrementalState {
     }
 
     /// Consumes the next event of the stream, in amortized O(1): one
-    /// attribution step, one group-cell append, one memo invalidation,
-    /// one dirty mark. The event itself is not retained — only its index
-    /// joins the partition.
+    /// attribution step, one chain link, one memo invalidation, one dirty
+    /// mark. The event itself is not retained — only its index joins the
+    /// partition.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX - 1` events (DESIGN.md §7).
     pub fn observe(&mut self, event: &Event) {
-        let index = self.consumed;
-        match self.engine.observe(event, index) {
+        match self.engine.observe(event) {
             Ok(obs) => self.agg.get_mut().track(obs),
             Err(reason) => {
                 if self.orphan.is_none() {
@@ -514,7 +561,6 @@ impl IncrementalState {
                 }
             }
         }
-        self.consumed += 1;
     }
 
     /// Consumes a slice of events in one pass — the batch counterpart of
@@ -531,9 +577,9 @@ impl IncrementalState {
     pub fn observe_batch(&mut self, events: &[Event]) {
         let agg = self.agg.get_mut();
         let orphan = &mut self.orphan;
-        let mut last_group: Option<crate::xable::fast::GroupSym> = None;
+        let mut last_group: Option<GroupSym> = None;
         self.engine
-            .observe_batch(events, self.consumed, &mut |result| match result {
+            .observe_batch(events, &mut |result| match result {
                 Ok(obs) => {
                     // Group creation and commit completion mutate watcher
                     // and committed-count state; a repeat event of the
@@ -550,7 +596,6 @@ impl IncrementalState {
                     }
                 }
             });
-        self.consumed += events.len();
     }
 
     /// Decides every changed group of one symbol-mod partition and
@@ -583,20 +628,15 @@ impl IncrementalState {
         let mut primes = Vec::new();
         let mut sym = shard;
         while sym < count {
-            let cell = &self.engine.cells[sym];
-            let len = cell.indices.len();
+            let group = sym as GroupSym;
+            let len = self.engine.group_len(group);
             if len > exported[sym] {
                 exported[sym] = len;
-                let w = agg.watchers[sym];
-                let exec = if w.plain_op.is_some() || w.stamped_op.is_some() {
-                    let (name, input) = self.engine.resolve(sym as GroupSym);
-                    Some(cell.exec(h, &name, &input, self.budget))
-                } else {
-                    None
-                };
-                let erase = Some(cell.erases(h, self.budget));
+                let exec = (!agg.watchers[sym].is_undeclared())
+                    .then(|| self.engine.exec(group, h, self.budget));
+                let erase = Some(self.engine.erases(group, h, self.budget));
                 primes.push(GroupPrime {
-                    sym: sym as GroupSym,
+                    sym: group,
                     upto: len,
                     exec,
                     erase,
@@ -621,17 +661,15 @@ impl IncrementalState {
     pub fn absorb_primes(&self, primes: &[GroupPrime]) -> usize {
         let mut installed = 0;
         for prime in primes {
-            let Some(cell) = self.engine.cells.get(prime.sym as usize) else {
-                continue;
-            };
-            if cell.indices.len() != prime.upto {
+            let known = (prime.sym as usize) < self.engine.group_count();
+            if !known || self.engine.group_len(prime.sym) != prime.upto {
                 continue;
             }
             if let Some(exec) = &prime.exec {
-                cell.prime_exec(exec.clone());
+                self.engine.prime_exec(prime.sym, exec);
             }
             if let Some(erase) = prime.erase {
-                cell.prime_erase(erase);
+                self.engine.prime_erase(prime.sym, erase);
             }
             installed += 1;
         }
@@ -640,17 +678,85 @@ impl IncrementalState {
 
     /// The cursor position: how many events have been consumed.
     pub fn consumed(&self) -> usize {
-        self.consumed
+        self.engine.observed()
     }
 
     /// Returns `true` if no event has been consumed yet.
     pub fn is_empty(&self) -> bool {
-        self.consumed == 0
+        self.consumed() == 0
     }
 
-    /// The declared request sequence.
-    pub fn requests(&self) -> &[(ActionId, Value)] {
-        &self.requests
+    /// How many requests have been declared.
+    pub fn declared_len(&self) -> usize {
+        self.agg.borrow().op_keys.len()
+    }
+
+    /// The declared request sequence, in declaration order. The state
+    /// keeps each request as an interned key, not as a pair, so the pairs
+    /// are materialised as the iterator goes (an `O(1)` clone each).
+    pub fn requests(&self) -> impl Iterator<Item = (ActionId, Value)> + '_ {
+        (0..self.declared_len()).map(|op| self.request_at(&self.agg.borrow(), op))
+    }
+
+    /// The declared request `op`, from its key (or, for an invalid
+    /// declaration, from the side list).
+    fn request_at(&self, agg: &Aggregate, op: usize) -> (ActionId, Value) {
+        let (ns, vs) = agg.op_keys[op];
+        if ns == NONE {
+            let at = agg
+                .invalid
+                .binary_search_by_key(&op, |(declared, ..)| *declared)
+                .expect("a keyless request is in the invalid list");
+            let (_, action, input) = &agg.invalid[at];
+            return (action.clone(), input.clone());
+        }
+        let interner = self.engine.interner();
+        (
+            ActionId::base(interner.action(ns).clone()),
+            interner.value(vs).clone(),
+        )
+    }
+
+    /// Approximate heap bytes the monitor holds — the sum of
+    /// [`approx_bytes_by_part`](Self::approx_bytes_by_part).
+    pub fn approx_bytes(&self) -> usize {
+        self.approx_bytes_by_part()
+            .iter()
+            .map(|(_, bytes)| bytes)
+            .sum()
+    }
+
+    /// The monitor's heap bytes, part by part (DESIGN.md §4.3 has the
+    /// table). Allocated capacity is counted, not length, and payload
+    /// another holder also references is counted at most once: the
+    /// `engine interner` row is [`crate::Interner::approx_bytes`] (an
+    /// upper bound — it includes value payload shared with the event
+    /// source), and the `outputs` row is the log's segments only (each
+    /// output's payload belongs to the event that carried it). The
+    /// ordered dirty/failing sets are charged their element bytes.
+    pub fn approx_bytes_by_part(&self) -> Vec<(&'static str, usize)> {
+        let agg = self.agg.borrow();
+        let sets = (agg.dirty_ops.len() + agg.failing_ops.len() + agg.order_bad.len())
+            * size_of::<usize>()
+            + agg.dirty_undeclared.len() * size_of::<GroupSym>()
+            + agg.undeclared_fail.len() * size_of::<(GroupSym, EraseFail)>();
+        let mut parts = self.engine.byte_parts().to_vec();
+        parts.extend([
+            (
+                "request keys + index",
+                agg.op_keys.capacity() * size_of::<KeySyms>()
+                    + agg.invalid.capacity() * size_of::<(usize, ActionId, Value)>()
+                    + agg.op_lookup.heap_bytes(),
+            ),
+            (
+                "request entries",
+                agg.entries.capacity() * size_of::<OpEntry>(),
+            ),
+            ("outputs", agg.outputs.segment_bytes()),
+            ("watchers", agg.watchers.capacity() * size_of::<Watchers>()),
+            ("dirty and failing sets", sets),
+        ]);
+        parts
     }
 
     /// Drains the dirty sets: re-runs the erase check of each touched
@@ -666,7 +772,7 @@ impl IncrementalState {
             .record(agg.dirty_undeclared.len() as u64);
         self.obs.dirty_ops.record(agg.dirty_ops.len() as u64);
         while let Some(sym) = agg.dirty_undeclared.pop_first() {
-            match self.engine.cells[sym as usize].erases(h, self.budget) {
+            match self.engine.erases(sym, h, self.budget) {
                 EraseOutcome::Erases => {
                     agg.undeclared_fail.remove(&sym);
                 }
@@ -705,29 +811,28 @@ impl IncrementalState {
         &self,
         entry: &OpEntry,
         h: &H,
-    ) -> Result<(Value, usize), OpFail> {
-        let exec_sym = match (entry.plain, entry.stamped.is_empty()) {
-            (Some(_), false) => return Err(OpFail::PlainAndStamped),
-            (Some(sym), true) => sym,
-            (None, true) => return Err(OpFail::NeverExecuted),
-            (None, false) => {
+    ) -> Result<(Value, u32), OpFail> {
+        let exec_sym = match (entry.plain != NONE, entry.stamped != NONE) {
+            (true, true) => return Err(OpFail::PlainAndStamped),
+            (true, false) => entry.plain,
+            (false, false) => return Err(OpFail::NeverExecuted),
+            (false, true) => {
                 // Round-stamped transactions: exactly one round commits
                 // and must reduce to a failure-free execution; every
                 // other round must erase (cancelled rounds).
                 if entry.committed != 1 {
                     return Err(OpFail::CommittedRounds(entry.committed));
                 }
-                let committed = entry
-                    .stamped
-                    .iter()
-                    .copied()
-                    .find(|&sym| self.engine.cells[sym as usize].has_commit_completion)
+                let committed = self
+                    .engine
+                    .siblings(entry.stamped)
+                    .find(|&sym| self.engine.has_commit_completion(sym))
                     .expect("committed count is 1");
-                for &sym in &entry.stamped {
+                for sym in self.engine.siblings(entry.stamped) {
                     if sym == committed {
                         continue;
                     }
-                    match self.engine.cells[sym as usize].erases(h, self.budget) {
+                    match self.engine.erases(sym, h, self.budget) {
                         EraseOutcome::Erases => {}
                         EraseOutcome::Stuck => return Err(OpFail::RoundNotErasing(sym)),
                         EraseOutcome::Budget => return Err(OpFail::RoundEraseBudget(sym)),
@@ -736,9 +841,10 @@ impl IncrementalState {
                 committed
             }
         };
-        let (name, input) = self.engine.resolve(exec_sym);
-        match self.engine.cells[exec_sym as usize].exec(h, &name, &input, self.budget) {
-            ExecOutcome::Reduced { output, anchor } => Ok((output, anchor)),
+        match self.engine.exec(exec_sym, h, self.budget) {
+            // The anchor indexes an observed event, so it fits (`id32`
+            // bounded the event count).
+            ExecOutcome::Reduced { output, anchor, .. } => Ok((output, anchor as u32)),
             ExecOutcome::Stuck => Err(OpFail::Stuck),
             ExecOutcome::Budget => Err(OpFail::ExecBudget),
         }
@@ -747,7 +853,7 @@ impl IncrementalState {
     /// Materializes the exact batch-assembly message for a failing
     /// request.
     fn op_fail_verdict(&self, agg: &Aggregate, op: usize) -> Verdict {
-        let (action, input) = &self.requests[op];
+        let (action, input) = &self.request_at(agg, op);
         let fail = |reason: String| fail_verdict(self.engine.ambiguous, reason);
         let round_of = |sym: GroupSym| {
             let (_, vs) = self.engine.key(sym);
@@ -759,7 +865,7 @@ impl IncrementalState {
                 reason: msg_plain_and_stamped(action, input),
             },
             OpState::Bad(OpFail::CommittedRounds(rounds)) => {
-                fail(msg_committed_rounds(action, input, *rounds))
+                fail(msg_committed_rounds(action, input, *rounds as usize))
             }
             OpState::Bad(OpFail::RoundNotErasing(sym)) => fail(msg_not_erasing(
                 &what_cancelled_round(round_of(*sym), action, input),
@@ -800,11 +906,12 @@ impl IncrementalState {
             return self.op_fail_verdict(agg, op);
         }
         if let Some(last) = erasable_last {
-            let (action, input) = &self.requests[last];
+            let (action, input) = &self.request_at(agg, last);
             let entry = &agg.entries[last];
             let what = what_abandoned(action, input);
-            for sym in entry.plain.iter().chain(entry.stamped.iter()).copied() {
-                match self.engine.cells[sym as usize].erases(h, self.budget) {
+            let plain = (entry.plain != NONE).then_some(entry.plain);
+            for sym in plain.into_iter().chain(self.engine.siblings(entry.stamped)) {
+                match self.engine.erases(sym, h, self.budget) {
                     EraseOutcome::Erases => {}
                     EraseOutcome::Stuck => return fail(msg_not_erasing(&what)),
                     EraseOutcome::Budget => {
@@ -851,7 +958,7 @@ impl IncrementalState {
     pub fn verdict_over<H: HistoryRead + ?Sized>(&self, h: &H) -> Verdict {
         debug_assert_eq!(
             h.len(),
-            self.consumed,
+            self.consumed(),
             "verdict_over: the source must hold exactly the consumed prefix"
         );
         if let Some(reason) = &self.orphan {
@@ -862,12 +969,8 @@ impl IncrementalState {
         self.obs.verdicts.inc();
         self.refresh(h);
         let agg = self.agg.borrow();
-        combine_r3_attempts(&self.requests, |ops, erasable| {
-            if erasable.is_empty() {
-                self.assemble(&agg, h, ops.len(), None)
-            } else {
-                self.assemble(&agg, h, ops.len(), Some(ops.len()))
-            }
+        combine_r3_attempts(agg.op_keys.len(), |executed, abandoned| {
+            self.assemble(&agg, h, executed, abandoned)
         })
     }
 
@@ -884,7 +987,7 @@ impl IncrementalState {
     ) -> Verdict {
         debug_assert_eq!(
             h.len(),
-            self.consumed,
+            self.consumed(),
             "verdict_for_over: the source must hold exactly the consumed prefix"
         );
         if let Some(reason) = &self.orphan {
@@ -974,8 +1077,14 @@ impl IncrementalChecker {
         &self.history
     }
 
-    /// The declared request sequence.
-    pub fn requests(&self) -> &[(ActionId, Value)] {
+    /// How many requests have been declared.
+    pub fn declared_len(&self) -> usize {
+        self.state.declared_len()
+    }
+
+    /// The declared request sequence, in declaration order (see
+    /// [`IncrementalState::requests`]).
+    pub fn requests(&self) -> impl Iterator<Item = (ActionId, Value)> + '_ {
         self.state.requests()
     }
 
@@ -1034,11 +1143,7 @@ mod tests {
 
     /// Batch verdict over the checker's own prefix, for agreement checks.
     fn batch(inc: &IncrementalChecker) -> Verdict {
-        let requests: Vec<Request> = inc
-            .requests()
-            .iter()
-            .map(|(a, iv)| Request::new(a.clone(), iv.clone()))
-            .collect();
+        let requests: Vec<Request> = inc.requests().map(|(a, iv)| Request::new(a, iv)).collect();
         FastChecker::default().check_requests(inc.history(), &requests)
     }
 
@@ -1223,7 +1328,7 @@ mod tests {
             shared.push(ev);
             assert_eq!(state.consumed(), shared.len());
             assert_eq!(state.verdict_over(&shared), owned.verdict());
-            assert_eq!(state.requests(), owned.requests());
+            assert!(state.requests().eq(owned.requests()));
         }
         let ops = [(b.clone(), Value::from(2))];
         let erasable = [(u.clone(), Value::from(1))];
@@ -1388,6 +1493,155 @@ mod tests {
         // never-written slot stays out of the witness.
         inc.declare(b.clone(), Value::from(3));
         assert_eq!(outputs(&inc.verdict()).len(), 2);
+    }
+
+    #[test]
+    fn a_warm_exec_memo_gives_every_later_verdict_the_same_output() {
+        // Cancelled round → verdict → committed round → verdict → a
+        // trailing duplicate cancel of round 1 (dirties the request while
+        // the committed round's memo stays warm: the re-decision is a memo
+        // hit that re-reads the output from the history) → verdict → an
+        // unrelated request's events → verdict. Every one equals the
+        // batch checker's.
+        let u = undo("xfer");
+        let (cancel, commit) = (u.cancel().unwrap(), u.commit().unwrap());
+        let b = idem("get");
+        let key = Value::from("r0");
+        let round = |k: i64| Value::pair(key.clone(), Value::from(k));
+        let mut inc = IncrementalChecker::new();
+        inc.declare(u.clone(), key.clone());
+        let steps = [
+            vec![
+                Event::start(u.clone(), round(1)),
+                Event::start(cancel.clone(), round(1)),
+                cnil(&cancel),
+            ],
+            vec![
+                Event::start(u.clone(), round(2)),
+                Event::complete(u.clone(), Value::from("ok")),
+                Event::start(commit.clone(), round(2)),
+                cnil(&commit),
+            ],
+            vec![Event::start(cancel.clone(), round(1)), cnil(&cancel)],
+            vec![s(&b, 2), c(&b, 9)],
+        ];
+        for (step, events) in steps.into_iter().enumerate() {
+            if step == 3 {
+                inc.declare(b.clone(), Value::from(2));
+            }
+            inc.push_all(events);
+            assert_eq!(inc.verdict(), batch(&inc), "step {step}");
+            // An ad-hoc question runs the batch assembly over the same
+            // cells: every exec it asks for is a hit.
+            let ops: Vec<_> = inc.requests().collect();
+            assert_eq!(
+                inc.verdict_for(&ops, &[]),
+                FastChecker::default().check(inc.history(), &ops, &[]),
+                "step {step}"
+            );
+        }
+        let v = inc.verdict();
+        assert_eq!(outputs(&v), [Value::from("ok"), Value::from(9)]);
+    }
+
+    #[test]
+    fn late_declaration_adopts_the_observed_rounds_in_order() {
+        let u = undo("xfer");
+        let (cancel, commit) = (u.cancel().unwrap(), u.commit().unwrap());
+        let round = |key: &str, k: i64| Value::pair(Value::from(key), Value::from(k));
+        let mut inc = IncrementalChecker::new();
+        // Two requests' rounds interleaved, all before any declaration:
+        // r0 cancels round 1 and commits round 2, r1 commits round 1.
+        inc.push_all([
+            Event::start(u.clone(), round("r0", 1)),
+            Event::start(u.clone(), round("r1", 1)),
+            Event::complete(u.clone(), Value::from("one")),
+            Event::start(cancel.clone(), round("r0", 1)),
+            cnil(&cancel),
+            Event::start(commit.clone(), round("r1", 1)),
+            cnil(&commit),
+            Event::start(u.clone(), round("r0", 2)),
+            Event::complete(u.clone(), Value::from("zero")),
+            Event::start(commit.clone(), round("r0", 2)),
+            cnil(&commit),
+        ]);
+        // Nothing is declared: the committed rounds cannot erase.
+        let v = inc.verdict();
+        assert!(!v.is_xable());
+        assert_eq!(v, batch(&inc));
+        assert_eq!(
+            inc.state
+                .agg
+                .borrow()
+                .undeclared_fail
+                .keys()
+                .copied()
+                .collect::<Vec<_>>(),
+            [1, 2],
+            "both committed rounds fail as undeclared groups"
+        );
+
+        inc.declare(u.clone(), Value::from("r0"));
+        {
+            let agg = inc.state.agg.borrow();
+            let entry = &agg.entries[0];
+            assert_eq!((entry.plain, entry.stamped, entry.committed), (NONE, 0, 1));
+            let rounds: Vec<_> = inc.state.engine.siblings(entry.stamped).collect();
+            assert_eq!(rounds, [0, 2], "first-seen order, the other parent skipped");
+            assert_eq!(agg.watchers[2].stamped_op, 0);
+            assert_eq!(
+                agg.undeclared_fail.keys().copied().collect::<Vec<_>>(),
+                [1],
+                "the adopted rounds left; r1's, never declared, stays"
+            );
+        }
+        let v = inc.verdict();
+        assert_eq!(v, batch(&inc));
+        assert!(
+            v.reason().is_some_and(|r| r.contains("undeclared request")),
+            "{v}"
+        );
+
+        inc.declare(u.clone(), Value::from("r1"));
+        let v = inc.verdict();
+        assert_eq!(v, batch(&inc));
+        // Declared in the order their effects occurred? No: r1 committed
+        // first. Declared the other way round the prefix is x-able.
+        assert!(
+            v.reason()
+                .is_some_and(|r| r.contains("out of submission order")),
+            "{v}"
+        );
+        assert!(inc.state.agg.borrow().undeclared_fail.is_empty());
+    }
+
+    #[test]
+    fn requests_round_trip_base_non_base_and_duplicate_declarations() {
+        let a = idem("a");
+        let u = undo("u");
+        let cancel = u.cancel().unwrap();
+        let declared = [
+            (a.clone(), Value::from(1)),
+            (cancel.clone(), Value::from(1)), // not a base action
+            (u.clone(), Value::pair(Value::from("k"), Value::from(2))),
+            (a.clone(), Value::from(1)),       // duplicate identity
+            (u.commit().unwrap(), Value::Nil), // not a base action
+            (ActionId::base(ActionName::undoable("a")), Value::from(1)), // kind differs
+        ];
+        let mut state = IncrementalState::new();
+        assert_eq!(state.declared_len(), 0);
+        assert_eq!(state.requests().count(), 0);
+        for (k, (action, input)) in declared.iter().enumerate() {
+            state.declare(action.clone(), input.clone());
+            assert_eq!(state.declared_len(), k + 1);
+            assert!(state.requests().eq(declared[..=k].iter().cloned()));
+        }
+        // The first invalid declaration is the sticky reason, as in the
+        // batch op-list validation.
+        let v = state.verdict_over(&History::empty());
+        assert_eq!(v.reason(), Some(msg_not_base(&cancel).as_str()));
+        assert_eq!(size_of::<Watchers>(), 8);
+        assert!(size_of::<OpEntry>() <= 24);
     }
 
     #[test]

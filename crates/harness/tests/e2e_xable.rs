@@ -246,8 +246,7 @@ fn online_monitor_agrees_with_batch_checker_on_harness_traces() {
         let monitor = ledger.monitor().expect("monitor attached");
         let requests: Vec<Request> = monitor
             .requests()
-            .iter()
-            .map(|(a, iv)| Request::new(a.clone(), iv.clone()))
+            .map(|(a, iv)| Request::new(a, iv))
             .collect();
         let online = ledger.monitor_verdict().expect("monitor attached");
         // The batch checker reads the same shared store through a

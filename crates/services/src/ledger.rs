@@ -606,31 +606,31 @@ impl Ledger {
     /// shortened sequence would silently diverge from the monitor's warm
     /// state. No-op when no monitor is attached.
     pub fn declare_requests(&mut self, submitted: &[Request]) {
-        fn extend_declared(
-            requests: &[(xability_core::ActionId, Value)],
+        // A release build reads the declared count only; the debug check
+        // walks the monitor's request iterator and materialises nothing.
+        fn assert_extends(
+            declared: usize,
+            requests: impl Iterator<Item = (xability_core::ActionId, Value)>,
             submitted: &[Request],
-        ) -> usize {
-            let declared = requests.len();
+        ) {
             debug_assert!(
                 declared <= submitted.len()
-                    && requests
-                        .iter()
-                        .zip(submitted)
-                        .all(|((action, input), request)| {
-                            action == request.action() && input == request.input()
-                        }),
+                    && requests.zip(submitted).all(|((action, input), request)| {
+                        action == *request.action() && input == *request.input()
+                    }),
                 "`submitted` must extend the monitor's declared request sequence"
             );
-            declared
         }
         if let Some(monitor) = self.monitor.as_mut() {
-            let declared = extend_declared(monitor.requests(), submitted);
+            let declared = monitor.declared_len();
+            assert_extends(declared, monitor.requests(), submitted);
             for request in submitted.iter().skip(declared) {
                 monitor.declare_request(request);
             }
         } else if let Some(pipelined) = &self.pipelined {
             let mut pipelined = pipelined.borrow_mut();
-            let declared = extend_declared(pipelined.requests(), submitted);
+            let declared = pipelined.declared_len();
+            assert_extends(declared, pipelined.requests(), submitted);
             for request in submitted.iter().skip(declared) {
                 pipelined.declare_request(request);
             }
@@ -995,7 +995,7 @@ mod tests {
             Request::new(b, Value::from(2)),
         ];
         ledger.declare_requests(&both);
-        assert_eq!(ledger.monitor().unwrap().requests().len(), 2);
+        assert_eq!(ledger.monitor().unwrap().declared_len(), 2);
         // Without a monitor, declaring is a no-op.
         let mut bare = Ledger::without_monitor();
         bare.declare_requests(&both);

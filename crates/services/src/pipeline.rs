@@ -266,8 +266,14 @@ impl PipelinedMonitor {
         self.state.consumed()
     }
 
-    /// The declared request sequence.
-    pub fn requests(&self) -> &[(ActionId, Value)] {
+    /// How many requests have been declared.
+    pub fn declared_len(&self) -> usize {
+        self.state.declared_len()
+    }
+
+    /// The declared request sequence, in declaration order (see
+    /// [`IncrementalState::requests`]).
+    pub fn requests(&self) -> impl Iterator<Item = (ActionId, Value)> + '_ {
         self.state.requests()
     }
 
