@@ -226,7 +226,6 @@ mod tests {
                 FileKind::Library,
             ),
             ("crates/core/tests/demo.rs", Some("core"), FileKind::Tests),
-            ("benches/demo.rs", None, FileKind::Benches),
         ] {
             let file = SourceFile::parse(rel, name.map(Into::into), kind, src);
             assert!(WallClock.check_file(&file).is_empty(), "{rel}");

@@ -161,7 +161,7 @@ mod tests {
         let src = include_str!("../../fixtures/obs_label_bad.rs");
         for (rel, name, kind) in [
             ("crates/demo/tests/t.rs", Some("demo"), FileKind::Tests),
-            ("benches/demo.rs", None, FileKind::Benches),
+            ("examples/demo.rs", None, FileKind::Examples),
         ] {
             let file = SourceFile::parse(rel, name.map(Into::into), kind, src);
             assert!(ObsLabelHygiene.check_file(&file).is_empty(), "{rel}");

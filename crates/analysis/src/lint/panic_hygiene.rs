@@ -6,7 +6,7 @@
 //! repo's convention (enforced here) is the one PR 3 established when it
 //! introduced `try_new` constructors: fallible-by-design paths return
 //! `Result`, genuinely unreachable states use `expect("<the invariant>")`
-//! so the message *is* the proof obligation. Tests, benches, and examples
+//! so the message *is* the proof obligation. Tests and examples
 //! are exempt — a panicking test is just a failing test.
 
 use super::{Finding, Rule};
@@ -133,7 +133,6 @@ mod tests {
         let src = "fn f() { x.unwrap(); }\n";
         for (rel, kind) in [
             ("tests/demo.rs", FileKind::Tests),
-            ("benches/demo.rs", FileKind::Benches),
             ("examples/demo.rs", FileKind::Examples),
         ] {
             let file = SourceFile::parse(rel, None, kind, src);

@@ -28,8 +28,6 @@ pub enum FileKind {
     Library,
     /// `tests/**` at the workspace root or under a crate.
     Tests,
-    /// `benches/**`.
-    Benches,
     /// `examples/**`.
     Examples,
 }
@@ -61,7 +59,7 @@ pub struct SourceFile {
     /// The owning crate directory name (`core`, `store`, ...) for
     /// `crates/<name>/...` files; `None` for root-level facade files.
     pub crate_name: Option<String>,
-    /// Library / tests / benches / examples.
+    /// Library / tests / examples.
     pub kind: FileKind,
     /// The tokenized lines.
     pub lines: Vec<Line>,
@@ -105,8 +103,8 @@ const SKIP_DIRS: [&str; 4] = ["vendor", "target", "fixtures", ".git"];
 
 impl Workspace {
     /// Walks the workspace at `root` and tokenizes every `.rs` file in
-    /// the facade (`src`, `tests`, `benches`, `examples`) and in every
-    /// `crates/<name>/{src,tests,benches,examples}`.
+    /// the facade (`src`, `tests`, `examples`) and in every
+    /// `crates/<name>/{src,tests,examples}`.
     ///
     /// # Errors
     ///
@@ -116,7 +114,6 @@ impl Workspace {
         for (dir, kind) in [
             ("src", FileKind::Library),
             ("tests", FileKind::Tests),
-            ("benches", FileKind::Benches),
             ("examples", FileKind::Examples),
         ] {
             collect(root, &root.join(dir), None, kind, &mut files)?;
@@ -136,7 +133,6 @@ impl Workspace {
                 for (dir, kind) in [
                     ("src", FileKind::Library),
                     ("tests", FileKind::Tests),
-                    ("benches", FileKind::Benches),
                     ("examples", FileKind::Examples),
                 ] {
                     collect(root, &crate_dir.join(dir), name.clone(), kind, &mut files)?;

@@ -1,45 +1,16 @@
 //! # xability-bench — trace builders
 //!
-//! Five deterministic history generators (retry, failed-attempt and
-//! protocol-shaped traces) shared by the cross-crate integration tests
-//! under `tests/`. Nothing here measures anything: wall-clock numbers come
-//! from the standalone `xbench` package (`xbench/README.md`,
-//! `BENCHMARK.json`), which carries its own generators.
+//! Three deterministic generators of protocol-shaped histories (retried,
+//! cancelled-round and mixed requests) shared by the cross-crate
+//! integration tests under `tests/`. Nothing here measures anything:
+//! wall-clock numbers come from the standalone `xbench` package
+//! (`xbench/README.md`, `BENCHMARK.json`), which carries its own
+//! generators.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use xability_core::{ActionId, ActionName, Event, History, Value};
-
-/// A history of `junk_pairs` unrelated executions followed by a retried
-/// execution of action `a` (one failed attempt, one success) — the shape
-/// rule 18 deduplicates.
-pub fn junk_then_retry(junk_pairs: usize) -> History {
-    let a = ActionId::base(ActionName::idempotent("a"));
-    let junk = ActionId::base(ActionName::idempotent("junk"));
-    let mut events = Vec::with_capacity(junk_pairs * 2 + 3);
-    for i in 0..junk_pairs {
-        events.push(Event::start(junk.clone(), Value::from(i as i64)));
-        events.push(Event::complete(junk.clone(), Value::from(i as i64)));
-    }
-    events.push(Event::start(a.clone(), Value::from(1)));
-    events.push(Event::start(a.clone(), Value::from(1)));
-    events.push(Event::complete(a, Value::from(2)));
-    History::from_events(events)
-}
-
-/// A history with `k` failed attempts of one idempotent action before a
-/// success — the stress shape for the reduction search.
-pub fn k_failed_attempts(k: usize) -> History {
-    let a = ActionId::base(ActionName::idempotent("a"));
-    let mut events = Vec::with_capacity(k + 2);
-    for _ in 0..k {
-        events.push(Event::start(a.clone(), Value::from(1)));
-    }
-    events.push(Event::start(a.clone(), Value::from(1)));
-    events.push(Event::complete(a, Value::from(2)));
-    History::from_events(events)
-}
 
 /// A protocol-shaped history of `n` sequential idempotent requests, each
 /// retried once (failed attempt, then success) — the bulk shape of
@@ -136,10 +107,6 @@ mod tests {
 
     #[test]
     fn generators_produce_xable_histories() {
-        let h = junk_then_retry(4);
-        assert_eq!(h.len(), 11);
-        let h = k_failed_attempts(3);
-        assert_eq!(h.len(), 5);
         let (h, ops) = n_requests_with_cancelled_rounds(3);
         assert_eq!(h.len(), 21);
         assert!(FastChecker::default().check(&h, &ops, &[]).is_xable());

@@ -15,9 +15,60 @@ use std::ops::Index;
 
 use serde::{Deserialize, Serialize};
 
-use crate::action::ActionId;
+use crate::action::{ActionId, ActionName};
 use crate::event::Event;
 use crate::value::Value;
+
+/// The longest index list [`HistoryRead::shape_codes`] accepts: 30 events
+/// and a non-nil target carry at most 31 distinct values, which is what
+/// the five class bits of a code can number.
+const SHAPE_CODES_MAX: usize = 30;
+
+/// [`HistoryRead::shape_codes`] over borrowed events — what every
+/// implementation that holds (or has decoded) owned [`Event`]s shares.
+fn shape_codes_of<'a>(
+    events: impl ExactSizeIterator<Item = &'a Event>,
+    name: &ActionName,
+    target: &Value,
+    codes: &mut [u8],
+) -> bool {
+    assert!(
+        events.len() == codes.len() && codes.len() <= SHAPE_CODES_MAX,
+        "shape_codes: one code per index, at most {SHAPE_CODES_MAX}"
+    );
+    // The distinct non-nil values met so far, `target` first: the value at
+    // `seen[p]` is class `p + 1`.
+    let mut seen = [target; SHAPE_CODES_MAX + 1];
+    let mut distinct = usize::from(!target.is_nil());
+    for (code, event) in codes.iter_mut().zip(events) {
+        let (completion, action, value) = match event {
+            Event::Start(a, iv) => (0u8, a, iv),
+            Event::Complete(a, ov) => (1u8, a, ov),
+        };
+        let (role, base) = match action {
+            ActionId::Base(n) => (0u8, n),
+            ActionId::Cancel(n) => (1u8, n),
+            ActionId::Commit(n) => (2u8, n),
+        };
+        if base != name {
+            return false;
+        }
+        let class = if value.is_nil() {
+            0
+        } else {
+            match seen[..distinct].iter().position(|v| *v == value) {
+                Some(p) => p + 1,
+                None => {
+                    seen[distinct] = value;
+                    distinct += 1;
+                    distinct
+                }
+            }
+        };
+        *code = (class as u8) << 3 | role << 1 | completion;
+    }
+    true
+}
 
 /// Read-only access to a totally ordered event sequence — the checker
 /// input abstraction.
@@ -117,6 +168,42 @@ pub trait HistoryRead {
     /// *base* action.
     fn is_base_completion_at(&self, index: usize) -> bool {
         matches!(self.event_at(index), Event::Complete(ActionId::Base(_), _))
+    }
+
+    /// Writes the *shape* of the sub-history at `indices` into `codes`,
+    /// one byte per event, or returns `false` (leaving `codes`
+    /// unspecified) when some event does not carry the base name `name`.
+    ///
+    /// The shape is everything reduction rules 18–20 and the failure-free
+    /// test against `(name, target)` can tell apart in a sub-history of one
+    /// base name: `codes[k]` is `class << 3 | role << 1 | completion` for
+    /// the event at `indices[k]` — bit 0 set for a completion, bits 1–2
+    /// the action's role (0 base, 1 cancel, 2 commit), and the class of
+    /// the event's value: 0 for `Nil`, otherwise the rank (from 1) of the
+    /// value's first occurrence among the non-nil values of `target,
+    /// value at indices[0], value at indices[1], …`. Two sub-histories
+    /// with equal codes (and equal `target.is_nil()` and name kind) differ
+    /// by an injective, `Nil`-fixing renaming of the name and the values,
+    /// which no rule can observe; the fast checker searches each shape
+    /// once and remembers the outcome.
+    ///
+    /// The default decodes every event; packed representations answer
+    /// from tag bits and symbols without decoding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes.len() != indices.len()`, if there are more than 30
+    /// indices (a class must fit five bits), or if an index is out of
+    /// bounds.
+    fn shape_codes(
+        &self,
+        indices: &[usize],
+        name: &ActionName,
+        target: &Value,
+        codes: &mut [u8],
+    ) -> bool {
+        let events: Vec<Event> = indices.iter().map(|&i| self.event_at(i)).collect();
+        shape_codes_of(events.iter(), name, target, codes)
     }
 }
 
@@ -387,6 +474,17 @@ impl HistoryRead for History {
     fn is_base_completion_at(&self, index: usize) -> bool {
         matches!(&self.events[index], Event::Complete(ActionId::Base(_), _))
     }
+
+    fn shape_codes(
+        &self,
+        indices: &[usize],
+        name: &ActionName,
+        target: &Value,
+        codes: &mut [u8],
+    ) -> bool {
+        let events = indices.iter().map(|&i| &self.events[i]);
+        shape_codes_of(events, name, target, codes)
+    }
 }
 
 /// A borrowed, zero-copy window over a contiguous range of a [`History`]
@@ -427,6 +525,17 @@ impl HistoryRead for HistoryWindow<'_> {
 
     fn is_base_completion_at(&self, index: usize) -> bool {
         matches!(&self.events[index], Event::Complete(ActionId::Base(_), _))
+    }
+
+    fn shape_codes(
+        &self,
+        indices: &[usize],
+        name: &ActionName,
+        target: &Value,
+        codes: &mut [u8],
+    ) -> bool {
+        let events = indices.iter().map(|&i| &self.events[i]);
+        shape_codes_of(events, name, target, codes)
     }
 }
 

@@ -1119,6 +1119,7 @@ mod tests {
     use crate::action::ActionName;
     use crate::seglog::LogView;
     use crate::xable::checker::{Checker, FastChecker};
+    use crate::xable::fast::SHAPE_MAX_LEN;
     use std::sync::Arc;
 
     fn idem(name: &str) -> ActionId {
@@ -1542,6 +1543,77 @@ mod tests {
         }
         let v = inc.verdict();
         assert_eq!(outputs(&v), [Value::from("ok"), Value::from(9)]);
+    }
+
+    /// Replays `requests` requests cycling through the four shapes of
+    /// xbench's `verify_online` trace (idempotent clean, idempotent
+    /// retried, undoable committed, undoable cancelled then committed; a
+    /// fresh key per request), a verdict every 32 requests and at the end,
+    /// and returns the monitor.
+    fn replay_mixed(requests: usize) -> IncrementalChecker {
+        let put = idem("put");
+        let xfer = undo("xfer");
+        let (cancel, commit) = (xfer.cancel().unwrap(), xfer.commit().unwrap());
+        let mut inc = IncrementalChecker::new();
+        for i in 0..requests {
+            let key = Value::from(format!("r{i}"));
+            let round = |k: i64| Value::pair(key.clone(), Value::from(k));
+            let output = Value::from(i as i64);
+            let shape = i % 4;
+            if shape < 2 {
+                inc.declare(put.clone(), key.clone());
+                inc.push_all((0..=shape).map(|_| Event::start(put.clone(), key.clone())));
+                inc.push(Event::complete(put.clone(), output));
+            } else {
+                inc.declare(xfer.clone(), key.clone());
+                let committed = if shape == 3 {
+                    inc.push_all([
+                        Event::start(xfer.clone(), round(1)),
+                        Event::start(cancel.clone(), round(1)),
+                        cnil(&cancel),
+                    ]);
+                    2
+                } else {
+                    1
+                };
+                inc.push_all([
+                    Event::start(xfer.clone(), round(committed)),
+                    Event::complete(xfer.clone(), output),
+                    Event::start(commit.clone(), round(committed)),
+                    cnil(&commit),
+                ]);
+            }
+            if i % 32 == 31 {
+                assert!(inc.verdict().is_xable(), "after request {i}");
+            }
+        }
+        assert!(inc.verdict().is_xable());
+        inc
+    }
+
+    #[test]
+    fn searches_run_once_per_shape_however_long_the_replay() {
+        // The flat cost, pinned by count: ten times the requests, the
+        // same handful of reduction searches — the three exec shapes (a
+        // committed round looks the same in round 1 and in round 2) and
+        // the cancelled round's erase.
+        let short = replay_mixed(200).state.engine.searches_run();
+        let long = replay_mixed(2_000).state.engine.searches_run();
+        assert_eq!(short, long);
+        assert_eq!(long, 4);
+
+        // A group longer than the memo's cap still decides — through the
+        // search, every time: two such requests, two more searches.
+        let a = idem("put");
+        let mut inc = replay_mixed(8);
+        for key in [100, 101] {
+            inc.declare(a.clone(), Value::from(key));
+            inc.push_all((0..SHAPE_MAX_LEN).map(|_| s(&a, key)));
+            inc.push(c(&a, 5));
+            assert_eq!(inc.verdict(), batch(&inc));
+            assert!(inc.verdict().is_xable());
+        }
+        assert_eq!(inc.state.engine.searches_run(), 4 + 2);
     }
 
     #[test]

@@ -351,6 +351,61 @@ impl TraceStore {
     }
 }
 
+/// [`HistoryRead::shape_codes`] over packed events, without decoding one:
+/// the role and start/completion bits are the repr's tag byte as it
+/// stands, one base name is one action symbol, and — within one interner,
+/// symbol equality is value equality — a value's class is looked up by its
+/// symbol. The interner is read once per *distinct* symbol, to ask whether
+/// the value is `Nil` or the target.
+pub(crate) fn packed_shape_codes(
+    interner: &InternerReader,
+    reprs: impl ExactSizeIterator<Item = EventRepr>,
+    name: &ActionName,
+    target: &Value,
+    codes: &mut [u8],
+) -> bool {
+    const MAX: usize = 30;
+    assert!(
+        reprs.len() == codes.len() && codes.len() <= MAX,
+        "shape_codes: one code per index, at most {MAX}"
+    );
+    // The distinct value symbols met so far and their classes.
+    let mut seen = [(0u32, 0u8); MAX];
+    let mut distinct = 0usize;
+    // Class 1 is the target's when it is not `Nil`, met or not.
+    let mut next_class = 1 + u8::from(!target.is_nil());
+    let mut action: Option<u32> = None;
+    for (code, repr) in codes.iter_mut().zip(reprs) {
+        match action {
+            Some(sym) if sym == repr.action_symbol() => {}
+            None if interner.action(repr.action_symbol()) == name => {
+                action = Some(repr.action_symbol());
+            }
+            _ => return false,
+        }
+        let sym = repr.value_symbol();
+        let class = match seen[..distinct].iter().find(|(s, _)| *s == sym) {
+            Some(&(_, class)) => class,
+            None => {
+                let value = interner.value(sym);
+                let class = if value.is_nil() {
+                    0
+                } else if value == target {
+                    1
+                } else {
+                    next_class += 1;
+                    next_class - 1
+                };
+                seen[distinct] = (sym, class);
+                distinct += 1;
+                class
+            }
+        };
+        *code = class << 3 | repr.tag_byte();
+    }
+    true
+}
+
 /// Decodes a packed repr given its resolved action name and value.
 pub(crate) fn decode(repr: EventRepr, name: xability_core::ActionName, value: Value) -> Event {
     let action = match repr.role() {
@@ -531,6 +586,20 @@ impl HistoryRead for HistoryView {
         let repr = self.snap.repr(self.start + index);
         repr.is_complete() && repr.role() == ROLE_BASE
     }
+
+    fn shape_codes(
+        &self,
+        indices: &[usize],
+        name: &ActionName,
+        target: &Value,
+        codes: &mut [u8],
+    ) -> bool {
+        let reprs = indices.iter().map(|&index| {
+            assert!(index < HistoryView::len(self), "index out of bounds");
+            self.snap.repr(self.start + index)
+        });
+        packed_shape_codes(self.snap.interner(), reprs, name, target, codes)
+    }
 }
 
 impl fmt::Display for HistoryView {
@@ -584,7 +653,7 @@ impl Iterator for TraceCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xability_core::ActionName;
+    use xability_core::xable::{Checker, FastChecker};
 
     fn idem(name: &str) -> ActionId {
         ActionId::base(ActionName::idempotent(name))
@@ -713,6 +782,155 @@ mod tests {
                 "index {i}"
             );
         }
+    }
+
+    /// Every event two base names, three roles and four values (`Nil`
+    /// among them) allow: 48 letters, the first 24 carrying the undoable
+    /// name `u`, the rest the idempotent name `a`.
+    fn letters() -> History {
+        let names = [ActionName::undoable("u"), ActionName::idempotent("a")];
+        let values = [
+            Value::Nil,
+            Value::from(1),
+            Value::from("x"),
+            Value::pair(Value::from("k"), Value::from(1)),
+        ];
+        let mut events = Vec::new();
+        for name in &names {
+            for value in &values {
+                for action in [
+                    ActionId::Base(name.clone()),
+                    ActionId::Cancel(name.clone()),
+                    ActionId::Commit(name.clone()),
+                ] {
+                    events.push(Event::start(action.clone(), value.clone()));
+                    events.push(Event::complete(action, value.clone()));
+                }
+            }
+        }
+        History::from_events(events)
+    }
+
+    #[test]
+    fn packed_shape_codes_equal_the_decoded_ones() {
+        // The view answers from tag bits and symbols, the owned history by
+        // comparing values: same verdict, same codes, for every index list
+        // of up to three letters (one foreign-named letter among them),
+        // every target — `Nil`, three values the letters carry, one none
+        // does — and both names.
+        let h = letters();
+        let view = TraceStore::from_history(&h).view();
+        let (name, foreign) = (ActionName::undoable("u"), ActionName::idempotent("a"));
+        let targets = [
+            Value::Nil,
+            Value::from(1),
+            Value::from("x"),
+            Value::pair(Value::from("k"), Value::from(1)),
+            Value::from(99),
+        ];
+        let alphabet: Vec<usize> = (0..24).chain([24 + 7]).collect();
+        let mut lists: Vec<Vec<usize>> = vec![Vec::new()];
+        let mut compared = 0usize;
+        while let Some(indices) = lists.pop() {
+            for target in &targets {
+                for name in [&name, &foreign] {
+                    let (mut packed, mut decoded) = ([0u8; 3], [0u8; 3]);
+                    let (packed, decoded) =
+                        (&mut packed[..indices.len()], &mut decoded[..indices.len()]);
+                    let keyed = view.shape_codes(&indices, name, target, packed);
+                    assert_eq!(
+                        keyed,
+                        h.shape_codes(&indices, name, target, decoded),
+                        "{indices:?} as {name} / {target}"
+                    );
+                    if keyed {
+                        assert_eq!(packed, decoded, "{indices:?} as {name} / {target}");
+                    }
+                    compared += 1;
+                }
+            }
+            if indices.len() < 3 {
+                for &next in &alphabet {
+                    let mut longer = indices.clone();
+                    longer.push(next);
+                    lists.push(longer);
+                }
+            }
+        }
+        assert_eq!(compared, (1 + 25 + 25 * 25 + 25 * 25 * 25) * 10);
+
+        // At the longest list the method takes — every letter of `u`,
+        // six of them twice — and through a sub-view's offset.
+        let long: Vec<usize> = (0..30).map(|k| (k * 7) % 24).collect();
+        let (mut packed, mut decoded) = ([0u8; 30], [0u8; 30]);
+        assert!(view.shape_codes(&long, &name, &targets[4], &mut packed));
+        assert!(h.shape_codes(&long, &name, &targets[4], &mut decoded));
+        assert_eq!(packed, decoded);
+        let tail = view.slice(6, 24);
+        let shifted: Vec<usize> = long.iter().map(|i| i % 18).collect();
+        let unshifted: Vec<usize> = shifted.iter().map(|i| i + 6).collect();
+        assert!(tail.shape_codes(&shifted, &name, &targets[1], &mut packed));
+        assert!(h.shape_codes(&unshifted, &name, &targets[1], &mut decoded));
+        assert_eq!(packed, decoded);
+    }
+
+    #[test]
+    fn checks_through_a_view_hit_the_shape_memo_like_owned_ones() {
+        // Every sequence of up to four letters of the undoable protocol
+        // alphabet, followed by itself under a renaming: the second group
+        // is answered by the shape memo (debug builds run the search
+        // beside the hit), and the view — which builds the shape without
+        // decoding — must answer like the owned history, whether the two
+        // requests are to execute or to erase.
+        let spell = |name: &str, input: Value, o1: Value, o2: Value| {
+            let base = ActionId::base(ActionName::undoable(name));
+            let (cancel, commit) = (base.cancel().unwrap(), base.commit().unwrap());
+            let letters = vec![
+                Event::start(base.clone(), input.clone()),
+                Event::complete(base.clone(), o1),
+                Event::complete(base.clone(), o2),
+                Event::start(cancel.clone(), input.clone()),
+                Event::complete(cancel, Value::Nil),
+                Event::start(commit.clone(), input.clone()),
+                Event::complete(commit, Value::Nil),
+            ];
+            (base, input, letters)
+        };
+        let first = spell("u", Value::from(7), Value::from(1), Value::from(2));
+        let second = spell("v", Value::from("k"), Value::from(7), Value::from("x"));
+        let ops = [
+            (first.0.clone(), first.1.clone()),
+            (second.0.clone(), second.1.clone()),
+        ];
+        let checker = FastChecker::default();
+        let mut sequences: Vec<Vec<usize>> = vec![Vec::new()];
+        let mut checked = 0usize;
+        while let Some(picks) = sequences.pop() {
+            let h: History = [&first.2, &second.2]
+                .into_iter()
+                .flat_map(|letters| picks.iter().map(|&i| letters[i].clone()))
+                .collect();
+            let view = TraceStore::from_history(&h).view();
+            assert_eq!(
+                checker.check_source(&view, &ops, &[]),
+                checker.check(&h, &ops, &[]),
+                "executing {h}"
+            );
+            assert_eq!(
+                checker.check_source(&view, &[], &ops),
+                checker.check(&h, &[], &ops),
+                "erasing {h}"
+            );
+            checked += 1;
+            if picks.len() < 4 {
+                for next in 0..7 {
+                    let mut longer = picks.clone();
+                    longer.push(next);
+                    sequences.push(longer);
+                }
+            }
+        }
+        assert_eq!(checked, 2_801);
     }
 
     #[test]

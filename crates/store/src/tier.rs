@@ -23,11 +23,13 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-use xability_core::{Event, History, HistoryRead, Request};
+use xability_core::{ActionName, Event, History, HistoryRead, Request, Value};
 
 use crate::codec::Codec;
 use crate::segfile::{LoadedSegment, RecoveryReport, SegmentInfo, SegmentLog};
-use crate::store::{decode, EventRepr, TraceSnapshot, TraceStore, EVENT_SEGMENT};
+use crate::store::{
+    decode, packed_shape_codes, EventRepr, TraceSnapshot, TraceStore, EVENT_SEGMENT,
+};
 use crate::trace::{write_trace_file_with_meta, RecordedTrace};
 
 /// How a [`TieredStore`] spills: when to seal, how to encode, what to
@@ -404,6 +406,17 @@ impl HistoryRead for TieredView {
         });
         History::from_events(events)
     }
+
+    fn shape_codes(
+        &self,
+        indices: &[usize],
+        name: &ActionName,
+        target: &Value,
+        codes: &mut [u8],
+    ) -> bool {
+        let reprs = indices.iter().map(|&index| self.repr(index));
+        packed_shape_codes(self.hot.interner(), reprs, name, target, codes)
+    }
 }
 
 /// Recovers a segment directory into a flat in-memory [`TraceStore`] —
@@ -552,7 +565,26 @@ mod tests {
                     "base-completion {i}"
                 );
             }
-            assert_eq!(view.to_history(), flat.view().to_history());
+            let owned = flat.view().to_history();
+            assert_eq!(view.to_history(), owned);
+            // A group's shape, read across three cold segments and the hot
+            // tail: `put` events only, then one `reserve` event among them.
+            let put = ActionName::idempotent("put");
+            let target = Value::pair(Value::from(1), Value::from("payload"));
+            for indices in [&[0, 1, 3, 64, 129, 255, 256][..], &[0, 2, 256]] {
+                let (mut tiered_codes, mut owned_codes) = ([0u8; 7], [0u8; 7]);
+                let tiered_codes = &mut tiered_codes[..indices.len()];
+                let owned_codes = &mut owned_codes[..indices.len()];
+                let keyed = view.shape_codes(indices, &put, &target, tiered_codes);
+                assert_eq!(
+                    keyed,
+                    owned.shape_codes(indices, &put, &target, owned_codes)
+                );
+                assert_eq!(keyed, indices.len() == 7);
+                if keyed {
+                    assert_eq!(tiered_codes, owned_codes);
+                }
+            }
             fs::remove_dir_all(&dir).ok();
         }
     }
