@@ -11,7 +11,6 @@ use std::process::ExitCode;
 use xability_analysis::sched::dirty::DirtyModel;
 use xability_analysis::sched::intern::{BrokenInterner, InternModel};
 use xability_analysis::sched::seglog::{BrokenLog, SeglogModel};
-use xability_analysis::sched::window::{BrokenHandoff, ShadowHandoff, WindowModel};
 use xability_analysis::sched::{binomial, explore, Explored, Interleave};
 use xability_core::seglog::AppendLog;
 use xability_core::Interner;
@@ -49,11 +48,6 @@ fn main() -> ExitCode {
             false,
         ),
         run(
-            "pipeline-window-handoff",
-            WindowModel::<ShadowHandoff>::standard,
-            false,
-        ),
-        run(
             "seglog-broken-missing-cow",
             SeglogModel::<BrokenLog>::standard,
             true,
@@ -61,11 +55,6 @@ fn main() -> ExitCode {
         run(
             "interner-broken-live-reader",
             InternModel::<BrokenInterner>::standard,
-            true,
-        ),
-        run(
-            "pipeline-window-broken-lifo",
-            WindowModel::<BrokenHandoff>::standard,
             true,
         ),
     ];

@@ -3,10 +3,9 @@
 //! — schedules, `store` — traces) may not read wall clocks, sleep, spawn
 //! processes, or iterate hash collections.
 //!
-//! The repo's headline guarantees — incremental ≡ batch verdicts, the
-//! sharded check's bit-identical merge, the Fleet's worker-count-
-//! independent reports, sim replayability by seed — all reduce to "these
-//! crates are deterministic". `std::collections::HashMap` iteration order
+//! The repo's headline guarantees — warm ≡ cold verdicts, the Fleet's
+//! worker-count-independent reports, sim replayability by seed — all
+//! reduce to "these crates are deterministic". `std::collections::HashMap` iteration order
 //! is seeded *per process* (`RandomState`), so a hash-iteration that
 //! feeds any ordered output (verdict reasons, serialized reports) is a
 //! nondeterminism leak that no single-process test can catch. Key probes

@@ -34,7 +34,6 @@
 pub mod dirty;
 pub mod intern;
 pub mod seglog;
-pub mod window;
 
 /// A two-thread interleaving model: two fixed operation sequences over
 /// shared state, with invariant checks inside the steps.

@@ -175,6 +175,19 @@ impl ActionId {
         }
     }
 
+    /// The action's role as a code: 0 for the base action `a`, 1 for its
+    /// cancellation `a⁻¹`, 2 for its commit `aᶜ` — the one numbering the
+    /// fast checker's attribution slots, the shape codes of
+    /// [`crate::HistoryRead::shape_codes`] and the packed trace format all
+    /// use.
+    pub fn role(&self) -> u8 {
+        match self {
+            ActionId::Base(_) => 0,
+            ActionId::Cancel(_) => 1,
+            ActionId::Commit(_) => 2,
+        }
+    }
+
     /// Returns `true` if *executing* this action is idempotent.
     ///
     /// Base idempotent actions, cancellations, and commits are all

@@ -45,12 +45,7 @@ fn shape_codes_of<'a>(
             Event::Start(a, iv) => (0u8, a, iv),
             Event::Complete(a, ov) => (1u8, a, ov),
         };
-        let (role, base) = match action {
-            ActionId::Base(n) => (0u8, n),
-            ActionId::Cancel(n) => (1u8, n),
-            ActionId::Commit(n) => (2u8, n),
-        };
-        if base != name {
+        if action.base_name() != name {
             return false;
         }
         let class = if value.is_nil() {
@@ -65,7 +60,7 @@ fn shape_codes_of<'a>(
                 }
             }
         };
-        *code = (class as u8) << 3 | role << 1 | completion;
+        *code = (class as u8) << 3 | action.role() << 1 | completion;
     }
     true
 }

@@ -5,7 +5,10 @@
 //! An [`AppendLog`] grows in fixed-capacity segments. Old segments are
 //! never moved or reallocated — appending allocates a fresh segment when
 //! the open one fills, so a multi-million-entry log never pays the
-//! reallocate-and-copy of a growing `Vec`. Segments are reference
+//! reallocate-and-copy of a growing `Vec`. Only the first segment grows
+//! like a `Vec` until it reaches the segment capacity, so a short log —
+//! a session's thousand events in a 65 536-event segment — does not
+//! reserve a segment it never fills. Segments are reference
 //! counted, which makes a [`LogView`] — an immutable snapshot of the
 //! first `len` entries — a handful of `Arc` clones.
 //!
@@ -17,8 +20,7 @@
 //! O(#segments) pointer clones. Because a [`LogView`] owns `Arc`s to its
 //! segments and never observes later appends, a view handed to another
 //! thread keeps reading a stable prefix while the owner keeps appending —
-//! the snapshot-while-appending guarantee the store and the sharded
-//! checker rely on.
+//! the snapshot-while-appending guarantee the store relies on.
 //!
 //! [`AppendLog::set`] overwrites one entry under the same rule: a segment
 //! no snapshot references is written in place, an aliased one is copied
@@ -28,6 +30,9 @@
 
 use std::fmt;
 use std::sync::Arc;
+
+/// Entries the first segment of a log starts with.
+const FIRST_SEGMENT: usize = 16;
 
 /// An append-only log of `T`s stored in fixed-capacity segments.
 #[derive(Debug, Clone)]
@@ -63,14 +68,28 @@ impl<T: Clone> AppendLog<T> {
     }
 
     /// Appends one entry. Amortized O(1); never moves a closed segment.
+    ///
+    /// The first segment starts at 16 entries and doubles
+    /// up to the segment capacity, so a log that never fills one segment
+    /// holds about what it stores; every later segment is allocated at
+    /// full capacity.
     pub fn push(&mut self, item: T) {
         let cap = self.segment_capacity;
         let needs_segment = self.segments.last().map_or(true, |seg| seg.len() == cap);
         if needs_segment {
-            self.segments.push(Arc::new(Vec::with_capacity(cap)));
+            let first = if self.segments.is_empty() {
+                FIRST_SEGMENT.min(cap)
+            } else {
+                cap
+            };
+            self.segments.push(Arc::new(Vec::with_capacity(first)));
         }
-        let tail = self.segments.last_mut().expect("just ensured");
-        private(tail, cap).push(item);
+        let tail = private(self.segments.last_mut().expect("just ensured"));
+        if tail.len() == tail.capacity() {
+            let grown = (2 * tail.len()).min(cap);
+            tail.reserve_exact(grown - tail.len());
+        }
+        tail.push(item);
         self.len += 1;
     }
 
@@ -84,7 +103,7 @@ impl<T: Clone> AppendLog<T> {
     pub fn set(&mut self, index: usize, item: T) {
         assert!(index < self.len, "AppendLog index {index} out of bounds");
         let cap = self.segment_capacity;
-        private(&mut self.segments[index / cap], cap)[index % cap] = item;
+        private(&mut self.segments[index / cap])[index % cap] = item;
     }
 
     /// The entry at `index`.
@@ -118,11 +137,11 @@ impl<T: Clone> AppendLog<T> {
 }
 
 /// The segment behind `seg`, writable: in place when nothing else
-/// references it, else through a private copy (made once, with the full
-/// segment capacity so later appends never reallocate it).
-fn private<T: Clone>(seg: &mut Arc<Vec<T>>, cap: usize) -> &mut Vec<T> {
+/// references it, else through a private copy (made once, with the
+/// segment's capacity so the copy grows no sooner than the original).
+fn private<T: Clone>(seg: &mut Arc<Vec<T>>) -> &mut Vec<T> {
     if Arc::get_mut(seg).is_none() {
-        let mut copy = Vec::with_capacity(cap);
+        let mut copy = Vec::with_capacity(seg.capacity());
         copy.extend(seg.iter().cloned());
         *seg = Arc::new(copy);
     }
@@ -401,6 +420,23 @@ mod tests {
         let mut log: AppendLog<u64> = AppendLog::new(4);
         log.push(1);
         assert_eq!(log.segment_bytes(), 4 * 8);
+    }
+
+    #[test]
+    fn only_the_first_segment_starts_small() {
+        let mut log: AppendLog<u64> = AppendLog::new(100);
+        log.push(0);
+        assert_eq!(log.segment_bytes(), 16 * 8);
+        let snap = log.snapshot(); // aliases the growing segment
+        for i in 1..100u64 {
+            log.push(i);
+        }
+        // 16, 32, 64, then capped at the segment capacity.
+        assert_eq!(log.segment_bytes(), 100 * 8);
+        log.push(100);
+        assert_eq!(log.segment_bytes(), 200 * 8);
+        assert_eq!(snap.iter().copied().collect::<Vec<_>>(), [0]);
+        assert!((0..=100u64).all(|i| *log.get(i as usize) == i));
     }
 
     #[test]

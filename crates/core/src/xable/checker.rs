@@ -11,14 +11,18 @@
 //!   explicit [`SearchBudget`], exponential in the worst case.
 //! * [`FastChecker`] — the polynomial checker for protocol-shaped
 //!   histories (per-group decisions plus effect ordering, DESIGN.md §4.3).
-//!   Answers [`Verdict::Unknown`] outside its class.
+//!   Answers [`Verdict::Unknown`] outside its class. It has no decision
+//!   code of its own: each question builds a cold
+//!   [`IncrementalState`], declares the question's requests, feeds it the
+//!   whole source and reads the online checker's aggregate once.
 //! * [`TieredChecker`] — the escalation policy: ask the fast checker
 //!   first, and escalate an `Unknown` to the exhaustive search when the
 //!   history is small enough for the search to be affordable.
 //!
 //! For online verification — deciding x-ability *while* a history is still
-//! being produced — see [`super::incremental::IncrementalChecker`], which
-//! maintains the fast checker's per-group state across `push`es.
+//! being produced — keep that state warm instead:
+//! [`super::incremental::IncrementalChecker`] maintains it across
+//! `push`es.
 //!
 //! # Examples
 //!
@@ -47,7 +51,7 @@ use crate::failure_free::failure_free_sequence_outputs;
 use crate::history::{History, HistoryRead};
 use crate::seglog::LogView;
 use crate::value::Value;
-use crate::xable::fast::{decide, Engine};
+use crate::xable::incremental::IncrementalState;
 use crate::xable::search::{is_xable_search, SearchBudget, SearchResult};
 
 /// Evidence accompanying a positive verdict.
@@ -222,9 +226,10 @@ pub trait Checker {
 /// abandoned)` answers for the first `executed` requests executing and —
 /// on the second attempt — request `abandoned` erasing.
 ///
-/// Factored out so the batch checkers and the incremental checker answer
-/// the R3 question identically by construction; it runs over lengths so
-/// the incremental checker, which keeps no request list, needs none.
+/// Shared by the trait's default [`Checker::check_requests`] and the
+/// incremental state behind the fast tier, so every decider combines the
+/// two attempts identically; it runs over lengths so the incremental
+/// state, which keeps no request list, needs none.
 pub(crate) fn combine_r3_attempts(
     declared: usize,
     mut attempt: impl FnMut(usize, Option<usize>) -> Verdict,
@@ -337,63 +342,34 @@ impl FastChecker {
         FastChecker { group_budget }
     }
 
-    /// [`Checker::check`], with the per-group searches decided on
-    /// `workers` scoped threads (`std::thread::scope` — no extra
-    /// dependencies, no detached threads).
-    ///
-    /// Sharding per group is sound because reduction rules 18–20 never
-    /// relate events across groups (DESIGN.md §4.3): each group's search
-    /// is a pure, deterministic function of its own sub-history, so the
-    /// merge — a sequential assembly over the precomputed outcomes — is
-    /// **bit-identical** to the sequential check regardless of the worker
-    /// count or scheduling. `workers <= 1` *is* the plain sequential
-    /// check — no plan is built and no search runs eagerly.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use xability_core::xable::{Checker, FastChecker};
-    /// use xability_core::{ActionId, ActionName, Event, History, Value};
-    ///
-    /// let a = ActionId::base(ActionName::idempotent("a"));
-    /// let h: History = [
-    ///     Event::start(a.clone(), Value::from(1)),
-    ///     Event::complete(a.clone(), Value::from(5)),
-    /// ]
-    /// .into_iter()
-    /// .collect();
-    /// let ops = [(a, Value::from(1))];
-    /// let checker = FastChecker::default();
-    /// assert_eq!(
-    ///     checker.check_sharded(&h, &ops, &[], 4),
-    ///     checker.check(&h, &ops, &[]),
-    /// );
-    /// ```
-    pub fn check_sharded<H: HistoryRead + Sync + ?Sized>(
-        &self,
-        h: &H,
-        ops: &[(ActionId, Value)],
-        erasable: &[(ActionId, Value)],
-        workers: usize,
-    ) -> Verdict {
-        crate::xable::fast::check_sharded(h, self.group_budget, ops, erasable, workers)
-    }
-
-    /// [`Checker::check_requests`] (the R3 obligation), with the
-    /// per-group searches of *both* R3 attempts decided on `workers`
-    /// scoped threads in one wave. Bit-identical to the sequential
-    /// answer; see [`FastChecker::check_sharded`].
-    pub fn check_requests_sharded<H: HistoryRead + Sync + ?Sized>(
+    /// [`Checker::check_requests_source`] under its old parallel name:
+    /// `workers` is ignored, and there is no code path of its own. Kept
+    /// only because the benchmark's `core.check_sharded_speedup_2w` probe
+    /// calls it; the method goes together with that probe in the next
+    /// benchmark refresh (ROADMAP item 7).
+    pub fn check_requests_sharded<H: HistoryRead>(
         &self,
         h: &H,
         requests: &[Request],
-        workers: usize,
+        _workers: usize,
     ) -> Verdict {
-        let ops: Vec<(ActionId, Value)> = requests
-            .iter()
-            .map(|r| (r.action().clone(), r.input().clone()))
-            .collect();
-        crate::xable::fast::check_requests_sharded(h, self.group_budget, &ops, workers)
+        self.check_requests_source(h, requests)
+    }
+
+    /// The one decider fed all at once: a cold [`IncrementalState`] with
+    /// this checker's budget, `requests` declared in order, and every
+    /// event of `h` consumed.
+    fn cold_state<'a>(
+        &self,
+        h: &dyn HistoryRead,
+        requests: impl Iterator<Item = (&'a ActionId, &'a Value)>,
+    ) -> IncrementalState {
+        let mut state = IncrementalState::with_budget(self.group_budget);
+        for (action, input) in requests {
+            state.declare(action.clone(), input.clone());
+        }
+        state.catch_up(h);
+        state
     }
 }
 
@@ -427,27 +403,26 @@ impl Checker for FastChecker {
 
     /// Overridden to run natively over the view: the partition and every
     /// per-group search read events through [`HistoryRead`], so no owned
-    /// copy of the source is ever built.
+    /// copy of the source is ever built. `ops` are declared first and
+    /// `erasable` after them, and one attempt is read.
     fn check_source(
         &self,
         h: &dyn HistoryRead,
         ops: &[(ActionId, Value)],
         erasable: &[(ActionId, Value)],
     ) -> Verdict {
-        match Engine::from_source(h) {
-            Ok(eng) => decide(h, &eng, self.group_budget, ops, erasable),
-            Err(reason) => Verdict::NotXable { reason },
-        }
+        let declared = ops.iter().chain(erasable).map(|(a, v)| (a, v));
+        let executed = ops.len();
+        self.cold_state(h, declared)
+            .attempt_over(h, executed, executed..executed + erasable.len())
     }
 
-    /// Overridden to partition the view once and share the per-group memo
-    /// cells between the full-sequence and last-request-abandoned attempts.
+    /// Overridden to read the view once into one state, whose per-group
+    /// memo cells the full-sequence and last-request-abandoned attempts
+    /// share.
     fn check_requests_source(&self, h: &dyn HistoryRead, requests: &[Request]) -> Verdict {
-        let ops: Vec<(ActionId, Value)> = requests
-            .iter()
-            .map(|r| (r.action().clone(), r.input().clone()))
-            .collect();
-        crate::xable::fast::check_requests_batch(h, self.group_budget, &ops)
+        let declared = requests.iter().map(|r| (r.action(), r.input()));
+        self.cold_state(h, declared).verdict_over(h)
     }
 }
 

@@ -1,11 +1,14 @@
-//! The polynomial x-ability engine for protocol-shaped histories.
+//! The partition and per-group engine behind the polynomial x-ability
+//! checker for protocol-shaped histories.
 //!
 //! The exhaustive checker ([`super::search`]) explores the whole reduction
 //! closure and is exponential in the worst case. Replication protocols,
 //! however, produce histories with a lot of structure: every event belongs
 //! to the processing of one request, and requests are submitted one after
 //! another (§4 considers a single client that submits `Rᵢ₊₁` only after `Rᵢ`
-//! succeeds). This engine exploits that structure:
+//! succeeds). The checker exploits that structure in three steps; this
+//! module does the first two, and the aggregate in [`super::incremental`]
+//! assembles them and does the third:
 //!
 //! 1. **Grouping.** Events are partitioned by `(base action, input)` —
 //!    cancellations and commits join the group of their base action. All the
@@ -109,16 +112,15 @@
 //! (dozens of shapes) and only bounds what a hostile trace can make an
 //! engine hold. No workload wants either at another value.
 //!
-//! The engine is shared by two frontends: [`super::FastChecker`] partitions
-//! a complete history and decides it in one shot (optionally deciding the
-//! groups on parallel worker threads — [`super::FastChecker::check_sharded`]
-//! — which is sound because reduction never crosses groups), and
-//! [`super::IncrementalChecker`] maintains the partition *online* — one
-//! `Engine::observe` step per pushed event — and memoizes the per-group
-//! search outcomes in the (crate-private) `GroupCell`s so a verdict at any
-//! prefix re-searches only the groups that changed. Both assemble verdicts
-//! from the same per-group outcomes and the same message builders, so they
-//! agree by construction.
+//! **One client.** The engine sits under [`super::IncrementalState`] alone:
+//! the state feeds it events (`Engine::observe` / `Engine::observe_batch`)
+//! and asks it for per-group outcomes, memoized in the (crate-private)
+//! `GroupCell`s so a verdict at any prefix re-searches only the groups that
+//! changed. The per-request case analysis, the abandoned-request erasure
+//! and the effect-order check are the state's, written once.
+//! [`super::FastChecker`] is that state fed a whole source at once, so a
+//! batch verdict and an online one are one computation, not two that are
+//! kept equal.
 //!
 //! Soundness is argued in the doc comments above each step and validated by
 //! property tests that compare this checker against the exhaustive one on
@@ -126,8 +128,6 @@
 //! `tests/incremental_props.rs`).
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashSet;
-use std::fmt;
 use std::mem::size_of;
 
 use crate::action::{ActionId, ActionKind, ActionName};
@@ -137,7 +137,6 @@ use crate::history::{History, HistoryRead};
 use crate::intern::{hash_of, Interner, SymbolIndex};
 use crate::seglog::AppendLog;
 use crate::value::Value;
-use crate::xable::checker::{combine_r3_over, Witness};
 use crate::xable::search::{search_reduction, SearchBudget, SearchResult};
 
 /// The unified verdict type, re-exported here because this module's
@@ -166,18 +165,6 @@ pub(crate) fn id32(n: usize, what: &str) -> u32 {
     match u32::try_from(n) {
         Ok(id) if id != NONE => id,
         _ => panic!("more than u32::MAX - 1 {what} in one checker engine"),
-    }
-}
-
-const ROLE_BASE: u8 = 0;
-const ROLE_CANCEL: u8 = 1;
-const ROLE_COMMIT: u8 = 2;
-
-fn role_of(action: &ActionId) -> u8 {
-    match action {
-        ActionId::Base(_) => ROLE_BASE,
-        ActionId::Cancel(_) => ROLE_CANCEL,
-        ActionId::Commit(_) => ROLE_COMMIT,
     }
 }
 
@@ -232,7 +219,7 @@ const SHAPE_MAX_ENTRIES: usize = 1024;
 
 /// Which per-group question a search answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum SearchKind {
+enum SearchKind {
     /// Does the group reduce to a failure-free execution of its key?
     Exec,
     /// Does the group reduce to `Λ`?
@@ -273,12 +260,11 @@ enum ShapeOutcome {
 }
 
 /// The shape → outcome memo: each distinct group shape is searched once
-/// per memo. An [`Engine`] owns one (so there is one per ledger, per batch
-/// check and per pipeline worker) and so does each sharded worker thread;
-/// it is bounded by [`SHAPE_MAX_LEN`] and [`SHAPE_MAX_ENTRIES`], past
-/// which [`ShapeMemo::decide`] just searches.
+/// per memo. An [`Engine`] owns one (so there is one per ledger monitor
+/// and per batch check); it is bounded by [`SHAPE_MAX_LEN`] and
+/// [`SHAPE_MAX_ENTRIES`], past which [`ShapeMemo::answer`] just searches.
 #[derive(Debug, Default)]
-pub(crate) struct ShapeMemo {
+struct ShapeMemo {
     entries: Vec<(ShapeKey, ShapeOutcome)>,
     /// Shape → entry of `entries`, probed against it.
     index: SymbolIndex,
@@ -341,7 +327,7 @@ impl ShapeMemo {
     /// group's shape was searched before — no event is decoded then — and
     /// by [`search_group`] otherwise. Debug builds run the search beside
     /// every hit and compare.
-    fn decide<H: HistoryRead + ?Sized>(
+    fn answer<H: HistoryRead + ?Sized>(
         &mut self,
         h: &H,
         indices: &[usize],
@@ -477,11 +463,10 @@ fn erase_outcome(found: ShapeOutcome) -> EraseOutcome {
 
 /// The per-group "reduces to a failure-free execution of `(name, input)`"
 /// decision of the group at `indices` (ascending; every event carries the
-/// base name `name`) — a pure function of the group's sub-history, shared
-/// verbatim by the memoizing [`Engine::exec`] and the sharded worker
-/// threads, so sequential and parallel checks compute identical outcomes.
-/// The search runs once per shape and `memo`.
-pub(crate) fn run_exec_search<H: HistoryRead + ?Sized>(
+/// base name `name`) — a pure function of the group's sub-history, which
+/// [`Engine::exec`] memoizes per cell. The search runs once per shape and
+/// `memo`.
+fn run_exec_search<H: HistoryRead + ?Sized>(
     memo: &mut ShapeMemo,
     h: &H,
     indices: &[usize],
@@ -489,20 +474,20 @@ pub(crate) fn run_exec_search<H: HistoryRead + ?Sized>(
     input: &Value,
     budget: SearchBudget,
 ) -> ExecOutcome {
-    let found = memo.decide(h, indices, SearchKind::Exec, name, input, budget);
+    let found = memo.answer(h, indices, SearchKind::Exec, name, input, budget);
     exec_outcome(h, indices, found)
 }
 
-/// The per-group "reduces to `Λ`" decision — like [`run_exec_search`], the
-/// single source of truth for both the memoized and the sharded paths.
-pub(crate) fn run_erase_search<H: HistoryRead + ?Sized>(
+/// The per-group "reduces to `Λ`" decision — like [`run_exec_search`], what
+/// [`Engine::erases`] memoizes per cell.
+fn run_erase_search<H: HistoryRead + ?Sized>(
     memo: &mut ShapeMemo,
     h: &H,
     indices: &[usize],
     name: &ActionName,
     budget: SearchBudget,
 ) -> EraseOutcome {
-    erase_outcome(memo.decide(h, indices, SearchKind::Erase, name, &Value::Nil, budget))
+    erase_outcome(memo.answer(h, indices, SearchKind::Erase, name, &Value::Nil, budget))
 }
 
 /// The memoized exec outcome of a [`GroupCell`], as a one-byte tag: what a
@@ -527,11 +512,9 @@ enum ExecMemo {
 /// The ascending index list a search needs is materialised only when a
 /// search runs ([`Engine::indices_of`]).
 ///
-/// The memos use interior mutability because [`decide`] takes the engine
-/// by shared reference: a batch check fills them once, the incremental
-/// checker keeps them warm across pushes (invalidating a cell whenever its
-/// group gains an event), and the sharded batch check primes them from
-/// worker threads before the sequential assembly reads them.
+/// The memos use interior mutability because a verdict reads the engine
+/// by shared reference: the incremental state keeps them warm across
+/// pushes, invalidating a cell whenever its group gains an event.
 #[derive(Debug)]
 struct GroupCell {
     /// History index of the group's newest event.
@@ -766,10 +749,10 @@ struct RoundParent {
 /// Entries per segment of [`Engine::prev`].
 const PREV_SEGMENT: usize = 1024;
 
-/// The symbol-keyed partition/attribution engine shared by the batch
-/// [`super::FastChecker`] and the online [`super::IncrementalChecker`]:
-/// the interner, the dense group table, the per-event chain column and the
-/// streaming attribution state.
+/// The symbol-keyed partition/attribution engine under every
+/// [`super::IncrementalState`] — and so under every fast verdict, online
+/// or batch: the interner, the dense group table, the per-event chain
+/// column and the streaming attribution state.
 ///
 /// What it costs: 4 bytes per observed event (`prev`), and per group a
 /// 20-byte [`GroupCell`], an 8-byte key, two 4-byte round-chain links and
@@ -831,24 +814,6 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Builds an engine over a complete source in one pass, or reports the
-    /// first completion without a start (a definite `NotXable` reason).
-    pub(crate) fn from_source<H: HistoryRead + ?Sized>(h: &H) -> Result<Engine, String> {
-        let mut eng = Engine::default();
-        let mut err: Option<String> = None;
-        h.scan_events(&mut |_, ev| match eng.observe(ev) {
-            Ok(_) => true,
-            Err(reason) => {
-                err = Some(reason);
-                false
-            }
-        });
-        match err {
-            Some(reason) => Err(reason),
-            None => Ok(eng),
-        }
-    }
-
     /// How many events have been observed — the index the next one gets.
     pub(crate) fn observed(&self) -> usize {
         self.prev.len()
@@ -867,12 +832,12 @@ impl Engine {
             Event::Start(a, iv) => {
                 let ns = self.interner.intern_action(a.base_name());
                 let vs = self.interner.intern_value(iv);
-                self.attribute_start(ns, role_of(a), vs);
+                self.attribute_start(ns, a.role(), vs);
                 ((ns, vs), false)
             }
             Event::Complete(a, _) => {
                 let ns = self.interner.intern_action(a.base_name());
-                let vs = self.attribute_completion(ns, role_of(a), a)?;
+                let vs = self.attribute_completion(ns, a.role(), a)?;
                 ((ns, vs), a.is_commit())
             }
         };
@@ -921,10 +886,10 @@ impl Engine {
                             sym
                         }
                     };
-                    self.attribute_start(ns, role_of(a), vs);
+                    self.attribute_start(ns, a.role(), vs);
                     ((ns, vs), false)
                 }
-                Event::Complete(a, _) => match self.attribute_completion(ns, role_of(a), a) {
+                Event::Complete(a, _) => match self.attribute_completion(ns, a.role(), a) {
                     Ok(vs) => ((ns, vs), a.is_commit()),
                     Err(reason) => {
                         track(Err(reason));
@@ -1093,11 +1058,6 @@ impl Engine {
         &mut self.interner
     }
 
-    /// The number of groups.
-    pub(crate) fn group_count(&self) -> usize {
-        self.cells.len()
-    }
-
     /// The key symbols of a group.
     pub(crate) fn key(&self, sym: GroupSym) -> KeySyms {
         self.keys[sym as usize]
@@ -1107,14 +1067,6 @@ impl Engine {
     pub(crate) fn group_with_key(&self, syms: KeySyms) -> Option<GroupSym> {
         self.group_lookup
             .find(hash_of(&syms), |sym| self.keys[sym as usize] == syms)
-    }
-
-    /// The key symbols of `(name, input)` if both are already interned —
-    /// a pure probe; an un-interned key cannot match any group.
-    pub(crate) fn lookup_key(&self, name: &ActionName, input: &Value) -> Option<KeySyms> {
-        let ns = self.interner.lookup_action(name)?;
-        let vs = self.interner.lookup_value(input)?;
-        Some((ns, vs))
     }
 
     /// The first-seen round-stamped group whose parent key is `key`, or
@@ -1134,11 +1086,6 @@ impl Engine {
         })
     }
 
-    /// How many events the group holds.
-    pub(crate) fn group_len(&self, sym: GroupSym) -> usize {
-        self.cells[sym as usize].len as usize
-    }
-
     /// Whether the group contains a completed commit.
     pub(crate) fn has_commit_completion(&self, sym: GroupSym) -> bool {
         self.cells[sym as usize].has_commit_completion
@@ -1146,7 +1093,7 @@ impl Engine {
 
     /// The group's event indices into the full history, ascending —
     /// materialised from the chain, for a search about to run.
-    pub(crate) fn indices_of(&self, sym: GroupSym) -> Vec<usize> {
+    fn indices_of(&self, sym: GroupSym) -> Vec<usize> {
         let mut indices = vec![0usize; self.cells[sym as usize].len as usize];
         self.fill_indices(sym, &mut indices);
         indices
@@ -1224,7 +1171,21 @@ impl Engine {
                     let memo = &mut self.shapes.borrow_mut();
                     run_exec_search(memo, h, indices, name, input, budget)
                 });
-                self.prime_exec(sym, &outcome);
+                // The tag, and for `Reduced` the two indices — the output
+                // value itself is not kept. Both index an observed event,
+                // so both fit (`id32` in `record_in_cell` bounded the
+                // event count).
+                cell.exec.set(match &outcome {
+                    ExecOutcome::Reduced {
+                        anchor, output_at, ..
+                    } => {
+                        cell.exec_anchor.set(*anchor as u32);
+                        cell.exec_output_at.set(*output_at as u32);
+                        ExecMemo::Reduced
+                    }
+                    ExecOutcome::Stuck => ExecMemo::Stuck,
+                    ExecOutcome::Budget => ExecMemo::Budget,
+                });
                 return outcome;
             }
             ExecMemo::Reduced => {
@@ -1267,31 +1228,6 @@ impl Engine {
         self.shapes.borrow().searches
     }
 
-    /// Installs an exec outcome (this engine's own, or one a sharded
-    /// worker computed over the same events): the tag, and for `Reduced`
-    /// the two indices — the output value itself is not kept.
-    pub(crate) fn prime_exec(&self, sym: GroupSym, outcome: &ExecOutcome) {
-        let cell = &self.cells[sym as usize];
-        cell.exec.set(match outcome {
-            ExecOutcome::Reduced {
-                anchor, output_at, ..
-            } => {
-                // Both index an observed event, so both fit (`id32` in
-                // `record_in_cell` bounded the event count).
-                cell.exec_anchor.set(*anchor as u32);
-                cell.exec_output_at.set(*output_at as u32);
-                ExecMemo::Reduced
-            }
-            ExecOutcome::Stuck => ExecMemo::Stuck,
-            ExecOutcome::Budget => ExecMemo::Budget,
-        });
-    }
-
-    /// Installs an erase outcome computed elsewhere (a sharded worker).
-    pub(crate) fn prime_erase(&self, sym: GroupSym, outcome: EraseOutcome) {
-        self.cells[sym as usize].erase.set(Some(outcome));
-    }
-
     /// Heap bytes held, part by part — allocated capacity, not length. The
     /// interner's row is [`Interner::approx_bytes`], an upper bound: it
     /// counts value payload the interner shares with whoever produced the
@@ -1327,507 +1263,6 @@ impl Engine {
             ("shape memo", self.shapes.borrow().heap_bytes()),
         ]
     }
-}
-
-// ---------------------------------------------------------------------------
-// Verdict message builders, shared by the batch assembly (`decide`) and the
-// incremental aggregate so the two produce byte-identical reasons.
-
-pub(crate) fn msg_not_base(action: &ActionId) -> String {
-    format!("request action {action} is not a base action")
-}
-
-pub(crate) fn msg_duplicate(name: &ActionName, input: &Value) -> String {
-    format!("duplicate request identity {name}/{input}")
-}
-
-pub(crate) fn msg_plain_and_stamped(action: &ActionId, input: &Value) -> String {
-    format!("request ({action}, {input}) has both plain and round-stamped events")
-}
-
-pub(crate) fn msg_never_executed(action: &ActionId, input: &Value) -> String {
-    format!("request ({action}, {input}) was never executed")
-}
-
-pub(crate) fn msg_committed_rounds(action: &ActionId, input: &Value, rounds: usize) -> String {
-    format!("request ({action}, {input}) committed in {rounds} rounds (want exactly 1)")
-}
-
-pub(crate) fn msg_stuck(action: &ActionId, input: &Value) -> String {
-    format!("events of request ({action}, {input}) do not reduce to a failure-free execution")
-}
-
-pub(crate) fn msg_exec_budget(action: &ActionId, input: &Value) -> String {
-    format!("per-group search budget exceeded for request ({action}, {input})")
-}
-
-pub(crate) fn what_cancelled_round(round: &Value, action: &ActionId, input: &Value) -> String {
-    format!("cancelled round {round} of ({action}, {input})")
-}
-
-pub(crate) fn what_abandoned(action: &ActionId, input: &Value) -> String {
-    format!("abandoned request ({action}, {input})")
-}
-
-pub(crate) fn what_undeclared(name: &ActionName, input: &Value) -> String {
-    format!("undeclared request {name}/{input}")
-}
-
-pub(crate) fn msg_not_erasing(what: &dyn fmt::Display) -> String {
-    format!("{what} left events that do not erase")
-}
-
-pub(crate) fn msg_erase_budget(what: &dyn fmt::Display) -> String {
-    format!("per-group search budget exceeded erasing {what}")
-}
-
-pub(crate) const MSG_OUT_OF_ORDER: &str = "request effects occur out of submission order";
-
-/// Wraps a definite rejection into the verdict the attribution quality
-/// allows: when attribution was ambiguous, a negative verdict is
-/// unreliable (a different attribution might have succeeded), so it is
-/// downgraded to `Unknown`.
-pub(crate) fn fail_verdict(ambiguous: bool, reason: String) -> Verdict {
-    if ambiguous {
-        Verdict::Unknown {
-            reason: format!("(after ambiguous completion attribution) {reason}"),
-        }
-    } else {
-        Verdict::NotXable { reason }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The batch assembly.
-
-/// The first round-stamped transaction group of the request `action`
-/// declared under `key` — the head of the engine's sibling chain — or
-/// [`NONE`]: only an undoable base action whose key is interned has rounds.
-fn first_round_of_request(eng: &Engine, action: &ActionId, key: Option<KeySyms>) -> GroupSym {
-    match key {
-        Some(key) if action.is_undoable_base() => eng.first_round_of(key),
-        _ => NONE,
-    }
-}
-
-/// The assembly: decides x-ability of `h` — already partitioned into the
-/// engine's groups — with respect to the ordered request sequence `ops`,
-/// additionally allowing the requests in `erasable` to have left events
-/// that reduce to nothing.
-///
-/// Per-group searches go through the engine's memos ([`Engine::exec`],
-/// [`Engine::erases`]), so a caller that keeps the cells warm (the incremental checker, the two attempts of an
-/// R3 question, or a sharded pre-pass) pays for each group search at most
-/// once.
-pub(crate) fn decide<H: HistoryRead + ?Sized>(
-    h: &H,
-    eng: &Engine,
-    budget: SearchBudget,
-    ops: &[(ActionId, Value)],
-    erasable: &[(ActionId, Value)],
-) -> Verdict {
-    // --- Validate the op list. ---
-    let mut seen: HashSet<(&ActionName, &Value)> = HashSet::new();
-    for (action, input) in ops.iter().chain(erasable.iter()) {
-        if !matches!(action, ActionId::Base(_)) {
-            return Verdict::Unknown {
-                reason: msg_not_base(action),
-            };
-        }
-        if !seen.insert((action.base_name(), input)) {
-            return Verdict::Unknown {
-                reason: msg_duplicate(action.base_name(), input),
-            };
-        }
-    }
-
-    let fail = |reason: String| fail_verdict(eng.ambiguous, reason);
-    let first_round = |action, key| first_round_of_request(eng, action, key);
-
-    // --- Every group must correspond to a declared request, directly or
-    // as a round-stamped transaction of a declared undoable request
-    // (§5.4: the round number is part of the action's parameters).
-    // Undeclared groups are not automatically violations: a group that
-    // reduces to Λ (say, a spurious cancellation that cancelled nothing) is
-    // invisible to the reduction target; they are checked for erasability
-    // below. ---
-    let mut declared_groups: HashSet<GroupSym> = HashSet::new();
-    for (action, input) in ops.iter().chain(erasable.iter()) {
-        let Some(key) = eng.lookup_key(action.base_name(), input) else {
-            continue;
-        };
-        if let Some(sym) = eng.group_with_key(key) {
-            declared_groups.insert(sym);
-        }
-        declared_groups.extend(eng.siblings(first_round(action, Some(key))));
-    }
-
-    let erase_group = |sym: GroupSym, what: &dyn fmt::Display| -> Option<Verdict> {
-        match eng.erases(sym, h, budget) {
-            EraseOutcome::Erases => None,
-            EraseOutcome::Stuck => Some(fail(msg_not_erasing(what))),
-            EraseOutcome::Budget => Some(Verdict::Unknown {
-                reason: msg_erase_budget(what),
-            }),
-        }
-    };
-
-    // --- Decide each group. ---
-    let mut outputs: Vec<Value> = Vec::with_capacity(ops.len());
-    let mut anchors: Vec<usize> = Vec::with_capacity(ops.len());
-    for (action, input) in ops.iter() {
-        let key = eng.lookup_key(action.base_name(), input);
-        let plain = key.and_then(|k| eng.group_with_key(k));
-        let stamped = first_round(action, key);
-        let exec_sym: GroupSym = match (plain, stamped == NONE) {
-            (Some(_), false) => {
-                return Verdict::Unknown {
-                    reason: msg_plain_and_stamped(action, input),
-                };
-            }
-            (Some(sym), true) => sym,
-            (None, true) => {
-                return fail(msg_never_executed(action, input));
-            }
-            (None, false) => {
-                // Round-stamped transactions: exactly one round commits and
-                // must reduce to a failure-free execution; every other round
-                // must erase (cancelled rounds).
-                let is_committed = |sym: &GroupSym| eng.has_commit_completion(*sym);
-                let rounds = eng.siblings(stamped).filter(is_committed).count();
-                if rounds != 1 {
-                    return fail(msg_committed_rounds(action, input, rounds));
-                }
-                let committed = eng
-                    .siblings(stamped)
-                    .find(is_committed)
-                    .expect("counted exactly one committed round");
-                for sym in eng.siblings(stamped) {
-                    if sym == committed {
-                        continue;
-                    }
-                    let round = eng.interner().value(eng.key(sym).1);
-                    let what = what_cancelled_round(round, action, input);
-                    if let Some(v) = erase_group(sym, &what) {
-                        return v;
-                    }
-                }
-                committed
-            }
-        };
-        match eng.exec(exec_sym, h, budget) {
-            ExecOutcome::Reduced { output, anchor, .. } => {
-                outputs.push(output);
-                anchors.push(anchor);
-            }
-            ExecOutcome::Stuck => {
-                return fail(msg_stuck(action, input));
-            }
-            ExecOutcome::Budget => {
-                return Verdict::Unknown {
-                    reason: msg_exec_budget(action, input),
-                };
-            }
-        }
-    }
-
-    for (action, input) in erasable {
-        let key = eng.lookup_key(action.base_name(), input);
-        let plain = key.and_then(|k| eng.group_with_key(k));
-        let what = what_abandoned(action, input);
-        for sym in plain
-            .into_iter()
-            .chain(eng.siblings(first_round(action, key)))
-        {
-            if let Some(v) = erase_group(sym, &what) {
-                return v;
-            }
-        }
-    }
-
-    for sym in 0..eng.group_count() as GroupSym {
-        if declared_groups.contains(&sym) {
-            continue;
-        }
-        let (ns, vs) = eng.key(sym);
-        let what = what_undeclared(eng.interner().action(ns), eng.interner().value(vs));
-        if let Some(v) = erase_group(sym, &what) {
-            return v;
-        }
-    }
-
-    // --- Cross-request ordering: effects in submission order. ---
-    // The paper's multi-request criterion (reduction to the ordered
-    // concatenation of failure-free histories) implicitly assumes the
-    // system quiesces between requests: rules 18/20 always keep the
-    // *latest* duplicate, so a harmless trailing duplicate (a slow
-    // replica's deduplicated re-execution or help-commit landing after the
-    // next request started) would make the ordered target unreachable even
-    // though every effect happened exactly once and in order. We therefore
-    // check the per-request criterion plus *effect order*: each group's
-    // first surviving completion — the instant its side-effect became
-    // observable — must follow submission order. On histories without
-    // trailing duplicates this coincides with the strict criterion (blocks
-    // then compact in order); with them, it is the faithful reading of
-    // "appears to be executed exactly-once, in order".
-    for w in anchors.windows(2) {
-        if w[0] >= w[1] {
-            return fail(MSG_OUT_OF_ORDER.to_owned());
-        }
-    }
-
-    Verdict::Xable {
-        witness: Witness::from_outputs(outputs.into()),
-    }
-}
-
-/// Batch entry point used by the `FastChecker` frontend: one partition,
-/// then the R3 combination over the shared memo cells.
-pub(crate) fn check_requests_batch<H: HistoryRead + ?Sized>(
-    h: &H,
-    budget: SearchBudget,
-    ops: &[(ActionId, Value)],
-) -> Verdict {
-    match Engine::from_source(h) {
-        Ok(eng) => combine_r3_over(ops, |ops, erasable| decide(h, &eng, budget, ops, erasable)),
-        Err(reason) => Verdict::NotXable { reason },
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The sharded batch path.
-
-/// One unit of sharded work: everything a worker needs to run one
-/// per-group search. The engine itself is not `Sync` (the memo cells use
-/// `Cell`), so a job carries its group's index list — materialised from
-/// the chain when the search is planned, as it would be when it runs —
-/// and borrows the key data for the duration of the scope.
-#[derive(Debug)]
-struct ShardJob<'a> {
-    sym: GroupSym,
-    kind: SearchKind,
-    indices: Vec<usize>,
-    /// The group's resolved key — the exec search target.
-    name: &'a ActionName,
-    input: &'a Value,
-}
-
-/// The outcome a worker hands back for one job.
-#[derive(Debug)]
-enum ShardOutcome {
-    Exec(ExecOutcome),
-    Erase(EraseOutcome),
-}
-
-/// Plans which searches `decide(h, eng, budget, ops, erasable)` could
-/// consult, as shard jobs. The plan may be a superset of what the
-/// sequential assembly actually reads (the assembly early-returns on the
-/// first failure); running the extras is harmless because every search is
-/// a pure, deterministic function of its group's sub-history.
-fn plan_searches<'a>(
-    eng: &'a Engine,
-    ops: &[(ActionId, Value)],
-    erasable: &[(ActionId, Value)],
-    jobs: &mut Vec<ShardJob<'a>>,
-    planned: &mut HashSet<(GroupSym, SearchKind)>,
-) {
-    let first_round = |action, key| first_round_of_request(eng, action, Some(key));
-    let mut declared_groups: HashSet<GroupSym> = HashSet::new();
-    let mut push = |sym: GroupSym, kind: SearchKind| {
-        if planned.insert((sym, kind)) {
-            let (ns, vs) = eng.key(sym);
-            jobs.push(ShardJob {
-                sym,
-                kind,
-                indices: eng.indices_of(sym),
-                name: eng.interner().action(ns),
-                input: eng.interner().value(vs),
-            });
-        }
-    };
-    for (action, input) in ops.iter().chain(erasable.iter()) {
-        if !matches!(action, ActionId::Base(_)) {
-            continue;
-        }
-        let Some(key) = eng.lookup_key(action.base_name(), input) else {
-            continue;
-        };
-        if let Some(sym) = eng.group_with_key(key) {
-            declared_groups.insert(sym);
-        }
-        declared_groups.extend(eng.siblings(first_round(action, key)));
-    }
-    for (action, input) in ops {
-        if !matches!(action, ActionId::Base(_)) {
-            continue;
-        }
-        let Some(key) = eng.lookup_key(action.base_name(), input) else {
-            continue;
-        };
-        let plain = eng.group_with_key(key);
-        let stamped = first_round(action, key);
-        match (plain, stamped == NONE) {
-            (Some(sym), true) => push(sym, SearchKind::Exec),
-            (None, false) => {
-                let committed = |sym: &GroupSym| eng.has_commit_completion(*sym);
-                if eng.siblings(stamped).filter(committed).count() == 1 {
-                    for sym in eng.siblings(stamped) {
-                        if committed(&sym) {
-                            push(sym, SearchKind::Exec);
-                        } else {
-                            push(sym, SearchKind::Erase);
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    for (action, input) in erasable {
-        if !matches!(action, ActionId::Base(_)) {
-            continue;
-        }
-        let Some(key) = eng.lookup_key(action.base_name(), input) else {
-            continue;
-        };
-        if let Some(sym) = eng.group_with_key(key) {
-            push(sym, SearchKind::Erase);
-        }
-        for sym in eng.siblings(first_round(action, key)) {
-            push(sym, SearchKind::Erase);
-        }
-    }
-    for sym in 0..eng.group_count() as GroupSym {
-        if !declared_groups.contains(&sym) {
-            push(sym, SearchKind::Erase);
-        }
-    }
-}
-
-/// Runs the planned searches on `workers` (≥ 2) scoped threads and primes
-/// the engine's memo cells with the outcomes, so a subsequent [`decide`]
-/// is pure assembly. Jobs are split round-robin; since every search is a
-/// deterministic pure function, the merge is independent of scheduling and
-/// the final verdict is identical to the sequential one.
-fn run_sharded<H: HistoryRead + Sync + ?Sized>(
-    h: &H,
-    eng: &Engine,
-    budget: SearchBudget,
-    jobs: &[ShardJob<'_>],
-    workers: usize,
-) {
-    let workers = workers.min(jobs.len()).max(1);
-    // Each worker searches its own shapes: a memo is not shared across
-    // threads, and an outcome does not depend on which memo produced it.
-    let run_all = |jobs: &mut dyn Iterator<Item = &ShardJob<'_>>| {
-        let mut memo = ShapeMemo::default();
-        jobs.map(|job| run_job(&mut memo, h, budget, job))
-            .collect::<Vec<_>>()
-    };
-    let outcomes: Vec<(GroupSym, SearchKind, ShardOutcome)> = if workers <= 1 {
-        run_all(&mut jobs.iter())
-    } else {
-        let mut results: Vec<Vec<(GroupSym, SearchKind, ShardOutcome)>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                handles
-                    .push(scope.spawn(move || run_all(&mut jobs.iter().skip(w).step_by(workers))));
-            }
-            for handle in handles {
-                results.push(handle.join().expect("shard worker panicked"));
-            }
-        });
-        results.into_iter().flatten().collect()
-    };
-    for (sym, kind, outcome) in outcomes {
-        match (kind, outcome) {
-            (SearchKind::Exec, ShardOutcome::Exec(o)) => eng.prime_exec(sym, &o),
-            (SearchKind::Erase, ShardOutcome::Erase(o)) => eng.prime_erase(sym, o),
-            _ => unreachable!("job kind and outcome kind always match"),
-        }
-    }
-}
-
-fn run_job<H: HistoryRead + ?Sized>(
-    memo: &mut ShapeMemo,
-    h: &H,
-    budget: SearchBudget,
-    job: &ShardJob<'_>,
-) -> (GroupSym, SearchKind, ShardOutcome) {
-    let outcome = match job.kind {
-        SearchKind::Exec => ShardOutcome::Exec(run_exec_search(
-            memo,
-            h,
-            &job.indices,
-            job.name,
-            job.input,
-            budget,
-        )),
-        SearchKind::Erase => {
-            ShardOutcome::Erase(run_erase_search(memo, h, &job.indices, job.name, budget))
-        }
-    };
-    (job.sym, job.kind, outcome)
-}
-
-/// The sharded batch check behind [`super::FastChecker::check_sharded`]:
-/// partition sequentially (one cheap pass), run the per-group searches on
-/// `workers` scoped threads, then assemble sequentially over the warm
-/// memos. Returns exactly what the sequential check returns; `workers <= 1`
-/// *is* the sequential check (no plan, no eager searches — the assembly's
-/// early returns skip whatever it never needs).
-pub(crate) fn check_sharded<H: HistoryRead + Sync + ?Sized>(
-    h: &H,
-    budget: SearchBudget,
-    ops: &[(ActionId, Value)],
-    erasable: &[(ActionId, Value)],
-    workers: usize,
-) -> Verdict {
-    let eng = match Engine::from_source(h) {
-        Ok(eng) => eng,
-        Err(reason) => return Verdict::NotXable { reason },
-    };
-    if workers > 1 {
-        let mut jobs = Vec::new();
-        let mut planned = HashSet::new();
-        plan_searches(&eng, ops, erasable, &mut jobs, &mut planned);
-        run_sharded(h, &eng, budget, &jobs, workers);
-    }
-    decide(h, &eng, budget, ops, erasable)
-}
-
-/// The sharded R3 check behind
-/// [`super::FastChecker::check_requests_sharded`]: the search plan is the
-/// union over both R3 attempts (full sequence; prefix with the last
-/// request erasable), so the whole question parallelizes in one wave.
-/// `workers <= 1` is the plain sequential R3 check.
-pub(crate) fn check_requests_sharded<H: HistoryRead + Sync + ?Sized>(
-    h: &H,
-    budget: SearchBudget,
-    ops: &[(ActionId, Value)],
-    workers: usize,
-) -> Verdict {
-    let eng = match Engine::from_source(h) {
-        Ok(eng) => eng,
-        Err(reason) => return Verdict::NotXable { reason },
-    };
-    if workers > 1 {
-        let mut jobs = Vec::new();
-        let mut planned = HashSet::new();
-        plan_searches(&eng, ops, &[], &mut jobs, &mut planned);
-        if let Some((last, prefix)) = ops.split_last() {
-            plan_searches(
-                &eng,
-                prefix,
-                std::slice::from_ref(last),
-                &mut jobs,
-                &mut planned,
-            );
-        }
-        run_sharded(h, &eng, budget, &jobs, workers);
-    }
-    combine_r3_over(ops, |ops, erasable| decide(h, &eng, budget, ops, erasable))
 }
 
 #[cfg(test)]
@@ -2611,10 +2046,10 @@ mod tests {
 
         fn assert_matches(&self, eng: &Engine) {
             assert_eq!(eng.observed(), self.next_index);
-            assert_eq!(eng.group_count(), self.groups.len());
+            assert_eq!(eng.cells.len(), self.groups.len());
             for (sym, indices) in self.groups.iter().enumerate() {
                 assert_eq!(&eng.indices_of(sym as GroupSym), indices, "group {sym}");
-                assert_eq!(eng.group_len(sym as GroupSym), indices.len());
+                assert_eq!(eng.cells[sym].len as usize, indices.len());
             }
             for (parent, rounds) in &self.rounds {
                 let chained: Vec<GroupSym> = eng.siblings(eng.first_round_of(*parent)).collect();
@@ -2675,11 +2110,13 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let eng = Engine::from_source(&h).expect("no orphan");
+        let mut eng = Engine::default();
+        let mut parent = None;
+        for event in &h {
+            parent = parent.or(eng.observe(event).expect("no orphan").stamped_parent);
+        }
         let budget = SearchBudget::small();
-        let parent = eng
-            .lookup_key(u.base_name(), &Value::from("r0"))
-            .expect("the base input is interned with its first round");
+        let parent = parent.expect("the rounds are stamped");
         let rounds: Vec<GroupSym> = eng.siblings(eng.first_round_of(parent)).collect();
         assert_eq!(rounds, [0, 1]);
         assert_eq!(eng.indices_of(1), [3, 4, 5, 6]);
@@ -2698,49 +2135,6 @@ mod tests {
         assert_eq!(eng.exec(1, &h, budget), searched);
         assert_eq!(eng.erases(0, &h, budget), EraseOutcome::Erases);
         assert_eq!(eng.erases(0, &h, budget), EraseOutcome::Erases);
-        // A primed memo answers the same way: a worker's outcome carries
-        // the index, and the value never travels into the cell.
-        let primed = Engine::from_source(&h).expect("no orphan");
-        primed.prime_exec(1, &searched);
-        assert_eq!(primed.exec(1, &h, budget), searched);
         assert_eq!(size_of::<GroupCell>(), 20);
-    }
-
-    #[test]
-    fn sharded_check_matches_sequential_for_any_worker_count() {
-        let u = undo("u");
-        let b = idem("b");
-        let cancel = u.cancel().unwrap();
-        let commit = u.commit().unwrap();
-        // An x-able trace, a not-x-able one, and one undeclared tail.
-        let xable: History = [
-            s(&u, 1),
-            s(&cancel, 1),
-            cnil(&cancel),
-            s(&u, 1),
-            c(&u, 7),
-            s(&commit, 1),
-            cnil(&commit),
-            s(&b, 2),
-            c(&b, 6),
-        ]
-        .into_iter()
-        .collect();
-        let bad: History = [s(&b, 2), c(&b, 6), c(&b, 9)].into_iter().collect();
-        let undeclared: History = [s(&b, 2), c(&b, 6), s(&idem("junk"), 3), c(&idem("junk"), 3)]
-            .into_iter()
-            .collect();
-        let checker = fast();
-        for h in [&xable, &bad, &undeclared] {
-            let ops = [(u.clone(), Value::from(1)), (b.clone(), Value::from(2))];
-            let sequential = checker.check(h, &ops, &[]);
-            for workers in [1, 2, 8] {
-                assert_eq!(
-                    checker.check_sharded(h, &ops, &[], workers),
-                    sequential,
-                    "workers={workers}"
-                );
-            }
-        }
     }
 }

@@ -1,9 +1,8 @@
-//! Online x-ability checking: decide R3 *while* the history is being
-//! produced.
+//! The fast checker's one decider: decide R3 *while* the history is being
+//! produced, or — fed a whole history at once — after it.
 //!
-//! The batch checkers re-partition and re-search a complete history on
-//! every call — fine after a run, wasteful during one. The
-//! [`IncrementalChecker`] maintains the fast checker's state machine
+//! The [`IncrementalChecker`] (and its storage-free core,
+//! [`IncrementalState`]) maintains the fast checker's state machine
 //! online:
 //!
 //! * [`push`](IncrementalChecker::push) consumes one event in amortized
@@ -31,13 +30,18 @@
 //!   request while earlier requests sit clean — a verdict therefore costs
 //!   O(dirty + n / 1024) and does not slow down as the history grows.
 //!
-//! Because push-side attribution, per-group searches, and the verdict
-//! messages are the *same code* the batch [`super::FastChecker`] runs
-//! (the engine and message builders in [`super::fast`]), the incremental
+//! **One decider.** This module holds the only assembly of per-group
+//! outcomes into a verdict: the per-request case analysis, one attempt
+//! over the first `n` declared requests executing and a range of declared
+//! requests erasing, and the R3 combination of two attempts. The batch
+//! [`super::FastChecker`] is a *cold* state — its budget, the question's
+//! requests declared, the whole source fed through
+//! [`catch_up`](IncrementalState::catch_up) — read once. So the online
 //! verdict at any prefix equals `FastChecker::check_requests` on that
-//! prefix **by construction**; the property tests in
-//! `tests/incremental_props.rs` and `tests/checker_scaling.rs` verify the
-//! equality prefix by prefix on random and protocol-shaped histories.
+//! prefix because both are this code; what the property tests in
+//! `tests/incremental_props.rs` and `tests/checker_scaling.rs` still pin,
+//! prefix by prefix, is that a *warm* aggregate (event by event, a verdict
+//! after every push, requests declared late) answers like a cold one.
 //!
 //! **What a request costs.** A declared request *is* its interned key: the
 //! aggregate keeps 8 bytes of symbols per request (`op_keys`), and
@@ -77,7 +81,9 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::mem::size_of;
+use std::ops::Range;
 
 use xability_obs::{Counter, Histogram, Obs};
 
@@ -89,12 +95,13 @@ use crate::seglog::AppendLog;
 use crate::value::Value;
 use crate::xable::checker::{combine_r3_attempts, Verdict, Witness};
 use crate::xable::fast::{
-    fail_verdict, id32, msg_committed_rounds, msg_duplicate, msg_erase_budget, msg_exec_budget,
-    msg_never_executed, msg_not_base, msg_not_erasing, msg_plain_and_stamped, msg_stuck,
-    what_abandoned, what_cancelled_round, what_undeclared, Engine, EraseOutcome, ExecOutcome,
-    GroupSym, KeySyms, Observed, MSG_OUT_OF_ORDER, NONE,
+    id32, Engine, EraseOutcome, ExecOutcome, GroupSym, KeySyms, Observed, NONE,
 };
 use crate::xable::search::SearchBudget;
+
+/// Events per [`IncrementalState::observe_batch`] call while
+/// [`IncrementalState::catch_up`] feeds a source.
+const CATCH_UP_CHUNK: usize = 1024;
 
 /// Which declared requests read a group's decision — the fan-out of one
 /// dirty group, as two request indices with [`NONE`] for "no such
@@ -162,8 +169,8 @@ impl OpState {
     }
 }
 
-/// Why a request's decision is not `Ok` — enough to regenerate the exact
-/// message the batch assembly would produce.
+/// Why a request's decision is not `Ok` — enough to materialize the
+/// verdict's reason when a verdict reports it.
 #[derive(Debug, Clone, Copy)]
 enum OpFail {
     NeverExecuted,
@@ -192,9 +199,9 @@ enum EraseFail {
 /// reason a verdict may skip every clean request — is:
 ///
 /// > For every request not in `dirty_ops`, `entries[op].state` equals what
-/// > the batch assembly would compute for that request on the current
-/// > prefix, and when that is `Ok`, `outputs[op]` is the output it would
-/// > report; for every group not in `dirty_undeclared` that no request
+/// > `decide_op` computes for that request on the current prefix, and
+/// > when that is `Ok`, `outputs[op]` is the output it found; for every
+/// > group not in `dirty_undeclared` that no request
 /// > watches, `undeclared_fail` records exactly whether (and how) its
 /// > erase search fails; and `order_bad` holds exactly the adjacent
 /// > request pairs whose effect anchors are out of submission order.
@@ -228,7 +235,7 @@ struct Aggregate {
     /// Verdicts snapshot this log instead of copying it.
     outputs: AppendLog<Value>,
     /// Sticky first declaration-validation failure (non-base action or
-    /// duplicate identity) — mirrors the batch op-list validation.
+    /// duplicate identity) — the reason every verdict reports first.
     declare_invalid: Option<String>,
     /// Per-group watcher fan-out, index-aligned with the engine's groups.
     watchers: Vec<Watchers>,
@@ -236,11 +243,11 @@ struct Aggregate {
     dirty_ops: BTreeSet<usize>,
     /// Unwatched groups that changed since the last verdict.
     dirty_undeclared: BTreeSet<GroupSym>,
-    /// Unwatched groups currently failing to erase (ascending symbol order
-    /// = the batch assembly's iteration order).
+    /// Unwatched groups currently failing to erase (ascending symbol
+    /// order: a verdict reports the first-seen one).
     undeclared_fail: BTreeMap<GroupSym, EraseFail>,
-    /// Requests whose state is `Bad` (ascending = first failure wins, as
-    /// in the batch per-request loop).
+    /// Requests whose state is `Bad` (ascending: the first failure in
+    /// submission order wins).
     failing_ops: BTreeSet<usize>,
     /// Indices `i ≥ 1` where both anchors are defined and
     /// `anchor[i-1] >= anchor[i]`.
@@ -344,20 +351,6 @@ impl Aggregate {
     }
 }
 
-/// One partition worker's decision for a single group — an installable
-/// memo entry for [`IncrementalState::absorb_primes`]. Opaque: carries
-/// the group symbol, the group's event count when the outcomes were
-/// computed (the staleness guard), and the search outcomes themselves.
-#[derive(Debug, Clone)]
-pub struct GroupPrime {
-    sym: GroupSym,
-    /// The group's event count at compute time: absorbing is refused when
-    /// the receiving cell has grown past it.
-    upto: usize,
-    exec: Option<ExecOutcome>,
-    erase: Option<EraseOutcome>,
-}
-
 /// The storage-free core of the online checker: the symbol-keyed engine
 /// (attribution state plus per-group partition with warm memo cells) and
 /// the dirty-tracked aggregate verdict, which holds the declared request
@@ -371,7 +364,9 @@ pub struct GroupPrime {
 /// question against any [`HistoryRead`] holding the consumed prefix —
 /// typically the shared `TraceStore` a ledger records into, so the
 /// monitor never owns a second copy of the trace. The self-contained
-/// [`IncrementalChecker`] wraps one of these around an owned [`History`].
+/// [`IncrementalChecker`] wraps one of these around an owned [`History`],
+/// and [`super::FastChecker`] builds a cold one per question and
+/// [`catch_up`](IncrementalState::catch_up)s it with the whole source.
 ///
 /// # Examples
 ///
@@ -423,7 +418,7 @@ struct CheckerObs {
     /// Verdict assemblies.
     verdicts: Counter,
     /// Fast-tier budget exhaustions while erasing undeclared groups — each
-    /// is a question the fast tier gave up on (the answer a batch caller
+    /// is a question the fast tier gave up on (the answer a tiered caller
     /// would escalate to the search tier).
     erase_budget_escalations: Counter,
     /// Per-request decisions lost to a search-budget exhaustion (exec or
@@ -496,10 +491,13 @@ impl IncrementalState {
             if agg.op_with_key(key) == NONE {
                 Ok(key)
             } else {
-                Err(msg_duplicate(action.base_name(), &input))
+                Err(format!(
+                    "duplicate request identity {}/{input}",
+                    action.base_name()
+                ))
             }
         } else {
-            Err(msg_not_base(&action))
+            Err(format!("request action {action} is not a base action"))
         };
         let key = match key {
             Ok(key) => key,
@@ -598,82 +596,28 @@ impl IncrementalState {
             });
     }
 
-    /// Decides every changed group of one symbol-mod partition and
-    /// returns the outcomes as installable [`GroupPrime`]s — the decide
-    /// half of the pipelined monitor (DESIGN.md §12).
+    /// Consumes the events of `h` past the cursor — `h` holds the
+    /// consumed prefix and maybe more — through
+    /// [`observe_batch`](Self::observe_batch), a chunk of 1 024 events at
+    /// a time: byte-identical to one [`observe`](Self::observe) per event,
+    /// and faster. How a monitor attached to a ledger mid-run catches up
+    /// with the store, and how [`super::FastChecker`] reads a whole source
+    /// into a cold state.
     ///
-    /// `exported` is the caller-owned export cursor: per-group event
-    /// counts at the previous export, grown on demand. A group is decided
-    /// when it belongs to the `shard`-of-`shards` partition (`sym % shards
-    /// == shard` — the same partition as `FastChecker::check_sharded`) and
-    /// its event count moved past the cursor. Watched groups get an exec
-    /// outcome; every changed group gets an erase outcome (a superset of
-    /// what a verdict can ask — cancelled rounds, undeclared groups, and
-    /// the abandoned-last-request fallback all erase). `h` must hold the
-    /// consumed prefix; it may extend past it (the searches gather only
-    /// the indices the groups hold, all inside the prefix).
-    pub fn export_primes<H: HistoryRead + ?Sized>(
-        &self,
-        h: &H,
-        shard: usize,
-        shards: usize,
-        exported: &mut Vec<usize>,
-    ) -> Vec<GroupPrime> {
-        debug_assert!(shards > 0 && shard < shards, "export_primes: bad shard");
-        let agg = self.agg.borrow();
-        let count = self.engine.group_count();
-        if exported.len() < count {
-            exported.resize(count, 0);
-        }
-        let mut primes = Vec::new();
-        let mut sym = shard;
-        while sym < count {
-            let group = sym as GroupSym;
-            let len = self.engine.group_len(group);
-            if len > exported[sym] {
-                exported[sym] = len;
-                let exec = (!agg.watchers[sym].is_undeclared())
-                    .then(|| self.engine.exec(group, h, self.budget));
-                let erase = Some(self.engine.erases(group, h, self.budget));
-                primes.push(GroupPrime {
-                    sym: group,
-                    upto: len,
-                    exec,
-                    erase,
-                });
-            }
-            sym += shards;
-        }
-        primes
-    }
-
-    /// Installs group decisions computed by a partition worker (another
-    /// `IncrementalState` cursor over the **same stream**, with the
-    /// **same budget**) into this state's memo cells. Returns how many
-    /// primes were installed; a prime whose group gained events since it
-    /// was computed is stale and skipped — the memo is recomputed on
-    /// demand instead.
+    /// # Panics
     ///
-    /// Priming is pure cache-warming: the memoized searches are pure
-    /// functions of the group's event indices (equal counts over one
-    /// stream ⇒ equal index sets) and the budget, so verdicts after an
-    /// absorb are byte-identical to verdicts without it.
-    pub fn absorb_primes(&self, primes: &[GroupPrime]) -> usize {
-        let mut installed = 0;
-        for prime in primes {
-            let known = (prime.sym as usize) < self.engine.group_count();
-            if !known || self.engine.group_len(prime.sym) != prime.upto {
-                continue;
+    /// Panics past `u32::MAX - 1` events (DESIGN.md §7).
+    pub fn catch_up<H: HistoryRead + ?Sized>(&mut self, h: &H) {
+        let unread = self.consumed()..h.len();
+        let mut chunk = Vec::with_capacity(unread.len().min(CATCH_UP_CHUNK));
+        for index in unread {
+            chunk.push(h.event_at(index));
+            if chunk.len() == CATCH_UP_CHUNK {
+                self.observe_batch(&chunk);
+                chunk.clear();
             }
-            if let Some(exec) = &prime.exec {
-                self.engine.prime_exec(prime.sym, exec);
-            }
-            if let Some(erase) = prime.erase {
-                self.engine.prime_erase(prime.sym, erase);
-            }
-            installed += 1;
         }
-        installed
+        self.observe_batch(&chunk);
     }
 
     /// The cursor position: how many events have been consumed.
@@ -804,9 +748,10 @@ impl IncrementalState {
         }
     }
 
-    /// One request's decision, `(output, effect anchor)` or why not — the
-    /// same case analysis, in the same order, as the batch assembly's
-    /// per-request loop.
+    /// One request's decision, `(output, effect anchor)` or why not: its
+    /// plain group executes, or — an undoable request run as §5.4
+    /// round-stamped transactions — exactly one round commits and
+    /// executes while every other round erases.
     fn decide_op<H: HistoryRead + ?Sized>(
         &self,
         entry: &OpEntry,
@@ -817,9 +762,6 @@ impl IncrementalState {
             (true, false) => entry.plain,
             (false, false) => return Err(OpFail::NeverExecuted),
             (false, true) => {
-                // Round-stamped transactions: exactly one round commits
-                // and must reduce to a failure-free execution; every
-                // other round must erase (cancelled rounds).
                 if entry.committed != 1 {
                     return Err(OpFail::CommittedRounds(entry.committed));
                 }
@@ -850,116 +792,145 @@ impl IncrementalState {
         }
     }
 
-    /// Materializes the exact batch-assembly message for a failing
-    /// request.
-    fn op_fail_verdict(&self, agg: &Aggregate, op: usize) -> Verdict {
-        let (action, input) = &self.request_at(agg, op);
-        let fail = |reason: String| fail_verdict(self.engine.ambiguous, reason);
-        let round_of = |sym: GroupSym| {
-            let (_, vs) = self.engine.key(sym);
-            self.engine.interner().value(vs)
-        };
-        match &agg.entries[op].state {
-            OpState::Bad(OpFail::NeverExecuted) => fail(msg_never_executed(action, input)),
-            OpState::Bad(OpFail::PlainAndStamped) => Verdict::Unknown {
-                reason: msg_plain_and_stamped(action, input),
-            },
-            OpState::Bad(OpFail::CommittedRounds(rounds)) => {
-                fail(msg_committed_rounds(action, input, *rounds as usize))
+    /// A rejection, as the attribution quality allows: once some
+    /// completion's attribution was ambiguous, a negative verdict is
+    /// unreliable (another attribution might have succeeded), so it is
+    /// downgraded to `Unknown`.
+    fn fail(&self, reason: String) -> Verdict {
+        if self.engine.ambiguous {
+            Verdict::Unknown {
+                reason: format!("(after ambiguous completion attribution) {reason}"),
             }
-            OpState::Bad(OpFail::RoundNotErasing(sym)) => fail(msg_not_erasing(
-                &what_cancelled_round(round_of(*sym), action, input),
-            )),
-            OpState::Bad(OpFail::RoundEraseBudget(sym)) => Verdict::Unknown {
-                reason: msg_erase_budget(&what_cancelled_round(round_of(*sym), action, input)),
-            },
-            OpState::Bad(OpFail::Stuck) => fail(msg_stuck(action, input)),
-            OpState::Bad(OpFail::ExecBudget) => Verdict::Unknown {
-                reason: msg_exec_budget(action, input),
-            },
-            OpState::Pending | OpState::Ok { .. } => {
-                unreachable!("only failing requests are materialized")
-            }
+        } else {
+            Verdict::NotXable { reason }
         }
     }
 
-    /// Assembles one R3 attempt from the aggregate: the first `ops_len`
-    /// requests must execute, and — for the second attempt —
-    /// `erasable_last`'s groups must erase instead. Mirrors the batch
-    /// assembly's evaluation order exactly: op-list validation, the
-    /// per-request loop (first failure wins), the erasable loop, the
-    /// undeclared loop, the effect-order check.
+    /// The verdict for events of `what` that must erase and do not:
+    /// `Unknown` when the search ran out of `budget`, a rejection when it
+    /// was exhausted.
+    fn not_erasing(&self, what: &dyn fmt::Display, budget: bool) -> Verdict {
+        if budget {
+            Verdict::Unknown {
+                reason: format!("per-group search budget exceeded erasing {what}"),
+            }
+        } else {
+            self.fail(format!("{what} left events that do not erase"))
+        }
+    }
+
+    /// The verdict reporting the failing request `op`.
+    fn op_fail_verdict(&self, agg: &Aggregate, op: usize) -> Verdict {
+        let (action, input) = &self.request_at(agg, op);
+        let cancelled_round = |sym: GroupSym| {
+            let round = self.engine.interner().value(self.engine.key(sym).1);
+            format!("cancelled round {round} of ({action}, {input})")
+        };
+        let OpState::Bad(fail) = agg.entries[op].state else {
+            unreachable!("only failing requests are materialized")
+        };
+        match fail {
+            OpFail::NeverExecuted => {
+                self.fail(format!("request ({action}, {input}) was never executed"))
+            }
+            OpFail::PlainAndStamped => Verdict::Unknown {
+                reason: format!(
+                    "request ({action}, {input}) has both plain and round-stamped events"
+                ),
+            },
+            OpFail::CommittedRounds(rounds) => self.fail(format!(
+                "request ({action}, {input}) committed in {rounds} rounds (want exactly 1)"
+            )),
+            OpFail::RoundNotErasing(sym) => self.not_erasing(&cancelled_round(sym), false),
+            OpFail::RoundEraseBudget(sym) => self.not_erasing(&cancelled_round(sym), true),
+            OpFail::Stuck => self.fail(format!(
+                "events of request ({action}, {input}) do not reduce to a failure-free execution"
+            )),
+            OpFail::ExecBudget => Verdict::Unknown {
+                reason: format!("per-group search budget exceeded for request ({action}, {input})"),
+            },
+        }
+    }
+
+    /// Assembles one attempt from the aggregate: the first `executed`
+    /// declared requests execute, and the groups of the declared requests
+    /// in `erasable` erase instead. Checked in this order, the first
+    /// failure reported: the declarations' validity, the executed requests
+    /// (first failure in submission order), the erasable requests, the
+    /// undeclared groups (first-seen first), the effect order.
     fn assemble<H: HistoryRead + ?Sized>(
         &self,
         agg: &Aggregate,
         h: &H,
-        ops_len: usize,
-        erasable_last: Option<usize>,
+        executed: usize,
+        erasable: Range<usize>,
     ) -> Verdict {
         if let Some(reason) = &agg.declare_invalid {
             return Verdict::Unknown {
                 reason: reason.clone(),
             };
         }
-        let fail = |reason: String| fail_verdict(self.engine.ambiguous, reason);
-        if let Some(&op) = agg.failing_ops.range(..ops_len).next() {
+        if let Some(&op) = agg.failing_ops.range(..executed).next() {
             return self.op_fail_verdict(agg, op);
         }
-        if let Some(last) = erasable_last {
-            let (action, input) = &self.request_at(agg, last);
-            let entry = &agg.entries[last];
-            let what = what_abandoned(action, input);
+        for op in erasable {
+            let entry = &agg.entries[op];
             let plain = (entry.plain != NONE).then_some(entry.plain);
             for sym in plain.into_iter().chain(self.engine.siblings(entry.stamped)) {
-                match self.engine.erases(sym, h, self.budget) {
-                    EraseOutcome::Erases => {}
-                    EraseOutcome::Stuck => return fail(msg_not_erasing(&what)),
-                    EraseOutcome::Budget => {
-                        return Verdict::Unknown {
-                            reason: msg_erase_budget(&what),
-                        };
-                    }
-                }
+                let budget = match self.engine.erases(sym, h, self.budget) {
+                    EraseOutcome::Erases => continue,
+                    EraseOutcome::Stuck => false,
+                    EraseOutcome::Budget => true,
+                };
+                let (action, input) = self.request_at(agg, op);
+                let what = format!("abandoned request ({action}, {input})");
+                return self.not_erasing(&what, budget);
             }
         }
         if let Some((&sym, how)) = agg.undeclared_fail.iter().next() {
             let (ns, vs) = self.engine.key(sym);
-            let what = what_undeclared(
-                self.engine.interner().action(ns),
-                self.engine.interner().value(vs),
+            let interner = self.engine.interner();
+            let what = format!(
+                "undeclared request {}/{}",
+                interner.action(ns),
+                interner.value(vs)
             );
-            return match how {
-                EraseFail::Stuck => fail(msg_not_erasing(&what)),
-                EraseFail::Budget => Verdict::Unknown {
-                    reason: msg_erase_budget(&what),
-                },
-            };
+            return self.not_erasing(&what, matches!(how, EraseFail::Budget));
         }
-        if ops_len > 1 && agg.order_bad.range(1..ops_len).next().is_some() {
-            return fail(MSG_OUT_OF_ORDER.to_owned());
+        // The paper's multi-request criterion (reduction to the ordered
+        // concatenation of failure-free histories) implicitly assumes the
+        // system quiesces between requests: rules 18/20 always keep the
+        // *latest* duplicate, so a harmless trailing duplicate (a slow
+        // replica's deduplicated re-execution or help-commit landing after
+        // the next request started) would make the ordered target
+        // unreachable even though every effect happened exactly once and
+        // in order. So the order checked is *effect* order: each request's
+        // surviving effect anchor must follow submission order (DESIGN.md
+        // §4.3).
+        if executed > 1 && agg.order_bad.range(1..executed).next().is_some() {
+            return self.fail("request effects occur out of submission order".to_owned());
         }
-        // Every request below `ops_len` is `Ok` here (none is failing, and
+        // Every request below `executed` is `Ok` here (none is failing, and
         // `refresh` left none pending), so its entry of the log is current.
         let mut outputs = agg.outputs.snapshot();
-        outputs.truncate(ops_len);
+        outputs.truncate(executed);
         Verdict::Xable {
             witness: Witness::from_outputs(outputs),
         }
     }
 
-    /// The R3 verdict for the consumed prefix, read from `h` — the stream
-    /// this state has been observing, which must hold exactly the
-    /// [`consumed`](IncrementalState::consumed) events in order.
-    ///
-    /// Equals `FastChecker::new(budget).check_requests` on that prefix
-    /// and [`requests()`](Self::requests), for the budget this state was
-    /// built with — but computed in O(groups touched since the last
-    /// verdict) instead of O(all groups).
-    pub fn verdict_over<H: HistoryRead + ?Sized>(&self, h: &H) -> Verdict {
+    /// `answer` read from the aggregate once it is up to date with the
+    /// consumed prefix `h` holds — or the permanent rejection an orphan
+    /// completion earned.
+    fn with_refreshed<H: HistoryRead + ?Sized>(
+        &self,
+        h: &H,
+        answer: impl FnOnce(&Aggregate) -> Verdict,
+    ) -> Verdict {
         debug_assert_eq!(
             h.len(),
             self.consumed(),
-            "verdict_over: the source must hold exactly the consumed prefix"
+            "a verdict's source must hold exactly the consumed prefix"
         );
         if let Some(reason) = &self.orphan {
             return Verdict::NotXable {
@@ -968,44 +939,50 @@ impl IncrementalState {
         }
         self.obs.verdicts.inc();
         self.refresh(h);
-        let agg = self.agg.borrow();
-        combine_r3_attempts(agg.op_keys.len(), |executed, abandoned| {
-            self.assemble(&agg, h, executed, abandoned)
+        answer(&self.agg.borrow())
+    }
+
+    /// The R3 verdict for the consumed prefix, read from `h` — the stream
+    /// this state has been observing, which must hold exactly the
+    /// [`consumed`](IncrementalState::consumed) events in order: x-able
+    /// with respect to [`requests()`](Self::requests) `R₁…Rₙ`, or to
+    /// `R₁…Rₙ₋₁` with `Rₙ`'s events erasing.
+    ///
+    /// Computed in O(groups touched since the last verdict); a cold state
+    /// fed the whole prefix answers exactly what
+    /// `FastChecker::new(budget).check_requests` does, because that is
+    /// how `FastChecker` answers.
+    pub fn verdict_over<H: HistoryRead + ?Sized>(&self, h: &H) -> Verdict {
+        self.with_refreshed(h, |agg| {
+            combine_r3_attempts(agg.op_keys.len(), |executed, abandoned| {
+                let erasable = abandoned.map_or(0..0, |last| last..last + 1);
+                self.assemble(agg, h, executed, erasable)
+            })
         })
     }
 
-    /// The verdict for an explicit `(ops, erasable)` question over the
-    /// consumed prefix held by `h`, bypassing the declared sequence and
-    /// the R3 last-request fallback (and the maintained aggregate — an
-    /// ad-hoc question runs the batch assembly over the warm memo cells).
-    /// Equals `FastChecker::new(budget).check` on that prefix.
-    pub fn verdict_for_over<H: HistoryRead + ?Sized>(
+    /// One explicit attempt over the consumed prefix held by `h`, with no
+    /// R3 fallback: the first `executed` declared requests execute and the
+    /// declared requests in `erasable` erase — `FastChecker::check`'s
+    /// `(ops, erasable)` question, declared as `ops` then `erasable`.
+    pub(crate) fn attempt_over<H: HistoryRead + ?Sized>(
         &self,
         h: &H,
-        ops: &[(ActionId, Value)],
-        erasable: &[(ActionId, Value)],
+        executed: usize,
+        erasable: Range<usize>,
     ) -> Verdict {
-        debug_assert_eq!(
-            h.len(),
-            self.consumed(),
-            "verdict_for_over: the source must hold exactly the consumed prefix"
-        );
-        if let Some(reason) = &self.orphan {
-            return Verdict::NotXable {
-                reason: reason.clone(),
-            };
-        }
-        crate::xable::fast::decide(h, &self.engine, self.budget, ops, erasable)
+        self.with_refreshed(h, |agg| self.assemble(agg, h, executed, erasable))
     }
 }
 
 /// An online R3 checker: push events as they are observed, declare
 /// requests as they are submitted, ask for a verdict at any prefix.
 ///
-/// Equivalent to running [`super::FastChecker`]'s `check_requests` on the
-/// full current prefix, but with the partition maintained incrementally,
-/// per-group search outcomes cached across pushes, and the verdict
-/// assembled from a dirty-tracked aggregate (O(dirty groups) per call).
+/// Answers what [`super::FastChecker`]'s `check_requests` answers on the
+/// full current prefix — `FastChecker` is this checker's state fed all at
+/// once — but with the partition maintained across pushes, per-group
+/// search outcomes cached, and the verdict assembled from a dirty-tracked
+/// aggregate (O(dirty groups) per call).
 ///
 /// This is the self-contained flavour: it owns its copy of the consumed
 /// prefix. When the events already live in a shared store (the service
@@ -1099,18 +1076,6 @@ impl IncrementalChecker {
     pub fn verdict(&self) -> Verdict {
         self.state.verdict_over(&self.history)
     }
-
-    /// The verdict for an explicit `(ops, erasable)` question over the
-    /// current prefix, bypassing the declared sequence and the R3
-    /// last-request fallback. Equals `FastChecker::new(budget).check` on
-    /// the prefix, for the budget this checker was built with.
-    pub fn verdict_for(
-        &self,
-        ops: &[(ActionId, Value)],
-        erasable: &[(ActionId, Value)],
-    ) -> Verdict {
-        self.state.verdict_for_over(&self.history, ops, erasable)
-    }
 }
 
 #[cfg(test)]
@@ -1142,7 +1107,8 @@ mod tests {
         Event::complete(a.clone(), Value::Nil)
     }
 
-    /// Batch verdict over the checker's own prefix, for agreement checks.
+    /// The cold verdict — a fresh state fed the checker's whole prefix at
+    /// once — for warm-vs-cold agreement checks.
     fn batch(inc: &IncrementalChecker) -> Verdict {
         let requests: Vec<Request> = inc.requests().map(|(a, iv)| Request::new(a, iv)).collect();
         FastChecker::default().check_requests(inc.history(), &requests)
@@ -1161,19 +1127,18 @@ mod tests {
         let ops = [(a.clone(), Value::from(1))];
         let mut inc = IncrementalChecker::new();
         inc.declare(a.clone(), Value::from(1));
+        let strict =
+            |inc: &IncrementalChecker| FastChecker::default().check(inc.history(), &ops, &[]);
         // Strictly (no abandonment fallback), an unexecuted request is not
         // x-able; under R3 the last request may always be abandoned.
-        assert!(!inc.verdict_for(&ops, &[]).is_xable());
+        assert!(!strict(&inc).is_xable());
         assert!(
             inc.verdict().is_xable(),
             "R3 allows an unsubmitted last request"
         );
 
         inc.push(s(&a, 1));
-        assert!(
-            !inc.verdict_for(&ops, &[]).is_xable(),
-            "started, not completed"
-        );
+        assert!(!strict(&inc).is_xable(), "started, not completed");
 
         inc.push(s(&a, 1));
         inc.push(c(&a, 5));
@@ -1289,18 +1254,6 @@ mod tests {
     }
 
     #[test]
-    fn verdict_for_matches_fast_check() {
-        let a = idem("a");
-        let mut inc = IncrementalChecker::new();
-        inc.push_all([s(&a, 1), c(&a, 5)]);
-        let ops = [(a, Value::from(1))];
-        assert_eq!(
-            inc.verdict_for(&ops, &[]),
-            FastChecker::default().check(inc.history(), &ops, &[])
-        );
-    }
-
-    #[test]
     fn storage_free_state_agrees_with_owned_checker() {
         // An IncrementalState observing the same stream as an owned
         // IncrementalChecker, with the events living in one shared
@@ -1331,11 +1284,13 @@ mod tests {
             assert_eq!(state.verdict_over(&shared), owned.verdict());
             assert!(state.requests().eq(owned.requests()));
         }
+        // The explicit question over the shared events: b executes and
+        // u's cancelled round erases.
         let ops = [(b.clone(), Value::from(2))];
         let erasable = [(u.clone(), Value::from(1))];
         assert_eq!(
-            state.verdict_for_over(&shared, &ops, &erasable),
-            owned.verdict_for(&ops, &erasable)
+            FastChecker::default().check(&shared, &ops, &erasable),
+            Verdict::xable(vec![Value::from(9)])
         );
     }
 
@@ -1532,14 +1487,6 @@ mod tests {
             }
             inc.push_all(events);
             assert_eq!(inc.verdict(), batch(&inc), "step {step}");
-            // An ad-hoc question runs the batch assembly over the same
-            // cells: every exec it asks for is a hit.
-            let ops: Vec<_> = inc.requests().collect();
-            assert_eq!(
-                inc.verdict_for(&ops, &[]),
-                FastChecker::default().check(inc.history(), &ops, &[]),
-                "step {step}"
-            );
         }
         let v = inc.verdict();
         assert_eq!(outputs(&v), [Value::from("ok"), Value::from(9)]);
@@ -1708,10 +1655,10 @@ mod tests {
             assert_eq!(state.declared_len(), k + 1);
             assert!(state.requests().eq(declared[..=k].iter().cloned()));
         }
-        // The first invalid declaration is the sticky reason, as in the
-        // batch op-list validation.
+        // The first invalid declaration is the sticky reason.
         let v = state.verdict_over(&History::empty());
-        assert_eq!(v.reason(), Some(msg_not_base(&cancel).as_str()));
+        let reason = format!("request action {cancel} is not a base action");
+        assert_eq!(v.reason(), Some(reason.as_str()));
         assert_eq!(size_of::<Watchers>(), 8);
         assert!(size_of::<OpEntry>() <= 24);
     }

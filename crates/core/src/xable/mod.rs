@@ -20,14 +20,15 @@
 //! * [`TieredChecker`] — the fast→search escalation policy callers used to
 //!   hand-roll, with per-tier budgets.
 //! * [`IncrementalChecker`] — the online decider: `push(event)` in
-//!   amortized O(1), a verdict at any prefix, agreeing with
-//!   [`FastChecker`] by construction (it runs the same engine with its
-//!   per-group state maintained across pushes). Its storage-free core,
+//!   amortized O(1), a verdict at any prefix. Its storage-free core,
 //!   [`IncrementalState`], is a cursor over an event stream owned by
 //!   someone else (a shared trace store), for monitoring without a
-//!   second copy of the trace.
+//!   second copy of the trace — and it is [`FastChecker`]'s decider too:
+//!   a fast check is a cold state fed the whole history at once.
 //!
-//! The submodules [`search`] and [`fast`] hold the respective engines.
+//! The submodules [`search`] and [`fast`] hold the respective engines;
+//! [`incremental`] assembles the fast engine's per-group outcomes into
+//! verdicts.
 
 pub mod checker;
 pub mod fast;
@@ -35,5 +36,5 @@ pub mod incremental;
 pub mod search;
 
 pub use checker::{Checker, FastChecker, SearchChecker, TieredChecker, Verdict, Witness};
-pub use incremental::{GroupPrime, IncrementalChecker, IncrementalState};
+pub use incremental::{IncrementalChecker, IncrementalState};
 pub use search::{is_xable_search, search_reduction, SearchBudget, SearchResult};

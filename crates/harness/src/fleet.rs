@@ -12,10 +12,8 @@
 //! seed order, so neither the worker count nor thread scheduling can leak
 //! into the result.
 //!
-//! This is the harness-level counterpart of the checker's
-//! `FastChecker::check_sharded`: scenario executions never share state
-//! (each run owns its world, ledger, and monitor), just as per-group
-//! reduction searches never share events.
+//! Scenario executions never share state (each run owns its world,
+//! ledger, and monitor), which is what makes the split sound.
 //!
 //! # Examples
 //!

@@ -203,8 +203,8 @@ mod tests {
     }
 
     /// Messages share their request and values with the results and events
-    /// the fleet and the pipelined monitor do move between threads; fails
-    /// to compile if any of that sharing is ever `Rc`.
+    /// the fleet does move between threads; fails to compile if any of
+    /// that sharing is ever `Rc`.
     #[test]
     fn messages_and_decisions_cross_threads() {
         fn assert_send_sync<T: Send + Sync>() {}

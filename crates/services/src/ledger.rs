@@ -24,10 +24,9 @@ use std::io;
 use std::path::Path;
 use std::rc::Rc;
 
-use xability_core::xable::{IncrementalState, SearchBudget, Verdict};
+use xability_core::xable::{IncrementalState, Verdict};
 use xability_core::{ActionName, Event, Request, Value};
 
-use crate::pipeline::{PipelinedMonitor, DEFAULT_WINDOW};
 use xability_obs::{Counter, Histogram, Obs};
 use xability_sim::SimTime;
 use xability_store::{
@@ -154,10 +153,6 @@ pub struct Ledger {
     effects: Vec<EffectRecord>,
     violations: Vec<String>,
     monitor: Option<IncrementalState>,
-    /// The opt-in pipelined monitor mode ([`Ledger::attach_pipelined_monitor`]),
-    /// mutually exclusive with `monitor`. `RefCell` because a verdict
-    /// flushes and absorbs windows behind the `&self` query API.
-    pipelined: Option<RefCell<PipelinedMonitor>>,
     spill: Option<Spill>,
     obs: LedgerObs,
 }
@@ -279,7 +274,6 @@ impl Ledger {
             effects: Vec::new(),
             violations: Vec::new(),
             monitor: None,
-            pipelined: None,
             spill: None,
             obs: LedgerObs::default(),
         }
@@ -293,9 +287,6 @@ impl Ledger {
         if let Some(monitor) = &mut self.monitor {
             monitor.attach_obs(obs);
         }
-        if let Some(pipelined) = &mut self.pipelined {
-            pipelined.get_mut().attach_obs(obs);
-        }
     }
 
     /// Records a formal event observation. When an online monitor is
@@ -307,13 +298,7 @@ impl Ledger {
         if let Some(monitor) = &mut self.monitor {
             monitor.observe(&event);
         }
-        if let Some(pipelined) = &self.pipelined {
-            pipelined.borrow_mut().observe(&event);
-        }
         self.store.push(&event);
-        if let Some(pipelined) = &self.pipelined {
-            pipelined.borrow_mut().publish(&self.store);
-        }
         self.extend_meta(1, at, service);
         self.obs.record_ingest(at, 1);
         self.maybe_spill();
@@ -328,13 +313,7 @@ impl Ledger {
         if let Some(monitor) = &mut self.monitor {
             monitor.observe_batch(events);
         }
-        if let Some(pipelined) = &self.pipelined {
-            pipelined.borrow_mut().observe_batch(events);
-        }
         self.store.push_batch(events);
-        if let Some(pipelined) = &self.pipelined {
-            pipelined.borrow_mut().publish(&self.store);
-        }
         self.extend_meta(events.len(), at, service);
         self.obs.batches.inc();
         self.obs.batch_size.record(events.len() as u64);
@@ -438,7 +417,7 @@ impl Ledger {
     pub fn reopen_spill(dir: impl AsRef<Path>) -> io::Result<(Ledger, RecoveryReport)> {
         let (store, report) = recover_store(dir)?;
         let mut monitor = IncrementalState::new();
-        replay(&store, &mut monitor);
+        monitor.catch_up(&store.view());
         let mut ledger = Ledger::without_monitor();
         ledger.store = store;
         ledger.extend_meta(ledger.store.len(), SimTime::ZERO, "(reopened)");
@@ -491,9 +470,10 @@ impl Ledger {
         }
     }
 
-    /// Attaches an online R3 monitor. Events already recorded are replayed
-    /// into it from the store (via a cursor), so attaching mid-run observes
-    /// the same prefix a monitor attached at creation would have.
+    /// Attaches an online R3 monitor. Events already recorded are fed to
+    /// it from the store ([`IncrementalState::catch_up`]), so attaching
+    /// mid-run observes the same prefix a monitor attached at creation
+    /// would have.
     ///
     /// # Errors
     ///
@@ -506,63 +486,30 @@ impl Ledger {
         &mut self,
         mut monitor: IncrementalState,
     ) -> Result<(), MonitorAlreadyAttached> {
-        if self.monitor.is_some() || self.pipelined.is_some() {
+        if self.monitor.is_some() {
             return Err(MonitorAlreadyAttached);
         }
-        replay(&self.store, &mut monitor);
+        monitor.catch_up(&self.store.view());
         self.monitor = Some(monitor);
         Ok(())
     }
 
-    /// Attaches a **pipelined** online R3 monitor with `workers` decide
-    /// workers (DESIGN.md §12): the opt-in monitor mode that keeps
-    /// recording on this thread down to O(1) attribution and ships each
-    /// published snapshot window's reduction searches to a
-    /// symbol-partitioned worker pool. Verdicts remain byte-identical to
-    /// the sequential monitor's. Events already recorded are replayed
-    /// into it, like [`Ledger::attach_monitor`].
+    /// [`Ledger::attach_monitor`] with a default [`IncrementalState`],
+    /// under its old pipelined name: `workers` is ignored, and there is no
+    /// code path of its own. Kept only because the benchmark's
+    /// `services.pipelined_speedup_2w` probe calls it; the method goes
+    /// together with that probe in the next benchmark refresh (ROADMAP
+    /// item 7).
     ///
     /// # Errors
     ///
-    /// Returns [`MonitorAlreadyAttached`] when the ledger already has a
-    /// monitor of either mode (including the default one [`Ledger::new`]
-    /// installs); build with [`Ledger::without_monitor`] first.
+    /// Returns [`MonitorAlreadyAttached`] exactly when
+    /// [`Ledger::attach_monitor`] does.
     pub fn attach_pipelined_monitor(
         &mut self,
-        workers: usize,
+        _workers: usize,
     ) -> Result<(), MonitorAlreadyAttached> {
-        self.attach_pipelined_monitor_with(workers, DEFAULT_WINDOW, SearchBudget::small())
-    }
-
-    /// Attaches a pipelined monitor with an explicit window size and
-    /// per-group search budget (see
-    /// [`Ledger::attach_pipelined_monitor`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorAlreadyAttached`] when the ledger already has a
-    /// monitor of either mode.
-    pub fn attach_pipelined_monitor_with(
-        &mut self,
-        workers: usize,
-        window: usize,
-        budget: SearchBudget,
-    ) -> Result<(), MonitorAlreadyAttached> {
-        if self.monitor.is_some() || self.pipelined.is_some() {
-            return Err(MonitorAlreadyAttached);
-        }
-        let mut pipelined = PipelinedMonitor::with_config(workers, window, budget);
-        let replay: Vec<Event> = self.store.cursor_at(0).collect();
-        pipelined.observe_batch(&replay);
-        pipelined.publish(&self.store);
-        self.pipelined = Some(RefCell::new(pipelined));
-        Ok(())
-    }
-
-    /// The attached pipelined monitor, if the ledger runs in the
-    /// pipelined mode ([`Ledger::attach_pipelined_monitor`]).
-    pub fn pipelined_monitor(&self) -> Option<&RefCell<PipelinedMonitor>> {
-        self.pipelined.as_ref()
+        self.attach_monitor(IncrementalState::new())
     }
 
     /// The attached online monitor, if any.
@@ -580,11 +527,7 @@ impl Ledger {
     /// attached. The monitor reads the prefix it has consumed through a
     /// zero-copy view — it never owns a second copy of the trace.
     pub fn monitor_verdict(&self) -> Option<Verdict> {
-        let verdict = match (&self.monitor, &self.pipelined) {
-            (Some(monitor), _) => monitor.verdict_over(&self.store.view()),
-            (None, Some(pipelined)) => pipelined.borrow_mut().verdict_over(&self.store),
-            (None, None) => return None,
-        };
+        let verdict = self.monitor.as_ref()?.verdict_over(&self.store.view());
         // The verdict's staleness window: ticks of history consumed since
         // the previous verdict (the anchor is the last recorded event's
         // tick — the registry itself never reads a clock).
@@ -626,13 +569,6 @@ impl Ledger {
             assert_extends(declared, monitor.requests(), submitted);
             for request in submitted.iter().skip(declared) {
                 monitor.declare_request(request);
-            }
-        } else if let Some(pipelined) = &self.pipelined {
-            let mut pipelined = pipelined.borrow_mut();
-            let declared = pipelined.declared_len();
-            assert_extends(declared, pipelined.requests(), submitted);
-            for request in submitted.iter().skip(declared) {
-                pipelined.declare_request(request);
             }
         }
     }
@@ -833,24 +769,6 @@ impl Ledger {
     }
 }
 
-/// Events per `observe_batch` call when a monitor catches up with a store.
-const REPLAY_CHUNK: usize = 1024;
-
-/// Feeds `monitor` the events of `store` it has not consumed yet, a chunk
-/// at a time through the batch path (byte-identical to one `observe` per
-/// event, and faster).
-fn replay(store: &TraceStore, monitor: &mut IncrementalState) {
-    let mut chunk = Vec::with_capacity(REPLAY_CHUNK);
-    for event in store.cursor_at(monitor.consumed()) {
-        chunk.push(event);
-        if chunk.len() == REPLAY_CHUNK {
-            monitor.observe_batch(&chunk);
-            chunk.clear();
-        }
-    }
-    monitor.observe_batch(&chunk);
-}
-
 /// A ledger shared by every service of a (single-threaded) simulation.
 pub type SharedLedger = Rc<RefCell<Ledger>>;
 
@@ -862,6 +780,7 @@ pub fn shared_ledger() -> SharedLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xability_core::xable::{Checker, FastChecker};
     use xability_core::ActionId;
 
     fn t(ms: u64) -> SimTime {
@@ -1132,11 +1051,11 @@ mod tests {
 
     #[test]
     fn a_late_monitor_catches_up_in_chunks() {
-        // More than two replay chunks, not a multiple of the chunk size:
-        // the chunked replay must leave the monitor exactly where a
-        // monitor attached from the start is.
+        // More than two catch-up chunks (1 024 events each), not a
+        // multiple of the chunk size: the chunked catch-up must leave the
+        // monitor exactly where a monitor attached from the start is.
         let a = ActionId::base(ActionName::idempotent("a"));
-        let n = (2 * REPLAY_CHUNK + 7) as i64;
+        let n = (2 * 1024 + 7) as i64;
         let requests: Vec<Request> = (0..n)
             .map(|k| Request::new(a.clone(), Value::from(k)))
             .collect();
@@ -1155,6 +1074,106 @@ mod tests {
         let verdict = late.monitor_verdict().expect("attached");
         assert!(verdict.is_xable(), "{verdict}");
         assert_eq!(Some(verdict), live.monitor_verdict());
+    }
+
+    /// `n` requests cycling through four shapes — idempotent clean,
+    /// idempotent retried, undoable committed, undoable cancelled then
+    /// committed — each with its events; request `double` (an undoable
+    /// one) commits a second round.
+    fn mixed_requests(n: usize, double: Option<usize>) -> Vec<(Request, Vec<Event>)> {
+        let put = ActionId::base(ActionName::idempotent("put"));
+        let xfer = ActionId::base(ActionName::undoable("xfer"));
+        let (cancel, commit) = (xfer.cancel().unwrap(), xfer.commit().unwrap());
+        (0..n)
+            .map(|i| {
+                let key = Value::from(format!("r{i}"));
+                let round = |k: i64| Value::pair(key.clone(), Value::from(k));
+                let output = Value::from(i as i64);
+                let mut events = Vec::new();
+                if i % 4 < 2 {
+                    events.extend((0..=i % 4).map(|_| Event::start(put.clone(), key.clone())));
+                    events.push(Event::complete(put.clone(), output));
+                    return (Request::new(put.clone(), key), events);
+                }
+                if i % 4 == 3 {
+                    events.push(Event::start(xfer.clone(), round(1)));
+                    events.push(Event::start(cancel.clone(), round(1)));
+                    events.push(Event::complete(cancel.clone(), Value::Nil));
+                }
+                let committed = if double == Some(i) { 2..4 } else { 2..3 };
+                for k in committed {
+                    events.push(Event::start(xfer.clone(), round(k)));
+                    events.push(Event::complete(xfer.clone(), output.clone()));
+                    events.push(Event::start(commit.clone(), round(k)));
+                    events.push(Event::complete(commit.clone(), Value::Nil));
+                }
+                (Request::new(xfer.clone(), key), events)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_cold_check_of_the_history_equals_the_warm_monitor() {
+        // The batch check is the online checker fed all at once: over
+        // the ledger's own history it answers what the monitor, warm from
+        // a verdict every few requests, answers — for an x-able trace and
+        // for one with a planted double commit.
+        for double in [None, Some(6)] {
+            let mut ledger = Ledger::new();
+            let mut requests = Vec::new();
+            for (i, (request, events)) in mixed_requests(40, double).into_iter().enumerate() {
+                requests.push(request);
+                ledger.declare_requests(&requests);
+                ledger.record_batch(&events, t(i as u64), "svc");
+                if i % 8 == 7 {
+                    let warm = ledger.monitor_verdict().expect("default monitor");
+                    let cold =
+                        FastChecker::default().check_requests_source(&ledger.history(), &requests);
+                    assert_eq!(cold, warm, "after request {i}");
+                }
+            }
+            let verdict = ledger.monitor_verdict().expect("default monitor");
+            assert_eq!(verdict.is_xable(), double.is_none(), "{verdict}");
+        }
+    }
+
+    #[test]
+    fn the_pipelined_name_attaches_an_ordinary_monitor() {
+        let mut ledger = Ledger::new();
+        assert_eq!(
+            ledger.attach_pipelined_monitor(2),
+            Err(MonitorAlreadyAttached)
+        );
+        // Attached mid-trace, the forward and `attach_monitor` catch up
+        // with the same prefix and answer alike from then on.
+        let (mut forwarded, mut attached) = (Ledger::without_monitor(), Ledger::without_monitor());
+        let trace = mixed_requests(16, Some(10));
+        for (i, (_, events)) in trace.iter().enumerate() {
+            if i == 5 {
+                forwarded.attach_pipelined_monitor(2).expect("bare ledger");
+                attached
+                    .attach_monitor(IncrementalState::new())
+                    .expect("bare ledger");
+            }
+            for ledger in [&mut forwarded, &mut attached] {
+                ledger.record_batch(events, t(i as u64), "svc");
+            }
+        }
+        let requests: Vec<Request> = trace.into_iter().map(|(request, _)| request).collect();
+        for ledger in [&mut forwarded, &mut attached] {
+            ledger.declare_requests(&requests);
+            assert_eq!(
+                ledger.attach_pipelined_monitor(2),
+                Err(MonitorAlreadyAttached)
+            );
+        }
+        let verdict = forwarded.monitor_verdict().expect("attached");
+        assert!(!verdict.is_xable(), "{verdict}");
+        assert_eq!(Some(verdict), attached.monitor_verdict());
+        assert_eq!(
+            forwarded.monitor().unwrap().consumed(),
+            attached.monitor().unwrap().consumed()
+        );
     }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {

@@ -56,7 +56,6 @@ pub mod catalog;
 pub mod core;
 pub mod ledger;
 pub mod logic;
-pub mod pipeline;
 
 pub use core::{FailurePlan, InvokeOutcome, OpKind, ServiceConfig, ServiceCore, ServiceRequest};
 pub use ledger::{
@@ -64,7 +63,6 @@ pub use ledger::{
     SharedLedger,
 };
 pub use logic::BusinessLogic;
-pub use pipeline::PipelinedMonitor;
 
 #[cfg(test)]
 mod tests {

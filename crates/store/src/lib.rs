@@ -19,8 +19,7 @@
 //!   fast and incremental checkers run on it directly, and
 //!   [`HistoryView::to_history`] / [`TraceStore::from_history`] convert
 //!   losslessly to/from the owned [`History`] the search tier needs.
-//! * [`TraceCursor`] iterates a snapshot from a position — the replay
-//!   primitive behind `Ledger::attach_monitor`.
+//! * [`TraceCursor`] iterates a snapshot from a position.
 //! * [`trace`] is the versioned binary record/replay format
 //!   ([`write_trace`] / [`read_trace`]): the harness dumps a run's trace
 //!   to disk, tests replay it bit-for-bit. Version 3 frames the payload

@@ -95,14 +95,6 @@ impl EventRepr {
     }
 }
 
-fn role_of(action: &ActionId) -> u8 {
-    match action {
-        ActionId::Base(_) => ROLE_BASE,
-        ActionId::Cancel(_) => ROLE_CANCEL,
-        ActionId::Commit(_) => ROLE_COMMIT,
-    }
-}
-
 /// The append-only, interned, segmented store for one event stream.
 ///
 /// Appends are amortized O(1) and never move old segments; see
@@ -149,7 +141,7 @@ impl TraceStore {
         };
         let repr = EventRepr::new(
             is_complete,
-            role_of(action),
+            action.role(),
             self.interner.intern_action(action.base_name()),
             self.interner.intern_value(value),
         );
@@ -209,7 +201,7 @@ impl TraceStore {
             };
             self.events.push(EventRepr::new(
                 is_complete,
-                role_of(action),
+                action.role(),
                 action_sym,
                 value_sym,
             ));
@@ -273,9 +265,7 @@ impl TraceStore {
         self.snapshot().view()
     }
 
-    /// A cursor iterating the current stream from `position` — the
-    /// replay primitive (`Ledger::attach_monitor` feeds a late-attached
-    /// monitor from one of these).
+    /// A cursor iterating the current stream from `position`.
     ///
     /// # Panics
     ///
@@ -617,8 +607,7 @@ impl fmt::Display for HistoryView {
     }
 }
 
-/// An owning iterator over a snapshot from a position — the replay
-/// primitive behind late monitor attachment and trace re-checking.
+/// An owning iterator over a snapshot from a position.
 #[derive(Debug, Clone)]
 pub struct TraceCursor {
     snap: TraceSnapshot,
@@ -686,6 +675,15 @@ mod tests {
     #[test]
     fn repr_is_12_bytes() {
         assert_eq!(std::mem::size_of::<EventRepr>(), 12);
+    }
+
+    #[test]
+    fn role_tags_are_the_action_role_codes() {
+        // The tags are the trace format's; `ActionId::role` is what every
+        // writer packs, so the two must never drift apart.
+        let u = undo("xfer");
+        let roles = [u.clone(), u.cancel().unwrap(), u.commit().unwrap()].map(|a| a.role());
+        assert_eq!(roles, [ROLE_BASE, ROLE_CANCEL, ROLE_COMMIT]);
     }
 
     #[test]

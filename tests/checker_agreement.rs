@@ -202,14 +202,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Fast checker verdicts agree with the exhaustive search on single
-    /// idempotent requests.
+    /// idempotent requests — asked alone, and with two erasable requests
+    /// beside it (one whose events the history holds, one it lacks). The
+    /// search ignores `erasable`: its strict target already demands that
+    /// every other event reduces away.
     #[test]
     fn fast_agrees_with_search_idempotent(h in arb_history(8)) {
         let a = ActionId::base(ActionName::idempotent("i"));
+        let u = ActionId::base(ActionName::undoable("u"));
         let ops = [(a, Value::from(1))];
-        let search = SearchChecker::default().check(&h, &ops, &[]);
-        let fast = FastChecker::default().check(&h, &ops, &[]);
-        assert_no_contradiction(&h, &search, &fast)?;
+        let two_erasable = [(u.clone(), Value::from(1)), (u, Value::from(2))];
+        for erasable in [&[][..], &two_erasable] {
+            let search = SearchChecker::default().check(&h, &ops, erasable);
+            let fast = FastChecker::default().check(&h, &ops, erasable);
+            assert_no_contradiction(&h, &search, &fast)?;
+        }
     }
 
     /// Same agreement for single undoable requests.

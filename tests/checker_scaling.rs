@@ -1,25 +1,20 @@
-//! The O(dirty) and parallel-determinism contracts of the refactored
-//! checker engine.
+//! The O(dirty) contract of the checker engine.
 //!
-//! * The dirty-tracked aggregate behind `IncrementalChecker::verdict` must
-//!   be *invisible*: a verdict after **every** push equals the batch
-//!   `FastChecker` on the same prefix — exactly, including reasons —
-//!   on protocol-shaped traces with retried idempotent requests,
-//!   round-stamped undoable transactions, injected anomalies, and
-//!   undeclared tails (proptest), and on a 10k-event heavy-traffic trace
-//!   (deterministic test; the batch oracle is sampled there because
-//!   re-checking every prefix from scratch is exactly the O(n²) behaviour
-//!   the aggregate removes — per-push verdicts themselves run at every
-//!   prefix).
-//! * `FastChecker::check_sharded` must return **byte-identical** verdicts
-//!   and witnesses for 1, 2, and 8 workers, equal to the sequential
-//!   checker, on x-able, not-x-able, and undecidable inputs.
+//! The dirty-tracked aggregate behind `IncrementalChecker::verdict` must
+//! be *invisible*: a verdict after **every** push equals the batch
+//! `FastChecker` on the same prefix — exactly, including reasons — on
+//! protocol-shaped traces with retried idempotent requests, round-stamped
+//! undoable transactions, injected anomalies, and undeclared tails
+//! (proptest), and on a 10k-event heavy-traffic trace (deterministic test;
+//! the batch oracle is sampled there because re-checking every prefix from
+//! scratch is exactly the O(n²) behaviour the aggregate removes — per-push
+//! verdicts themselves run at every prefix).
 
 use proptest::prelude::*;
 
-use xability::core::xable::{Checker, FastChecker, IncrementalChecker, Verdict};
+use xability::core::xable::{Checker, FastChecker, IncrementalChecker};
 use xability::core::{ActionId, ActionName, Event, History, Request, Value};
-use xability_bench::{n_requests_with_cancelled_rounds, n_retried_requests};
+use xability_bench::n_retried_requests;
 
 fn requests_of(ops: &[(ActionId, Value)]) -> Vec<Request> {
     ops.iter()
@@ -169,32 +164,6 @@ proptest! {
             );
         }
     }
-
-    /// The sharded batch check is byte-identical to the sequential one
-    /// for every worker count, on random protocol-shaped traces.
-    #[test]
-    fn sharded_equals_sequential_on_random_traces(
-        specs in prop::collection::vec(arb_spec(), 1..6),
-    ) {
-        let mut events: Vec<Event> = Vec::new();
-        let mut ops: Vec<(ActionId, Value)> = Vec::new();
-        for (i, spec) in specs.iter().enumerate() {
-            let (block, op) = events_for(i, spec);
-            events.extend(block);
-            ops.push(op);
-        }
-        let h = History::from_events(events);
-        let requests = requests_of(&ops);
-        let checker = FastChecker::default();
-        let sequential = checker.check_requests(&h, &requests);
-        for workers in [1usize, 2, 8] {
-            prop_assert_eq!(
-                &checker.check_requests_sharded(&h, &requests, workers),
-                &sequential,
-                "workers={}", workers
-            );
-        }
-    }
 }
 
 /// A 10k-event heavy-traffic trace with a verdict read after **every**
@@ -237,69 +206,4 @@ fn ten_thousand_event_trace_verdict_after_every_push() {
     // the complete trace.
     assert_eq!(xable_count, 2, "exactly the quiescent prefixes are x-able");
     assert!(inc.verdict().is_xable());
-}
-
-/// `check_sharded` with 1, 2, and 8 workers returns byte-identical
-/// verdicts and witnesses (asserted via full `Verdict` equality, which
-/// compares outputs, witnesses, and reason strings) on x-able,
-/// not-x-able, and undecidable traces — the determinism half of the
-/// sharding contract.
-#[test]
-fn sharded_verdicts_are_byte_identical_across_worker_counts() {
-    let checker = FastChecker::default();
-
-    // X-able: cancelled-round transactions (stamped groups, erase + exec
-    // searches on the worker threads).
-    let (h, ops) = n_requests_with_cancelled_rounds(24);
-    let requests = requests_of(&ops);
-    let sequential = checker.check_requests(&h, &requests);
-    assert!(sequential.is_xable(), "{sequential}");
-
-    // Not-x-able: a disagreeing duplicate completion.
-    let a = ActionId::base(ActionName::idempotent("put"));
-    let bad: History = [
-        Event::start(a.clone(), Value::from(1)),
-        Event::complete(a.clone(), Value::from(5)),
-        Event::start(a.clone(), Value::from(1)),
-        Event::complete(a.clone(), Value::from(6)),
-    ]
-    .into_iter()
-    .collect();
-    let bad_ops = [(a.clone(), Value::from(1))];
-    let bad_sequential = checker.check(&bad, &bad_ops, &[]);
-    assert!(bad_sequential.is_not_xable(), "{bad_sequential}");
-
-    // Undecidable: ambiguous completion attribution.
-    let fog: History = [
-        Event::start(a.clone(), Value::from(1)),
-        Event::start(a.clone(), Value::from(2)),
-        Event::complete(a.clone(), Value::from(7)),
-        Event::complete(a.clone(), Value::from(7)),
-    ]
-    .into_iter()
-    .collect();
-    let fog_ops = [(a.clone(), Value::from(1)), (a, Value::from(2))];
-    let fog_sequential = checker.check(&fog, &fog_ops, &[]);
-    assert!(
-        matches!(fog_sequential, Verdict::Unknown { .. }),
-        "{fog_sequential}"
-    );
-
-    for workers in [1usize, 2, 8] {
-        assert_eq!(
-            checker.check_requests_sharded(&h, &requests, workers),
-            sequential,
-            "x-able trace, workers={workers}"
-        );
-        assert_eq!(
-            checker.check_sharded(&bad, &bad_ops, &[], workers),
-            bad_sequential,
-            "not-x-able trace, workers={workers}"
-        );
-        assert_eq!(
-            checker.check_sharded(&fog, &fog_ops, &[], workers),
-            fog_sequential,
-            "undecidable trace, workers={workers}"
-        );
-    }
 }

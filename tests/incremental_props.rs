@@ -1,13 +1,20 @@
 //! Property tests for the online checker: feeding a random
 //! protocol-shaped history event by event into [`IncrementalChecker`] must
-//! agree with the batch [`FastChecker`] at *every* prefix, and with the
-//! exhaustive [`SearchChecker`] oracle on the final verdict of small
-//! histories.
+//! agree with the batch [`FastChecker`] — the same checker fed the whole
+//! prefix at once — at *every* prefix, and with the exhaustive
+//! [`SearchChecker`] oracle on the final verdict of small histories. And
+//! the batch ingest contract: `observe_batch` over any chunking of a
+//! stream leaves the state verdict-equivalent to per-event `observe`,
+//! anomalies (orphan completions, undeclared groups, cancelled rounds)
+//! included.
 
 use proptest::prelude::*;
 
-use xability::core::xable::{Checker, FastChecker, IncrementalChecker, SearchChecker, Verdict};
+use xability::core::xable::{
+    Checker, FastChecker, IncrementalChecker, IncrementalState, SearchChecker, Verdict,
+};
 use xability::core::{ActionId, ActionName, Event, History, Request, Value};
+use xability::store::TraceStore;
 
 fn idem() -> ActionId {
     ActionId::base(ActionName::idempotent("i"))
@@ -149,5 +156,79 @@ proptest! {
             }
             _ => {}
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `observe_batch` over any chunking equals per-event `observe`:
+    /// byte-identical verdicts at every chunk boundary.
+    #[test]
+    fn observe_batch_equals_observe_at_every_chunk(
+        events in prop::collection::vec(arb_event(), 0..40),
+        requests in arb_requests(),
+        chunk in 1usize..11,
+    ) {
+        let mut store = TraceStore::new();
+        let mut batched = IncrementalState::new();
+        let mut per_event = IncrementalState::new();
+        for r in &requests {
+            batched.declare_request(r);
+            per_event.declare_request(r);
+        }
+        for batch in events.chunks(chunk) {
+            batched.observe_batch(batch);
+            for ev in batch {
+                per_event.observe(ev);
+            }
+            store.push_batch(batch);
+            let b: Verdict = batched.verdict_over(&store.view());
+            let p: Verdict = per_event.verdict_over(&store.view());
+            prop_assert_eq!(
+                &b, &p,
+                "batched and per-event verdicts diverged at prefix {}",
+                store.len()
+            );
+        }
+    }
+
+    /// Requests declared *between* batches (mid-stream, as the protocol
+    /// submits them) keep the batched path equivalent to per-event too.
+    #[test]
+    fn observe_batch_with_interleaved_declares(
+        events in prop::collection::vec(arb_event(), 0..30),
+        split in 0usize..31,
+        chunk in 1usize..7,
+    ) {
+        let requests = [
+            Request::new(idem(), Value::from(1)),
+            Request::new(undo(), Value::from(1)),
+        ];
+        let mut store = TraceStore::new();
+        let mut batched = IncrementalState::new();
+        let mut per_event = IncrementalState::new();
+        batched.declare_request(&requests[0]);
+        per_event.declare_request(&requests[0]);
+        let mut declared_late = false;
+        for batch in events.chunks(chunk) {
+            if !declared_late && store.len() >= split {
+                batched.declare_request(&requests[1]);
+                per_event.declare_request(&requests[1]);
+                declared_late = true;
+            }
+            batched.observe_batch(batch);
+            for ev in batch {
+                per_event.observe(ev);
+            }
+            store.push_batch(batch);
+        }
+        if !declared_late {
+            batched.declare_request(&requests[1]);
+            per_event.declare_request(&requests[1]);
+        }
+        let b = batched.verdict_over(&store.view());
+        let p = per_event.verdict_over(&store.view());
+        prop_assert_eq!(b, p);
     }
 }
