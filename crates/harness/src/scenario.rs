@@ -25,7 +25,7 @@ use xability_sim::{
     FdConfig, LatencyModel, Metrics as SimMetrics, NetFaultConfig, ProcessId, SimConfig,
     SimDuration, SimTime, World,
 };
-use xability_store::write_trace_file;
+use xability_store::write_trace_file_with_meta;
 
 /// Which replication scheme to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -641,48 +641,22 @@ impl RunReport {
     /// Dumps the run's trace — the submitted request sequence plus the
     /// ledger's full event stream — to `path` in the versioned binary
     /// trace format, so the run can be replayed and re-checked offline
-    /// (`xability_store::read_trace`).
+    /// (`xability_store::read_trace`). The meta section carries the run's
+    /// provenance: `scheme`, `seed`, and the run's metrics snapshot as
+    /// JSON under `metrics`, so a dumped trace keeps the observability
+    /// record of the run that produced it.
     pub fn write_trace(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        write_trace_file(path, &self.submitted, &self.ledger.borrow().snapshot())
-    }
-
-    /// Dumps the run as a *tiered* trace directory: the event stream as a
-    /// cold-segment chain (chunked and encoded per `config`) plus a
-    /// `requests.xtrace` manifest carrying the submitted sequence and the
-    /// run's provenance (scheme, seed). The inverse is
-    /// [`RunReport::read_tiered_trace`], which recovers the directory —
-    /// including after a torn write — back into a replayable trace.
-    pub fn write_tiered_trace(
-        &self,
-        dir: impl AsRef<Path>,
-        config: xability_store::TierConfig,
-    ) -> io::Result<()> {
-        let meta = vec![
+        let meta = [
             ("scheme".to_string(), format!("{:?}", self.scheme)),
             ("seed".to_string(), self.seed.to_string()),
-            // The run's metrics ride along in the trace meta, so a
-            // committed trace carries the observability record of the run
-            // that produced it.
             ("metrics".to_string(), self.metrics.to_json()),
         ];
-        xability_store::write_tiered_trace(
-            dir,
+        write_trace_file_with_meta(
+            path,
             &self.submitted,
             &self.ledger.borrow().snapshot(),
             &meta,
-            config,
         )
-    }
-
-    /// Reads a [`RunReport::write_tiered_trace`] directory back (see
-    /// [`xability_store::read_tiered_trace`]).
-    pub fn read_tiered_trace(
-        dir: impl AsRef<Path>,
-    ) -> io::Result<(
-        xability_store::RecordedTrace,
-        xability_store::RecoveryReport,
-    )> {
-        xability_store::read_tiered_trace(dir)
     }
 
     /// The run's metrics rendered as the stable text table (see

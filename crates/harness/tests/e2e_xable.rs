@@ -287,6 +287,7 @@ fn runs_are_deterministic_per_seed() {
 #[test]
 fn run_trace_dumps_and_replays_to_the_same_verdict() {
     use xability_core::xable::{Checker, FastChecker};
+    use xability_obs::MetricsSnapshot;
     use xability_store::RecordedTrace;
 
     // A run with a crash, so the trace contains retries/cancels worth
@@ -311,6 +312,15 @@ fn run_trace_dumps_and_replays_to_the_same_verdict() {
 
     let replayed = RecordedTrace::read_from_file(&path).expect("replay trace");
     std::fs::remove_file(&path).ok();
+    // The run's provenance rides along in the meta section.
+    assert_eq!(replayed.meta_value("scheme"), Some("XAble"));
+    assert_eq!(replayed.meta_value("seed"), Some("7"));
+    let metrics = replayed.meta_value("metrics").expect("metrics meta pair");
+    assert_eq!(
+        MetricsSnapshot::from_json(metrics).as_ref(),
+        Some(&report.metrics),
+        "the metrics meta pair is the run's snapshot"
+    );
     assert_eq!(replayed.requests, report.submitted);
     assert_eq!(replayed.store.len(), report.history_len);
     assert_eq!(

@@ -414,6 +414,11 @@ impl Ledger {
     ///
     /// The reopened ledger does **not** keep spilling; attach a fresh
     /// spill (to a new directory) to continue durably.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`io::ErrorKind::NotFound`] if `dir` does not exist
+    /// (nothing is created), and with any IO error recovery meets.
     pub fn reopen_spill(dir: impl AsRef<Path>) -> io::Result<(Ledger, RecoveryReport)> {
         let (store, report) = recover_store(dir)?;
         let mut monitor = IncrementalState::new();
@@ -1220,11 +1225,18 @@ mod tests {
         assert_eq!(reopened.recorded_event(0).at, SimTime::ZERO);
         // Re-declare the run's requests; the recovered verdict matches.
         reopened.declare_requests(&requests);
-        assert_eq!(
-            reopened.monitor_verdict().expect("monitor").is_xable(),
-            live_verdict.is_xable()
-        );
+        assert_eq!(reopened.monitor_verdict(), Some(live_verdict));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reopening_a_missing_spill_directory_fails_and_creates_nothing() {
+        let missing = tmpdir("spill-missing");
+        let err = Ledger::reopen_spill(&missing).expect_err("nothing to reopen");
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        let err = recover_store(&missing).expect_err("nothing to recover");
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(!missing.exists(), "a reopen must not create the directory");
     }
 
     #[test]

@@ -19,16 +19,15 @@
 //!   fast and incremental checkers run on it directly, and
 //!   [`HistoryView::to_history`] / [`TraceStore::from_history`] convert
 //!   losslessly to/from the owned [`History`] the search tier needs.
-//! * [`TraceCursor`] iterates a snapshot from a position.
 //! * [`trace`] is the versioned binary record/replay format
 //!   ([`write_trace`] / [`read_trace`]): the harness dumps a run's trace
 //!   to disk, tests replay it bit-for-bit. Version 3 frames the payload
 //!   behind a [`Codec`] with a recorded checksum.
-//! * [`tier`] is the durable tier: [`TieredStore`] keeps a hot in-memory
-//!   tail and spills sealed, optionally-compressed cold segments to disk
-//!   ([`segfile`]), with crash-safe recovery and [`HistoryRead`] views
-//!   ([`TieredView`]) over the combined history — RAM stops being the
-//!   retention policy.
+//! * [`segfile`] is the one disk tier: a [`SegmentLog`] seals immutable,
+//!   optionally-compressed cold segments into a directory (the services
+//!   ledger's mirror spill, configured by a [`TierConfig`]), and
+//!   [`recover_store`] brings the longest valid chain prefix back as a
+//!   [`TraceStore`] after a crash.
 //!
 //! ```
 //! use xability_core::xable::{Checker, FastChecker};
@@ -59,7 +58,6 @@
 pub mod codec;
 pub mod segfile;
 pub mod store;
-pub mod tier;
 pub mod trace;
 
 // The symbol-interning layer lives in `xability_core::intern` since the
@@ -67,15 +65,13 @@ pub mod trace;
 // store threads that one `Interner` type through its packed events and
 // snapshots. Re-exported here so store users keep one import path.
 pub use codec::{crc32, lz_compress, lz_decompress, Codec, Crc32};
-pub use segfile::{LoadedSegment, RecoveredLog, RecoveryReport, SegmentInfo, SegmentLog};
-pub use store::{EventRepr, HistoryView, TraceCursor, TraceSnapshot, TraceStore};
-pub use tier::{
-    read_tiered_trace, recover_store, write_tiered_trace, TierConfig, TieredStore, TieredView,
-    REQUESTS_MANIFEST,
+pub use segfile::{
+    recover_store, LoadedSegment, RecoveredLog, RecoveryReport, SegmentInfo, SegmentLog, TierConfig,
 };
+pub use store::{EventRepr, HistoryView, TraceSnapshot, TraceStore};
 pub use trace::{
-    read_trace, write_trace, write_trace_file, write_trace_file_with_meta, write_trace_with_meta,
-    write_trace_with_options, RecordedTrace, META_PAYLOAD_CRC, TRACE_FORMAT_COMPRESSED_VERSION,
-    TRACE_FORMAT_MAX_VERSION, TRACE_FORMAT_MIN_VERSION, TRACE_FORMAT_VERSION,
+    read_trace, write_trace, write_trace_file_with_meta, write_trace_with_meta, RecordedTrace,
+    META_PAYLOAD_CRC, TRACE_FORMAT_COMPRESSED_VERSION, TRACE_FORMAT_MAX_VERSION,
+    TRACE_FORMAT_MIN_VERSION, TRACE_FORMAT_VERSION,
 };
 pub use xability_core::intern::{Interner, InternerReader};

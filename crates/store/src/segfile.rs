@@ -1,6 +1,12 @@
 //! The durable cold-segment chain: append-only `.xtrace` files with
 //! crash-safe sealing and longest-valid-prefix recovery.
 //!
+//! This is the store's one disk tier. The services ledger mirrors its
+//! recorded events into a chain (`Ledger::attach_spill`, sealing every
+//! [`TierConfig::spill_threshold`] events), and [`recover_store`] brings
+//! a chain back as an ordinary in-memory [`TraceStore`] after a crash or
+//! shutdown (`Ledger::reopen_spill`).
+//!
 //! A [`SegmentLog`] owns a directory of sealed segment files,
 //! `seg-000000.xtrace`, `seg-000001.xtrace`, … Each file is a versioned
 //! trace file (see [`crate::trace`]) whose meta section carries the
@@ -42,8 +48,55 @@ use std::path::{Path, PathBuf};
 use xability_core::{Interner, InternerReader};
 
 use crate::codec::Codec;
-use crate::store::EventRepr;
+use crate::store::{EventRepr, TraceStore, EVENT_SEGMENT};
 use crate::trace::{read_checked_body, read_header, write_framed, write_sections};
+
+/// How a durable spill seals: when, and under which codec.
+#[derive(Debug, Clone, Copy)]
+pub struct TierConfig {
+    /// Seal a cold segment every this many events (must be non-zero).
+    /// Also the recovery torn-tail bound: at most this many events live
+    /// only in RAM.
+    pub spill_threshold: usize,
+    /// Codec for cold-segment payloads.
+    pub codec: Codec,
+    /// Ignored: nothing reads it. The spill is a mirror of the in-memory
+    /// store, which keeps every event. The field stays only because the
+    /// benchmark sets it, and goes with the next benchmark refresh.
+    pub evict_on_seal: bool,
+}
+
+impl Default for TierConfig {
+    fn default() -> Self {
+        TierConfig {
+            spill_threshold: EVENT_SEGMENT,
+            codec: Codec::None,
+            evict_on_seal: true,
+        }
+    }
+}
+
+/// Recovers a segment directory into a flat in-memory [`TraceStore`]
+/// (see [`SegmentLog::open`]): the reopen path of the services ledger
+/// and of anything else that wants ordinary store semantics over
+/// recovered history.
+///
+/// # Errors
+///
+/// Fails with [`io::ErrorKind::NotFound`] if `dir` does not exist (it is
+/// never created), and with any IO error the recovery scan meets.
+pub fn recover_store(dir: impl AsRef<Path>) -> io::Result<(TraceStore, RecoveryReport)> {
+    let recovered = SegmentLog::open(dir)?;
+    let mut store = TraceStore::with_interner(recovered.interner);
+    for seg in &recovered.segments {
+        for repr in &seg.events {
+            store
+                .push_repr(*repr)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        }
+    }
+    Ok((store, recovered.report))
+}
 
 /// Meta key: the segment's position in the chain.
 const META_SEG_INDEX: &str = "seg.index";
@@ -83,8 +136,8 @@ pub struct SegmentInfo {
     pub bytes: u64,
 }
 
-/// A cold segment loaded back into memory: the packed events, resident
-/// once, shared by every view through an `Arc`.
+/// A cold segment read back by recovery: its packed events,
+/// checksum-verified.
 #[derive(Debug)]
 pub struct LoadedSegment {
     /// Global index of the first event.
@@ -111,8 +164,6 @@ pub struct RecoveryReport {
 /// Everything [`SegmentLog::open`] recovers from a segment directory.
 #[derive(Debug)]
 pub struct RecoveredLog {
-    /// The log, positioned to keep sealing after the recovered prefix.
-    pub log: SegmentLog,
     /// The interner rebuilt by chaining the segments' delta tables — the
     /// same symbols, in the same order, as the interner that sealed them.
     pub interner: Interner,
@@ -126,8 +177,7 @@ pub struct RecoveredLog {
 ///
 /// The log tracks where the chain ends (next event index, interner
 /// epochs); [`SegmentLog::seal`] appends one atomically-written segment,
-/// [`SegmentLog::load`] reads one back with its checksum verified, and
-/// [`SegmentLog::open`] recovers a chain after a crash.
+/// and [`SegmentLog::open`] recovers a chain after a crash.
 #[derive(Debug)]
 pub struct SegmentLog {
     dir: PathBuf,
@@ -142,8 +192,8 @@ fn segment_file_name(index: usize) -> String {
     format!("seg-{index:06}.xtrace")
 }
 
-/// Parses `seg-NNNNNN.xtrace` into its index; other names (the requests
-/// manifest, quarantined files, foreign files) return `None`.
+/// Parses `seg-NNNNNN.xtrace` into its index; other names (quarantined
+/// files, foreign files) return `None`.
 fn parse_segment_name(name: &str) -> Option<usize> {
     let digits = name.strip_prefix("seg-")?.strip_suffix(".xtrace")?;
     if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
@@ -162,7 +212,7 @@ fn meta_usize(meta: &[(String, String)], key: &str) -> io::Result<usize> {
 }
 
 impl SegmentLog {
-    /// Starts a fresh chain in `dir` (created if absent).
+    /// Starts a fresh chain in `dir`, creating the directory if needed.
     ///
     /// # Errors
     ///
@@ -195,11 +245,6 @@ impl SegmentLog {
             action_base: 0,
             value_base: 0,
         })
-    }
-
-    /// The directory the chain lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The sealed segments, in chain order.
@@ -304,41 +349,20 @@ impl SegmentLog {
         Ok(())
     }
 
-    /// Reads one sealed segment back, checksum-verified.
+    /// Recovers the chain in `dir`: the longest valid prefix of segments
+    /// is read back, the first invalid segment and everything after it
+    /// are quarantined, stale `.tmp` files are removed. See the module
+    /// docs for the invariants checked.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `index` is out of bounds.
-    pub fn load(&self, index: usize) -> io::Result<LoadedSegment> {
-        let info = &self.segments[index];
-        let mut r = BufReader::new(File::open(&info.path)?);
-        let (version, meta) = read_header(&mut r)?;
-        let raw = read_checked_body(&mut r, version, &meta)?;
-        if raw.events.len() != info.events {
-            return Err(bad(format!(
-                "{} holds {} events, chain expected {}",
-                info.path.display(),
-                raw.events.len(),
-                info.events
-            )));
-        }
-        Ok(LoadedSegment {
-            first_event: info.first_event,
-            events: raw.events,
-        })
-    }
-
-    /// Recovers the chain in `dir` (created if absent): the longest valid
-    /// prefix of segments joins the log, the first invalid segment and
-    /// everything after it are quarantined, stale `.tmp` files are
-    /// removed. See the module docs for the invariants checked.
+    /// Fails with [`io::ErrorKind::NotFound`] if `dir` does not exist:
+    /// recovery never creates a directory, so a mistyped path is an error
+    /// rather than an empty chain.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<RecoveredLog> {
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
-
         let mut report = RecoveryReport::default();
         let mut found: Vec<(usize, PathBuf)> = Vec::new();
-        for entry in fs::read_dir(&dir)? {
+        for entry in fs::read_dir(dir)? {
             let path = entry?.path();
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
                 continue;
@@ -357,9 +381,7 @@ impl SegmentLog {
 
         let mut interner = Interner::new();
         let mut segments: Vec<LoadedSegment> = Vec::new();
-        let mut infos: Vec<SegmentInfo> = Vec::new();
         let mut next_first_event = 0usize;
-        let mut codec = Codec::default();
         let mut broken = false;
         let mut torn_pending = false;
 
@@ -372,13 +394,11 @@ impl SegmentLog {
                     broken = true;
                 } else {
                     match validate_segment(path, position, next_first_event, &mut interner) {
-                        Ok((info, loaded)) => {
+                        Ok(loaded) => {
                             next_first_event += loaded.events.len();
                             report.segments_recovered += 1;
                             report.events_recovered += loaded.events.len();
-                            codec = info.codec;
                             segments.push(loaded);
-                            infos.push(info);
                             continue;
                         }
                         Err(_) => {
@@ -400,16 +420,7 @@ impl SegmentLog {
             report.quarantined.push(quarantined);
         }
 
-        let (action_base, value_base) = (interner.action_count(), interner.value_count());
         Ok(RecoveredLog {
-            log: SegmentLog {
-                dir,
-                codec,
-                segments: infos,
-                next_first_event,
-                action_base,
-                value_base,
-            },
             interner,
             segments,
             report,
@@ -430,7 +441,7 @@ fn validate_segment(
     expected_index: usize,
     expected_first_event: usize,
     interner: &mut Interner,
-) -> io::Result<(SegmentInfo, LoadedSegment)> {
+) -> io::Result<LoadedSegment> {
     let mut r = BufReader::new(File::open(path)?);
     let (version, meta) = read_header(&mut r)?;
 
@@ -442,8 +453,10 @@ fn validate_segment(
     let codec = meta
         .iter()
         .find(|(k, _)| k == META_SEG_CODEC)
-        .and_then(|(_, v)| Codec::from_name(v))
-        .ok_or_else(|| bad("segment meta is missing a known seg.codec"))?;
+        .and_then(|(_, v)| Codec::from_name(v));
+    if codec.is_none() {
+        return Err(bad("segment meta is missing a known seg.codec"));
+    }
 
     if index != expected_index {
         return Err(bad(format!(
@@ -511,23 +524,10 @@ fn validate_segment(
         }
     }
 
-    let bytes = fs::metadata(path)?.len();
-    Ok((
-        SegmentInfo {
-            index,
-            first_event,
-            events: event_count,
-            action_base,
-            value_base,
-            codec,
-            path: path.to_path_buf(),
-            bytes,
-        },
-        LoadedSegment {
-            first_event,
-            events: raw.events,
-        },
-    ))
+    Ok(LoadedSegment {
+        first_event,
+        events: raw.events,
+    })
 }
 
 #[cfg(test)]
@@ -575,29 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn seal_load_round_trips_in_chunks() {
-        let dir = tmpdir("roundtrip");
-        let store = sample_store(20);
-        let mut log = SegmentLog::create(&dir, Codec::None).expect("create");
-        seal_in_chunks(&mut log, &store, 6);
-        assert_eq!(log.segments().len(), 4); // 6+6+6+2
-        assert_eq!(log.next_first_event(), 20);
-        assert!(log.disk_bytes() > 0);
-        let snap = store.snapshot();
-        let mut global = 0usize;
-        for i in 0..log.segments().len() {
-            let seg = log.load(i).expect("load");
-            assert_eq!(seg.first_event, global);
-            for repr in &seg.events {
-                assert_eq!(*repr, snap.repr(global));
-                global += 1;
-            }
-        }
-        assert_eq!(global, 20);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn base_segment_is_a_plain_trace_file() {
         // The first segment has zero epochs and a full (so-far) symbol
         // table, so ordinary trace tooling opens it directly.
@@ -619,12 +596,15 @@ mod tests {
     #[test]
     fn open_recovers_the_chain_and_rebuilds_the_interner() {
         let dir = tmpdir("recover");
-        let store = sample_store(30);
+        let store = sample_store(32);
         let mut log = SegmentLog::create(&dir, Codec::Lz).expect("create");
         seal_in_chunks(&mut log, &store, 10);
+        assert_eq!(log.segments().len(), 4); // 10+10+10+2
+        assert_eq!(log.next_first_event(), 32);
+        assert!(log.disk_bytes() > 0);
         let recovered = SegmentLog::open(&dir).expect("open");
-        assert_eq!(recovered.report.segments_recovered, 3);
-        assert_eq!(recovered.report.events_recovered, 30);
+        assert_eq!(recovered.report.segments_recovered, 4);
+        assert_eq!(recovered.report.events_recovered, 32);
         assert!(recovered.report.quarantined.is_empty());
         assert_eq!(
             recovered.interner.action_count(),
@@ -634,17 +614,17 @@ mod tests {
             recovered.interner.value_count(),
             store.interner().value_count()
         );
-        // Symbols rebuilt in the same order → same reprs.
+        // Symbols rebuilt in the same order → same reprs, chunk by chunk.
         let snap = store.snapshot();
         let mut global = 0usize;
         for seg in &recovered.segments {
+            assert_eq!(seg.first_event, global);
             for repr in &seg.events {
                 assert_eq!(*repr, snap.repr(global));
                 global += 1;
             }
         }
-        // The recovered log keeps sealing where the chain left off.
-        assert_eq!(recovered.log.next_first_event(), 30);
+        assert_eq!(global, 32);
         fs::remove_dir_all(&dir).ok();
     }
 

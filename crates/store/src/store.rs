@@ -21,7 +21,7 @@ use xability_core::{
 pub(crate) const EVENT_SEGMENT: usize = 1 << 16;
 
 /// Role tag: the base action `a`.
-pub(crate) const ROLE_BASE: u8 = 0;
+const ROLE_BASE: u8 = 0;
 /// Role tag: the cancellation action `a⁻¹`.
 const ROLE_CANCEL: u8 = 1;
 /// Role tag: the commit action `aᶜ`.
@@ -265,19 +265,6 @@ impl TraceStore {
         self.snapshot().view()
     }
 
-    /// A cursor iterating the current stream from `position`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `position > len`.
-    pub fn cursor_at(&self, position: usize) -> TraceCursor {
-        assert!(position <= self.len(), "cursor position out of bounds");
-        TraceCursor {
-            snap: self.snapshot(),
-            position,
-        }
-    }
-
     /// Approximate resident bytes: packed event segments plus the
     /// interner's tables. The per-event cost approaches
     /// `size_of::<EventRepr>()` (12 bytes) as the trace grows, because
@@ -332,13 +319,6 @@ impl TraceStore {
             events: AppendLog::new(EVENT_SEGMENT),
         }
     }
-
-    /// Consumes the store, keeping only its interner — the tiered store
-    /// seals a hot tail's events to disk and threads the (append-only)
-    /// interner into the next hot store without cloning the tables.
-    pub(crate) fn into_interner(self) -> Interner {
-        self.interner
-    }
 }
 
 /// [`HistoryRead::shape_codes`] over packed events, without decoding one:
@@ -347,7 +327,7 @@ impl TraceStore {
 /// symbol equality is value equality — a value's class is looked up by its
 /// symbol. The interner is read once per *distinct* symbol, to ask whether
 /// the value is `Nil` or the target.
-pub(crate) fn packed_shape_codes(
+fn packed_shape_codes(
     interner: &InternerReader,
     reprs: impl ExactSizeIterator<Item = EventRepr>,
     name: &ActionName,
@@ -397,7 +377,7 @@ pub(crate) fn packed_shape_codes(
 }
 
 /// Decodes a packed repr given its resolved action name and value.
-pub(crate) fn decode(repr: EventRepr, name: xability_core::ActionName, value: Value) -> Event {
+fn decode(repr: EventRepr, name: xability_core::ActionName, value: Value) -> Event {
     let action = match repr.role() {
         ROLE_BASE => ActionId::Base(name),
         ROLE_CANCEL => ActionId::Cancel(name),
@@ -604,38 +584,6 @@ impl fmt::Display for HistoryView {
             write!(f, "{}", self.event(i))?;
         }
         Ok(())
-    }
-}
-
-/// An owning iterator over a snapshot from a position.
-#[derive(Debug, Clone)]
-pub struct TraceCursor {
-    snap: TraceSnapshot,
-    position: usize,
-}
-
-impl TraceCursor {
-    /// The next position this cursor will yield.
-    pub fn position(&self) -> usize {
-        self.position
-    }
-}
-
-impl Iterator for TraceCursor {
-    type Item = Event;
-
-    fn next(&mut self) -> Option<Event> {
-        if self.position >= self.snap.len() {
-            return None;
-        }
-        let event = self.snap.event(self.position);
-        self.position += 1;
-        Some(event)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rest = self.snap.len() - self.position;
-        (rest, Some(rest))
     }
 }
 
@@ -929,18 +877,6 @@ mod tests {
             }
         }
         assert_eq!(checked, 2_801);
-    }
-
-    #[test]
-    fn cursor_replays_from_any_position() {
-        let h = sample_history();
-        let store = TraceStore::from_history(&h);
-        let all: Vec<Event> = store.cursor_at(0).collect();
-        assert_eq!(History::from_events(all), h);
-        let mut cursor = store.cursor_at(7);
-        assert_eq!(cursor.position(), 7);
-        assert_eq!(cursor.next(), Some(h[7].clone()));
-        assert_eq!(cursor.size_hint(), (1, Some(1)));
     }
 
     #[test]

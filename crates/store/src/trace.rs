@@ -38,13 +38,13 @@
 //! payload  comp_len bytes           — the v2 payload, through the codec
 //! ```
 //!
-//! [`write_trace_with_options`] picks the version from the codec:
-//! uncompressed writes stay version 2 — byte-identical to what this crate
-//! has always produced, so the committed corpus never churns — and only a
-//! real codec engages the version-3 frame. It also records the payload's
-//! CRC-32 under the [`META_PAYLOAD_CRC`] meta key; whenever a file carries
-//! that key (cold segments always do) the reader recomputes the checksum
-//! over the payload bytes it consumed and rejects a mismatch.
+//! Cold segments ([`crate::segfile`]) pick the version from their codec:
+//! uncompressed segments stay version 2 — the layout [`write_trace`] has
+//! always produced, so the committed corpus never churns — and only a
+//! real codec engages the version-3 frame. A segment also records its
+//! payload's CRC-32 under the [`META_PAYLOAD_CRC`] meta key; whenever a
+//! file carries that key the reader recomputes the checksum over the
+//! payload bytes it consumed and rejects a mismatch.
 //!
 //! The version is checked on read; an unknown magic or version is an
 //! `InvalidData` error, never a silent misparse.
@@ -81,8 +81,8 @@ pub const TRACE_FORMAT_MIN_VERSION: u32 = 2;
 pub const TRACE_FORMAT_MAX_VERSION: u32 = TRACE_FORMAT_COMPRESSED_VERSION;
 
 /// The meta key holding the payload's CRC-32 (eight lowercase hex
-/// digits). Written by [`write_trace_with_options`] and the segment tier;
-/// verified on every read that finds it.
+/// digits). Written by the segment tier; verified on every read that
+/// finds it.
 pub const META_PAYLOAD_CRC: &str = "payload_crc32";
 
 /// A replayed trace: the declared request sequence plus the rebuilt
@@ -140,18 +140,9 @@ impl RecordedTrace {
     }
 }
 
-/// Writes a recorded trace to `path` (buffered and flushed) — the one
-/// path-based entry point shared by [`RecordedTrace::write_to_file`] and
-/// the harness's run dumps.
-pub fn write_trace_file(
-    path: impl AsRef<Path>,
-    requests: &[Request],
-    snapshot: &TraceSnapshot,
-) -> io::Result<()> {
-    write_trace_file_with_meta(path, requests, snapshot, &[])
-}
-
-/// [`write_trace_file`] with an explicit provenance meta section.
+/// Writes a recorded trace with its provenance meta section to `path`
+/// (buffered and flushed) — the one path-based entry point shared by
+/// [`RecordedTrace::write_to_file`] and the harness's run dumps.
 pub fn write_trace_file_with_meta(
     path: impl AsRef<Path>,
     requests: &[Request],
@@ -354,28 +345,13 @@ pub fn write_trace_with_meta<W: Write>(
     write_snapshot_sections(w, requests, snapshot)
 }
 
-/// [`write_trace_with_meta`] with a compression codec and an integrity
-/// checksum: the payload's CRC-32 is appended to the meta section under
+/// The segment file skeleton: magic, the codec-determined version, the
+/// caller's meta pairs plus the payload's CRC-32 under
 /// [`META_PAYLOAD_CRC`] (callers must not supply that key themselves),
-/// and a non-[`Codec::None`] codec switches the file to
+/// then `sections` through the codec. A non-[`Codec::None`] codec writes
 /// [`TRACE_FORMAT_COMPRESSED_VERSION`] with the payload behind the codec
-/// frame. `Codec::None` output differs from [`write_trace_with_meta`]
+/// frame; `Codec::None` output differs from [`write_trace_with_meta`]
 /// only by the checksum meta pair.
-pub fn write_trace_with_options<W: Write>(
-    w: &mut W,
-    requests: &[Request],
-    snapshot: &TraceSnapshot,
-    meta: &[(String, String)],
-    codec: Codec,
-) -> io::Result<()> {
-    let mut sections = Vec::new();
-    write_snapshot_sections(&mut sections, requests, snapshot)?;
-    write_framed(w, meta, codec, &sections)
-}
-
-/// The shared file skeleton behind [`write_trace_with_options`] and the
-/// segment tier: magic, the codec-determined version, the caller's meta
-/// pairs plus the payload checksum, then `sections` through the codec.
 pub(crate) fn write_framed<W: Write>(
     w: &mut W,
     meta: &[(String, String)],
@@ -709,6 +685,16 @@ mod tests {
         (requests, TraceStore::from_history(&h))
     }
 
+    /// A whole snapshot framed as a segment file is: the checksum meta
+    /// pair, and the version-3 codec frame when the codec compresses.
+    fn framed(requests: &[Request], snapshot: &TraceSnapshot, codec: Codec) -> Vec<u8> {
+        let mut sections = Vec::new();
+        write_snapshot_sections(&mut sections, requests, snapshot).unwrap();
+        let mut bytes = Vec::new();
+        write_framed(&mut bytes, &[], codec, &sections).unwrap();
+        bytes
+    }
+
     #[test]
     fn round_trip_preserves_requests_symbols_and_events() {
         let (requests, store) = sample();
@@ -771,8 +757,7 @@ mod tests {
         let mut plain = Vec::new();
         write_trace(&mut plain, &requests, &store.snapshot()).unwrap();
         for codec in [Codec::None, Codec::Lz] {
-            let mut bytes = Vec::new();
-            write_trace_with_options(&mut bytes, &requests, &store.snapshot(), &[], codec).unwrap();
+            let bytes = framed(&requests, &store.snapshot(), codec);
             let replayed =
                 read_trace(&mut bytes.as_slice()).unwrap_or_else(|e| panic!("codec {codec}: {e}"));
             assert_eq!(replayed.requests, requests, "codec {codec}");
@@ -802,10 +787,8 @@ mod tests {
             store.push(&Event::start(a.clone(), Value::from(i % 8)));
             store.push(&Event::complete(a.clone(), Value::from(i % 8)));
         }
-        let mut plain = Vec::new();
-        write_trace_with_options(&mut plain, &[], &store.snapshot(), &[], Codec::None).unwrap();
-        let mut packed = Vec::new();
-        write_trace_with_options(&mut packed, &[], &store.snapshot(), &[], Codec::Lz).unwrap();
+        let plain = framed(&[], &store.snapshot(), Codec::None);
+        let packed = framed(&[], &store.snapshot(), Codec::Lz);
         assert!(
             packed.len() * 4 < plain.len(),
             "{} -> {} bytes",
@@ -818,8 +801,7 @@ mod tests {
     fn payload_corruption_is_caught_by_the_checksum() {
         let (requests, store) = sample();
         for codec in [Codec::None, Codec::Lz] {
-            let mut bytes = Vec::new();
-            write_trace_with_options(&mut bytes, &requests, &store.snapshot(), &[], codec).unwrap();
+            let bytes = framed(&requests, &store.snapshot(), codec);
             // Flip one byte in the payload (well past the header+meta).
             let n = bytes.len();
             let mut corrupt = bytes.clone();

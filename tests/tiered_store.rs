@@ -1,23 +1,22 @@
 //! Crash-safety and re-check-equality integration tests for the durable
-//! tiered store (`xability::store::tier` / `segfile`).
+//! spill (`xability::store::segfile`, written and reopened through the
+//! services ledger).
 //!
 //! The contract under test: a segment directory is *always* recoverable —
 //! any torn write (simulated by truncating a sealed segment at **every**
 //! byte boundary) and any single-byte corruption yields either the full
 //! chain or a shorter valid prefix with the damage quarantined, never a
-//! panic and never silently wrong events — and checker verdicts over
-//! file-backed views are identical to in-memory ones, compressed or not.
+//! panic and never silently wrong events — and checker verdicts over a
+//! reopened history are identical to in-memory ones, compressed or not.
 
 use std::fs;
 use std::path::PathBuf;
 
-use xability::core::xable::{Checker, FastChecker, IncrementalState, TieredChecker};
-use xability::core::{ActionId, ActionName, Event, HistoryRead, Request, Value};
-use xability::harness::{RunReport, Scenario, Scheme, Workload};
+use xability::core::xable::{Checker, FastChecker, TieredChecker};
+use xability::core::{ActionId, ActionName, Event, Request, Value};
+use xability::services::Ledger;
 use xability::sim::SimTime;
-use xability::store::{
-    read_tiered_trace, recover_store, Codec, SegmentLog, TierConfig, TieredStore, TraceStore,
-};
+use xability::store::{recover_store, Codec, SegmentLog, TierConfig, TraceStore};
 use xability_bench::n_retried_requests;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -145,9 +144,9 @@ fn every_single_byte_corruption_is_rejected_or_quarantined() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// The acceptance bar: verdicts over file-backed views are identical to
-/// in-memory verdicts — across codecs, across a full reopen, and for
-/// fast, tiered, and incremental checkers alike.
+/// The acceptance bar: verdicts over a reopened spill are identical to
+/// in-memory verdicts — across codecs, across a drop and reopen of the
+/// ledger, and for the fast, tiered and online checkers alike.
 #[test]
 fn reopened_views_recheck_byte_identically_to_memory() {
     let (requests, events) = small_workload();
@@ -157,123 +156,57 @@ fn reopened_views_recheck_byte_identically_to_memory() {
     let tiered_checker = TieredChecker::default();
     let memory_fast = fast.check_source(&flat.view(), &ops, &[]);
     let memory_tiered = tiered_checker.check_source(&flat.view(), &ops, &[]);
+    let memory_r3 = fast.check_requests_source(&flat.view(), &requests);
+    // Uneven on purpose: the flushed final segment is a partial one.
+    let threshold = 7;
+    assert_ne!(events.len() % threshold, 0);
 
     for codec in [Codec::None, Codec::Lz] {
         let dir = tmpdir(&format!("recheck-{codec}"));
         let config = TierConfig {
-            spill_threshold: 7, // uneven on purpose: partial final segment
+            spill_threshold: threshold,
             codec,
-            evict_on_seal: true,
+            ..TierConfig::default()
         };
-        let mut tiered = TieredStore::create(&dir, config).expect("create");
-        tiered.push_batch(&events).expect("push");
-        tiered.flush().expect("flush");
-        drop(tiered);
+        let mut ledger = Ledger::new();
+        ledger.attach_spill(&dir, config).expect("attach");
+        ledger.declare_requests(&requests);
+        for (k, chunk) in events.chunks(5).enumerate() {
+            ledger.record_batch(chunk, SimTime::from_micros(k as u64), "svc");
+        }
+        assert_eq!(
+            ledger.monitor_verdict().as_ref(),
+            Some(&memory_r3),
+            "codec {codec}: the live monitor"
+        );
+        assert_eq!(ledger.flush_spill().expect("flush"), events.len());
+        // A restart: nothing of the writing ledger survives but its directory.
+        drop(ledger);
 
-        let (mut reopened, report) = TieredStore::open(&dir, config).expect("open");
+        let (mut reopened, report) = Ledger::reopen_spill(&dir).expect("reopen");
         assert!(report.quarantined.is_empty());
         assert_eq!(report.events_recovered, events.len());
-        let view = reopened.view().expect("view");
+        assert_eq!(report.segments_recovered, events.len().div_ceil(threshold));
+        let view = reopened.history();
 
         assert_eq!(
             fast.check_source(&view, &ops, &[]),
             memory_fast,
-            "codec {codec}: FastChecker over the file-backed view"
+            "codec {codec}: FastChecker over the reopened history"
         );
         assert_eq!(
             tiered_checker.check_source(&view, &ops, &[]),
             memory_tiered,
-            "codec {codec}: TieredChecker over the file-backed view"
+            "codec {codec}: TieredChecker over the reopened history"
         );
-
-        // IncrementalState replays the same events from the view.
-        let mut monitor = IncrementalState::new();
-        for request in &requests {
-            monitor.declare_request(request);
-        }
-        view.scan_events(&mut |_, ev| {
-            monitor.observe(ev);
-            true
-        });
+        // The reopened ledger's monitor caught up with the recovered
+        // events; re-declaring the run's requests gives the R3 verdict.
+        reopened.declare_requests(&requests);
         assert_eq!(
-            monitor.verdict_over(&view).is_xable(),
-            memory_fast.is_xable(),
-            "codec {codec}: incremental monitor over the file-backed view"
+            reopened.monitor_verdict().as_ref(),
+            Some(&memory_r3),
+            "codec {codec}: the reopened monitor"
         );
         fs::remove_dir_all(&dir).ok();
     }
-}
-
-/// End-to-end through the harness: a real run dumps a tiered trace
-/// directory, which reads back and re-checks to the run's own verdict.
-#[test]
-fn run_report_tiered_dump_reads_back_and_rechecks() {
-    let report = Scenario::new(Scheme::XAble, Workload::Reservations { count: 3, seats: 2 })
-        .horizon(SimTime::from_secs(5))
-        .run();
-    assert!(report.history_len > 0, "the run must record events");
-
-    for codec in [Codec::None, Codec::Lz] {
-        let dir = tmpdir(&format!("report-{codec}"));
-        let config = TierConfig {
-            spill_threshold: 16,
-            codec,
-            evict_on_seal: true,
-        };
-        report.write_tiered_trace(&dir, config).expect("dump");
-        let (replayed, recovery) = RunReport::read_tiered_trace(&dir).expect("read back");
-        assert!(recovery.quarantined.is_empty());
-        assert_eq!(replayed.store.len(), report.history_len);
-        assert_eq!(replayed.requests, report.submitted);
-        assert_eq!(replayed.meta_value("scheme"), Some("XAble"));
-        assert_eq!(
-            replayed.store.view().to_history(),
-            report.ledger.borrow().history().to_history(),
-            "codec {codec}: recovered events"
-        );
-        let verdict = FastChecker::default()
-            .check_requests_source(&replayed.store.view(), &replayed.requests);
-        assert_eq!(
-            verdict.is_xable(),
-            report.r3_violation.is_none(),
-            "codec {codec}: replayed verdict vs the run's"
-        );
-        fs::remove_dir_all(&dir).ok();
-    }
-}
-
-/// The tiered directory and the corpus format stay mutually readable: a
-/// base (epoch-zero) segment is itself a plain `.xtrace` file, so
-/// single-file tooling opens the head of any chain.
-#[test]
-fn read_tiered_trace_round_trips_requests_and_meta() {
-    let (requests, events) = small_workload();
-    let flat = flat_store(&events);
-    let dir = tmpdir("roundtrip");
-    let meta = vec![("generator".to_string(), "tests/tiered_store.rs".to_string())];
-    xability::store::write_tiered_trace(
-        &dir,
-        &requests,
-        &flat.snapshot(),
-        &meta,
-        TierConfig {
-            spill_threshold: 10,
-            codec: Codec::None,
-            evict_on_seal: true,
-        },
-    )
-    .expect("write");
-    let (replayed, _) = read_tiered_trace(&dir).expect("read");
-    assert_eq!(replayed.requests, requests);
-    assert_eq!(
-        replayed.meta_value("generator"),
-        Some("tests/tiered_store.rs")
-    );
-    assert_eq!(replayed.store.view().to_history(), flat.view().to_history());
-
-    // The head segment doubles as a standalone trace file.
-    let head = xability::store::RecordedTrace::read_from_file(dir.join("seg-000000.xtrace"))
-        .expect("base segment reads as a plain trace");
-    assert_eq!(head.store.len(), 10);
-    fs::remove_dir_all(&dir).ok();
 }
