@@ -10,8 +10,9 @@
 //! * [`PublicApiDrift`] — `tests/public_api.txt` is diffed by
 //!   `cargo test --test public_api`, but a stale snapshot should fail the
 //!   *lint* too, so `xlint` alone (no test run, no build of the whole
-//!   workspace) is enough to catch surface drift. The extractor here is a
-//!   line-for-line port of the test's.
+//!   workspace) is enough to catch surface drift. The extractor is this
+//!   module's [`derive_snapshot`], which the test calls too, so lint and
+//!   test cannot disagree about what "the public API" is.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -104,9 +105,10 @@ fn preceding_attrs_contain(file: &SourceFile, idx: usize, needle: &str) -> bool 
 /// source right now.
 pub struct PublicApiDrift;
 
-/// The snapshotted crates — must mirror `tests/public_api.rs`.
+/// The snapshotted crates: the theory surface and the store surface.
 const CRATE_ROOTS: [&str; 2] = ["crates/core/src", "crates/store/src"];
-const SNAPSHOT: &str = "tests/public_api.txt";
+/// Where the snapshot lives, relative to the workspace root.
+pub const SNAPSHOT: &str = "tests/public_api.txt";
 
 impl Rule for PublicApiDrift {
     fn name(&self) -> &'static str {
@@ -162,11 +164,15 @@ impl Rule for PublicApiDrift {
     }
 }
 
-/// Re-derives the snapshot contents — byte-identical to what
-/// `tests/public_api.rs` assembles.
-fn derive_snapshot(root: &Path) -> Result<String, String> {
+/// Derives the snapshot contents from the sources under the workspace
+/// `root` — what [`SNAPSHOT`] must hold.
+///
+/// # Errors
+///
+/// A source directory or file that cannot be read.
+pub fn derive_snapshot(root: &Path) -> Result<String, String> {
     let mut actual = String::from(
-        "# Public API of xability-core and xability-store (first lines of `pub` declarations).\n\
+        "# Public API of xability-core and xability-store (first lines of `pub` declarations and `pub trait` methods).\n\
          # Regenerate with: UPDATE_PUBLIC_API=1 cargo test --test public_api\n",
     );
     for crate_root in CRATE_ROOTS {
@@ -211,14 +217,17 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
-/// First line of every public item declaration — a faithful port of the
-/// extractor in `tests/public_api.rs` (same granularity, same edge
-/// behavior), so lint and test can never disagree about what "the public
-/// API" is.
+/// First line of every public item declaration: `pub` items at top level
+/// or one indentation step in (inherent methods, fields, associated
+/// consts), and the methods of a `pub trait` — excluding `pub(crate)` /
+/// `pub(super)` and whatever sits in `mod tests`. That is the granularity
+/// at which accidental surface changes happen.
 fn public_decls(source: &str) -> Vec<String> {
     let mut decls = Vec::new();
     let mut in_tests = false;
     let mut test_depth = 0usize;
+    // The brace depth just inside the `pub trait` being read, if any.
+    let mut trait_body: Option<usize> = None;
     let mut depth = 0usize;
     for line in source.lines() {
         let trimmed = line.trim_start();
@@ -227,7 +236,8 @@ fn public_decls(source: &str) -> Vec<String> {
             in_tests = true;
             test_depth = depth;
         }
-        if !in_tests && indent <= 4 && trimmed.starts_with("pub ") {
+        let trait_fn = trait_body == Some(depth) && trimmed.starts_with("fn ");
+        if !in_tests && indent <= 4 && (trimmed.starts_with("pub ") || trait_fn) {
             let decl = trimmed
                 .split_once(" {")
                 .map_or(trimmed, |(head, _)| head)
@@ -235,8 +245,14 @@ fn public_decls(source: &str) -> Vec<String> {
                 .trim_end();
             decls.push(decl.to_owned());
         }
+        if !in_tests && indent == 0 && trimmed.starts_with("pub trait ") {
+            trait_body = Some(depth + 1);
+        }
         depth += line.matches('{').count();
         depth = depth.saturating_sub(line.matches('}').count());
+        if trait_body.is_some_and(|body| depth < body) {
+            trait_body = None;
+        }
         if in_tests && depth <= test_depth && line.contains('}') {
             in_tests = false;
         }
@@ -302,5 +318,12 @@ mod tests {
     fn extractor_matches_test_granularity() {
         let src = "pub struct S {\n    pub field: u32,\n}\npub(crate) fn hidden() {}\nmod tests {\n    pub fn not_api() {}\n}\n";
         assert_eq!(public_decls(src), vec!["pub struct S", "pub field: u32,"]);
+        // A public trait's methods are its surface, with or without a
+        // default body; what the bodies hold, and a private trait, are not.
+        let src = "pub trait T {\n    fn f(&self) -> u32;\n    fn g(&self) {\n        fn inner() {}\n    }\n}\ntrait Hidden {\n    fn h(&self);\n}\n";
+        assert_eq!(
+            public_decls(src),
+            vec!["pub trait T", "fn f(&self) -> u32", "fn g(&self)"]
+        );
     }
 }

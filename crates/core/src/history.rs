@@ -70,12 +70,12 @@ fn shape_codes_of<'a>(
 ///
 /// Every x-ability decision procedure is ultimately a function of one
 /// event stream, but the stream may live in different representations: an
-/// owned [`History`] (the theory's value type), a borrowed window over
-/// one ([`HistoryWindow`]), or a compact interned store (the
-/// `xability-store` crate's `HistoryView`). `HistoryRead` is the surface
-/// the fast and incremental checkers need — length, per-index decode,
-/// index-set gathering, and full iteration — so they can run over any of
-/// them without the caller materializing a `Vec<Event>` copy first.
+/// owned [`History`] (the theory's value type) or a compact interned store
+/// (the `xability-store` crate's `HistoryView`). `HistoryRead` is exactly
+/// what the checkers read — length, per-index decode, index-set gathering,
+/// full iteration, an owned copy for the search tier, and the shape codes
+/// the fast checker keys its memo with — so they can run over either
+/// without the caller materializing a `Vec<Event>` copy first.
 ///
 /// The trait is object safe: checkers accept `&dyn HistoryRead`.
 ///
@@ -148,21 +148,6 @@ pub trait HistoryRead {
             true
         });
         History::from_events(events)
-    }
-
-    /// Returns `true` if the event at `index` is the start of a *base*
-    /// action (not a cancellation or commit).
-    ///
-    /// A structural test the fast checker runs per group index; packed
-    /// representations answer it from tag bits without decoding values.
-    fn is_base_start_at(&self, index: usize) -> bool {
-        matches!(self.event_at(index), Event::Start(ActionId::Base(_), _))
-    }
-
-    /// Returns `true` if the event at `index` is the completion of a
-    /// *base* action.
-    fn is_base_completion_at(&self, index: usize) -> bool {
-        matches!(self.event_at(index), Event::Complete(ActionId::Base(_), _))
     }
 
     /// Writes the *shape* of the sub-history at `indices` into `codes`,
@@ -346,37 +331,6 @@ impl History {
         }
     }
 
-    /// A zero-copy window over the contiguous range `start..end`, for
-    /// checking prefixes or slices without the `Vec<Event>` clone that
-    /// [`History::slice`] pays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds, like slice indexing.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use xability_core::{ActionId, ActionName, Event, History, HistoryRead, Value};
-    ///
-    /// let a = ActionId::base(ActionName::idempotent("a"));
-    /// let h: History = [
-    ///     Event::start(a.clone(), Value::from(1)),
-    ///     Event::complete(a, Value::from(2)),
-    /// ]
-    /// .into_iter()
-    /// .collect();
-    /// let prefix = h.window(0, 1);
-    /// assert_eq!(prefix.len(), 1);
-    /// assert_eq!(prefix.to_history(), h.slice(0, 1));
-    /// ```
-    #[must_use]
-    pub fn window(&self, start: usize, end: usize) -> HistoryWindow<'_> {
-        HistoryWindow {
-            events: &self.events[start..end],
-        }
-    }
-
     /// Returns the contiguous sub-history `h[start..end]`.
     ///
     /// # Panics
@@ -460,66 +414,6 @@ impl HistoryRead for History {
 
     fn to_history(&self) -> History {
         self.clone()
-    }
-
-    fn is_base_start_at(&self, index: usize) -> bool {
-        matches!(&self.events[index], Event::Start(ActionId::Base(_), _))
-    }
-
-    fn is_base_completion_at(&self, index: usize) -> bool {
-        matches!(&self.events[index], Event::Complete(ActionId::Base(_), _))
-    }
-
-    fn shape_codes(
-        &self,
-        indices: &[usize],
-        name: &ActionName,
-        target: &Value,
-        codes: &mut [u8],
-    ) -> bool {
-        let events = indices.iter().map(|&i| &self.events[i]);
-        shape_codes_of(events, name, target, codes)
-    }
-}
-
-/// A borrowed, zero-copy window over a contiguous range of a [`History`]
-/// (see [`History::window`]). Implements [`HistoryRead`], so every
-/// checker accepts it directly.
-#[derive(Debug, Clone, Copy)]
-pub struct HistoryWindow<'a> {
-    events: &'a [Event],
-}
-
-impl HistoryWindow<'_> {
-    /// The events of the window, in observation order.
-    pub fn events(&self) -> &[Event] {
-        self.events
-    }
-}
-
-impl HistoryRead for HistoryWindow<'_> {
-    fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    fn event_at(&self, index: usize) -> Event {
-        self.events[index].clone()
-    }
-
-    fn scan_events(&self, f: &mut dyn FnMut(usize, &Event) -> bool) {
-        for (i, ev) in self.events.iter().enumerate() {
-            if !f(i, ev) {
-                return;
-            }
-        }
-    }
-
-    fn is_base_start_at(&self, index: usize) -> bool {
-        matches!(&self.events[index], Event::Start(ActionId::Base(_), _))
-    }
-
-    fn is_base_completion_at(&self, index: usize) -> bool {
-        matches!(&self.events[index], Event::Complete(ActionId::Base(_), _))
     }
 
     fn shape_codes(
@@ -749,18 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn window_is_a_zero_copy_slice_view() {
-        let h: History = [s(a(), 1), c(a(), 2), s(b(), 3)].into_iter().collect();
-        let w = h.window(1, 3);
-        assert_eq!(w.len(), 2);
-        assert!(!w.is_empty());
-        assert_eq!(w.events(), &h.events()[1..3]);
-        assert_eq!(w.to_history(), h.slice(1, 3));
-        assert_eq!(w.event_at(0), h[1]);
-        assert!(h.window(1, 1).is_empty());
-    }
-
-    #[test]
     fn history_read_object_matches_inherent_surface() {
         let h: History = [s(a(), 1), c(a(), 2), s(b(), 3)].into_iter().collect();
         let src: &dyn HistoryRead = &h;
@@ -768,8 +650,6 @@ mod tests {
         assert_eq!(src.event_at(2), h[2]);
         assert_eq!(src.gather(&[2, 0]), h.select(&[2, 0]));
         assert_eq!(src.to_history(), h);
-        assert!(src.is_base_start_at(0) && !src.is_base_start_at(1));
-        assert!(src.is_base_completion_at(1) && !src.is_base_completion_at(0));
         let mut seen = Vec::new();
         src.scan_events(&mut |i, ev| {
             seen.push((i, ev.clone()));

@@ -7,7 +7,7 @@
 //!
 //! Two layers share this type: the `xability-store` crate's packed event
 //! representation carries two symbols instead of two heap allocations,
-//! and the fast/incremental checker engine ([`crate::xable::fast`]) keys
+//! and the fast/incremental checker engine (under [`crate::xable`]) keys
 //! its per-request groups by symbol pairs, so the per-event hot path is a
 //! hash probe instead of an owned `(ActionName, Value)` clone plus an
 //! ordered-map walk.

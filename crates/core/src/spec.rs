@@ -191,7 +191,7 @@ pub fn check_r3_with<C: Checker + ?Sized, S: Sequencer>(
     for (i, r) in requests.iter().enumerate() {
         expanded.extend(sequencer.actions_for(i, r));
     }
-    r3_violation(&checker.check_requests_source(server_history, &expanded))
+    r3_violation(&checker.check_requests(server_history, &expanded))
 }
 
 #[cfg(test)]

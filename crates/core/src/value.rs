@@ -109,6 +109,25 @@ impl Value {
         }
     }
 
+    /// The §5.4 round stamp: the input `Pair(base input, round)` an
+    /// undoable request's events carry when the protocol runs it
+    /// round-per-attempt, so that each round is a distinct identity for the
+    /// reduction rules. [`Value::round_stamp`] reads it back.
+    pub fn round_stamped(base: Value, round: i64) -> Self {
+        Value::pair(base, Value::Int(round))
+    }
+
+    /// The base input and round of a round stamp ([`Value::round_stamped`]),
+    /// or `None` for any other value — the one reading of the stamp shape
+    /// that the fast checker's round adoption, the tiered checker's
+    /// escalation refusal and the explorer's round oracle share.
+    pub fn round_stamp(&self) -> Option<(&Value, i64)> {
+        match self {
+            Value::Pair(p) => Some((&p.0, p.1.as_int()?)),
+            _ => None,
+        }
+    }
+
     /// Returns `true` if this value is `Nil`.
     pub fn is_nil(&self) -> bool {
         matches!(self, Value::Nil)

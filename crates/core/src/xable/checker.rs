@@ -19,6 +19,14 @@
 //!   first, and escalate an `Unknown` to the exhaustive search when the
 //!   history is small enough for the search to be affordable.
 //!
+//! Each question has one entry point over any [`HistoryRead`] source — an
+//! owned [`History`] or a zero-copy store view alike:
+//! [`check`](Checker::check) for an explicit `(ops, erasable)` question and
+//! [`check_requests`](Checker::check_requests) for R3. The search tier,
+//! which explores by rewriting owned histories, searches a copy
+//! ([`HistoryRead::to_history`]); the fast tier reads the source where it
+//! lies.
+//!
 //! For online verification — deciding x-ability *while* a history is still
 //! being produced — keep that state warm instead:
 //! [`super::incremental::IncrementalChecker`] maintains it across
@@ -84,8 +92,7 @@ impl Witness {
 
 /// The answer of an x-ability decision procedure.
 ///
-/// This is the one verdict vocabulary shared by every checker in the crate
-/// (the historical `xable::fast::Verdict` is a re-export of this type).
+/// This is the one verdict vocabulary shared by every checker in the crate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[must_use = "a verdict reports nothing by itself; inspect or propagate it"]
 pub enum Verdict {
@@ -178,7 +185,7 @@ pub trait Checker {
     /// have been abandoned" case).
     fn check(
         &self,
-        h: &History,
+        h: &dyn HistoryRead,
         ops: &[(ActionId, Value)],
         erasable: &[(ActionId, Value)],
     ) -> Verdict;
@@ -190,7 +197,7 @@ pub trait Checker {
     /// Tries the full sequence first, then the prefix with the last
     /// request erasable. [`Verdict::Unknown`] propagates only if neither
     /// attempt gives a definite positive.
-    fn check_requests(&self, h: &History, requests: &[Request]) -> Verdict {
+    fn check_requests(&self, h: &dyn HistoryRead, requests: &[Request]) -> Verdict {
         let ops: Vec<(ActionId, Value)> = requests
             .iter()
             .map(|r| (r.action().clone(), r.input().clone()))
@@ -198,25 +205,12 @@ pub trait Checker {
         combine_r3_over(&ops, |ops, erasable| self.check(h, ops, erasable))
     }
 
-    /// [`check`](Checker::check) over any [`HistoryRead`] source — a
-    /// zero-copy store view, a borrowed window, or an owned history.
-    ///
-    /// The default implementation materializes the source once and
-    /// delegates; deciders that can run directly over a view (the fast
-    /// tier) override it to avoid the copy.
-    fn check_source(
-        &self,
-        h: &dyn HistoryRead,
-        ops: &[(ActionId, Value)],
-        erasable: &[(ActionId, Value)],
-    ) -> Verdict {
-        self.check(&h.to_history(), ops, erasable)
-    }
-
-    /// [`check_requests`](Checker::check_requests) over any
-    /// [`HistoryRead`] source.
+    /// [`check_requests`](Checker::check_requests) under its old name, with
+    /// no code of its own. Kept only because the benchmark calls it; it
+    /// goes with the `*_speedup_2w` probes in the next benchmark refresh
+    /// (ROADMAP item 7).
     fn check_requests_source(&self, h: &dyn HistoryRead, requests: &[Request]) -> Verdict {
-        self.check_requests(&h.to_history(), requests)
+        self.check_requests(h, requests)
     }
 }
 
@@ -296,11 +290,11 @@ impl Checker for SearchChecker {
     /// request erasable neither widens nor narrows the target.
     fn check(
         &self,
-        h: &History,
+        h: &dyn HistoryRead,
         ops: &[(ActionId, Value)],
         _erasable: &[(ActionId, Value)],
     ) -> Verdict {
-        match is_xable_search(h, ops, self.budget) {
+        match is_xable_search(&h.to_history(), ops, self.budget) {
             SearchResult::Reached(witness) => {
                 let outputs = failure_free_sequence_outputs(ops, &witness)
                     .expect("search goal guarantees failure-free shape");
@@ -342,18 +336,18 @@ impl FastChecker {
         FastChecker { group_budget }
     }
 
-    /// [`Checker::check_requests_source`] under its old parallel name:
-    /// `workers` is ignored, and there is no code path of its own. Kept
-    /// only because the benchmark's `core.check_sharded_speedup_2w` probe
-    /// calls it; the method goes together with that probe in the next
-    /// benchmark refresh (ROADMAP item 7).
+    /// [`Checker::check_requests`] under its old parallel name: `workers`
+    /// is ignored, and there is no code path of its own. Kept only because
+    /// the benchmark's `core.check_sharded_speedup_2w` probe calls it; the
+    /// method goes together with that probe in the next benchmark refresh
+    /// (ROADMAP item 7).
     pub fn check_requests_sharded<H: HistoryRead>(
         &self,
         h: &H,
         requests: &[Request],
         _workers: usize,
     ) -> Verdict {
-        self.check_requests_source(h, requests)
+        self.check_requests(h, requests)
     }
 
     /// The one decider fed all at once: a cold [`IncrementalState`] with
@@ -386,26 +380,10 @@ impl Checker for FastChecker {
         "fast"
     }
 
+    /// `ops` are declared first and `erasable` after them, and one attempt
+    /// is read. The partition and every per-group search read events
+    /// through [`HistoryRead`], so no owned copy of the source is built.
     fn check(
-        &self,
-        h: &History,
-        ops: &[(ActionId, Value)],
-        erasable: &[(ActionId, Value)],
-    ) -> Verdict {
-        self.check_source(h, ops, erasable)
-    }
-
-    /// Overridden to partition once and share the per-group memo cells
-    /// between the full-sequence and last-request-abandoned attempts.
-    fn check_requests(&self, h: &History, requests: &[Request]) -> Verdict {
-        self.check_requests_source(h, requests)
-    }
-
-    /// Overridden to run natively over the view: the partition and every
-    /// per-group search read events through [`HistoryRead`], so no owned
-    /// copy of the source is ever built. `ops` are declared first and
-    /// `erasable` after them, and one attempt is read.
-    fn check_source(
         &self,
         h: &dyn HistoryRead,
         ops: &[(ActionId, Value)],
@@ -417,10 +395,9 @@ impl Checker for FastChecker {
             .attempt_over(h, executed, executed..executed + erasable.len())
     }
 
-    /// Overridden to read the view once into one state, whose per-group
-    /// memo cells the full-sequence and last-request-abandoned attempts
-    /// share.
-    fn check_requests_source(&self, h: &dyn HistoryRead, requests: &[Request]) -> Verdict {
+    /// Overridden to read the source once into one state, whose aggregate
+    /// the full-sequence and last-request-abandoned attempts share.
+    fn check_requests(&self, h: &dyn HistoryRead, requests: &[Request]) -> Verdict {
         let declared = requests.iter().map(|r| (r.action(), r.input()));
         self.cold_state(h, declared).verdict_over(h)
     }
@@ -469,48 +446,50 @@ impl Default for TieredChecker {
     }
 }
 
-/// `true` when the history contains a §5.4 round-stamped event: a start
-/// of an undoable base action whose input has the `Pair(base input,
-/// round)` shape the fast tier adopts into its parent request. The strict
-/// search tier has no adoption rule — it reads each stamped round as an
-/// unrelated request and condemns histories the fast tier merely finds
-/// ambiguous — so escalation must not cross this language boundary.
-fn contains_round_stamped(h: &dyn HistoryRead) -> bool {
+/// `true` when `h` holds a §5.4 round-stamped event: a start of an
+/// undoable action — base, cancellation or commit — whose input is a
+/// round stamp `Pair(base input, round)` ([`Value::round_stamp`]). These
+/// are exactly the events the fast tier adopts into their parent request.
+/// The strict search tier has no adoption rule — it reads each stamped
+/// round as an unrelated request and condemns histories the fast tier
+/// merely finds ambiguous — so escalation must not cross this language
+/// boundary, and the explorer does not compare the two tiers across it.
+pub fn contains_round_stamped(h: &dyn HistoryRead) -> bool {
     let mut found = false;
     h.scan_events(&mut |_, e| {
-        found = e.action().is_undoable_base()
-            && e.is_start()
-            && matches!(e.value(), Value::Pair(p) if matches!(p.1, Value::Int(_)));
+        found = e.is_start()
+            && e.action().base_name().is_undoable()
+            && e.value().round_stamp().is_some();
         !found
     });
     found
 }
 
 impl TieredChecker {
-    /// The escalation policy shared by both entry points: pass a definite
+    /// The escalation policy behind both entry points: pass a definite
     /// fast-tier verdict through, refuse to escalate long or round-stamped
-    /// histories, and otherwise consult the search tier, combining reasons
-    /// if it is undecided too.
+    /// histories, and otherwise ask the search tier, combining reasons if
+    /// it is undecided too.
     fn escalate(
         &self,
-        history_len: usize,
+        h: &dyn HistoryRead,
         fast: Verdict,
-        stamped: impl FnOnce() -> bool,
-        search_tier: impl FnOnce(&SearchChecker) -> Verdict,
+        search: impl FnOnce() -> Verdict,
     ) -> Verdict {
         let Verdict::Unknown { reason } = fast else {
             return fast;
         };
-        if history_len > self.max_search_events {
+        if h.len() > self.max_search_events {
             return Verdict::Unknown {
                 reason: format!(
                     "{reason}; history too long to escalate to exhaustive search \
-                     ({history_len} > {} events)",
+                     ({} > {} events)",
+                    h.len(),
                     self.max_search_events
                 ),
             };
         }
-        if stamped() {
+        if contains_round_stamped(h) {
             return Verdict::Unknown {
                 reason: format!(
                     "{reason}; history contains round-stamped events outside the \
@@ -519,7 +498,7 @@ impl TieredChecker {
                 ),
             };
         }
-        match search_tier(&self.search) {
+        match search() {
             Verdict::Unknown {
                 reason: search_reason,
             } => Verdict::Unknown {
@@ -537,63 +516,20 @@ impl Checker for TieredChecker {
 
     fn check(
         &self,
-        h: &History,
-        ops: &[(ActionId, Value)],
-        erasable: &[(ActionId, Value)],
-    ) -> Verdict {
-        let fast = self.fast.check(h, ops, erasable);
-        self.escalate(
-            h.len(),
-            fast,
-            || contains_round_stamped(h),
-            |search| search.check(h, ops, erasable),
-        )
-    }
-
-    /// Overridden so the fast tier partitions once and shares its
-    /// per-group memo cells between the full-sequence and
-    /// last-request-abandoned attempts; the search tier is consulted only
-    /// if the combined fast answer is `Unknown` (and the history is short
-    /// enough to escalate).
-    fn check_requests(&self, h: &History, requests: &[Request]) -> Verdict {
-        let fast = self.fast.check_requests(h, requests);
-        self.escalate(
-            h.len(),
-            fast,
-            || contains_round_stamped(h),
-            |search| search.check_requests(h, requests),
-        )
-    }
-
-    /// Overridden so the fast tier runs zero-copy over the view; the
-    /// source is materialized only when a small `Unknown` actually
-    /// escalates to the search tier.
-    fn check_source(
-        &self,
         h: &dyn HistoryRead,
         ops: &[(ActionId, Value)],
         erasable: &[(ActionId, Value)],
     ) -> Verdict {
-        let fast = self.fast.check_source(h, ops, erasable);
-        self.escalate(
-            h.len(),
-            fast,
-            || contains_round_stamped(h),
-            |search| search.check(&h.to_history(), ops, erasable),
-        )
+        let fast = self.fast.check(h, ops, erasable);
+        self.escalate(h, fast, || self.search.check(h, ops, erasable))
     }
 
-    /// Overridden so the fast tier runs zero-copy over the view; the
-    /// source is materialized only when a small `Unknown` actually
-    /// escalates to the search tier.
-    fn check_requests_source(&self, h: &dyn HistoryRead, requests: &[Request]) -> Verdict {
-        let fast = self.fast.check_requests_source(h, requests);
-        self.escalate(
-            h.len(),
-            fast,
-            || contains_round_stamped(h),
-            |search| search.check_requests(&h.to_history(), requests),
-        )
+    /// Overridden so the fast tier reads the source once for both R3
+    /// attempts; the search tier is consulted only if the combined fast
+    /// answer is `Unknown` (and the history is short enough to escalate).
+    fn check_requests(&self, h: &dyn HistoryRead, requests: &[Request]) -> Verdict {
+        let fast = self.fast.check_requests(h, requests);
+        self.escalate(h, fast, || self.search.check_requests(h, requests))
     }
 }
 
@@ -740,15 +676,27 @@ mod tests {
             "precondition: raw search misreads stamping ({search})"
         );
 
-        for v in [
-            tiered.check_requests(&h, &requests),
-            tiered.check_requests_source(&h, &requests),
-        ] {
-            let Verdict::Unknown { reason } = v else {
-                panic!("stamped history must not escalate, got {v}");
-            };
-            assert!(reason.contains("round-stamped"), "{reason}");
+        let v = tiered.check_requests(&h, &requests);
+        let Verdict::Unknown { reason } = v else {
+            panic!("stamped history must not escalate, got {v}");
+        };
+        assert!(reason.contains("round-stamped"), "{reason}");
+    }
+
+    #[test]
+    fn round_stamped_means_a_stamped_start_of_any_undoable_role() {
+        let u = ActionId::base(ActionName::undoable("u"));
+        let stamp = Value::round_stamped(Value::from("req-0"), 1);
+        let stamped = |events: Vec<Event>| contains_round_stamped(&History::from_events(events));
+        for action in [u.clone(), u.cancel().unwrap(), u.commit().unwrap()] {
+            assert!(stamped(vec![Event::start(action, stamp.clone())]));
         }
+        // Not a completion's output, not an idempotent name, not a pair
+        // whose second half is no round number.
+        assert!(!stamped(vec![Event::complete(u.clone(), stamp.clone())]));
+        assert!(!stamped(vec![Event::start(idem("a"), stamp)]));
+        let unstamped = Value::pair(Value::from("req-0"), Value::from("x"));
+        assert!(!stamped(vec![Event::start(u, unstamped)]));
     }
 
     #[test]
@@ -768,33 +716,6 @@ mod tests {
         ] {
             let v = checker.check_requests(&h, &requests);
             assert!(v.is_xable(), "{}: {v}", checker.name());
-        }
-    }
-
-    #[test]
-    fn source_entry_points_agree_with_owned() {
-        let a = idem("a");
-        let h: History = [s(&a, 1), s(&a, 1), c(&a, 5)].into_iter().collect();
-        let ops = [(a.clone(), Value::from(1))];
-        let requests = vec![Request::new(a, Value::from(1))];
-        let view = h.window(0, h.len());
-        for checker in [
-            &SearchChecker::default() as &dyn Checker,
-            &FastChecker::default(),
-            &TieredChecker::default(),
-        ] {
-            assert_eq!(
-                checker.check(&h, &ops, &[]),
-                checker.check_source(&view, &ops, &[]),
-                "{}: check vs check_source",
-                checker.name()
-            );
-            assert_eq!(
-                checker.check_requests(&h, &requests),
-                checker.check_requests_source(&view, &requests),
-                "{}: check_requests vs check_requests_source",
-                checker.name()
-            );
         }
     }
 

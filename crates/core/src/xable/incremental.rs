@@ -6,11 +6,10 @@
 //! online:
 //!
 //! * [`push`](IncrementalChecker::push) consumes one event in amortized
-//!   O(1): a single streaming attribution step (`Engine::observe` in
-//!   [`super::fast`]) links the event's index into the chain of its
-//!   symbol-keyed `(base action, input)` group, invalidates only that
-//!   group's memoized
-//!   search outcomes, and marks the requests watching the group *dirty*.
+//!   O(1): a single streaming attribution step (`Engine::observe` in the
+//!   crate-private `fast` module) links the event's index into the chain
+//!   of its symbol-keyed `(base action, input)` group and marks the
+//!   requests watching the group *dirty*.
 //! * [`declare`](IncrementalChecker::declare) appends an expected request
 //!   to the R3 sequence (requests arrive over time too: the client submits
 //!   `Rᵢ₊₁` only after `Rᵢ` succeeded).
@@ -55,7 +54,7 @@
 //! index — the same 5-bytes-a-slot `SymbolIndex` the engine and the
 //! interner use, probed against `op_keys`. A group adds 8 bytes here: its
 //! two watching requests. Every index is a `u32` with `NONE` for "absent";
-//! the `u32::MAX - 1` limit is the engine's (see [`super::fast`]).
+//! the `u32::MAX - 1` limit is the engine's (DESIGN.md §7).
 //! [`IncrementalState::approx_bytes_by_part`] is the table that adds up.
 //!
 //! The per-group state carried online, the dirty-set/aggregate invariant,
@@ -352,7 +351,7 @@ impl Aggregate {
 }
 
 /// The storage-free core of the online checker: the symbol-keyed engine
-/// (attribution state plus per-group partition with warm memo cells) and
+/// (attribution state, per-group partition and shape memo) and
 /// the dirty-tracked aggregate verdict, which holds the declared request
 /// sequence as interned keys — everything the incremental verdict needs
 /// *except* the events themselves.
@@ -543,9 +542,8 @@ impl IncrementalState {
     }
 
     /// Consumes the next event of the stream, in amortized O(1): one
-    /// attribution step, one chain link, one memo invalidation, one dirty
-    /// mark. The event itself is not retained — only its index joins the
-    /// partition.
+    /// attribution step, one chain link, one dirty mark. The event itself
+    /// is not retained — only its index joins the partition.
     ///
     /// # Panics
     ///
@@ -704,9 +702,9 @@ impl IncrementalState {
     }
 
     /// Drains the dirty sets: re-runs the erase check of each touched
-    /// undeclared group and the decision of each touched request, all
-    /// through the warm memo cells. O(dirty), independent of the total
-    /// group count.
+    /// undeclared group and the decision of each touched request, each
+    /// group question answered by the engine's shape memo. O(dirty),
+    /// independent of the total group count.
     fn refresh<H: HistoryRead + ?Sized>(&self, h: &H) {
         let mut agg = self.agg.borrow_mut();
         let agg = &mut *agg;
@@ -980,8 +978,8 @@ impl IncrementalState {
 ///
 /// Answers what [`super::FastChecker`]'s `check_requests` answers on the
 /// full current prefix — `FastChecker` is this checker's state fed all at
-/// once — but with the partition maintained across pushes, per-group
-/// search outcomes cached, and the verdict assembled from a dirty-tracked
+/// once — but with the partition maintained across pushes, per-request
+/// decisions cached, and the verdict assembled from a dirty-tracked
 /// aggregate (O(dirty groups) per call).
 ///
 /// This is the self-contained flavour: it owns its copy of the consumed
@@ -1025,8 +1023,7 @@ impl IncrementalChecker {
     }
 
     /// Consumes one observed event, in amortized O(1): one attribution
-    /// step, one group-cell append, one memo invalidation, one dirty
-    /// mark.
+    /// step, one group-cell append, one dirty mark.
     pub fn push(&mut self, event: Event) {
         self.state.observe(&event);
         self.history.push(event);
@@ -1452,12 +1449,12 @@ mod tests {
     }
 
     #[test]
-    fn a_warm_exec_memo_gives_every_later_verdict_the_same_output() {
+    fn a_committed_round_redecided_later_reports_the_same_output() {
         // Cancelled round → verdict → committed round → verdict → a
         // trailing duplicate cancel of round 1 (dirties the request while
-        // the committed round's memo stays warm: the re-decision is a memo
-        // hit that re-reads the output from the history) → verdict → an
-        // unrelated request's events → verdict. Every one equals the
+        // the committed round is unchanged: the re-decision asks the shape
+        // memo again and re-reads the output from the history) → verdict →
+        // an unrelated request's events → verdict. Every one equals the
         // batch checker's.
         let u = undo("xfer");
         let (cancel, commit) = (u.cancel().unwrap(), u.commit().unwrap());
@@ -1495,9 +1492,10 @@ mod tests {
     /// Replays `requests` requests cycling through the four shapes of
     /// xbench's `verify_online` trace (idempotent clean, idempotent
     /// retried, undoable committed, undoable cancelled then committed; a
-    /// fresh key per request), a verdict every 32 requests and at the end,
-    /// and returns the monitor.
-    fn replay_mixed(requests: usize) -> IncrementalChecker {
+    /// fresh key per request), a verdict every 32 requests and at the end
+    /// — and, with `verdict_every_event`, one after every event too — and
+    /// returns the monitor.
+    fn replay_mixed(requests: usize, verdict_every_event: bool) -> IncrementalChecker {
         let put = idem("put");
         let xfer = undo("xfer");
         let (cancel, commit) = (xfer.cancel().unwrap(), xfer.commit().unwrap());
@@ -1507,14 +1505,15 @@ mod tests {
             let round = |k: i64| Value::pair(key.clone(), Value::from(k));
             let output = Value::from(i as i64);
             let shape = i % 4;
+            let mut events = Vec::new();
             if shape < 2 {
                 inc.declare(put.clone(), key.clone());
-                inc.push_all((0..=shape).map(|_| Event::start(put.clone(), key.clone())));
-                inc.push(Event::complete(put.clone(), output));
+                events.extend((0..=shape).map(|_| Event::start(put.clone(), key.clone())));
+                events.push(Event::complete(put.clone(), output));
             } else {
                 inc.declare(xfer.clone(), key.clone());
                 let committed = if shape == 3 {
-                    inc.push_all([
+                    events.extend([
                         Event::start(xfer.clone(), round(1)),
                         Event::start(cancel.clone(), round(1)),
                         cnil(&cancel),
@@ -1523,12 +1522,18 @@ mod tests {
                 } else {
                     1
                 };
-                inc.push_all([
+                events.extend([
                     Event::start(xfer.clone(), round(committed)),
                     Event::complete(xfer.clone(), output),
                     Event::start(commit.clone(), round(committed)),
                     cnil(&commit),
                 ]);
+            }
+            for event in events {
+                inc.push(event);
+                if verdict_every_event {
+                    let _ = inc.verdict();
+                }
             }
             if i % 32 == 31 {
                 assert!(inc.verdict().is_xable(), "after request {i}");
@@ -1544,15 +1549,23 @@ mod tests {
         // same handful of reduction searches — the three exec shapes (a
         // committed round looks the same in round 1 and in round 2) and
         // the cancelled round's erase.
-        let short = replay_mixed(200).state.engine.searches_run();
-        let long = replay_mixed(2_000).state.engine.searches_run();
-        assert_eq!(short, long);
-        assert_eq!(long, 4);
+        let searches = |requests, verdict_every_event| {
+            let inc = replay_mixed(requests, verdict_every_event);
+            inc.state.engine.searches_run()
+        };
+        assert_eq!(searches(200, false), searches(2_000, false));
+        assert_eq!(searches(2_000, false), 4);
+        // A verdict after every event asks again about what has not
+        // changed — the committed request's sibling rounds, the unfinished
+        // last request as an erasable one — and about every prefix of
+        // each group: more shapes, and still a fixed number of them.
+        assert_eq!(searches(200, true), searches(2_000, true));
+        assert_eq!(searches(2_000, true), 12);
 
         // A group longer than the memo's cap still decides — through the
         // search, every time: two such requests, two more searches.
         let a = idem("put");
-        let mut inc = replay_mixed(8);
+        let mut inc = replay_mixed(8, false);
         for key in [100, 101] {
             inc.declare(a.clone(), Value::from(key));
             inc.push_all((0..SHAPE_MAX_LEN).map(|_| s(&a, key)));

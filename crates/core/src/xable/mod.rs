@@ -5,8 +5,9 @@
 //! the ⇒ relation of Fig. 4 to a failure-free history of that sequence.
 //!
 //! All deciders share one API: the [`Checker`] trait and the unified
-//! [`Verdict`] type (defined in [`checker`]). Three batch deciders are
-//! provided, plus an online one:
+//! [`Verdict`] type (defined in [`checker`]), one entry point per question
+//! over any [`HistoryRead`](crate::HistoryRead) source. Three batch
+//! deciders are provided, plus an online one:
 //!
 //! * [`SearchChecker`] — the reference semantics: an exhaustive
 //!   breadth-first exploration of the reduction closure. Complete (up to an
@@ -26,15 +27,17 @@
 //!   second copy of the trace — and it is [`FastChecker`]'s decider too:
 //!   a fast check is a cold state fed the whole history at once.
 //!
-//! The submodules [`search`] and [`fast`] hold the respective engines;
-//! [`incremental`] assembles the fast engine's per-group outcomes into
-//! verdicts.
+//! The submodule [`search`] and the crate-private `fast` hold the
+//! respective engines; [`incremental`] assembles the fast engine's
+//! per-group outcomes into verdicts.
 
 pub mod checker;
-pub mod fast;
+mod fast;
 pub mod incremental;
 pub mod search;
 
-pub use checker::{Checker, FastChecker, SearchChecker, TieredChecker, Verdict, Witness};
+pub use checker::{
+    contains_round_stamped, Checker, FastChecker, SearchChecker, TieredChecker, Verdict, Witness,
+};
 pub use incremental::{IncrementalChecker, IncrementalState};
 pub use search::{is_xable_search, search_reduction, SearchBudget, SearchResult};

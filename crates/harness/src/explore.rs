@@ -35,7 +35,7 @@ use std::path::Path;
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
 use xability_core::xable::{
-    Checker, FastChecker, IncrementalChecker, SearchChecker, TieredChecker,
+    contains_round_stamped, Checker, FastChecker, IncrementalChecker, SearchChecker, TieredChecker,
 };
 use xability_core::{ActionId, ActionName, History, Request, Value};
 use xability_obs::{MetricsSnapshot, Obs};
@@ -210,7 +210,8 @@ pub enum ReasonClass {
     ///
     /// [`NoReduction`]: ReasonClass::NoReduction
     DanglingRound,
-    /// A declared request was never executed.
+    /// A declared request was never executed, or ran in rounds of which
+    /// none committed.
     NeverExecuted,
     /// Plain and round-stamped events are mixed for one request.
     MixedStamping,
@@ -235,8 +236,14 @@ impl ReasonClass {
         let Some(r) = reason else {
             return ReasonClass::None;
         };
-        if r.contains("duplicate request identity") || r.contains("committed in") {
+        // "… committed in {n} rounds (want exactly 1)": two or more is a
+        // duplicate effect, none is a request that never took effect.
+        let committed_rounds = (r.split_once("committed in "))
+            .and_then(|(_, rest)| rest.split(' ').next()?.parse::<u32>().ok());
+        if r.contains("duplicate request identity") || committed_rounds.is_some_and(|n| n >= 2) {
             ReasonClass::DuplicateEffect
+        } else if committed_rounds == Some(0) {
+            ReasonClass::NeverExecuted
         } else if r.contains("out of submission order") {
             ReasonClass::OutOfOrder
         } else if r.contains("do not reduce")
@@ -795,61 +802,40 @@ pub fn dangling_round_violation(requests: &[Request], history: &History) -> Opti
         committed: bool,
         cancelled: bool,
     }
-    // Round identity → its resolution state. `(undoable name, stamped
-    // pair)` keys; BTreeMap so the scan order is deterministic.
-    let mut rounds: BTreeMap<(ActionName, Value), RoundState> = BTreeMap::new();
+    // Round identity → its resolution state. `(undoable name, base input,
+    // round)` keys; BTreeMap so the scan order is deterministic.
+    let mut rounds: BTreeMap<(ActionName, Value, i64), RoundState> = BTreeMap::new();
     for e in history.iter() {
-        if !e.is_start() {
-            continue; // completions carry outputs, not round identities
-        }
         let name = e.action().base_name();
-        let stamped = name.is_undoable()
-            && matches!(e.value(), Value::Pair(p) if matches!(p.1, Value::Int(_)));
-        if !stamped {
+        // Completions carry outputs, not round identities.
+        let stamp = (e.value().round_stamp()).filter(|_| e.is_start() && name.is_undoable());
+        let Some((base, round)) = stamp else {
             continue;
-        }
-        let state = rounds.entry((name.clone(), e.value().clone())).or_default();
+        };
+        let state = rounds
+            .entry((name.clone(), base.clone(), round))
+            .or_default();
         match e.action() {
             ActionId::Base(_) => state.started = true,
             ActionId::Commit(_) => state.committed = true,
             ActionId::Cancel(_) => state.cancelled = true,
         }
     }
-    let parent = |stamp: &Value| -> Value {
-        match stamp {
-            Value::Pair(p) => p.0.clone(),
-            _ => unreachable!("only stamped pairs are keyed"),
-        }
-    };
-    let committed_requests: BTreeSet<(ActionName, Value)> = rounds
+    let committed_requests: BTreeSet<(&ActionName, &Value)> = rounds
         .iter()
         .filter(|(_, state)| state.committed)
-        .map(|((name, stamp), _)| (name.clone(), parent(stamp)))
+        .map(|((name, base, _), _)| (name, base))
         .collect();
-    let dangling = rounds.iter().any(|((name, stamp), state)| {
+    let dangling = rounds.iter().any(|((name, base, _), state)| {
         state.started
             && !state.committed
             && !state.cancelled
-            && committed_requests.contains(&(name.clone(), parent(stamp)))
-            && declared.contains(&(name, &parent(stamp)))
+            && committed_requests.contains(&(name, base))
+            && declared.contains(&(name, base))
     });
     dangling.then_some(ViolationClass {
         kind: ViolationKind::R3,
         reason: ReasonClass::DanglingRound,
-    })
-}
-
-/// `true` when `history` contains §5.4 round-stamped events: an
-/// undoable-family action whose identity value has the stamped shape
-/// `Pair(base input, round)`. The strict search reference deliberately
-/// does not implement stamped-group adoption (that is a fast-engine
-/// feature), so on stamped histories the two tiers answer *different
-/// questions* and must not be compared.
-fn has_round_stamped_events(history: &History) -> bool {
-    history.iter().any(|e| {
-        e.action().base_name().is_undoable()
-            && e.is_start()
-            && matches!(e.value(), xability_core::Value::Pair(p) if matches!(p.1, xability_core::Value::Int(_)))
     })
 }
 
@@ -868,7 +854,7 @@ fn has_round_stamped_events(history: &History) -> bool {
 /// (`tests/checker_agreement.rs`), so *any* surviving disagreement is a
 /// decision-procedure bug worth shrinking.
 pub fn tier_disagreement(requests: &[Request], history: &History) -> Option<ReasonClass> {
-    if has_round_stamped_events(history) {
+    if contains_round_stamped(history) {
         return None;
     }
     let fast = FastChecker::default().check_requests(history, requests);
@@ -1202,6 +1188,7 @@ mod tests {
         for (text, class) in [
             ("duplicate request identity x", ReasonClass::DuplicateEffect),
             ("committed in 2 rounds (want exactly 1)", ReasonClass::DuplicateEffect),
+            ("committed in 0 rounds (want exactly 1)", ReasonClass::NeverExecuted),
             (
                 "request effects occur out of submission order",
                 ReasonClass::OutOfOrder,

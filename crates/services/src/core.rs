@@ -404,7 +404,7 @@ impl ServiceCore {
     /// for the reduction rules — a stale cancellation of round r cannot be
     /// confused with (or block) the surviving execution of round r+1.
     fn stamped_input(req: &ServiceRequest) -> Value {
-        Value::pair(req.key.clone(), Value::Int(req.round as i64))
+        Value::round_stamped(req.key.clone(), req.round as i64)
     }
 
     fn execute_undoable(

@@ -1132,8 +1132,7 @@ mod tests {
                 ledger.record_batch(&events, t(i as u64), "svc");
                 if i % 8 == 7 {
                     let warm = ledger.monitor_verdict().expect("default monitor");
-                    let cold =
-                        FastChecker::default().check_requests_source(&ledger.history(), &requests);
+                    let cold = FastChecker::default().check_requests(&ledger.history(), &requests);
                     assert_eq!(cold, warm, "after request {i}");
                 }
             }

@@ -545,18 +545,6 @@ impl HistoryRead for HistoryView {
         HistoryView::to_history(self)
     }
 
-    fn is_base_start_at(&self, index: usize) -> bool {
-        assert!(index < HistoryView::len(self), "index out of bounds");
-        let repr = self.snap.repr(self.start + index);
-        !repr.is_complete() && repr.role() == ROLE_BASE
-    }
-
-    fn is_base_completion_at(&self, index: usize) -> bool {
-        assert!(index < HistoryView::len(self), "index out of bounds");
-        let repr = self.snap.repr(self.start + index);
-        repr.is_complete() && repr.role() == ROLE_BASE
-    }
-
     fn shape_codes(
         &self,
         indices: &[usize],
@@ -711,25 +699,6 @@ mod tests {
         assert!(sub.slice(0, 0).is_empty());
     }
 
-    #[test]
-    fn history_read_structural_tests_match_decode() {
-        let h = sample_history();
-        let store = TraceStore::from_history(&h);
-        let view = store.view();
-        for i in 0..h.len() {
-            assert_eq!(
-                HistoryRead::is_base_start_at(&view, i),
-                HistoryRead::is_base_start_at(&h, i),
-                "index {i}"
-            );
-            assert_eq!(
-                HistoryRead::is_base_completion_at(&view, i),
-                HistoryRead::is_base_completion_at(&h, i),
-                "index {i}"
-            );
-        }
-    }
-
     /// Every event two base names, three roles and four values (`Nil`
     /// among them) allow: 48 letters, the first 24 carrying the undoable
     /// name `u`, the rest the idempotent name `a`.
@@ -858,12 +827,12 @@ mod tests {
                 .collect();
             let view = TraceStore::from_history(&h).view();
             assert_eq!(
-                checker.check_source(&view, &ops, &[]),
+                checker.check(&view, &ops, &[]),
                 checker.check(&h, &ops, &[]),
                 "executing {h}"
             );
             assert_eq!(
-                checker.check_source(&view, &[], &ops),
+                checker.check(&view, &[], &ops),
                 checker.check(&h, &[], &ops),
                 "erasing {h}"
             );

@@ -725,8 +725,8 @@ mod tests {
         let replayed = read_trace(&mut bytes.as_slice()).unwrap();
         let checker = FastChecker::default();
         assert_eq!(
-            checker.check_requests_source(&store.view(), &requests),
-            checker.check_requests_source(&replayed.store.view(), &replayed.requests),
+            checker.check_requests(&store.view(), &requests),
+            checker.check_requests(&replayed.store.view(), &replayed.requests),
         );
     }
 
@@ -772,8 +772,8 @@ mod tests {
             );
             let checker = FastChecker::default();
             assert_eq!(
-                checker.check_requests_source(&store.view(), &requests),
-                checker.check_requests_source(&replayed.store.view(), &replayed.requests),
+                checker.check_requests(&store.view(), &requests),
+                checker.check_requests(&replayed.store.view(), &replayed.requests),
                 "codec {codec}"
             );
         }

@@ -194,7 +194,7 @@ fn ten_thousand_event_trace_verdict_after_every_push() {
         }
         let end = k + 1;
         if end % checkpoint_stride == 0 || end + 32 >= h.len() {
-            let offline = batch.check_requests_source(&h.window(0, end), &requests);
+            let offline = batch.check_requests(&h.slice(0, end), &requests);
             assert_eq!(online, offline, "prefix of {end} events diverged");
         }
     }

@@ -9,96 +9,27 @@
 //! UPDATE_PUBLIC_API=1 cargo test --test public_api
 //! ```
 //!
-//! The extractor is deliberately simple — first lines of `pub` item
-//! declarations at top level or one indentation step (inherent methods),
-//! excluding `pub(crate)`/`pub(super)` — which is exactly the granularity
-//! at which accidental surface changes happen.
+//! The extractor is xlint's ([`derive_snapshot`], behind the
+//! `api-snapshot-drift` rule), so the lint and this test read one
+//! definition of "the public API".
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-const SNAPSHOT: &str = "tests/public_api.txt";
-/// The snapshotted crates: the theory surface and the store surface.
-const CRATE_ROOTS: [&str; 2] = ["crates/core/src", "crates/store/src"];
-
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let entries = fs::read_dir(dir).expect("readable source dir");
-    for entry in entries {
-        let path = entry.expect("readable dir entry").path();
-        if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
-/// Extracts the first line of every public item declaration in `source`.
-fn public_decls(source: &str) -> Vec<String> {
-    let mut decls = Vec::new();
-    let mut in_tests = false;
-    let mut test_depth = 0usize;
-    let mut depth = 0usize;
-    for line in source.lines() {
-        let trimmed = line.trim_start();
-        let indent = line.len() - trimmed.len();
-        if !in_tests && trimmed.starts_with("mod tests") {
-            in_tests = true;
-            test_depth = depth;
-        }
-        // `pub` but not `pub(crate)` / `pub(super)`, at top level or one
-        // step in (inherent methods / associated consts).
-        if !in_tests && indent <= 4 && trimmed.starts_with("pub ") {
-            let decl = trimmed
-                .split_once(" {")
-                .map_or(trimmed, |(head, _)| head)
-                .trim_end_matches(';')
-                .trim_end();
-            decls.push(decl.to_owned());
-        }
-        depth += line.matches('{').count();
-        depth = depth.saturating_sub(line.matches('}').count());
-        if in_tests && depth <= test_depth && line.contains('}') {
-            in_tests = false;
-        }
-    }
-    decls
-}
+use xability_analysis::lint::api_hygiene::{derive_snapshot, SNAPSHOT};
 
 #[test]
 fn public_api_matches_snapshot() {
-    let mut actual = String::from(
-        "# Public API of xability-core and xability-store (first lines of `pub` declarations).\n\
-         # Regenerate with: UPDATE_PUBLIC_API=1 cargo test --test public_api\n",
-    );
-    for root in CRATE_ROOTS {
-        let mut files = Vec::new();
-        rust_files(Path::new(root), &mut files);
-        files.sort();
-        for file in &files {
-            let source = fs::read_to_string(file).expect("readable source file");
-            let rel = file
-                .strip_prefix(root)
-                .expect("under crate root")
-                .display()
-                .to_string();
-            let decls = public_decls(&source);
-            if decls.is_empty() {
-                continue;
-            }
-            writeln!(actual, "\n## {root}/{rel}").expect("infallible");
-            for decl in decls {
-                writeln!(actual, "{decl}").expect("infallible");
-            }
-        }
-    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let actual = derive_snapshot(root).expect("derive the public-API snapshot");
+    let snapshot = root.join(SNAPSHOT);
 
     if std::env::var_os("UPDATE_PUBLIC_API").is_some() {
-        fs::write(SNAPSHOT, &actual).expect("write snapshot");
+        fs::write(&snapshot, &actual).expect("write snapshot");
         return;
     }
-    let expected = fs::read_to_string(SNAPSHOT).unwrap_or_default();
+    let expected = fs::read_to_string(&snapshot).unwrap_or_default();
     if actual != expected {
         // Qualify each line with its `## file` section (and a per-section
         // occurrence count) so duplicate declarations across or within

@@ -80,7 +80,7 @@ proptest! {
         let store = TraceStore::from_history(&h);
         let checker = FastChecker::default();
         let owned = checker.check_requests(&h, &requests);
-        let viewed = checker.check_requests_source(&store.view(), &requests);
+        let viewed = checker.check_requests(&store.view(), &requests);
         prop_assert_eq!(&owned, &viewed, "owned={} viewed={}", &owned, &viewed);
     }
 
@@ -130,8 +130,8 @@ proptest! {
         prop_assert_eq!(replayed.store.view().to_history(), h);
         let checker = FastChecker::default();
         prop_assert_eq!(
-            checker.check_requests_source(&store.view(), &requests),
-            checker.check_requests_source(&replayed.store.view(), &replayed.requests)
+            checker.check_requests(&store.view(), &requests),
+            checker.check_requests(&replayed.store.view(), &replayed.requests)
         );
     }
 

@@ -154,9 +154,9 @@ fn reopened_views_recheck_byte_identically_to_memory() {
     let flat = flat_store(&events);
     let fast = FastChecker::default();
     let tiered_checker = TieredChecker::default();
-    let memory_fast = fast.check_source(&flat.view(), &ops, &[]);
-    let memory_tiered = tiered_checker.check_source(&flat.view(), &ops, &[]);
-    let memory_r3 = fast.check_requests_source(&flat.view(), &requests);
+    let memory_fast = fast.check(&flat.view(), &ops, &[]);
+    let memory_tiered = tiered_checker.check(&flat.view(), &ops, &[]);
+    let memory_r3 = fast.check_requests(&flat.view(), &requests);
     // Uneven on purpose: the flushed final segment is a partial one.
     let threshold = 7;
     assert_ne!(events.len() % threshold, 0);
@@ -190,12 +190,12 @@ fn reopened_views_recheck_byte_identically_to_memory() {
         let view = reopened.history();
 
         assert_eq!(
-            fast.check_source(&view, &ops, &[]),
+            fast.check(&view, &ops, &[]),
             memory_fast,
             "codec {codec}: FastChecker over the reopened history"
         );
         assert_eq!(
-            tiered_checker.check_source(&view, &ops, &[]),
+            tiered_checker.check(&view, &ops, &[]),
             memory_tiered,
             "codec {codec}: TieredChecker over the reopened history"
         );

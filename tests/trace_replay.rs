@@ -151,7 +151,7 @@ fn corpus_replays_and_rechecks() {
         );
 
         // …and re-check to the pinned verdict, zero-copy off the view.
-        let verdict = checker.check_requests_source(&replayed.store.view(), &replayed.requests);
+        let verdict = checker.check_requests(&replayed.store.view(), &replayed.requests);
         match entry.expect {
             Expect::Xable => assert!(verdict.is_xable(), "{}: {verdict}", entry.file),
             Expect::NotXable => assert!(verdict.is_not_xable(), "{}: {verdict}", entry.file),
@@ -300,8 +300,8 @@ fn explored_corpus_replays_and_rechecks() {
         // (the fast tier answers `Unknown` here — the completion
         // attribution on these round-stamped traces is ambiguous, which
         // is exactly why the structural oracle exists).
-        let verdict = FastChecker::default()
-            .check_requests_source(&replayed.store.view(), &replayed.requests);
+        let verdict =
+            FastChecker::default().check_requests(&replayed.store.view(), &replayed.requests);
         assert!(
             !verdict.is_xable(),
             "{}: a shrunk violation must not re-check x-able: {verdict}",
