@@ -75,7 +75,7 @@ impl DirtyModel {
             .requests()
             .map(|(action, input)| Request::new(action, input))
             .collect();
-        let batch = FastChecker::default().check_requests(self.checker.history(), &requests);
+        let batch = FastChecker.check_requests(self.checker.history(), &requests);
         if incremental != batch {
             return Err(format!(
                 "after {} events / {} requests: incremental {incremental:?} != batch {batch:?}",

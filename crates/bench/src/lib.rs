@@ -109,12 +109,12 @@ mod tests {
     fn generators_produce_xable_histories() {
         let (h, ops) = n_requests_with_cancelled_rounds(3);
         assert_eq!(h.len(), 21);
-        assert!(FastChecker::default().check(&h, &ops, &[]).is_xable());
+        assert!(FastChecker.check(&h, &ops, &[]).is_xable());
         let (h, ops) = n_retried_requests(4);
         assert_eq!(h.len(), 12);
-        assert!(FastChecker::default().check(&h, &ops, &[]).is_xable());
+        assert!(FastChecker.check(&h, &ops, &[]).is_xable());
         let (h, ops) = n_mixed_requests(8);
         assert_eq!(h.len(), 32);
-        assert!(FastChecker::default().check(&h, &ops, &[]).is_xable());
+        assert!(FastChecker.check(&h, &ops, &[]).is_xable());
     }
 }

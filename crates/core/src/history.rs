@@ -384,11 +384,6 @@ impl History {
             .filter(|e| e.is_completion_of(action))
             .count()
     }
-
-    /// Consumes the history, returning its events.
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
-    }
 }
 
 impl HistoryRead for History {

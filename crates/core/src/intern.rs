@@ -165,6 +165,74 @@ impl Interner {
     }
 }
 
+/// Distinct action names one [`BatchMemo`] remembers; past it a name is
+/// interned directly, so a batch of many names never turns the scan
+/// quadratic.
+const BATCH_MEMO_ACTIONS: usize = 8;
+
+/// The symbol memo of one batch of events, in front of an [`Interner`]:
+/// the names the batch met so far (a linear scan — real alphabets hold a
+/// handful) and the last value interned (a start and its retries repeat
+/// one value). A hit is a direct equality check instead of the interner's
+/// hash-and-probe; a miss interns, so every answer is the symbol the
+/// interner itself gives. The store's and the checker engine's batch
+/// ingest each build one per batch.
+///
+/// The entries sit in a fixed-capacity array, so a memo built for a batch
+/// of one event allocates nothing.
+///
+/// # Examples
+///
+/// ```
+/// use xability_core::intern::{BatchMemo, Interner};
+/// use xability_core::{ActionName, Value};
+///
+/// let mut interner = Interner::new();
+/// let (get, one) = (ActionName::idempotent("get"), Value::from(1));
+/// let mut memo = BatchMemo::default();
+/// let sym = memo.action(&mut interner, &get);
+/// assert_eq!(memo.action(&mut interner, &get), sym); // a memo hit
+/// assert_eq!(memo.value(&mut interner, &one), interner.intern_value(&one));
+/// ```
+#[derive(Debug, Default)]
+pub struct BatchMemo<'a> {
+    /// Filled from the front; `None` past the last name met.
+    actions: [Option<(&'a ActionName, u32)>; BATCH_MEMO_ACTIONS],
+    last_value: Option<(&'a Value, u32)>,
+}
+
+impl<'a> BatchMemo<'a> {
+    /// The symbol of `name` in `interner`, from the memo when the batch
+    /// met `name` before. Inlined: it runs once per event of every batch,
+    /// called from other crates.
+    #[inline]
+    pub fn action(&mut self, interner: &mut Interner, name: &'a ActionName) -> u32 {
+        let mut met = self.actions.iter().map_while(|entry| *entry);
+        if let Some((_, sym)) = met.find(|&(seen, _)| seen == name) {
+            return sym;
+        }
+        let sym = interner.intern_action(name);
+        if let Some(free) = self.actions.iter_mut().find(|entry| entry.is_none()) {
+            *free = Some((name, sym));
+        }
+        sym
+    }
+
+    /// The symbol of `value` in `interner`, from the memo when it equals
+    /// the last value asked for.
+    #[inline]
+    pub fn value(&mut self, interner: &mut Interner, value: &'a Value) -> u32 {
+        match self.last_value {
+            Some((last, sym)) if last == value => sym,
+            _ => {
+                let sym = interner.intern_value(value);
+                self.last_value = Some((value, sym));
+                sym
+            }
+        }
+    }
+}
+
 /// An immutable, cheaply cloneable snapshot of an [`Interner`]'s symbol
 /// tables (see [`Interner::reader`]): resolves symbols without borrowing
 /// the live interner, including from other threads.
@@ -697,6 +765,28 @@ mod tests {
         );
         assert!(max <= Some(8), "a crowded bucket: {max:?}");
         assert!((1_300..1_700).contains(&empty), "{empty} empty buckets");
+    }
+
+    #[test]
+    fn batch_memo_answers_what_the_interner_answers_past_its_capacity() {
+        // More names than the memo holds, each met twice, and values that
+        // repeat and alternate: every answer is the interner's own symbol.
+        let names: Vec<ActionName> = (0..BATCH_MEMO_ACTIONS + 4)
+            .map(|k| ActionName::idempotent(format!("a{k}")))
+            .collect();
+        let values = [Value::from(1), Value::from(1), Value::Nil, Value::from(1)];
+        let mut interner = Interner::new();
+        let mut memo = BatchMemo::default();
+        for name in names.iter().chain(&names) {
+            let sym = memo.action(&mut interner, name);
+            assert_eq!(interner.lookup_action(name), Some(sym));
+        }
+        for value in values.iter().chain(&values) {
+            let sym = memo.value(&mut interner, value);
+            assert_eq!(interner.lookup_value(value), Some(sym));
+        }
+        assert_eq!(interner.action_count(), names.len());
+        assert_eq!(interner.value_count(), 2);
     }
 
     #[test]

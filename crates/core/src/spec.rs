@@ -179,7 +179,7 @@ pub fn check_r3<S: Sequencer>(
 /// let a = ActionId::base(ActionName::idempotent("get"));
 /// let reqs = vec![Request::new(a.clone(), Value::from(1))];
 /// let h = eventsof(&a, &Value::from(1), &Value::from(5));
-/// assert!(check_r3_with(&FastChecker::default(), &IdentitySequencer, &reqs, &h).is_none());
+/// assert!(check_r3_with(&FastChecker, &IdentitySequencer, &reqs, &h).is_none());
 /// ```
 pub fn check_r3_with<C: Checker + ?Sized, S: Sequencer>(
     checker: &C,

@@ -323,19 +323,11 @@ impl Checker for SearchChecker {
 ///
 /// Sound in both directions where definite; answers [`Verdict::Unknown`]
 /// when a history falls outside its class or a per-group search runs out
-/// of `group_budget`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FastChecker {
-    /// Budget for each per-group reduction search.
-    pub group_budget: SearchBudget,
-}
+/// of its budget — [`SearchBudget::small`], a constant of the fast tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FastChecker;
 
 impl FastChecker {
-    /// A fast checker with an explicit per-group budget.
-    pub fn new(group_budget: SearchBudget) -> Self {
-        FastChecker { group_budget }
-    }
-
     /// [`Checker::check_requests`] under its old parallel name: `workers`
     /// is ignored, and there is no code path of its own. Kept only because
     /// the benchmark's `core.check_sharded_speedup_2w` probe calls it; the
@@ -351,27 +343,18 @@ impl FastChecker {
     }
 
     /// The one decider fed all at once: a cold [`IncrementalState`] with
-    /// this checker's budget, `requests` declared in order, and every
-    /// event of `h` consumed.
+    /// `requests` declared in order and every event of `h` consumed.
     fn cold_state<'a>(
         &self,
         h: &dyn HistoryRead,
         requests: impl Iterator<Item = (&'a ActionId, &'a Value)>,
     ) -> IncrementalState {
-        let mut state = IncrementalState::with_budget(self.group_budget);
+        let mut state = IncrementalState::new();
         for (action, input) in requests {
             state.declare(action.clone(), input.clone());
         }
         state.catch_up(h);
         state
-    }
-}
-
-impl Default for FastChecker {
-    fn default() -> Self {
-        FastChecker {
-            group_budget: SearchBudget::small(),
-        }
     }
 }
 
@@ -439,7 +422,7 @@ impl TieredChecker {
 impl Default for TieredChecker {
     fn default() -> Self {
         TieredChecker {
-            fast: FastChecker::default(),
+            fast: FastChecker,
             search: SearchChecker::default(),
             max_search_events: 48,
         }
@@ -559,7 +542,7 @@ mod tests {
         let ops = [(a, Value::from(1))];
         for checker in [
             &SearchChecker::default() as &dyn Checker,
-            &FastChecker::default(),
+            &FastChecker,
             &TieredChecker::default(),
         ] {
             let v = checker.check(&h, &ops, &[]);
@@ -577,7 +560,7 @@ mod tests {
         let ops = [(a, Value::from(1))];
         for checker in [
             &SearchChecker::default() as &dyn Checker,
-            &FastChecker::default(),
+            &FastChecker,
             &TieredChecker::default(),
         ] {
             let v = checker.check(&h, &ops, &[]);
@@ -614,7 +597,7 @@ mod tests {
         .into_iter()
         .collect();
         let ops = [(a.clone(), Value::from(1)), (a, Value::from(2))];
-        let fast = FastChecker::default().check(&h, &ops, &[]);
+        let fast = FastChecker.check(&h, &ops, &[]);
         assert!(
             fast.is_unknown(),
             "precondition: fast tier undecided ({fast})"
@@ -711,7 +694,7 @@ mod tests {
         let h = eventsof(&a, &Value::from(1), &Value::from(5));
         for checker in [
             &SearchChecker::default() as &dyn Checker,
-            &FastChecker::default(),
+            &FastChecker,
             &TieredChecker::default(),
         ] {
             let v = checker.check_requests(&h, &requests);

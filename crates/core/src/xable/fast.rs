@@ -44,8 +44,7 @@
 //! **What a group and an event cost.** Every column holds `u32`s, with
 //! `NONE` (`u32::MAX`) for "absent", so the engine indexes at most
 //! `u32::MAX - 1` events, groups and round parents and panics, saying so,
-//! past that (the limit `Ledger::extend_meta` already enforces on a
-//! ledger's events):
+//! past that (DESIGN.md §7 states the limit once):
 //!
 //! * an **event** costs 4 bytes: its entry of the engine-wide `prev`
 //!   column, the index of the previous event *of its group*. A group's
@@ -77,8 +76,10 @@
 //! input is `Nil`, and per event its start/completion bit, its role and
 //! the *class* of its value — 0 for `Nil`, every other value numbered by
 //! first occurrence, the key's input first
-//! ([`HistoryRead::shape_codes`]) — plus the [`SearchBudget`]. The outcome
-//! of the per-group search is a function of the shape:
+//! ([`HistoryRead::shape_codes`]). Every per-group search runs under one
+//! constant budget, [`SearchBudget::small`] — no caller ever wanted
+//! another — so the budget is not part of the shape, and a key is 16
+//! bytes. The outcome of the per-group search is a function of the shape:
 //!
 //! * `reduce::reduction_steps` reads events only through event equality,
 //!   the action's role, the name's kind and `Value::is_nil`, and lists its
@@ -111,9 +112,10 @@
 //! engine hold. No workload wants either at another value.
 //!
 //! **One client.** The engine sits under [`super::IncrementalState`] alone:
-//! the state feeds it events (`Engine::observe` / `Engine::observe_batch`)
-//! and asks it for the per-group outcomes of the groups that changed since
-//! the last verdict. The per-request case analysis, the abandoned-request
+//! the state feeds it slices of events (`Engine::observe_batch`, the one
+//! ingest path — a single event is a slice of one) and asks it for the
+//! per-group outcomes of the groups that changed since the last verdict.
+//! The per-request case analysis, the abandoned-request
 //! erasure and the effect-order check are the state's, written once.
 //! [`super::FastChecker`] is that state fed a whole source at once, so a
 //! batch verdict and an online one are one computation, not two that are
@@ -131,7 +133,7 @@ use crate::action::{ActionId, ActionKind, ActionName};
 use crate::event::Event;
 use crate::failure_free::failure_free_output;
 use crate::history::{History, HistoryRead};
-use crate::intern::{hash_of, Interner, SymbolIndex};
+use crate::intern::{hash_of, BatchMemo, Interner, SymbolIndex};
 use crate::seglog::AppendLog;
 use crate::value::Value;
 use crate::xable::search::{search_reduction, SearchBudget, SearchResult};
@@ -151,8 +153,7 @@ pub(crate) const NONE: u32 = u32::MAX;
 ///
 /// # Panics
 ///
-/// Panics past `u32::MAX - 1` — the limit `Ledger::extend_meta` already
-/// puts on the events of one ledger (DESIGN.md §7 states it once).
+/// Panics past `u32::MAX - 1` (DESIGN.md §7 states the limit once).
 pub(crate) fn id32(n: usize, what: &str) -> u32 {
     match u32::try_from(n) {
         Ok(id) if id != NONE => id,
@@ -177,6 +178,11 @@ pub(crate) enum ExecOutcome {
     /// The per-group search budget ran out.
     Budget,
 }
+
+/// The budget of every per-group search: [`SearchBudget::small`], as a
+/// constant. Not an option and not part of a shape key — no caller ever
+/// asked for another.
+const GROUP_BUDGET: SearchBudget = SearchBudget::SMALL;
 
 /// Outcome of the per-group "reduces to `Λ`" search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,8 +219,9 @@ enum SearchKind {
 /// Everything a per-group search can observe of a group of at most
 /// [`SHAPE_MAX_LEN`] events that all carry one base name (module docs,
 /// "the shape memo"): the question, the kind of the name, whether the
-/// target input is `Nil`, the per-event codes of
-/// [`HistoryRead::shape_codes`], and the budget the search runs under.
+/// target input is `Nil`, and the per-event codes of
+/// [`HistoryRead::shape_codes`] — 16 bytes. Every search runs under
+/// [`GROUP_BUDGET`], so the budget is no part of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ShapeKey {
     /// Zero past `len`.
@@ -223,8 +230,6 @@ struct ShapeKey {
     question: SearchKind,
     name_kind: ActionKind,
     target_is_nil: bool,
-    max_expansions: usize,
-    max_visited: usize,
 }
 
 /// What a per-group search found, in *positions* of the searched
@@ -267,7 +272,6 @@ impl ShapeMemo {
         question: SearchKind,
         name: &ActionName,
         target: &Value,
-        budget: SearchBudget,
     ) -> Option<ShapeKey> {
         if indices.len() > SHAPE_MAX_LEN {
             return None;
@@ -280,8 +284,6 @@ impl ShapeMemo {
                 question,
                 name_kind: name.kind(),
                 target_is_nil: target.is_nil(),
-                max_expansions: budget.max_expansions,
-                max_visited: budget.max_visited,
             })
     }
 
@@ -309,8 +311,8 @@ impl ShapeMemo {
     /// Answers `question` for the group at `indices` (ascending) of `h`,
     /// whose events carry the base name `name`: from the memo when the
     /// group's shape was searched before — no event is decoded then — and
-    /// by [`search_group`] otherwise. Debug builds run the search beside
-    /// every hit and compare.
+    /// by [`search_group`] under [`GROUP_BUDGET`] otherwise. Debug builds
+    /// run the search beside every hit and compare.
     fn answer<H: HistoryRead + ?Sized>(
         &mut self,
         h: &H,
@@ -318,19 +320,15 @@ impl ShapeMemo {
         question: SearchKind,
         name: &ActionName,
         target: &Value,
-        budget: SearchBudget,
     ) -> ShapeOutcome {
-        let key = Self::key_of(h, indices, question, name, target, budget);
+        let search = || search_group(&h.gather(indices), question, name, target);
+        let key = Self::key_of(h, indices, question, name, target);
         if let Some(hit) = key.as_ref().and_then(|key| self.get(key)) {
-            debug_assert_eq!(
-                hit,
-                search_group(&h.gather(indices), question, name, target, budget),
-                "shape memo diverged from the search"
-            );
+            debug_assert_eq!(hit, search(), "shape memo diverged from the search");
             return hit;
         }
         self.searches += 1;
-        let found = search_group(&h.gather(indices), question, name, target, budget);
+        let found = search();
         if let Some(key) = key {
             self.put(key, found);
         }
@@ -345,17 +343,17 @@ impl ShapeMemo {
 /// The per-group reduction search itself, uncached — the oracle every memo
 /// answer is pinned to. `sub` holds one group's events in order; positions
 /// in the outcome are into `sub`. `target` is the group key's input for
-/// the exec question and unused by the erase question.
+/// the exec question and unused by the erase question. It runs under
+/// [`GROUP_BUDGET`].
 fn search_group(
     sub: &History,
     question: SearchKind,
     name: &ActionName,
     target: &Value,
-    budget: SearchBudget,
 ) -> ShapeOutcome {
     match question {
-        SearchKind::Exec => search_exec(sub, name, target, budget),
-        SearchKind::Erase => match search_reduction(sub, History::is_empty, 0, budget) {
+        SearchKind::Exec => search_exec(sub, name, target),
+        SearchKind::Erase => match search_reduction(sub, History::is_empty, 0, GROUP_BUDGET) {
             SearchResult::Reached(_) => ShapeOutcome::Erases,
             SearchResult::Exhausted => ShapeOutcome::Stuck,
             SearchResult::BudgetExceeded => ShapeOutcome::Budget,
@@ -366,16 +364,11 @@ fn search_group(
 /// Does `sub` reduce to a failure-free execution of `(Base(name), input)`,
 /// and if so where — as positions of `sub` — does the effect anchor and
 /// which completion carries the agreed output?
-fn search_exec(
-    sub: &History,
-    name: &ActionName,
-    input: &Value,
-    budget: SearchBudget,
-) -> ShapeOutcome {
+fn search_exec(sub: &History, name: &ActionName, input: &Value) -> ShapeOutcome {
     let action = ActionId::base(name.clone());
     let min_len = if name.is_undoable() { 4 } else { 2 };
     let goal = |cand: &History| failure_free_output(&action, input, cand).is_some();
-    let output = match search_reduction(sub, goal, min_len, budget) {
+    let output = match search_reduction(sub, goal, min_len, GROUP_BUDGET) {
         SearchResult::Reached(witness) => failure_free_output(&action, input, &witness)
             .expect("goal predicate guarantees failure-free shape"),
         SearchResult::Exhausted => return ShapeOutcome::Stuck,
@@ -452,9 +445,8 @@ fn run_exec_search<H: HistoryRead + ?Sized>(
     indices: &[usize],
     name: &ActionName,
     input: &Value,
-    budget: SearchBudget,
 ) -> ExecOutcome {
-    let found = memo.answer(h, indices, SearchKind::Exec, name, input, budget);
+    let found = memo.answer(h, indices, SearchKind::Exec, name, input);
     exec_outcome(h, indices, found)
 }
 
@@ -465,9 +457,8 @@ fn run_erase_search<H: HistoryRead + ?Sized>(
     h: &H,
     indices: &[usize],
     name: &ActionName,
-    budget: SearchBudget,
 ) -> EraseOutcome {
-    erase_outcome(memo.answer(h, indices, SearchKind::Erase, name, &Value::Nil, budget))
+    erase_outcome(memo.answer(h, indices, SearchKind::Erase, name, &Value::Nil))
 }
 
 /// One `(base action, input)` group: the tail of its event chain and the
@@ -667,11 +658,11 @@ impl AttributionState {
     }
 }
 
-/// What one [`Engine::observe`] step did — the hooks the incremental
-/// checker's dirty tracking needs. Self-contained (the group's key and
-/// stamped parent ride along) so tracking needs no engine borrow — which
-/// is what lets [`Engine::observe_batch`] stream these to the aggregate
-/// while the engine itself is mutably borrowed.
+/// What [`Engine::observe_batch`] did with one event — the hooks the
+/// incremental checker's dirty tracking needs. Self-contained (the group's
+/// key and stamped parent ride along) so tracking needs no engine borrow —
+/// which is what lets the engine stream these to the aggregate while it is
+/// itself mutably borrowed.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Observed {
     /// The group the event was attributed to.
@@ -772,73 +763,31 @@ impl Engine {
         self.prev.len()
     }
 
-    /// Consumes one event: one streaming attribution step, one chain link
-    /// — amortized O(1), no name or value clone
-    /// (interning clones only on first sight of a distinct symbol).
+    /// Consumes a slice of events observed together — the engine's one
+    /// ingest path (a single event is a slice of one): per event one
+    /// streaming attribution step and one chain link, amortized O(1), no
+    /// name or value clone (interning clones only on first sight of a
+    /// distinct symbol). The per-event hash probes are amortized by a
+    /// [`BatchMemo`] — the one `TraceStore::push_batch` uses — and a
+    /// last-group memo (an `S S C` run lands in one cell).
     ///
-    /// Returns what happened (for dirty tracking), or `Err(reason)` for a
-    /// completion whose action has never started (a violation of the event
-    /// axioms of §2.2 — definitely not x-able, independent of any
-    /// ambiguity).
-    pub(crate) fn observe(&mut self, event: &Event) -> Result<Observed, String> {
-        let (key, is_commit_completion) = match event {
-            Event::Start(a, iv) => {
-                let ns = self.interner.intern_action(a.base_name());
-                let vs = self.interner.intern_value(iv);
-                self.attribute_start(ns, a.role(), vs);
-                ((ns, vs), false)
-            }
-            Event::Complete(a, _) => {
-                let ns = self.interner.intern_action(a.base_name());
-                let vs = self.attribute_completion(ns, a.role(), a)?;
-                ((ns, vs), a.is_commit())
-            }
-        };
-        let (group, created) = self.group_of(key);
-        Ok(self.record_in_cell(group, key, created, is_commit_completion))
-    }
-
-    /// Consumes a slice of events observed together — semantically
-    /// identical to [`Engine::observe`] on each in order, with the
-    /// batch-local memos `TraceStore::push_batch` uses amortizing the
-    /// per-event hash probes: an action-symbol memo (a linear scan over
-    /// the handful of names a batch carries), a last-input memo (a start
-    /// and its retries repeat one value), and a last-group memo (an
-    /// `S S C` run lands in one cell). `track` is called once per event,
-    /// in order, with `Err` for an orphan completion (which, exactly like
-    /// the per-event path, joins no group and stops nothing).
+    /// `track` is called once per event, in order, with what happened (for
+    /// dirty tracking), or `Err(reason)` for a completion whose action has
+    /// never started (a violation of the event axioms of §2.2 —
+    /// definitely not x-able, independent of any ambiguity), which joins
+    /// no group and stops nothing.
     pub(crate) fn observe_batch(
         &mut self,
         events: &[Event],
-        track: &mut dyn FnMut(Result<Observed, String>),
+        mut track: impl FnMut(Result<Observed, String>),
     ) {
-        // Capped like the store's memo: overflow names fall back to the
-        // interner rather than turning the scan quadratic.
-        let mut actions: Vec<(&ActionName, u32)> = Vec::new();
-        let mut last_value: Option<(&Value, u32)> = None;
+        let mut memo = BatchMemo::default();
         let mut last_group: Option<(KeySyms, GroupSym)> = None;
         for event in events {
-            let name = event.action().base_name();
-            let ns = match actions.iter().find(|(n, _)| *n == name) {
-                Some(&(_, sym)) => sym,
-                None => {
-                    let sym = self.interner.intern_action(name);
-                    if actions.len() < 64 {
-                        actions.push((name, sym));
-                    }
-                    sym
-                }
-            };
+            let ns = memo.action(&mut self.interner, event.action().base_name());
             let (key, is_commit_completion) = match event {
                 Event::Start(a, iv) => {
-                    let vs = match last_value {
-                        Some((v, sym)) if v == iv => sym,
-                        _ => {
-                            let sym = self.interner.intern_value(iv);
-                            last_value = Some((iv, sym));
-                            sym
-                        }
-                    };
+                    let vs = memo.value(&mut self.interner, iv);
                     self.attribute_start(ns, a.role(), vs);
                     ((ns, vs), false)
                 }
@@ -1080,15 +1029,10 @@ impl Engine {
     }
 
     /// Whether the group's events reduce to `Λ`, as the shape memo answers.
-    pub(crate) fn erases<H: HistoryRead + ?Sized>(
-        &self,
-        sym: GroupSym,
-        h: &H,
-        budget: SearchBudget,
-    ) -> EraseOutcome {
+    pub(crate) fn erases<H: HistoryRead + ?Sized>(&self, sym: GroupSym, h: &H) -> EraseOutcome {
         let (name, _) = self.resolved_key(sym);
         self.with_indices(sym, |indices| {
-            run_erase_search(&mut self.shapes.borrow_mut(), h, indices, name, budget)
+            run_erase_search(&mut self.shapes.borrow_mut(), h, indices, name)
         })
     }
 
@@ -1097,16 +1041,10 @@ impl Engine {
     /// determined by the group key: the action is `Base(name)` and the
     /// input is the key's value (for round-stamped groups the stamped pair
     /// *is* the input, §5.4).
-    pub(crate) fn exec<H: HistoryRead + ?Sized>(
-        &self,
-        sym: GroupSym,
-        h: &H,
-        budget: SearchBudget,
-    ) -> ExecOutcome {
+    pub(crate) fn exec<H: HistoryRead + ?Sized>(&self, sym: GroupSym, h: &H) -> ExecOutcome {
         let (name, input) = self.resolved_key(sym);
         self.with_indices(sym, |indices| {
-            let memo = &mut self.shapes.borrow_mut();
-            run_exec_search(memo, h, indices, name, input, budget)
+            run_exec_search(&mut self.shapes.borrow_mut(), h, indices, name, input)
         })
     }
 
@@ -1161,10 +1099,6 @@ mod tests {
     use crate::failure_free::eventsof;
     use crate::xable::checker::{Checker, FastChecker, Verdict};
     use proptest::prelude::*;
-
-    fn fast() -> FastChecker {
-        FastChecker::default()
-    }
 
     fn idem(name: &str) -> ActionId {
         ActionId::base(ActionName::idempotent(name))
@@ -1242,7 +1176,6 @@ mod tests {
     fn memo_hits_equal_fresh_searches(kind: ActionKind, max_len: usize) -> usize {
         let Alphabet { original, renamed } = alphabet(kind);
         let junk = Event::start(idem("junk"), Value::from(0));
-        let budget = SearchBudget::small();
         let mut checked = 0usize;
         let mut stack: Vec<Vec<usize>> = vec![Vec::new()];
         while let Some(picks) = stack.pop() {
@@ -1250,8 +1183,8 @@ mod tests {
             let first: History = picks.iter().map(|&i| letters[i].clone()).collect();
             let positions: Vec<usize> = (0..picks.len()).collect();
             let mut memo = ShapeMemo::default();
-            run_exec_search(&mut memo, &first, &positions, name, input, budget);
-            run_erase_search(&mut memo, &first, &positions, name, budget);
+            run_exec_search(&mut memo, &first, &positions, name, input);
+            run_erase_search(&mut memo, &first, &positions, name);
             assert_eq!(memo.searches, 2, "both questions miss on {first}");
 
             let (name, input, letters) = &renamed;
@@ -1260,11 +1193,11 @@ mod tests {
                 .collect();
             let indices: Vec<usize> = (0..picks.len()).map(|k| 2 * k + 1).collect();
             let sub = second.select(&indices);
-            let hit = run_exec_search(&mut memo, &second, &indices, name, input, budget);
-            let fresh = search_group(&sub, SearchKind::Exec, name, input, budget);
+            let hit = run_exec_search(&mut memo, &second, &indices, name, input);
+            let fresh = search_group(&sub, SearchKind::Exec, name, input);
             assert_eq!(hit, exec_outcome(&second, &indices, fresh), "exec of {sub}");
-            let hit = run_erase_search(&mut memo, &second, &indices, name, budget);
-            let fresh = search_group(&sub, SearchKind::Erase, name, &Value::Nil, budget);
+            let hit = run_erase_search(&mut memo, &second, &indices, name);
+            let fresh = search_group(&sub, SearchKind::Erase, name, &Value::Nil);
             assert_eq!(hit, erase_outcome(fresh), "erase of {sub}");
             assert_eq!(memo.searches, 2, "both questions hit on {sub}");
 
@@ -1313,12 +1246,11 @@ mod tests {
     /// What the memo must *decline* — and still decide, through the
     /// search: groups past [`SHAPE_MAX_LEN`], groups with a foreign name,
     /// shapes past [`SHAPE_MAX_ENTRIES`]; and what it must keep apart:
-    /// budgets, the two questions, the name's kind.
+    /// the two questions, the name's kind.
     #[test]
     fn shape_memo_declines_what_it_cannot_key() {
         let name = ActionName::idempotent("a");
         let a = ActionId::base(name.clone());
-        let small = SearchBudget::small();
         let one = Value::from(1);
         let mut memo = ShapeMemo::default();
 
@@ -1329,7 +1261,7 @@ mod tests {
             .collect();
         let all: Vec<usize> = (0..long.len()).collect();
         for searches in 1..=2 {
-            let outcome = run_exec_search(&mut memo, &long, &all, &name, &one, small);
+            let outcome = run_exec_search(&mut memo, &long, &all, &name, &one);
             assert!(
                 matches!(outcome, ExecOutcome::Reduced { anchor, .. } if anchor == SHAPE_MAX_LEN)
             );
@@ -1340,7 +1272,7 @@ mod tests {
         // engine never builds one, the search still answers.
         let mixed: History = [s(&a, 1), c(&idem("b"), 5)].into_iter().collect();
         assert_eq!(
-            run_exec_search(&mut memo, &mixed, &[0, 1], &name, &one, small),
+            run_exec_search(&mut memo, &mixed, &[0, 1], &name, &one),
             ExecOutcome::Stuck
         );
         assert_eq!((memo.searches, memo.entries.len()), (3, 0));
@@ -1350,67 +1282,55 @@ mod tests {
         // entry of the matching-input group.
         let h: History = [s(&a, 2), c(&a, 5)].into_iter().collect();
         let two = [0, 1];
-        let exec = |memo: &mut ShapeMemo, input: i64, budget| {
-            run_exec_search(memo, &h, &two, &name, &Value::from(input), budget)
+        let exec = |memo: &mut ShapeMemo, input: i64| {
+            run_exec_search(memo, &h, &two, &name, &Value::from(input))
         };
-        assert_eq!(exec(&mut memo, 1, small), ExecOutcome::Stuck);
-        assert!(matches!(
-            exec(&mut memo, 2, small),
-            ExecOutcome::Reduced { .. }
-        ));
+        assert_eq!(exec(&mut memo, 1), ExecOutcome::Stuck);
+        assert!(matches!(exec(&mut memo, 2), ExecOutcome::Reduced { .. }));
         assert_eq!((memo.searches, memo.entries.len()), (5, 2));
-        // The budget is part of the key: a starved search answers for
-        // itself, and a hit never turns `Budget` into a decision.
-        let starved = SearchBudget {
-            max_expansions: 0,
-            max_visited: 0,
-        };
+        // The question and the kind of the name are part of the key: the
+        // same three codes, asked to execute, asked to erase, and carried
+        // by an undoable name.
         let retried: History = [s(&a, 1), s(&a, 1), c(&a, 5)].into_iter().collect();
         let three = [0, 1, 2];
-        for _ in 0..2 {
-            assert_eq!(
-                run_exec_search(&mut memo, &retried, &three, &name, &one, starved),
-                ExecOutcome::Budget
-            );
-            assert!(matches!(
-                run_exec_search(&mut memo, &retried, &three, &name, &one, small),
-                ExecOutcome::Reduced { .. }
-            ));
-        }
-        // So are the question and the kind of the name: the same three
-        // codes, asked to erase, and carried by an undoable name.
+        assert!(matches!(
+            run_exec_search(&mut memo, &retried, &three, &name, &one),
+            ExecOutcome::Reduced { .. }
+        ));
         assert_eq!(
-            run_erase_search(&mut memo, &retried, &three, &name, small),
+            run_erase_search(&mut memo, &retried, &three, &name),
             EraseOutcome::Stuck
         );
         let u_name = ActionName::undoable("a");
         let u = ActionId::base(u_name.clone());
         let undoable: History = [s(&u, 1), s(&u, 1), c(&u, 5)].into_iter().collect();
         assert_eq!(
-            run_exec_search(&mut memo, &undoable, &three, &u_name, &one, small),
+            run_exec_search(&mut memo, &undoable, &three, &u_name, &one),
             ExecOutcome::Stuck
         );
-        assert_eq!((memo.searches, memo.entries.len()), (9, 6));
+        assert_eq!((memo.searches, memo.entries.len()), (8, 5));
 
         // A full memo searches and keeps nothing more; what it holds
         // still answers.
         for k in 0..SHAPE_MAX_ENTRIES as u32 {
-            // Distinct shapes: the bits of `k` as a run of S / C letters.
+            // Distinct shapes: the bits of `k` as a run of completions,
+            // `Nil` for a set bit. No rule applies without a start, so each
+            // search is a single expansion.
             let bits: History = (0..10)
                 .map(|bit| {
                     if k >> bit & 1 == 1 {
-                        c(&a, 5)
+                        cnil(&a)
                     } else {
-                        s(&a, 1)
+                        c(&a, 5)
                     }
                 })
                 .collect();
             let ten: Vec<usize> = (0..10).collect();
-            run_erase_search(&mut memo, &bits, &ten, &name, starved);
+            run_erase_search(&mut memo, &bits, &ten, &name);
         }
         assert_eq!(memo.entries.len(), SHAPE_MAX_ENTRIES);
         let searches = memo.searches;
-        assert_eq!(exec(&mut memo, 1, small), ExecOutcome::Stuck);
+        assert_eq!(exec(&mut memo, 1), ExecOutcome::Stuck);
         assert_eq!(
             memo.searches, searches,
             "an entry made before the memo filled"
@@ -1418,7 +1338,7 @@ mod tests {
         let unseen: History = [s(&a, 1), c(&a, 5), c(&a, 5)].into_iter().collect();
         for extra in 1..=2 {
             assert_eq!(
-                run_erase_search(&mut memo, &unseen, &three, &name, small),
+                run_erase_search(&mut memo, &unseen, &three, &name),
                 EraseOutcome::Stuck
             );
             assert_eq!(memo.searches, searches + extra);
@@ -1557,7 +1477,7 @@ mod tests {
     fn accepts_failure_free_single_request() {
         let a = idem("a");
         let h = eventsof(&a, &Value::from(1), &Value::from(5));
-        let v = fast().check(&h, &[(a, Value::from(1))], &[]);
+        let v = FastChecker.check(&h, &[(a, Value::from(1))], &[]);
         assert_eq!(v, Verdict::xable(vec![Value::from(5)]));
     }
 
@@ -1567,7 +1487,9 @@ mod tests {
         let h: History = [s(&a, 1), s(&a, 1), c(&a, 5), s(&a, 1), c(&a, 5)]
             .into_iter()
             .collect();
-        assert!(fast().check(&h, &[(a, Value::from(1))], &[]).is_xable());
+        assert!(FastChecker
+            .check(&h, &[(a, Value::from(1))], &[])
+            .is_xable());
     }
 
     #[test]
@@ -1576,13 +1498,15 @@ mod tests {
         let h: History = [s(&a, 1), c(&a, 5), s(&a, 1), c(&a, 6)]
             .into_iter()
             .collect();
-        assert!(fast().check(&h, &[(a, Value::from(1))], &[]).is_not_xable());
+        assert!(FastChecker
+            .check(&h, &[(a, Value::from(1))], &[])
+            .is_not_xable());
     }
 
     #[test]
     fn rejects_missing_request() {
         let a = idem("a");
-        let v = fast().check(&History::empty(), &[(a, Value::from(1))], &[]);
+        let v = FastChecker.check(&History::empty(), &[(a, Value::from(1))], &[]);
         assert!(v.is_not_xable());
     }
 
@@ -1595,7 +1519,7 @@ mod tests {
             &Value::from(2),
             &Value::from(6),
         ));
-        let v = fast().check(&h, &[(a, Value::from(1))], &[]);
+        let v = FastChecker.check(&h, &[(a, Value::from(1))], &[]);
         assert!(v.is_not_xable());
     }
 
@@ -1603,7 +1527,7 @@ mod tests {
     fn rejects_completion_without_start() {
         let a = idem("a");
         let h: History = [c(&a, 5)].into_iter().collect();
-        let v = fast().check(&h, &[(a, Value::from(1))], &[]);
+        let v = FastChecker.check(&h, &[(a, Value::from(1))], &[]);
         assert!(v.is_not_xable());
     }
 
@@ -1615,7 +1539,7 @@ mod tests {
         let h: History = [s(&a, 1), s(&a, 2), c(&a, 5), c(&a, 5)]
             .into_iter()
             .collect();
-        let v = fast().check(&h, &[(a.clone(), Value::from(1)), (a, Value::from(2))], &[]);
+        let v = FastChecker.check(&h, &[(a.clone(), Value::from(1)), (a, Value::from(2))], &[]);
         assert!(matches!(v, Verdict::Unknown { .. }));
     }
 
@@ -1635,7 +1559,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let v = fast().check(&h, &[(u, Value::from(1))], &[]);
+        let v = FastChecker.check(&h, &[(u, Value::from(1))], &[]);
         assert_eq!(v, Verdict::xable(vec![Value::from(7)]));
     }
 
@@ -1649,7 +1573,7 @@ mod tests {
             &Value::from(6),
         ));
         let ops = [(a, Value::from(1)), (b, Value::from(2))];
-        let v = fast().check(&h, &ops, &[]);
+        let v = FastChecker.check(&h, &ops, &[]);
         assert_eq!(v, Verdict::xable(vec![Value::from(5), Value::from(6)]));
     }
 
@@ -1663,7 +1587,7 @@ mod tests {
             &Value::from(5),
         ));
         let ops = [(a, Value::from(1)), (b, Value::from(2))];
-        assert!(fast().check(&h, &ops, &[]).is_not_xable());
+        assert!(FastChecker.check(&h, &ops, &[]).is_not_xable());
     }
 
     #[test]
@@ -1677,7 +1601,7 @@ mod tests {
             .into_iter()
             .collect();
         let ops = [(a, Value::from(1)), (b, Value::from(2))];
-        assert!(fast().check(&h, &ops, &[]).is_xable());
+        assert!(FastChecker.check(&h, &ops, &[]).is_xable());
     }
 
     #[test]
@@ -1706,7 +1630,7 @@ mod tests {
         .into_iter()
         .collect();
         let ops = [(u, Value::from(1)), (b, Value::from(2))];
-        assert!(fast().check(&h, &ops, &[]).is_not_xable());
+        assert!(FastChecker.check(&h, &ops, &[]).is_not_xable());
     }
 
     #[test]
@@ -1732,7 +1656,7 @@ mod tests {
         .into_iter()
         .collect();
         let ops = [(u, Value::from(1)), (b, Value::from(2))];
-        let v = fast().check(&h, &ops, &[]);
+        let v = FastChecker.check(&h, &ops, &[]);
         assert_eq!(v, Verdict::xable(vec![Value::from(7), Value::from(6)]));
     }
 
@@ -1746,7 +1670,7 @@ mod tests {
             .into_iter()
             .collect();
         let ops = [(a, Value::from(1)), (b, Value::from(2))];
-        assert!(fast().check(&h, &ops, &[]).is_xable());
+        assert!(FastChecker.check(&h, &ops, &[]).is_xable());
     }
 
     #[test]
@@ -1759,7 +1683,7 @@ mod tests {
             s(&cancel, 2),
             cnil(&cancel),
         ]));
-        let v = fast().check(&h, &[(a, Value::from(1))], &[(u, Value::from(2))]);
+        let v = FastChecker.check(&h, &[(a, Value::from(1))], &[(u, Value::from(2))]);
         assert_eq!(v, Verdict::xable(vec![Value::from(5)]));
     }
 
@@ -1773,7 +1697,7 @@ mod tests {
             &Value::from(7),
         ));
         // u committed, so its events cannot erase.
-        let v = fast().check(&h, &[(a, Value::from(1))], &[(u, Value::from(2))]);
+        let v = FastChecker.check(&h, &[(a, Value::from(1))], &[(u, Value::from(2))]);
         assert!(v.is_not_xable());
     }
 
@@ -1793,19 +1717,21 @@ mod tests {
             s(&cancel, 2),
             cnil(&cancel),
         ]));
-        assert!(fast().check_requests(&h, &requests).is_xable());
+        assert!(FastChecker.check_requests(&h, &requests).is_xable());
         // But a *middle* request cannot be abandoned.
         let requests_rev = vec![
             Request::new(u, Value::from(2)),
             Request::new(a, Value::from(1)),
         ];
-        let v = fast().check_requests(&h, &requests_rev);
+        let v = FastChecker.check_requests(&h, &requests_rev);
         assert!(!v.is_xable());
     }
 
     #[test]
     fn empty_request_sequence_accepts_empty_history() {
-        assert!(fast().check_requests(&History::empty(), &[]).is_xable());
+        assert!(FastChecker
+            .check_requests(&History::empty(), &[])
+            .is_xable());
     }
 
     #[test]
@@ -1829,13 +1755,13 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let v = fast().check(&h, &[(u.clone(), key.clone())], &[]);
+        let v = FastChecker.check(&h, &[(u.clone(), key.clone())], &[]);
         assert_eq!(v, Verdict::xable(vec![Value::from("ok")]));
         // Declaring the request erasable erases both rounds… except the
         // committed one cannot erase. (The cancelled round leaves an open
         // base start, so attribution is ambiguous and the rejection is
         // reported as `Unknown` rather than a definite negative.)
-        let v = fast().check(&h, &[], &[(u, key)]);
+        let v = FastChecker.check(&h, &[], &[(u, key)]);
         assert!(!v.is_xable());
     }
 
@@ -1918,9 +1844,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Chain ≡ vector: however events are attributed — orphans and
-        /// ambiguous completions included — and whether they arrive one by
-        /// one or in batches, each group's materialised index list and
-        /// each parent's round chain equal the reference partition.
+        /// ambiguous completions included — and whether they arrive in
+        /// batches of one or in longer batches, each group's materialised
+        /// index list and each parent's round chain equal the reference
+        /// partition.
         #[test]
         fn chain_equals_the_reference_partition(
             events in prop::collection::vec(arb_chain_event(), 0..40),
@@ -1929,7 +1856,9 @@ mod tests {
             let mut single = Engine::default();
             let mut reference = ChainReference::default();
             for event in &events {
-                reference.record(single.observe(event));
+                single.observe_batch(std::slice::from_ref(event), |result| {
+                    reference.record(result);
+                });
                 reference.assert_matches(&single);
             }
 
@@ -1937,7 +1866,7 @@ mod tests {
             let mut batch_reference = ChainReference::default();
             let (head, tail) = events.split_at(cut.min(events.len()));
             for batch in [head, tail] {
-                batched.observe_batch(batch, &mut |result| batch_reference.record(result));
+                batched.observe_batch(batch, |result| batch_reference.record(result));
                 batch_reference.assert_matches(&batched);
             }
             prop_assert_eq!(&batch_reference.groups, &reference.groups);
@@ -1949,5 +1878,10 @@ mod tests {
     #[test]
     fn a_group_cell_is_at_most_12_bytes() {
         assert!(size_of::<GroupCell>() <= 12, "{}", size_of::<GroupCell>());
+    }
+
+    #[test]
+    fn a_shape_key_is_16_bytes() {
+        assert_eq!(size_of::<ShapeKey>(), 16);
     }
 }

@@ -6,10 +6,12 @@
 //! online:
 //!
 //! * [`push`](IncrementalChecker::push) consumes one event in amortized
-//!   O(1): a single streaming attribution step (`Engine::observe` in the
-//!   crate-private `fast` module) links the event's index into the chain
-//!   of its symbol-keyed `(base action, input)` group and marks the
-//!   requests watching the group *dirty*.
+//!   O(1): a single streaming attribution step (`Engine::observe_batch` in
+//!   the crate-private `fast` module, fed a slice of one — the state has
+//!   one ingest path, [`observe_batch`](IncrementalState::observe_batch))
+//!   links the event's index into the chain of its symbol-keyed
+//!   `(base action, input)` group and marks the requests watching the
+//!   group *dirty*.
 //! * [`declare`](IncrementalChecker::declare) appends an expected request
 //!   to the R3 sequence (requests arrive over time too: the client submits
 //!   `Rᵢ₊₁` only after `Rᵢ` succeeded).
@@ -33,8 +35,8 @@
 //! outcomes into a verdict: the per-request case analysis, one attempt
 //! over the first `n` declared requests executing and a range of declared
 //! requests erasing, and the R3 combination of two attempts. The batch
-//! [`super::FastChecker`] is a *cold* state — its budget, the question's
-//! requests declared, the whole source fed through
+//! [`super::FastChecker`] is a *cold* state — the question's requests
+//! declared, the whole source fed through
 //! [`catch_up`](IncrementalState::catch_up) — read once. So the online
 //! verdict at any prefix equals `FastChecker::check_requests` on that
 //! prefix because both are this code; what the property tests in
@@ -96,7 +98,6 @@ use crate::xable::checker::{combine_r3_attempts, Verdict, Witness};
 use crate::xable::fast::{
     id32, Engine, EraseOutcome, ExecOutcome, GroupSym, KeySyms, Observed, NONE,
 };
-use crate::xable::search::SearchBudget;
 
 /// Events per [`IncrementalState::observe_batch`] call while
 /// [`IncrementalState::catch_up`] feeds a source.
@@ -389,7 +390,6 @@ impl Aggregate {
 /// ```
 #[derive(Debug)]
 pub struct IncrementalState {
-    budget: SearchBudget,
     /// The cursor position is the engine's own event count.
     engine: Engine,
     /// First completion observed without any start of its action — a
@@ -445,15 +445,11 @@ impl Default for IncrementalState {
 }
 
 impl IncrementalState {
-    /// An empty state with the fast tier's default per-group budget.
+    /// An empty state. Every per-group search runs under the fast tier's
+    /// one constant budget,
+    /// [`SearchBudget::small`](crate::xable::SearchBudget::small).
     pub fn new() -> Self {
-        IncrementalState::with_budget(SearchBudget::small())
-    }
-
-    /// An empty state with an explicit per-group search budget.
-    pub fn with_budget(budget: SearchBudget) -> Self {
         IncrementalState {
-            budget,
             engine: Engine::default(),
             orphan: None,
             agg: RefCell::new(Aggregate::default()),
@@ -542,26 +538,20 @@ impl IncrementalState {
     }
 
     /// Consumes the next event of the stream, in amortized O(1): one
-    /// attribution step, one chain link, one dirty mark. The event itself
-    /// is not retained — only its index joins the partition.
+    /// attribution step, one chain link, one dirty mark — a batch of one
+    /// through [`observe_batch`](Self::observe_batch). The event itself is
+    /// not retained — only its index joins the partition.
     ///
     /// # Panics
     ///
     /// Panics past `u32::MAX - 1` events (DESIGN.md §7).
     pub fn observe(&mut self, event: &Event) {
-        match self.engine.observe(event) {
-            Ok(obs) => self.agg.get_mut().track(obs),
-            Err(reason) => {
-                if self.orphan.is_none() {
-                    self.orphan = Some(reason);
-                }
-            }
-        }
+        self.observe_batch(std::slice::from_ref(event));
     }
 
-    /// Consumes a slice of events in one pass — the batch counterpart of
-    /// [`IncrementalState::observe`], byte-identical in every later
-    /// verdict (pinned by the `observe_batch` proptests).
+    /// Consumes a slice of events in one pass — the state's one ingest
+    /// path; how the slice is cut never changes a later verdict (pinned by
+    /// the `observe_batch` proptests).
     ///
     /// The whole slice runs through the engine's `observe_batch` and its
     /// batch-local symbol/group memos (one hash probe per *distinct*
@@ -570,35 +560,37 @@ impl IncrementalState {
     /// and consecutive events of one group collapse to a single
     /// dirty-mark (re-marking a dirty group is a no-op, so skipping the
     /// repeat is free and exact).
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX - 1` events (DESIGN.md §7).
     pub fn observe_batch(&mut self, events: &[Event]) {
         let agg = self.agg.get_mut();
         let orphan = &mut self.orphan;
         let mut last_group: Option<GroupSym> = None;
-        self.engine
-            .observe_batch(events, &mut |result| match result {
-                Ok(obs) => {
-                    // Group creation and commit completion mutate watcher
-                    // and committed-count state; a repeat event of the
-                    // group just tracked would only re-insert the same
-                    // dirty marks.
-                    if obs.created || obs.commit_completed || last_group != Some(obs.group) {
-                        agg.track(obs);
-                        last_group = Some(obs.group);
-                    }
+        self.engine.observe_batch(events, |result| match result {
+            Ok(obs) => {
+                // Group creation and commit completion mutate watcher
+                // and committed-count state; a repeat event of the
+                // group just tracked would only re-insert the same
+                // dirty marks.
+                if obs.created || obs.commit_completed || last_group != Some(obs.group) {
+                    agg.track(obs);
+                    last_group = Some(obs.group);
                 }
-                Err(reason) => {
-                    if orphan.is_none() {
-                        *orphan = Some(reason);
-                    }
+            }
+            Err(reason) => {
+                if orphan.is_none() {
+                    *orphan = Some(reason);
                 }
-            });
+            }
+        });
     }
 
     /// Consumes the events of `h` past the cursor — `h` holds the
     /// consumed prefix and maybe more — through
     /// [`observe_batch`](Self::observe_batch), a chunk of 1 024 events at
-    /// a time: byte-identical to one [`observe`](Self::observe) per event,
-    /// and faster. How a monitor attached to a ledger mid-run catches up
+    /// a time. How a monitor attached to a ledger mid-run catches up
     /// with the store, and how [`super::FastChecker`] reads a whole source
     /// into a cold state.
     ///
@@ -714,7 +706,7 @@ impl IncrementalState {
             .record(agg.dirty_undeclared.len() as u64);
         self.obs.dirty_ops.record(agg.dirty_ops.len() as u64);
         while let Some(sym) = agg.dirty_undeclared.pop_first() {
-            match self.engine.erases(sym, h, self.budget) {
+            match self.engine.erases(sym, h) {
                 EraseOutcome::Erases => {
                     agg.undeclared_fail.remove(&sym);
                 }
@@ -772,7 +764,7 @@ impl IncrementalState {
                     if sym == committed {
                         continue;
                     }
-                    match self.engine.erases(sym, h, self.budget) {
+                    match self.engine.erases(sym, h) {
                         EraseOutcome::Erases => {}
                         EraseOutcome::Stuck => return Err(OpFail::RoundNotErasing(sym)),
                         EraseOutcome::Budget => return Err(OpFail::RoundEraseBudget(sym)),
@@ -781,7 +773,7 @@ impl IncrementalState {
                 committed
             }
         };
-        match self.engine.exec(exec_sym, h, self.budget) {
+        match self.engine.exec(exec_sym, h) {
             // The anchor indexes an observed event, so it fits (`id32`
             // bounded the event count).
             ExecOutcome::Reduced { output, anchor, .. } => Ok((output, anchor as u32)),
@@ -875,7 +867,7 @@ impl IncrementalState {
             let entry = &agg.entries[op];
             let plain = (entry.plain != NONE).then_some(entry.plain);
             for sym in plain.into_iter().chain(self.engine.siblings(entry.stamped)) {
-                let budget = match self.engine.erases(sym, h, self.budget) {
+                let budget = match self.engine.erases(sym, h) {
                     EraseOutcome::Erases => continue,
                     EraseOutcome::Stuck => false,
                     EraseOutcome::Budget => true,
@@ -948,8 +940,8 @@ impl IncrementalState {
     ///
     /// Computed in O(groups touched since the last verdict); a cold state
     /// fed the whole prefix answers exactly what
-    /// `FastChecker::new(budget).check_requests` does, because that is
-    /// how `FastChecker` answers.
+    /// `FastChecker::check_requests` does, because that is how
+    /// `FastChecker` answers.
     pub fn verdict_over<H: HistoryRead + ?Sized>(&self, h: &H) -> Verdict {
         self.with_refreshed(h, |agg| {
             combine_r3_attempts(agg.op_keys.len(), |executed, abandoned| {
@@ -993,17 +985,9 @@ pub struct IncrementalChecker {
 }
 
 impl IncrementalChecker {
-    /// An empty checker with the fast tier's default per-group budget.
+    /// An empty checker.
     pub fn new() -> Self {
-        IncrementalChecker::with_budget(SearchBudget::small())
-    }
-
-    /// An empty checker with an explicit per-group search budget.
-    pub fn with_budget(budget: SearchBudget) -> Self {
-        IncrementalChecker {
-            state: IncrementalState::with_budget(budget),
-            history: History::empty(),
-        }
+        IncrementalChecker::default()
     }
 
     /// Binds the underlying engine's instruments to a shared metrics
@@ -1065,11 +1049,9 @@ impl IncrementalChecker {
     /// The R3 verdict for the current prefix and declared request
     /// sequence: x-able with respect to `R₁…Rₙ` or `R₁…Rₙ₋₁`.
     ///
-    /// Equals `FastChecker::new(budget).check_requests` on
-    /// ([`history()`](Self::history), [`requests()`](Self::requests)) for
-    /// the budget this checker was built with (the default `FastChecker`
-    /// budget when built via [`IncrementalChecker::new`]), computed in
-    /// O(groups touched since the last verdict).
+    /// Equals `FastChecker::check_requests` on
+    /// ([`history()`](Self::history), [`requests()`](Self::requests)),
+    /// computed in O(groups touched since the last verdict).
     pub fn verdict(&self) -> Verdict {
         self.state.verdict_over(&self.history)
     }
@@ -1108,7 +1090,7 @@ mod tests {
     /// once — for warm-vs-cold agreement checks.
     fn batch(inc: &IncrementalChecker) -> Verdict {
         let requests: Vec<Request> = inc.requests().map(|(a, iv)| Request::new(a, iv)).collect();
-        FastChecker::default().check_requests(inc.history(), &requests)
+        FastChecker.check_requests(inc.history(), &requests)
     }
 
     #[test]
@@ -1124,8 +1106,7 @@ mod tests {
         let ops = [(a.clone(), Value::from(1))];
         let mut inc = IncrementalChecker::new();
         inc.declare(a.clone(), Value::from(1));
-        let strict =
-            |inc: &IncrementalChecker| FastChecker::default().check(inc.history(), &ops, &[]);
+        let strict = |inc: &IncrementalChecker| FastChecker.check(inc.history(), &ops, &[]);
         // Strictly (no abandonment fallback), an unexecuted request is not
         // x-able; under R3 the last request may always be abandoned.
         assert!(!strict(&inc).is_xable());
@@ -1286,7 +1267,7 @@ mod tests {
         let ops = [(b.clone(), Value::from(2))];
         let erasable = [(u.clone(), Value::from(1))];
         assert_eq!(
-            FastChecker::default().check(&shared, &ops, &erasable),
+            FastChecker.check(&shared, &ops, &erasable),
             Verdict::xable(vec![Value::from(9)])
         );
     }

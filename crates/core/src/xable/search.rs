@@ -34,12 +34,17 @@ impl Default for SearchBudget {
 }
 
 impl SearchBudget {
-    /// A small budget for per-group checks on protocol traces.
+    /// [`SearchBudget::small`] as a constant: the fast tier's fixed
+    /// per-group budget.
+    pub(crate) const SMALL: SearchBudget = SearchBudget {
+        max_expansions: 5_000,
+        max_visited: 20_000,
+    };
+
+    /// A small budget for per-group checks on protocol traces — the one
+    /// every per-group search of the fast tier runs under.
     pub fn small() -> Self {
-        SearchBudget {
-            max_expansions: 5_000,
-            max_visited: 20_000,
-        }
+        Self::SMALL
     }
 }
 

@@ -104,7 +104,7 @@ pub fn f4_reduction() -> Table {
         let reached = SearchChecker::default().check(&h, &ops, &[]).is_xable();
         let search_us = start.elapsed().as_micros();
         let start = Instant::now();
-        let fast = FastChecker::default().check(&h, &ops, &[]).is_xable();
+        let fast = FastChecker.check(&h, &ops, &[]).is_xable();
         let fast_us = start.elapsed().as_micros();
         let steps = reduce::reduction_steps(&h).len();
         rows.push(vec![
@@ -449,7 +449,7 @@ pub fn checkers_agree_on_retried_histories(max_k: usize) -> bool {
     (1..=max_k).all(|k| {
         let h = retried_history(k);
         let search = SearchChecker::default().check(&h, &ops, &[]).is_xable();
-        let fast = FastChecker::default().check(&h, &ops, &[]).is_xable();
+        let fast = FastChecker.check(&h, &ops, &[]).is_xable();
         search == fast
     })
 }

@@ -857,7 +857,7 @@ pub fn tier_disagreement(requests: &[Request], history: &History) -> Option<Reas
     if contains_round_stamped(history) {
         return None;
     }
-    let fast = FastChecker::default().check_requests(history, requests);
+    let fast = FastChecker.check_requests(history, requests);
     let search = SearchChecker::default().check_requests(history, requests);
     if fast.is_unknown() || search.is_unknown() || fast.is_xable() == search.is_xable() {
         return None;

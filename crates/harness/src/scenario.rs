@@ -659,18 +659,6 @@ impl RunReport {
         )
     }
 
-    /// The run's metrics rendered as the stable text table (see
-    /// [`MetricsSnapshot::render_text`]).
-    pub fn metrics_text(&self) -> String {
-        self.metrics.render_text()
-    }
-
-    /// Writes the run's metrics as JSON-lines (one metric or span per
-    /// line; see [`MetricsSnapshot::to_jsonl`]).
-    pub fn write_metrics_jsonl(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.metrics.to_jsonl())
-    }
-
     /// `true` when the run satisfied every checked obligation.
     pub fn is_correct(&self) -> bool {
         self.finished

@@ -251,7 +251,7 @@ fn online_monitor_agrees_with_batch_checker_on_harness_traces() {
         let online = ledger.monitor_verdict().expect("monitor attached");
         // The batch checker reads the same shared store through a
         // zero-copy view — no owned copy of the trace is materialized.
-        let batch = FastChecker::default().check_requests(&ledger.history(), &requests);
+        let batch = FastChecker.check_requests(&ledger.history(), &requests);
         assert_eq!(
             online, batch,
             "online and batch R3 verdicts diverged (seed {})",
@@ -328,6 +328,6 @@ fn run_trace_dumps_and_replays_to_the_same_verdict() {
         report.ledger.borrow().history().to_history(),
         "replayed events diverge from the ledger's stream"
     );
-    let verdict = FastChecker::default().check_requests(&replayed.store.view(), &replayed.requests);
+    let verdict = FastChecker.check_requests(&replayed.store.view(), &replayed.requests);
     assert!(verdict.is_xable(), "replayed re-check: {verdict}");
 }

@@ -296,65 +296,6 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Serializes to JSON lines: one object per counter/gauge/histogram/
-    /// span, each tagged with a `"kind"` — the streaming-friendly dump
-    /// format for `RunReport` artifacts.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in &self.counters {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"counter\",\"name\":{},\"key\":{},\"value\":{}}}",
-                json_str(&e.name),
-                json_str(&e.key),
-                e.value
-            );
-        }
-        for e in &self.gauges {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"gauge\",\"name\":{},\"key\":{},\"value\":{}}}",
-                json_str(&e.name),
-                json_str(&e.key),
-                e.value
-            );
-        }
-        for e in &self.histograms {
-            let mut buckets = String::new();
-            for (j, b) in e.value.buckets.iter().enumerate() {
-                if j > 0 {
-                    buckets.push(',');
-                }
-                let _ = write!(buckets, "{b}");
-            }
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"histogram\",\"name\":{},\"key\":{},\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
-                json_str(&e.name),
-                json_str(&e.key),
-                e.value.count,
-                e.value.sum,
-                buckets
-            );
-        }
-        for s in &self.spans {
-            let end = match s.end_tick {
-                Some(t) => t.to_string(),
-                None => "null".to_owned(),
-            };
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"span\",\"scope\":{},\"request\":{},\"round\":{},\"start\":{},\"end\":{}}}",
-                json_str(&s.scope),
-                json_str(&s.request),
-                s.round,
-                s.start_tick,
-                end
-            );
-        }
-        out
-    }
-
     /// Parses the compact form produced by [`MetricsSnapshot::to_json`].
     /// Accepts exactly that shape (this is a fixture/meta reader, not a
     /// general JSON parser); returns `None` on any mismatch.
@@ -710,14 +651,6 @@ mod tests {
         assert_eq!(MetricsSnapshot::from_json(&good[..good.len() - 1]), None);
         let trailing = format!("{good} ");
         assert_eq!(MetricsSnapshot::from_json(&trailing), None);
-    }
-
-    #[test]
-    fn jsonl_has_one_line_per_entry() {
-        let snap = sample();
-        let jsonl = snap.to_jsonl();
-        assert_eq!(jsonl.lines().count(), 5);
-        assert!(jsonl.lines().all(|l| l.starts_with("{\"kind\":\"")));
     }
 
     fn arb_buckets() -> impl Strategy<Value = Vec<u64>> {

@@ -317,14 +317,6 @@ impl XReplica {
         self.requests.get(req_id)?.result.as_ref()
     }
 
-    /// The highest round known for a request (0 if unknown).
-    pub fn max_round(&self, req_id: &str) -> u64 {
-        self.requests
-            .get(req_id)
-            .and_then(RequestState::top)
-            .map_or(0, |(round, _)| round)
-    }
-
     // ---- helpers ----
 
     fn ensure_request(

@@ -13,9 +13,10 @@
 //! is a storage-free [`IncrementalState`] cursor over that store (no
 //! second `Vec<Event>`/`History` copy), [`Ledger::history`] is a zero-copy
 //! [`HistoryView`], and [`Ledger::snapshot`] feeds the binary trace
-//! recorder. Provenance (time, observing service) is kept in a run-length
-//! side table: one entry per run of consecutive events recorded at the
-//! same instant by the same service — a whole `record_batch`, typically.
+//! recorder. Recording has one body: [`Ledger::record_event`] is a batch of
+//! one through the path [`Ledger::record_batch`] takes (store, monitor and
+//! spill each ingest a slice), and only `record_batch` counts batches. An
+//! event's time and observing service are not kept: nothing reads them.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -23,6 +24,7 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 use std::rc::Rc;
+use std::slice;
 
 use xability_core::xable::{IncrementalState, Verdict};
 use xability_core::{ActionName, Event, Request, Value};
@@ -58,17 +60,6 @@ impl fmt::Display for EffectKind {
     }
 }
 
-/// A formal event observation with provenance metadata.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecordedEvent {
-    /// The formal event (what the theory sees).
-    pub event: Event,
-    /// When it was observed.
-    pub at: SimTime,
-    /// Which service observed it.
-    pub service: String,
-}
-
 /// An externally visible side-effect record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EffectRecord {
@@ -82,19 +73,6 @@ pub struct EffectRecord {
     pub kind: EffectKind,
     /// When the effect happened.
     pub at: SimTime,
-}
-
-/// The provenance of a run of consecutively recorded events: when they
-/// were observed and by which service (as a symbol into the ledger's small
-/// service-name table). The run extends to the next run's `first`, or to
-/// the end of the store. 16 bytes, so even a ledger whose runs are all one
-/// event long pays no more than an entry per event would cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MetaRun {
-    at: SimTime,
-    /// Index of the run's first event.
-    first: u32,
-    service: u32,
 }
 
 /// The error [`Ledger::attach_monitor`] returns when a monitor is already
@@ -141,15 +119,11 @@ struct EffectTally {
 /// checker's dirty-tracked aggregate makes a per-event observation (and a
 /// verdict at any moment) cheap enough to be always on. Use
 /// [`Ledger::without_monitor`] for a bare ledger and
-/// [`Ledger::attach_monitor`] to install a custom (e.g. pre-declared or
-/// custom-budget) monitor on one.
+/// [`Ledger::attach_monitor`] to install a custom (e.g. pre-declared)
+/// monitor on one.
 #[derive(Debug)]
 pub struct Ledger {
     store: TraceStore,
-    /// Ascending in `first`, starting at 0, no two adjacent runs with the
-    /// same `(at, service)`.
-    meta: Vec<MetaRun>,
-    service_names: Vec<String>,
     effects: Vec<EffectRecord>,
     violations: Vec<String>,
     monitor: Option<IncrementalState>,
@@ -269,8 +243,6 @@ impl Ledger {
     pub fn without_monitor() -> Self {
         Ledger {
             store: TraceStore::default(),
-            meta: Vec::new(),
-            service_names: Vec::new(),
             effects: Vec::new(),
             violations: Vec::new(),
             monitor: None,
@@ -289,34 +261,38 @@ impl Ledger {
         }
     }
 
-    /// Records a formal event observation. When an online monitor is
-    /// attached, it observes the event too (amortized O(1)), so the R3
-    /// obligation is tracked *while* the run executes instead of by
-    /// re-reducing the full history afterwards. The event itself is stored
-    /// exactly once, in the shared [`TraceStore`].
+    /// Records a formal event observation — a batch of one. When an
+    /// online monitor is attached, it observes the event too (amortized
+    /// O(1)), so the R3 obligation is tracked *while* the run executes
+    /// instead of by re-reducing the full history afterwards. The event
+    /// itself is stored exactly once, in the shared [`TraceStore`].
+    ///
+    /// `service` is not read; the argument stays only because the
+    /// benchmark passes it, and goes in its next refresh (ROADMAP item 7).
     pub fn record_event(&mut self, event: Event, at: SimTime, service: &str) {
-        if let Some(monitor) = &mut self.monitor {
-            monitor.observe(&event);
-        }
-        self.store.push(&event);
-        self.extend_meta(1, at, service);
-        self.obs.record_ingest(at, 1);
-        self.maybe_spill();
+        let _ = service;
+        self.ingest(slice::from_ref(&event), at);
     }
 
     /// Records a slice of events observed together (same instant, same
-    /// service) — the batch counterpart of [`Ledger::record_event`],
-    /// driving the monitor once per slice
+    /// service), driving the monitor once per slice
     /// ([`IncrementalState::observe_batch`]) and the store's
-    /// batch-amortized interning ([`TraceStore::push_batch`]).
+    /// batch-amortized interning ([`TraceStore::push_batch`]), and counting
+    /// the batch. `service` is not read, as in [`Ledger::record_event`].
     pub fn record_batch(&mut self, events: &[Event], at: SimTime, service: &str) {
+        let _ = service;
+        self.ingest(events, at);
+        self.obs.batches.inc();
+        self.obs.batch_size.record(events.len() as u64);
+    }
+
+    /// The one recording body: the monitor, the store and the spill each
+    /// take the slice.
+    fn ingest(&mut self, events: &[Event], at: SimTime) {
         if let Some(monitor) = &mut self.monitor {
             monitor.observe_batch(events);
         }
         self.store.push_batch(events);
-        self.extend_meta(events.len(), at, service);
-        self.obs.batches.inc();
-        self.obs.batch_size.record(events.len() as u64);
         self.obs.record_ingest(at, events.len() as u64);
         self.maybe_spill();
     }
@@ -406,11 +382,9 @@ impl Ledger {
     /// torn tail, see [`recover_store`]) and replays the recovered events
     /// through a fresh online monitor.
     ///
-    /// Per-event provenance (wall time, observing service) is not stored
-    /// in segments, so recovered events carry the sentinels
-    /// [`SimTime::ZERO`] and `"(reopened)"`. The monitor starts with no
-    /// declared requests — re-declare the run's submitted sequence with
-    /// [`Ledger::declare_requests`] before asking for a verdict.
+    /// The monitor starts with no declared requests — re-declare the run's
+    /// submitted sequence with [`Ledger::declare_requests`] before asking
+    /// for a verdict.
     ///
     /// The reopened ledger does **not** keep spilling; attach a fresh
     /// spill (to a new directory) to continue durably.
@@ -425,60 +399,17 @@ impl Ledger {
         monitor.catch_up(&store.view());
         let mut ledger = Ledger::without_monitor();
         ledger.store = store;
-        ledger.extend_meta(ledger.store.len(), SimTime::ZERO, "(reopened)");
         ledger.monitor = Some(monitor);
         Ok((ledger, report))
-    }
-
-    /// Records a crash-recovery outcome into the attached registry as
-    /// `ledger.recovery_*` counters. Call it on the reopened ledger after
-    /// [`Ledger::reopen_spill`] + [`Ledger::attach_obs`] (recovery happens
-    /// before a registry can be attached, so it is reported explicitly).
-    pub fn record_recovery(&self, report: &RecoveryReport) {
-        let obs = &self.obs.obs;
-        obs.counter("ledger.recovery_segments")
-            .add(report.segments_recovered as u64);
-        obs.counter("ledger.recovery_events")
-            .add(report.events_recovered as u64);
-        obs.counter("ledger.recovery_quarantined")
-            .add(report.quarantined.len() as u64);
-        obs.counter("ledger.recovery_removed_tmp")
-            .add(report.removed_tmp.len() as u64);
-    }
-
-    fn intern_service(&mut self, service: &str) -> u32 {
-        match self.service_names.iter().position(|s| s == service) {
-            Some(i) => i as u32,
-            None => {
-                self.service_names.push(service.to_owned());
-                (self.service_names.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Stamps the `count` events just appended to the store: they join the
-    /// last run when it carries the same provenance, else start a new one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new run would start past event `u32::MAX`.
-    fn extend_meta(&mut self, count: usize, at: SimTime, service: &str) {
-        if count == 0 {
-            return;
-        }
-        let service = self.intern_service(service);
-        let last = self.meta.last();
-        if !last.is_some_and(|run| run.at == at && run.service == service) {
-            let first = u32::try_from(self.store.len() - count)
-                .expect("more than u32::MAX events in one ledger");
-            self.meta.push(MetaRun { at, first, service });
-        }
     }
 
     /// Attaches an online R3 monitor. Events already recorded are fed to
     /// it from the store ([`IncrementalState::catch_up`]), so attaching
     /// mid-run observes the same prefix a monitor attached at creation
-    /// would have.
+    /// would have. When [`Ledger::attach_obs`] bound the ledger to a live
+    /// registry, the monitor's instruments are bound to it too, as they
+    /// would have been had the monitor been there first; a monitor
+    /// attached to a bare ledger keeps whatever registry its caller bound.
     ///
     /// # Errors
     ///
@@ -493,6 +424,9 @@ impl Ledger {
     ) -> Result<(), MonitorAlreadyAttached> {
         if self.monitor.is_some() {
             return Err(MonitorAlreadyAttached);
+        }
+        if self.obs.obs.is_enabled() {
+            monitor.attach_obs(&self.obs.obs);
         }
         monitor.catch_up(&self.store.view());
         self.monitor = Some(monitor);
@@ -520,12 +454,6 @@ impl Ledger {
     /// The attached online monitor, if any.
     pub fn monitor(&self) -> Option<&IncrementalState> {
         self.monitor.as_ref()
-    }
-
-    /// Mutable access to the attached online monitor (for declaring the
-    /// submitted requests as they become known).
-    pub fn monitor_mut(&mut self) -> Option<&mut IncrementalState> {
-        self.monitor.as_mut()
     }
 
     /// The monitor's R3 verdict over the shared store, if a monitor is
@@ -618,36 +546,6 @@ impl Ledger {
     /// The number of formal events recorded so far.
     pub fn event_count(&self) -> usize {
         self.store.len()
-    }
-
-    /// The recorded event at `index`, decoded together with its
-    /// provenance metadata.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn recorded_event(&self, index: usize) -> RecordedEvent {
-        assert!(index < self.store.len(), "event {index} out of bounds");
-        // The last run starting at or before `index`; run 0 starts at 0.
-        let run = self.meta.partition_point(|run| run.first as usize <= index) - 1;
-        self.recorded(index, self.meta[run])
-    }
-
-    /// Iterates all recorded events with metadata, in observation order.
-    pub fn recorded_events(&self) -> impl Iterator<Item = RecordedEvent> + '_ {
-        let runs = self.meta.iter();
-        let ends = (runs.clone().skip(1).map(|next| next.first as usize)).chain([self.store.len()]);
-        runs.zip(ends).flat_map(move |(run, end)| {
-            (run.first as usize..end).map(move |index| self.recorded(index, *run))
-        })
-    }
-
-    fn recorded(&self, index: usize, run: MetaRun) -> RecordedEvent {
-        RecordedEvent {
-            event: self.store.event(index),
-            at: run.at,
-            service: self.service_names[run.service as usize].clone(),
-        }
     }
 
     /// An immutable snapshot of the underlying trace store (for the
@@ -801,13 +699,8 @@ mod tests {
         let h = ledger.history();
         assert_eq!(h.len(), 2);
         assert_eq!(ledger.event_count(), 2);
-        assert!(h.event(0).is_start());
+        assert_eq!(h.event(0), Event::start(a, Value::from(1)));
         assert!(h.event(1).is_complete());
-        assert_eq!(ledger.recorded_event(0).service, "svc");
-        assert_eq!(ledger.recorded_event(1).at, t(2));
-        let all: Vec<RecordedEvent> = ledger.recorded_events().collect();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].event, Event::start(a, Value::from(1)));
     }
 
     #[test]
@@ -883,7 +776,21 @@ mod tests {
         let m = ledger.monitor().expect("attached");
         assert_eq!(m.consumed(), 2);
         assert!(ledger.monitor_verdict().expect("attached").is_xable());
-        assert!(ledger.monitor_mut().is_some());
+    }
+
+    #[test]
+    fn a_monitor_attached_after_the_registry_records_into_it() {
+        let obs = Obs::new();
+        let mut ledger = Ledger::without_monitor();
+        ledger.attach_obs(&obs);
+        let a = ActionId::base(ActionName::idempotent("a"));
+        let mut monitor = IncrementalState::new();
+        monitor.declare(a.clone(), Value::from(1));
+        ledger.attach_monitor(monitor).expect("no monitor yet");
+        ledger.record_event(Event::start(a.clone(), Value::from(1)), t(1), "svc");
+        ledger.record_event(Event::complete(a, Value::from(2)), t(2), "svc");
+        assert!(ledger.monitor_verdict().expect("attached").is_xable());
+        assert_eq!(obs.snapshot().counter("checker.verdicts"), Some(1));
     }
 
     #[test]
@@ -966,92 +873,62 @@ mod tests {
             batched.history().to_history(),
             sequential.history().to_history()
         );
-        assert_eq!(batched.recorded_event(6), sequential.recorded_event(6));
         assert_eq!(
             batched.monitor().unwrap().consumed(),
             sequential.monitor().unwrap().consumed()
         );
     }
 
-    #[test]
-    fn provenance_runs_equal_a_per_event_reference_across_a_reopen() {
-        let dir = tmpdir("runs");
+    /// One idempotent request `(a, 1)` started `n` times, then completed
+    /// `n` times with one output.
+    fn retried_then_completed(n: usize) -> Vec<Event> {
         let a = ActionId::base(ActionName::idempotent("a"));
-        let event = |i: usize| match i % 2 {
-            0 => Event::start(a.clone(), Value::from(i as i64)),
-            _ => Event::complete(a.clone(), Value::from(i as i64)),
-        };
-        // (events, tick, service) per call; a single-event call goes
-        // through `record_event`, the rest through `record_batch`.
-        let calls: [(usize, u64, &str); 11] = [
-            (1, 1, "x"),
-            (1, 1, "x"), // continues the run
-            (3, 1, "x"), // and so does a batch
-            (0, 9, "z"), // an empty batch stamps nothing
-            (2, 2, "x"), // new tick
-            (1, 2, "y"), // new service
-            (1, 2, "x"),
-            (4, 3, "x"),
-            (1, 3, "x"),
-            (1, 4, "y"),
-            (2, 4, "y"),
-        ];
-        let mut ledger = Ledger::new();
-        ledger
-            .attach_spill(&dir, TierConfig::default())
-            .expect("attach");
-        assert_eq!(ledger.recorded_events().count(), 0);
-        let mut reference: Vec<RecordedEvent> = Vec::new();
-        for (count, tick, service) in calls {
-            let events: Vec<Event> = (reference.len()..reference.len() + count)
-                .map(event)
-                .collect();
-            reference.extend(events.iter().map(|event| RecordedEvent {
-                event: event.clone(),
-                at: t(tick),
-                service: service.to_owned(),
-            }));
-            match &events[..] {
-                [one] => ledger.record_event(one.clone(), t(tick), service),
-                many => ledger.record_batch(many, t(tick), service),
-            }
-            // Checked as the ledger grows, not only at the end.
-            assert_eq!(ledger.recorded_events().collect::<Vec<_>>(), reference);
-        }
-        for (i, expected) in reference.iter().enumerate() {
-            assert_eq!(&ledger.recorded_event(i), expected, "event {i}");
-        }
-        // One run per change of (tick, service), none for the empty batch.
-        assert_eq!(
-            ledger.meta.iter().map(|run| run.first).collect::<Vec<_>>(),
-            [0, 5, 7, 8, 9, 14]
-        );
-        assert_eq!(std::mem::size_of::<MetaRun>(), 16);
-
-        ledger.flush_spill().expect("flush");
-        let (reopened, _) = Ledger::reopen_spill(&dir).expect("reopen");
-        assert_eq!(reopened.meta.len(), 1, "a reopened ledger is one run");
-        let stamped: Vec<RecordedEvent> = reference
-            .iter()
-            .map(|r| RecordedEvent {
-                event: r.event.clone(),
-                at: SimTime::ZERO,
-                service: "(reopened)".to_owned(),
-            })
-            .collect();
-        assert_eq!(reopened.recorded_events().collect::<Vec<_>>(), stamped);
-        assert_eq!(reopened.recorded_event(16), stamped[16]);
-        assert_eq!(reopened.monitor().expect("replayed").consumed(), 17);
-        std::fs::remove_dir_all(&dir).ok();
+        let starts = (0..n).map(|_| Event::start(a.clone(), Value::from(1)));
+        let completions = (0..n).map(|_| Event::complete(a.clone(), Value::from(5)));
+        starts.chain(completions).collect()
     }
 
+    /// The fast tier's budget path, driven through a verdict: 8 starts and
+    /// 8 completions are 16 events, past the shape memo's 12, so every
+    /// question about the group is a search — and it exhausts the fixed
+    /// per-group budget. Declared, the exec question gives up; undeclared,
+    /// the erase question does; each is counted once. A decider without a
+    /// budget must decide this history.
     #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn recorded_event_past_the_end_panics() {
-        let mut ledger = Ledger::new();
+    #[ignore = "budget-exhausting searches: seconds in release (CI runs it), minutes in debug"]
+    fn the_fast_tier_budget_path_is_driven_end_to_end() {
         let a = ActionId::base(ActionName::idempotent("a"));
-        ledger.record_event(Event::start(a, Value::from(1)), t(1), "svc");
-        let _ = ledger.recorded_event(1);
+        let events = retried_then_completed(8);
+        let requests = [Request::new(a.clone(), Value::from(1))];
+        let exhausted = "per-group search budget exceeded for request (aⁱ, 1)";
+        let undeclared = "per-group search budget exceeded erasing undeclared request aⁱ/1";
+        let h = xability_core::History::from_events(events.clone());
+        let verdict = FastChecker.check(&h, &[(a.clone(), Value::from(1))], &[]);
+        assert_eq!(verdict.reason(), Some(exhausted), "{verdict}");
+
+        let counter = |obs: &Obs, name| obs.snapshot().counter(name).unwrap_or(0);
+        for declared in [true, false] {
+            let obs = Obs::new();
+            let mut ledger = Ledger::new();
+            ledger.attach_obs(&obs);
+            if declared {
+                ledger.declare_requests(&requests);
+            }
+            ledger.record_batch(&events, t(1), "svc");
+            let verdict = ledger.monitor_verdict().expect("default monitor");
+            let (reason, op, erase) = if declared {
+                (exhausted, 1, 0)
+            } else {
+                (undeclared, 0, 1)
+            };
+            assert_eq!(verdict.reason(), Some(reason), "{verdict}");
+            assert_eq!(counter(&obs, "checker.op_budget_escalations"), op);
+            assert_eq!(counter(&obs, "checker.erase_budget_escalations"), erase);
+        }
+
+        // One start and one completion fewer, the fast tier decides.
+        let h = xability_core::History::from_events(retried_then_completed(7));
+        assert!(FastChecker.check_requests(&h, &requests).is_xable());
     }
 
     #[test]
@@ -1132,7 +1009,7 @@ mod tests {
                 ledger.record_batch(&events, t(i as u64), "svc");
                 if i % 8 == 7 {
                     let warm = ledger.monitor_verdict().expect("default monitor");
-                    let cold = FastChecker::default().check_requests(&ledger.history(), &requests);
+                    let cold = FastChecker.check_requests(&ledger.history(), &requests);
                     assert_eq!(cold, warm, "after request {i}");
                 }
             }
@@ -1220,8 +1097,6 @@ mod tests {
             reopened.history().to_history(),
             ledger.history().to_history()
         );
-        assert_eq!(reopened.recorded_event(0).service, "(reopened)");
-        assert_eq!(reopened.recorded_event(0).at, SimTime::ZERO);
         // Re-declare the run's requests; the recovered verdict matches.
         reopened.declare_requests(&requests);
         assert_eq!(reopened.monitor_verdict(), Some(live_verdict));

@@ -59,8 +59,7 @@ pub mod logic;
 
 pub use core::{FailurePlan, InvokeOutcome, OpKind, ServiceConfig, ServiceCore, ServiceRequest};
 pub use ledger::{
-    shared_ledger, EffectKind, EffectRecord, Ledger, MonitorAlreadyAttached, RecordedEvent,
-    SharedLedger,
+    shared_ledger, EffectKind, EffectRecord, Ledger, MonitorAlreadyAttached, SharedLedger,
 };
 pub use logic::BusinessLogic;
 

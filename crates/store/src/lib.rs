@@ -42,7 +42,7 @@
 //! // O(#segments) snapshot; the view reads events without copying them.
 //! let view = store.view();
 //! assert_eq!(view.len(), 2);
-//! let verdict = FastChecker::default().check(&view, &[(get, Value::from(1))], &[]);
+//! let verdict = FastChecker.check(&view, &[(get, Value::from(1))], &[]);
 //! assert!(verdict.is_xable());
 //! ```
 //!

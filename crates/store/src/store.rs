@@ -1,7 +1,10 @@
 //! The append-only segmented trace store and its zero-copy views.
 //!
 //! One [`TraceStore`] holds a run's whole event stream, interned and
-//! packed (12 bytes per event). Components that need to *read* the
+//! packed (12 bytes per event). It has one append path,
+//! [`TraceStore::push_batch`], interning through a per-batch
+//! [`BatchMemo`]; a single [`push`](TraceStore::push) is a batch of one,
+//! so both number symbols identically. Components that need to *read* the
 //! stream — the online monitor, the batch checkers, the exactly-once
 //! accountants, the trace writer — take an immutable [`TraceSnapshot`]
 //! (O(#segments), cheaply cloneable) or a [`HistoryView`] over one, which
@@ -9,7 +12,9 @@
 //! `Vec<Event>` copy ever being materialized.
 
 use std::fmt;
+use std::slice;
 
+use xability_core::intern::BatchMemo;
 use xability_core::seglog::{AppendLog, LogView};
 use xability_core::{
     ActionId, ActionName, Event, History, HistoryRead, Interner, InternerReader, Value,
@@ -133,21 +138,10 @@ impl TraceStore {
         }
     }
 
-    /// Appends one event, returning its index in the stream.
+    /// Appends one event, returning its index in the stream — a batch of
+    /// one.
     pub fn push(&mut self, event: &Event) -> usize {
-        let (is_complete, action, value) = match event {
-            Event::Start(a, iv) => (false, a, iv),
-            Event::Complete(a, ov) => (true, a, ov),
-        };
-        let repr = EventRepr::new(
-            is_complete,
-            action.role(),
-            self.interner.intern_action(action.base_name()),
-            self.interner.intern_value(value),
-        );
-        let index = self.events.len();
-        self.events.push(repr);
-        index
+        self.push_batch(slice::from_ref(event))
     }
 
     /// Appends every event of an iterator.
@@ -160,45 +154,22 @@ impl TraceStore {
     /// Appends a slice of events, returning the index of the first one
     /// (`len()` if the slice is empty).
     ///
-    /// Semantically identical to pushing each event in order; the batch
-    /// form amortizes interning. Event streams overwhelmingly repeat a
-    /// small action alphabet, and adjacent events frequently carry the
-    /// same value (a start and its retries, request keys), so a tiny
-    /// batch-local memo answers most symbol queries with a direct
-    /// equality check instead of the interner's hash-and-probe.
-    /// xbench's `store.push_batch_ns_per_event` against
-    /// `store.push_ns_per_event` is the per-event delta.
+    /// The one append path ([`push`](Self::push) is a batch of one).
+    /// Event streams overwhelmingly repeat a small action alphabet, and
+    /// adjacent events frequently carry the same value (a start and its
+    /// retries, request keys), so a [`BatchMemo`] answers most symbol
+    /// queries with a direct equality check instead of the interner's
+    /// hash-and-probe — with the symbols the interner would give.
     pub fn push_batch(&mut self, events: &[Event]) -> usize {
         let first = self.events.len();
-        // The action memo is a linear scan: real alphabets hold a handful
-        // of names, and the cap keeps a pathological batch from turning
-        // the scan quadratic (overflow names fall back to the interner).
-        let mut actions: Vec<(&ActionName, u32)> = Vec::new();
-        let mut last_value: Option<(&Value, u32)> = None;
+        let mut memo = BatchMemo::default();
         for event in events {
             let (is_complete, action, value) = match event {
                 Event::Start(a, iv) => (false, a, iv),
                 Event::Complete(a, ov) => (true, a, ov),
             };
-            let name = action.base_name();
-            let action_sym = match actions.iter().find(|(n, _)| *n == name) {
-                Some(&(_, sym)) => sym,
-                None => {
-                    let sym = self.interner.intern_action(name);
-                    if actions.len() < 64 {
-                        actions.push((name, sym));
-                    }
-                    sym
-                }
-            };
-            let value_sym = match last_value {
-                Some((v, sym)) if v == value => sym,
-                _ => {
-                    let sym = self.interner.intern_value(value);
-                    last_value = Some((value, sym));
-                    sym
-                }
-            };
+            let action_sym = memo.action(&mut self.interner, action.base_name());
+            let value_sym = memo.value(&mut self.interner, value);
             self.events.push(EventRepr::new(
                 is_complete,
                 action.role(),
@@ -817,7 +788,7 @@ mod tests {
             (first.0.clone(), first.1.clone()),
             (second.0.clone(), second.1.clone()),
         ];
-        let checker = FastChecker::default();
+        let checker = FastChecker;
         let mut sequences: Vec<Vec<usize>> = vec![Vec::new()];
         let mut checked = 0usize;
         while let Some(picks) = sequences.pop() {

@@ -723,7 +723,7 @@ mod tests {
         let mut bytes = Vec::new();
         write_trace(&mut bytes, &requests, &store.snapshot()).unwrap();
         let replayed = read_trace(&mut bytes.as_slice()).unwrap();
-        let checker = FastChecker::default();
+        let checker = FastChecker;
         assert_eq!(
             checker.check_requests(&store.view(), &requests),
             checker.check_requests(&replayed.store.view(), &replayed.requests),
@@ -770,7 +770,7 @@ mod tests {
                 replayed.meta_value(META_PAYLOAD_CRC).is_some(),
                 "codec {codec}: the framer records the payload checksum"
             );
-            let checker = FastChecker::default();
+            let checker = FastChecker;
             assert_eq!(
                 checker.check_requests(&store.view(), &requests),
                 checker.check_requests(&replayed.store.view(), &replayed.requests),

@@ -130,7 +130,7 @@ fn assert_two_request_agreement(h: &History, undoable_first: bool) -> Result<(),
     let (a1, a2) = if undoable_first { (u, i) } else { (i, u) };
     let ops = [(a1.clone(), Value::from(1)), (a2.clone(), Value::from(1))];
     let search = SearchChecker::default().check(h, &ops, &[]);
-    let fast = FastChecker::default().check(h, &ops, &[]);
+    let fast = FastChecker.check(h, &ops, &[]);
     let anchors = (surviving_anchor(h, &a1), surviving_anchor(h, &a2));
     match (&search, &fast) {
         (Verdict::Xable { .. }, Verdict::NotXable { reason }) => {
@@ -183,10 +183,7 @@ fn cancel_then_retry_after_later_request_rejected_by_every_tier() {
 
     let search = SearchChecker::default().check(&h, &ops, &[]);
     assert!(search.is_not_xable(), "search reference: {search}");
-    for checker in [
-        &FastChecker::default() as &dyn Checker,
-        &TieredChecker::default(),
-    ] {
+    for checker in [&FastChecker as &dyn Checker, &TieredChecker::default()] {
         let v = checker.check(&h, &ops, &[]);
         assert!(v.is_not_xable(), "{}: {v}", checker.name());
     }
@@ -214,7 +211,7 @@ proptest! {
         let two_erasable = [(u.clone(), Value::from(1)), (u, Value::from(2))];
         for erasable in [&[][..], &two_erasable] {
             let search = SearchChecker::default().check(&h, &ops, erasable);
-            let fast = FastChecker::default().check(&h, &ops, erasable);
+            let fast = FastChecker.check(&h, &ops, erasable);
             assert_no_contradiction(&h, &search, &fast)?;
         }
     }
@@ -225,7 +222,7 @@ proptest! {
         let u = ActionId::base(ActionName::undoable("u"));
         let ops = [(u, Value::from(1))];
         let search = SearchChecker::default().check(&h, &ops, &[]);
-        let fast = FastChecker::default().check(&h, &ops, &[]);
+        let fast = FastChecker.check(&h, &ops, &[]);
         assert_no_contradiction(&h, &search, &fast)?;
     }
 
@@ -253,7 +250,7 @@ proptest! {
         let u = ActionId::base(ActionName::undoable("u"));
         let i = ActionId::base(ActionName::idempotent("i"));
         let erasable = [(u, Value::from(1)), (i, Value::from(1))];
-        let fast = FastChecker::default().check(&h, &[], &erasable);
+        let fast = FastChecker.check(&h, &[], &erasable);
         let search = search_reduction(&h, History::is_empty, 0, SearchBudget::default());
         match (&search, &fast) {
             (SearchResult::Reached(_), Verdict::NotXable { reason }) => {
@@ -273,7 +270,7 @@ proptest! {
     fn tiered_refines_fast(h in arb_history(8)) {
         let a = ActionId::base(ActionName::idempotent("i"));
         let ops = [(a, Value::from(1))];
-        let fast = FastChecker::default().check(&h, &ops, &[]);
+        let fast = FastChecker.check(&h, &ops, &[]);
         let tiered = TieredChecker::default().check(&h, &ops, &[]);
         if !fast.is_unknown() {
             prop_assert_eq!(&tiered, &fast, "tiered must pass definite fast answers through");
@@ -384,7 +381,7 @@ fn fault_matrix_checkers_agree_on_recorded_histories() {
             let requests = report.submitted.clone();
             let cell = format!("[{fault}/{workload}]");
 
-            let fast = FastChecker::default().check_requests(&history, &requests);
+            let fast = FastChecker.check_requests(&history, &requests);
             let tiered = TieredChecker::default().check_requests(&history, &requests);
 
             // The online checker replaying the same event stream answers

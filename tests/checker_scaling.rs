@@ -145,7 +145,7 @@ proptest! {
             events.extend(first_block);
         }
         let requests = requests_of(&ops);
-        let batch = FastChecker::default();
+        let batch = FastChecker;
         let mut inc = IncrementalChecker::new();
         for r in &requests {
             inc.declare_request(r);
@@ -179,7 +179,7 @@ fn ten_thousand_event_trace_verdict_after_every_push() {
     const EVENTS: usize = 10_002; // 3,334 requests × 3 events
     let (h, ops) = n_retried_requests(EVENTS / 3);
     let requests = requests_of(&ops);
-    let batch = FastChecker::default();
+    let batch = FastChecker;
     let checkpoint_stride = h.len() / 64;
     let mut inc = IncrementalChecker::new();
     for (a, iv) in &ops {

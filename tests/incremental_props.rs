@@ -69,7 +69,7 @@ proptest! {
         events in prop::collection::vec(arb_event(), 0..10),
         requests in arb_requests(),
     ) {
-        let batch = FastChecker::default();
+        let batch = FastChecker;
         let mut inc = IncrementalChecker::new();
         for r in &requests {
             inc.declare_request(r);
@@ -113,7 +113,7 @@ proptest! {
         if split >= events.len() {
             inc.declare_request(&requests[1]);
         }
-        let offline = FastChecker::default()
+        let offline = FastChecker
             .check_requests(&History::from_events(events), &requests);
         prop_assert_eq!(inc.verdict(), offline);
     }

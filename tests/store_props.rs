@@ -78,7 +78,7 @@ proptest! {
     ) {
         let h = History::from_events(events);
         let store = TraceStore::from_history(&h);
-        let checker = FastChecker::default();
+        let checker = FastChecker;
         let owned = checker.check_requests(&h, &requests);
         let viewed = checker.check_requests(&store.view(), &requests);
         prop_assert_eq!(&owned, &viewed, "owned={} viewed={}", &owned, &viewed);
@@ -128,7 +128,7 @@ proptest! {
         let replayed = read_trace(&mut bytes.as_slice()).expect("well-formed trace");
         prop_assert_eq!(&replayed.requests, &requests);
         prop_assert_eq!(replayed.store.view().to_history(), h);
-        let checker = FastChecker::default();
+        let checker = FastChecker;
         prop_assert_eq!(
             checker.check_requests(&store.view(), &requests),
             checker.check_requests(&replayed.store.view(), &replayed.requests)

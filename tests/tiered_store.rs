@@ -152,7 +152,7 @@ fn reopened_views_recheck_byte_identically_to_memory() {
     let (requests, events) = small_workload();
     let ops = ops_of(&requests);
     let flat = flat_store(&events);
-    let fast = FastChecker::default();
+    let fast = FastChecker;
     let tiered_checker = TieredChecker::default();
     let memory_fast = fast.check(&flat.view(), &ops, &[]);
     let memory_tiered = tiered_checker.check(&flat.view(), &ops, &[]);

@@ -118,7 +118,7 @@ fn corpus_replays_and_rechecks() {
         return;
     }
 
-    let checker = FastChecker::default();
+    let checker = FastChecker;
     for entry in &CORPUS {
         let path = Path::new(CORPUS_DIR).join(entry.file);
         let replayed = RecordedTrace::read_from_file(&path)
@@ -300,8 +300,7 @@ fn explored_corpus_replays_and_rechecks() {
         // (the fast tier answers `Unknown` here — the completion
         // attribution on these round-stamped traces is ambiguous, which
         // is exactly why the structural oracle exists).
-        let verdict =
-            FastChecker::default().check_requests(&replayed.store.view(), &replayed.requests);
+        let verdict = FastChecker.check_requests(&replayed.store.view(), &replayed.requests);
         assert!(
             !verdict.is_xable(),
             "{}: a shrunk violation must not re-check x-able: {verdict}",
