@@ -2,7 +2,7 @@
 //!
 //! PR 5 moved the repo's correctness story onto concurrency and
 //! determinism claims: lock-free copy-on-write seglog tails, shared
-//! interner read handles, a worker-count-independent scenario fleet. Dynamic tests exercise one
+//! interner read handles. Dynamic tests exercise one
 //! schedule per run; this crate is the tooling that checks the claims
 //! *at rest*, in two engines (DESIGN.md §8):
 //!

@@ -3,8 +3,8 @@
 //! — schedules, `store` — traces) may not read wall clocks, sleep, spawn
 //! processes, or iterate hash collections.
 //!
-//! The repo's headline guarantees — warm ≡ cold verdicts, the Fleet's
-//! worker-count-independent reports, sim replayability by seed — all
+//! The repo's headline guarantees — warm ≡ cold verdicts, byte-identical
+//! run reports and metrics per seed, sim replayability by seed — all
 //! reduce to "these crates are deterministic". `std::collections::HashMap` iteration order
 //! is seeded *per process* (`RandomState`), so a hash-iteration that
 //! feeds any ordered output (verdict reasons, serialized reports) is a

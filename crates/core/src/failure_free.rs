@@ -63,8 +63,13 @@ pub fn eventsof(action: &ActionId, input: &Value, output: &Value) -> History {
 /// Membership test for `FailureFree(a, iv)` (§3.2): is `h` equal to
 /// `eventsof(a, iv, ov)` for *some* output value `ov`?
 ///
-/// Returns the output value when the history is failure-free.
+/// Returns the output value when the history is failure-free. A
+/// cancellation or commit has no failure-free history (eqs. 21–22 define
+/// `eventsof` for base actions only), so it gets `None`.
 pub fn failure_free_output(action: &ActionId, input: &Value, h: &History) -> Option<Value> {
+    if !matches!(action, ActionId::Base(_)) {
+        return None;
+    }
     let expected_len = if action.is_undoable_base() { 4 } else { 2 };
     if h.len() != expected_len {
         return None;

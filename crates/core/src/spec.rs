@@ -122,16 +122,15 @@ impl PossibleReply for AnyReply {
 
 /// Converts an R3 verdict into the harness's violation vocabulary:
 /// `Xable` is no violation, `NotXable` is a definite one, and `Unknown` is
-/// reported as a violation too (an undecided obligation is not discharged).
+/// reported as a violation too (an undecided obligation is not discharged),
+/// its detail prefixed `undecided: `.
 pub fn r3_violation(verdict: &Verdict) -> Option<Violation> {
-    match verdict {
-        Verdict::Xable { .. } => None,
-        Verdict::NotXable { reason } => Some(Violation::new(Requirement::R3, reason.clone())),
-        Verdict::Unknown { reason } => Some(Violation::new(
-            Requirement::R3,
-            format!("undecided: {reason}"),
-        )),
-    }
+    let detail = match verdict {
+        Verdict::Xable { .. } => return None,
+        Verdict::NotXable { cause } => cause.to_string(),
+        Verdict::Unknown { cause } => format!("undecided: {cause}"),
+    };
+    Some(Violation::new(Requirement::R3, detail))
 }
 
 /// Evaluates the history-level part of requirement R3 for a sequencer `S`

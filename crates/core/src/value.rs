@@ -406,8 +406,8 @@ mod tests {
         assert!(!same_allocation(&v, &sample()));
     }
 
-    /// The fleet moves values and events across threads; fails to
-    /// compile if the sharing is ever `Rc`.
+    /// Values and events stay free to cross threads; fails to compile if
+    /// the sharing is ever `Rc`.
     #[test]
     fn values_and_events_cross_threads() {
         fn assert_send_sync<T: Send + Sync>() {}

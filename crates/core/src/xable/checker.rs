@@ -103,14 +103,181 @@ pub enum Verdict {
     },
     /// The history is definitely not x-able.
     NotXable {
-        /// Human-readable explanation of the first violation found.
-        reason: String,
+        /// The first violation found.
+        cause: Cause,
     },
     /// The decider could not decide (out of class, or out of budget).
     Unknown {
         /// Why the decider could not decide.
-        reason: String,
+        cause: Cause,
     },
+}
+
+/// Why a verdict is not positive: which request or group, which R3
+/// obligation (§4) or reduction rule (17–20) it fails, and whether a
+/// search gave up. Its [`Display`](fmt::Display) is the one place the
+/// reason text is built.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Cause {
+    /// A declared request names a cancellation or commit, not a base
+    /// action.
+    NotBaseAction(ActionId),
+    /// A declared request repeats an earlier request's identity.
+    DuplicateRequest(Request),
+    /// The completion of `action` at history index `index` has no start
+    /// event — a violation of the event axioms of §2.2.
+    OrphanCompletion {
+        /// The completed action.
+        action: ActionId,
+        /// The completion's index in the history.
+        index: usize,
+    },
+    /// A declared request left no events.
+    NeverExecuted(Request),
+    /// A request has both plain and §5.4 round-stamped events.
+    PlainAndStamped(Request),
+    /// A round-stamped request committed in `rounds` rounds, not exactly 1.
+    CommittedRounds {
+        /// The request.
+        request: Request,
+        /// How many of its rounds committed.
+        rounds: u32,
+    },
+    /// A request's events do not reduce to a failure-free execution.
+    DoesNotReduce(Request),
+    /// The per-group search ran out of budget on a request's events.
+    ExecBudget(Request),
+    /// Events that must erase do not — or, with `budget`, the per-group
+    /// search ran out of budget deciding whether they do.
+    NotErasing {
+        /// Whose events.
+        what: Erasing,
+        /// `true` when the search gave up rather than being exhausted.
+        budget: bool,
+    },
+    /// Request effects occur out of submission order.
+    OutOfOrder,
+    /// A rejection after some completion's attribution was ambiguous:
+    /// another attribution might have succeeded, so it does not decide.
+    AfterAmbiguity(Box<Cause>),
+    /// The reduction closure holds no ordered concatenation of
+    /// failure-free histories for the request sequence.
+    SearchExhausted,
+    /// The exhaustive search ran out of its budget.
+    SearchBudget,
+    /// The fast tier's cause, not escalated: the history has `len`
+    /// events, more than the `max` the tiered checker escalates.
+    TooLongToEscalate {
+        /// The fast tier's cause.
+        fast: Box<Cause>,
+        /// The history's length.
+        len: usize,
+        /// The escalation cutoff.
+        max: usize,
+    },
+    /// The fast tier's cause, not escalated: the history holds
+    /// round-stamped events, outside the search tier's language.
+    RoundStampedNotEscalated(Box<Cause>),
+    /// Both tiers were undecided.
+    BothUndecided {
+        /// The fast tier's cause.
+        fast: Box<Cause>,
+        /// The search tier's cause.
+        search: Box<Cause>,
+    },
+}
+
+/// The events a [`Cause::NotErasing`] names.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Erasing {
+    /// A cancelled §5.4 round of a request: the group whose input is the
+    /// round stamp `(request input, round)`.
+    CancelledRound {
+        /// The request the round belongs to.
+        request: Request,
+        /// The round number.
+        round: i64,
+    },
+    /// The last request, abandoned under R3.
+    AbandonedRequest(Request),
+    /// A group no declared request watches, by its key.
+    UndeclaredGroup(Request),
+}
+
+impl fmt::Display for Cause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Cause::NotBaseAction(action) => {
+                write!(f, "request action {action} is not a base action")
+            }
+            Cause::DuplicateRequest(r) => {
+                write!(f, "duplicate request identity {}/{}", r.action(), r.input())
+            }
+            Cause::OrphanCompletion { action, index } => write!(
+                f,
+                "completion of {action} at index {index} has no start event \
+                 (violates the event axioms of §2.2)"
+            ),
+            Cause::NeverExecuted(r) => write!(f, "request {r} was never executed"),
+            Cause::PlainAndStamped(r) => {
+                write!(f, "request {r} has both plain and round-stamped events")
+            }
+            Cause::CommittedRounds { request, rounds } => {
+                write!(
+                    f,
+                    "request {request} committed in {rounds} rounds (want exactly 1)"
+                )
+            }
+            Cause::DoesNotReduce(r) => write!(
+                f,
+                "events of request {r} do not reduce to a failure-free execution"
+            ),
+            Cause::ExecBudget(r) => write!(f, "per-group search budget exceeded for request {r}"),
+            Cause::NotErasing { what, budget } => {
+                if *budget {
+                    f.write_str("per-group search budget exceeded erasing ")?;
+                }
+                match what {
+                    Erasing::CancelledRound { request, round } => {
+                        let input = request.input();
+                        write!(f, "cancelled round ({input}, {round}) of {request}")?;
+                    }
+                    Erasing::AbandonedRequest(r) => write!(f, "abandoned request {r}")?,
+                    Erasing::UndeclaredGroup(r) => {
+                        write!(f, "undeclared request {}/{}", r.action(), r.input())?;
+                    }
+                }
+                if *budget {
+                    Ok(())
+                } else {
+                    f.write_str(" left events that do not erase")
+                }
+            }
+            Cause::OutOfOrder => f.write_str("request effects occur out of submission order"),
+            Cause::AfterAmbiguity(cause) => {
+                write!(f, "(after ambiguous completion attribution) {cause}")
+            }
+            Cause::SearchExhausted => f.write_str(
+                "the reduction closure contains no ordered concatenation of \
+                 failure-free histories for the request sequence",
+            ),
+            Cause::SearchBudget => f.write_str("exhaustive search budget exceeded"),
+            Cause::TooLongToEscalate { fast, len, max } => write!(
+                f,
+                "{fast}; history too long to escalate to exhaustive search \
+                 ({len} > {max} events)"
+            ),
+            Cause::RoundStampedNotEscalated(fast) => write!(
+                f,
+                "{fast}; history contains round-stamped events outside the \
+                 search tier's language (§5.4 adoption is a fast-tier rule), \
+                 not escalating"
+            ),
+            Cause::BothUndecided { fast, search } => {
+                write!(f, "fast tier: {fast}; search tier: {search}")
+            }
+        }
+    }
 }
 
 impl Verdict {
@@ -148,13 +315,20 @@ impl Verdict {
         }
     }
 
-    /// The explanation, when the verdict is negative or indefinite.
+    /// The cause, when the verdict is negative or indefinite.
     #[must_use]
-    pub fn reason(&self) -> Option<&str> {
+    pub fn cause(&self) -> Option<&Cause> {
         match self {
             Verdict::Xable { .. } => None,
-            Verdict::NotXable { reason } | Verdict::Unknown { reason } => Some(reason),
+            Verdict::NotXable { cause } | Verdict::Unknown { cause } => Some(cause),
         }
+    }
+
+    /// The cause rendered as text, when the verdict is negative or
+    /// indefinite.
+    #[must_use]
+    pub fn reason(&self) -> Option<String> {
+        self.cause().map(Cause::to_string)
     }
 }
 
@@ -164,8 +338,8 @@ impl fmt::Display for Verdict {
             Verdict::Xable { witness } => {
                 write!(f, "x-able ({} outputs)", witness.outputs.len())
             }
-            Verdict::NotXable { reason } => write!(f, "not x-able: {reason}"),
-            Verdict::Unknown { reason } => write!(f, "unknown: {reason}"),
+            Verdict::NotXable { cause } => write!(f, "not x-able: {cause}"),
+            Verdict::Unknown { cause } => write!(f, "unknown: {cause}"),
         }
     }
 }
@@ -306,12 +480,10 @@ impl Checker for SearchChecker {
                 }
             }
             SearchResult::Exhausted => Verdict::NotXable {
-                reason: "the reduction closure contains no ordered concatenation of \
-                         failure-free histories for the request sequence"
-                    .to_owned(),
+                cause: Cause::SearchExhausted,
             },
             SearchResult::BudgetExceeded => Verdict::Unknown {
-                reason: "exhaustive search budget exceeded".to_owned(),
+                cause: Cause::SearchBudget,
             },
         }
     }
@@ -451,44 +623,36 @@ pub fn contains_round_stamped(h: &dyn HistoryRead) -> bool {
 impl TieredChecker {
     /// The escalation policy behind both entry points: pass a definite
     /// fast-tier verdict through, refuse to escalate long or round-stamped
-    /// histories, and otherwise ask the search tier, combining reasons if
-    /// it is undecided too.
+    /// histories, and otherwise ask the search tier, nesting both causes
+    /// if it is undecided too.
     fn escalate(
         &self,
         h: &dyn HistoryRead,
         fast: Verdict,
         search: impl FnOnce() -> Verdict,
     ) -> Verdict {
-        let Verdict::Unknown { reason } = fast else {
+        let Verdict::Unknown { cause } = fast else {
             return fast;
         };
-        if h.len() > self.max_search_events {
-            return Verdict::Unknown {
-                reason: format!(
-                    "{reason}; history too long to escalate to exhaustive search \
-                     ({} > {} events)",
-                    h.len(),
-                    self.max_search_events
-                ),
-            };
-        }
-        if contains_round_stamped(h) {
-            return Verdict::Unknown {
-                reason: format!(
-                    "{reason}; history contains round-stamped events outside the \
-                     search tier's language (§5.4 adoption is a fast-tier rule), \
-                     not escalating"
-                ),
-            };
-        }
-        match search() {
-            Verdict::Unknown {
-                reason: search_reason,
-            } => Verdict::Unknown {
-                reason: format!("fast tier: {reason}; search tier: {search_reason}"),
-            },
-            definite => definite,
-        }
+        let fast = Box::new(cause);
+        let cause = if h.len() > self.max_search_events {
+            Cause::TooLongToEscalate {
+                fast,
+                len: h.len(),
+                max: self.max_search_events,
+            }
+        } else if contains_round_stamped(h) {
+            Cause::RoundStampedNotEscalated(fast)
+        } else {
+            match search() {
+                Verdict::Unknown { cause } => Cause::BothUndecided {
+                    fast,
+                    search: Box::new(cause),
+                },
+                definite => return definite,
+            }
+        };
+        Verdict::Unknown { cause }
     }
 }
 
@@ -565,7 +729,7 @@ mod tests {
         ] {
             let v = checker.check(&h, &ops, &[]);
             assert!(v.is_not_xable(), "{}: {v}", checker.name());
-            assert!(v.reason().is_some());
+            assert!(v.cause().is_some());
         }
     }
 
@@ -624,10 +788,20 @@ mod tests {
         let h = History::from_events(events);
         let ops = [(a.clone(), Value::from(1)), (a, Value::from(2))];
         let v = TieredChecker::default().check(&h, &ops, &[]);
-        let Verdict::Unknown { reason } = v else {
+        let Verdict::Unknown { cause } = v else {
             panic!("expected Unknown, got {v}");
         };
-        assert!(reason.contains("too long"), "{reason}");
+        assert!(
+            matches!(
+                cause,
+                Cause::TooLongToEscalate {
+                    len: 124,
+                    max: 48,
+                    ..
+                }
+            ),
+            "{cause}"
+        );
     }
 
     #[test]
@@ -660,10 +834,13 @@ mod tests {
         );
 
         let v = tiered.check_requests(&h, &requests);
-        let Verdict::Unknown { reason } = v else {
+        let Verdict::Unknown { cause } = v else {
             panic!("stamped history must not escalate, got {v}");
         };
-        assert!(reason.contains("round-stamped"), "{reason}");
+        assert!(
+            matches!(cause, Cause::RoundStampedNotEscalated(_)),
+            "{cause}"
+        );
     }
 
     #[test]
@@ -706,17 +883,199 @@ mod tests {
     fn verdict_accessors_and_display() {
         let v = Verdict::xable(vec![Value::from(1)]);
         assert!(v.is_xable() && !v.is_not_xable() && !v.is_unknown());
-        assert_eq!(v.reason(), None);
-        assert!(format!("{v}").contains("x-able"));
+        assert_eq!((v.cause(), v.reason()), (None, None));
+        assert_eq!(v.to_string(), "x-able (1 outputs)");
         let v = Verdict::NotXable {
-            reason: "boom".into(),
+            cause: Cause::OutOfOrder,
         };
-        assert_eq!(v.reason(), Some("boom"));
-        assert!(format!("{v}").contains("boom"));
+        assert_eq!(v.cause(), Some(&Cause::OutOfOrder));
+        assert_eq!(v.reason(), Some(Cause::OutOfOrder.to_string()));
         let v = Verdict::Unknown {
-            reason: "fog".into(),
+            cause: Cause::SearchBudget,
         };
         assert!(v.is_unknown());
-        assert!(format!("{v}").contains("fog"));
+        assert_eq!(
+            v.reason().as_deref(),
+            Some("exhaustive search budget exceeded")
+        );
+    }
+
+    #[test]
+    fn every_cause_renders_the_pinned_text() {
+        // The edge text, byte for byte: what a verdict's reason, a report's
+        // R3 violation and a log line show for each cause.
+        let x = idem("x");
+        let u = ActionId::base(ActionName::undoable("u"));
+        let cancel = u.cancel().unwrap();
+        let x1 = Request::new(x.clone(), Value::from(1));
+        let r0 = Request::new(u.clone(), Value::from("r0"));
+        let erasing = |what, budget| Cause::NotErasing { what, budget };
+        let cancelled = || Erasing::CancelledRound {
+            request: r0.clone(),
+            round: 1,
+        };
+        let undeclared = || Erasing::UndeclaredGroup(Request::new(x.clone(), Value::from(2)));
+        let committed = |rounds| Cause::CommittedRounds {
+            request: r0.clone(),
+            rounds,
+        };
+        let rows: Vec<(Cause, &str)> = vec![
+            (
+                Cause::NotBaseAction(cancel),
+                "request action u⁻¹ is not a base action",
+            ),
+            (
+                Cause::DuplicateRequest(x1.clone()),
+                "duplicate request identity xⁱ/1",
+            ),
+            (
+                Cause::OrphanCompletion {
+                    action: x.clone(),
+                    index: 3,
+                },
+                "completion of xⁱ at index 3 has no start event (violates the event axioms of §2.2)",
+            ),
+            (
+                Cause::NeverExecuted(x1.clone()),
+                "request (xⁱ, 1) was never executed",
+            ),
+            (
+                Cause::PlainAndStamped(r0.clone()),
+                "request (uᵘ, \"r0\") has both plain and round-stamped events",
+            ),
+            (
+                committed(2),
+                "request (uᵘ, \"r0\") committed in 2 rounds (want exactly 1)",
+            ),
+            (
+                committed(0),
+                "request (uᵘ, \"r0\") committed in 0 rounds (want exactly 1)",
+            ),
+            (
+                Cause::DoesNotReduce(x1.clone()),
+                "events of request (xⁱ, 1) do not reduce to a failure-free execution",
+            ),
+            (
+                Cause::ExecBudget(x1.clone()),
+                "per-group search budget exceeded for request (xⁱ, 1)",
+            ),
+            (
+                erasing(cancelled(), false),
+                "cancelled round (\"r0\", 1) of (uᵘ, \"r0\") left events that do not erase",
+            ),
+            (
+                erasing(cancelled(), true),
+                "per-group search budget exceeded erasing cancelled round (\"r0\", 1) of (uᵘ, \"r0\")",
+            ),
+            (
+                erasing(Erasing::AbandonedRequest(x1.clone()), false),
+                "abandoned request (xⁱ, 1) left events that do not erase",
+            ),
+            (
+                erasing(Erasing::AbandonedRequest(x1.clone()), true),
+                "per-group search budget exceeded erasing abandoned request (xⁱ, 1)",
+            ),
+            (
+                erasing(undeclared(), false),
+                "undeclared request xⁱ/2 left events that do not erase",
+            ),
+            (
+                erasing(undeclared(), true),
+                "per-group search budget exceeded erasing undeclared request xⁱ/2",
+            ),
+            (
+                Cause::OutOfOrder,
+                "request effects occur out of submission order",
+            ),
+            (
+                Cause::AfterAmbiguity(Box::new(committed(2))),
+                "(after ambiguous completion attribution) request (uᵘ, \"r0\") committed in 2 \
+                 rounds (want exactly 1)",
+            ),
+            (
+                Cause::SearchExhausted,
+                "the reduction closure contains no ordered concatenation of failure-free \
+                 histories for the request sequence",
+            ),
+            (Cause::SearchBudget, "exhaustive search budget exceeded"),
+            (
+                Cause::TooLongToEscalate {
+                    fast: Box::new(Cause::AfterAmbiguity(Box::new(Cause::NeverExecuted(x1.clone())))),
+                    len: 124,
+                    max: 48,
+                },
+                "(after ambiguous completion attribution) request (xⁱ, 1) was never executed; \
+                 history too long to escalate to exhaustive search (124 > 48 events)",
+            ),
+            (
+                Cause::RoundStampedNotEscalated(Box::new(Cause::PlainAndStamped(r0.clone()))),
+                "request (uᵘ, \"r0\") has both plain and round-stamped events; history contains \
+                 round-stamped events outside the search tier's language (§5.4 adoption is a \
+                 fast-tier rule), not escalating",
+            ),
+            (
+                Cause::BothUndecided {
+                    fast: Box::new(Cause::DuplicateRequest(x1)),
+                    search: Box::new(Cause::SearchBudget),
+                },
+                "fast tier: duplicate request identity xⁱ/1; search tier: exhaustive search \
+                 budget exceeded",
+            ),
+        ];
+        for (cause, text) in rows {
+            assert_eq!(cause.to_string(), text);
+            let rejected = Verdict::NotXable {
+                cause: cause.clone(),
+            };
+            assert_eq!(rejected.to_string(), format!("not x-able: {text}"));
+            assert_eq!(crate::spec::r3_violation(&rejected).unwrap().detail, text);
+            let undecided = Verdict::Unknown { cause };
+            assert_eq!(undecided.to_string(), format!("unknown: {text}"));
+            let detail = crate::spec::r3_violation(&undecided).unwrap().detail;
+            assert_eq!(detail, format!("undecided: {text}"));
+        }
+    }
+
+    #[test]
+    fn a_request_naming_a_cancellation_is_decided_without_panicking() {
+        // `S(xfer⁻¹, 1) C(xfer⁻¹, nil)` against a declared request naming
+        // `xfer⁻¹`: eqs. 21–22 give a cancellation no failure-free
+        // history, so the search finds no goal instead of building one.
+        let cancel = ActionId::base(ActionName::undoable("xfer"))
+            .cancel()
+            .unwrap();
+        let h = History::from_events(vec![
+            Event::start(cancel.clone(), Value::from(1)),
+            Event::complete(cancel.clone(), Value::Nil),
+        ]);
+        let ops = [(cancel.clone(), Value::from(1))];
+        let requests = [Request::new(cancel.clone(), Value::from(1))];
+        let invalid = Verdict::Unknown {
+            cause: Cause::NotBaseAction(cancel),
+        };
+        assert_eq!(FastChecker.check(&h, &ops, &[]), invalid);
+        assert_eq!(FastChecker.check_requests(&h, &requests), invalid);
+        for checker in [
+            &SearchChecker::default() as &dyn Checker,
+            &TieredChecker::default(),
+        ] {
+            let v = checker.check(&h, &ops, &[]);
+            assert!(
+                matches!(
+                    v,
+                    Verdict::NotXable {
+                        cause: Cause::SearchExhausted
+                    }
+                ),
+                "{}: {v}",
+                checker.name()
+            );
+            // Under R3 the request may be abandoned, and the lone
+            // cancellation erases (rule 19).
+            let v = checker.check_requests(&h, &requests);
+            assert!(v.is_xable(), "{}: {v}", checker.name());
+        }
+        let sequencer = crate::spec::IdentitySequencer;
+        assert_eq!(crate::spec::check_r3(&sequencer, &requests, &h), None);
     }
 }

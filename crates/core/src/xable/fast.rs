@@ -136,6 +136,7 @@ use crate::history::{History, HistoryRead};
 use crate::intern::{hash_of, BatchMemo, Interner, SymbolIndex};
 use crate::seglog::AppendLog;
 use crate::value::Value;
+use crate::xable::checker::Cause;
 use crate::xable::search::{search_reduction, SearchBudget, SearchResult};
 
 /// Dense index of a `(base action, input)` group in an [`Engine`].
@@ -772,14 +773,14 @@ impl Engine {
     /// last-group memo (an `S S C` run lands in one cell).
     ///
     /// `track` is called once per event, in order, with what happened (for
-    /// dirty tracking), or `Err(reason)` for a completion whose action has
+    /// dirty tracking), or `Err(cause)` for a completion whose action has
     /// never started (a violation of the event axioms of §2.2 —
     /// definitely not x-able, independent of any ambiguity), which joins
     /// no group and stops nothing.
     pub(crate) fn observe_batch(
         &mut self,
         events: &[Event],
-        mut track: impl FnMut(Result<Observed, String>),
+        mut track: impl FnMut(Result<Observed, Cause>),
     ) {
         let mut memo = BatchMemo::default();
         let mut last_group: Option<(KeySyms, GroupSym)> = None;
@@ -793,8 +794,8 @@ impl Engine {
                 }
                 Event::Complete(a, _) => match self.attribute_completion(ns, a.role(), a) {
                     Ok(vs) => ((ns, vs), a.is_commit()),
-                    Err(reason) => {
-                        track(Err(reason));
+                    Err(cause) => {
+                        track(Err(cause));
                         continue;
                     }
                 },
@@ -827,7 +828,7 @@ impl Engine {
     /// open start (or of the most recent start, flagging the ambiguity),
     /// or `Err` for an orphan completion — which takes its index here,
     /// with no predecessor, so the chain column stays dense.
-    fn attribute_completion(&mut self, ns: u32, role: u8, a: &ActionId) -> Result<u32, String> {
+    fn attribute_completion(&mut self, ns: u32, role: u8, a: &ActionId) -> Result<u32, Cause> {
         let slot = self.attribution.slot(ns, role);
         let open = &mut self.attribution.open[slot];
         if open.distinct() > 1 {
@@ -845,9 +846,10 @@ impl Engine {
                 None => {
                     let index = self.prev.len();
                     self.prev.push(NONE);
-                    Err(format!(
-                        "completion of {a} at index {index} has no start event (violates the event axioms of §2.2)"
-                    ))
+                    Err(Cause::OrphanCompletion {
+                        action: a.clone(),
+                        index,
+                    })
                 }
             },
         }
@@ -1804,7 +1806,7 @@ mod tests {
     }
 
     impl ChainReference {
-        fn record(&mut self, result: Result<Observed, String>) {
+        fn record(&mut self, result: Result<Observed, Cause>) {
             let index = self.next_index;
             self.next_index += 1;
             match result {
@@ -1822,7 +1824,10 @@ mod tests {
                     self.groups[obs.group as usize].push(index);
                 }
                 // An orphan joins no group but has taken its index.
-                Err(reason) => assert!(reason.contains(&format!("at index {index} ")), "{reason}"),
+                Err(cause) => assert!(
+                    matches!(cause, Cause::OrphanCompletion { index: at, .. } if at == index),
+                    "{cause}"
+                ),
             }
         }
 

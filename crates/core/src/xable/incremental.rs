@@ -82,7 +82,6 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 use std::mem::size_of;
 use std::ops::Range;
 
@@ -94,7 +93,7 @@ use crate::history::{History, HistoryRead};
 use crate::intern::{hash_of, SymbolIndex};
 use crate::seglog::AppendLog;
 use crate::value::Value;
-use crate::xable::checker::{combine_r3_attempts, Verdict, Witness};
+use crate::xable::checker::{combine_r3_attempts, Cause, Erasing, Verdict, Witness};
 use crate::xable::fast::{
     id32, Engine, EraseOutcome, ExecOutcome, GroupSym, KeySyms, Observed, NONE,
 };
@@ -155,8 +154,9 @@ enum OpState {
     /// effect anchored at this history index; the agreed output is the
     /// request's entry of [`Aggregate::outputs`].
     Ok { anchor: u32 },
-    /// The request fails (or is undecidable) for this reason; the message
-    /// is materialized lazily so clean verdicts never format strings.
+    /// The request fails (or is undecidable) for this reason; the
+    /// verdict's [`Cause`] is built only for the failure a verdict
+    /// reports.
     Bad(OpFail),
 }
 
@@ -169,8 +169,8 @@ impl OpState {
     }
 }
 
-/// Why a request's decision is not `Ok` — enough to materialize the
-/// verdict's reason when a verdict reports it.
+/// Why a request's decision is not `Ok` — the compact per-request code
+/// that becomes a [`Cause`] when a verdict reports it.
 #[derive(Debug, Clone, Copy)]
 enum OpFail {
     NeverExecuted,
@@ -217,8 +217,9 @@ struct Aggregate {
     /// sits in `invalid`.
     op_keys: Vec<KeySyms>,
     /// The invalid declarations — a non-base action, or a key an earlier
-    /// request already declared; either trips `declare_invalid`, so there
-    /// is a handful at most — ascending by request index.
+    /// request already declared; the first one makes every verdict
+    /// `Unknown` with its cause, so there is a handful at most —
+    /// ascending by request index.
     invalid: Vec<(usize, ActionId, Value)>,
     /// Request key → request index, probed against `op_keys`, where every
     /// row with a key is filed. A round-stamped parent key carries an
@@ -234,9 +235,6 @@ struct Aggregate {
     /// outputs only after finding no such request in the range it reports.
     /// Verdicts snapshot this log instead of copying it.
     outputs: AppendLog<Value>,
-    /// Sticky first declaration-validation failure (non-base action or
-    /// duplicate identity) — the reason every verdict reports first.
-    declare_invalid: Option<String>,
     /// Per-group watcher fan-out, index-aligned with the engine's groups.
     watchers: Vec<Watchers>,
     /// Requests whose groups changed since the last verdict.
@@ -267,7 +265,6 @@ impl Default for Aggregate {
             op_lookup: SymbolIndex::default(),
             entries: Vec::new(),
             outputs: AppendLog::new(OUTPUT_SEGMENT),
-            declare_invalid: None,
             watchers: Vec::new(),
             dirty_ops: BTreeSet::new(),
             dirty_undeclared: BTreeSet::new(),
@@ -394,7 +391,7 @@ pub struct IncrementalState {
     engine: Engine,
     /// First completion observed without any start of its action — a
     /// permanent violation of the event axioms (§2.2).
-    orphan: Option<String>,
+    orphan: Option<Cause>,
     /// Interior mutability: a verdict drains the dirty sets and refreshes
     /// the cached per-request decisions, which is logically a cache fill
     /// behind the `&self` query API.
@@ -478,30 +475,19 @@ impl IncrementalState {
         agg.entries.push(OpEntry::default());
         agg.outputs.push(Value::Nil);
         agg.dirty_ops.insert(op);
-        let key = if matches!(action, ActionId::Base(_)) {
-            let key = (
-                self.engine.interner_mut().intern_action(action.base_name()),
-                self.engine.interner_mut().intern_value(&input),
-            );
-            if agg.op_with_key(key) == NONE {
-                Ok(key)
-            } else {
-                Err(format!(
-                    "duplicate request identity {}/{input}",
-                    action.base_name()
-                ))
-            }
-        } else {
-            Err(format!("request action {action} is not a base action"))
-        };
-        let key = match key {
-            Ok(key) => key,
-            Err(reason) => {
-                agg.declare_invalid.get_or_insert(reason);
-                agg.op_keys.push((NONE, NONE));
-                agg.invalid.push((op, action, input));
-                return;
-            }
+        let key = matches!(action, ActionId::Base(_))
+            .then(|| {
+                let interner = self.engine.interner_mut();
+                (
+                    interner.intern_action(action.base_name()),
+                    interner.intern_value(&input),
+                )
+            })
+            .filter(|&key| agg.op_with_key(key) == NONE);
+        let Some(key) = key else {
+            agg.op_keys.push((NONE, NONE));
+            agg.invalid.push((op, action, input));
+            return;
         };
         agg.op_keys.push(key);
         let op_keys = &agg.op_keys;
@@ -579,10 +565,8 @@ impl IncrementalState {
                     last_group = Some(obs.group);
                 }
             }
-            Err(reason) => {
-                if orphan.is_none() {
-                    *orphan = Some(reason);
-                }
+            Err(cause) => {
+                orphan.get_or_insert(cause);
             }
         });
     }
@@ -786,58 +770,59 @@ impl IncrementalState {
     /// completion's attribution was ambiguous, a negative verdict is
     /// unreliable (another attribution might have succeeded), so it is
     /// downgraded to `Unknown`.
-    fn fail(&self, reason: String) -> Verdict {
+    fn fail(&self, cause: Cause) -> Verdict {
         if self.engine.ambiguous {
             Verdict::Unknown {
-                reason: format!("(after ambiguous completion attribution) {reason}"),
+                cause: Cause::AfterAmbiguity(Box::new(cause)),
             }
         } else {
-            Verdict::NotXable { reason }
+            Verdict::NotXable { cause }
         }
     }
 
     /// The verdict for events of `what` that must erase and do not:
     /// `Unknown` when the search ran out of `budget`, a rejection when it
     /// was exhausted.
-    fn not_erasing(&self, what: &dyn fmt::Display, budget: bool) -> Verdict {
+    fn not_erasing(&self, what: Erasing, budget: bool) -> Verdict {
+        let cause = Cause::NotErasing { what, budget };
         if budget {
-            Verdict::Unknown {
-                reason: format!("per-group search budget exceeded erasing {what}"),
-            }
+            Verdict::Unknown { cause }
         } else {
-            self.fail(format!("{what} left events that do not erase"))
+            self.fail(cause)
         }
+    }
+
+    /// The declared request `op`, as a [`Request`].
+    fn request(&self, agg: &Aggregate, op: usize) -> Request {
+        let (action, input) = self.request_at(agg, op);
+        Request::new(action, input)
     }
 
     /// The verdict reporting the failing request `op`.
     fn op_fail_verdict(&self, agg: &Aggregate, op: usize) -> Verdict {
-        let (action, input) = &self.request_at(agg, op);
-        let cancelled_round = |sym: GroupSym| {
-            let round = self.engine.interner().value(self.engine.key(sym).1);
-            format!("cancelled round {round} of ({action}, {input})")
-        };
+        let request = self.request(agg, op);
         let OpState::Bad(fail) = agg.entries[op].state else {
             unreachable!("only failing requests are materialized")
         };
         match fail {
-            OpFail::NeverExecuted => {
-                self.fail(format!("request ({action}, {input}) was never executed"))
-            }
+            OpFail::NeverExecuted => self.fail(Cause::NeverExecuted(request)),
             OpFail::PlainAndStamped => Verdict::Unknown {
-                reason: format!(
-                    "request ({action}, {input}) has both plain and round-stamped events"
-                ),
+                cause: Cause::PlainAndStamped(request),
             },
-            OpFail::CommittedRounds(rounds) => self.fail(format!(
-                "request ({action}, {input}) committed in {rounds} rounds (want exactly 1)"
-            )),
-            OpFail::RoundNotErasing(sym) => self.not_erasing(&cancelled_round(sym), false),
-            OpFail::RoundEraseBudget(sym) => self.not_erasing(&cancelled_round(sym), true),
-            OpFail::Stuck => self.fail(format!(
-                "events of request ({action}, {input}) do not reduce to a failure-free execution"
-            )),
+            OpFail::CommittedRounds(rounds) => {
+                self.fail(Cause::CommittedRounds { request, rounds })
+            }
+            OpFail::RoundNotErasing(sym) | OpFail::RoundEraseBudget(sym) => {
+                let stamp = self.engine.interner().value(self.engine.key(sym).1);
+                let (_, round) = stamp
+                    .round_stamp()
+                    .expect("a round's input is a round stamp");
+                let budget = matches!(fail, OpFail::RoundEraseBudget(_));
+                self.not_erasing(Erasing::CancelledRound { request, round }, budget)
+            }
+            OpFail::Stuck => self.fail(Cause::DoesNotReduce(request)),
             OpFail::ExecBudget => Verdict::Unknown {
-                reason: format!("per-group search budget exceeded for request ({action}, {input})"),
+                cause: Cause::ExecBudget(request),
             },
         }
     }
@@ -855,10 +840,13 @@ impl IncrementalState {
         executed: usize,
         erasable: Range<usize>,
     ) -> Verdict {
-        if let Some(reason) = &agg.declare_invalid {
-            return Verdict::Unknown {
-                reason: reason.clone(),
+        if let Some((_, action, input)) = agg.invalid.first() {
+            let cause = if matches!(action, ActionId::Base(_)) {
+                Cause::DuplicateRequest(Request::new(action.clone(), input.clone()))
+            } else {
+                Cause::NotBaseAction(action.clone())
             };
+            return Verdict::Unknown { cause };
         }
         if let Some(&op) = agg.failing_ops.range(..executed).next() {
             return self.op_fail_verdict(agg, op);
@@ -872,20 +860,21 @@ impl IncrementalState {
                     EraseOutcome::Stuck => false,
                     EraseOutcome::Budget => true,
                 };
-                let (action, input) = self.request_at(agg, op);
-                let what = format!("abandoned request ({action}, {input})");
-                return self.not_erasing(&what, budget);
+                let what = Erasing::AbandonedRequest(self.request(agg, op));
+                return self.not_erasing(what, budget);
             }
         }
         if let Some((&sym, how)) = agg.undeclared_fail.iter().next() {
             let (ns, vs) = self.engine.key(sym);
             let interner = self.engine.interner();
-            let what = format!(
-                "undeclared request {}/{}",
-                interner.action(ns),
-                interner.value(vs)
+            let key = Request::new(
+                ActionId::base(interner.action(ns).clone()),
+                interner.value(vs).clone(),
             );
-            return self.not_erasing(&what, matches!(how, EraseFail::Budget));
+            return self.not_erasing(
+                Erasing::UndeclaredGroup(key),
+                matches!(how, EraseFail::Budget),
+            );
         }
         // The paper's multi-request criterion (reduction to the ordered
         // concatenation of failure-free histories) implicitly assumes the
@@ -898,7 +887,7 @@ impl IncrementalState {
         // surviving effect anchor must follow submission order (DESIGN.md
         // §4.3).
         if executed > 1 && agg.order_bad.range(1..executed).next().is_some() {
-            return self.fail("request effects occur out of submission order".to_owned());
+            return self.fail(Cause::OutOfOrder);
         }
         // Every request below `executed` is `Ok` here (none is failing, and
         // `refresh` left none pending), so its entry of the log is current.
@@ -922,9 +911,9 @@ impl IncrementalState {
             self.consumed(),
             "a verdict's source must hold exactly the consumed prefix"
         );
-        if let Some(reason) = &self.orphan {
+        if let Some(cause) = &self.orphan {
             return Verdict::NotXable {
-                reason: reason.clone(),
+                cause: cause.clone(),
             };
         }
         self.obs.verdicts.inc();
@@ -1610,21 +1599,22 @@ mod tests {
         }
         let v = inc.verdict();
         assert_eq!(v, batch(&inc));
-        assert!(
-            v.reason().is_some_and(|r| r.contains("undeclared request")),
-            "{v}"
-        );
+        // Two rounds were open when `one` completed: every rejection is
+        // downgraded to an ambiguous one.
+        let ambiguous = |cause| Some(Cause::AfterAmbiguity(Box::new(cause)));
+        let r1_round = Request::new(u.clone(), round("r1", 1));
+        let undeclared = Cause::NotErasing {
+            what: Erasing::UndeclaredGroup(r1_round),
+            budget: false,
+        };
+        assert_eq!(v.cause().cloned(), ambiguous(undeclared), "{v}");
 
         inc.declare(u.clone(), Value::from("r1"));
         let v = inc.verdict();
         assert_eq!(v, batch(&inc));
         // Declared in the order their effects occurred? No: r1 committed
         // first. Declared the other way round the prefix is x-able.
-        assert!(
-            v.reason()
-                .is_some_and(|r| r.contains("out of submission order")),
-            "{v}"
-        );
+        assert_eq!(v.cause().cloned(), ambiguous(Cause::OutOfOrder), "{v}");
         assert!(inc.state.agg.borrow().undeclared_fail.is_empty());
     }
 
@@ -1649,10 +1639,9 @@ mod tests {
             assert_eq!(state.declared_len(), k + 1);
             assert!(state.requests().eq(declared[..=k].iter().cloned()));
         }
-        // The first invalid declaration is the sticky reason.
+        // The first invalid declaration is the sticky cause.
         let v = state.verdict_over(&History::empty());
-        let reason = format!("request action {cancel} is not a base action");
-        assert_eq!(v.reason(), Some(reason.as_str()));
+        assert_eq!(v.cause(), Some(&Cause::NotBaseAction(cancel)));
         assert_eq!(size_of::<Watchers>(), 8);
         assert!(size_of::<OpEntry>() <= 24);
     }

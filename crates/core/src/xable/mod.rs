@@ -6,7 +6,9 @@
 //!
 //! All deciders share one API: the [`Checker`] trait and the unified
 //! [`Verdict`] type (defined in [`checker`]), one entry point per question
-//! over any [`HistoryRead`](crate::HistoryRead) source. Three batch
+//! over any [`HistoryRead`](crate::HistoryRead) source. A negative or
+//! undecided verdict carries a structured [`Cause`], which becomes text
+//! only when it is displayed. Three batch
 //! deciders are provided, plus an online one:
 //!
 //! * [`SearchChecker`] — the reference semantics: an exhaustive
@@ -37,7 +39,8 @@ pub mod incremental;
 pub mod search;
 
 pub use checker::{
-    contains_round_stamped, Checker, FastChecker, SearchChecker, TieredChecker, Verdict, Witness,
+    contains_round_stamped, Cause, Checker, Erasing, FastChecker, SearchChecker, TieredChecker,
+    Verdict, Witness,
 };
 pub use incremental::{IncrementalChecker, IncrementalState};
 pub use search::{is_xable_search, search_reduction, SearchBudget, SearchResult};

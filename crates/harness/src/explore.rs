@@ -35,7 +35,8 @@ use std::path::Path;
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
 use xability_core::xable::{
-    contains_round_stamped, Checker, FastChecker, IncrementalChecker, SearchChecker, TieredChecker,
+    contains_round_stamped, Cause, Checker, FastChecker, IncrementalChecker, SearchChecker,
+    TieredChecker, Verdict,
 };
 use xability_core::{ActionId, ActionName, History, Request, Value};
 use xability_obs::{MetricsSnapshot, Obs};
@@ -176,7 +177,7 @@ pub enum VerdictClass {
 
 impl VerdictClass {
     /// Classifies a checker verdict.
-    pub fn of(verdict: &xability_core::xable::Verdict) -> Self {
+    pub fn of(verdict: &Verdict) -> Self {
         if verdict.is_xable() {
             VerdictClass::Xable
         } else if verdict.is_not_xable() {
@@ -187,9 +188,10 @@ impl VerdictClass {
     }
 }
 
-/// A stable classification of checker *reasons*: the exact reason strings
-/// carry history-specific detail (names, counts), so coverage and
-/// shrinking compare these keyword-derived classes instead.
+/// A stable classification of checker *causes*: a [`Cause`] carries
+/// history-specific detail (names, counts), so coverage and shrinking
+/// compare these classes instead. Declared from the most specific class to
+/// the least: where two classes compete, the smaller one wins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ReasonClass {
     /// No violation (x-able or no reason given).
@@ -217,54 +219,42 @@ pub enum ReasonClass {
     MixedStamping,
     /// A search budget was exhausted before a decision.
     BudgetExceeded,
-    /// The history itself is malformed for the decision procedure
-    /// (non-base request, undeclared/abandoned request, cancelled-round
-    /// anomalies).
+    /// The history itself is malformed for the decision procedure: a
+    /// request naming a non-base action, or a completion with no start.
     MalformedHistory,
-    /// A reason that matches no known keyword (kept distinct so new
-    /// checker reasons surface as new coverage, not silent merges).
-    Other,
 }
 
 impl ReasonClass {
-    /// Classifies a reason string (from [`Verdict::reason`] or a
-    /// [`Violation`] detail).
-    ///
-    /// [`Verdict::reason`]: xability_core::xable::Verdict::reason
-    /// [`Violation`]: xability_core::spec::Violation
-    pub fn of(reason: Option<&str>) -> Self {
-        let Some(r) = reason else {
-            return ReasonClass::None;
-        };
-        // "… committed in {n} rounds (want exactly 1)": two or more is a
-        // duplicate effect, none is a request that never took effect.
-        let committed_rounds = (r.split_once("committed in "))
-            .and_then(|(_, rest)| rest.split(' ').next()?.parse::<u32>().ok());
-        if r.contains("duplicate request identity") || committed_rounds.is_some_and(|n| n >= 2) {
-            ReasonClass::DuplicateEffect
-        } else if committed_rounds == Some(0) {
-            ReasonClass::NeverExecuted
-        } else if r.contains("out of submission order") {
-            ReasonClass::OutOfOrder
-        } else if r.contains("do not reduce")
-            || r.contains("no ordered concatenation")
-            || r.contains("do not erase")
-        {
-            ReasonClass::NoReduction
-        } else if r.contains("was never executed") {
-            ReasonClass::NeverExecuted
-        } else if r.contains("both plain and round-stamped") {
-            ReasonClass::MixedStamping
-        } else if r.contains("budget exceeded") {
-            ReasonClass::BudgetExceeded
-        } else if r.contains("is not a base action")
-            || r.contains("cancelled round")
-            || r.contains("abandoned request")
-            || r.contains("undeclared request")
-        {
-            ReasonClass::MalformedHistory
-        } else {
-            ReasonClass::Other
+    /// Classifies a verdict by its [`Cause`] (`None` when x-able).
+    pub fn of_verdict(verdict: &Verdict) -> Self {
+        verdict.cause().map_or(ReasonClass::None, Self::of_cause)
+    }
+
+    fn of_cause(cause: &Cause) -> Self {
+        match cause {
+            Cause::DuplicateRequest(_) => ReasonClass::DuplicateEffect,
+            // Exactly one committed round never fails: none is a request
+            // that never took effect, two or more a duplicate effect.
+            Cause::CommittedRounds { rounds: 0, .. } => ReasonClass::NeverExecuted,
+            Cause::CommittedRounds { .. } => ReasonClass::DuplicateEffect,
+            Cause::OutOfOrder => ReasonClass::OutOfOrder,
+            Cause::DoesNotReduce(_)
+            | Cause::SearchExhausted
+            | Cause::NotErasing { budget: false, .. } => ReasonClass::NoReduction,
+            Cause::NeverExecuted(_) => ReasonClass::NeverExecuted,
+            Cause::PlainAndStamped(_) => ReasonClass::MixedStamping,
+            Cause::ExecBudget(_) | Cause::SearchBudget | Cause::NotErasing { budget: true, .. } => {
+                ReasonClass::BudgetExceeded
+            }
+            Cause::NotBaseAction(_) | Cause::OrphanCompletion { .. } => {
+                ReasonClass::MalformedHistory
+            }
+            Cause::AfterAmbiguity(inner)
+            | Cause::TooLongToEscalate { fast: inner, .. }
+            | Cause::RoundStampedNotEscalated(inner) => Self::of_cause(inner),
+            Cause::BothUndecided { fast, search } => {
+                Self::of_cause(fast).min(Self::of_cause(search))
+            }
         }
     }
 }
@@ -337,10 +327,14 @@ fn log2_bucket(n: u64) -> u8 {
 impl CoverageSignature {
     /// Extracts the signature of a finished run.
     pub fn of(report: &RunReport) -> Self {
-        let (verdict, reason) = match &report.r3_violation {
-            Some(v) => (VerdictClass::NotXable, ReasonClass::of(Some(&v.detail))),
-            None => (VerdictClass::Xable, ReasonClass::None),
+        // An undecided R3 is a violation too (`spec::r3_violation`), so it
+        // fingerprints as not x-able.
+        let verdict = if report.r3_verdict.is_xable() {
+            VerdictClass::Xable
+        } else {
+            VerdictClass::NotXable
         };
+        let reason = ReasonClass::of_verdict(&report.r3_verdict);
         let mut anomalies = 0u16;
         let sim = &report.sim;
         let rm = &report.replica_metrics;
@@ -744,15 +738,11 @@ pub fn run_violation_class(report: &RunReport, tier_max_events: usize) -> Option
     // verdicts so that `is_correct()` stays conservative; for the explorer
     // only a definite NotXable is a finding.
     let complete = report.finished && report.quiescent;
-    if complete {
-        if let Some(v) = &report.r3_violation {
-            if !v.detail.starts_with("undecided:") {
-                return Some(ViolationClass {
-                    kind: ViolationKind::R3,
-                    reason: ReasonClass::of(Some(&v.detail)),
-                });
-            }
-        }
+    if complete && report.r3_verdict.is_not_xable() {
+        return Some(ViolationClass {
+            kind: ViolationKind::R3,
+            reason: ReasonClass::of_verdict(&report.r3_verdict),
+        });
     }
     let history = report.ledger.borrow().history().to_history();
     if complete {
@@ -866,11 +856,12 @@ pub fn tier_disagreement(requests: &[Request], history: &History) -> Option<Reas
         if fast.is_xable() {
             return None; // documented trailing-duplicate divergence
         }
-        if ReasonClass::of(fast.reason()) == ReasonClass::OutOfOrder {
+        if matches!(fast.cause(), Some(Cause::OutOfOrder)) {
             return None; // documented effect-ordered divergence
         }
     }
-    Some(ReasonClass::of(fast.reason().or_else(|| search.reason())))
+    let rejected = if fast.is_xable() { &search } else { &fast };
+    Some(ReasonClass::of_verdict(rejected))
 }
 
 // ---------------------------------------------------------------------------
@@ -949,7 +940,7 @@ impl Shrinker {
         if tiered.is_not_xable() {
             return Some(ViolationClass {
                 kind: ViolationKind::R3,
-                reason: ReasonClass::of(tiered.reason()),
+                reason: ReasonClass::of_verdict(&tiered),
             });
         }
         if let Some(class) = dangling_round_violation(requests, history) {
@@ -1183,38 +1174,146 @@ mod tests {
         assert_eq!(result, sorted);
     }
 
+    /// The keyword classifier reason classes were read with while verdicts
+    /// carried text; `None` where it found no keyword.
+    fn keyword_class(r: &str) -> Option<ReasonClass> {
+        let committed_rounds = (r.split_once("committed in "))
+            .and_then(|(_, rest)| rest.split(' ').next()?.parse::<u32>().ok());
+        let class = if r.contains("duplicate request identity")
+            || committed_rounds.is_some_and(|n| n >= 2)
+        {
+            ReasonClass::DuplicateEffect
+        } else if committed_rounds == Some(0) {
+            ReasonClass::NeverExecuted
+        } else if r.contains("out of submission order") {
+            ReasonClass::OutOfOrder
+        } else if r.contains("do not reduce")
+            || r.contains("no ordered concatenation")
+            || r.contains("do not erase")
+        {
+            ReasonClass::NoReduction
+        } else if r.contains("was never executed") {
+            ReasonClass::NeverExecuted
+        } else if r.contains("both plain and round-stamped") {
+            ReasonClass::MixedStamping
+        } else if r.contains("budget exceeded") {
+            ReasonClass::BudgetExceeded
+        } else if r.contains("is not a base action")
+            || r.contains("cancelled round")
+            || r.contains("abandoned request")
+            || r.contains("undeclared request")
+        {
+            ReasonClass::MalformedHistory
+        } else {
+            return None;
+        };
+        Some(class)
+    }
+
     #[test]
     fn reason_classes_cover_the_checker_catalog() {
-        for (text, class) in [
-            ("duplicate request identity x", ReasonClass::DuplicateEffect),
-            ("committed in 2 rounds (want exactly 1)", ReasonClass::DuplicateEffect),
-            ("committed in 0 rounds (want exactly 1)", ReasonClass::NeverExecuted),
+        use xability_core::xable::Erasing;
+        let x = ActionId::base(ActionName::idempotent("x"));
+        let u = ActionId::base(ActionName::undoable("u"));
+        let x1 = Request::new(x.clone(), Value::from(1));
+        let r0 = Request::new(u.clone(), Value::from("r0"));
+        let round = Erasing::CancelledRound {
+            request: r0.clone(),
+            round: 1,
+        };
+        let erasing = |what, budget| Cause::NotErasing { what, budget };
+        let committed = |rounds| Cause::CommittedRounds {
+            request: r0.clone(),
+            rounds,
+        };
+        let boxed = Box::new;
+        let rows = [
             (
-                "request effects occur out of submission order",
+                Cause::NotBaseAction(u.cancel().unwrap()),
+                ReasonClass::MalformedHistory,
+            ),
+            (
+                Cause::DuplicateRequest(x1.clone()),
+                ReasonClass::DuplicateEffect,
+            ),
+            (committed(2), ReasonClass::DuplicateEffect),
+            (committed(0), ReasonClass::NeverExecuted),
+            (Cause::OutOfOrder, ReasonClass::OutOfOrder),
+            (Cause::DoesNotReduce(x1.clone()), ReasonClass::NoReduction),
+            (Cause::SearchExhausted, ReasonClass::NoReduction),
+            (erasing(round.clone(), false), ReasonClass::NoReduction),
+            (
+                erasing(Erasing::AbandonedRequest(x1.clone()), false),
+                ReasonClass::NoReduction,
+            ),
+            (
+                erasing(Erasing::UndeclaredGroup(x1.clone()), false),
+                ReasonClass::NoReduction,
+            ),
+            (Cause::NeverExecuted(x1.clone()), ReasonClass::NeverExecuted),
+            (
+                Cause::PlainAndStamped(r0.clone()),
+                ReasonClass::MixedStamping,
+            ),
+            (Cause::ExecBudget(x1.clone()), ReasonClass::BudgetExceeded),
+            (Cause::SearchBudget, ReasonClass::BudgetExceeded),
+            (erasing(round, true), ReasonClass::BudgetExceeded),
+            (
+                erasing(Erasing::AbandonedRequest(x1.clone()), true),
+                ReasonClass::BudgetExceeded,
+            ),
+            (
+                erasing(Erasing::UndeclaredGroup(x1.clone()), true),
+                ReasonClass::BudgetExceeded,
+            ),
+            (
+                Cause::AfterAmbiguity(boxed(committed(0))),
+                ReasonClass::NeverExecuted,
+            ),
+            (
+                Cause::TooLongToEscalate {
+                    fast: boxed(Cause::AfterAmbiguity(boxed(Cause::OutOfOrder))),
+                    len: 124,
+                    max: 48,
+                },
                 ReasonClass::OutOfOrder,
             ),
             (
-                "events of request (a, Nil) do not reduce to a failure-free execution",
-                ReasonClass::NoReduction,
-            ),
-            (
-                "the reduction closure contains no ordered concatenation of failure-free histories for the request sequence",
-                ReasonClass::NoReduction,
-            ),
-            ("left events that do not erase", ReasonClass::NoReduction),
-            ("request (a, Nil) was never executed", ReasonClass::NeverExecuted),
-            (
-                "mixes both plain and round-stamped events",
+                Cause::RoundStampedNotEscalated(boxed(Cause::PlainAndStamped(r0))),
                 ReasonClass::MixedStamping,
             ),
-            ("per-group search budget exceeded", ReasonClass::BudgetExceeded),
-            ("x is not a base action", ReasonClass::MalformedHistory),
-            ("undeclared request (a, Nil)", ReasonClass::MalformedHistory),
-            ("something entirely new", ReasonClass::Other),
-        ] {
-            assert_eq!(ReasonClass::of(Some(text)), class, "{text}");
+            (
+                Cause::BothUndecided {
+                    fast: boxed(Cause::DuplicateRequest(x1.clone())),
+                    search: boxed(Cause::SearchBudget),
+                },
+                ReasonClass::DuplicateEffect,
+            ),
+            (
+                Cause::BothUndecided {
+                    fast: boxed(Cause::NotBaseAction(u.commit().unwrap())),
+                    search: boxed(Cause::SearchBudget),
+                },
+                ReasonClass::BudgetExceeded,
+            ),
+        ];
+        for (cause, class) in rows {
+            assert_eq!(ReasonClass::of_cause(&cause), class, "{cause}");
+            assert_eq!(keyword_class(&cause.to_string()), Some(class), "{cause}");
         }
-        assert_eq!(ReasonClass::of(None), ReasonClass::None);
+        // The one cause no keyword matched: an orphan completion, a
+        // history that breaks the event axioms.
+        let orphan = Cause::OrphanCompletion {
+            action: x,
+            index: 0,
+        };
+        assert_eq!(
+            ReasonClass::of_cause(&orphan),
+            ReasonClass::MalformedHistory
+        );
+        assert_eq!(keyword_class(&orphan.to_string()), None);
+        let xable = Verdict::xable(vec![Value::from(1)]);
+        assert_eq!(ReasonClass::of_verdict(&xable), ReasonClass::None);
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! exactly-once accounting.
 //!
 //! * [`scenario`] — the scenario builder / runner / report.
-//! * [`fleet`] — seed-indexed scenario batches executed across worker
-//!   threads, with per-seed outcomes identical to a sequential loop.
 //! * [`explore`] — coverage-guided fault-scenario exploration, violation
 //!   shrinking, and the machine-grown trace corpus.
 //! * [`experiments`] — one module per experiment of EXPERIMENTS.md
@@ -21,7 +19,6 @@
 
 pub mod experiments;
 pub mod explore;
-pub mod fleet;
 pub mod report;
 pub mod scenario;
 pub mod three_tier;
@@ -31,5 +28,4 @@ pub use explore::{
     ExplorerConfig, FaultPlan, ReasonClass, Shrinker, ShrunkViolation, ViolationClass,
     ViolationKind,
 };
-pub use fleet::{Fleet, FleetOutcome, FleetReport};
 pub use scenario::{RunReport, Scenario, Scheme, Workload};

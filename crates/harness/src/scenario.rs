@@ -10,7 +10,8 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use xability_core::spec::{check_r3, IdentitySequencer, Violation};
+use xability_core::spec::{r3_violation, Violation};
+use xability_core::xable::{Checker, TieredChecker, Verdict};
 use xability_core::{ActionName, Value};
 use xability_obs::{MetricsSnapshot, Obs};
 use xability_protocol::{
@@ -460,7 +461,6 @@ impl Scenario {
             })
             .collect();
         let r3 = r3_violation_for(&ledger, &submitted);
-        let (r3_violation, r3_checked_online) = (r3.violation, r3.decided_online);
 
         // R4: every result delivered to the client is a possible reply.
         let service_actor = world
@@ -523,8 +523,9 @@ impl Scenario {
             latencies,
             results,
             exactly_once_violations,
-            r3_violation,
-            r3_checked_online,
+            r3_verdict: r3.verdict,
+            r3_violation: r3.violation,
+            r3_checked_online: r3.decided_online,
             r4_ok,
             replica_metrics,
             sim: *world.metrics(),
@@ -541,7 +542,10 @@ impl Scenario {
 /// The result of an R3 evaluation against a ledger.
 #[derive(Debug)]
 pub struct R3Outcome {
-    /// The violation, if any (`None` = the history is x-able).
+    /// The verdict that was evaluated.
+    pub verdict: Verdict,
+    /// The verdict as a violation, if any (`None` = the history is
+    /// x-able): [`r3_violation`] of [`verdict`](Self::verdict).
     pub violation: Option<Violation>,
     /// Whether the ledger's online monitor decided the question (as
     /// opposed to the batch fallback re-reducing the final history).
@@ -554,11 +558,10 @@ pub struct R3Outcome {
 /// monitor — which
 /// observed every event during the run as a cursor over the ledger's
 /// shared trace store, so only the groups touched since the last verdict
-/// are re-searched — and falls back to the batch tiered checker
-/// (`spec::check_r3`, reading the same store through a zero-copy view)
-/// when no monitor is attached or the online verdict is undecided (the
-/// tiered checker can escalate small undecided histories to the
-/// exhaustive search).
+/// are re-searched — and falls back to the batch [`TieredChecker`]
+/// (reading the same store through a zero-copy view) when no monitor is
+/// attached or the online verdict is undecided (the tiered checker can
+/// escalate small undecided histories to the exhaustive search).
 ///
 /// Idempotent across calls on the same ledger as long as `submitted` only
 /// ever *extends* the previously evaluated sequence: already-declared
@@ -569,15 +572,20 @@ pub fn r3_violation_for(ledger: &SharedLedger, submitted: &[xability_core::Reque
         guard.declare_requests(submitted);
         guard.monitor_verdict()
     };
-    match online {
-        Some(verdict) if !verdict.is_unknown() => R3Outcome {
-            violation: xability_core::spec::r3_violation(&verdict),
-            decided_online: true,
-        },
-        _ => R3Outcome {
-            violation: check_r3(&IdentitySequencer, submitted, &ledger.borrow().history()),
-            decided_online: false,
-        },
+    let (verdict, decided_online) = match online {
+        Some(verdict) if !verdict.is_unknown() => (verdict, true),
+        _ => {
+            let checker = TieredChecker::default();
+            (
+                checker.check_requests(&ledger.borrow().history(), submitted),
+                false,
+            )
+        }
+    };
+    R3Outcome {
+        violation: r3_violation(&verdict),
+        verdict,
+        decided_online,
     }
 }
 
@@ -602,7 +610,10 @@ pub struct RunReport {
     pub results: Vec<(String, Value)>,
     /// Exactly-once violations found in the ledger (empty = exactly-once).
     pub exactly_once_violations: Vec<String>,
-    /// R3 verdict (`None` = history is x-able).
+    /// The R3 verdict that was evaluated.
+    pub r3_verdict: Verdict,
+    /// The R3 verdict as a violation (`None` = history is x-able):
+    /// [`r3_violation`] of [`r3_verdict`](Self::r3_verdict).
     pub r3_violation: Option<Violation>,
     /// Whether the online incremental monitor *decided* R3 (as opposed to
     /// answering `Unknown` and falling back to a from-scratch batch

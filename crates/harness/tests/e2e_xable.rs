@@ -279,9 +279,19 @@ fn runs_are_deterministic_per_seed() {
             r.history_len,
             r.replica_metrics,
             r.end_time,
+            r.metrics,
         )
     };
-    assert_eq!(run(23), run(23));
+    let first = run(23);
+    let second = run(23);
+    // The metrics snapshot serializes byte-identically, and it carries
+    // real instrumentation: transport and replica counters, request spans.
+    let metrics = &first.5;
+    assert_eq!(metrics.to_json(), second.5.to_json());
+    assert!(metrics.counter_total("sim.link.delivered") > 0);
+    assert!(metrics.counter_total("replica.executions") > 0);
+    assert!(metrics.spans.iter().any(|s| s.scope == "request"));
+    assert_eq!(first, second);
 }
 
 #[test]

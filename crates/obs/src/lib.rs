@@ -2,8 +2,8 @@
 //!
 //! A measurement substrate for the whole workspace: a symbol-interned
 //! metrics registry (counters, gauges, fixed-bucket log2 histograms) plus
-//! causal span tracing keyed by `(request, round)`, with snapshots that
-//! merge deterministically across fleet workers.
+//! causal span tracing keyed by `(request, round)`, with deterministic,
+//! serializable snapshots.
 //!
 //! ## Determinism policy (DESIGN.md §11)
 //!

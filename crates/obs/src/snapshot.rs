@@ -1,7 +1,6 @@
-//! Snapshots: owned, ordered, mergeable views of a registry, plus the
-//! text/JSON exporters.
+//! Snapshots: owned, ordered views of a registry, plus the text/JSON
+//! exporters.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Number of histogram buckets a registry histogram carries: bucket 0
@@ -34,20 +33,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Folds `other` into `self`: counts and sums add, buckets add
-    /// pointwise. This is a commutative monoid, so fleet merges are
-    /// order-independent.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        self.count += other.count;
-        self.sum += other.sum;
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-    }
-
     /// Mean observation, or 0 for an empty histogram.
     pub fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
@@ -69,9 +54,9 @@ pub struct SpanSnap {
     pub end_tick: Option<u64>,
 }
 
-/// A deterministic, owned view of one registry (or a merge of several):
-/// every vector sorted by `(name, key)` — spans by their full key — so
-/// equal work yields byte-identical serializations.
+/// A deterministic, owned view of one registry: every vector sorted by
+/// `(name, key)` — spans by their full key — so equal work yields
+/// byte-identical serializations.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// Counter values, sorted by `(name, key)`.
@@ -84,42 +69,7 @@ pub struct MetricsSnapshot {
     pub spans: Vec<SpanSnap>,
 }
 
-fn merge_entries<T: Clone>(
-    into: &mut Vec<MetricEntry<T>>,
-    from: &[MetricEntry<T>],
-    mut fold: impl FnMut(&mut T, &T),
-) {
-    let mut map: BTreeMap<(String, String), T> =
-        into.drain(..).map(|e| ((e.name, e.key), e.value)).collect();
-    for entry in from {
-        match map.entry((entry.name.clone(), entry.key.clone())) {
-            std::collections::btree_map::Entry::Occupied(mut slot) => {
-                fold(slot.get_mut(), &entry.value);
-            }
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                slot.insert(entry.value.clone());
-            }
-        }
-    }
-    *into = map
-        .into_iter()
-        .map(|((name, key), value)| MetricEntry { name, key, value })
-        .collect();
-}
-
 impl MetricsSnapshot {
-    /// Folds `other` into `self`: counters add, gauges add, histograms
-    /// merge bucketwise, spans take the sorted multiset union. Merging is
-    /// associative and commutative, so a fleet can fold worker snapshots
-    /// in any grouping and land on the same bytes.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        merge_entries(&mut self.counters, &other.counters, |a, b| *a += b);
-        merge_entries(&mut self.gauges, &other.gauges, |a, b| *a += b);
-        merge_entries(&mut self.histograms, &other.histograms, |a, b| a.merge(b));
-        self.spans.extend(other.spans.iter().cloned());
-        self.spans.sort();
-    }
-
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
@@ -557,7 +507,6 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn entry<T>(name: &str, key: &str, value: T) -> MetricEntry<T> {
         MetricEntry {
@@ -594,30 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_and_unions() {
-        let mut a = sample();
-        let mut b = MetricsSnapshot::default();
-        b.counters.push(entry("ledger.events", "", 8));
-        b.counters.push(entry("new.metric", "", 1));
-        b.histograms.push(entry(
-            "verdict.lag",
-            "",
-            HistogramSnapshot {
-                count: 1,
-                sum: 100,
-                buckets: vec![0, 0, 0, 0, 0, 0, 0, 1],
-            },
-        ));
-        a.merge(&b);
-        assert_eq!(a.counter("ledger.events"), Some(50));
-        assert_eq!(a.counter("new.metric"), Some(1));
-        let h = a.histogram("verdict.lag").unwrap();
-        assert_eq!((h.count, h.sum), (4, 112));
-        assert_eq!(h.buckets, vec![0, 1, 2, 0, 0, 0, 0, 1]);
-        assert_eq!(a.counter_total("sim.link.sent"), 7);
-    }
-
-    #[test]
     fn json_roundtrip_exact() {
         let snap = sample();
         let json = snap.to_json();
@@ -651,53 +576,6 @@ mod tests {
         assert_eq!(MetricsSnapshot::from_json(&good[..good.len() - 1]), None);
         let trailing = format!("{good} ");
         assert_eq!(MetricsSnapshot::from_json(&trailing), None);
-    }
-
-    fn arb_buckets() -> impl Strategy<Value = Vec<u64>> {
-        prop::collection::vec(0u64..50, 0..10)
-    }
-
-    proptest! {
-        #[test]
-        fn histogram_merge_is_commutative(
-            ca in 0u64..1000, sa in 0u64..100_000, ba in arb_buckets(),
-            cb in 0u64..1000, sb in 0u64..100_000, bb in arb_buckets(),
-        ) {
-            let a = HistogramSnapshot { count: ca, sum: sa, buckets: ba };
-            let b = HistogramSnapshot { count: cb, sum: sb, buckets: bb };
-            let mut ab = a.clone();
-            ab.merge(&b);
-            let mut ba_m = b.clone();
-            ba_m.merge(&a);
-            // Normalize trailing zeros: merge never trims.
-            let mut ab_b = ab.buckets.clone();
-            let mut ba_b = ba_m.buckets.clone();
-            while ab_b.last() == Some(&0) { ab_b.pop(); }
-            while ba_b.last() == Some(&0) { ba_b.pop(); }
-            prop_assert_eq!((ab.count, ab.sum, ab_b), (ba_m.count, ba_m.sum, ba_b));
-        }
-
-        #[test]
-        fn histogram_merge_is_associative(
-            ca in 0u64..1000, sa in 0u64..100_000, ba in arb_buckets(),
-            cb in 0u64..1000, sb in 0u64..100_000, bb in arb_buckets(),
-            cc in 0u64..1000, sc in 0u64..100_000, bc_v in arb_buckets(),
-        ) {
-            let a = HistogramSnapshot { count: ca, sum: sa, buckets: ba };
-            let b = HistogramSnapshot { count: cb, sum: sb, buckets: bb };
-            let c = HistogramSnapshot { count: cc, sum: sc, buckets: bc_v };
-            let mut left = a.clone();
-            left.merge(&b);
-            left.merge(&c);
-            let mut bc = b.clone();
-            bc.merge(&c);
-            let mut right = a.clone();
-            right.merge(&bc);
-            prop_assert_eq!(
-                (left.count, left.sum, left.buckets),
-                (right.count, right.sum, right.buckets)
-            );
-        }
     }
 
     #[test]

@@ -202,9 +202,9 @@ mod tests {
         assert_eq!(format!("{req}"), "transferᵘ(r1)");
     }
 
-    /// Messages share their request and values with the results and events
-    /// the fleet does move between threads; fails to compile if any of
-    /// that sharing is ever `Rc`.
+    /// Messages share their request and values with results and events,
+    /// which stay free to cross threads; fails to compile if any of that
+    /// sharing is ever `Rc`.
     #[test]
     fn messages_and_decisions_cross_threads() {
         fn assert_send_sync<T: Send + Sync>() {}

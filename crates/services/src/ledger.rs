@@ -683,7 +683,7 @@ pub fn shared_ledger() -> SharedLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xability_core::xable::{Checker, FastChecker};
+    use xability_core::xable::{Cause, Checker, Erasing, FastChecker};
     use xability_core::ActionId;
 
     fn t(ms: u64) -> SimTime {
@@ -900,11 +900,14 @@ mod tests {
         let a = ActionId::base(ActionName::idempotent("a"));
         let events = retried_then_completed(8);
         let requests = [Request::new(a.clone(), Value::from(1))];
-        let exhausted = "per-group search budget exceeded for request (aⁱ, 1)";
-        let undeclared = "per-group search budget exceeded erasing undeclared request aⁱ/1";
+        let exhausted = Cause::ExecBudget(requests[0].clone());
+        let undeclared = Cause::NotErasing {
+            what: Erasing::UndeclaredGroup(requests[0].clone()),
+            budget: true,
+        };
         let h = xability_core::History::from_events(events.clone());
         let verdict = FastChecker.check(&h, &[(a.clone(), Value::from(1))], &[]);
-        assert_eq!(verdict.reason(), Some(exhausted), "{verdict}");
+        assert_eq!(verdict.cause(), Some(&exhausted), "{verdict}");
 
         let counter = |obs: &Obs, name| obs.snapshot().counter(name).unwrap_or(0);
         for declared in [true, false] {
@@ -916,12 +919,12 @@ mod tests {
             }
             ledger.record_batch(&events, t(1), "svc");
             let verdict = ledger.monitor_verdict().expect("default monitor");
-            let (reason, op, erase) = if declared {
-                (exhausted, 1, 0)
+            let (cause, op, erase) = if declared {
+                (&exhausted, 1, 0)
             } else {
-                (undeclared, 0, 1)
+                (&undeclared, 0, 1)
             };
-            assert_eq!(verdict.reason(), Some(reason), "{verdict}");
+            assert_eq!(verdict.cause(), Some(cause), "{verdict}");
             assert_eq!(counter(&obs, "checker.op_budget_escalations"), op);
             assert_eq!(counter(&obs, "checker.erase_budget_escalations"), erase);
         }

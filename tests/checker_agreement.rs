@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use xability::core::xable::{
-    search_reduction, Checker, FastChecker, IncrementalChecker, SearchBudget, SearchChecker,
+    search_reduction, Cause, Checker, FastChecker, IncrementalChecker, SearchBudget, SearchChecker,
     SearchResult, TieredChecker, Verdict,
 };
 use xability::core::{ActionId, ActionName, Event, History, Value};
@@ -43,10 +43,10 @@ fn assert_no_contradiction(
     fast: &Verdict,
 ) -> Result<(), TestCaseError> {
     match (search, fast) {
-        (Verdict::Xable { .. }, Verdict::NotXable { reason }) => {
+        (Verdict::Xable { .. }, Verdict::NotXable { cause }) => {
             prop_assert!(
                 false,
-                "fast says NotXable ({reason}) but search reduced: {h}"
+                "fast says NotXable ({cause}) but search reduced: {h}"
             );
         }
         (Verdict::NotXable { .. }, Verdict::Xable { .. }) => {
@@ -133,11 +133,11 @@ fn assert_two_request_agreement(h: &History, undoable_first: bool) -> Result<(),
     let fast = FastChecker.check(h, &ops, &[]);
     let anchors = (surviving_anchor(h, &a1), surviving_anchor(h, &a2));
     match (&search, &fast) {
-        (Verdict::Xable { .. }, Verdict::NotXable { reason }) => {
+        (Verdict::Xable { .. }, Verdict::NotXable { cause }) => {
             let out_of_order = matches!(anchors, (Some(x1), Some(x2)) if x1 >= x2);
             prop_assert!(
-                reason.contains("out of submission order") && out_of_order,
-                "fast says NotXable ({reason}) but search reduced and the \
+                *cause == Cause::OutOfOrder && out_of_order,
+                "fast says NotXable ({cause}) but search reduced and the \
                  surviving effects {anchors:?} are in order: {h}"
             );
         }
@@ -253,8 +253,8 @@ proptest! {
         let fast = FastChecker.check(&h, &[], &erasable);
         let search = search_reduction(&h, History::is_empty, 0, SearchBudget::default());
         match (&search, &fast) {
-            (SearchResult::Reached(_), Verdict::NotXable { reason }) => {
-                prop_assert!(false, "fast says NotXable ({reason}) but history erases: {h}");
+            (SearchResult::Reached(_), Verdict::NotXable { cause }) => {
+                prop_assert!(false, "fast says NotXable ({cause}) but history erases: {h}");
             }
             (SearchResult::Exhausted, Verdict::Xable { .. }) => {
                 prop_assert!(false, "fast says erasable but search exhausted: {h}");

@@ -140,11 +140,11 @@ proptest! {
         let oracle = SearchChecker::default()
             .check_requests(&History::from_events(events), &requests);
         match (&oracle, &online) {
-            (Verdict::Xable { .. }, Verdict::NotXable { reason }) => {
+            (Verdict::Xable { .. }, Verdict::NotXable { cause }) => {
                 prop_assert!(
                     false,
                     "incremental says NotXable ({}) but the oracle reduced: {}",
-                    reason, inc.history()
+                    cause, inc.history()
                 );
             }
             (Verdict::NotXable { .. }, Verdict::Xable { .. }) => {
