@@ -1,5 +1,5 @@
 //! API hygiene: verdicts cannot be silently dropped, and the public-API
-//! snapshot cannot silently rot.
+//! snapshot has one extractor.
 //!
 //! * [`MustUseVerdict`] — a `Verdict` that is computed and discarded is a
 //!   check that never happened (FILO's decide-don't-eyeball posture cuts
@@ -7,12 +7,9 @@
 //!   carries `#[must_use]`, which covers every returning fn; this rule
 //!   keeps that attribute from being dropped, and if it ever is, demands
 //!   `#[must_use]` on each public `Verdict`-returning fn instead.
-//! * [`PublicApiDrift`] — `tests/public_api.txt` is diffed by
-//!   `cargo test --test public_api`, but a stale snapshot should fail the
-//!   *lint* too, so `xlint` alone (no test run, no build of the whole
-//!   workspace) is enough to catch surface drift. The extractor is this
-//!   module's [`derive_snapshot`], which the test calls too, so lint and
-//!   test cannot disagree about what "the public API" is.
+//! * [`derive_snapshot`] — what `tests/public_api.txt` must hold. The
+//!   `public_api` test diffs the snapshot against it and refreshes it; no
+//!   lint rule repeats that check.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -101,68 +98,10 @@ fn preceding_attrs_contain(file: &SourceFile, idx: usize, needle: &str) -> bool 
     false
 }
 
-/// `tests/public_api.txt` must match what the extractor derives from the
-/// source right now.
-pub struct PublicApiDrift;
-
 /// The snapshotted crates: the theory surface and the store surface.
 const CRATE_ROOTS: [&str; 2] = ["crates/core/src", "crates/store/src"];
 /// Where the snapshot lives, relative to the workspace root.
 pub const SNAPSHOT: &str = "tests/public_api.txt";
-
-impl Rule for PublicApiDrift {
-    fn name(&self) -> &'static str {
-        "api-snapshot-drift"
-    }
-
-    fn explain(&self) -> &'static str {
-        "tests/public_api.txt must match the pub surface of xability-core and xability-store (detected without running the test suite)"
-    }
-
-    fn check_workspace(&self, ws: &Workspace) -> Vec<Finding> {
-        let snapshot_path = ws.root.join(SNAPSHOT);
-        if !snapshot_path.is_file() {
-            // A repo layout without the snapshot (fixture workspaces in
-            // the self-tests) has nothing to drift.
-            return Vec::new();
-        }
-        let actual = match derive_snapshot(&ws.root) {
-            Ok(actual) => actual,
-            Err(err) => {
-                return vec![Finding {
-                    rule: self.name(),
-                    file: SNAPSHOT.to_owned(),
-                    line: 0,
-                    message: format!("could not derive the public-API snapshot: {err}"),
-                }];
-            }
-        };
-        let expected = fs::read_to_string(&snapshot_path).unwrap_or_default();
-        if actual == expected {
-            return Vec::new();
-        }
-        let divergence = actual
-            .lines()
-            .zip(expected.lines())
-            .enumerate()
-            .find(|(_, (a, e))| a != e)
-            .map(|(i, (a, e))| {
-                format!(
-                    "first divergence at snapshot line {}: `{a}` vs `{e}`",
-                    i + 1
-                )
-            })
-            .unwrap_or_else(|| "one snapshot is a prefix of the other".to_owned());
-        vec![Finding {
-            rule: self.name(),
-            file: SNAPSHOT.to_owned(),
-            line: 0,
-            message: format!(
-                "stale public-API snapshot ({divergence}); regenerate with UPDATE_PUBLIC_API=1 cargo test --test public_api"
-            ),
-        }]
-    }
-}
 
 /// Derives the snapshot contents from the sources under the workspace
 /// `root` — what [`SNAPSHOT`] must hold.
@@ -267,7 +206,6 @@ mod tests {
 
     fn mini_ws(src: &str) -> Workspace {
         Workspace {
-            root: PathBuf::from("/nonexistent-fixture-root"),
             files: vec![SourceFile::parse(
                 "crates/core/src/demo.rs",
                 Some("core".into()),
@@ -306,12 +244,6 @@ mod tests {
             "pub enum Verdict { A }\n\npub fn check() -> Result<Verdict, String> {\n    Ok(Verdict::A)\n}\n",
         );
         assert!(MustUseVerdict.check_workspace(&ws).is_empty());
-    }
-
-    #[test]
-    fn drift_rule_is_quiet_without_a_snapshot_file() {
-        let ws = mini_ws("pub fn f() {}\n");
-        assert!(PublicApiDrift.check_workspace(&ws).is_empty());
     }
 
     #[test]

@@ -84,13 +84,9 @@ impl SourceFile {
     }
 }
 
-/// The workspace as `xlint` sees it: every tokenized `.rs` file plus the
-/// root path (for rules that read non-Rust inputs such as the public-API
-/// snapshot).
+/// The workspace as `xlint` sees it: every tokenized `.rs` file.
 #[derive(Debug)]
 pub struct Workspace {
-    /// The workspace root.
-    pub root: PathBuf,
     /// Every tokenized source file, in sorted path order (deterministic
     /// findings regardless of directory-iteration order).
     pub files: Vec<SourceFile>,
@@ -140,10 +136,7 @@ impl Workspace {
             }
         }
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
-        Ok(Workspace {
-            root: root.to_owned(),
-            files,
-        })
+        Ok(Workspace { files })
     }
 }
 

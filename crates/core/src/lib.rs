@@ -23,16 +23,16 @@
 //! | [`pattern`] | §2.4, Fig. 1–2 | history patterns and the matching relation ⊨ |
 //! | [`reduce`] | §3.1, Fig. 4 | the reduction relation ⇒ (rules 17–20) |
 //! | [`failure_free`] | §3.2 | `eventsof` and the `FailureFree` sets |
-//! | [`xable`] | §3.2, eq. 23 | the x-able predicate: the [`xable::Checker`] tiers (search, fast, tiered) plus the online [`xable::IncrementalChecker`] |
+//! | [`xable`] | §3.2, eq. 23 | the x-able predicate: the two [`xable::Checker`]s (fast, search), R3's [`xable::escalate`] rule and the online [`xable::IncrementalChecker`] |
 //! | [`signature`] | §3.3 | history signatures (rules 24–25) |
-//! | [`spec`] | §3.4, §4 | `PossibleReply`, sequencers, requirements R1–R4 |
+//! | [`spec`] | §4 | requirements R1–R4, R3's [`spec::check_r3`] and its [`spec::Violation`] |
 //! | [`seglog`] | — | segmented append-only log with O(#segments) snapshots |
 //! | [`intern`] | — | `u32` symbol interning, shared by the checker engine and the trace store |
 //!
 //! ## Quick start
 //!
 //! ```
-//! use xability_core::xable::{Checker, TieredChecker};
+//! use xability_core::xable::{Checker, FastChecker};
 //! use xability_core::{ActionId, ActionName, Event, History, Value};
 //!
 //! // An idempotent action retried once by a fault-tolerant service:
@@ -46,10 +46,9 @@
 //! .collect();
 //!
 //! // The history is x-able: it reduces to a single failure-free execution,
-//! // so the retry is invisible to the environment. The tiered checker asks
-//! // the polynomial fast tier first and escalates undecided small
-//! // histories to the exhaustive search.
-//! let verdict = TieredChecker::default().check(&history, &[(ping, Value::Nil)], &[]);
+//! // so the retry is invisible to the environment. The polynomial fast
+//! // checker decides it; `xable::SearchChecker` is the exhaustive oracle.
+//! let verdict = FastChecker.check(&history, &[(ping, Value::Nil)], &[]);
 //! assert!(verdict.is_xable());
 //! assert_eq!(verdict.outputs(), Some(&vec![Value::from("pong")].into()));
 //! ```

@@ -11,20 +11,22 @@
 //! * **R3** — if the client submits `R₁…Rₙ`, each after the previous
 //!   succeeded, the server-side history is x-able with respect to `R₁…Rₙ`
 //!   or `R₁…Rₙ₋₁`.
-//! * **R4** — a successful `submit(R)` returns a value in
-//!   `PossibleReply(S, R)`.
+//! * **R4** — a successful `submit(R)` returns one of the replies `S` can
+//!   possibly give to `R` (§3.4).
 //!
 //! The history-level content of R3 is implemented here (over the theory in
-//! [`crate::xable`]); the protocol-level validations of R1, R2 and R4 need a
-//! running system and live in the `xability-harness` crate, which consumes
-//! the [`Requirement`]/[`Violation`] vocabulary defined here.
+//! [`crate::xable`]): [`check_r3`] is its one batch entry point and
+//! [`r3_violation`] its rendering as a [`Violation`]. Each request is one
+//! state-machine action. The protocol-level validations of R1, R2 and R4
+//! need a running system and live in the `xability-harness` crate, which
+//! consumes the [`Requirement`]/[`Violation`] vocabulary defined here; R4's
+//! reply oracle is each service's `BusinessLogic::is_possible_reply`.
 
 use std::fmt;
 
 use crate::action::Request;
 use crate::history::HistoryRead;
-use crate::value::Value;
-use crate::xable::{Checker, TieredChecker, Verdict};
+use crate::xable::{escalate, Checker, FastChecker, Verdict};
 
 /// The four obligations of an x-able service (§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,51 +77,6 @@ impl fmt::Display for Violation {
     }
 }
 
-/// The sequencer abstraction of §4: maps the `i`-th client request to the
-/// sequence of state-machine actions the service must execute for it.
-///
-/// In the common case a request maps to a single action — the default
-/// implementation of [`Sequencer::actions_for`] does exactly that — but the
-/// paper allows a request to expand into a sequence of actions.
-pub trait Sequencer {
-    /// The actions to execute for the `index`-th request (0-based).
-    ///
-    /// The returned list must be the same for every replica given the same
-    /// request position and request (agreement on non-deterministic *results*
-    /// is the protocol's job; agreement on the action *list* is the
-    /// sequencer's contract).
-    fn actions_for(&self, index: usize, request: &Request) -> Vec<Request> {
-        let _ = index;
-        vec![request.clone()]
-    }
-}
-
-/// The trivial sequencer: each request is executed as a single action.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IdentitySequencer;
-
-impl Sequencer for IdentitySequencer {}
-
-/// An oracle for `PossibleReply(S, R₁…Rₙ)` (§3.4): which reply values are
-/// possible for the last request of a sequence, given that the state machine
-/// executed the earlier requests.
-pub trait PossibleReply {
-    /// Returns `true` if `reply` is a possible reply to the last request of
-    /// `requests` after the preceding requests executed.
-    fn is_possible(&self, requests: &[Request], reply: &Value) -> bool;
-}
-
-/// A permissive oracle that accepts every reply; useful as a default when a
-/// service has no reply model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnyReply;
-
-impl PossibleReply for AnyReply {
-    fn is_possible(&self, _requests: &[Request], _reply: &Value) -> bool {
-        true
-    }
-}
-
 /// Converts an R3 verdict into the harness's violation vocabulary:
 /// `Xable` is no violation, `NotXable` is a definite one, and `Unknown` is
 /// reported as a violation too (an undecided obligation is not discharged),
@@ -133,64 +90,28 @@ pub fn r3_violation(verdict: &Verdict) -> Option<Violation> {
     Some(Violation::new(Requirement::R3, detail))
 }
 
-/// Evaluates the history-level part of requirement R3 for a sequencer `S`
-/// and a submitted request sequence, using the default [`TieredChecker`]
-/// (fast tier, escalating small undecided histories to exhaustive search).
+/// The R3 verdict for a submitted request sequence: is the server-side
+/// history x-able with respect to `R₁…Rₙ` or `R₁…Rₙ₋₁`?
 ///
-/// Expands each request through the sequencer and checks that the
-/// server-side history is x-able with respect to the full expanded sequence,
-/// or the sequence with the *last request's* actions abandoned.
+/// The [`FastChecker`]'s verdict, with an `Unknown` handed to
+/// [`escalate`] — the same rule a caller holding an online monitor's
+/// verdict applies to it. [`r3_violation`] turns the verdict into a
+/// [`Violation`].
 ///
 /// # Examples
 ///
 /// ```
-/// use xability_core::spec::{check_r3, IdentitySequencer};
+/// use xability_core::spec::check_r3;
 /// use xability_core::{failure_free::eventsof, ActionId, ActionName, Request, Value};
 ///
 /// let a = ActionId::base(ActionName::idempotent("get"));
 /// let reqs = vec![Request::new(a.clone(), Value::from(1))];
 /// let h = eventsof(&a, &Value::from(1), &Value::from(5));
-/// assert!(check_r3(&IdentitySequencer, &reqs, &h).is_none());
+/// assert!(check_r3(&reqs, &h).is_xable());
 /// ```
-pub fn check_r3<S: Sequencer>(
-    sequencer: &S,
-    requests: &[Request],
-    server_history: &dyn HistoryRead,
-) -> Option<Violation> {
-    check_r3_with(
-        &TieredChecker::default(),
-        sequencer,
-        requests,
-        server_history,
-    )
-}
-
-/// [`check_r3`] with an explicit decision procedure — any [`Checker`],
-/// including a custom-budgeted [`TieredChecker`].
-///
-/// # Examples
-///
-/// ```
-/// use xability_core::spec::{check_r3_with, IdentitySequencer};
-/// use xability_core::xable::FastChecker;
-/// use xability_core::{failure_free::eventsof, ActionId, ActionName, Request, Value};
-///
-/// let a = ActionId::base(ActionName::idempotent("get"));
-/// let reqs = vec![Request::new(a.clone(), Value::from(1))];
-/// let h = eventsof(&a, &Value::from(1), &Value::from(5));
-/// assert!(check_r3_with(&FastChecker, &IdentitySequencer, &reqs, &h).is_none());
-/// ```
-pub fn check_r3_with<C: Checker + ?Sized, S: Sequencer>(
-    checker: &C,
-    sequencer: &S,
-    requests: &[Request],
-    server_history: &dyn HistoryRead,
-) -> Option<Violation> {
-    let mut expanded: Vec<Request> = Vec::new();
-    for (i, r) in requests.iter().enumerate() {
-        expanded.extend(sequencer.actions_for(i, r));
-    }
-    r3_violation(&checker.check_requests(server_history, &expanded))
+pub fn check_r3(requests: &[Request], server_history: &dyn HistoryRead) -> Verdict {
+    let fast = FastChecker.check_requests(server_history, requests);
+    escalate(server_history, requests, fast)
 }
 
 #[cfg(test)]
@@ -198,20 +119,10 @@ mod tests {
     use super::*;
     use crate::action::{ActionId, ActionName};
     use crate::failure_free::eventsof;
+    use crate::value::Value;
 
     fn idem(name: &str) -> ActionId {
         ActionId::base(ActionName::idempotent(name))
-    }
-
-    #[test]
-    fn identity_sequencer_maps_request_to_itself() {
-        let r = Request::new(idem("a"), Value::from(1));
-        assert_eq!(IdentitySequencer.actions_for(3, &r), vec![r.clone()]);
-    }
-
-    #[test]
-    fn any_reply_accepts_everything() {
-        assert!(AnyReply.is_possible(&[], &Value::Nil));
     }
 
     #[test]
@@ -219,7 +130,7 @@ mod tests {
         let a = idem("a");
         let reqs = vec![Request::new(a.clone(), Value::from(1))];
         let h = eventsof(&a, &Value::from(1), &Value::from(5));
-        assert_eq!(check_r3(&IdentitySequencer, &reqs, &h), None);
+        assert_eq!(r3_violation(&check_r3(&reqs, &h)), None);
     }
 
     #[test]
@@ -232,7 +143,7 @@ mod tests {
             &Value::from(1),
             &Value::from(6),
         ));
-        let v = check_r3(&IdentitySequencer, &reqs, &h).expect("violation");
+        let v = r3_violation(&check_r3(&reqs, &h)).expect("violation");
         assert_eq!(v.requirement, Requirement::R3);
     }
 
@@ -246,7 +157,7 @@ mod tests {
         ];
         // b never ran at all.
         let h = eventsof(&a, &Value::from(1), &Value::from(5));
-        assert_eq!(check_r3(&IdentitySequencer, &reqs, &h), None);
+        assert_eq!(r3_violation(&check_r3(&reqs, &h)), None);
     }
 
     #[test]

@@ -119,8 +119,8 @@ impl Value {
 
     /// The base input and round of a round stamp ([`Value::round_stamped`]),
     /// or `None` for any other value — the one reading of the stamp shape
-    /// that the fast checker's round adoption, the tiered checker's
-    /// escalation refusal and the explorer's round oracle share.
+    /// that the fast checker's round adoption, `xable::escalate`'s
+    /// refusal and the explorer's round oracle share.
     pub fn round_stamp(&self) -> Option<(&Value, i64)> {
         match self {
             Value::Pair(p) => Some((&p.0, p.1.as_int()?)),

@@ -1,23 +1,20 @@
 //! The unified x-ability decision API: one [`Verdict`] vocabulary, one
-//! [`Checker`] trait, three deciders.
-//!
-//! Historically the crate exposed two mismatched surfaces — the exhaustive
-//! search returned `SearchResult` while the polynomial checker returned its
-//! own `Verdict` — and every caller hand-rolled the "try fast, fall back to
-//! search" escalation. This module is the single entry point:
+//! [`Checker`] trait, two deciders and one escalation rule.
 //!
 //! * [`SearchChecker`] — the reference semantics (breadth-first exploration
 //!   of the reduction closure ⇒\*, Fig. 4 rule 17). Complete up to an
-//!   explicit [`SearchBudget`], exponential in the worst case.
+//!   explicit [`SearchBudget`], exponential in the worst case: the oracle.
 //! * [`FastChecker`] — the polynomial checker for protocol-shaped
 //!   histories (per-group decisions plus effect ordering, DESIGN.md §4.3).
 //!   Answers [`Verdict::Unknown`] outside its class. It has no decision
 //!   code of its own: each question builds a cold
 //!   [`IncrementalState`], declares the question's requests, feeds it the
 //!   whole source and reads the online checker's aggregate once.
-//! * [`TieredChecker`] — the escalation policy: ask the fast checker
-//!   first, and escalate an `Unknown` to the exhaustive search when the
-//!   history is small enough for the search to be affordable.
+//! * [`escalate`] — the R3 escalation rule over a fast-tier verdict the
+//!   caller already holds (batch or online alike): a definite verdict is
+//!   final, and an `Unknown` goes to the exhaustive search when the
+//!   history is short and unstamped enough for the search to answer the
+//!   same question. [`crate::spec::check_r3`] is the two in sequence.
 //!
 //! Each question has one entry point over any [`HistoryRead`] source — an
 //! owned [`History`] or a zero-copy store view alike:
@@ -35,7 +32,7 @@
 //! # Examples
 //!
 //! ```
-//! use xability_core::xable::{Checker, TieredChecker};
+//! use xability_core::xable::{Checker, FastChecker, SearchChecker};
 //! use xability_core::{ActionId, ActionName, Event, History, Value};
 //!
 //! let ping = ActionId::base(ActionName::idempotent("ping"));
@@ -47,9 +44,12 @@
 //! .into_iter()
 //! .collect();
 //!
-//! let verdict = TieredChecker::default().check(&h, &[(ping, Value::Nil)], &[]);
+//! let ops = [(ping, Value::Nil)];
+//! let verdict = FastChecker.check(&h, &ops, &[]);
 //! assert!(verdict.is_xable());
 //! assert_eq!(verdict.outputs(), Some(&vec![Value::from("pong")].into()));
+//! // The oracle agrees.
+//! assert!(SearchChecker::default().check(&h, &ops, &[]).is_xable());
 //! ```
 
 use std::fmt;
@@ -166,7 +166,7 @@ pub enum Cause {
     /// The exhaustive search ran out of its budget.
     SearchBudget,
     /// The fast tier's cause, not escalated: the history has `len`
-    /// events, more than the `max` the tiered checker escalates.
+    /// events, more than the `max` [`escalate`] hands to the search.
     TooLongToEscalate {
         /// The fast tier's cause.
         fast: Box<Cause>,
@@ -558,47 +558,47 @@ impl Checker for FastChecker {
     }
 }
 
-/// The escalation policy callers used to hand-roll: ask the fast tier,
-/// and escalate an [`Verdict::Unknown`] to the exhaustive search when the
-/// history is short enough for the search to be affordable.
+/// [`escalate`] leaves histories longer than this undecided: the search
+/// frontier grows exponentially with history length, so past a few dozen
+/// events even a budgeted search wastes its whole budget to answer
+/// `Unknown` slowly.
+pub const ESCALATE_MAX_EVENTS: usize = 48;
+
+/// The R3 escalation rule over a fast-tier verdict `fast` for `requests`
+/// on `h`, computed by the caller — batch ([`crate::spec::check_r3`]) or
+/// by an online monitor that has already read `h`.
 ///
-/// Definite fast-tier answers are final — the fast checker is sound where
-/// definite, and on single-group questions the two tiers coincide. An
-/// escalated answer is the *strict* ordered-concatenation reading of R3
-/// (see DESIGN.md §4.3 for where that is deliberately narrower than the
-/// fast tier's effect-ordered reading).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TieredChecker {
-    /// Tier 1: the polynomial checker.
-    pub fast: FastChecker,
-    /// Tier 2: the exhaustive search, consulted on fast-tier `Unknown`s.
-    pub search: SearchChecker,
-    /// Do not escalate histories longer than this: the search frontier
-    /// grows exponentially with history length, so past a few dozen
-    /// events even a budgeted search wastes its whole budget to answer
-    /// `Unknown` slowly.
-    pub max_search_events: usize,
-}
-
-impl TieredChecker {
-    /// A tiered checker with explicit per-tier budgets.
-    pub fn new(fast: FastChecker, search: SearchChecker, max_search_events: usize) -> Self {
-        TieredChecker {
+/// A definite verdict is final: the fast checker is sound where definite,
+/// and on single-group questions the two tiers coincide. An `Unknown`
+/// stays undecided when `h` has more than [`ESCALATE_MAX_EVENTS`] events
+/// or holds round-stamped events ([`contains_round_stamped`]); otherwise
+/// the default [`SearchChecker`] answers, and when it is undecided too
+/// both causes are nested. An escalated answer is the *strict*
+/// ordered-concatenation reading of R3 (see DESIGN.md §4.3 for where that
+/// is deliberately narrower than the fast tier's effect-ordered reading).
+pub fn escalate(h: &dyn HistoryRead, requests: &[Request], fast: Verdict) -> Verdict {
+    let Verdict::Unknown { cause } = fast else {
+        return fast;
+    };
+    let fast = Box::new(cause);
+    let cause = if h.len() > ESCALATE_MAX_EVENTS {
+        Cause::TooLongToEscalate {
             fast,
-            search,
-            max_search_events,
+            len: h.len(),
+            max: ESCALATE_MAX_EVENTS,
         }
-    }
-}
-
-impl Default for TieredChecker {
-    fn default() -> Self {
-        TieredChecker {
-            fast: FastChecker,
-            search: SearchChecker::default(),
-            max_search_events: 48,
+    } else if contains_round_stamped(h) {
+        Cause::RoundStampedNotEscalated(fast)
+    } else {
+        match SearchChecker::default().check_requests(h, requests) {
+            Verdict::Unknown { cause } => Cause::BothUndecided {
+                fast,
+                search: Box::new(cause),
+            },
+            definite => return definite,
         }
-    }
+    };
+    Verdict::Unknown { cause }
 }
 
 /// `true` when `h` holds a §5.4 round-stamped event: a start of an
@@ -618,66 +618,6 @@ pub fn contains_round_stamped(h: &dyn HistoryRead) -> bool {
         !found
     });
     found
-}
-
-impl TieredChecker {
-    /// The escalation policy behind both entry points: pass a definite
-    /// fast-tier verdict through, refuse to escalate long or round-stamped
-    /// histories, and otherwise ask the search tier, nesting both causes
-    /// if it is undecided too.
-    fn escalate(
-        &self,
-        h: &dyn HistoryRead,
-        fast: Verdict,
-        search: impl FnOnce() -> Verdict,
-    ) -> Verdict {
-        let Verdict::Unknown { cause } = fast else {
-            return fast;
-        };
-        let fast = Box::new(cause);
-        let cause = if h.len() > self.max_search_events {
-            Cause::TooLongToEscalate {
-                fast,
-                len: h.len(),
-                max: self.max_search_events,
-            }
-        } else if contains_round_stamped(h) {
-            Cause::RoundStampedNotEscalated(fast)
-        } else {
-            match search() {
-                Verdict::Unknown { cause } => Cause::BothUndecided {
-                    fast,
-                    search: Box::new(cause),
-                },
-                definite => return definite,
-            }
-        };
-        Verdict::Unknown { cause }
-    }
-}
-
-impl Checker for TieredChecker {
-    fn name(&self) -> &'static str {
-        "tiered"
-    }
-
-    fn check(
-        &self,
-        h: &dyn HistoryRead,
-        ops: &[(ActionId, Value)],
-        erasable: &[(ActionId, Value)],
-    ) -> Verdict {
-        let fast = self.fast.check(h, ops, erasable);
-        self.escalate(h, fast, || self.search.check(h, ops, erasable))
-    }
-
-    /// Overridden so the fast tier reads the source once for both R3
-    /// attempts; the search tier is consulted only if the combined fast
-    /// answer is `Unknown` (and the history is short enough to escalate).
-    fn check_requests(&self, h: &dyn HistoryRead, requests: &[Request]) -> Verdict {
-        let fast = self.fast.check_requests(h, requests);
-        self.escalate(h, fast, || self.search.check_requests(h, requests))
-    }
 }
 
 #[cfg(test)]
@@ -704,11 +644,7 @@ mod tests {
         let a = idem("a");
         let h = eventsof(&a, &Value::from(1), &Value::from(5));
         let ops = [(a, Value::from(1))];
-        for checker in [
-            &SearchChecker::default() as &dyn Checker,
-            &FastChecker,
-            &TieredChecker::default(),
-        ] {
+        for checker in [&SearchChecker::default() as &dyn Checker, &FastChecker] {
             let v = checker.check(&h, &ops, &[]);
             assert!(v.is_xable(), "{}: {v}", checker.name());
             assert_eq!(v.outputs(), Some(&vec![Value::from(5)].into()));
@@ -722,11 +658,7 @@ mod tests {
             .into_iter()
             .collect();
         let ops = [(a, Value::from(1))];
-        for checker in [
-            &SearchChecker::default() as &dyn Checker,
-            &FastChecker,
-            &TieredChecker::default(),
-        ] {
+        for checker in [&SearchChecker::default() as &dyn Checker, &FastChecker] {
             let v = checker.check(&h, &ops, &[]);
             assert!(v.is_not_xable(), "{}: {v}", checker.name());
             assert!(v.cause().is_some());
@@ -746,48 +678,49 @@ mod tests {
         assert_eq!(reduced, eventsof(&a, &Value::from(1), &Value::from(5)));
     }
 
-    #[test]
-    fn tiered_checker_escalates_fast_unknowns() {
-        // Ambiguous completion attribution: two distinct inputs open when a
-        // completion arrives. The fast tier answers Unknown; the search
-        // tier can still decide the small history definitively.
+    /// `S(a,1) S(a,2) C(a,7) C(a,7)`, then `pad` junk `S C` pairs, with
+    /// `(a,1), (a,2)` declared.
+    fn ambiguous_pair(pad: usize) -> (History, [Request; 2]) {
         let a = idem("a");
-        let h: History = [
-            Event::start(a.clone(), Value::from(1)),
-            Event::start(a.clone(), Value::from(2)),
-            Event::complete(a.clone(), Value::from(7)),
-            Event::complete(a.clone(), Value::from(7)),
-        ]
-        .into_iter()
-        .collect();
-        let ops = [(a.clone(), Value::from(1)), (a, Value::from(2))];
-        let fast = FastChecker.check(&h, &ops, &[]);
-        assert!(
-            fast.is_unknown(),
-            "precondition: fast tier undecided ({fast})"
-        );
-        let tiered = TieredChecker::default().check(&h, &ops, &[]);
-        assert!(!tiered.is_unknown(), "escalation must decide: {tiered}");
-    }
-
-    #[test]
-    fn tiered_checker_refuses_to_escalate_long_histories() {
-        let a = idem("a");
-        // Ambiguous shape as above, padded far past the escalation cutoff.
         let mut events = vec![
             Event::start(a.clone(), Value::from(1)),
             Event::start(a.clone(), Value::from(2)),
             Event::complete(a.clone(), Value::from(7)),
             Event::complete(a.clone(), Value::from(7)),
         ];
-        for i in 0..60 {
+        for i in 0..pad {
             let junk = idem(&format!("junk{i}"));
             events.push(Event::start(junk.clone(), Value::from(1)));
             events.push(Event::complete(junk, Value::from(1)));
         }
-        let h = History::from_events(events);
-        let ops = [(a.clone(), Value::from(1)), (a, Value::from(2))];
-        let v = TieredChecker::default().check(&h, &ops, &[]);
+        let requests = [
+            Request::new(a.clone(), Value::from(1)),
+            Request::new(a, Value::from(2)),
+        ];
+        (History::from_events(events), requests)
+    }
+
+    #[test]
+    fn escalate_decides_a_small_fast_unknown() {
+        // Ambiguous completion attribution: two distinct inputs open when a
+        // completion arrives. The fast tier answers Unknown; the search
+        // tier can still decide the small history definitively.
+        let (h, requests) = ambiguous_pair(0);
+        let fast = FastChecker.check_requests(&h, &requests);
+        assert!(
+            fast.is_unknown(),
+            "precondition: fast tier undecided ({fast})"
+        );
+        let v = escalate(&h, &requests, fast);
+        assert_eq!(v.to_string(), "x-able (2 outputs)");
+        assert_eq!(crate::spec::check_r3(&requests, &h), v);
+    }
+
+    #[test]
+    fn escalate_refuses_long_histories() {
+        // The ambiguous shape above, padded far past the escalation cutoff.
+        let (h, requests) = ambiguous_pair(60);
+        let v = crate::spec::check_r3(&requests, &h);
         let Verdict::Unknown { cause } = v else {
             panic!("expected Unknown, got {v}");
         };
@@ -805,7 +738,7 @@ mod tests {
     }
 
     #[test]
-    fn tiered_checker_refuses_to_escalate_round_stamped_histories() {
+    fn escalate_refuses_round_stamped_histories() {
         // A §5.4 round-stamped round that started but never resolved. The
         // fast tier adopts the stamped group into its parent request and
         // answers Unknown (the run is still in flight); the raw search
@@ -824,16 +757,15 @@ mod tests {
         .collect();
         let requests = [Request::new(reserve, Value::from("req-0"))];
 
-        let tiered = TieredChecker::default();
-        let fast = tiered.fast.check_requests(&h, &requests);
+        let fast = FastChecker.check_requests(&h, &requests);
         assert!(fast.is_unknown(), "precondition: fast undecided ({fast})");
-        let search = tiered.search.check_requests(&h, &requests);
+        let search = SearchChecker::default().check_requests(&h, &requests);
         assert!(
             search.is_not_xable(),
             "precondition: raw search misreads stamping ({search})"
         );
 
-        let v = tiered.check_requests(&h, &requests);
+        let v = escalate(&h, &requests, fast);
         let Verdict::Unknown { cause } = v else {
             panic!("stamped history must not escalate, got {v}");
         };
@@ -869,11 +801,7 @@ mod tests {
         ];
         // b never ran at all: x-able via the R₁…Rₙ₋₁ case.
         let h = eventsof(&a, &Value::from(1), &Value::from(5));
-        for checker in [
-            &SearchChecker::default() as &dyn Checker,
-            &FastChecker,
-            &TieredChecker::default(),
-        ] {
+        for checker in [&SearchChecker::default() as &dyn Checker, &FastChecker] {
             let v = checker.check_requests(&h, &requests);
             assert!(v.is_xable(), "{}: {v}", checker.name());
         }
@@ -1055,27 +983,21 @@ mod tests {
         };
         assert_eq!(FastChecker.check(&h, &ops, &[]), invalid);
         assert_eq!(FastChecker.check_requests(&h, &requests), invalid);
-        for checker in [
-            &SearchChecker::default() as &dyn Checker,
-            &TieredChecker::default(),
-        ] {
-            let v = checker.check(&h, &ops, &[]);
-            assert!(
-                matches!(
-                    v,
-                    Verdict::NotXable {
-                        cause: Cause::SearchExhausted
-                    }
-                ),
-                "{}: {v}",
-                checker.name()
-            );
-            // Under R3 the request may be abandoned, and the lone
-            // cancellation erases (rule 19).
-            let v = checker.check_requests(&h, &requests);
-            assert!(v.is_xable(), "{}: {v}", checker.name());
-        }
-        let sequencer = crate::spec::IdentitySequencer;
-        assert_eq!(crate::spec::check_r3(&sequencer, &requests, &h), None);
+        let search = SearchChecker::default();
+        let v = search.check(&h, &ops, &[]);
+        assert!(
+            matches!(
+                v,
+                Verdict::NotXable {
+                    cause: Cause::SearchExhausted
+                }
+            ),
+            "{v}"
+        );
+        // Under R3 the request may be abandoned, and the lone cancellation
+        // erases (rule 19); escalation reaches the same answer.
+        let v = search.check_requests(&h, &requests);
+        assert!(v.is_xable(), "{v}");
+        assert_eq!(crate::spec::check_r3(&requests, &h), v);
     }
 }

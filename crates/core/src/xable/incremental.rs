@@ -414,8 +414,8 @@ struct CheckerObs {
     /// Verdict assemblies.
     verdicts: Counter,
     /// Fast-tier budget exhaustions while erasing undeclared groups — each
-    /// is a question the fast tier gave up on (the answer a tiered caller
-    /// would escalate to the search tier).
+    /// is a question the fast tier gave up on (the answer
+    /// [`escalate`](super::escalate) hands to the search tier).
     erase_budget_escalations: Counter,
     /// Per-request decisions lost to a search-budget exhaustion (exec or
     /// cancelled-round erase).

@@ -8,20 +8,21 @@
 //! [`Verdict`] type (defined in [`checker`]), one entry point per question
 //! over any [`HistoryRead`](crate::HistoryRead) source. A negative or
 //! undecided verdict carries a structured [`Cause`], which becomes text
-//! only when it is displayed. Three batch
-//! deciders are provided, plus an online one:
+//! only when it is displayed. Two batch deciders implement [`Checker`],
+//! one rule escalates between them, and one decider runs online:
 //!
 //! * [`SearchChecker`] — the reference semantics: an exhaustive
 //!   breadth-first exploration of the reduction closure. Complete (up to an
-//!   explicit [`SearchBudget`]), exponential in the worst case.
+//!   explicit [`SearchBudget`]), exponential in the worst case; the oracle.
 //! * [`FastChecker`] — a polynomial checker for the class of histories
 //!   produced by retry-based replication protocols. It decomposes the
 //!   history into per-request groups, decides each group with a (small,
 //!   bounded) search, and checks the cross-group ordering. It answers
 //!   [`Verdict::Unknown`] when a history falls outside its class; the
 //!   property tests in the crate cross-validate it against the search.
-//! * [`TieredChecker`] — the fast→search escalation policy callers used to
-//!   hand-roll, with per-tier budgets.
+//! * [`escalate`] — R3's fast→search escalation of a fast-tier `Unknown`
+//!   the caller already holds (short, unstamped histories only, up to
+//!   [`ESCALATE_MAX_EVENTS`]).
 //! * [`IncrementalChecker`] — the online decider: `push(event)` in
 //!   amortized O(1), a verdict at any prefix. Its storage-free core,
 //!   [`IncrementalState`], is a cursor over an event stream owned by
@@ -39,8 +40,8 @@ pub mod incremental;
 pub mod search;
 
 pub use checker::{
-    contains_round_stamped, Cause, Checker, Erasing, FastChecker, SearchChecker, TieredChecker,
-    Verdict, Witness,
+    contains_round_stamped, escalate, Cause, Checker, Erasing, FastChecker, SearchChecker, Verdict,
+    Witness, ESCALATE_MAX_EVENTS,
 };
 pub use incremental::{IncrementalChecker, IncrementalState};
 pub use search::{is_xable_search, search_reduction, SearchBudget, SearchResult};

@@ -34,9 +34,9 @@ use std::path::Path;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
+use xability_core::spec::check_r3;
 use xability_core::xable::{
-    contains_round_stamped, Cause, Checker, FastChecker, IncrementalChecker, SearchChecker,
-    TieredChecker, Verdict,
+    contains_round_stamped, Cause, Checker, FastChecker, IncrementalChecker, SearchChecker, Verdict,
 };
 use xability_core::{ActionId, ActionName, History, Request, Value};
 use xability_obs::{MetricsSnapshot, Obs};
@@ -301,7 +301,7 @@ pub struct CoverageSignature {
     pub finished: bool,
     /// Did every live replica resolve all external invocations?
     pub quiescent: bool,
-    /// Did the online monitor decide R3 (vs the batch fallback)?
+    /// Did the online monitor decide R3 (vs answering `Unknown`)?
     pub decided_online: bool,
     /// Was exactly-once accounting clean?
     pub exactly_once: bool,
@@ -437,8 +437,19 @@ pub struct FoundViolation {
 // The explorer
 // ---------------------------------------------------------------------------
 
+/// Most crashes a generated plan may schedule.
+const MAX_CRASHES: usize = 2;
+/// Most partition windows a generated plan may schedule.
+const MAX_PARTITIONS: usize = 1;
+/// Probability of mutating a corpus plan instead of generating a fresh
+/// random one (once the corpus is non-empty).
+const MUTATION_BIAS: f64 = 0.75;
+/// Cross-check the fast and search tiers for disagreement only on
+/// histories up to this many events (the search tier is exponential).
+const TIER_CHECK_MAX_EVENTS: usize = 40;
+
 /// Explorer configuration: the base scenario every plan is stamped onto,
-/// the run budget, and the plan-generation bounds.
+/// the master seed and the run budget.
 #[derive(Debug, Clone)]
 pub struct ExplorerConfig {
     /// Seed of the explorer's own RNG (plan generation and mutation);
@@ -450,29 +461,15 @@ pub struct ExplorerConfig {
     /// The base scenario (scheme, workload, replica count, horizon —
     /// and any planted weakness under test).
     pub base: Scenario,
-    /// Most crashes a generated plan may schedule.
-    pub max_crashes: usize,
-    /// Most partition windows a generated plan may schedule.
-    pub max_partitions: usize,
-    /// Probability of mutating a corpus plan instead of generating a
-    /// fresh random one (once the corpus is non-empty).
-    pub mutation_bias: f64,
-    /// Cross-check the fast and search tiers for disagreement only on
-    /// histories up to this many events (the search tier is exponential).
-    pub tier_check_max_events: usize,
 }
 
 impl ExplorerConfig {
-    /// A configuration with default bounds.
+    /// A configuration for `runs` runs over `base` from `master_seed`.
     pub fn new(base: Scenario, master_seed: u64, runs: usize) -> Self {
         ExplorerConfig {
             master_seed,
             runs,
             base,
-            max_crashes: 2,
-            max_partitions: 1,
-            mutation_bias: 0.75,
-            tier_check_max_events: 40,
         }
     }
 }
@@ -575,7 +572,7 @@ impl Explorer {
                     .gauge("explore.corpus_size")
                     .set(self.corpus.len() as i64);
             }
-            if let Some(class) = run_violation_class(&report, self.config.tier_check_max_events) {
+            if let Some(class) = run_violation_class(&report) {
                 self.obs.counter("explore.violations").inc();
                 self.violations.push(FoundViolation {
                     plan,
@@ -596,10 +593,10 @@ impl Explorer {
     }
 
     /// Picks the next plan: mutate a corpus plan with probability
-    /// `mutation_bias` (once the corpus is non-empty), else generate a
+    /// [`MUTATION_BIAS`] (once the corpus is non-empty), else generate a
     /// fresh random one.
     fn next_plan(&mut self) -> FaultPlan {
-        if !self.corpus.is_empty() && self.rng.random_bool(self.config.mutation_bias) {
+        if !self.corpus.is_empty() && self.rng.random_bool(MUTATION_BIAS) {
             let pick = self.rng.random_range(0..self.corpus.len());
             let parent = self.corpus[pick].plan.clone();
             self.obs.counter("explore.plans_mutated").inc();
@@ -636,11 +633,11 @@ impl Explorer {
         if plan.reorder_bp > 0 {
             plan.reorder_extra_us = self.rng.random_range(1_000..=50_000);
         }
-        let crashes = self.rng.random_range(0..=self.config.max_crashes);
+        let crashes = self.rng.random_range(0..=MAX_CRASHES);
         for _ in 0..crashes {
             plan.crashes.push(self.random_crash());
         }
-        let partitions = self.rng.random_range(0..=self.config.max_partitions);
+        let partitions = self.rng.random_range(0..=MAX_PARTITIONS);
         for _ in 0..partitions {
             let p = self.random_partition();
             plan.partitions.push(p);
@@ -684,7 +681,7 @@ impl Explorer {
                 }
             }
             5 => {
-                if plan.crashes.len() < self.config.max_crashes {
+                if plan.crashes.len() < MAX_CRASHES {
                     plan.crashes.push(self.random_crash());
                 } else if !plan.crashes.is_empty() {
                     let i = self.rng.random_range(0..plan.crashes.len());
@@ -698,7 +695,7 @@ impl Explorer {
                 }
             }
             7 => {
-                if plan.partitions.len() < self.config.max_partitions {
+                if plan.partitions.len() < MAX_PARTITIONS {
                     let p = self.random_partition();
                     plan.partitions.push(p);
                 } else if !plan.partitions.is_empty() {
@@ -723,35 +720,47 @@ impl Explorer {
     }
 }
 
-/// Classifies the violation (if any) a finished run exhibits: an R3
-/// violation from the report, or — on histories small enough to afford
-/// the exhaustive tier — an *undocumented* definite fast-vs-search
-/// disagreement (see [`tier_disagreement`]).
-pub fn run_violation_class(report: &RunReport, tier_max_events: usize) -> Option<ViolationClass> {
-    // R3 constrains the histories of *complete* executions (§2.3); a run
-    // cut mid-flight by the horizon — or cut while a replica still had an
-    // invocation in flight (e.g. a lost-commit retransmission the settle
-    // window interrupted) — legitimately leaves an unresolved round that
-    // the checker condemns or calls undecided, so only finished AND
-    // quiescent runs can yield an R3 finding. (`is_correct()` draws the
-    // finished line.) `spec::r3_violation` also reports *undecided*
-    // verdicts so that `is_correct()` stays conservative; for the explorer
-    // only a definite NotXable is a finding.
-    let complete = report.finished && report.quiescent;
-    if complete && report.r3_verdict.is_not_xable() {
-        return Some(ViolationClass {
-            kind: ViolationKind::R3,
-            reason: ReasonClass::of_verdict(&report.r3_verdict),
-        });
-    }
+/// The violation class (if any) a finished run exhibits: its report's R3
+/// verdict, gated on the run being complete.
+///
+/// R3 constrains the histories of *complete* executions (§2.3); a run cut
+/// mid-flight by the horizon — or cut while a replica still had an
+/// invocation in flight (e.g. a lost-commit retransmission the settle
+/// window interrupted) — legitimately leaves an unresolved round that the
+/// checker condemns or calls undecided, so only finished AND quiescent
+/// runs can yield an R3 finding. (`is_correct()` draws the finished line.)
+fn run_violation_class(report: &RunReport) -> Option<ViolationClass> {
     let history = report.ledger.borrow().history().to_history();
+    let complete = report.finished && report.quiescent;
+    violation_class(&report.r3_verdict, complete, &report.submitted, &history)
+}
+
+/// The one classifier behind runs and shrink candidates: a definite R3
+/// rejection `r3` or a dangling round (both only when `complete`), else —
+/// on histories small enough to afford the exhaustive tier — an
+/// *undocumented* definite fast-vs-search disagreement (see
+/// [`tier_disagreement`]). `spec::r3_violation` also reports *undecided*
+/// verdicts so that `is_correct()` stays conservative; for the explorer
+/// only a definite NotXable is a finding.
+fn violation_class(
+    r3: &Verdict,
+    complete: bool,
+    requests: &[Request],
+    history: &History,
+) -> Option<ViolationClass> {
     if complete {
-        if let Some(class) = dangling_round_violation(&report.submitted, &history) {
+        if r3.is_not_xable() {
+            return Some(ViolationClass {
+                kind: ViolationKind::R3,
+                reason: ReasonClass::of_verdict(r3),
+            });
+        }
+        if let Some(class) = dangling_round_violation(requests, history) {
             return Some(class);
         }
     }
-    if report.history_len <= tier_max_events {
-        if let Some(reason) = tier_disagreement(&report.submitted, &history) {
+    if history.len() <= TIER_CHECK_MAX_EVENTS {
+        if let Some(reason) = tier_disagreement(requests, history) {
             return Some(ViolationClass {
                 kind: ViolationKind::TierDisagreement,
                 reason,
@@ -917,50 +926,25 @@ impl ShrunkViolation {
 #[derive(Debug)]
 pub struct Shrinker {
     base: Scenario,
-    checker: TieredChecker,
-    tier_check_max_events: usize,
 }
 
 impl Shrinker {
     /// A shrinker re-running plans against `base` (use the same base the
     /// explorer ran with).
     pub fn new(base: Scenario) -> Self {
-        Shrinker {
-            base,
-            checker: TieredChecker::default(),
-            tier_check_max_events: 40,
-        }
+        Shrinker { base }
     }
 
     /// The class a (requests, history) pair exhibits under the batch
-    /// checker, if any — the predicate every trace-shrink candidate must
-    /// keep satisfying.
+    /// checker ([`check_r3`]), if any — the predicate every trace-shrink
+    /// candidate must keep satisfying. A recorded trace counts as complete.
     pub fn history_class(&self, requests: &[Request], history: &History) -> Option<ViolationClass> {
-        let tiered = self.checker.check_requests(history, requests);
-        if tiered.is_not_xable() {
-            return Some(ViolationClass {
-                kind: ViolationKind::R3,
-                reason: ReasonClass::of_verdict(&tiered),
-            });
-        }
-        if let Some(class) = dangling_round_violation(requests, history) {
-            return Some(class);
-        }
-        if history.len() <= self.tier_check_max_events {
-            if let Some(reason) = tier_disagreement(requests, history) {
-                return Some(ViolationClass {
-                    kind: ViolationKind::TierDisagreement,
-                    reason,
-                });
-            }
-        }
-        None
+        violation_class(&check_r3(requests, history), true, requests, history)
     }
 
     /// The class a full plan run exhibits against the base scenario.
     pub fn plan_class(&self, plan: &FaultPlan) -> Option<ViolationClass> {
-        let report = plan.apply(&self.base).run();
-        run_violation_class(&report, self.tier_check_max_events)
+        run_violation_class(&plan.apply(&self.base).run())
     }
 
     /// Shrinks `violation` to a minimal reproducer, or `None` if the
@@ -976,9 +960,10 @@ impl Shrinker {
         let requests = report.submitted.clone();
         let history = report.ledger.borrow().history().to_history();
         // The *recorded* trace must exhibit the class under the batch
-        // checker before trace shrinking starts; if the run-level class
-        // came from the online monitor only, fall back to the unshrunk
-        // trace rather than producing a reproducer for a different bug.
+        // checker before trace shrinking starts (a run is classed under
+        // its completion gate, a recorded trace as complete); if it does
+        // not, fall back to the unshrunk trace rather than producing a
+        // reproducer for a different bug.
         if self.history_class(&requests, &history) != Some(class) {
             return Some(ShrunkViolation {
                 class,

@@ -10,8 +10,8 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use xability_core::spec::{r3_violation, Violation};
-use xability_core::xable::{Checker, TieredChecker, Verdict};
+use xability_core::spec::{check_r3, r3_violation, Violation};
+use xability_core::xable::{escalate, Verdict};
 use xability_core::{ActionName, Value};
 use xability_obs::{MetricsSnapshot, Obs};
 use xability_protocol::{
@@ -548,20 +548,19 @@ pub struct R3Outcome {
     /// x-able): [`r3_violation`] of [`verdict`](Self::verdict).
     pub violation: Option<Violation>,
     /// Whether the ledger's online monitor decided the question (as
-    /// opposed to the batch fallback re-reducing the final history).
+    /// opposed to answering `Unknown`, or there being no monitor).
     pub decided_online: bool,
 }
 
 /// Evaluates R3 for a submitted request sequence against a ledger.
 ///
-/// Prefers the ledger's online [`IncrementalState`](xability_core::xable::IncrementalState)
-/// monitor — which
-/// observed every event during the run as a cursor over the ledger's
-/// shared trace store, so only the groups touched since the last verdict
-/// are re-searched — and falls back to the batch [`TieredChecker`]
-/// (reading the same store through a zero-copy view) when no monitor is
-/// attached or the online verdict is undecided (the tiered checker can
-/// escalate small undecided histories to the exhaustive search).
+/// The ledger's online [`IncrementalState`](xability_core::xable::IncrementalState)
+/// monitor observed every event during the run as a cursor over the
+/// ledger's shared trace store, so its verdict is the fast tier's answer
+/// over the whole history: a definite one is final, and an `Unknown` is
+/// handed to [`escalate`] (reading the same store through a zero-copy
+/// view) rather than decided again. Only a ledger without a monitor is
+/// checked cold, by [`check_r3`].
 ///
 /// Idempotent across calls on the same ledger as long as `submitted` only
 /// ever *extends* the previously evaluated sequence: already-declared
@@ -572,15 +571,11 @@ pub fn r3_violation_for(ledger: &SharedLedger, submitted: &[xability_core::Reque
         guard.declare_requests(submitted);
         guard.monitor_verdict()
     };
+    let history = || ledger.borrow().history();
     let (verdict, decided_online) = match online {
         Some(verdict) if !verdict.is_unknown() => (verdict, true),
-        _ => {
-            let checker = TieredChecker::default();
-            (
-                checker.check_requests(&ledger.borrow().history(), submitted),
-                false,
-            )
-        }
+        Some(undecided) => (escalate(&history(), submitted, undecided), false),
+        None => (check_r3(submitted, &history()), false),
     };
     R3Outcome {
         violation: r3_violation(&verdict),
@@ -616,8 +611,7 @@ pub struct RunReport {
     /// [`r3_violation`] of [`r3_verdict`](Self::r3_verdict).
     pub r3_violation: Option<Violation>,
     /// Whether the online incremental monitor *decided* R3 (as opposed to
-    /// answering `Unknown` and falling back to a from-scratch batch
-    /// re-reduction of the final history).
+    /// answering `Unknown`, whose escalation then gave the verdict).
     pub r3_checked_online: bool,
     /// R4 verdict.
     pub r4_ok: bool,

@@ -260,6 +260,82 @@ fn online_monitor_agrees_with_batch_checker_on_harness_traces() {
     }
 }
 
+/// The path where the monitor does not decide: `S(a,1) S(a,2) C(a,7)
+/// C(a,7)` leaves the completions' attribution ambiguous, so the online
+/// monitor answers `Unknown`, and `r3_violation_for` escalates that
+/// verdict — decided by the exhaustive search on the short history, left
+/// undecided once 60 junk `S C` pairs push it past the escalation cutoff.
+#[test]
+fn an_undecided_monitor_verdict_is_escalated() {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use xability_core::xable::{Cause, Verdict};
+    use xability_core::{ActionId, ActionName, Event, Request, Value};
+    use xability_harness::scenario::r3_violation_for;
+    use xability_services::Ledger;
+
+    let idem = |name: &str| ActionId::base(ActionName::idempotent(name));
+    let a = idem("a");
+    let requests = [
+        Request::new(a.clone(), Value::from(1)),
+        Request::new(a.clone(), Value::from(2)),
+    ];
+    let r3_of = |pad: usize| {
+        let mut events = vec![
+            Event::start(a.clone(), Value::from(1)),
+            Event::start(a.clone(), Value::from(2)),
+            Event::complete(a.clone(), Value::from(7)),
+            Event::complete(a.clone(), Value::from(7)),
+        ];
+        for i in 0..pad {
+            let junk = idem(&format!("junk{i}"));
+            events.push(Event::start(junk.clone(), Value::from(1)));
+            events.push(Event::complete(junk, Value::from(1)));
+        }
+        let mut ledger = Ledger::new();
+        ledger.record_batch(&events, SimTime::from_millis(1), "svc");
+        ledger.declare_requests(&requests);
+        let online = ledger.monitor_verdict().expect("a monitor is attached");
+        (
+            online,
+            r3_violation_for(&Rc::new(RefCell::new(ledger)), &requests),
+        )
+    };
+
+    let (online, outcome) = r3_of(0);
+    assert_eq!(
+        online.to_string(),
+        "unknown: (after ambiguous completion attribution) request effects occur out of \
+         submission order",
+        "precondition: the monitor is undecided"
+    );
+    assert_eq!(outcome.verdict.to_string(), "x-able (2 outputs)");
+    assert!(!outcome.decided_online);
+    assert_eq!(outcome.violation, None);
+
+    let (online, outcome) = r3_of(60);
+    assert!(online.is_unknown(), "precondition: {online}");
+    assert!(!outcome.decided_online);
+    let Verdict::Unknown { cause } = &outcome.verdict else {
+        panic!(
+            "past the cutoff the verdict stays undecided: {}",
+            outcome.verdict
+        );
+    };
+    assert!(
+        matches!(
+            cause,
+            Cause::TooLongToEscalate {
+                len: 124,
+                max: 48,
+                ..
+            }
+        ),
+        "{cause}"
+    );
+}
+
 #[test]
 fn runs_are_deterministic_per_seed() {
     let run = |seed| {

@@ -63,7 +63,7 @@ pub trait BusinessLogic: Any {
         let _ = (action, key, payload);
     }
 
-    /// The `PossibleReply` oracle of §3.4 for requirement R4: is `reply` a
+    /// The possible-reply oracle of §3.4 for requirement R4: is `reply` a
     /// value this service could possibly return for `action` on `payload`?
     fn is_possible_reply(&self, action: &ActionName, payload: &Value, reply: &Value) -> bool {
         let _ = (action, payload);

@@ -1,7 +1,7 @@
 //! Using the theory directly: build event histories by hand, reduce them
-//! under the rules of Fig. 4, and decide x-ability with the tiered
-//! checker — then watch the online incremental checker track a history
-//! event by event.
+//! under the rules of Fig. 4, and decide x-ability with the polynomial
+//! fast checker beside the exhaustive search it is checked against — then
+//! watch the online incremental checker track a history event by event.
 //!
 //! ```text
 //! cargo run --example history_checker
@@ -9,14 +9,19 @@
 
 use xability::core::reduce;
 use xability::core::signature::signatures;
-use xability::core::xable::{Checker, IncrementalChecker, SearchBudget, TieredChecker};
+use xability::core::xable::{
+    Checker, FastChecker, IncrementalChecker, SearchBudget, SearchChecker,
+};
 use xability::core::{ActionId, ActionName, Event, History, Value};
 
 fn show(h: &History, ops: &[(ActionId, Value)], label: &str) {
-    let verdict = TieredChecker::default().check(h, ops, &[]);
     println!("-- {label}");
     println!("   history : {h}");
-    println!("   verdict : {verdict}");
+    println!("   fast    : {}", FastChecker.check(h, ops, &[]));
+    println!(
+        "   search  : {}",
+        SearchChecker::default().check(h, ops, &[])
+    );
     let steps = reduce::reduction_steps(h);
     if let Some(step) = steps.first() {
         println!("   a first reduction step ({}): {}", step.rule, step.result);

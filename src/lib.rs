@@ -35,12 +35,12 @@
 //! cargo run --example history_checker
 //! ```
 //!
-//! Check a history for x-ability directly — [`core::xable::TieredChecker`]
-//! asks the polynomial fast tier first and escalates undecided small
-//! histories to the exhaustive search:
+//! Check a history for x-ability directly with the polynomial
+//! [`core::xable::FastChecker`] (its oracle is the exhaustive
+//! [`core::xable::SearchChecker`]):
 //!
 //! ```
-//! use xability::core::xable::{Checker, TieredChecker};
+//! use xability::core::xable::{Checker, FastChecker};
 //! use xability::core::{ActionId, ActionName, Event, History, Value};
 //!
 //! let ping = ActionId::base(ActionName::idempotent("ping"));
@@ -51,7 +51,7 @@
 //! ]
 //! .into_iter()
 //! .collect();
-//! let verdict = TieredChecker::default().check(&history, &[(ping, Value::Nil)], &[]);
+//! let verdict = FastChecker.check(&history, &[(ping, Value::Nil)], &[]);
 //! assert!(verdict.is_xable());
 //! ```
 //!

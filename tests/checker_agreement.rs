@@ -1,14 +1,16 @@
 //! Property tests: the polynomial fast checker agrees with the exhaustive
 //! search checker (the reference semantics) wherever it gives a definite
-//! answer, and the tiered checker never contradicts either tier.
+//! answer, and R3's escalated verdict (`spec::check_r3`) never contradicts
+//! either tier.
 
 use proptest::prelude::*;
 
+use xability::core::spec::check_r3;
 use xability::core::xable::{
     search_reduction, Cause, Checker, FastChecker, IncrementalChecker, SearchBudget, SearchChecker,
-    SearchResult, TieredChecker, Verdict,
+    SearchResult, Verdict,
 };
-use xability::core::{ActionId, ActionName, Event, History, Value};
+use xability::core::{ActionId, ActionName, Event, History, Request, Value};
 
 /// Event alphabet: one idempotent action and one undoable action (with its
 /// cancel/commit), one input, two possible outputs — small enough for the
@@ -183,10 +185,11 @@ fn cancel_then_retry_after_later_request_rejected_by_every_tier() {
 
     let search = SearchChecker::default().check(&h, &ops, &[]);
     assert!(search.is_not_xable(), "search reference: {search}");
-    for checker in [&FastChecker as &dyn Checker, &TieredChecker::default()] {
-        let v = checker.check(&h, &ops, &[]);
-        assert!(v.is_not_xable(), "{}: {v}", checker.name());
-    }
+    let fast = FastChecker.check(&h, &ops, &[]);
+    assert!(fast.is_not_xable(), "fast: {fast}");
+    let requests = ops.map(|(a, iv)| Request::new(a, iv));
+    let r3 = check_r3(&requests, &h);
+    assert!(r3.is_not_xable(), "check_r3: {r3}");
     let mut online = IncrementalChecker::default();
     online.declare(u, Value::from(1));
     online.declare(b, Value::from(1));
@@ -263,33 +266,31 @@ proptest! {
         }
     }
 
-    /// The tiered checker preserves definite fast-tier answers verbatim
-    /// and only ever *adds* information: a tiered `Unknown` implies the
-    /// fast tier was undecided too.
+    /// R3's two-tier verdict preserves definite fast-tier answers
+    /// verbatim and only ever *adds* information: an escalated `Unknown`
+    /// implies the fast tier was undecided too.
     #[test]
     fn tiered_refines_fast(h in arb_history(8)) {
-        let a = ActionId::base(ActionName::idempotent("i"));
-        let ops = [(a, Value::from(1))];
-        let fast = FastChecker.check(&h, &ops, &[]);
-        let tiered = TieredChecker::default().check(&h, &ops, &[]);
+        let requests = [Request::new(ActionId::base(ActionName::idempotent("i")), Value::from(1))];
+        let fast = FastChecker.check_requests(&h, &requests);
+        let tiered = check_r3(&requests, &h);
         if !fast.is_unknown() {
-            prop_assert_eq!(&tiered, &fast, "tiered must pass definite fast answers through");
+            prop_assert_eq!(&tiered, &fast, "escalation must pass definite fast answers through");
         }
         if tiered.is_unknown() {
-            prop_assert!(fast.is_unknown(), "tiered Unknown without fast Unknown: {}", h);
+            prop_assert!(fast.is_unknown(), "escalated Unknown without fast Unknown: {}", h);
         }
     }
 
     /// On the single-request questions (where the fast tier's
-    /// effect-ordered reading coincides with the strict reading), the
-    /// tiered checker agrees with the search reference wherever both are
+    /// effect-ordered reading coincides with the strict reading), R3's
+    /// two-tier verdict agrees with the search reference wherever both are
     /// definite.
     #[test]
     fn tiered_agrees_with_search_reference(h in arb_history(8)) {
-        let a = ActionId::base(ActionName::idempotent("i"));
-        let ops = [(a, Value::from(1))];
-        let search = SearchChecker::default().check(&h, &ops, &[]);
-        let tiered = TieredChecker::default().check(&h, &ops, &[]);
+        let requests = [Request::new(ActionId::base(ActionName::idempotent("i")), Value::from(1))];
+        let search = SearchChecker::default().check_requests(&h, &requests);
+        let tiered = check_r3(&requests, &h);
         assert_no_contradiction(&h, &search, &tiered)?;
     }
 }
@@ -382,7 +383,7 @@ fn fault_matrix_checkers_agree_on_recorded_histories() {
             let cell = format!("[{fault}/{workload}]");
 
             let fast = FastChecker.check_requests(&history, &requests);
-            let tiered = TieredChecker::default().check_requests(&history, &requests);
+            let tiered = check_r3(&requests, &history);
 
             // The online checker replaying the same event stream answers
             // byte-identically to the batch fast tier.
@@ -399,15 +400,15 @@ fn fault_matrix_checkers_agree_on_recorded_histories() {
                 "{cell} online checker diverged from batch fast tier"
             );
 
-            // Tiered refines fast: definite fast answers pass through
+            // Escalation refines fast: definite fast answers pass through
             // unchanged, and on round-stamped histories an undecided fast
             // answer must never escalate into a definite search verdict.
             if !fast.is_unknown() {
-                assert_eq!(fast, tiered, "{cell} tiered rewrote a definite verdict");
+                assert_eq!(fast, tiered, "{cell} escalation rewrote a definite verdict");
             } else if *stamped {
                 assert!(
                     tiered.is_unknown(),
-                    "{cell} tiered escalated a round-stamped history: {tiered}"
+                    "{cell} a round-stamped history escalated: {tiered}"
                 );
             }
 

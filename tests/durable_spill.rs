@@ -12,7 +12,8 @@
 use std::fs;
 use std::path::PathBuf;
 
-use xability::core::xable::{Checker, FastChecker, TieredChecker};
+use xability::core::spec::check_r3;
+use xability::core::xable::{Checker, FastChecker};
 use xability::core::{ActionId, ActionName, Event, Request, Value};
 use xability::services::Ledger;
 use xability::sim::SimTime;
@@ -20,7 +21,7 @@ use xability::store::{recover_store, Codec, SegmentLog, TierConfig, TraceStore};
 use xability_bench::n_retried_requests;
 
 fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("xability-tiertest-{tag}-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("xability-spilltest-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
 }
@@ -146,17 +147,17 @@ fn every_single_byte_corruption_is_rejected_or_quarantined() {
 
 /// The acceptance bar: verdicts over a reopened spill are identical to
 /// in-memory verdicts — across codecs, across a drop and reopen of the
-/// ledger, and for the fast, tiered and online checkers alike.
+/// ledger, and for the fast checker, the R3 check and the online monitor
+/// alike.
 #[test]
 fn reopened_views_recheck_byte_identically_to_memory() {
     let (requests, events) = small_workload();
     let ops = ops_of(&requests);
     let flat = flat_store(&events);
     let fast = FastChecker;
-    let tiered_checker = TieredChecker::default();
     let memory_fast = fast.check(&flat.view(), &ops, &[]);
-    let memory_tiered = tiered_checker.check(&flat.view(), &ops, &[]);
     let memory_r3 = fast.check_requests(&flat.view(), &requests);
+    let memory_check_r3 = check_r3(&requests, &flat.view());
     // Uneven on purpose: the flushed final segment is a partial one.
     let threshold = 7;
     assert_ne!(events.len() % threshold, 0);
@@ -195,9 +196,9 @@ fn reopened_views_recheck_byte_identically_to_memory() {
             "codec {codec}: FastChecker over the reopened history"
         );
         assert_eq!(
-            tiered_checker.check(&view, &ops, &[]),
-            memory_tiered,
-            "codec {codec}: TieredChecker over the reopened history"
+            check_r3(&requests, &view),
+            memory_check_r3,
+            "codec {codec}: check_r3 over the reopened history"
         );
         // The reopened ledger's monitor caught up with the recovered
         // events; re-declaring the run's requests gives the R3 verdict.

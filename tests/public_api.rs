@@ -9,9 +9,8 @@
 //! UPDATE_PUBLIC_API=1 cargo test --test public_api
 //! ```
 //!
-//! The extractor is xlint's ([`derive_snapshot`], behind the
-//! `api-snapshot-drift` rule), so the lint and this test read one
-//! definition of "the public API".
+//! The extractor is [`derive_snapshot`], kept beside xlint's API-hygiene
+//! rule; this test is the one gate on the snapshot.
 
 use std::fmt::Write as _;
 use std::fs;

@@ -116,10 +116,10 @@ fn r2_submit_eventually_succeeds() {
 /// R3 — the server-side history is x-able with respect to the submitted
 /// sequence, validated twice: *online* by the ledger's default incremental
 /// monitor (fed event by event as the simulation emits them), and *batch*
-/// by the tiered checker over the final history.
+/// by `spec::check_r3` over the final history.
 #[test]
 fn r3_history_is_xable() {
-    use xability::core::spec::{check_r3, IdentitySequencer};
+    use xability::core::spec::check_r3;
     let (mut world, replicas, service, ledger) = build_world(3);
     let reqs = vec![issue_request(service)];
     let client = world.add_process(
@@ -148,10 +148,10 @@ fn r3_history_is_xable() {
             .expect("monitor attached before the run")
     };
     assert!(online.is_xable(), "online R3 verdict: {online}");
-    // Batch: the tiered checker over the final history (a zero-copy view
-    // of the same store) agrees.
-    let verdict = check_r3(&IdentitySequencer, &submitted, &ledger.borrow().history());
-    assert!(verdict.is_none(), "{verdict:?}");
+    // Batch: the R3 check over the final history (a zero-copy view of the
+    // same store) agrees.
+    let verdict = check_r3(&submitted, &ledger.borrow().history());
+    assert_eq!(verdict, online);
 }
 
 /// R4 — the reply delivered to the client is a possible reply of the
