@@ -22,8 +22,8 @@
 //! behaviors of the real structures are exactly the operation
 //! interleavings enumerated here. What the bound *does* limit is depth:
 //! a bug that needs 3 threads or longer op chains is out of range, which
-//! is why the schedule counts are asserted by `xsched` and the
-//! self-tests rather than waved at.
+//! is why the schedule counts are asserted by the self-tests rather than
+//! waved at.
 //!
 //! A schedule over `a` ops of thread A and `b` ops of thread B is a
 //! bitstring with `a` zeros and `b` ones; there are `C(a+b, a)` of them,

@@ -76,7 +76,9 @@ fn check(seed: u64, n: usize, instances: usize, crash_first: bool, spike: f64) {
             if crash_first && i == 0 {
                 continue;
             }
-            let p = world.actor_as::<Participant>(id).unwrap();
+            let p = world
+                .actor_as::<Participant>(id)
+                .expect("every id is a Participant");
             let d = p.engine.read(inst).copied();
             let v = d.unwrap_or_else(|| {
                 panic!("seed {seed}, {inst}: correct process p{i} never decided")

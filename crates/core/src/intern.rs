@@ -487,7 +487,11 @@ fn value_heap_bytes(value: &Value) -> usize {
     }
 }
 
+// The reference models are std's `HashMap`: the interner must agree with
+// it key for key. Every check is per key (a lookup, or a sweep asserting
+// each entry), so hash order cannot change a result.
 #[cfg(test)]
+#[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
     use std::collections::HashMap;

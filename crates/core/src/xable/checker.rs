@@ -93,6 +93,16 @@ impl Witness {
 /// The answer of an x-ability decision procedure.
 ///
 /// This is the one verdict vocabulary shared by every checker in the crate.
+/// A verdict that is computed and dropped is a check that never happened,
+/// so the type is `#[must_use]` and a discarded one does not compile under
+/// the workspace's `-D warnings`:
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// use xability_core::xable::{Checker, FastChecker};
+///
+/// FastChecker.check_requests(&xability_core::History::empty(), &[]);
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[must_use = "a verdict reports nothing by itself; inspect or propagate it"]
 pub enum Verdict {

@@ -7,7 +7,7 @@
 //! shape of the history. Its cost is exponential in the worst case, so every
 //! entry point takes an explicit [`SearchBudget`].
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::action::ActionId;
 use crate::failure_free::failure_free_sequence_outputs;
@@ -84,7 +84,10 @@ where
     if goal(h) {
         return SearchResult::Reached(h.clone());
     }
-    let mut visited: HashSet<History> = HashSet::new();
+    // A probe-only set: membership is asked, the set is never iterated, so
+    // hash order cannot reach the result.
+    #[allow(clippy::disallowed_types)]
+    let mut visited: std::collections::HashSet<History> = std::collections::HashSet::new();
     let mut frontier: VecDeque<History> = VecDeque::new();
     visited.insert(h.clone());
     frontier.push_back(h.clone());

@@ -31,8 +31,10 @@
 //!
 //! ## Label hygiene
 //!
-//! Metric names and span scopes are `&'static str` literals, enforced by
-//! the `obs-label-hygiene` xlint rule: no formatted strings on the record
+//! Metric names and span scopes are `&'static str` literals: the
+//! signatures reject a formatted name, and the workspace's clippy
+//! configuration bans `Box::leak` / `String::leak`, which would
+//! launder one (DESIGN.md §8.1). No formatted strings on the record
 //! path. Dynamic dimensions (a network link, a replica id) go into the
 //! *key* of the keyed constructors, which run at registration time only.
 //!

@@ -61,7 +61,13 @@ fn run(seed: u64, spike: f64, crash: Option<(usize, u64)>) -> Vec<Vec<(ProcessId
     }
     world.run_until(SimTime::from_millis(800));
     ids.iter()
-        .map(|&id| world.actor_as::<Gossip>(id).unwrap().received.clone())
+        .map(|&id| {
+            world
+                .actor_as::<Gossip>(id)
+                .expect("every id is a Gossip")
+                .received
+                .clone()
+        })
         .collect()
 }
 

@@ -38,8 +38,8 @@
 //! — corrupt data is set aside for inspection, never deleted. The
 //! durability policy is event-count based (a seal every
 //! `spill_threshold` events, fsync on seal), never wall-clock based, so
-//! the store crate stays clean under the workspace's
-//! `determinism-wall-clock` lint.
+//! the store crate calls none of the wall-clock methods the workspace's
+//! `clippy.toml` disallows.
 
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Write};
