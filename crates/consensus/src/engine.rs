@@ -192,10 +192,21 @@ pub struct ConsensusEngine<V> {
     /// The instances the tick can still act on: participating and
     /// undecided. Entered where `participating` is set, left in `decide`.
     active: BTreeSet<InstanceId>,
-    /// Decisions reached inside nested calls (e.g. a coordinator whose own
-    /// implicit ack already forms a majority); drained by the public entry
-    /// points so callers observe every decision exactly once.
+    /// Decisions reached during one entry point (a peer's `Decide`, a
+    /// majority of acks, or a singleton coordinator's own implicit ack);
+    /// drained by the public entry points so callers observe every
+    /// decision exactly once.
     undrained: Vec<(InstanceId, V)>,
+}
+
+/// The engine with its instance map taken out: what one instance's step
+/// reads and updates besides the instance itself. Each entry point looks
+/// its instance up once and hands the `&mut Instance` to these methods.
+struct Member<'a, V> {
+    me: ProcessId,
+    peers: &'a [ProcessId],
+    active: &'a mut BTreeSet<InstanceId>,
+    undrained: &'a mut Vec<(InstanceId, V)>,
 }
 
 impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
@@ -221,13 +232,20 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
         }
     }
 
-    /// The majority threshold.
-    fn majority(&self) -> usize {
-        self.peers.len() / 2 + 1
-    }
-
-    fn coordinator(&self, round: u64) -> ProcessId {
-        self.peers[(round as usize) % self.peers.len()]
+    /// The one lookup of an entry point: the instance (created at `now`
+    /// if unseen) beside the rest of the engine.
+    fn instance(&mut self, id: &InstanceId, now: SimTime) -> (&mut Instance<V>, Member<'_, V>) {
+        let inst = self
+            .instances
+            .entry(id.clone())
+            .or_insert_with(|| Instance::new(now));
+        let member = Member {
+            me: self.me,
+            peers: &self.peers,
+            active: &mut self.active,
+            undrained: &mut self.undrained,
+        };
+        (inst, member)
     }
 
     /// The paper's `propose()` (§5.2): proposes `value` for `instance`.
@@ -242,26 +260,18 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
         instance: InstanceId,
         value: V,
     ) -> Option<V> {
-        let now = net.now();
-        let inst = self
-            .instances
-            .entry(instance.clone())
-            .or_insert_with(|| Instance::new(now));
+        let (inst, mut member) = self.instance(&instance, net.now());
         if let Some(d) = &inst.decided {
             return Some(d.clone());
         }
         if inst.estimate.is_none() {
             inst.estimate = Some((value, 0));
         }
-        if !inst.participating {
-            inst.participating = true;
-            inst.round_started_at = now;
-            self.active.insert(instance.clone());
-            self.broadcast_estimate(net, &instance);
-        }
-        // A coordinator alone in a singleton group decides synchronously.
-        self.undrained.retain(|(id, _)| id != &instance);
-        self.instances[&instance].decided.clone()
+        member.join(net, &instance, inst);
+        // A coordinator alone in a singleton group decides synchronously;
+        // the decision is returned here, not drained later.
+        member.undrained.retain(|(id, _)| id != &instance);
+        inst.decided.clone()
     }
 
     /// The paper's `read()` (§5.2): the locally known decision, if any.
@@ -287,69 +297,52 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
         from: ProcessId,
         msg: ConsensusMsg<V>,
     ) -> Vec<(InstanceId, V)> {
-        let instance = msg.instance().clone();
-        let now = net.now();
-        let me = self.me;
-        let majority = self.majority();
-        {
-            let inst = self
-                .instances
-                .entry(instance.clone())
-                .or_insert_with(|| Instance::new(now));
-            if let Some(decided) = &inst.decided {
-                // Help late peers: re-send the decision to the sender.
-                if !matches!(msg, ConsensusMsg::Decide { .. }) {
-                    net.send(
-                        from,
-                        ConsensusMsg::Decide {
-                            instance,
-                            value: decided.clone(),
-                        },
-                    );
-                }
-                return Vec::new();
+        let (inst, mut member) = self.instance(msg.instance(), net.now());
+        if let Some(decided) = &inst.decided {
+            // Help late peers: re-send the decision to the sender.
+            if !matches!(msg, ConsensusMsg::Decide { .. }) {
+                net.send(
+                    from,
+                    ConsensusMsg::Decide {
+                        instance: msg.instance().clone(),
+                        value: decided.clone(),
+                    },
+                );
             }
+            return Vec::new();
         }
 
         match msg {
-            ConsensusMsg::Decide { value, .. } => {
-                return self.decide(net, &instance, value);
+            ConsensusMsg::Decide { instance, value } => {
+                member.decide(net, &instance, inst, value);
             }
             ConsensusMsg::Estimate {
-                round, value, ts, ..
+                instance,
+                round,
+                value,
+                ts,
             } => {
-                let coord = self.coordinator(round);
-                {
-                    // Adopt a value if we have none (lets non-proposers join).
-                    let inst = self.instances.get_mut(&instance).expect("created above");
-                    if inst.estimate.is_none() {
-                        inst.estimate = Some((value.clone(), 0));
-                    }
+                // Adopt a value if we have none (lets non-proposers join).
+                if inst.estimate.is_none() {
+                    inst.estimate = Some((value.clone(), 0));
                 }
-                self.join(net, &instance);
-                let current = self.instances[&instance].round;
-                if round > current {
-                    self.advance_to(net, &instance, round);
-                }
-                let inst = self.instances.get_mut(&instance).expect("created above");
-                if round == inst.round && me == coord {
+                member.join(net, &instance, inst);
+                member.advance_to(net, &instance, inst, round);
+                if round == inst.round && member.me == member.coordinator(round) {
                     inst.estimates.insert(from, (value, ts));
-                    self.maybe_propose(net, &instance);
+                    member.maybe_propose(net, &instance, inst);
                 }
             }
-            ConsensusMsg::Propose { round, value, .. } => {
-                {
-                    let inst = self.instances.get_mut(&instance).expect("created above");
-                    if inst.estimate.is_none() {
-                        inst.estimate = Some((value.clone(), 0));
-                    }
+            ConsensusMsg::Propose {
+                instance,
+                round,
+                value,
+            } => {
+                if inst.estimate.is_none() {
+                    inst.estimate = Some((value.clone(), 0));
                 }
-                self.join(net, &instance);
-                let current = self.instances[&instance].round;
-                if round > current {
-                    self.advance_to(net, &instance, round);
-                }
-                let inst = self.instances.get_mut(&instance).expect("created above");
+                member.join(net, &instance, inst);
+                member.advance_to(net, &instance, inst, round);
                 if round == inst.round && inst.phase == Phase::Estimating {
                     // Adopt the coordinator's value with timestamp = round.
                     inst.estimate = Some((value, round));
@@ -357,26 +350,23 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
                     net.send(from, ConsensusMsg::Ack { instance, round });
                 }
             }
-            ConsensusMsg::Ack { round, .. } => {
-                let coord = self.coordinator(round);
-                let inst = self.instances.get_mut(&instance).expect("created above");
-                if round == inst.round && me == coord {
+            ConsensusMsg::Ack { instance, round } => {
+                if round == inst.round && member.me == member.coordinator(round) {
                     inst.acks.insert(from);
-                    if inst.acks.len() + 1 >= majority {
+                    if inst.acks.len() + 1 >= member.majority() {
                         // +1: the coordinator implicitly acks its own proposal.
                         let value = inst
                             .estimate
                             .clone()
                             .map(|(v, _)| v)
                             .expect("coordinator proposed, so it has an estimate");
-                        return self.decide(net, &instance, value);
+                        member.decide(net, &instance, inst, value);
                     }
                 }
             }
-            ConsensusMsg::Nack { round, .. } => {
-                let current = self.instances[&instance].round;
-                if round == current {
-                    self.advance_to(net, &instance, round + 1);
+            ConsensusMsg::Nack { instance, round } => {
+                if round == inst.round {
+                    member.advance_to(net, &instance, inst, round + 1);
                 }
             }
         }
@@ -403,11 +393,12 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
                 .map(|(id, _)| id)),
             "the active set is exactly the participating, undecided instances"
         );
+        let (now, round_timeout) = (net.now(), self.round_timeout);
         for id in ids {
-            let inst = self.instances.get(&id).expect("listed");
-            let coord = self.coordinator(inst.round);
-            let timed_out = net.now().since(inst.round_started_at) > self.round_timeout;
-            let suspected = coord != self.me && net.suspects(coord);
+            let (inst, mut member) = self.instance(&id, now);
+            let coord = member.coordinator(inst.round);
+            let timed_out = now.since(inst.round_started_at) > round_timeout;
+            let suspected = coord != member.me && net.suspects(coord);
             if timed_out || suspected {
                 let round = inst.round;
                 net.send(
@@ -417,40 +408,51 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
                         round,
                     },
                 );
-                self.advance_to(net, &id, round + 1);
+                member.advance_to(net, &id, inst, round + 1);
             }
         }
         std::mem::take(&mut self.undrained)
     }
+}
+
+impl<V: Clone> Member<'_, V> {
+    /// The majority threshold.
+    fn majority(&self) -> usize {
+        self.peers.len() / 2 + 1
+    }
+
+    fn coordinator(&self, round: u64) -> ProcessId {
+        self.peers[(round as usize) % self.peers.len()]
+    }
 
     /// Marks the instance as participating and sends the current-round
     /// estimate if not already done.
-    fn join(&mut self, net: &mut dyn ConsensusNet<V>, id: &InstanceId) {
-        let inst = self.instances.get_mut(id).expect("caller created");
+    fn join(&mut self, net: &mut dyn ConsensusNet<V>, id: &InstanceId, inst: &mut Instance<V>) {
         if inst.participating {
             return;
         }
         inst.participating = true;
         inst.round_started_at = net.now();
         self.active.insert(id.clone());
-        self.broadcast_estimate(net, id);
+        self.broadcast_estimate(net, id, inst);
     }
 
-    fn broadcast_estimate(&mut self, net: &mut dyn ConsensusNet<V>, id: &InstanceId) {
+    fn broadcast_estimate(
+        &mut self,
+        net: &mut dyn ConsensusNet<V>,
+        id: &InstanceId,
+        inst: &mut Instance<V>,
+    ) {
         let me = self.me;
-        let (value, ts, round) = {
-            let inst = self.instances.get_mut(id).expect("exists");
-            let Some((value, ts)) = inst.estimate.clone() else {
-                return;
-            };
-            (value, ts, inst.round)
+        let Some((value, ts)) = inst.estimate.clone() else {
+            return;
         };
+        let round = inst.round;
         // Record our own estimate if we coordinate this round.
         if self.coordinator(round) == me {
-            let inst = self.instances.get_mut(id).expect("exists");
             inst.estimates.insert(me, (value.clone(), ts));
         }
-        for &p in &self.peers {
+        for &p in self.peers {
             if p != me {
                 net.send(
                     p,
@@ -463,19 +465,20 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
                 );
             }
         }
-        self.maybe_propose(net, id);
+        self.maybe_propose(net, id, inst);
     }
 
     /// Coordinator: propose once a majority of estimates is gathered.
-    fn maybe_propose(&mut self, net: &mut dyn ConsensusNet<V>, id: &InstanceId) {
-        let majority = self.majority();
+    fn maybe_propose(
+        &mut self,
+        net: &mut dyn ConsensusNet<V>,
+        id: &InstanceId,
+        inst: &mut Instance<V>,
+    ) {
         let me = self.me;
-        let round = self.instances[id].round;
-        if self.coordinator(round) != me {
-            return;
-        }
-        let inst = self.instances.get_mut(id).expect("exists");
-        if inst.proposed || inst.estimates.len() < majority {
+        let round = inst.round;
+        let majority = self.majority();
+        if self.coordinator(round) != me || inst.proposed || inst.estimates.len() < majority {
             return;
         }
         let (value, _) = inst
@@ -485,10 +488,9 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
             .cloned()
             .expect("majority gathered");
         inst.proposed = true;
-        inst.estimate = Some((value.clone(), inst.round));
+        inst.estimate = Some((value.clone(), round));
         inst.phase = Phase::Acked;
-        let round = inst.round;
-        for &p in &self.peers {
+        for &p in self.peers {
             if p != me {
                 net.send(
                     p,
@@ -503,13 +505,20 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
         // The coordinator implicitly acks its own proposal; in a singleton
         // group that already is a majority.
         if 1 >= majority {
-            let decided = self.decide(net, id, value);
-            self.undrained.extend(decided);
+            self.decide(net, id, inst, value);
         }
     }
 
-    fn advance_to(&mut self, net: &mut dyn ConsensusNet<V>, id: &InstanceId, round: u64) {
-        let inst = self.instances.get_mut(id).expect("exists");
+    /// Moves to a later round (a no-op for an earlier or the current
+    /// round, or a decided instance) and, if participating, sends the
+    /// estimate for it.
+    fn advance_to(
+        &mut self,
+        net: &mut dyn ConsensusNet<V>,
+        id: &InstanceId,
+        inst: &mut Instance<V>,
+        round: u64,
+    ) {
         if round <= inst.round || inst.decided.is_some() {
             return;
         }
@@ -520,20 +529,21 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
         inst.proposed = false;
         inst.round_started_at = net.now();
         if inst.participating {
-            self.broadcast_estimate(net, id);
+            self.broadcast_estimate(net, id, inst);
         }
     }
 
+    /// Records the decision (once) for the entry point to drain.
     fn decide(
         &mut self,
         net: &mut dyn ConsensusNet<V>,
         id: &InstanceId,
+        inst: &mut Instance<V>,
         value: V,
-    ) -> Vec<(InstanceId, V)> {
+    ) {
         let me = self.me;
-        let inst = self.instances.get_mut(id).expect("exists");
         if inst.decided.is_some() {
-            return Vec::new();
+            return;
         }
         inst.decided = Some(value.clone());
         // Every path that reads the per-round state returns first on a
@@ -544,7 +554,7 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
         self.active.remove(id);
         if !inst.decision_relayed {
             inst.decision_relayed = true;
-            for &p in &self.peers {
+            for &p in self.peers {
                 if p != me {
                     net.send(
                         p,
@@ -556,7 +566,7 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
                 }
             }
         }
-        vec![(id.clone(), value)]
+        self.undrained.push((id.clone(), value));
     }
 }
 
@@ -772,6 +782,41 @@ mod tests {
         assert!(net.sent.is_empty());
         assert_eq!(engine.propose(&mut net, id.clone(), 1), Some(8));
         assert_eq!(engine.instances[&id].round, 0);
+    }
+
+    #[test]
+    fn a_late_joiner_sends_its_round_zero_then_its_current_round_estimates() {
+        let [p0, p1, p2] = [0, 1, 2].map(ProcessId);
+        let mut net = TestNet::default();
+        // p1 never proposed and coordinates neither round 0 nor round 2.
+        let mut engine = ConsensusEngine::new(p1, vec![p0, p1, p2], SimDuration::from_millis(50));
+        let id = InstanceId::new("late");
+        let estimate = ConsensusMsg::Estimate {
+            instance: id.clone(),
+            round: 2,
+            value: 5,
+            ts: 1,
+        };
+        assert!(engine.on_message(&mut net, p2, estimate).is_empty());
+        // It adopts the value with timestamp 0, joins at round 0, then
+        // advances to the sender's round: one estimate per peer per round.
+        let mine = |round| ConsensusMsg::Estimate {
+            instance: id.clone(),
+            round,
+            value: 5,
+            ts: 0,
+        };
+        assert_eq!(
+            net.sent,
+            [(p0, mine(0)), (p2, mine(0)), (p0, mine(2)), (p2, mine(2))]
+        );
+        let inst = &engine.instances[&id];
+        assert_eq!((inst.round, inst.phase), (2, Phase::Estimating));
+        assert!(inst.participating && inst.estimates.is_empty());
+        assert_eq!(engine.active.iter().collect::<Vec<_>>(), [&id]);
+        net.sent.clear();
+        assert!(engine.on_tick(&mut net).is_empty());
+        assert!(net.sent.is_empty(), "neither timed out nor suspected yet");
     }
 
     #[test]

@@ -82,7 +82,6 @@ pub struct Context<'a, M> {
     pub(crate) next_timer: &'a mut u64,
     pub(crate) outbox: Vec<(ProcessId, M)>,
     pub(crate) new_timers: Vec<(SimDuration, TimerId)>,
-    pub(crate) cancelled_timers: Vec<TimerId>,
 }
 
 impl<M> Context<'_, M> {
@@ -111,12 +110,6 @@ impl<M> Context<'_, M> {
         *self.next_timer += 1;
         self.new_timers.push((delay, id));
         id
-    }
-
-    /// Cancels a previously set timer. Cancelling an already-fired or
-    /// unknown timer is a no-op.
-    pub fn cancel_timer(&mut self, timer: TimerId) {
-        self.cancelled_timers.push(timer);
     }
 
     /// The paper's `suspect(p)` predicate (§5.3): does this process's
@@ -157,7 +150,6 @@ mod tests {
             next_timer: &mut next_timer,
             outbox: Vec::new(),
             new_timers: Vec::new(),
-            cancelled_timers: Vec::new(),
         };
         assert_eq!(ctx.me(), ProcessId(1));
         assert_eq!(ctx.now(), SimTime::from_millis(2));
@@ -168,12 +160,10 @@ mod tests {
         ctx.send(ProcessId(2), "hello");
         let t1 = ctx.set_timer(SimDuration::from_millis(1));
         let t2 = ctx.set_timer(SimDuration::from_millis(2));
-        ctx.cancel_timer(t1);
         assert_eq!(t1, TimerId(5));
         assert_eq!(t2, TimerId(6));
         assert_eq!(ctx.outbox.len(), 1);
         assert_eq!(ctx.new_timers.len(), 2);
-        assert_eq!(ctx.cancelled_timers, vec![TimerId(5)]);
         assert_eq!(next_timer, 7);
     }
 

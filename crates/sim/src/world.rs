@@ -39,7 +39,7 @@ pub struct Metrics {
     pub messages_delivered: u64,
     /// Protocol messages dropped because the destination had crashed.
     pub messages_dropped: u64,
-    /// Timers that fired (excluding cancelled ones).
+    /// Timers that fired at a live process.
     pub timers_fired: u64,
     /// Heartbeats delivered (failure-detector traffic, counted separately).
     pub heartbeats_delivered: u64,
@@ -59,7 +59,37 @@ pub struct Metrics {
     pub partition_dropped: u64,
 }
 
-/// Per-link transport counters over an attached [`Obs`] registry.
+/// The kinds of per-link traffic the transport counts.
+#[derive(Debug, Clone, Copy)]
+enum LinkKind {
+    Sent,
+    Delivered,
+    DroppedDead,
+    PartitionDropped,
+    Lost,
+    Reordered,
+    Duplicated,
+}
+
+impl LinkKind {
+    const COUNT: usize = 7;
+
+    /// The counter name in the metrics snapshot.
+    fn name(self) -> &'static str {
+        match self {
+            LinkKind::Sent => "sim.link.sent",
+            LinkKind::Delivered => "sim.link.delivered",
+            LinkKind::DroppedDead => "sim.link.dropped_dead",
+            LinkKind::PartitionDropped => "sim.link.partition_dropped",
+            LinkKind::Lost => "sim.link.lost",
+            LinkKind::Reordered => "sim.link.reordered",
+            LinkKind::Duplicated => "sim.link.duplicated",
+        }
+    }
+}
+
+/// Per-link transport counters over an attached [`Obs`] registry: a
+/// `[from][to]` table of one handle per [`LinkKind`].
 ///
 /// Counter handles are registered lazily the first time a link carries the
 /// corresponding kind of traffic; the link key string (`"p0->p1"`) is
@@ -68,25 +98,33 @@ pub struct Metrics {
 #[derive(Debug)]
 struct LinkObs {
     obs: Obs,
-    counters: BTreeMap<(&'static str, usize, usize), Counter>,
+    counters: Vec<Vec<[Option<Counter>; LinkKind::COUNT]>>,
 }
 
 impl LinkObs {
     fn new(obs: Obs) -> Self {
         LinkObs {
             obs,
-            counters: BTreeMap::new(),
+            counters: Vec::new(),
         }
     }
 
-    fn bump(&mut self, name: &'static str, from: ProcessId, to: ProcessId) {
+    fn bump(&mut self, kind: LinkKind, from: ProcessId, to: ProcessId) {
         if !self.obs.is_enabled() {
             return;
         }
+        if self.counters.len() <= from.0 {
+            self.counters.resize_with(from.0 + 1, Vec::new);
+        }
+        let row = &mut self.counters[from.0];
+        if row.len() <= to.0 {
+            row.resize_with(to.0 + 1, Default::default);
+        }
         let obs = &self.obs;
-        self.counters
-            .entry((name, from.0, to.0))
-            .or_insert_with(|| obs.counter_keyed(name, &format!("p{}->p{}", from.0, to.0)))
+        row[to.0][kind as usize]
+            .get_or_insert_with(|| {
+                obs.counter_keyed(kind.name(), &format!("p{}->p{}", from.0, to.0))
+            })
             .inc();
     }
 }
@@ -130,31 +168,14 @@ enum EventKind<M> {
     FdCheck(ProcessId),
 }
 
-#[derive(Debug)]
-struct QueuedEvent<M> {
+/// A queue entry: when the event fires and where its payload waits in
+/// [`World`]'s payload table. Ordered by `(time, seq)`; `seq` is unique,
+/// so the payload index never decides an order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct QueuedEvent {
     time: SimTime,
     seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for QueuedEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<M> Eq for QueuedEvent<M> {}
-
-impl<M> PartialOrd for QueuedEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for QueuedEvent<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
+    payload: usize,
 }
 
 #[derive(Debug, Default)]
@@ -220,19 +241,21 @@ pub struct World<M> {
     config: SimConfig,
     now: SimTime,
     seq: u64,
-    queue: BinaryHeap<Reverse<QueuedEvent<M>>>,
+    queue: BinaryHeap<Reverse<QueuedEvent>>,
+    /// The queued events' payloads, indexed by [`QueuedEvent::payload`];
+    /// `None` in the entries listed in `free_payloads`, ready for reuse.
+    payloads: Vec<Option<EventKind<M>>>,
+    free_payloads: Vec<usize>,
     slots: Vec<Slot<M>>,
     rng: StdRng,
     metrics: Metrics,
     next_timer: u64,
-    cancelled_timers: BTreeSet<TimerId>,
     partitions: Vec<PartitionWindow>,
     link_obs: LinkObs,
     /// The effect buffers a callback's [`Context`] fills, lent to each
     /// dispatch and drained after it, so they are allocated once per world.
     outbox: Vec<(ProcessId, M)>,
     new_timers: Vec<(SimDuration, TimerId)>,
-    newly_cancelled: Vec<TimerId>,
 }
 
 impl<M> std::fmt::Debug for World<M> {
@@ -254,16 +277,16 @@ impl<M: std::fmt::Debug + Clone + 'static> World<M> {
             now: SimTime::ZERO,
             seq: 0,
             queue: BinaryHeap::new(),
+            payloads: Vec::new(),
+            free_payloads: Vec::new(),
             slots: Vec::new(),
             rng: StdRng::seed_from_u64(config.seed),
             metrics: Metrics::default(),
             next_timer: 0,
-            cancelled_timers: BTreeSet::new(),
             partitions: Vec::new(),
             link_obs: LinkObs::new(Obs::noop()),
             outbox: Vec::new(),
             new_timers: Vec::new(),
-            newly_cancelled: Vec::new(),
         }
     }
 
@@ -427,9 +450,13 @@ impl<M: std::fmt::Debug + Clone + 'static> World<M> {
             return false;
         };
         debug_assert!(event.time >= self.now, "time went backwards");
+        let kind = self.payloads[event.payload]
+            .take()
+            .expect("a queued event's payload is present");
+        self.free_payloads.push(event.payload);
         self.now = event.time;
         self.metrics.events_processed += 1;
-        self.handle(event.kind);
+        self.handle(kind);
         true
     }
 
@@ -472,7 +499,17 @@ impl<M: std::fmt::Debug + Clone + 'static> World<M> {
     fn push_event(&mut self, time: SimTime, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(QueuedEvent { time, seq, kind }));
+        let payload = match self.free_payloads.pop() {
+            Some(free) => {
+                self.payloads[free] = Some(kind);
+                free
+            }
+            None => {
+                self.payloads.push(Some(kind));
+                self.payloads.len() - 1
+            }
+        };
+        self.queue.push(Reverse(QueuedEvent { time, seq, payload }));
     }
 
     fn handle(&mut self, kind: EventKind<M>) {
@@ -483,17 +520,14 @@ impl<M: std::fmt::Debug + Clone + 'static> World<M> {
             EventKind::Deliver { from, to, msg } => {
                 if self.slots[to.0].alive {
                     self.metrics.messages_delivered += 1;
-                    self.link_obs.bump("sim.link.delivered", from, to);
+                    self.link_obs.bump(LinkKind::Delivered, from, to);
                     self.dispatch(to, |actor, ctx| actor.on_message(ctx, from, msg));
                 } else {
                     self.metrics.messages_dropped += 1;
-                    self.link_obs.bump("sim.link.dropped_dead", from, to);
+                    self.link_obs.bump(LinkKind::DroppedDead, from, to);
                 }
             }
             EventKind::Timer { process, timer } => {
-                if self.cancelled_timers.remove(&timer) {
-                    return;
-                }
                 if self.slots[process.0].alive {
                     self.metrics.timers_fired += 1;
                     self.dispatch(process, |actor, ctx| actor.on_timer(ctx, timer));
@@ -520,7 +554,7 @@ impl<M: std::fmt::Debug + Clone + 'static> World<M> {
                     // heartbeat traffic cheap.
                     if self.partitioned(p, to) {
                         self.metrics.partition_dropped += 1;
-                        self.link_obs.bump("sim.link.partition_dropped", p, to);
+                        self.link_obs.bump(LinkKind::PartitionDropped, p, to);
                         continue;
                     }
                     if self.config.faults.drop_prob > 0.0
@@ -600,13 +634,13 @@ impl<M: std::fmt::Debug + Clone + 'static> World<M> {
     fn route_message(&mut self, from: ProcessId, to: ProcessId, msg: M) {
         if self.partitioned(from, to) {
             self.metrics.partition_dropped += 1;
-            self.link_obs.bump("sim.link.partition_dropped", from, to);
+            self.link_obs.bump(LinkKind::PartitionDropped, from, to);
             return;
         }
         let faults = self.config.faults;
         if faults.drop_prob > 0.0 && self.rng.random_bool(faults.drop_prob) {
             self.metrics.messages_lost += 1;
-            self.link_obs.bump("sim.link.lost", from, to);
+            self.link_obs.bump(LinkKind::Lost, from, to);
             return;
         }
         let mut delay = self.config.latency.sample(self.now, &mut self.rng);
@@ -616,12 +650,12 @@ impl<M: std::fmt::Debug + Clone + 'static> World<M> {
                 delay = delay + SimDuration::from_micros(self.rng.random_range(0..=extra_us));
             }
             self.metrics.messages_reordered += 1;
-            self.link_obs.bump("sim.link.reordered", from, to);
+            self.link_obs.bump(LinkKind::Reordered, from, to);
         }
         let duplicate = faults.dup_prob > 0.0 && self.rng.random_bool(faults.dup_prob);
         if duplicate {
             self.metrics.messages_duplicated += 1;
-            self.link_obs.bump("sim.link.duplicated", from, to);
+            self.link_obs.bump(LinkKind::Duplicated, from, to);
             let copy_delay = self.config.latency.sample(self.now, &mut self.rng);
             self.push_event(
                 self.now + copy_delay,
@@ -655,13 +689,11 @@ impl<M: std::fmt::Debug + Clone + 'static> World<M> {
             next_timer: &mut self.next_timer,
             outbox: std::mem::take(&mut self.outbox),
             new_timers: std::mem::take(&mut self.new_timers),
-            cancelled_timers: std::mem::take(&mut self.newly_cancelled),
         };
         f(actor.as_mut(), &mut ctx);
         let Context {
             mut outbox,
             mut new_timers,
-            cancelled_timers: mut newly_cancelled,
             ..
         } = ctx;
         self.slots[p.0].actor = Some(actor);
@@ -672,18 +704,16 @@ impl<M: std::fmt::Debug + Clone + 'static> World<M> {
                 "send to unknown process {to} from {p}"
             );
             self.metrics.messages_sent += 1;
-            self.link_obs.bump("sim.link.sent", p, to);
+            self.link_obs.bump(LinkKind::Sent, p, to);
             self.route_message(p, to, msg);
         }
         for (delay, timer) in new_timers.drain(..) {
             let at = self.now + delay;
             self.push_event(at, EventKind::Timer { process: p, timer });
         }
-        self.cancelled_timers.extend(newly_cancelled.drain(..));
         // Applying effects never dispatches, so the buffers come back empty.
         self.outbox = outbox;
         self.new_timers = new_timers;
-        self.newly_cancelled = newly_cancelled;
     }
 }
 
@@ -894,28 +924,57 @@ mod tests {
     }
 
     #[test]
-    fn timers_can_be_cancelled() {
-        struct Canceller {
-            fired: bool,
+    fn equal_time_events_fire_in_scheduling_order_across_slot_reuse() {
+        /// Sets four timers due at one instant; the last of them to fire
+        /// sets four more, due at one later instant, into the payload
+        /// entries the fired events just freed (most recently freed first,
+        /// i.e. in the reverse of their scheduling order).
+        struct Burst {
+            set: Vec<TimerId>,
+            fired: Vec<(SimTime, TimerId)>,
         }
-        impl Actor<Msg> for Canceller {
+        impl Burst {
+            fn set_four(&mut self, ctx: &mut Context<'_, Msg>) {
+                for _ in 0..4 {
+                    self.set.push(ctx.set_timer(SimDuration::from_millis(5)));
+                }
+            }
+        }
+        impl Actor<Msg> for Burst {
             fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-                let t = ctx.set_timer(SimDuration::from_millis(5));
-                ctx.cancel_timer(t);
-                ctx.set_timer(SimDuration::from_millis(10));
+                self.set_four(ctx);
             }
             fn on_message(&mut self, _: &mut Context<'_, Msg>, _: ProcessId, _: Msg) {}
-            fn on_timer(&mut self, _ctx: &mut Context<'_, Msg>, _timer: TimerId) {
-                self.fired = true;
+            fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, timer: TimerId) {
+                self.fired.push((ctx.now(), timer));
+                if self.fired.len() == 4 {
+                    self.set_four(ctx);
+                }
             }
         }
         let mut world = World::new(SimConfig::with_seed(1));
-        let p = world.add_process("c", Box::new(Canceller { fired: false }));
-        world.run_until(SimTime::from_millis(7));
-        assert!(!world.actor_as::<Canceller>(p).unwrap().fired);
+        let p = world.add_process(
+            "burst",
+            Box::new(Burst {
+                set: Vec::new(),
+                fired: Vec::new(),
+            }),
+        );
         world.run_until(SimTime::from_millis(20));
-        assert!(world.actor_as::<Canceller>(p).unwrap().fired);
-        assert_eq!(world.metrics().timers_fired, 1);
+        let burst = world.actor_as::<Burst>(p).unwrap();
+        let due = |i: usize| SimTime::from_millis(if i < 4 { 5 } else { 10 });
+        let expected: Vec<(SimTime, TimerId)> = burst
+            .set
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (due(i), t))
+            .collect();
+        assert_eq!(expected.len(), 8);
+        assert_eq!(burst.fired, expected, "one instant fires in `seq` order");
+        assert!(
+            world.payloads.len() < world.seq as usize,
+            "freed payload entries were reused"
+        );
     }
 
     #[test]
