@@ -679,13 +679,4 @@ impl RunReport {
         }
         self.latencies.iter().map(|d| d.as_micros()).sum::<u64>() / self.latencies.len() as u64
     }
-
-    /// Maximum latency in microseconds.
-    pub fn max_latency_micros(&self) -> u64 {
-        self.latencies
-            .iter()
-            .map(|d| d.as_micros())
-            .max()
-            .unwrap_or(0)
-    }
 }

@@ -104,31 +104,6 @@ impl Gateway {
         })
     }
 
-    /// Creates a gateway. See [`Gateway::try_new`] for the argument
-    /// contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the configurations [`Gateway::try_new`] rejects.
-    pub fn new(
-        backend_replicas: Vec<ProcessId>,
-        backend_action: ActionName,
-        backend_service: ProcessId,
-        app_action: ActionName,
-        app_ledger: SharedLedger,
-    ) -> Self {
-        match Gateway::try_new(
-            backend_replicas,
-            backend_action,
-            backend_service,
-            app_action,
-            app_ledger,
-        ) {
-            Ok(gateway) => gateway,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     fn submit_backend(&mut self, ctx: &mut Context<'_, ProtoMsg>, key: &str) {
         let Some(call) = self.calls.get_mut(key) else {
             return;

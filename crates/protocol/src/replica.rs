@@ -8,12 +8,16 @@
 //! | Paper (Fig. 6/7) | Here |
 //! |---|---|
 //! | `receive [Request,req]` main loop | [`XReplica::on_message`] on [`ProtoMsg::ClientRequest`] |
-//! | `owner-agreement[round].propose(my-id,req,client)` | proposal with `Intent::OwnRound` (private); the continuation runs in `on_decision` |
-//! | `execute-until-success(req)` | `Pending::Execute` + retry logic in `on_invoke_reply` |
-//! | `result-coordination(req, res-val)` (execution mode) | proposals with `Intent::ExecResult` / `Intent::ExecOutcome` |
-//! | `result-coordination(req, empty-result)` (cleaning mode) | proposals with `Intent::CleanResult` / `Intent::CleanOutcome` |
-//! | `execute-until-success(cancel(req))` / `(commit(req))` | `Pending::Cancel` / `Pending::Commit` with retries |
+//! | `owner-agreement[round].propose(my-id,req,client)` | a proposal on the `owner/<req>/<round>` instance; the continuation runs in `on_decision` |
+//! | `execute-until-success(req)` | an `execute` invocation, retried in `on_invoke_reply` |
+//! | `result-coordination(req, res-val)` (execution mode) | a proposal on `result/…` (idempotent) or `outcome/…` (undoable) for a round this replica owns |
+//! | `result-coordination(req, empty-result)` (cleaning mode) | the same instances, proposed by the cleaner for a round owned elsewhere |
+//! | `execute-until-success(cancel(req))` / `(commit(req))` | `cancel` / `commit` invocations with retries |
 //! | `cleaner()` loop | the cleaning scan in `on_timer` / `on_suspicion` |
+//!
+//! A continuation stores nothing of its own: a decision's instance id
+//! spells its kind, request and round, and an invocation's retransmitted
+//! [`ServiceRequest`] its operation, request and round.
 //!
 //! ## Deviations from the paper's pseudo-code (see DESIGN.md)
 //!
@@ -48,7 +52,7 @@ use std::sync::Arc;
 use xability_consensus::{ConsensusEngine, CtxNet, InstanceId};
 use xability_core::Value;
 use xability_obs::{Counter, Obs};
-use xability_services::InvokeOutcome;
+use xability_services::{InvokeOutcome, OpKind, ServiceRequest};
 use xability_sim::{Actor, Context, ProcessId, SimDuration, TimerId};
 
 use crate::messages::{
@@ -160,53 +164,14 @@ impl RequestState {
     }
 }
 
-/// What a consensus decision was proposed *for* (the continuation).
-#[derive(Debug, Clone)]
-enum Intent {
-    /// `process-request`: proposed myself as owner of a round.
-    OwnRound,
-    /// Execution-mode result coordination (idempotent action).
-    ExecResult { req_id: String, round: u64 },
-    /// Execution-mode outcome coordination (undoable action, proposing
-    /// commit).
-    ExecOutcome { req_id: String, round: u64 },
-    /// Owner-side abort after a failed execution (undoable action).
-    AbortOutcome { req_id: String, round: u64 },
-    /// Cleaning-mode result coordination (idempotent action).
-    CleanResult { req_id: String, round: u64 },
-    /// Cleaning-mode outcome coordination (undoable action, proposing
-    /// abort).
-    CleanOutcome { req_id: String, round: u64 },
-}
-
-/// One in-flight external invocation: the message (kept so it can be
-/// retransmitted) plus its continuation.
+/// One in-flight external invocation (a blocking point of Fig. 7): the
+/// message, kept so it can be retransmitted, is also its continuation.
 #[derive(Debug, Clone)]
 struct InFlight {
     service: ProcessId,
-    sreq: xability_services::ServiceRequest,
-    continuation: Pending,
+    sreq: ServiceRequest,
     /// Ticks since the invocation was (re)sent.
     ticks_waiting: u32,
-}
-
-/// In-flight external invocations (the blocking points of Fig. 7).
-#[derive(Debug, Clone)]
-enum Pending {
-    Execute {
-        req_id: String,
-        round: u64,
-    },
-    Cancel {
-        req_id: String,
-        round: u64,
-    },
-    Commit {
-        req_id: String,
-        round: u64,
-        value: Value,
-        deliver: bool,
-    },
 }
 
 /// Configuration of an x-able replica.
@@ -262,7 +227,8 @@ pub struct XReplica {
     /// left behind. A request is re-filed when a higher round's owner is
     /// learned and dropped once a pass finds it inert at its top round.
     by_owner: BTreeMap<ProcessId, BTreeSet<String>>,
-    intents: BTreeMap<InstanceId, Intent>,
+    /// Instances this replica proposed and has not yet seen decided.
+    awaiting: BTreeSet<InstanceId>,
     pending: BTreeMap<u64, InFlight>,
     /// Results learned before the request itself (decision reordering).
     orphan_results: BTreeMap<String, Value>,
@@ -280,7 +246,7 @@ impl XReplica {
             config,
             requests: BTreeMap::new(),
             by_owner: BTreeMap::new(),
-            intents: BTreeMap::new(),
+            awaiting: BTreeSet::new(),
             pending: BTreeMap::new(),
             orphan_results: BTreeMap::new(),
             next_invocation: 0,
@@ -397,14 +363,10 @@ impl XReplica {
         }
     }
 
-    fn propose_with_intent(
-        &mut self,
-        ctx: &mut Context<'_, ProtoMsg>,
-        inst: InstanceId,
-        value: Decision,
-        intent: Intent,
-    ) {
-        self.intents.insert(inst.clone(), intent);
+    /// Proposes `value` on `inst`; its continuation runs in `on_decision`.
+    fn propose(&mut self, ctx: &mut Context<'_, ProtoMsg>, inst: InstanceId, value: Decision) {
+        // Await first: a singleton group decides inside `propose`.
+        self.awaiting.insert(inst.clone());
         let decided = {
             let mut net = CtxNet::new(ctx, ProtoMsg::Consensus);
             self.engine.propose(&mut net, inst.clone(), value)
@@ -414,13 +376,18 @@ impl XReplica {
         }
     }
 
+    /// Sends an invocation under a fresh token, counted under its operation.
     fn invoke(
         &mut self,
         ctx: &mut Context<'_, ProtoMsg>,
         service: ProcessId,
-        sreq: xability_services::ServiceRequest,
-        pending: Pending,
+        sreq: ServiceRequest,
     ) {
+        match sreq.op {
+            OpKind::Execute => self.obs.executions.inc(),
+            OpKind::Cancel => self.obs.cancels.inc(),
+            OpKind::Commit => self.obs.commits.inc(),
+        }
         let invocation = self.next_invocation;
         self.next_invocation += 1;
         self.pending.insert(
@@ -428,11 +395,25 @@ impl XReplica {
             InFlight {
                 service,
                 sreq: sreq.clone(),
-                continuation: pending,
                 ticks_waiting: 0,
             },
         );
         ctx.send(service, ProtoMsg::Invoke { invocation, sreq });
+    }
+
+    /// Sends `op` for `round` of a known request.
+    fn invoke_round(
+        &mut self,
+        ctx: &mut Context<'_, ProtoMsg>,
+        req_id: &str,
+        round: u64,
+        op: OpKind,
+    ) {
+        let Some(st) = self.requests.get(req_id) else {
+            return;
+        };
+        let (service, sreq) = (st.req.service, st.req.service_request(round));
+        self.invoke(ctx, service, ServiceRequest { op, ..sreq });
     }
 
     /// Retransmits invocations that have gone unanswered for
@@ -484,7 +465,7 @@ impl XReplica {
             req,
             client,
         };
-        self.propose_with_intent(ctx, inst, proposal, Intent::OwnRound);
+        self.propose(ctx, inst, proposal);
     }
 
     fn start_execution(&mut self, ctx: &mut Context<'_, ProtoMsg>, req_id: &str, round: u64) {
@@ -494,21 +475,11 @@ impl XReplica {
         if st.result.is_some() || !st.owned.insert(round) {
             return;
         }
-        let req = Arc::clone(&st.req);
         self.obs.rounds_owned.inc();
-        self.obs.executions.inc();
         self.obs
             .obs
             .span_start("replica.round", req_id, round, ctx.now().as_micros());
-        self.invoke(
-            ctx,
-            req.service,
-            req.service_request(round),
-            Pending::Execute {
-                req_id: req_id.to_owned(),
-                round,
-            },
-        );
+        self.invoke_round(ctx, req_id, round, OpKind::Execute);
     }
 
     /// Closes the `replica.round` span for a round this replica owns
@@ -540,7 +511,7 @@ impl XReplica {
     // ---- the cleaner (Fig. 6, bottom) ----
 
     /// One pass of the cleaner: for every request whose highest-round owner
-    /// is suspected, run cleaning-mode result coordination (or deliver the
+    /// is suspected, run cleaning-mode result coordination (or send the
     /// already-known result). Visits the suspected owners' filed requests
     /// in ascending request-id order — the order of a walk over `requests`.
     fn cleaning_scan(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
@@ -577,7 +548,7 @@ impl XReplica {
             let undoable = st.req.action.is_undoable();
             if let Some(v) = st.result.clone() {
                 // Deviation 2: the owner may have crashed after agreement
-                // but before replying; deliver the agreed result once.
+                // but before replying; send the agreed result once.
                 if !st.delivered_by_me {
                     self.reply(ctx, &req_id, v);
                 }
@@ -599,28 +570,14 @@ impl XReplica {
             }
             self.obs.cleanings.inc();
             if undoable {
-                self.propose_with_intent(
-                    ctx,
-                    outcome_instance(&req_id, round),
-                    Decision::Outcome {
-                        abort: true,
-                        value: None,
-                    },
-                    Intent::CleanOutcome {
-                        req_id: req_id.clone(),
-                        round,
-                    },
-                );
+                let abort = Decision::Outcome {
+                    abort: true,
+                    value: None,
+                };
+                self.propose(ctx, outcome_instance(&req_id, round), abort);
             } else {
-                self.propose_with_intent(
-                    ctx,
-                    result_instance(&req_id, round),
-                    Decision::ResultAgreed(None),
-                    Intent::CleanResult {
-                        req_id: req_id.clone(),
-                        round,
-                    },
-                );
+                let empty = Decision::ResultAgreed(None);
+                self.propose(ctx, result_instance(&req_id, round), empty);
             }
         }
     }
@@ -638,24 +595,24 @@ impl XReplica {
     }
 
     fn on_decision(&mut self, ctx: &mut Context<'_, ProtoMsg>, inst: InstanceId, dec: Decision) {
-        let intent = self.intents.remove(&inst);
+        let proposed = self.awaiting.remove(&inst);
+        let Some((kind, req_id, round)) = parse_instance(&inst) else {
+            return;
+        };
 
         // Causal waypoint: a decision landing for an instance this replica
         // proposed (one event per proposer, not one per learner).
-        if intent.is_some() {
-            if let Some((_, req_id, round)) = parse_instance(&inst) {
-                self.obs
-                    .obs
-                    .span_event("consensus.decide", req_id, round, ctx.now().as_micros());
-            }
+        if proposed {
+            self.obs
+                .obs
+                .span_event("consensus.decide", req_id, round, ctx.now().as_micros());
         }
 
         // Passive learning: every replica tracks owners and results from
         // decisions regardless of who proposed.
-        match (&dec, parse_instance(&inst)) {
-            (Decision::Owner { owner, req, client }, Some(("owner", _, round))) => {
+        match (kind, &dec) {
+            ("owner", Decision::Owner { owner, req, client }) => {
                 let (owner, client) = (*owner, *client);
-                let req_id = req.id.as_str();
                 let st = self.ensure_request(req, client);
                 let prev_top = st.top();
                 st.rounds.insert(round, owner);
@@ -672,72 +629,60 @@ impl XReplica {
                     self.start_execution(ctx, req_id, round);
                 }
             }
-            (Decision::ResultAgreed(Some(v)), Some(("result", req_id, _))) => {
-                let (req_id, v) = (req_id.to_owned(), v.clone());
-                self.record_result(&req_id, v);
-                self.deliver_to_local_submitters(ctx, &req_id);
-            }
-            (
+            ("result", Decision::ResultAgreed(Some(v)))
+            | (
+                "outcome",
                 Decision::Outcome {
                     abort: false,
                     value: Some(v),
                 },
-                Some(("outcome", req_id, _)),
             ) => {
-                let (req_id, v) = (req_id.to_owned(), v.clone());
-                self.record_result(&req_id, v);
-                self.deliver_to_local_submitters(ctx, &req_id);
+                self.record_result(req_id, v.clone());
+                self.deliver_to_local_submitters(ctx, req_id);
             }
             _ => {}
         }
+        if !proposed {
+            return;
+        }
 
-        // Intent continuations (the blocked pseudo-code resuming).
-        match intent {
-            None | Some(Intent::OwnRound) => {}
-            Some(Intent::ExecResult { req_id, round }) => {
-                self.end_round_span(ctx, &req_id, round);
-                match dec {
-                    Decision::ResultAgreed(Some(v)) => self.reply(ctx, &req_id, v),
-                    // A cleaner blocked this round's result; it drives the
-                    // next round. We executed, but must not respond
+        // Continuations (the blocked pseudo-code resuming). Owner
+        // agreement's continuation, executing a won round, ran above.
+        match (kind, dec) {
+            ("outcome", Decision::Outcome { abort: true, .. }) => {
+                self.abort_round(ctx, req_id, round);
+            }
+            (
+                "outcome",
+                Decision::Outcome {
+                    abort: false,
+                    value: Some(v),
+                },
+            ) => {
+                // The owner commits its round and a cleaner helps it; on
+                // success both reply with the value recorded above.
+                debug_assert_eq!(self.request_result(req_id), Some(&v));
+                self.invoke_round(ctx, req_id, round, OpKind::Commit);
+            }
+            ("result", Decision::ResultAgreed(v)) => {
+                // Only a round's unique owner executes it, and the cleaner
+                // cleans only rounds owned elsewhere: `owned` tells
+                // execution mode from cleaning mode.
+                let executed = self
+                    .requests
+                    .get(req_id)
+                    .is_some_and(|st| st.owned.contains(&round));
+                self.end_round_span(ctx, req_id, round);
+                match v {
+                    Some(v) => self.reply(ctx, req_id, v),
+                    // A cleaner blocked this round's result and drives the
+                    // next round; the owner executed but must not respond
                     // (res-val == empty-result in Fig. 6).
-                    Decision::ResultAgreed(None) => {}
-                    _ => {}
+                    None if !executed => self.start_next_round(ctx, req_id, round + 1),
+                    None => {}
                 }
             }
-            Some(Intent::ExecOutcome { req_id, round })
-            | Some(Intent::AbortOutcome { req_id, round }) => match dec {
-                Decision::Outcome { abort: true, .. } => {
-                    self.abort_round(ctx, &req_id, round);
-                }
-                Decision::Outcome {
-                    abort: false,
-                    value: Some(v),
-                } => {
-                    self.start_commit(ctx, &req_id, round, v, true);
-                }
-                _ => {}
-            },
-            Some(Intent::CleanResult { req_id, round }) => match dec {
-                Decision::ResultAgreed(Some(v)) => self.reply(ctx, &req_id, v),
-                Decision::ResultAgreed(None) => {
-                    self.start_next_round(ctx, &req_id, round + 1);
-                }
-                _ => {}
-            },
-            Some(Intent::CleanOutcome { req_id, round }) => match dec {
-                Decision::Outcome { abort: true, .. } => {
-                    self.abort_round(ctx, &req_id, round);
-                }
-                Decision::Outcome {
-                    abort: false,
-                    value: Some(v),
-                } => {
-                    // The owner committed; help the commit and deliver.
-                    self.start_commit(ctx, &req_id, round, v, true);
-                }
-                _ => {}
-            },
+            _ => {}
         }
     }
 
@@ -752,51 +697,8 @@ impl XReplica {
         if self.config.unsound_skip_abort_cancel {
             self.start_next_round(ctx, req_id, round + 1);
         } else {
-            self.start_cancel(ctx, req_id, round);
+            self.invoke_round(ctx, req_id, round, OpKind::Cancel);
         }
-    }
-
-    fn start_cancel(&mut self, ctx: &mut Context<'_, ProtoMsg>, req_id: &str, round: u64) {
-        let Some(st) = self.requests.get(req_id) else {
-            return;
-        };
-        let req = Arc::clone(&st.req);
-        self.obs.cancels.inc();
-        self.invoke(
-            ctx,
-            req.service,
-            req.service_request(round).to_cancel(),
-            Pending::Cancel {
-                req_id: req_id.to_owned(),
-                round,
-            },
-        );
-    }
-
-    fn start_commit(
-        &mut self,
-        ctx: &mut Context<'_, ProtoMsg>,
-        req_id: &str,
-        round: u64,
-        value: Value,
-        deliver: bool,
-    ) {
-        let Some(st) = self.requests.get(req_id) else {
-            return;
-        };
-        let req = Arc::clone(&st.req);
-        self.obs.commits.inc();
-        self.invoke(
-            ctx,
-            req.service,
-            req.service_request(round).to_commit(),
-            Pending::Commit {
-                req_id: req_id.to_owned(),
-                round,
-                value,
-                deliver,
-            },
-        );
     }
 
     fn on_invoke_reply(
@@ -805,118 +707,71 @@ impl XReplica {
         invocation: u64,
         outcome: InvokeOutcome,
     ) {
-        let Some(inflight) = self.pending.remove(&invocation) else {
+        let Some(InFlight { service, sreq, .. }) = self.pending.remove(&invocation) else {
             return;
         };
-        match inflight.continuation {
-            Pending::Execute { req_id, round } => match outcome {
-                InvokeOutcome::Success(v) => {
-                    let undoable = self
-                        .requests
-                        .get(&req_id)
-                        .map(|st| st.req.action.is_undoable())
-                        .unwrap_or(false);
-                    if undoable {
-                        self.propose_with_intent(
-                            ctx,
-                            outcome_instance(&req_id, round),
-                            Decision::Outcome {
-                                abort: false,
-                                value: Some(v),
-                            },
-                            Intent::ExecOutcome { req_id, round },
-                        );
-                    } else {
-                        self.propose_with_intent(
-                            ctx,
-                            result_instance(&req_id, round),
-                            Decision::ResultAgreed(Some(v)),
-                            Intent::ExecResult { req_id, round },
-                        );
-                    }
+        let Some(req_id) = sreq.key.as_str() else {
+            return;
+        };
+        let round = sreq.round;
+        match (sreq.op, outcome) {
+            (OpKind::Execute, InvokeOutcome::Success(v)) => {
+                if sreq.action.is_undoable() {
+                    let commit = Decision::Outcome {
+                        abort: false,
+                        value: Some(v),
+                    };
+                    self.propose(ctx, outcome_instance(req_id, round), commit);
+                } else {
+                    let agreed = Decision::ResultAgreed(Some(v));
+                    self.propose(ctx, result_instance(req_id, round), agreed);
                 }
-                InvokeOutcome::Failure { terminal, .. } => {
-                    if terminal {
-                        self.obs.terminal_failures.inc();
-                    } else {
-                        self.obs.transient_failures.inc();
-                    }
-                    let undoable = self
-                        .requests
-                        .get(&req_id)
-                        .map(|st| st.req.action.is_undoable())
-                        .unwrap_or(false);
-                    if undoable {
-                        // Deviation 3: abort this round and retry in a fresh
-                        // one (round poisoning makes within-round retry
-                        // unsound).
-                        self.propose_with_intent(
-                            ctx,
-                            outcome_instance(&req_id, round),
-                            Decision::Outcome {
-                                abort: true,
-                                value: None,
-                            },
-                            Intent::AbortOutcome { req_id, round },
-                        );
-                    } else {
-                        // Idempotent action: plain retry (Fig. 7).
-                        let Some(st) = self.requests.get(&req_id) else {
-                            return;
-                        };
-                        let req = Arc::clone(&st.req);
-                        self.obs.executions.inc();
-                        self.invoke(
-                            ctx,
-                            req.service,
-                            req.service_request(round),
-                            Pending::Execute { req_id, round },
-                        );
-                    }
+            }
+            (OpKind::Execute, InvokeOutcome::Failure { terminal, .. }) => {
+                if terminal {
+                    self.obs.terminal_failures.inc();
+                } else {
+                    self.obs.transient_failures.inc();
                 }
-            },
-            Pending::Cancel { req_id, round } => match outcome {
-                InvokeOutcome::Success(_) => {
-                    self.end_round_span(ctx, &req_id, round);
-                    self.start_next_round(ctx, &req_id, round + 1);
+                if sreq.action.is_undoable() {
+                    // Deviation 3: abort this round and retry in a fresh
+                    // one (round poisoning makes within-round retry
+                    // unsound).
+                    let abort = Decision::Outcome {
+                        abort: true,
+                        value: None,
+                    };
+                    self.propose(ctx, outcome_instance(req_id, round), abort);
+                } else {
+                    // Idempotent action: plain retry (Fig. 7).
+                    self.invoke(ctx, service, sreq);
                 }
+            }
+            (OpKind::Cancel, InvokeOutcome::Success(_)) => {
+                self.end_round_span(ctx, req_id, round);
+                self.start_next_round(ctx, req_id, round + 1);
+            }
+            (OpKind::Commit, InvokeOutcome::Success(_)) => {
+                self.end_round_span(ctx, req_id, round);
+                if let Some(v) = self.request_result(req_id).cloned() {
+                    self.reply(ctx, req_id, v);
+                }
+            }
+            (
+                _,
                 InvokeOutcome::Failure {
                     terminal: false, ..
-                } => {
-                    self.obs.transient_failures.inc();
-                    self.start_cancel(ctx, &req_id, round);
-                }
-                InvokeOutcome::Failure { terminal: true, .. } => {
-                    // Cancel conflicts with an existing commit: impossible
-                    // when outcome agreement decided abort (agreement), so
-                    // this indicates a logic error; drop the flow.
-                    self.obs.terminal_failures.inc();
-                }
-            },
-            Pending::Commit {
-                req_id,
-                round,
-                value,
-                deliver,
-            } => match outcome {
-                InvokeOutcome::Success(_) => {
-                    self.end_round_span(ctx, &req_id, round);
-                    if deliver {
-                        self.reply(ctx, &req_id, value);
-                    } else {
-                        self.record_result(&req_id, value);
-                    }
-                }
-                InvokeOutcome::Failure {
-                    terminal: false, ..
-                } => {
-                    self.obs.transient_failures.inc();
-                    self.start_commit(ctx, &req_id, round, value, deliver);
-                }
-                InvokeOutcome::Failure { terminal: true, .. } => {
-                    self.obs.terminal_failures.inc();
-                }
-            },
+                },
+            ) => {
+                self.obs.transient_failures.inc();
+                self.invoke(ctx, service, sreq);
+            }
+            // A cancel conflicting with a commit (or the reverse) is
+            // impossible once outcome agreement decided (agreement), so
+            // this indicates a logic error; drop the flow.
+            (_, InvokeOutcome::Failure { terminal: true, .. }) => {
+                self.obs.terminal_failures.inc();
+            }
         }
     }
 }
@@ -1125,6 +980,93 @@ mod tests {
                     if req_id == "req-0" && *result == value),
                 "{action}: {replies:?}"
             );
+        }
+    }
+
+    /// An empty result (`empty-result` in Fig. 6) resumes its two possible
+    /// proposers differently, told apart only by whether this replica owns
+    /// the round: the owner that executed and proposed a value stays
+    /// silent, while the cleaner that proposed the empty result starts the
+    /// next round. Consensus traffic to a scripted peer shows which
+    /// instances each proposed on.
+    #[test]
+    fn the_empty_result_continuation_belongs_to_the_cleaner() {
+        let [owner, me, peer, client, service] = [0, 1, 2, 3, 4].map(ProcessId);
+        let req = LogicalRequest::new(
+            "req-0",
+            ActionName::idempotent("issue"),
+            Value::Nil,
+            service,
+        );
+        let req = Arc::new(req);
+        for round_owner in [me, owner] {
+            let owned = Decision::Owner {
+                owner: round_owner,
+                req: Arc::clone(&req),
+                client,
+            };
+            let empty = Decision::ResultAgreed(None);
+            let script = vec![
+                (
+                    SimDuration::from_millis(1),
+                    me,
+                    decide(owner_instance("req-0", 1), owned),
+                ),
+                (
+                    SimDuration::from_millis(150),
+                    me,
+                    decide(result_instance("req-0", 1), empty),
+                ),
+            ];
+            // The owner's execution succeeds; a cleaner invokes nothing.
+            let executed = ProtoMsg::InvokeReply {
+                invocation: 0,
+                outcome: InvokeOutcome::Success(Value::from("issued")),
+            };
+            let service_script = vec![(SimDuration::from_millis(20), me, executed)];
+
+            let mut world: World<ProtoMsg> = World::new(SimConfig::with_seed(7));
+            world.add_process("owner", Box::new(Puppet::default()));
+            let replica = XReplica::new(me, vec![owner, me, peer], XReplicaConfig::default());
+            world.add_process("replica", Box::new(replica));
+            let scripted = Puppet {
+                script,
+                ..Puppet::default()
+            };
+            world.add_process("peer", Box::new(scripted));
+            world.add_process("client", Box::new(Puppet::default()));
+            let service_puppet = Puppet {
+                script: service_script,
+                ..Puppet::default()
+            };
+            world.add_process("service", Box::new(service_puppet));
+            if round_owner == owner {
+                world.schedule_crash(owner, SimTime::from_millis(5));
+            }
+            world.run_until(SimTime::from_millis(400));
+
+            let replica = world.actor_as::<XReplica>(me).expect("replica");
+            let executing = round_owner == me;
+            assert_eq!(replica.metrics().executions, u64::from(executing));
+            assert_eq!(replica.metrics().cleanings, u64::from(!executing));
+            assert_eq!(replica.metrics().replies_sent, 0);
+            let proposed: BTreeSet<&str> = world
+                .actor_as::<Puppet>(peer)
+                .expect("peer")
+                .received
+                .iter()
+                .filter_map(|msg| match msg {
+                    // Decisions are relayed; only the rest is proposing.
+                    ProtoMsg::Consensus(ConsensusMsg::Decide { .. }) => None,
+                    ProtoMsg::Consensus(cm) => Some(cm.instance().name()),
+                    _ => None,
+                })
+                .collect();
+            let mut expected = BTreeSet::from(["result/req-0/1"]);
+            if !executing {
+                expected.insert("owner/req-0/2");
+            }
+            assert_eq!(proposed, expected, "owner {round_owner}");
         }
     }
 

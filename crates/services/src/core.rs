@@ -228,7 +228,12 @@ impl Default for ServiceConfig {
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum UndoState {
-    Tentative(Value),
+    /// Executed, neither committed nor cancelled: the execution's reply,
+    /// and the payload that revert/finalize need.
+    Tentative {
+        reply: Value,
+        payload: Value,
+    },
     Committed(Value),
     Cancelled,
 }
@@ -243,8 +248,6 @@ pub struct ServiceCore {
     idem_replies: BTreeMap<(ActionName, Value), Value>,
     /// Undoable transaction state, by (action, key, round).
     undo_state: BTreeMap<(ActionName, Value, u64), UndoState>,
-    /// Payloads remembered per undoable round (needed by revert/finalize).
-    undo_payloads: BTreeMap<(ActionName, Value, u64), Value>,
     invocations: u64,
 }
 
@@ -267,7 +270,6 @@ impl ServiceCore {
             ledger,
             idem_replies: BTreeMap::new(),
             undo_state: BTreeMap::new(),
-            undo_payloads: BTreeMap::new(),
             invocations: 0,
         }
     }
@@ -435,10 +437,10 @@ impl ServiceCore {
                 self.record_event(Event::complete(action_id, v.clone()), now);
                 return InvokeOutcome::Success(v);
             }
-            Some(UndoState::Tentative(v)) => {
+            Some(UndoState::Tentative { reply, .. }) => {
                 // Duplicate in-flight execution: same round, same
                 // transaction — answer with the stored tentative value.
-                let v = v.clone();
+                let v = reply.clone();
                 self.record_event(Event::start(action_id.clone(), formal_iv.clone()), now);
                 self.record_event(Event::complete(action_id, v.clone()), now);
                 return InvokeOutcome::Success(v);
@@ -457,9 +459,11 @@ impl ServiceCore {
             EffectKind::Tentative,
             now,
         );
-        self.undo_state
-            .insert(key.clone(), UndoState::Tentative(value.clone()));
-        self.undo_payloads.insert(key, req.payload.clone());
+        let tentative = UndoState::Tentative {
+            reply: value.clone(),
+            payload: req.payload.clone(),
+        };
+        self.undo_state.insert(key, tentative);
         if injected == Some(false) {
             return InvokeOutcome::transient("injected fault (after effect)");
         }
@@ -499,9 +503,8 @@ impl ServiceCore {
                 self.record_event(Event::complete(action_id, Value::Nil), now);
                 InvokeOutcome::Success(Value::Nil)
             }
-            Some(UndoState::Tentative(_)) => {
+            Some(UndoState::Tentative { payload, .. }) => {
                 self.record_event(Event::start(action_id.clone(), formal_iv.clone()), now);
-                let payload = self.undo_payloads.get(&key).cloned().unwrap_or(Value::Nil);
                 self.logic.revert(&req.action, &req.key, &payload);
                 self.ledger.borrow_mut().record_effect(
                     req.action.clone(),
@@ -561,9 +564,8 @@ impl ServiceCore {
                 self.record_event(Event::complete(action_id, Value::Nil), now);
                 InvokeOutcome::Success(Value::Nil)
             }
-            Some(UndoState::Tentative(v)) => {
+            Some(UndoState::Tentative { reply, payload }) => {
                 self.record_event(Event::start(action_id.clone(), formal_iv.clone()), now);
-                let payload = self.undo_payloads.get(&key).cloned().unwrap_or(Value::Nil);
                 self.logic.finalize(&req.action, &req.key, &payload);
                 self.ledger.borrow_mut().record_effect(
                     req.action.clone(),
@@ -572,7 +574,7 @@ impl ServiceCore {
                     EffectKind::Committed,
                     now,
                 );
-                self.undo_state.insert(key, UndoState::Committed(v));
+                self.undo_state.insert(key, UndoState::Committed(reply));
                 if injected == Some(false) {
                     return InvokeOutcome::transient("injected fault (after effect)");
                 }
