@@ -13,15 +13,14 @@
 //! ordered-map walk.
 //!
 //! Symbols are append-only: once assigned, a symbol never changes meaning,
-//! so snapshots taken at any time resolve every symbol they can contain.
-//! [`Interner::reader`] hands out such a snapshot — an [`InternerReader`]
-//! sharing the underlying segments — which other threads can resolve
-//! symbols against while the owner keeps interning.
+//! so a reader holding `&Interner` resolves every symbol it can meet, and
+//! a clone (O(#segments), sharing the segments) keeps the prefix it was
+//! taken at while the original keeps interning.
 
 use std::hash::{Hash, Hasher};
 
 use crate::action::ActionName;
-use crate::seglog::{AppendLog, LogView};
+use crate::seglog::AppendLog;
 use crate::value::Value;
 
 /// Entries per symbol-table segment. Symbol tables are small (distinct
@@ -132,18 +131,6 @@ impl Interner {
         self.values.len()
     }
 
-    /// A shared read handle over the current symbol tables: O(#segments)
-    /// `Arc` clones, no name or value copied. The reader resolves every
-    /// symbol assigned so far and never observes later interning, so it
-    /// can be handed to other threads (worker shards, store snapshots)
-    /// while the owner keeps appending.
-    pub fn reader(&self) -> InternerReader {
-        InternerReader {
-            actions: self.actions.snapshot(),
-            values: self.values.snapshot(),
-        }
-    }
-
     /// Approximate heap bytes held by the symbol tables: segment storage,
     /// the per-entry heap behind names and values (each stored once), and
     /// the two lookup indexes at their allocated size — 5 bytes per slot
@@ -230,57 +217,6 @@ impl<'a> BatchMemo<'a> {
                 sym
             }
         }
-    }
-}
-
-/// An immutable, cheaply cloneable snapshot of an [`Interner`]'s symbol
-/// tables (see [`Interner::reader`]): resolves symbols without borrowing
-/// the live interner, including from other threads.
-#[derive(Debug, Clone)]
-pub struct InternerReader {
-    actions: LogView<ActionName>,
-    values: LogView<Value>,
-}
-
-impl InternerReader {
-    /// Resolves an action symbol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sym` was assigned after this reader was taken (or not
-    /// at all).
-    pub fn action(&self, sym: u32) -> &ActionName {
-        self.actions.get(sym as usize)
-    }
-
-    /// Resolves a value symbol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sym` was assigned after this reader was taken (or not
-    /// at all).
-    pub fn value(&self, sym: u32) -> &Value {
-        self.values.get(sym as usize)
-    }
-
-    /// How many action symbols this reader resolves.
-    pub fn action_count(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// How many value symbols this reader resolves.
-    pub fn value_count(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Iterates the interned action names in symbol order.
-    pub fn actions(&self) -> impl Iterator<Item = &ActionName> + '_ {
-        self.actions.iter()
-    }
-
-    /// Iterates the interned values in symbol order.
-    pub fn values(&self) -> impl Iterator<Item = &Value> + '_ {
-        self.values.iter()
     }
 }
 
@@ -550,38 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn reader_is_a_stable_snapshot() {
-        let mut i = Interner::new();
-        let a = i.intern_action(&ActionName::idempotent("a"));
-        let v = i.intern_value(&Value::from(1));
-        let reader = i.reader();
-        let b = i.intern_action(&ActionName::idempotent("b"));
-        assert_eq!(reader.action_count(), 1);
-        assert_eq!(reader.value_count(), 1);
-        assert_eq!(reader.action(a), &ActionName::idempotent("a"));
-        assert_eq!(reader.value(v), &Value::from(1));
-        assert_eq!(i.action(b), &ActionName::idempotent("b"));
-        assert_eq!(
-            reader.actions().collect::<Vec<_>>(),
-            vec![&ActionName::idempotent("a")]
-        );
-        assert_eq!(reader.values().collect::<Vec<_>>(), vec![&Value::from(1)]);
-    }
-
-    #[test]
-    fn reader_resolves_from_other_threads() {
-        let mut i = Interner::new();
-        let v = i.intern_value(&Value::from("shared"));
-        let reader = i.reader();
-        std::thread::scope(|scope| {
-            let worker = scope.spawn(move || reader.value(v).clone());
-            // The owner keeps interning while the worker resolves.
-            i.intern_value(&Value::from("later"));
-            assert_eq!(worker.join().expect("worker"), Value::from("shared"));
-        });
-    }
-
-    #[test]
     fn agrees_with_a_hash_map_model_across_table_doublings() {
         // ~3k distinct values of every shape among 9k operations: the value
         // index doubles eleven times (2 → 4096 slots), the action index
@@ -595,7 +499,7 @@ mod tests {
         let mut model: HashMap<Value, u32> = HashMap::new();
         let mut names: HashMap<ActionName, u32> = HashMap::new();
         let mut interner = Interner::new();
-        let mut readers = Vec::new();
+        let mut clones = Vec::new();
         let mut clone = None;
         // A fixed multiplicative walk: revisits old keys between new ones.
         let mut x = 1u64;
@@ -621,7 +525,7 @@ mod tests {
                 let next = names.len() as u32;
                 names.insert(name.clone(), next);
                 assert_eq!(interner.intern_action(&name), next);
-                readers.push((interner.reader(), model.len()));
+                clones.push((interner.clone(), model.len()));
             }
             if step == 4_000 {
                 clone = Some((interner.clone(), model.clone()));
@@ -642,10 +546,10 @@ mod tests {
             model.len(),
             "re-interning adds nothing"
         );
-        // Readers kept the prefix they were taken at.
-        for (reader, count) in &readers {
-            assert_eq!(reader.value_count(), *count);
-            assert!(reader.values().zip(0..).all(|(v, sym)| model[v] == sym));
+        // Clones kept the prefix they were taken at.
+        for (older, count) in &clones {
+            assert_eq!(older.value_count(), *count);
+            assert!((0..*count as u32).all(|sym| model[older.value(sym)] == sym));
         }
         // The clone is independent: it kept its own prefix, and numbers
         // what it sees next by its own count.

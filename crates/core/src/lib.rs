@@ -85,7 +85,7 @@ pub mod xable;
 pub use action::{ActionId, ActionKind, ActionName, Request};
 pub use event::Event;
 pub use history::{History, HistoryRead};
-pub use intern::{Interner, InternerReader};
+pub use intern::Interner;
 pub use pattern::{InterleavedWitness, Pattern, SimplePattern};
 pub use value::Value;
 

@@ -18,9 +18,9 @@
 //! segment (at most `segment_capacity` entries) once and continues in the
 //! private copy. Amortized append stays O(1); a snapshot costs
 //! O(#segments) pointer clones. Because a [`LogView`] owns `Arc`s to its
-//! segments and never observes later appends, a view handed to another
-//! thread keeps reading a stable prefix while the owner keeps appending —
-//! the snapshot-while-appending guarantee the store relies on.
+//! segments and never observes later appends, a view keeps reading a
+//! stable prefix while the owner keeps appending. (The trace store and
+//! the interner never hand out views: their readers borrow them.)
 //!
 //! [`AppendLog::set`] overwrites one entry under the same rule: a segment
 //! no snapshot references is written in place, an aliased one is copied

@@ -1157,35 +1157,87 @@ mod tests {
         assert_eq!(inc.verdict(), batch(&inc));
     }
 
+    /// One step of a producer script: declare a request, or push an event.
+    enum Step {
+        Declare(ActionId, i64),
+        Push(Event),
+    }
+
+    /// Replays `script` into a fresh checker with a verdict before each
+    /// step `at` names (`script.len()` means after the last; a position
+    /// may repeat), each equal to the cold verdict of its prefix.
+    fn replay(script: &[Step], at: &[usize]) -> IncrementalChecker {
+        let mut inc = IncrementalChecker::new();
+        for k in 0..=script.len() {
+            for _ in at.iter().filter(|&&a| a == k) {
+                assert_eq!(inc.verdict(), batch(&inc), "verdicts at {at:?}, step {k}");
+            }
+            match script.get(k) {
+                Some(Step::Declare(action, input)) => {
+                    inc.declare(action.clone(), Value::from(*input));
+                }
+                Some(Step::Push(event)) => inc.push(event.clone()),
+                None => {}
+            }
+        }
+        assert_eq!(inc.verdict(), batch(&inc), "verdicts at {at:?}, end");
+        inc
+    }
+
     #[test]
     fn agrees_with_batch_at_every_prefix_of_a_protocol_trace() {
-        // An undoable request with a cancelled round, then an idempotent
-        // request, with a trailing deduplicated retry of the first.
         let u = undo("xfer");
         let cancel = u.cancel().unwrap();
         let commit = u.commit().unwrap();
         let b = idem("get");
-        let events = vec![
-            s(&u, 1),
-            Event::start(cancel.clone(), Value::from(1)),
-            cnil(&cancel),
-            s(&u, 1),
-            c(&u, 7),
-            Event::start(commit.clone(), Value::from(1)),
-            cnil(&commit),
-            s(&b, 2),
-            c(&b, 9),
-            s(&b, 2),
-            c(&b, 9), // trailing duplicate
+        // An undoable request with a cancelled round, then an idempotent
+        // request, with a trailing deduplicated retry of the first.
+        let retried = vec![
+            Step::Declare(u.clone(), 1),
+            Step::Declare(b.clone(), 2),
+            Step::Push(s(&u, 1)),
+            Step::Push(Event::start(cancel.clone(), Value::from(1))),
+            Step::Push(cnil(&cancel)),
+            Step::Push(s(&u, 1)),
+            Step::Push(c(&u, 7)),
+            Step::Push(Event::start(commit.clone(), Value::from(1))),
+            Step::Push(cnil(&commit)),
+            Step::Push(s(&b, 2)),
+            Step::Push(c(&b, 9)),
+            Step::Push(s(&b, 2)),
+            Step::Push(c(&b, 9)), // trailing duplicate
         ];
-        let mut inc = IncrementalChecker::new();
-        inc.declare(u, Value::from(1));
-        inc.declare(b, Value::from(2));
-        for ev in events {
-            inc.push(ev);
-            assert_eq!(inc.verdict(), batch(&inc), "prefix {}", inc.len());
+        // An idempotent request runs; then an undoable one is declared and
+        // its only round cancelled: as the last declared request it counts
+        // as abandoned (R3).
+        let abandoned = vec![
+            Step::Declare(b.clone(), 2),
+            Step::Push(s(&b, 2)),
+            Step::Push(c(&b, 9)),
+            Step::Declare(u.clone(), 1),
+            Step::Push(s(&u, 1)),
+            Step::Push(Event::start(cancel.clone(), Value::from(1))),
+            Step::Push(cnil(&cancel)),
+        ];
+        for (script, placements) in [(retried, 560), (abandoned, 120)] {
+            let n = script.len();
+            let every: Vec<usize> = (1..=n).collect();
+            assert!(replay(&script, &every).verdict().is_xable());
+            // Three verdicts at each of the C(n + 3, 3) placements among
+            // the steps: each drains the dirty sets at a different point,
+            // and the steps after it must re-dirty exactly the right
+            // entries.
+            let mut placed = 0;
+            for first in 0..=n {
+                for second in first..=n {
+                    for third in second..=n {
+                        replay(&script, &[first, second, third]);
+                        placed += 1;
+                    }
+                }
+            }
+            assert_eq!(placed, placements);
         }
-        assert!(inc.verdict().is_xable());
     }
 
     #[test]

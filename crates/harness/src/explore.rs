@@ -914,7 +914,7 @@ impl ShrunkViolation {
     /// with provenance metadata, for `tests/corpus/`.
     pub fn write_trace(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let store = TraceStore::from_history(&self.history);
-        write_trace_file_with_meta(path, &self.requests, &store.snapshot(), &self.meta())
+        write_trace_file_with_meta(path, &self.requests, &store, &self.meta())
     }
 }
 

@@ -348,7 +348,6 @@ impl Scenario {
 
         let replica_config = XReplicaConfig {
             unsound_skip_abort_cancel: self.weakened_retry,
-            ..XReplicaConfig::default()
         };
         for &id in &replica_ids {
             let actor: Box<dyn xability_sim::Actor<ProtoMsg>> = match self.scheme {
@@ -571,11 +570,12 @@ pub fn r3_violation_for(ledger: &SharedLedger, submitted: &[xability_core::Reque
         guard.declare_requests(submitted);
         guard.monitor_verdict()
     };
-    let history = || ledger.borrow().history();
+    let ledger = ledger.borrow();
+    let history = ledger.history();
     let (verdict, decided_online) = match online {
         Some(verdict) if !verdict.is_unknown() => (verdict, true),
-        Some(undecided) => (escalate(&history(), submitted, undecided), false),
-        None => (check_r3(submitted, &history()), false),
+        Some(undecided) => (escalate(&history, submitted, undecided), false),
+        None => (check_r3(submitted, &history), false),
     };
     R3Outcome {
         violation: r3_violation(&verdict),
@@ -656,12 +656,7 @@ impl RunReport {
             ("seed".to_string(), self.seed.to_string()),
             ("metrics".to_string(), self.metrics.to_json()),
         ];
-        write_trace_file_with_meta(
-            path,
-            &self.submitted,
-            &self.ledger.borrow().snapshot(),
-            &meta,
-        )
+        write_trace_file_with_meta(path, &self.submitted, self.ledger.borrow().store(), &meta)
     }
 
     /// `true` when the run satisfied every checked obligation.

@@ -31,7 +31,7 @@ fn fingerprint(report: &RunReport) -> u64 {
     xability_store::write_trace(
         &mut trace,
         &report.submitted,
-        &report.ledger.borrow().snapshot(),
+        report.ledger.borrow().store(),
     )
     .expect("writing a trace to memory cannot fail");
     let mut hash = 0xcbf2_9ce4_8422_2325;

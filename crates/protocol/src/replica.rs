@@ -174,21 +174,24 @@ struct InFlight {
     ticks_waiting: u32,
 }
 
+/// Periodic driver interval (consensus round timeouts, cleaning scan).
+const TICK: SimDuration = SimDuration::from_millis(10);
+
+/// Consensus round timeout (passed to the engine).
+const CONSENSUS_ROUND_TIMEOUT: SimDuration = SimDuration::from_millis(80);
+
+/// Ticks an external invocation may go unanswered before it is
+/// retransmitted. The paper assumes quasi-reliable channels, but the
+/// simulator's fault model can lose an `Invoke` or its reply outright;
+/// `execute-until-success` (Fig. 7) then requires retransmission, or a
+/// single lost message would strand the round forever. 600ms at the 10ms
+/// [`TICK`] exceeds the ~500ms worst-case healthy round trip (two spiked
+/// message legs), so healthy runs never retransmit.
+const INVOKE_RETRY_TICKS: u32 = 60;
+
 /// Configuration of an x-able replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct XReplicaConfig {
-    /// Periodic driver interval (consensus round timeouts, cleaning scan).
-    pub tick: SimDuration,
-    /// Consensus round timeout (passed to the engine).
-    pub consensus_round_timeout: SimDuration,
-    /// Ticks an external invocation may go unanswered before it is
-    /// retransmitted. The paper assumes quasi-reliable channels, but the
-    /// simulator's fault model can lose an `Invoke` or its reply outright;
-    /// `execute-until-success` (Fig. 7) then requires retransmission, or a
-    /// single lost message would strand the round forever. Must exceed the
-    /// worst-case healthy round trip (two spiked message legs) so healthy
-    /// runs never retransmit.
-    pub invoke_retry_ticks: u32,
     /// **Test-only planted weakness**: when an outcome agreement decides
     /// *abort*, skip the cancellation invocation and proceed straight to
     /// the next round — the unsound "retry without cancel" rule that
@@ -200,19 +203,6 @@ pub struct XReplicaConfig {
     /// deterministically discoverable bug to find and shrink; never set
     /// outside tests.
     pub unsound_skip_abort_cancel: bool,
-}
-
-impl Default for XReplicaConfig {
-    fn default() -> Self {
-        XReplicaConfig {
-            tick: SimDuration::from_millis(10),
-            consensus_round_timeout: SimDuration::from_millis(80),
-            // 600ms at the default 10ms tick: above the ~500ms worst-case
-            // spiked round trip, so only genuinely lost messages retry.
-            invoke_retry_ticks: 60,
-            unsound_skip_abort_cancel: false,
-        }
-    }
 }
 
 /// A replica running the paper's general replication algorithm (§5).
@@ -242,7 +232,7 @@ impl XReplica {
     pub fn new(me: ProcessId, peers: Vec<ProcessId>, config: XReplicaConfig) -> Self {
         XReplica {
             me,
-            engine: ConsensusEngine::new(me, peers, config.consensus_round_timeout),
+            engine: ConsensusEngine::new(me, peers, CONSENSUS_ROUND_TIMEOUT),
             config,
             requests: BTreeMap::new(),
             by_owner: BTreeMap::new(),
@@ -417,14 +407,14 @@ impl XReplica {
     }
 
     /// Retransmits invocations that have gone unanswered for
-    /// `invoke_retry_ticks` ticks (lost `Invoke` or lost reply). Safe
+    /// [`INVOKE_RETRY_TICKS`] ticks (lost `Invoke` or lost reply). Safe
     /// against a merely slow original: the service deduplicates effects per
     /// request key and round, and a second reply finds no pending entry.
     fn retransmit_stale_invokes(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
         let mut retransmits = 0;
         for (&invocation, inflight) in self.pending.iter_mut() {
             inflight.ticks_waiting += 1;
-            if inflight.ticks_waiting >= self.config.invoke_retry_ticks {
+            if inflight.ticks_waiting >= INVOKE_RETRY_TICKS {
                 inflight.ticks_waiting = 0;
                 retransmits += 1;
                 ctx.send(
@@ -778,7 +768,7 @@ impl XReplica {
 
 impl Actor<ProtoMsg> for XReplica {
     fn on_start(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
-        ctx.set_timer(self.config.tick);
+        ctx.set_timer(TICK);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, ProtoMsg>, from: ProcessId, msg: ProtoMsg) {
@@ -840,7 +830,7 @@ impl Actor<ProtoMsg> for XReplica {
         self.on_decisions(ctx, decided);
         self.cleaning_scan(ctx);
         self.retransmit_stale_invokes(ctx);
-        ctx.set_timer(self.config.tick);
+        ctx.set_timer(TICK);
     }
 
     fn on_suspicion(

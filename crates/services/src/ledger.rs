@@ -12,7 +12,7 @@
 //! [`TraceStore`]: the attached online monitor
 //! is a storage-free [`IncrementalState`] cursor over that store (no
 //! second `Vec<Event>`/`History` copy), [`Ledger::history`] is a zero-copy
-//! [`HistoryView`], and [`Ledger::snapshot`] feeds the binary trace
+//! [`HistoryView`], and [`Ledger::store`] feeds the binary trace
 //! recorder. Recording has one body: [`Ledger::record_event`] is a batch of
 //! one through the path [`Ledger::record_batch`] takes (store, monitor and
 //! spill each ingest a slice), and only `record_batch` counts batches. An
@@ -32,7 +32,7 @@ use xability_core::{ActionName, Event, Request, Value};
 use xability_obs::{Counter, Histogram, Obs};
 use xability_sim::SimTime;
 use xability_store::{
-    recover_store, HistoryView, RecoveryReport, SegmentLog, TierConfig, TraceSnapshot, TraceStore,
+    recover_store, HistoryView, RecoveryReport, SegmentLog, TierConfig, TraceStore,
 };
 
 /// What kind of externally visible effect a record describes.
@@ -201,11 +201,10 @@ impl Spill {
     /// the next cold segment and counts the seal.
     fn seal_through(&mut self, end: usize, store: &TraceStore, obs: &LedgerObs) -> io::Result<()> {
         let start = self.log.next_first_event();
-        let snap = store.snapshot();
         self.log.seal(
-            snap.interner(),
+            store.interner(),
             end - start,
-            &mut (start..end).map(|i| snap.repr(i)),
+            &mut (start..end).map(|i| store.repr(i)),
         )?;
         obs.spill_seals.inc();
         obs.spill_sealed_events.add((end - start) as u64);
@@ -539,7 +538,7 @@ impl Ledger {
     /// [`to_history`](HistoryView::to_history) only where an owned
     /// [`xability_core::History`] is genuinely needed (the exhaustive
     /// search tier).
-    pub fn history(&self) -> HistoryView {
+    pub fn history(&self) -> HistoryView<'_> {
         self.store.view()
     }
 
@@ -548,13 +547,8 @@ impl Ledger {
         self.store.len()
     }
 
-    /// An immutable snapshot of the underlying trace store (for the
-    /// binary trace recorder and other whole-trace consumers).
-    pub fn snapshot(&self) -> TraceSnapshot {
-        self.store.snapshot()
-    }
-
-    /// The shared trace store backing this ledger.
+    /// The trace store backing this ledger (for the binary trace recorder
+    /// and other whole-trace consumers).
     pub fn store(&self) -> &TraceStore {
         &self.store
     }
@@ -706,16 +700,12 @@ mod tests {
     #[test]
     fn store_is_shared_not_copied() {
         // The (default) monitor consumes events as a cursor over the
-        // ledger's store; the ledger's view and the snapshot read the same
-        // segments.
+        // ledger's store.
         let mut ledger = Ledger::new();
         let a = ActionId::base(ActionName::idempotent("a"));
         ledger.record_event(Event::start(a.clone(), Value::from(1)), t(1), "svc");
         ledger.record_event(Event::complete(a, Value::from(2)), t(2), "svc");
         assert_eq!(ledger.monitor().unwrap().consumed(), ledger.event_count());
-        let snap = ledger.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap.view().to_history(), ledger.history().to_history());
         assert_eq!(ledger.store().len(), 2);
     }
 

@@ -73,7 +73,7 @@ impl SimDuration {
     }
 
     /// Creates a duration from milliseconds.
-    pub fn from_millis(millis: u64) -> Self {
+    pub const fn from_millis(millis: u64) -> Self {
         SimDuration(millis * 1_000)
     }
 

@@ -45,7 +45,7 @@ use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use xability_core::{Interner, InternerReader};
+use xability_core::Interner;
 
 use crate::codec::Codec;
 use crate::store::{EventRepr, TraceStore, EVENT_SEGMENT};
@@ -267,13 +267,12 @@ impl SegmentLog {
     /// into the next segment file, atomically: write to `.tmp`, fsync,
     /// rename into place, best-effort directory fsync.
     ///
-    /// `interner` must be a reader over the interner that produced the
-    /// events' symbols, taken at or after the last event of the batch;
-    /// the segment records the symbols interned since the previous seal
-    /// as its delta table.
+    /// `interner` must be the interner that produced the events' symbols,
+    /// as of the last event of the batch or later; the segment records the
+    /// symbols interned since the previous seal as its delta table.
     pub fn seal(
         &mut self,
-        interner: &InternerReader,
+        interner: &Interner,
         count: usize,
         events: &mut dyn Iterator<Item = EventRepr>,
     ) -> io::Result<()> {
@@ -281,7 +280,7 @@ impl SegmentLog {
         if actions < self.action_base || values < self.value_base {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "interner reader is older than the chain's epochs (stale snapshot)",
+                "interner is older than the chain's epochs (fewer symbols than already sealed)",
             ));
         }
 
@@ -290,11 +289,11 @@ impl SegmentLog {
             &mut sections,
             (
                 actions - self.action_base,
-                &mut interner.actions().skip(self.action_base),
+                &mut (self.action_base..actions).map(|sym| interner.action(sym as u32)),
             ),
             (
                 values - self.value_base,
-                &mut interner.values().skip(self.value_base),
+                &mut (self.value_base..values).map(|sym| interner.value(sym as u32)),
             ),
             &[],
             (count, events),
@@ -560,14 +559,13 @@ mod tests {
     }
 
     fn seal_in_chunks(log: &mut SegmentLog, store: &TraceStore, chunk: usize) {
-        let snap = store.snapshot();
         let mut at = 0;
-        while at < snap.len() {
-            let end = (at + chunk).min(snap.len());
+        while at < store.len() {
+            let end = (at + chunk).min(store.len());
             log.seal(
-                snap.interner(),
+                store.interner(),
                 end - at,
-                &mut (at..end).map(|i| snap.repr(i)),
+                &mut (at..end).map(|i| store.repr(i)),
             )
             .expect("seal chunk");
             at = end;
@@ -615,12 +613,11 @@ mod tests {
             store.interner().value_count()
         );
         // Symbols rebuilt in the same order → same reprs, chunk by chunk.
-        let snap = store.snapshot();
         let mut global = 0usize;
         for seg in &recovered.segments {
             assert_eq!(seg.first_event, global);
             for repr in &seg.events {
-                assert_eq!(*repr, snap.repr(global));
+                assert_eq!(*repr, store.repr(global));
                 global += 1;
             }
         }
@@ -704,9 +701,9 @@ mod tests {
     fn stale_interner_reader_is_rejected() {
         let dir = tmpdir("stale");
         let mut store = sample_store(4);
-        let old = store.snapshot();
+        let old = store.interner().clone();
         // New symbols arrive before the chain seals, so the chain's
-        // epochs move past the old reader's frozen counts.
+        // epochs move past the older interner's counts.
         store.push(&Event::start(
             ActionId::base(ActionName::idempotent("late")),
             Value::from(999),
@@ -714,8 +711,8 @@ mod tests {
         let mut log = SegmentLog::create(&dir, Codec::None).expect("create");
         seal_in_chunks(&mut log, &store, 5);
         let err = log
-            .seal(old.interner(), 0, &mut std::iter::empty())
-            .expect_err("old reader predates the chain's epochs");
+            .seal(&old, 0, &mut std::iter::empty())
+            .expect_err("the older interner predates the chain's epochs");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         fs::remove_dir_all(&dir).ok();
     }

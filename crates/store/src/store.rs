@@ -6,23 +6,24 @@
 //! [`BatchMemo`]; a single [`push`](TraceStore::push) is a batch of one,
 //! so both number symbols identically. Components that need to *read* the
 //! stream — the online monitor, the batch checkers, the exactly-once
-//! accountants, the trace writer — take an immutable [`TraceSnapshot`]
-//! (O(#segments), cheaply cloneable) or a [`HistoryView`] over one, which
+//! accountants, the trace writer — borrow the store: `&TraceStore`, or a
+//! [`HistoryView`] (a `Copy` range over a borrowed store), which
 //! implements [`HistoryRead`] so every checker runs on it without a
-//! `Vec<Event>` copy ever being materialized.
+//! `Vec<Event>` copy ever being materialized. A view cannot outlive a
+//! change to its store: the borrow checker rejects an append while one
+//! is alive.
 
 use std::fmt;
 use std::slice;
 
 use xability_core::intern::BatchMemo;
-use xability_core::seglog::{AppendLog, LogView};
-use xability_core::{
-    ActionId, ActionName, Event, History, HistoryRead, Interner, InternerReader, Value,
-};
+use xability_core::seglog::AppendLog;
+use xability_core::{ActionId, ActionName, Event, History, HistoryRead, Interner, Value};
 
 /// Events per store segment. 64k × 12 bytes ≈ 768 KiB per segment: large
-/// enough that a million-event trace is ~16 segments, small enough that
-/// the one-off copy-on-write after a snapshot stays cheap.
+/// enough that a million-event trace is ~16 segments, small enough that a
+/// short run does not reserve much it never fills (the first segment
+/// grows like a `Vec` up to this size).
 pub(crate) const EVENT_SEGMENT: usize = 1 << 16;
 
 /// Role tag: the base action `a`.
@@ -103,7 +104,7 @@ impl EventRepr {
 /// The append-only, interned, segmented store for one event stream.
 ///
 /// Appends are amortized O(1) and never move old segments; see
-/// [`TraceStore::snapshot`] for the read side.
+/// [`TraceStore::view`] for the read side.
 ///
 /// # Examples
 ///
@@ -204,7 +205,7 @@ impl TraceStore {
     ///
     /// Panics if `index` is out of bounds.
     pub fn event(&self, index: usize) -> Event {
-        let repr = *self.events.get(index);
+        let repr = self.repr(index);
         decode(
             repr,
             self.interner.action(repr.action_symbol()).clone(),
@@ -212,28 +213,34 @@ impl TraceStore {
         )
     }
 
+    /// The packed repr at `index` (no decode).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of bounds.
+    pub fn repr(&self, index: usize) -> EventRepr {
+        *self.events.get(index)
+    }
+
     /// The interner backing this store.
     pub fn interner(&self) -> &Interner {
         &self.interner
     }
 
-    /// An immutable snapshot of the current stream: O(#segments) `Arc`
-    /// clones, no event or symbol is copied. Later appends to the store
-    /// are invisible to the snapshot (at most one open segment is copied
-    /// on the next append, bounded by the segment size) — so a snapshot
-    /// handed to another thread keeps reading a stable prefix while this
-    /// store keeps appending.
-    pub fn snapshot(&self) -> TraceSnapshot {
-        TraceSnapshot {
-            interner: self.interner.reader(),
-            events: self.events.snapshot(),
-        }
+    /// The store itself. A whole-trace reader borrows the store and reads
+    /// through [`repr`](Self::repr) and [`interner`](Self::interner); this
+    /// forward keeps callers that still spell `store.snapshot()` building.
+    pub fn snapshot(&self) -> &TraceStore {
+        self
     }
 
-    /// A zero-copy [`HistoryRead`] view of the whole current stream
-    /// (shorthand for `snapshot().view()`).
-    pub fn view(&self) -> HistoryView {
-        self.snapshot().view()
+    /// A zero-copy [`HistoryRead`] view of the whole current stream.
+    pub fn view(&self) -> HistoryView<'_> {
+        HistoryView {
+            store: self,
+            start: 0,
+            end: self.len(),
+        }
     }
 
     /// Approximate resident bytes: packed event segments plus the
@@ -299,7 +306,7 @@ impl TraceStore {
 /// symbol. The interner is read once per *distinct* symbol, to ask whether
 /// the value is `Nil` or the target.
 fn packed_shape_codes(
-    interner: &InternerReader,
+    interner: &Interner,
     reprs: impl ExactSizeIterator<Item = EventRepr>,
     name: &ActionName,
     target: &Value,
@@ -361,71 +368,12 @@ fn decode(repr: EventRepr, name: xability_core::ActionName, value: Value) -> Eve
     }
 }
 
-/// An immutable snapshot of a [`TraceStore`]: the event segments and the
-/// symbol tables as of the moment it was taken.
+/// A zero-copy history over a range of a borrowed [`TraceStore`],
+/// implementing [`HistoryRead`] — the input every checker accepts.
 ///
-/// Cloning a snapshot (or handing it to another component) is a handful
-/// of `Arc` clones; the underlying segments are shared with the live
-/// store and every other snapshot.
-#[derive(Debug, Clone)]
-pub struct TraceSnapshot {
-    pub(crate) interner: InternerReader,
-    pub(crate) events: LogView<EventRepr>,
-}
-
-impl TraceSnapshot {
-    /// The number of events in the snapshot.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Returns `true` if the snapshot holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.len() == 0
-    }
-
-    /// Decodes the event at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn event(&self, index: usize) -> Event {
-        let repr = *self.events.get(index);
-        decode(
-            repr,
-            self.interner.action(repr.action_symbol()).clone(),
-            self.interner.value(repr.value_symbol()).clone(),
-        )
-    }
-
-    /// The packed repr at `index` (no decode).
-    pub fn repr(&self, index: usize) -> EventRepr {
-        *self.events.get(index)
-    }
-
-    /// The shared read handle over the symbol tables this snapshot
-    /// resolves events against.
-    pub fn interner(&self) -> &InternerReader {
-        &self.interner
-    }
-
-    /// A zero-copy view over the whole snapshot.
-    pub fn view(&self) -> HistoryView {
-        let end = self.len();
-        HistoryView {
-            snap: self.clone(),
-            start: 0,
-            end,
-        }
-    }
-}
-
-/// A zero-copy history over a [`TraceSnapshot`] range, implementing
-/// [`HistoryRead`] — the input every checker accepts.
-///
-/// Slicing ([`HistoryView::slice`]) is O(1) and shares the underlying
-/// segments; only [`HistoryView::to_history`] (for the exhaustive search
-/// tier) materializes owned events.
+/// A view is a store reference and two indices, so it is `Copy`; slicing
+/// ([`HistoryView::slice`]) is O(1); only [`HistoryView::to_history`] (for
+/// the exhaustive search tier) materializes owned events.
 ///
 /// # Examples
 ///
@@ -443,14 +391,28 @@ impl TraceSnapshot {
 /// assert_eq!(prefix.len(), 1);
 /// assert!(prefix.event_at(0).is_start());
 /// ```
-#[derive(Debug, Clone)]
-pub struct HistoryView {
-    snap: TraceSnapshot,
+///
+/// A view borrows its store, so the store cannot change while the view
+/// is alive:
+///
+/// ```compile_fail,E0502
+/// use xability_core::{ActionId, ActionName, Event, Value};
+/// use xability_store::TraceStore;
+///
+/// let e = Event::start(ActionId::base(ActionName::idempotent("a")), Value::from(1));
+/// let mut store = TraceStore::new();
+/// let v = store.view();
+/// store.push(&e);
+/// v.len();
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct HistoryView<'a> {
+    store: &'a TraceStore,
     start: usize,
     end: usize,
 }
 
-impl HistoryView {
+impl<'a> HistoryView<'a> {
     /// The number of events in the view.
     pub fn len(&self) -> usize {
         self.end - self.start
@@ -471,7 +433,7 @@ impl HistoryView {
             index < self.len(),
             "HistoryView index {index} out of bounds"
         );
-        self.snap.event(self.start + index)
+        self.store.event(self.start + index)
     }
 
     /// A sub-view over `start..end` (view-relative), in O(1) without
@@ -481,10 +443,10 @@ impl HistoryView {
     ///
     /// Panics if the range is out of bounds or inverted.
     #[must_use]
-    pub fn slice(&self, start: usize, end: usize) -> HistoryView {
+    pub fn slice(&self, start: usize, end: usize) -> HistoryView<'a> {
         assert!(start <= end && end <= self.len(), "slice out of bounds");
         HistoryView {
-            snap: self.snap.clone(),
+            store: self.store,
             start: self.start + start,
             end: self.start + end,
         }
@@ -503,7 +465,7 @@ impl HistoryView {
     }
 }
 
-impl HistoryRead for HistoryView {
+impl HistoryRead for HistoryView<'_> {
     fn len(&self) -> usize {
         HistoryView::len(self)
     }
@@ -525,13 +487,13 @@ impl HistoryRead for HistoryView {
     ) -> bool {
         let reprs = indices.iter().map(|&index| {
             assert!(index < HistoryView::len(self), "index out of bounds");
-            self.snap.repr(self.start + index)
+            self.store.repr(self.start + index)
         });
-        packed_shape_codes(self.snap.interner(), reprs, name, target, codes)
+        packed_shape_codes(self.store.interner(), reprs, name, target, codes)
     }
 }
 
-impl fmt::Display for HistoryView {
+impl fmt::Display for HistoryView<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_empty() {
             return write!(f, "Λ");
@@ -629,7 +591,7 @@ mod tests {
             one_by_one.interner().value_count()
         );
         for i in 0..batch.len() {
-            assert_eq!(batch.snapshot().repr(i), one_by_one.snapshot().repr(i));
+            assert_eq!(batch.repr(i), one_by_one.repr(i));
         }
         assert_eq!(batch.view().to_history(), h);
     }
@@ -641,20 +603,6 @@ mod tests {
         // 2 base names; values 1, nil, 7, 2, 9.
         assert_eq!(store.interner().action_count(), 2);
         assert_eq!(store.interner().value_count(), 5);
-    }
-
-    #[test]
-    fn snapshot_is_immutable_under_appends() {
-        let h = sample_history();
-        let mut store = TraceStore::from_history(&h);
-        let snap = store.snapshot();
-        let extra = Event::start(idem("late"), Value::from(99));
-        store.push(&extra);
-        assert_eq!(snap.len(), h.len());
-        assert_eq!(store.len(), h.len() + 1);
-        assert_eq!(store.event(h.len()), extra);
-        // The snapshot still decodes everything it holds.
-        assert_eq!(snap.view().to_history(), h);
     }
 
     #[test]
@@ -705,7 +653,8 @@ mod tests {
         // every target — `Nil`, three values the letters carry, one none
         // does — and both names.
         let h = letters();
-        let view = TraceStore::from_history(&h).view();
+        let store = TraceStore::from_history(&h);
+        let view = store.view();
         let (name, foreign) = (ActionName::undoable("u"), ActionName::idempotent("a"));
         let targets = [
             Value::Nil,
@@ -796,7 +745,8 @@ mod tests {
                 .into_iter()
                 .flat_map(|letters| picks.iter().map(|&i| letters[i].clone()))
                 .collect();
-            let view = TraceStore::from_history(&h).view();
+            let store = TraceStore::from_history(&h);
+            let view = store.view();
             assert_eq!(
                 checker.check(&view, &ops, &[]),
                 checker.check(&h, &ops, &[]),

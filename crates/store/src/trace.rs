@@ -61,7 +61,7 @@ use std::path::Path;
 use xability_core::{ActionId, ActionKind, ActionName, Request, Value};
 
 use crate::codec::{crc32, lz_compress, lz_decompress, Codec, Crc32};
-use crate::store::{EventRepr, TraceSnapshot, TraceStore};
+use crate::store::{EventRepr, TraceStore};
 
 /// The file magic.
 pub const TRACE_MAGIC: [u8; 4] = *b"XTRC";
@@ -101,7 +101,7 @@ pub const META_PAYLOAD_CRC: &str = "payload_crc32";
 /// let requests = vec![Request::new(a, Value::from(1))];
 ///
 /// let mut bytes = Vec::new();
-/// write_trace(&mut bytes, &requests, &store.snapshot()).unwrap();
+/// write_trace(&mut bytes, &requests, &store).unwrap();
 /// let replayed = read_trace(&mut bytes.as_slice()).unwrap();
 /// assert_eq!(replayed.requests, requests);
 /// assert_eq!(replayed.store.view().to_history(), store.view().to_history());
@@ -123,7 +123,7 @@ impl RecordedTrace {
     /// Writes the trace (including its `meta` pairs) to `path` (see
     /// [`write_trace_file_with_meta`]).
     pub fn write_to_file(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        write_trace_file_with_meta(path, &self.requests, &self.store.snapshot(), &self.meta)
+        write_trace_file_with_meta(path, &self.requests, &self.store, &self.meta)
     }
 
     /// Looks up the first meta value recorded under `key`.
@@ -146,11 +146,11 @@ impl RecordedTrace {
 pub fn write_trace_file_with_meta(
     path: impl AsRef<Path>,
     requests: &[Request],
-    snapshot: &TraceSnapshot,
+    store: &TraceStore,
     meta: &[(String, String)],
 ) -> io::Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
-    write_trace_with_meta(&mut w, requests, snapshot, meta)?;
+    write_trace_with_meta(&mut w, requests, store, meta)?;
     w.flush()
 }
 
@@ -315,14 +315,14 @@ fn read_action_id<R: Read>(r: &mut R) -> io::Result<ActionId> {
     }
 }
 
-/// Writes a recorded trace: the request sequence plus a snapshot's symbol
+/// Writes a recorded trace: the request sequence plus a store's symbol
 /// tables and packed event stream.
 pub fn write_trace<W: Write>(
     w: &mut W,
     requests: &[Request],
-    snapshot: &TraceSnapshot,
+    store: &TraceStore,
 ) -> io::Result<()> {
-    write_trace_with_meta(w, requests, snapshot, &[])
+    write_trace_with_meta(w, requests, store, &[])
 }
 
 /// [`write_trace`] with an explicit provenance meta section (free-form
@@ -330,7 +330,7 @@ pub fn write_trace<W: Write>(
 pub fn write_trace_with_meta<W: Write>(
     w: &mut W,
     requests: &[Request],
-    snapshot: &TraceSnapshot,
+    store: &TraceStore,
     meta: &[(String, String)],
 ) -> io::Result<()> {
     w.write_all(&TRACE_MAGIC)?;
@@ -342,7 +342,7 @@ pub fn write_trace_with_meta<W: Write>(
         write_str(w, value)?;
     }
 
-    write_snapshot_sections(w, requests, snapshot)
+    write_store_sections(w, requests, store)
 }
 
 /// The segment file skeleton: magic, the codec-determined version, the
@@ -388,29 +388,28 @@ pub(crate) fn write_framed<W: Write>(
     w.write_all(&payload)
 }
 
-/// Writes the payload sections of a whole snapshot (full symbol tables,
-/// all events) — the layout every version-2 file carries after its meta
+/// Writes the payload sections of a whole store (full symbol tables, all
+/// events) — the layout every version-2 file carries after its meta
 /// section.
-fn write_snapshot_sections<W: Write>(
+fn write_store_sections<W: Write>(
     w: &mut W,
     requests: &[Request],
-    snapshot: &TraceSnapshot,
+    store: &TraceStore,
 ) -> io::Result<()> {
+    let interner = store.interner();
+    let (actions, values) = (interner.action_count(), interner.value_count());
     write_sections(
         w,
         (
-            snapshot.interner().action_count(),
-            &mut snapshot.interner().actions(),
+            actions,
+            &mut (0..actions).map(|sym| interner.action(sym as u32)),
         ),
         (
-            snapshot.interner().value_count(),
-            &mut snapshot.interner().values(),
+            values,
+            &mut (0..values).map(|sym| interner.value(sym as u32)),
         ),
         requests,
-        (
-            snapshot.len(),
-            &mut (0..snapshot.len()).map(|i| snapshot.repr(i)),
-        ),
+        (store.len(), &mut (0..store.len()).map(|i| store.repr(i))),
     )
 }
 
@@ -418,7 +417,7 @@ fn write_snapshot_sections<W: Write>(
 /// pairs. The segment tier passes *slices* of the interner here (a
 /// segment carries only the symbols interned since the previous seal),
 /// so each count travels with its iterator rather than being taken from
-/// a snapshot.
+/// the interner.
 pub(crate) fn write_sections<W: Write>(
     w: &mut W,
     actions: (usize, &mut dyn Iterator<Item = &ActionName>),
@@ -685,11 +684,11 @@ mod tests {
         (requests, TraceStore::from_history(&h))
     }
 
-    /// A whole snapshot framed as a segment file is: the checksum meta
+    /// A whole store framed as a segment file is: the checksum meta
     /// pair, and the version-3 codec frame when the codec compresses.
-    fn framed(requests: &[Request], snapshot: &TraceSnapshot, codec: Codec) -> Vec<u8> {
+    fn framed(requests: &[Request], store: &TraceStore, codec: Codec) -> Vec<u8> {
         let mut sections = Vec::new();
-        write_snapshot_sections(&mut sections, requests, snapshot).unwrap();
+        write_store_sections(&mut sections, requests, store).unwrap();
         let mut bytes = Vec::new();
         write_framed(&mut bytes, &[], codec, &sections).unwrap();
         bytes
@@ -699,7 +698,7 @@ mod tests {
     fn round_trip_preserves_requests_symbols_and_events() {
         let (requests, store) = sample();
         let mut bytes = Vec::new();
-        write_trace(&mut bytes, &requests, &store.snapshot()).unwrap();
+        write_trace(&mut bytes, &requests, &store).unwrap();
         let replayed = read_trace(&mut bytes.as_slice()).unwrap();
         assert_eq!(replayed.requests, requests);
         assert_eq!(replayed.store.len(), store.len());
@@ -721,7 +720,7 @@ mod tests {
     fn replayed_trace_rechecks_identically() {
         let (requests, store) = sample();
         let mut bytes = Vec::new();
-        write_trace(&mut bytes, &requests, &store.snapshot()).unwrap();
+        write_trace(&mut bytes, &requests, &store).unwrap();
         let replayed = read_trace(&mut bytes.as_slice()).unwrap();
         let checker = FastChecker;
         assert_eq!(
@@ -755,9 +754,9 @@ mod tests {
     fn compressed_trace_round_trips_and_rechecks() {
         let (requests, store) = sample();
         let mut plain = Vec::new();
-        write_trace(&mut plain, &requests, &store.snapshot()).unwrap();
+        write_trace(&mut plain, &requests, &store).unwrap();
         for codec in [Codec::None, Codec::Lz] {
-            let bytes = framed(&requests, &store.snapshot(), codec);
+            let bytes = framed(&requests, &store, codec);
             let replayed =
                 read_trace(&mut bytes.as_slice()).unwrap_or_else(|e| panic!("codec {codec}: {e}"));
             assert_eq!(replayed.requests, requests, "codec {codec}");
@@ -787,8 +786,8 @@ mod tests {
             store.push(&Event::start(a.clone(), Value::from(i % 8)));
             store.push(&Event::complete(a.clone(), Value::from(i % 8)));
         }
-        let plain = framed(&[], &store.snapshot(), Codec::None);
-        let packed = framed(&[], &store.snapshot(), Codec::Lz);
+        let plain = framed(&[], &store, Codec::None);
+        let packed = framed(&[], &store, Codec::Lz);
         assert!(
             packed.len() * 4 < plain.len(),
             "{} -> {} bytes",
@@ -801,7 +800,7 @@ mod tests {
     fn payload_corruption_is_caught_by_the_checksum() {
         let (requests, store) = sample();
         for codec in [Codec::None, Codec::Lz] {
-            let bytes = framed(&requests, &store.snapshot(), codec);
+            let bytes = framed(&requests, &store, codec);
             // Flip one byte in the payload (well past the header+meta).
             let n = bytes.len();
             let mut corrupt = bytes.clone();
@@ -816,7 +815,7 @@ mod tests {
         let (requests, store) = sample();
         let meta = vec![(META_PAYLOAD_CRC.to_string(), "not-hex".to_string())];
         let mut bytes = Vec::new();
-        write_trace_with_meta(&mut bytes, &requests, &store.snapshot(), &meta).unwrap();
+        write_trace_with_meta(&mut bytes, &requests, &store, &meta).unwrap();
         let err = read_trace(&mut bytes.as_slice()).unwrap_err();
         assert!(err.to_string().contains("malformed"), "{err}");
     }
@@ -825,7 +824,7 @@ mod tests {
     fn out_of_range_symbol_is_rejected() {
         let (requests, store) = sample();
         let mut bytes = Vec::new();
-        write_trace(&mut bytes, &requests, &store.snapshot()).unwrap();
+        write_trace(&mut bytes, &requests, &store).unwrap();
         // Corrupt the last event's value symbol (last 4 bytes).
         let n = bytes.len();
         bytes[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -860,7 +859,7 @@ mod tests {
         let mut store = TraceStore::new();
         store.push(&Event::start(a, deep));
         let mut bytes = Vec::new();
-        let err = write_trace(&mut bytes, &[], &store.snapshot()).unwrap_err();
+        let err = write_trace(&mut bytes, &[], &store).unwrap_err();
         assert!(err.to_string().contains("depth"), "{err}");
     }
 
@@ -909,7 +908,7 @@ mod tests {
     fn truncated_stream_is_an_error_not_a_panic() {
         let (requests, store) = sample();
         let mut bytes = Vec::new();
-        write_trace(&mut bytes, &requests, &store.snapshot()).unwrap();
+        write_trace(&mut bytes, &requests, &store).unwrap();
         for cut in [3, 7, 12, bytes.len() - 1] {
             assert!(read_trace(&mut &bytes[..cut]).is_err(), "cut at {cut}");
         }
@@ -946,7 +945,7 @@ mod tests {
             ("master_seed".to_string(), "shadowed".to_string()),
         ];
         let mut bytes = Vec::new();
-        write_trace_with_meta(&mut bytes, &requests, &store.snapshot(), &meta).unwrap();
+        write_trace_with_meta(&mut bytes, &requests, &store, &meta).unwrap();
         let replayed = read_trace(&mut bytes.as_slice()).unwrap();
         assert_eq!(replayed.meta, meta);
         // Lookup returns the *first* pair under a duplicated key.

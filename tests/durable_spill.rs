@@ -66,15 +66,14 @@ fn sealed_chain(tag: &str, codec: Codec) -> (PathBuf, TraceStore, Vec<Event>) {
     let (_, events) = small_workload();
     let dir = tmpdir(tag);
     let flat = flat_store(&events);
-    let snap = flat.snapshot();
     let mut log = SegmentLog::create(&dir, codec).expect("create chain");
-    let half = snap.len() / 2;
-    log.seal(snap.interner(), half, &mut (0..half).map(|i| snap.repr(i)))
+    let half = flat.len() / 2;
+    log.seal(flat.interner(), half, &mut (0..half).map(|i| flat.repr(i)))
         .expect("seal first half");
     log.seal(
-        snap.interner(),
-        snap.len() - half,
-        &mut (half..snap.len()).map(|i| snap.repr(i)),
+        flat.interner(),
+        flat.len() - half,
+        &mut (half..flat.len()).map(|i| flat.repr(i)),
     )
     .expect("seal second half");
     (dir, flat, events)

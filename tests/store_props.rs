@@ -124,7 +124,7 @@ proptest! {
         let h = History::from_events(events);
         let store = TraceStore::from_history(&h);
         let mut bytes = Vec::new();
-        write_trace(&mut bytes, &requests, &store.snapshot()).expect("in-memory write");
+        write_trace(&mut bytes, &requests, &store).expect("in-memory write");
         let replayed = read_trace(&mut bytes.as_slice()).expect("well-formed trace");
         prop_assert_eq!(&replayed.requests, &requests);
         prop_assert_eq!(replayed.store.view().to_history(), h);

@@ -326,11 +326,10 @@ fn every_corpus_file_parses_under_the_current_format() {
         // …and what was read writes back to the committed bytes: symbol
         // order, value encodings and meta all survive the in-memory form.
         let mut rewritten = Vec::new();
-        let snapshot = replayed.store.snapshot();
         write_trace_with_meta(
             &mut rewritten,
             &replayed.requests,
-            &snapshot,
+            &replayed.store,
             &replayed.meta,
         )
         .unwrap_or_else(|e| panic!("{} failed to re-encode: {e}", path.display()));
