@@ -26,7 +26,7 @@
 //! | [`xable`] | §3.2, eq. 23 | the x-able predicate: the two [`xable::Checker`]s (fast, search), R3's [`xable::escalate`] rule and the online [`xable::IncrementalChecker`] |
 //! | [`signature`] | §3.3 | history signatures (rules 24–25) |
 //! | [`spec`] | §4 | requirements R1–R4, R3's [`spec::check_r3`] and its [`spec::Violation`] |
-//! | [`seglog`] | — | segmented append-only log with O(#segments) snapshots |
+//! | [`seglog`] | — | segmented append-only log that never moves a closed segment |
 //! | [`intern`] | — | `u32` symbol interning, shared by the checker engine and the trace store |
 //!
 //! ## Quick start

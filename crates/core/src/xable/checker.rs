@@ -57,9 +57,9 @@ use std::fmt;
 use crate::action::{ActionId, Request};
 use crate::failure_free::failure_free_sequence_outputs;
 use crate::history::{History, HistoryRead};
-use crate::seglog::LogView;
 use crate::value::Value;
 use crate::xable::incremental::IncrementalState;
+use crate::xable::outputs::Outputs;
 use crate::xable::search::{is_xable_search, SearchBudget, SearchResult};
 
 /// Evidence accompanying a positive verdict.
@@ -69,12 +69,12 @@ use crate::xable::search::{is_xable_search, SearchBudget, SearchResult};
 /// reduced to.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Witness {
-    /// Output value of each surviving request, in submission order — a
-    /// view, so that the online checker's verdicts share the outputs they
-    /// have in common instead of each copying all of them. Views compare
-    /// by content: a batch verdict (one owned vector) equals an online
-    /// one (shared segments) exactly when the outputs are equal.
-    pub outputs: LogView<Value>,
+    /// Output value of each surviving request, in submission order —
+    /// shared, so that the online checker's verdicts hold the outputs they
+    /// have in common once instead of each copying all of them. Outputs
+    /// compare by content: a search verdict equals an online one exactly
+    /// when the outputs are equal.
+    pub outputs: Outputs,
     /// The failure-free history reached by reduction, when the decider
     /// materializes one (the fast checker decides per group and does not).
     pub reduced: Option<History>,
@@ -82,7 +82,7 @@ pub struct Witness {
 
 impl Witness {
     /// A witness carrying only the per-request outputs.
-    pub fn from_outputs(outputs: LogView<Value>) -> Self {
+    pub fn from_outputs(outputs: Outputs) -> Self {
         Witness {
             outputs,
             reduced: None,
@@ -318,7 +318,7 @@ impl Verdict {
 
     /// The surviving requests' outputs, when the verdict is positive.
     #[must_use]
-    pub fn outputs(&self) -> Option<&LogView<Value>> {
+    pub fn outputs(&self) -> Option<&Outputs> {
         match self {
             Verdict::Xable { witness } => Some(&witness.outputs),
             _ => None,

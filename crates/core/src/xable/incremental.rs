@@ -22,14 +22,14 @@
 //!   that fail to erase, and the effect-order violations between adjacent
 //!   requests) and a verdict call re-decides only the requests whose
 //!   groups were touched since the last call. The aggregate also *owns*
-//!   the answer's bulk, every request's agreed output, in a segmented
-//!   copy-on-write log ([`crate::seglog::AppendLog`]) that a re-decided
-//!   request overwrites in place; a positive verdict's witness is a
-//!   snapshot of that log — O(n / segment) pointer clones for `n`
-//!   requests, sharing every segment with the previous verdict but the
-//!   ones written since. In steady state — events arriving for the newest
-//!   request while earlier requests sit clean — a verdict therefore costs
-//!   O(dirty + n / 1024) and does not slow down as the history grows.
+//!   the answer's bulk, every request's agreed output, in one persistent
+//!   vector ([`Outputs`]) that a re-decided request overwrites; a positive
+//!   verdict's witness is a clone of it — O(n / segment) `Rc` clones for
+//!   `n` requests, sharing every segment with the previous verdict but
+//!   the ones written since. In steady state — events arriving for the
+//!   newest request while earlier requests sit clean — a verdict therefore
+//!   costs O(dirty + n / 1024) and does not slow down as the history
+//!   grows.
 //!
 //! **One decider.** This module holds the only assembly of per-group
 //! outcomes into a verdict: the per-request case analysis, one attempt
@@ -52,7 +52,7 @@
 //! duplicate — sit in a side list). Beside the key a request has a 20-byte
 //! cached decision (its plain group, the head of its round chain, the
 //! committed-round count, an 8-byte state whose `Ok` keeps only the
-//! anchor), a 24-byte slot of the output log, and its share of the key
+//! anchor), a 24-byte slot of the outputs, and its share of the key
 //! index — the same 5-bytes-a-slot `SymbolIndex` the engine and the
 //! interner use, probed against `op_keys`. A group adds 8 bytes here: its
 //! two watching requests. Every index is a `u32` with `NONE` for "absent";
@@ -91,12 +91,12 @@ use crate::action::{ActionId, Request};
 use crate::event::Event;
 use crate::history::{History, HistoryRead};
 use crate::intern::{hash_of, SymbolIndex};
-use crate::seglog::AppendLog;
 use crate::value::Value;
 use crate::xable::checker::{combine_r3_attempts, Cause, Erasing, Verdict, Witness};
 use crate::xable::fast::{
     id32, Engine, EraseOutcome, ExecOutcome, GroupSym, KeySyms, Observed, NONE,
 };
+use crate::xable::outputs::Outputs;
 
 /// Events per [`IncrementalState::observe_batch`] call while
 /// [`IncrementalState::catch_up`] feeds a source.
@@ -209,7 +209,7 @@ enum EraseFail {
 /// Pushing an event touches one group and therefore dirties at most two
 /// requests (its plain watcher and its stamped watcher) or one undeclared
 /// group; a verdict drains the dirty sets and re-decides only those.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Aggregate {
     /// Per-request interned key — which, through the engine's interner,
     /// *is* the declared request: no `(ActionId, Value)` copy is kept
@@ -233,8 +233,8 @@ struct Aggregate {
     /// when a request is re-decided `Ok`, `Nil` until the first time, and
     /// left as it was while the request is not `Ok` — a verdict reads the
     /// outputs only after finding no such request in the range it reports.
-    /// Verdicts snapshot this log instead of copying it.
-    outputs: AppendLog<Value>,
+    /// Verdicts share its segments instead of copying them.
+    outputs: Outputs,
     /// Per-group watcher fan-out, index-aligned with the engine's groups.
     watchers: Vec<Watchers>,
     /// Requests whose groups changed since the last verdict.
@@ -250,29 +250,6 @@ struct Aggregate {
     /// Indices `i ≥ 1` where both anchors are defined and
     /// `anchor[i-1] >= anchor[i]`.
     order_bad: BTreeSet<usize>,
-}
-
-/// Requests per segment of [`Aggregate::outputs`]: what one re-decided
-/// request makes the next verdict copy, at most, if the previous one is
-/// still alive.
-const OUTPUT_SEGMENT: usize = 1024;
-
-impl Default for Aggregate {
-    fn default() -> Self {
-        Aggregate {
-            op_keys: Vec::new(),
-            invalid: Vec::new(),
-            op_lookup: SymbolIndex::default(),
-            entries: Vec::new(),
-            outputs: AppendLog::new(OUTPUT_SEGMENT),
-            watchers: Vec::new(),
-            dirty_ops: BTreeSet::new(),
-            dirty_undeclared: BTreeSet::new(),
-            undeclared_fail: BTreeMap::new(),
-            failing_ops: BTreeSet::new(),
-            order_bad: BTreeSet::new(),
-        }
-    }
 }
 
 impl Aggregate {
@@ -400,9 +377,9 @@ pub struct IncrementalState {
 }
 
 /// Checker-engine instruments: inert by default (every handle is a noop),
-/// bound to a shared registry by [`IncrementalState::attach_obs`]. All
-/// handles are atomics, so recording works through the `&self` verdict
-/// path.
+/// bound to a shared registry by [`IncrementalState::attach_obs`]. Every
+/// handle records through a shared `Cell`, so recording works through the
+/// `&self` verdict path.
 #[derive(Debug, Default)]
 struct CheckerObs {
     /// Dirty undeclared-group set size at each refresh.
@@ -649,7 +626,7 @@ impl IncrementalState {
     /// another holder also references is counted at most once: the
     /// `engine interner` row is [`crate::Interner::approx_bytes`] (an
     /// upper bound — it includes value payload shared with the event
-    /// source), and the `outputs` row is the log's segments only (each
+    /// source), and the `outputs` row is its segments only (each
     /// output's payload belongs to the event that carried it). The
     /// ordered dirty/failing sets are charged their element bytes.
     pub fn approx_bytes_by_part(&self) -> Vec<(&'static str, usize)> {
@@ -890,8 +867,8 @@ impl IncrementalState {
             return self.fail(Cause::OutOfOrder);
         }
         // Every request below `executed` is `Ok` here (none is failing, and
-        // `refresh` left none pending), so its entry of the log is current.
-        let mut outputs = agg.outputs.snapshot();
+        // `refresh` left none pending), so its entry of the outputs is current.
+        let mut outputs = agg.outputs.clone();
         outputs.truncate(executed);
         Verdict::Xable {
             witness: Witness::from_outputs(outputs),
@@ -1050,10 +1027,10 @@ impl IncrementalChecker {
 mod tests {
     use super::*;
     use crate::action::ActionName;
-    use crate::seglog::LogView;
     use crate::xable::checker::{Checker, FastChecker};
     use crate::xable::fast::SHAPE_MAX_LEN;
-    use std::sync::Arc;
+    use crate::xable::outputs::OUTPUT_SEGMENT;
+    use std::rc::Rc;
 
     fn idem(name: &str) -> ActionId {
         ActionId::base(ActionName::idempotent(name))
@@ -1351,7 +1328,7 @@ mod tests {
     #[test]
     fn consecutive_verdicts_share_their_full_output_segments() {
         // The flat-cost pin, by count: a verdict hands out the aggregate's
-        // output log, not a copy of it, so what two verdicts have in
+        // outputs, not a copy of them, so what two verdicts have in
         // common they hold once.
         let a = idem("a");
         let full = 3;
@@ -1368,9 +1345,9 @@ mod tests {
         assert_eq!(second, batch(&inc));
         let (one, two) = (first.outputs().unwrap(), second.outputs().unwrap());
         assert_eq!((one.len(), two.len()), (n as usize, n as usize + 1));
-        let shared = |x: &LogView<Value>, y: &LogView<Value>| -> Vec<bool> {
+        let shared = |x: &Outputs, y: &Outputs| -> Vec<bool> {
             (x.segments().iter().zip(y.segments()))
-                .map(|(p, q)| Arc::ptr_eq(p, q))
+                .map(|(p, q)| Rc::ptr_eq(p, q))
                 .collect()
         };
         // The new request's output went into the open fourth segment,

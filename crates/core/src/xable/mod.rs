@@ -37,6 +37,7 @@
 pub mod checker;
 mod fast;
 pub mod incremental;
+mod outputs;
 pub mod search;
 
 pub use checker::{
@@ -44,4 +45,5 @@ pub use checker::{
     Witness, ESCALATE_MAX_EVENTS,
 };
 pub use incremental::{IncrementalChecker, IncrementalState};
+pub use outputs::Outputs;
 pub use search::{is_xable_search, search_reduction, SearchBudget, SearchResult};

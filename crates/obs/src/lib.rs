@@ -12,20 +12,22 @@
 //! whatever monotone unit the caller owns elsewhere. Wall-clock timing is
 //! confined to the harness/bench layers that *report* numbers, never to
 //! the layers that *produce* them — so two runs of the same seed produce
-//! byte-identical [`MetricsSnapshot`]s regardless of machine, thread
-//! count, or scheduling.
+//! byte-identical [`MetricsSnapshot`]s regardless of machine or
+//! scheduling.
 //!
 //! ## Hot-path cost
 //!
-//! Instrument handles ([`Counter`], [`Gauge`], [`Histogram`]) hold an
-//! `Arc`'d atomic cell; recording is one relaxed atomic RMW and zero
-//! allocations. Handles created from [`Obs::noop`] hold no cell at all —
-//! the record path is a branch on a compile-time-visible `None`, which
-//! the optimizer removes entirely (the "NoopSink" configuration:
-//! instrumented code compiles out of release builds that opt out).
+//! A registry belongs to the one thread that runs the simulation: it is
+//! an `Rc<RefCell<…>>`, and instrument handles ([`Counter`], [`Gauge`],
+//! [`Histogram`]) hold an `Rc`'d `Cell`, so recording is a plain load and
+//! store with zero allocations and no atomic or lock anywhere. Handles
+//! created from [`Obs::noop`] hold no cell at all — the record path is a
+//! branch on a compile-time-visible `None`, which the optimizer removes
+//! entirely (the "NoopSink" configuration: instrumented code compiles out
+//! of release builds that opt out).
 //!
-//! Registration (and span recording, which appends to a log) takes a
-//! mutex; both are off the per-event hot path by design — registration
+//! Registration (and span recording, which appends to a log) borrows the
+//! registry; both are off the per-event hot path by design — registration
 //! happens once per instrument, spans once per protocol round, not once
 //! per event.
 //!
@@ -36,7 +38,7 @@
 //! configuration bans `Box::leak` / `String::leak`, which would
 //! launder one (DESIGN.md §8.1). No formatted strings on the record
 //! path. Dynamic dimensions (a network link, a replica id) go into the
-//! *key* of the keyed constructors, which run at registration time only.
+//! *key* of [`Obs::counter_keyed`], which runs at registration time only.
 //!
 //! # Examples
 //!

@@ -1,8 +1,8 @@
-//! The registry: instrument registration, atomic cells, the span log.
+//! The registry: instrument registration, shared cells, the span log.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::snapshot::{
     HistogramSnapshot, MetricEntry, MetricsSnapshot, SpanSnap, HISTOGRAM_BUCKETS,
@@ -10,12 +10,12 @@ use crate::snapshot::{
 
 /// A monotone counter handle. Cloning shares the underlying cell.
 ///
-/// Recording is one relaxed atomic add and zero allocations; a handle
-/// from a noop [`Obs`] records nothing (the branch is on a constant
-/// `None` the optimizer removes).
+/// Recording is one load, one add and one store, with zero allocations;
+/// a handle from a noop [`Obs`] records nothing (the branch is on a
+/// constant `None` the optimizer removes).
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
-    cell: Option<Arc<AtomicU64>>,
+    cell: Option<Rc<Cell<u64>>>,
 }
 
 impl Counter {
@@ -34,22 +34,20 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         if let Some(cell) = &self.cell {
-            cell.fetch_add(n, Ordering::Relaxed);
+            bump(cell, n);
         }
     }
 
     /// The current value (0 for an inert handle).
     pub fn get(&self) -> u64 {
-        self.cell
-            .as_ref()
-            .map_or(0, |cell| cell.load(Ordering::Relaxed))
+        self.cell.as_ref().map_or(0, |cell| cell.get())
     }
 }
 
 /// A gauge handle: a settable signed level. Cloning shares the cell.
 #[derive(Debug, Clone, Default)]
 pub struct Gauge {
-    cell: Option<Arc<AtomicI64>>,
+    cell: Option<Rc<Cell<i64>>>,
 }
 
 impl Gauge {
@@ -62,60 +60,54 @@ impl Gauge {
     #[inline]
     pub fn set(&self, value: i64) {
         if let Some(cell) = &self.cell {
-            cell.store(value, Ordering::Relaxed);
-        }
-    }
-
-    /// Adjusts the level by `delta` (may be negative).
-    #[inline]
-    pub fn adjust(&self, delta: i64) {
-        if let Some(cell) = &self.cell {
-            cell.fetch_add(delta, Ordering::Relaxed);
+            cell.set(value);
         }
     }
 
     /// The current level (0 for an inert handle).
     pub fn get(&self) -> i64 {
-        self.cell
-            .as_ref()
-            .map_or(0, |cell| cell.load(Ordering::Relaxed))
+        self.cell.as_ref().map_or(0, |cell| cell.get())
     }
 }
 
-/// The atomic cells behind one histogram: fixed log2 buckets plus
-/// count/sum, so `record` is two adds and one indexed add — no resizing,
-/// no allocation, ever.
+/// The cells behind one histogram: fixed log2 buckets plus count/sum, so
+/// `record` is two adds and one indexed add — no resizing, no allocation,
+/// ever.
 #[derive(Debug)]
 pub(crate) struct HistogramCells {
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
+    count: Cell<u64>,
+    sum: Cell<u64>,
+    buckets: [Cell<u64>; HISTOGRAM_BUCKETS],
+}
+
+impl Default for HistogramCells {
+    fn default() -> Self {
+        HistogramCells {
+            count: Cell::new(0),
+            sum: Cell::new(0),
+            buckets: std::array::from_fn(|_| Cell::new(0)),
+        }
+    }
 }
 
 impl HistogramCells {
-    fn new() -> Self {
-        HistogramCells {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
     fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        let mut buckets: Vec<u64> = self.buckets.iter().map(Cell::get).collect();
         while buckets.last() == Some(&0) {
             buckets.pop();
         }
         HistogramSnapshot {
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
+            count: self.count.get(),
+            sum: self.sum.get(),
             buckets,
         }
     }
+}
+
+/// Adds `n` to `cell`, wrapping on overflow.
+#[inline]
+fn bump(cell: &Cell<u64>, n: u64) {
+    cell.set(cell.get().wrapping_add(n));
 }
 
 /// Bucket index of `value`: 0 holds exactly 0, bucket `i >= 1` holds
@@ -128,7 +120,7 @@ pub(crate) fn bucket_of(value: u64) -> usize {
 /// A fixed-bucket log2 histogram handle. Cloning shares the cells.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    cells: Option<Arc<HistogramCells>>,
+    cells: Option<Rc<HistogramCells>>,
 }
 
 impl Histogram {
@@ -141,24 +133,20 @@ impl Histogram {
     #[inline]
     pub fn record(&self, value: u64) {
         if let Some(cells) = &self.cells {
-            cells.count.fetch_add(1, Ordering::Relaxed);
-            cells.sum.fetch_add(value, Ordering::Relaxed);
-            cells.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+            bump(&cells.count, 1);
+            bump(&cells.sum, value);
+            bump(&cells.buckets[bucket_of(value)], 1);
         }
     }
 
     /// The number of observations so far (0 for an inert handle).
     pub fn count(&self) -> u64 {
-        self.cells
-            .as_ref()
-            .map_or(0, |cells| cells.count.load(Ordering::Relaxed))
+        self.cells.as_ref().map_or(0, |cells| cells.count.get())
     }
 
     /// The sum of observations so far (0 for an inert handle).
     pub fn sum(&self) -> u64 {
-        self.cells
-            .as_ref()
-            .map_or(0, |cells| cells.sum.load(Ordering::Relaxed))
+        self.cells.as_ref().map_or(0, |cells| cells.sum.get())
     }
 }
 
@@ -175,16 +163,17 @@ struct SpanRecord {
 }
 
 /// Registry interior: registration tables and the span log, behind one
-/// mutex. Instrument cells are handed out as `Arc`s, so the mutex guards
-/// registration and spans only — never the per-event record path.
+/// `RefCell`. Instrument cells are handed out as `Rc`s, so the `RefCell`
+/// is borrowed for registration and spans only — never on the per-event
+/// record path.
 #[derive(Debug, Default)]
 struct State {
-    counters: BTreeMap<(&'static str, String), Arc<AtomicU64>>,
-    gauges: BTreeMap<(&'static str, String), Arc<AtomicI64>>,
-    histograms: BTreeMap<(&'static str, String), Arc<HistogramCells>>,
+    counters: BTreeMap<(&'static str, String), Rc<Cell<u64>>>,
+    gauges: BTreeMap<&'static str, Rc<Cell<i64>>>,
+    histograms: BTreeMap<&'static str, Rc<HistogramCells>>,
     /// Interned span request names, in first-sight order.
-    requests: Vec<Arc<str>>,
-    request_index: BTreeMap<Arc<str>, u32>,
+    requests: Vec<Rc<str>>,
+    request_index: BTreeMap<Rc<str>, u32>,
     spans: Vec<SpanRecord>,
 }
 
@@ -193,9 +182,9 @@ impl State {
         if let Some(&sym) = self.request_index.get(request) {
             return sym;
         }
-        let name: Arc<str> = Arc::from(request);
+        let name: Rc<str> = Rc::from(request);
         let sym = u32::try_from(self.requests.len()).expect("fewer than 2^32 span requests");
-        self.requests.push(Arc::clone(&name));
+        self.requests.push(Rc::clone(&name));
         self.request_index.insert(name, sym);
         sym
     }
@@ -206,16 +195,24 @@ impl State {
 /// instrument it hands out is inert and the record paths compile out.
 ///
 /// See the [crate docs](crate) for the determinism policy and examples.
+///
+/// A registry belongs to the one thread that runs the simulation; a
+/// handle cannot be sent to another:
+///
+/// ```compile_fail,E0277
+/// let obs = xability_obs::Obs::new();
+/// std::thread::spawn(move || obs.counter("x").inc());
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
-    state: Option<Arc<Mutex<State>>>,
+    state: Option<Rc<RefCell<State>>>,
 }
 
 impl Obs {
     /// A live registry.
     pub fn new() -> Self {
         Obs {
-            state: Some(Arc::new(Mutex::new(State::default()))),
+            state: Some(Rc::default()),
         }
     }
 
@@ -233,7 +230,7 @@ impl Obs {
 
     fn with_state<T: Default>(&self, f: impl FnOnce(&mut State) -> T) -> T {
         match &self.state {
-            Some(state) => f(&mut state.lock().expect("obs registry mutex poisoned")),
+            Some(state) => f(&mut state.borrow_mut()),
             None => T::default(),
         }
     }
@@ -250,55 +247,29 @@ impl Obs {
     pub fn counter_keyed(&self, name: &'static str, key: &str) -> Counter {
         Counter {
             cell: self.state.as_ref().map(|state| {
-                let mut state = state.lock().expect("obs registry mutex poisoned");
-                Arc::clone(
-                    state
-                        .counters
-                        .entry((name, key.to_owned()))
-                        .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-                )
+                let mut state = state.borrow_mut();
+                Rc::clone(state.counters.entry((name, key.to_owned())).or_default())
             }),
         }
     }
 
     /// Registers (or re-fetches) the gauge `name`.
     pub fn gauge(&self, name: &'static str) -> Gauge {
-        self.gauge_keyed(name, "")
-    }
-
-    /// A gauge with a dynamic key dimension (see [`Obs::counter_keyed`]).
-    pub fn gauge_keyed(&self, name: &'static str, key: &str) -> Gauge {
         Gauge {
-            cell: self.state.as_ref().map(|state| {
-                let mut state = state.lock().expect("obs registry mutex poisoned");
-                Arc::clone(
-                    state
-                        .gauges
-                        .entry((name, key.to_owned()))
-                        .or_insert_with(|| Arc::new(AtomicI64::new(0))),
-                )
-            }),
+            cell: self
+                .state
+                .as_ref()
+                .map(|state| Rc::clone(state.borrow_mut().gauges.entry(name).or_default())),
         }
     }
 
     /// Registers (or re-fetches) the histogram `name`.
     pub fn histogram(&self, name: &'static str) -> Histogram {
-        self.histogram_keyed(name, "")
-    }
-
-    /// A histogram with a dynamic key dimension (see
-    /// [`Obs::counter_keyed`]).
-    pub fn histogram_keyed(&self, name: &'static str, key: &str) -> Histogram {
         Histogram {
-            cells: self.state.as_ref().map(|state| {
-                let mut state = state.lock().expect("obs registry mutex poisoned");
-                Arc::clone(
-                    state
-                        .histograms
-                        .entry((name, key.to_owned()))
-                        .or_insert_with(|| Arc::new(HistogramCells::new())),
-                )
-            }),
+            cells: self
+                .state
+                .as_ref()
+                .map(|state| Rc::clone(state.borrow_mut().histograms.entry(name).or_default())),
         }
     }
 
@@ -370,24 +341,24 @@ impl Obs {
                 .map(|((name, key), cell)| MetricEntry {
                     name: (*name).to_owned(),
                     key: key.clone(),
-                    value: cell.load(Ordering::Relaxed),
+                    value: cell.get(),
                 })
                 .collect();
             let gauges = state
                 .gauges
                 .iter()
-                .map(|((name, key), cell)| MetricEntry {
+                .map(|(name, cell)| MetricEntry {
                     name: (*name).to_owned(),
-                    key: key.clone(),
-                    value: cell.load(Ordering::Relaxed),
+                    key: String::new(),
+                    value: cell.get(),
                 })
                 .collect();
             let histograms = state
                 .histograms
                 .iter()
-                .map(|((name, key), cells)| MetricEntry {
+                .map(|(name, cells)| MetricEntry {
                     name: (*name).to_owned(),
-                    key: key.clone(),
+                    key: String::new(),
                     value: cells.snapshot(),
                 })
                 .collect();
@@ -444,9 +415,10 @@ mod tests {
         let obs = Obs::new();
         let depth = obs.gauge("queue.depth");
         depth.set(10);
-        depth.adjust(-3);
-        assert_eq!(depth.get(), 7);
-        assert_eq!(obs.snapshot().gauge("queue.depth"), Some(7));
+        assert_eq!(obs.gauge("queue.depth").get(), 10, "one cell per name");
+        depth.set(-3);
+        assert_eq!(depth.get(), -3);
+        assert_eq!(obs.snapshot().gauge("queue.depth"), Some(-3));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Snapshots: owned, ordered views of a registry, plus the text/JSON
-//! exporters.
+//! Snapshots: owned, ordered views of a registry, plus the JSON
+//! exporter and its reader.
 
 use std::fmt::Write as _;
 
@@ -30,13 +30,6 @@ pub struct HistogramSnapshot {
     /// Log2 bucket counts (see [`HISTOGRAM_BUCKETS`]); trailing zeros
     /// trimmed so snapshots stay compact.
     pub buckets: Vec<u64>,
-}
-
-impl HistogramSnapshot {
-    /// Mean observation, or 0 for an empty histogram.
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
 }
 
 /// One span, resolved to owned strings, ordered by its canonical key.
@@ -110,65 +103,10 @@ impl MetricsSnapshot {
 
     /// Looks up an unkeyed histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histogram_with_key(name, "")
-    }
-
-    /// Looks up a keyed histogram.
-    pub fn histogram_with_key(&self, name: &str, key: &str) -> Option<&HistogramSnapshot> {
         self.histograms
             .iter()
-            .find(|e| e.name == name && e.key == key)
+            .find(|e| e.name == name && e.key.is_empty())
             .map(|e| &e.value)
-    }
-
-    /// Renders the stable text table: fixed column layout, `(name, key)`
-    /// order, no wall-clock anything — pinned by a golden test.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        if !self.counters.is_empty() {
-            out.push_str("== counters ==\n");
-            for e in &self.counters {
-                let _ = writeln!(out, "{:<40} {:<12} {}", e.name, e.key, e.value);
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("== gauges ==\n");
-            for e in &self.gauges {
-                let _ = writeln!(out, "{:<40} {:<12} {}", e.name, e.key, e.value);
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("== histograms ==\n");
-            for e in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "{:<40} {:<12} count={} sum={} mean={}",
-                    e.name,
-                    e.key,
-                    e.value.count,
-                    e.value.sum,
-                    e.value.mean()
-                );
-            }
-        }
-        if !self.spans.is_empty() {
-            out.push_str("== spans ==\n");
-            for s in &self.spans {
-                let end = match s.end_tick {
-                    Some(t) => t.to_string(),
-                    None => "open".to_owned(),
-                };
-                let _ = writeln!(
-                    out,
-                    "{:<24} {:<16} round={:<4} start={} end={}",
-                    s.scope, s.request, s.round, s.start_tick, end
-                );
-            }
-        }
-        if out.is_empty() {
-            out.push_str("(no metrics recorded)\n");
-        }
-        out
     }
 
     /// Serializes to a single compact JSON object — the form embedded in
@@ -250,10 +188,7 @@ impl MetricsSnapshot {
     /// Accepts exactly that shape (this is a fixture/meta reader, not a
     /// general JSON parser); returns `None` on any mismatch.
     pub fn from_json(text: &str) -> Option<MetricsSnapshot> {
-        let mut p = Parser {
-            b: text.as_bytes(),
-            i: 0,
-        };
+        let mut p = Parser { text, i: 0 };
         p.eat(b'{')?;
         p.key("counters")?;
         let mut snap = MetricsSnapshot::default();
@@ -355,7 +290,7 @@ impl MetricsSnapshot {
             Some(())
         })?;
         p.eat(b'}')?;
-        if p.i == p.b.len() {
+        if p.i == text.len() {
             Some(snap)
         } else {
             None
@@ -385,15 +320,16 @@ fn json_str(s: &str) -> String {
 }
 
 /// Minimal cursor over the exact byte shapes [`MetricsSnapshot::to_json`]
-/// emits (no whitespace, fixed key order).
+/// emits (no whitespace, fixed key order). `i` is a byte offset that only
+/// ever advances past whole characters.
 struct Parser<'a> {
-    b: &'a [u8],
+    text: &'a str,
     i: usize,
 }
 
 impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
+        self.text.as_bytes().get(self.i).copied()
     }
 
     fn eat(&mut self, c: u8) -> Option<()> {
@@ -406,7 +342,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, s: &str) -> Option<()> {
-        if self.b[self.i..].starts_with(s.as_bytes()) {
+        if self.text[self.i..].starts_with(s) {
             self.i += s.len();
             Some(())
         } else {
@@ -439,9 +375,8 @@ impl Parser<'_> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let hex = self.b.get(self.i + 1..self.i + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
+                            let hex = self.text.get(self.i + 1..self.i + 5)?;
+                            let code = u32::from_str_radix(hex, 16).ok()?;
                             out.push(char::from_u32(code)?);
                             self.i += 4;
                         }
@@ -450,9 +385,7 @@ impl Parser<'_> {
                     self.i += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.b[self.i..]).ok()?;
-                    let c = rest.chars().next()?;
+                    let c = self.text[self.i..].chars().next()?;
                     out.push(c);
                     self.i += c.len_utf8();
                 }
@@ -460,27 +393,26 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Option<u64> {
+    /// The digits at the cursor, after an optional leading `-` when
+    /// `signed`; `None` when there are no digits.
+    fn digits(&mut self, signed: bool) -> Option<&str> {
         let start = self.i;
+        if signed && self.peek() == Some(b'-') {
+            self.i += 1;
+        }
+        let first = self.i;
         while self.peek().is_some_and(|c| c.is_ascii_digit()) {
             self.i += 1;
         }
-        if self.i == start {
-            return None;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()?
-            .parse()
-            .ok()
+        (self.i > first).then(|| &self.text[start..self.i])
+    }
+
+    fn number(&mut self) -> Option<u64> {
+        self.digits(false)?.parse().ok()
     }
 
     fn signed(&mut self) -> Option<i64> {
-        let neg = self.peek() == Some(b'-');
-        if neg {
-            self.i += 1;
-        }
-        let mag = self.number()? as i64;
-        Some(if neg { -mag } else { mag })
+        self.digits(true)?.parse().ok()
     }
 
     /// Parses `[elem,elem,...]` where `elem` delegates to `f`.
@@ -522,7 +454,11 @@ mod tests {
                 entry("ledger.events", "", 42),
                 entry("sim.link.sent", "p0->p1", 7),
             ],
-            gauges: vec![entry("checker.dirty", "", -2)],
+            gauges: vec![
+                entry("checker.dirty", "", -2),
+                entry("gauge.max", "", i64::MAX),
+                entry("gauge.min", "", i64::MIN),
+            ],
             histograms: vec![entry(
                 "verdict.lag",
                 "",
@@ -576,25 +512,15 @@ mod tests {
         assert_eq!(MetricsSnapshot::from_json(&good[..good.len() - 1]), None);
         let trailing = format!("{good} ");
         assert_eq!(MetricsSnapshot::from_json(&trailing), None);
-    }
-
-    #[test]
-    fn golden_text_render() {
-        let expected = "\
-== counters ==
-ledger.events                                         42
-sim.link.sent                            p0->p1       7
-== gauges ==
-checker.dirty                                         -2
-== histograms ==
-verdict.lag                                           count=3 sum=12 mean=4
-== spans ==
-request                  req-0            round=1    start=10 end=20
-";
-        assert_eq!(sample().render_text(), expected);
-        assert_eq!(
-            MetricsSnapshot::default().render_text(),
-            "(no metrics recorded)\n"
-        );
+        // One past `i64::MAX`, and one below `i64::MIN`: out of a gauge's
+        // range, not wrapped.
+        for (token, out_of_range) in [
+            ("9223372036854775807", "9223372036854775808"),
+            ("-9223372036854775808", "-9223372036854775809"),
+        ] {
+            assert!(good.contains(token));
+            let bad = good.replace(token, out_of_range);
+            assert_eq!(MetricsSnapshot::from_json(&bad), None);
+        }
     }
 }

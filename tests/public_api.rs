@@ -1,5 +1,6 @@
-//! Public-API snapshot: the `pub` surface of `xability-core` and
-//! `xability-store` is recorded in `tests/public_api.txt` and diffed
+//! Public-API snapshot: the `pub` surface of `xability-core`,
+//! `xability-obs` and `xability-store` is recorded in
+//! `tests/public_api.txt` and diffed
 //! here, so API churn is always a deliberate, reviewed change (this
 //! PR-visible file must be updated together with the code).
 //!
@@ -16,8 +17,8 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// The snapshotted crates: the theory surface and the store surface.
-const CRATE_ROOTS: [&str; 2] = ["crates/core/src", "crates/store/src"];
+/// The snapshotted crates: the theory, observability and store surfaces.
+const CRATE_ROOTS: [&str; 3] = ["crates/core/src", "crates/obs/src", "crates/store/src"];
 /// Where the snapshot lives, relative to the workspace root.
 const SNAPSHOT: &str = "tests/public_api.txt";
 
@@ -25,7 +26,7 @@ const SNAPSHOT: &str = "tests/public_api.txt";
 /// `root` — what [`SNAPSHOT`] must hold.
 fn derive_snapshot(root: &Path) -> Result<String, String> {
     let mut actual = String::from(
-        "# Public API of xability-core and xability-store (first lines of `pub` declarations and `pub trait` methods).\n\
+        "# Public API of xability-core, xability-obs and xability-store (first lines of `pub` declarations and `pub trait` methods).\n\
          # Regenerate with: UPDATE_PUBLIC_API=1 cargo test --test public_api\n",
     );
     for crate_root in CRATE_ROOTS {
