@@ -188,6 +188,21 @@ impl ActionId {
         }
     }
 
+    /// The action of `name` in the role [`role`](Self::role) codes — its
+    /// inverse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `role` is not 0, 1 or 2.
+    pub fn with_role(name: ActionName, role: u8) -> Self {
+        match role {
+            0 => ActionId::Base(name),
+            1 => ActionId::Cancel(name),
+            2 => ActionId::Commit(name),
+            _ => panic!("no action role has the code {role}"),
+        }
+    }
+
     /// Returns `true` if *executing* this action is idempotent.
     ///
     /// Base idempotent actions, cancellations, and commits are all

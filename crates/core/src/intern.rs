@@ -289,6 +289,16 @@ pub(crate) fn hash_of<T: Hash>(item: &T) -> u64 {
     hasher.finish()
 }
 
+/// The 4 bytes of a [`hash_of`] that a column keeps per row when its key
+/// is *content* the column does not hold: an index over such a column is
+/// filed under `hash_of(&short)`, so growing it re-files from the column
+/// alone instead of re-reading and re-hashing every key. They are the
+/// hash's top half — the product's high bits, its best-mixed ones (the low
+/// half of a short key's hash depends on its first bytes only).
+pub(crate) fn short_hash(hash: u64) -> u32 {
+    (hash >> 32) as u32
+}
+
 /// The crate's one lookup index: an open-addressed, linearly probed table
 /// of `u32` ids into a column the *caller* owns — the interner's symbol
 /// logs, the engine's group and round-parent key columns, the aggregate's
@@ -673,6 +683,18 @@ mod tests {
         );
         assert!(max <= Some(8), "a crowded bucket: {max:?}");
         assert!((1_300..1_700).contains(&empty), "{empty} empty buckets");
+    }
+
+    #[test]
+    fn short_hashes_of_keys_that_share_a_prefix_stay_distinct() {
+        // Request keys share their first bytes and differ in their last:
+        // the short hash must not be a function of the first bytes alone
+        // (the low half of the full hash is). 10⁵ keys among 2³² values
+        // collide about once.
+        let shorts: std::collections::BTreeSet<u32> = (0..100_000)
+            .map(|i| short_hash(hash_of(&Value::from(format!("r{i}")))))
+            .collect();
+        assert!(shorts.len() > 99_990, "{} distinct", shorts.len());
     }
 
     #[test]

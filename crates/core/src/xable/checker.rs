@@ -8,8 +8,8 @@
 //!   histories (per-group decisions plus effect ordering, DESIGN.md §4.3).
 //!   Answers [`Verdict::Unknown`] outside its class. It has no decision
 //!   code of its own: each question builds a cold
-//!   [`IncrementalState`], declares the question's requests, feeds it the
-//!   whole source and reads the online checker's aggregate once.
+//!   [`IncrementalState`], feeds it the whole source, declares the
+//!   question's requests and reads the online checker's aggregate once.
 //! * [`escalate`] — the R3 escalation rule over a fast-tier verdict the
 //!   caller already holds (batch or online alike): a definite verdict is
 //!   final, and an `Unknown` goes to the exhaustive search when the
@@ -392,7 +392,7 @@ pub trait Checker {
     /// [`check_requests`](Checker::check_requests) under its old name, with
     /// no code of its own. Kept only because the benchmark calls it; it
     /// goes with the `*_speedup_2w` probes in the next benchmark refresh
-    /// (ROADMAP item 7).
+    /// (ROADMAP item 1).
     fn check_requests_source(&self, h: &dyn HistoryRead, requests: &[Request]) -> Verdict {
         self.check_requests(h, requests)
     }
@@ -514,7 +514,7 @@ impl FastChecker {
     /// is ignored, and there is no code path of its own. Kept only because
     /// the benchmark's `core.check_sharded_speedup_2w` probe calls it; the
     /// method goes together with that probe in the next benchmark refresh
-    /// (ROADMAP item 7).
+    /// (ROADMAP item 1).
     pub fn check_requests_sharded<H: HistoryRead>(
         &self,
         h: &H,
@@ -525,17 +525,19 @@ impl FastChecker {
     }
 
     /// The one decider fed all at once: a cold [`IncrementalState`] with
-    /// `requests` declared in order and every event of `h` consumed.
+    /// every event of `h` consumed and then `requests` declared in order.
+    /// Declared after the events, every key an event carries is already
+    /// interned, so no request waits as a pending pair.
     fn cold_state<'a>(
         &self,
         h: &dyn HistoryRead,
         requests: impl Iterator<Item = (&'a ActionId, &'a Value)>,
     ) -> IncrementalState {
         let mut state = IncrementalState::new();
+        state.catch_up(h);
         for (action, input) in requests {
             state.declare(action.clone(), input.clone());
         }
-        state.catch_up(h);
         state
     }
 }

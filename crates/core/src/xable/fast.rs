@@ -33,13 +33,16 @@
 //!    duplicate), so the checker deliberately applies this per-request,
 //!    effect-ordered reading; see DESIGN.md §4.3.
 //!
-//! The engine is **symbol-keyed**: action names and input values are
-//! interned to dense `u32` symbols ([`crate::intern::Interner`] — the same
-//! type the `xability-store` crate packs its events with), a group is the
+//! The engine is **symbol-keyed**: it reads each event as the dense `u32`
+//! symbols an [`Interner`] gave its action name and input, a group is the
 //! symbol pair `(name, input)`, and the per-group state lives in dense
 //! columns indexed by a dense group symbol. The per-event hot path is
 //! therefore an index probe and two `u32` writes — no per-event
-//! `ActionName` or `Value` clone, no ordered-map walk.
+//! `ActionName` or `Value` clone, no ordered-map walk. The engine owns no
+//! interner: every call that resolves a symbol borrows the one the symbols
+//! came from — a ledger's trace store, or an
+//! [`IncrementalState`](super::IncrementalState)'s own — and never writes
+//! into it.
 //!
 //! **What a group and an event cost.** Every column holds `u32`s, with
 //! `NONE` (`u32::MAX`) for "absent", so the engine indexes at most
@@ -61,7 +64,10 @@
 //!   entry a round-stamped group belongs to, and the next-seen round of the
 //!   same parent. The rounds of one undoable request are that chain,
 //!   appended at the parent's tail as groups are created, so it is in
-//!   group-symbol order and no `Vec` per request is ever built. A cell
+//!   group-symbol order and no `Vec` per request is ever built. A parent
+//!   (16 bytes) has no symbol for its base input — no event need carry the
+//!   bare base — so it is found by content: the base's hash, kept beside
+//!   it, and then the round stamp of its head round's input. A cell
 //!   keeps no outcome: request-aligned verdicts decide each group about
 //!   once, and the shape memo (below) answers a repeated question without
 //!   a search.
@@ -111,10 +117,10 @@
 //! (dozens of shapes) and only bounds what a hostile trace can make an
 //! engine hold. No workload wants either at another value.
 //!
-//! **One client.** The engine sits under [`super::IncrementalState`] alone:
-//! the state feeds it slices of events (`Engine::observe_batch`, the one
-//! ingest path — a single event is a slice of one) and asks it for the
-//! per-group outcomes of the groups that changed since the last verdict.
+//! **One client.** The engine sits under [`super::Decider`] alone: the
+//! decider feeds it one event's symbols at a time (`Engine::observe`, the
+//! one ingest path) and asks it for the per-group outcomes of the groups
+//! that changed since the last verdict.
 //! The per-request case analysis, the abandoned-request
 //! erasure and the effect-order check are the state's, written once.
 //! [`super::FastChecker`] is that state fed a whole source at once, so a
@@ -133,10 +139,11 @@ use crate::action::{ActionId, ActionKind, ActionName};
 use crate::event::Event;
 use crate::failure_free::failure_free_output;
 use crate::history::{History, HistoryRead};
-use crate::intern::{hash_of, BatchMemo, Interner, SymbolIndex};
+use crate::intern::{hash_of, short_hash, Interner, SymbolIndex};
 use crate::seglog::AppendLog;
 use crate::value::Value;
 use crate::xable::checker::Cause;
+use crate::xable::incremental::EventSymbols;
 use crate::xable::search::{search_reduction, SearchBudget, SearchResult};
 
 /// Dense index of a `(base action, input)` group in an [`Engine`].
@@ -659,32 +666,34 @@ impl AttributionState {
     }
 }
 
-/// What [`Engine::observe_batch`] did with one event — the hooks the
-/// incremental checker's dirty tracking needs. Self-contained (the group's
-/// key and stamped parent ride along) so tracking needs no engine borrow —
-/// which is what lets the engine stream these to the aggregate while it is
-/// itself mutably borrowed.
+/// What [`Engine::observe`] did with one event — the hooks the decider's
+/// dirty tracking needs.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Observed {
     /// The group the event was attributed to.
     pub(crate) group: GroupSym,
-    /// The group's key symbols.
-    pub(crate) key: KeySyms,
-    /// The group's round-stamped parent key, if it has the stamped shape.
-    pub(crate) stamped_parent: Option<KeySyms>,
+    /// The first-seen round of the group's round-stamped parent — the
+    /// group itself when this event created the parent — or [`NONE`] for a
+    /// group without the stamped shape.
+    pub(crate) round_head: GroupSym,
     /// Whether this event created the group.
     pub(crate) created: bool,
     /// Whether this event flipped the group's `has_commit_completion`.
     pub(crate) commit_completed: bool,
 }
 
-/// The parent of a run of round-stamped groups (§5.4): the key the rounds'
-/// undoable request would be declared under, and the ends of their
-/// sibling chain.
+/// The parent of a run of round-stamped groups (§5.4): the name the
+/// rounds' undoable request would be declared under, and the ends of
+/// their sibling chain. The parent's base input has no symbol — no event
+/// need carry the bare base — so a parent is known by content: its base
+/// is the round stamp's first half in its head round's input, and its
+/// hash is kept beside it.
 #[derive(Debug, Clone, Copy)]
 struct RoundParent {
-    /// `(name, base input)` — the name is undoable by construction.
-    key: KeySyms,
+    /// The name symbol — undoable by construction.
+    name: u32,
+    /// The base input's [`short_hash`].
+    base_hash: u32,
     /// First-seen round; the chain continues through `Engine::sibling_next`.
     head: GroupSym,
     /// Last-seen round, where the next one is linked.
@@ -694,10 +703,21 @@ struct RoundParent {
 /// Entries per segment of [`Engine::prev`].
 const PREV_SEGMENT: usize = 1024;
 
+/// [`ActionId::role`]'s code for a commit.
+const ROLE_COMMIT: u8 = 2;
+
+/// The base input of the round-stamped group `round`, whose key `keys`
+/// holds: the first half of its input's stamp.
+fn round_base<'i>(interner: &'i Interner, keys: &[KeySyms], round: GroupSym) -> &'i Value {
+    let (base, _) = (interner.value(keys[round as usize].1).round_stamp())
+        .expect("a round's input is a round stamp");
+    base
+}
+
 /// The symbol-keyed partition/attribution engine under every
-/// [`super::IncrementalState`] — and so under every fast verdict, online
-/// or batch: the interner, the dense group table, the per-event chain
-/// column and the streaming attribution state.
+/// [`super::Decider`] — and so under every fast verdict, online or batch:
+/// the dense group table, the per-event chain column and the streaming
+/// attribution state, over symbols an interner it does not own assigned.
 ///
 /// What it costs: 4 bytes per observed event (`prev`), and per group a
 /// 12-byte [`GroupCell`], an 8-byte key, two 4-byte round-chain links and
@@ -706,7 +726,6 @@ const PREV_SEGMENT: usize = 1024;
 /// number observed before it, so the chains need no caller's word for it.
 #[derive(Debug)]
 pub(crate) struct Engine {
-    interner: Interner,
     /// `(name symbol, input symbol)` → dense group index, probed against
     /// `keys`.
     group_lookup: SymbolIndex,
@@ -714,15 +733,14 @@ pub(crate) struct Engine {
     keys: Vec<KeySyms>,
     /// Group index → its entry of `parents`, when the group's name is
     /// undoable and its input has the round-stamped shape
-    /// `Pair(base input, round)` (§5.4); [`NONE`] otherwise. The base input
-    /// is interned when the group is created, so parent lookups are symbol
-    /// probes.
+    /// `Pair(base input, round)` (§5.4); [`NONE`] otherwise.
     stamped_of: Vec<u32>,
     /// Group index → the next-seen round of the same parent, or [`NONE`].
     sibling_next: Vec<GroupSym>,
     /// The round parents, in first-seen order of their first round.
     parents: Vec<RoundParent>,
-    /// Parent key → entry of `parents`, probed against it.
+    /// A parent's base hash → entry of `parents`, probed by content
+    /// against the head rounds' stamps.
     parent_lookup: SymbolIndex,
     /// Group index → its chain tail, length and commit bit.
     cells: Vec<GroupCell>,
@@ -731,6 +749,9 @@ pub(crate) struct Engine {
     /// no group but keeps its index, so later links stay right).
     prev: AppendLog<u32>,
     attribution: AttributionState,
+    /// The last group an event joined: an `S S C` run lands in one cell
+    /// with one key comparison.
+    last_group: Option<(KeySyms, GroupSym)>,
     /// Whether any completion attribution was ambiguous.
     pub(crate) ambiguous: bool,
     /// Group shape → search outcome: what every per-group question asks
@@ -742,7 +763,6 @@ pub(crate) struct Engine {
 impl Default for Engine {
     fn default() -> Self {
         Engine {
-            interner: Interner::default(),
             group_lookup: SymbolIndex::default(),
             keys: Vec::new(),
             stamped_of: Vec::new(),
@@ -752,6 +772,7 @@ impl Default for Engine {
             cells: Vec::new(),
             prev: AppendLog::new(PREV_SEGMENT),
             attribution: AttributionState::default(),
+            last_group: None,
             ambiguous: false,
             shapes: RefCell::default(),
         }
@@ -764,57 +785,40 @@ impl Engine {
         self.prev.len()
     }
 
-    /// Consumes a slice of events observed together — the engine's one
-    /// ingest path (a single event is a slice of one): per event one
-    /// streaming attribution step and one chain link, amortized O(1), no
-    /// name or value clone (interning clones only on first sight of a
-    /// distinct symbol). The per-event hash probes are amortized by a
-    /// [`BatchMemo`] — the one `TraceStore::push_batch` uses — and a
-    /// last-group memo (an `S S C` run lands in one cell).
+    /// Consumes one event, given as the symbols `interner` assigned — the
+    /// engine's one ingest path: one streaming attribution step and one
+    /// chain link, amortized O(1), no name or value clone. `interner` is
+    /// read only to place a new group: the kind of its name, and whether
+    /// its input is a round stamp.
     ///
-    /// `track` is called once per event, in order, with what happened (for
-    /// dirty tracking), or `Err(cause)` for a completion whose action has
-    /// never started (a violation of the event axioms of §2.2 —
-    /// definitely not x-able, independent of any ambiguity), which joins
-    /// no group and stops nothing.
-    pub(crate) fn observe_batch(
+    /// Returns what happened (for dirty tracking), or `Err(cause)` for a
+    /// completion whose action has never started (a violation of the event
+    /// axioms of §2.2 — definitely not x-able, independent of any
+    /// ambiguity), which joins no group.
+    pub(crate) fn observe(
         &mut self,
-        events: &[Event],
-        mut track: impl FnMut(Result<Observed, Cause>),
-    ) {
-        let mut memo = BatchMemo::default();
-        let mut last_group: Option<(KeySyms, GroupSym)> = None;
-        for event in events {
-            let ns = memo.action(&mut self.interner, event.action().base_name());
-            let (key, is_commit_completion) = match event {
-                Event::Start(a, iv) => {
-                    let vs = memo.value(&mut self.interner, iv);
-                    self.attribute_start(ns, a.role(), vs);
-                    ((ns, vs), false)
-                }
-                Event::Complete(a, _) => match self.attribute_completion(ns, a.role(), a) {
-                    Ok(vs) => ((ns, vs), a.is_commit()),
-                    Err(cause) => {
-                        track(Err(cause));
-                        continue;
-                    }
-                },
-            };
-            let (group, created) = match last_group {
-                Some((k, sym)) if k == key => (sym, false),
-                _ => {
-                    let (sym, created) = self.group_of(key);
-                    last_group = Some((key, sym));
-                    (sym, created)
-                }
-            };
-            track(Ok(self.record_in_cell(
-                group,
-                key,
-                created,
-                is_commit_completion,
-            )));
-        }
+        interner: &Interner,
+        event: EventSymbols,
+    ) -> Result<Observed, Cause> {
+        let EventSymbols { name, role, input } = event;
+        let vs = match input {
+            Some(vs) => {
+                self.attribute_start(name, role, vs);
+                vs
+            }
+            None => self.attribute_completion(interner, name, role)?,
+        };
+        let key = (name, vs);
+        let (group, created) = match self.last_group {
+            Some((k, sym)) if k == key => (sym, false),
+            _ => {
+                let (sym, created) = self.group_of(interner, key);
+                self.last_group = Some((key, sym));
+                (sym, created)
+            }
+        };
+        let is_commit_completion = input.is_none() && role == ROLE_COMMIT;
+        Ok(self.record_in_cell(group, created, is_commit_completion))
     }
 
     /// Attribution step for a start: opens `(ns, role)` with input `vs`.
@@ -828,7 +832,12 @@ impl Engine {
     /// open start (or of the most recent start, flagging the ambiguity),
     /// or `Err` for an orphan completion — which takes its index here,
     /// with no predecessor, so the chain column stays dense.
-    fn attribute_completion(&mut self, ns: u32, role: u8, a: &ActionId) -> Result<u32, Cause> {
+    fn attribute_completion(
+        &mut self,
+        interner: &Interner,
+        ns: u32,
+        role: u8,
+    ) -> Result<u32, Cause> {
         let slot = self.attribution.slot(ns, role);
         let open = &mut self.attribution.open[slot];
         if open.distinct() > 1 {
@@ -847,7 +856,7 @@ impl Engine {
                     let index = self.prev.len();
                     self.prev.push(NONE);
                     Err(Cause::OrphanCompletion {
-                        action: a.clone(),
+                        action: ActionId::with_role(interner.action(ns).clone(), role),
                         index,
                     })
                 }
@@ -856,7 +865,7 @@ impl Engine {
     }
 
     /// The dense group of `key`, created on first sight.
-    fn group_of(&mut self, key: KeySyms) -> (GroupSym, bool) {
+    fn group_of(&mut self, interner: &Interner, key: KeySyms) -> (GroupSym, bool) {
         let hash = hash_of(&key);
         let keys = &self.keys;
         if let Some(sym) = self
@@ -866,17 +875,12 @@ impl Engine {
             return (sym, false);
         }
         let sym = id32(self.cells.len(), "groups");
-        // Round-stamped shape: intern the base input now so the parent
-        // key is a pure symbol probe from then on.
-        let base = (self.interner.value(key.1).round_stamp())
-            .filter(|_| self.interner.action(key.0).is_undoable())
-            .map(|(base, _)| base.clone());
-        let parent = match base {
-            Some(base) => {
-                let parent_key = (key.0, self.interner.intern_value(&base));
-                self.link_round(parent_key, sym)
+        let parent = match interner.value(key.1).round_stamp() {
+            Some((base, _)) if interner.action(key.0).is_undoable() => {
+                let base_hash = short_hash(hash_of(base));
+                self.link_round(interner, key.0, (base, base_hash), sym)
             }
-            None => NONE,
+            _ => NONE,
         };
         self.keys.push(key);
         let keys = &self.keys;
@@ -888,49 +892,68 @@ impl Engine {
         (sym, true)
     }
 
-    /// Appends the new group `sym` to the sibling chain of `parent_key`
-    /// (creating the parent on its first round) and returns the parent's
-    /// entry. New symbols are assigned in ascending order, so every chain
-    /// is in group-symbol order.
-    fn link_round(&mut self, parent_key: KeySyms, sym: GroupSym) -> u32 {
-        let hash = hash_of(&parent_key);
-        let parents = &self.parents;
-        let found = self
-            .parent_lookup
-            .find(hash, |p| parents[p as usize].key == parent_key);
-        match found {
-            Some(parent) => {
-                let tail = &mut self.parents[parent as usize].tail;
-                self.sibling_next[*tail as usize] = sym;
-                *tail = sym;
-                parent
-            }
-            None => {
-                let parent = id32(self.parents.len(), "round-stamped requests");
-                self.parents.push(RoundParent {
-                    key: parent_key,
-                    head: sym,
-                    tail: sym,
-                });
-                let parents = &self.parents;
-                self.parent_lookup
-                    .insert(hash, parent, |p| Some(hash_of(&parents[p as usize].key)));
-                parent
-            }
+    /// The parent `(name, base)`, found by content; the base comes with
+    /// its [`short_hash`].
+    fn round_parent(
+        &self,
+        interner: &Interner,
+        name: u32,
+        (base, base_hash): (&Value, u32),
+    ) -> Option<u32> {
+        self.parent_lookup.find(hash_of(&base_hash), |p| {
+            let parent = &self.parents[p as usize];
+            parent.base_hash == base_hash
+                && parent.name == name
+                && round_base(interner, &self.keys, parent.head) == base
+        })
+    }
+
+    /// Appends the new group `sym` to the sibling chain of the parent
+    /// `(name, base)` (creating the parent on its first round) and returns
+    /// the parent's entry. New symbols are assigned in ascending order, so
+    /// every chain is in group-symbol order.
+    fn link_round(
+        &mut self,
+        interner: &Interner,
+        name: u32,
+        base: (&Value, u32),
+        sym: GroupSym,
+    ) -> u32 {
+        if let Some(parent) = self.round_parent(interner, name, base) {
+            let tail = &mut self.parents[parent as usize].tail;
+            self.sibling_next[*tail as usize] = sym;
+            *tail = sym;
+            return parent;
         }
+        let parent = id32(self.parents.len(), "round-stamped requests");
+        let base_hash = base.1;
+        self.parents.push(RoundParent {
+            name,
+            base_hash,
+            head: sym,
+            tail: sym,
+        });
+        let parents = &self.parents;
+        self.parent_lookup.insert(hash_of(&base_hash), parent, |p| {
+            Some(hash_of(&parents[p as usize].base_hash))
+        });
+        parent
     }
 
     /// Links the next event index into its group's chain and packages the
-    /// self-contained [`Observed`] record.
+    /// [`Observed`] record.
     fn record_in_cell(
         &mut self,
         group: GroupSym,
-        key: KeySyms,
         created: bool,
         is_commit_completion: bool,
     ) -> Observed {
         let parent = self.stamped_of[group as usize];
-        let stamped_parent = (parent != NONE).then(|| self.parents[parent as usize].key);
+        let round_head = if parent == NONE {
+            NONE
+        } else {
+            self.parents[parent as usize].head
+        };
         let index = id32(self.prev.len(), "events");
         let cell = &mut self.cells[group as usize];
         let commit_completed = is_commit_completion && !cell.has_commit_completion;
@@ -940,22 +963,10 @@ impl Engine {
         cell.has_commit_completion |= is_commit_completion;
         Observed {
             group,
-            key,
-            stamped_parent,
+            round_head,
             created,
             commit_completed,
         }
-    }
-
-    /// The interner backing the engine's symbols.
-    pub(crate) fn interner(&self) -> &Interner {
-        &self.interner
-    }
-
-    /// Mutable interner access (the incremental checker interns declared
-    /// request keys so later group probes are symbol comparisons).
-    pub(crate) fn interner_mut(&mut self) -> &mut Interner {
-        &mut self.interner
     }
 
     /// The key symbols of a group.
@@ -969,12 +980,31 @@ impl Engine {
             .find(hash_of(&syms), |sym| self.keys[sym as usize] == syms)
     }
 
-    /// The first-seen round-stamped group whose parent key is `key`, or
-    /// [`NONE`] — the head [`siblings`](Self::siblings) walks from.
-    pub(crate) fn first_round_of(&self, key: KeySyms) -> GroupSym {
-        self.parent_lookup
-            .find(hash_of(&key), |p| self.parents[p as usize].key == key)
+    /// The first-seen round of the parent `(name, base)`, or [`NONE`] —
+    /// the head [`siblings`](Self::siblings) walks from. The base comes
+    /// with its [`short_hash`].
+    pub(crate) fn first_round_of(
+        &self,
+        interner: &Interner,
+        name: u32,
+        base: (&Value, u32),
+    ) -> GroupSym {
+        self.round_parent(interner, name, base)
             .map_or(NONE, |p| self.parents[p as usize].head)
+    }
+
+    /// The parent key `(name, base)` of the round-stamped group `round`,
+    /// resolved — what its undoable request is declared as — and the
+    /// base's [`short_hash`].
+    pub(crate) fn round_key<'i>(
+        &self,
+        interner: &'i Interner,
+        round: GroupSym,
+    ) -> ((&'i ActionName, &'i Value), u32) {
+        let name = interner.action(self.keys[round as usize].0);
+        let parent = self.stamped_of[round as usize];
+        let base_hash = self.parents[parent as usize].base_hash;
+        ((name, round_base(interner, &self.keys, round)), base_hash)
     }
 
     /// The round `head` and every round of the same parent seen after it,
@@ -1025,14 +1055,23 @@ impl Engine {
 
     /// The group's key, resolved: every event of the group carries this
     /// base name, and `(Base(name), input)` is its exec target.
-    fn resolved_key(&self, sym: GroupSym) -> (&ActionName, &Value) {
+    fn resolved_key<'i>(
+        &self,
+        interner: &'i Interner,
+        sym: GroupSym,
+    ) -> (&'i ActionName, &'i Value) {
         let (ns, vs) = self.keys[sym as usize];
-        (self.interner.action(ns), self.interner.value(vs))
+        (interner.action(ns), interner.value(vs))
     }
 
     /// Whether the group's events reduce to `Λ`, as the shape memo answers.
-    pub(crate) fn erases<H: HistoryRead + ?Sized>(&self, sym: GroupSym, h: &H) -> EraseOutcome {
-        let (name, _) = self.resolved_key(sym);
+    pub(crate) fn erases<H: HistoryRead + ?Sized>(
+        &self,
+        interner: &Interner,
+        sym: GroupSym,
+        h: &H,
+    ) -> EraseOutcome {
+        let (name, _) = self.resolved_key(interner, sym);
         self.with_indices(sym, |indices| {
             run_erase_search(&mut self.shapes.borrow_mut(), h, indices, name)
         })
@@ -1043,8 +1082,13 @@ impl Engine {
     /// determined by the group key: the action is `Base(name)` and the
     /// input is the key's value (for round-stamped groups the stamped pair
     /// *is* the input, §5.4).
-    pub(crate) fn exec<H: HistoryRead + ?Sized>(&self, sym: GroupSym, h: &H) -> ExecOutcome {
-        let (name, input) = self.resolved_key(sym);
+    pub(crate) fn exec<H: HistoryRead + ?Sized>(
+        &self,
+        interner: &Interner,
+        sym: GroupSym,
+        h: &H,
+    ) -> ExecOutcome {
+        let (name, input) = self.resolved_key(interner, sym);
         self.with_indices(sym, |indices| {
             run_exec_search(&mut self.shapes.borrow_mut(), h, indices, name, input)
         })
@@ -1056,17 +1100,13 @@ impl Engine {
         self.shapes.borrow().searches
     }
 
-    /// Heap bytes held, part by part — allocated capacity, not length. The
-    /// interner's row is [`Interner::approx_bytes`], an upper bound: it
-    /// counts value payload the interner shares with whoever produced the
-    /// events.
-    pub(crate) fn byte_parts(&self) -> [(&'static str, usize); 7] {
+    /// Heap bytes held, part by part — allocated capacity, not length.
+    pub(crate) fn byte_parts(&self) -> [(&'static str, usize); 6] {
         let attribution = &self.attribution;
         let open_heap: usize = (attribution.open.iter())
             .map(|open| open.stack.capacity() * size_of::<u32>() + open.multiplicity.heap_bytes())
             .sum();
         [
-            ("engine interner", self.interner.approx_bytes()),
             (
                 "group cells",
                 self.cells.capacity() * size_of::<GroupCell>(),
@@ -1099,6 +1139,7 @@ mod tests {
     use crate::action::{ActionKind, ActionName, Request};
     use crate::event::Event;
     use crate::failure_free::eventsof;
+    use crate::intern::BatchMemo;
     use crate::xable::checker::{Checker, FastChecker, Verdict};
     use proptest::prelude::*;
 
@@ -1797,16 +1838,17 @@ mod tests {
 
     /// What the engine's chains must equal: every group's index list and
     /// every parent's round list, kept in plain vectors from the
-    /// [`Observed`] records alone.
+    /// [`Observed`] records and — for the parents, found by content — from
+    /// the events themselves.
     #[derive(Default)]
     struct ChainReference {
         next_index: usize,
         groups: Vec<Vec<usize>>,
-        rounds: Vec<(KeySyms, Vec<GroupSym>)>,
+        rounds: Vec<((ActionName, Value), Vec<GroupSym>)>,
     }
 
     impl ChainReference {
-        fn record(&mut self, result: Result<Observed, Cause>) {
+        fn record(&mut self, event: &Event, result: Result<Observed, Cause>) {
             let index = self.next_index;
             self.next_index += 1;
             match result {
@@ -1814,13 +1856,20 @@ mod tests {
                     if obs.created {
                         assert_eq!(obs.group as usize, self.groups.len());
                         self.groups.push(Vec::new());
-                        if let Some(parent) = obs.stamped_parent {
+                        let name = event.action().base_name();
+                        let stamp = event.value().round_stamp();
+                        if let Some((base, _)) = stamp.filter(|_| name.is_undoable()) {
+                            let parent = (name.clone(), base.clone());
                             match self.rounds.iter_mut().find(|(key, _)| *key == parent) {
                                 Some((_, rounds)) => rounds.push(obs.group),
                                 None => self.rounds.push((parent, vec![obs.group])),
                             }
                         }
                     }
+                    let head = (self.rounds.iter())
+                        .find(|(_, rounds)| rounds.contains(&obs.group))
+                        .map_or(NONE, |(_, rounds)| rounds[0]);
+                    assert_eq!(obs.round_head, head, "the round head of {event}");
                     self.groups[obs.group as usize].push(index);
                 }
                 // An orphan joins no group but has taken its index.
@@ -1831,17 +1880,33 @@ mod tests {
             }
         }
 
-        fn assert_matches(&self, eng: &Engine) {
+        fn assert_matches(&self, eng: &Engine, interner: &Interner) {
             assert_eq!(eng.observed(), self.next_index);
             assert_eq!(eng.cells.len(), self.groups.len());
             for (sym, indices) in self.groups.iter().enumerate() {
                 assert_eq!(&eng.indices_of(sym as GroupSym), indices, "group {sym}");
                 assert_eq!(eng.cells[sym].len as usize, indices.len());
             }
-            for (parent, rounds) in &self.rounds {
-                let chained: Vec<GroupSym> = eng.siblings(eng.first_round_of(*parent)).collect();
-                assert_eq!(&chained, rounds, "rounds of {parent:?}");
+            for ((name, base), rounds) in &self.rounds {
+                let ns = interner
+                    .lookup_action(name)
+                    .expect("a round's name is interned");
+                let base_hash = short_hash(hash_of(base));
+                let head = eng.first_round_of(interner, ns, (base, base_hash));
+                let chained: Vec<GroupSym> = eng.siblings(head).collect();
+                assert_eq!(&chained, rounds, "rounds of {name}/{base}");
+                assert_eq!(eng.round_key(interner, head), ((name, base), base_hash));
             }
+        }
+    }
+
+    /// Feeds `batch` to `eng`, interning it into `interner` the way an
+    /// `IncrementalState` does, and records each outcome.
+    fn feed(eng: &mut Engine, interner: &mut Interner, batch: &[Event], r: &mut ChainReference) {
+        let mut memo = BatchMemo::default();
+        for event in batch {
+            let symbols = EventSymbols::intern(&mut memo, interner, event);
+            r.record(event, eng.observe(interner, symbols));
         }
     }
 
@@ -1849,30 +1914,28 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Chain ≡ vector: however events are attributed — orphans and
-        /// ambiguous completions included — and whether they arrive in
-        /// batches of one or in longer batches, each group's materialised
+        /// ambiguous completions included — and whether they are interned
+        /// in batches of one or in longer batches, each group's materialised
         /// index list and each parent's round chain equal the reference
-        /// partition.
+        /// partition, and each parent is found by its content.
         #[test]
         fn chain_equals_the_reference_partition(
             events in prop::collection::vec(arb_chain_event(), 0..40),
             cut in 0usize..40,
         ) {
-            let mut single = Engine::default();
+            let (mut single, mut interner) = (Engine::default(), Interner::new());
             let mut reference = ChainReference::default();
             for event in &events {
-                single.observe_batch(std::slice::from_ref(event), |result| {
-                    reference.record(result);
-                });
-                reference.assert_matches(&single);
+                feed(&mut single, &mut interner, std::slice::from_ref(event), &mut reference);
+                reference.assert_matches(&single, &interner);
             }
 
-            let mut batched = Engine::default();
+            let (mut batched, mut batch_interner) = (Engine::default(), Interner::new());
             let mut batch_reference = ChainReference::default();
             let (head, tail) = events.split_at(cut.min(events.len()));
             for batch in [head, tail] {
-                batched.observe_batch(batch, |result| batch_reference.record(result));
-                batch_reference.assert_matches(&batched);
+                feed(&mut batched, &mut batch_interner, batch, &mut batch_reference);
+                batch_reference.assert_matches(&batched, &batch_interner);
             }
             prop_assert_eq!(&batch_reference.groups, &reference.groups);
             prop_assert_eq!(&batch_reference.rounds, &reference.rounds);

@@ -6,12 +6,10 @@
 //! online:
 //!
 //! * [`push`](IncrementalChecker::push) consumes one event in amortized
-//!   O(1): a single streaming attribution step (`Engine::observe_batch` in
-//!   the crate-private `fast` module, fed a slice of one — the state has
-//!   one ingest path, [`observe_batch`](IncrementalState::observe_batch))
-//!   links the event's index into the chain of its symbol-keyed
-//!   `(base action, input)` group and marks the requests watching the
-//!   group *dirty*.
+//!   O(1): a single streaming attribution step (`Engine::observe` in the
+//!   crate-private `fast` module) links the event's index into the chain
+//!   of its symbol-keyed `(base action, input)` group and marks the
+//!   requests watching the group *dirty*.
 //! * [`declare`](IncrementalChecker::declare) appends an expected request
 //!   to the R3 sequence (requests arrive over time too: the client submits
 //!   `Rᵢ₊₁` only after `Rᵢ` succeeded).
@@ -31,7 +29,17 @@
 //!   costs O(dirty + n / 1024) and does not slow down as the history
 //!   grows.
 //!
-//! **One decider.** This module holds the only assembly of per-group
+//! **One decider, two owners of an interner.** The [`Decider`] holds the
+//! whole state machine but no interner: it is fed each event as the
+//! [`EventSymbols`] some [`Interner`] assigned, and borrows that interner
+//! whenever it resolves a symbol — never writing into it. A service
+//! ledger's monitor is a `Decider` reading the symbols its trace store
+//! already assigned, so every event is interned once. An
+//! [`IncrementalState`] is a `Decider` plus an interner of its own, into
+//! which it interns exactly what an event carries — its base name and, for
+//! a start, its input — before feeding the decider.
+//!
+//! **One decision path.** This module holds the only assembly of per-group
 //! outcomes into a verdict: the per-request case analysis, one attempt
 //! over the first `n` declared requests executing and a range of declared
 //! requests erasing, and the R3 combination of two attempts. The batch
@@ -44,20 +52,23 @@
 //! prefix by prefix, is that a *warm* aggregate (event by event, a verdict
 //! after every push, requests declared late) answers like a cold one.
 //!
-//! **What a request costs.** A declared request *is* its interned key: the
-//! aggregate keeps 8 bytes of symbols per request (`op_keys`), and
-//! [`requests`](IncrementalState::requests) reads the `(ActionId, Value)`
-//! pair back through the engine's interner — there is no request vector
-//! repeating what the interner holds (invalid declarations — non-base or
-//! duplicate — sit in a side list). Beside the key a request has a 20-byte
-//! cached decision (its plain group, the head of its round chain, the
-//! committed-round count, an 8-byte state whose `Ok` keeps only the
-//! anchor), a 24-byte slot of the outputs, and its share of the key
-//! index — the same 5-bytes-a-slot `SymbolIndex` the engine and the
-//! interner use, probed against `op_keys`. A group adds 8 bytes here: its
-//! two watching requests. Every index is a `u32` with `NONE` for "absent";
-//! the `u32::MAX - 1` limit is the engine's (DESIGN.md §7).
-//! [`IncrementalState::approx_bytes_by_part`] is the table that adds up.
+//! **What a request costs.** A declared request is found by *content*:
+//! its key's input is hashed and compared, so a key needs no symbol — and
+//! the interner, someone else's, gets none. Once an event of the request
+//! has been seen, its key is the key of the group it landed in (its plain
+//! group, or its rounds' parent) and the request keeps no copy of it;
+//! until then its `(name, input)` pair is *pending* in a side map (invalid
+//! declarations — non-base or duplicate — sit in a side list). Beside that
+//! a request has a 4-byte hash of its key, a 20-byte cached decision (its
+//! plain group, the head of its round chain, the committed-round count,
+//! an 8-byte state whose `Ok` keeps only the anchor), a 24-byte slot of
+//! the outputs, and its share of the key index — the same
+//! 5-bytes-a-slot `SymbolIndex` the engine and the interner use, which
+//! grows by re-filing the hashes, never re-reading a key. A group adds 8
+//! bytes here: its two watching requests.
+//! Every index is a `u32` with `NONE` for "absent"; the `u32::MAX - 1`
+//! limit is the engine's (DESIGN.md §7). [`Decider::approx_bytes_by_part`]
+//! is the table that adds up.
 //!
 //! The per-group state carried online, the dirty-set/aggregate invariant,
 //! and the reason cross-group reduction never occurs (rules 18–20 relate
@@ -84,23 +95,56 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::mem::size_of;
 use std::ops::Range;
+use std::slice;
 
 use xability_obs::{Counter, Histogram, Obs};
 
-use crate::action::{ActionId, Request};
+use crate::action::{ActionId, ActionName, Request};
 use crate::event::Event;
 use crate::history::{History, HistoryRead};
-use crate::intern::{hash_of, SymbolIndex};
+use crate::intern::{hash_of, short_hash, BatchMemo, Interner, SymbolIndex};
 use crate::value::Value;
 use crate::xable::checker::{combine_r3_attempts, Cause, Erasing, Verdict, Witness};
-use crate::xable::fast::{
-    id32, Engine, EraseOutcome, ExecOutcome, GroupSym, KeySyms, Observed, NONE,
-};
+use crate::xable::fast::{id32, Engine, EraseOutcome, ExecOutcome, GroupSym, Observed, NONE};
 use crate::xable::outputs::Outputs;
 
 /// Events per [`IncrementalState::observe_batch`] call while
 /// [`IncrementalState::catch_up`] feeds a source.
 const CATCH_UP_CHUNK: usize = 1024;
+
+/// One observed event as the [`Decider`] reads it: the symbols an
+/// [`Interner`] gave its base action name and — for a start — its input,
+/// and its action's role. A completion's output is not among them: no
+/// decision reads it by symbol (an agreed output is re-read from the
+/// history).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventSymbols {
+    /// The base action name's symbol.
+    pub name: u32,
+    /// The action's role, as [`ActionId::role`] codes it: 0, 1 or 2.
+    pub role: u8,
+    /// The input's symbol for a start event; `None` for a completion.
+    pub input: Option<u32>,
+}
+
+impl EventSymbols {
+    /// The symbols of `event`, interned into `interner` through the batch's
+    /// `memo` — only what the event carries.
+    pub(crate) fn intern<'a>(
+        memo: &mut BatchMemo<'a>,
+        interner: &mut Interner,
+        event: &'a Event,
+    ) -> Self {
+        let action = event.action();
+        EventSymbols {
+            name: memo.action(interner, action.base_name()),
+            role: action.role(),
+            input: event
+                .is_start()
+                .then(|| memo.value(interner, event.value())),
+        }
+    }
+}
 
 /// Which declared requests read a group's decision — the fan-out of one
 /// dirty group, as two request indices with [`NONE`] for "no such
@@ -211,20 +255,22 @@ enum EraseFail {
 /// group; a verdict drains the dirty sets and re-decides only those.
 #[derive(Debug, Default)]
 struct Aggregate {
-    /// Per-request interned key — which, through the engine's interner,
-    /// *is* the declared request: no `(ActionId, Value)` copy is kept
-    /// beside it. `(NONE, NONE)` for an invalid declaration, whose pair
-    /// sits in `invalid`.
-    op_keys: Vec<KeySyms>,
+    /// The declared requests no event has joined yet: their keys, by
+    /// request index. A request leaves when its plain group or its first
+    /// round is seen — from then on its key is that group's.
+    pending: BTreeMap<u32, (ActionName, Value)>,
     /// The invalid declarations — a non-base action, or a key an earlier
     /// request already declared; the first one makes every verdict
     /// `Unknown` with its cause, so there is a handful at most —
     /// ascending by request index.
     invalid: Vec<(usize, ActionId, Value)>,
-    /// Request key → request index, probed against `op_keys`, where every
-    /// row with a key is filed. A round-stamped parent key carries an
-    /// undoable name by construction, so this is also how a new round
-    /// finds its request.
+    /// Per-request [`short_hash`] of the key's input (of no meaning for an
+    /// invalid declaration).
+    op_hashes: Vec<u32>,
+    /// A request's key hash → request index, probed against the requests'
+    /// keys by content ([`Aggregate::key_of`]); every valid request is
+    /// filed. A round-stamped parent's key carries an undoable name by
+    /// construction, so this is also how a new round finds its request.
     op_lookup: SymbolIndex,
     /// Per-request cached decisions, index-aligned with the declared
     /// sequence.
@@ -237,6 +283,10 @@ struct Aggregate {
     outputs: Outputs,
     /// Per-group watcher fan-out, index-aligned with the engine's groups.
     watchers: Vec<Watchers>,
+    /// The group tracked last since the dirty sets were drained: another
+    /// event of it that neither creates nor commits would only re-insert
+    /// the same dirty marks.
+    last_tracked: Option<GroupSym>,
     /// Requests whose groups changed since the last verdict.
     dirty_ops: BTreeSet<usize>,
     /// Unwatched groups that changed since the last verdict.
@@ -253,40 +303,86 @@ struct Aggregate {
 }
 
 impl Aggregate {
-    /// The request declared with `key`, or [`NONE`].
-    fn op_with_key(&self, key: KeySyms) -> u32 {
+    /// The key `(name, input)` of the declared request `op`, by content:
+    /// the key of its plain group, or of its rounds' parent, once one has
+    /// been seen, and its pending pair before; `None` for an invalid
+    /// declaration.
+    fn key_of<'a>(
+        &'a self,
+        op: u32,
+        engine: &Engine,
+        interner: &'a Interner,
+    ) -> Option<(&'a ActionName, &'a Value)> {
+        let entry = &self.entries[op as usize];
+        if entry.plain != NONE {
+            let (ns, vs) = engine.key(entry.plain);
+            Some((interner.action(ns), interner.value(vs)))
+        } else if entry.stamped != NONE {
+            Some(engine.round_key(interner, entry.stamped).0)
+        } else {
+            self.pending.get(&op).map(|(name, input)| (name, input))
+        }
+    }
+
+    /// The request declared with the key `(name, input)`, or [`NONE`].
+    /// `key_hash` is the [`short_hash`] of the key's input.
+    fn op_with_key(
+        &self,
+        engine: &Engine,
+        interner: &Interner,
+        key: (&ActionName, &Value),
+        key_hash: u32,
+    ) -> u32 {
         self.op_lookup
-            .find(hash_of(&key), |op| self.op_keys[op as usize] == key)
+            .find(hash_of(&key_hash), |op| {
+                self.op_hashes[op as usize] == key_hash
+                    && self.key_of(op, engine, interner) == Some(key)
+            })
             .unwrap_or(NONE)
     }
 
-    /// Records what one observed event did to the partition. The record
-    /// is self-contained (key and stamped parent ride along), so tracking
-    /// borrows nothing from the engine — which is what lets the batch
-    /// path stream records out of `Engine::observe_batch` while the
-    /// engine is mutably borrowed.
-    fn track(&mut self, obs: Observed) {
+    /// Records what one observed event did to the partition: a new group
+    /// finds the requests whose keys equal its key and its parent's, by
+    /// content, and a changed group dirties its watchers.
+    fn track(&mut self, obs: Observed, engine: &Engine, interner: &Interner) {
         let sym = obs.group;
+        if !obs.created && !obs.commit_completed && self.last_tracked == Some(sym) {
+            return;
+        }
+        self.last_tracked = Some(sym);
         if obs.created {
-            let mut w = Watchers {
-                plain_op: self.op_with_key(obs.key),
-                stamped_op: NONE,
+            let (ns, vs) = engine.key(sym);
+            let (name, input) = (interner.action(ns), interner.value(vs));
+            // A cold check declares after the events: nothing to hash for.
+            let plain_op = if self.entries.is_empty() {
+                NONE
+            } else {
+                self.op_with_key(engine, interner, (name, input), short_hash(hash_of(input)))
             };
-            if w.plain_op != NONE {
-                self.entries[w.plain_op as usize].plain = sym;
+            if plain_op != NONE {
+                self.entries[plain_op as usize].plain = sym;
+                self.pending.remove(&plain_op);
             }
-            if let Some(parent) = obs.stamped_parent {
-                w.stamped_op = self.op_with_key(parent);
-                if w.stamped_op != NONE {
-                    // The engine chains the rounds in first-seen order;
-                    // the request only needs to know where they start.
-                    let entry = &mut self.entries[w.stamped_op as usize];
-                    if entry.stamped == NONE {
-                        entry.stamped = sym;
-                    }
+            let stamped_op = if obs.round_head == sym {
+                // The parent's first round: its request, by content. The
+                // engine chains the later rounds in first-seen order; the
+                // request only needs to know where they start.
+                let (key, base_hash) = engine.round_key(interner, sym);
+                let op = self.op_with_key(engine, interner, key, base_hash);
+                if op != NONE {
+                    self.entries[op as usize].stamped = sym;
+                    self.pending.remove(&op);
                 }
-            }
-            self.watchers.push(w);
+                op
+            } else if obs.round_head != NONE {
+                self.watchers[obs.round_head as usize].stamped_op
+            } else {
+                NONE
+            };
+            self.watchers.push(Watchers {
+                plain_op,
+                stamped_op,
+            });
         }
         let w = self.watchers[sym as usize];
         if obs.commit_completed && w.stamped_op != NONE {
@@ -325,45 +421,43 @@ impl Aggregate {
     }
 }
 
-/// The storage-free core of the online checker: the symbol-keyed engine
-/// (attribution state, per-group partition and shape memo) and
-/// the dirty-tracked aggregate verdict, which holds the declared request
-/// sequence as interned keys — everything the incremental verdict needs
-/// *except* the events themselves.
+/// The online checker's state machine without an interner: the
+/// symbol-keyed engine (attribution state, per-group partition and shape
+/// memo) and the dirty-tracked aggregate verdict — everything the
+/// incremental verdict needs *except* the events and their symbol tables.
 ///
-/// An `IncrementalState` is a **cursor** over an event stream that lives
-/// elsewhere: [`observe`](IncrementalState::observe) consumes the next
-/// event (amortized O(1)) and advances the cursor, and
-/// [`verdict_over`](IncrementalState::verdict_over) answers the R3
-/// question against any [`HistoryRead`] holding the consumed prefix —
-/// typically the shared `TraceStore` a ledger records into, so the
-/// monitor never owns a second copy of the trace. The self-contained
-/// [`IncrementalChecker`] wraps one of these around an owned [`History`],
-/// and [`super::FastChecker`] builds a cold one per question and
-/// [`catch_up`](IncrementalState::catch_up)s it with the whole source.
+/// A `Decider` is a **cursor** over an event stream that lives elsewhere,
+/// fed as the symbols an [`Interner`] that also lives elsewhere assigned:
+/// [`observe`](Decider::observe) consumes the next event's
+/// [`EventSymbols`] (amortized O(1)), and
+/// [`verdict_over`](Decider::verdict_over) answers the R3 question
+/// against any [`HistoryRead`] holding the consumed prefix. Every call
+/// that takes an interner must be given the one the symbols came from (it
+/// may have grown since); the decider only reads it. A service ledger's
+/// monitor is a `Decider` over its trace store's symbols;
+/// [`IncrementalState`] is one with an interner of its own.
 ///
 /// # Examples
 ///
 /// ```
-/// use xability_core::xable::IncrementalState;
-/// use xability_core::{ActionId, ActionName, Event, History, Value};
+/// use xability_core::xable::{Decider, EventSymbols};
+/// use xability_core::{ActionId, ActionName, Event, History, Interner, Value};
 ///
 /// let get = ActionId::base(ActionName::idempotent("get"));
-/// let mut shared = History::empty(); // stand-in for a shared store
-/// let mut monitor = IncrementalState::new();
-/// monitor.declare(get.clone(), Value::from(1));
+/// let (mut shared, mut interner) = (History::empty(), Interner::new());
+/// let mut monitor = Decider::new();
+/// monitor.declare(&interner, get.clone(), Value::from(1));
 ///
-/// for event in [
-///     Event::start(get.clone(), Value::from(1)),
-///     Event::complete(get, Value::from(42)),
-/// ] {
-///     monitor.observe(&event); // O(1), no event copy retained
-///     shared.push(event);
-/// }
-/// assert!(monitor.verdict_over(&shared).is_xable());
+/// let name = interner.intern_action(get.base_name());
+/// let input = interner.intern_value(&Value::from(1));
+/// monitor.observe(&interner, EventSymbols { name, role: 0, input: Some(input) });
+/// shared.push(Event::start(get.clone(), Value::from(1)));
+/// monitor.observe(&interner, EventSymbols { name, role: 0, input: None });
+/// shared.push(Event::complete(get, Value::from(42)));
+/// assert!(monitor.verdict_over(&interner, &shared).is_xable());
 /// ```
 #[derive(Debug)]
-pub struct IncrementalState {
+pub struct Decider {
     /// The cursor position is the engine's own event count.
     engine: Engine,
     /// First completion observed without any start of its action — a
@@ -377,9 +471,9 @@ pub struct IncrementalState {
 }
 
 /// Checker-engine instruments: inert by default (every handle is a noop),
-/// bound to a shared registry by [`IncrementalState::attach_obs`]. Every
-/// handle records through a shared `Cell`, so recording works through the
-/// `&self` verdict path.
+/// bound to a shared registry by [`Decider::attach_obs`]. Every handle
+/// records through a shared `Cell`, so recording works through the `&self`
+/// verdict path.
 #[derive(Debug, Default)]
 struct CheckerObs {
     /// Dirty undeclared-group set size at each refresh.
@@ -412,18 +506,18 @@ impl CheckerObs {
     }
 }
 
-impl Default for IncrementalState {
+impl Default for Decider {
     fn default() -> Self {
-        IncrementalState::new()
+        Decider::new()
     }
 }
 
-impl IncrementalState {
-    /// An empty state. Every per-group search runs under the fast tier's
+impl Decider {
+    /// An empty decider. Every per-group search runs under the fast tier's
     /// one constant budget,
     /// [`SearchBudget::small`](crate::xable::SearchBudget::small).
     pub fn new() -> Self {
-        IncrementalState {
+        Decider {
             engine: Engine::default(),
             orphan: None,
             agg: RefCell::new(Aggregate::default()),
@@ -431,7 +525,7 @@ impl IncrementalState {
         }
     }
 
-    /// Binds this checker's instruments (dirty-set size histograms,
+    /// Binds this decider's instruments (dirty-set size histograms,
     /// refresh/verdict counters, budget-escalation counters) to a shared
     /// metrics registry. Inert (noop handles) until called.
     pub fn attach_obs(&mut self, obs: &Obs) {
@@ -440,51 +534,51 @@ impl IncrementalState {
 
     /// Appends an expected request to the declared R3 sequence, wiring
     /// any groups that already belong to it (a request may be declared
-    /// after its first events were observed) into the aggregate.
+    /// after its first events were observed) into the aggregate. The key
+    /// is looked up in `interner`, never interned: a key no observed event
+    /// carries stays pending until one does.
     ///
     /// # Panics
     ///
     /// Panics past `u32::MAX - 1` declared requests (DESIGN.md §7).
-    pub fn declare(&mut self, action: ActionId, input: Value) {
+    pub fn declare(&mut self, interner: &Interner, action: ActionId, input: Value) {
         let agg = self.agg.get_mut();
         let idx = id32(agg.entries.len(), "declared requests");
         let op = idx as usize;
         agg.entries.push(OpEntry::default());
         agg.outputs.push(Value::Nil);
         agg.dirty_ops.insert(op);
-        let key = matches!(action, ActionId::Base(_))
-            .then(|| {
-                let interner = self.engine.interner_mut();
-                (
-                    interner.intern_action(action.base_name()),
-                    interner.intern_value(&input),
-                )
-            })
-            .filter(|&key| agg.op_with_key(key) == NONE);
-        let Some(key) = key else {
-            agg.op_keys.push((NONE, NONE));
-            agg.invalid.push((op, action, input));
-            return;
+        let input_hash = short_hash(hash_of(&input));
+        agg.op_hashes.push(input_hash);
+        let name = match &action {
+            ActionId::Base(name)
+                if agg.op_with_key(&self.engine, interner, (name, &input), input_hash) == NONE =>
+            {
+                name.clone()
+            }
+            _ => {
+                agg.invalid.push((op, action, input));
+                return;
+            }
         };
-        agg.op_keys.push(key);
-        let op_keys = &agg.op_keys;
-        agg.op_lookup.insert(hash_of(&key), idx, |row| {
-            let key = &op_keys[row as usize];
-            (key.0 != NONE).then(|| hash_of(key))
-        });
         let mut adopt = |sym: GroupSym| {
             agg.dirty_undeclared.remove(&sym);
             agg.undeclared_fail.remove(&sym);
         };
-        if let Some(sym) = self.engine.group_with_key(key) {
+        let ns = interner.lookup_action(&name);
+        let plain =
+            (ns.zip(interner.lookup_value(&input))).and_then(|key| self.engine.group_with_key(key));
+        if let Some(sym) = plain {
             agg.entries[op].plain = sym;
             agg.watchers[sym as usize].plain_op = idx;
             adopt(sym);
         }
-        if action.is_undoable_base() {
+        if let Some(ns) = ns.filter(|_| name.is_undoable()) {
             // Rounds observed before their request was declared: adopt the
             // engine's chain, in first-seen order.
-            agg.entries[op].stamped = self.engine.first_round_of(key);
+            agg.entries[op].stamped =
+                self.engine
+                    .first_round_of(interner, ns, (&input, input_hash));
             for sym in self.engine.siblings(agg.entries[op].stamped) {
                 agg.watchers[sym as usize].stamped_op = idx;
                 if self.engine.has_commit_completion(sym) {
@@ -493,82 +587,31 @@ impl IncrementalState {
                 adopt(sym);
             }
         }
-    }
-
-    /// Appends an expected [`Request`] to the declared R3 sequence.
-    pub fn declare_request(&mut self, request: &Request) {
-        self.declare(request.action().clone(), request.input().clone());
-    }
-
-    /// Consumes the next event of the stream, in amortized O(1): one
-    /// attribution step, one chain link, one dirty mark — a batch of one
-    /// through [`observe_batch`](Self::observe_batch). The event itself is
-    /// not retained — only its index joins the partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics past `u32::MAX - 1` events (DESIGN.md §7).
-    pub fn observe(&mut self, event: &Event) {
-        self.observe_batch(std::slice::from_ref(event));
-    }
-
-    /// Consumes a slice of events in one pass — the state's one ingest
-    /// path; how the slice is cut never changes a later verdict (pinned by
-    /// the `observe_batch` proptests).
-    ///
-    /// The whole slice runs through the engine's `observe_batch` and its
-    /// batch-local symbol/group memos (one hash probe per *distinct*
-    /// name/input/group in the batch instead of several per event), the
-    /// aggregate is borrowed once per batch instead of once per event,
-    /// and consecutive events of one group collapse to a single
-    /// dirty-mark (re-marking a dirty group is a no-op, so skipping the
-    /// repeat is free and exact).
-    ///
-    /// # Panics
-    ///
-    /// Panics past `u32::MAX - 1` events (DESIGN.md §7).
-    pub fn observe_batch(&mut self, events: &[Event]) {
-        let agg = self.agg.get_mut();
-        let orphan = &mut self.orphan;
-        let mut last_group: Option<GroupSym> = None;
-        self.engine.observe_batch(events, |result| match result {
-            Ok(obs) => {
-                // Group creation and commit completion mutate watcher
-                // and committed-count state; a repeat event of the
-                // group just tracked would only re-insert the same
-                // dirty marks.
-                if obs.created || obs.commit_completed || last_group != Some(obs.group) {
-                    agg.track(obs);
-                    last_group = Some(obs.group);
-                }
-            }
-            Err(cause) => {
-                orphan.get_or_insert(cause);
-            }
+        if plain.is_none() && agg.entries[op].stamped == NONE {
+            agg.pending.insert(idx, (name, input));
+        }
+        let (op_hashes, invalid) = (&agg.op_hashes, &agg.invalid);
+        agg.op_lookup.insert(hash_of(&input_hash), idx, |row| {
+            let filed = invalid.binary_search_by_key(&(row as usize), |(op, ..)| *op);
+            filed.is_err().then(|| hash_of(&op_hashes[row as usize]))
         });
     }
 
-    /// Consumes the events of `h` past the cursor — `h` holds the
-    /// consumed prefix and maybe more — through
-    /// [`observe_batch`](Self::observe_batch), a chunk of 1 024 events at
-    /// a time. How a monitor attached to a ledger mid-run catches up
-    /// with the store, and how [`super::FastChecker`] reads a whole source
-    /// into a cold state.
+    /// Consumes the next event of the stream, given as the symbols
+    /// `interner` assigned, in amortized O(1): one attribution step, one
+    /// chain link, one dirty mark. Only the event's index joins the
+    /// partition.
     ///
     /// # Panics
     ///
     /// Panics past `u32::MAX - 1` events (DESIGN.md §7).
-    pub fn catch_up<H: HistoryRead + ?Sized>(&mut self, h: &H) {
-        let unread = self.consumed()..h.len();
-        let mut chunk = Vec::with_capacity(unread.len().min(CATCH_UP_CHUNK));
-        for index in unread {
-            chunk.push(h.event_at(index));
-            if chunk.len() == CATCH_UP_CHUNK {
-                self.observe_batch(&chunk);
-                chunk.clear();
+    pub fn observe(&mut self, interner: &Interner, event: EventSymbols) {
+        match self.engine.observe(interner, event) {
+            Ok(obs) => self.agg.get_mut().track(obs, &self.engine, interner),
+            Err(cause) => {
+                self.orphan.get_or_insert(cause);
             }
         }
-        self.observe_batch(&chunk);
     }
 
     /// The cursor position: how many events have been consumed.
@@ -576,59 +619,43 @@ impl IncrementalState {
         self.engine.observed()
     }
 
-    /// Returns `true` if no event has been consumed yet.
-    pub fn is_empty(&self) -> bool {
-        self.consumed() == 0
-    }
-
     /// How many requests have been declared.
     pub fn declared_len(&self) -> usize {
-        self.agg.borrow().op_keys.len()
+        self.agg.borrow().entries.len()
     }
 
-    /// The declared request sequence, in declaration order. The state
-    /// keeps each request as an interned key, not as a pair, so the pairs
-    /// are materialised as the iterator goes (an `O(1)` clone each).
-    pub fn requests(&self) -> impl Iterator<Item = (ActionId, Value)> + '_ {
-        (0..self.declared_len()).map(|op| self.request_at(&self.agg.borrow(), op))
+    /// The declared request sequence, in declaration order, with keys
+    /// resolved through `interner`. The decider keeps no pair for a
+    /// request an event has joined, so the pairs are materialised as the
+    /// iterator goes (an `O(1)` clone each).
+    pub fn requests<'a>(
+        &'a self,
+        interner: &'a Interner,
+    ) -> impl Iterator<Item = (ActionId, Value)> + 'a {
+        (0..self.declared_len()).map(move |op| self.request_at(&self.agg.borrow(), interner, op))
     }
 
     /// The declared request `op`, from its key (or, for an invalid
     /// declaration, from the side list).
-    fn request_at(&self, agg: &Aggregate, op: usize) -> (ActionId, Value) {
-        let (ns, vs) = agg.op_keys[op];
-        if ns == NONE {
-            let at = agg
-                .invalid
-                .binary_search_by_key(&op, |(declared, ..)| *declared)
-                .expect("a keyless request is in the invalid list");
-            let (_, action, input) = &agg.invalid[at];
-            return (action.clone(), input.clone());
+    fn request_at(&self, agg: &Aggregate, interner: &Interner, op: usize) -> (ActionId, Value) {
+        if let Some((name, input)) = agg.key_of(op as u32, &self.engine, interner) {
+            return (ActionId::base(name.clone()), input.clone());
         }
-        let interner = self.engine.interner();
-        (
-            ActionId::base(interner.action(ns).clone()),
-            interner.value(vs).clone(),
-        )
+        let at = agg
+            .invalid
+            .binary_search_by_key(&op, |(declared, ..)| *declared)
+            .expect("a keyless request is in the invalid list");
+        let (_, action, input) = &agg.invalid[at];
+        (action.clone(), input.clone())
     }
 
-    /// Approximate heap bytes the monitor holds — the sum of
-    /// [`approx_bytes_by_part`](Self::approx_bytes_by_part).
-    pub fn approx_bytes(&self) -> usize {
-        self.approx_bytes_by_part()
-            .iter()
-            .map(|(_, bytes)| bytes)
-            .sum()
-    }
-
-    /// The monitor's heap bytes, part by part (DESIGN.md §4.3 has the
+    /// The decider's heap bytes, part by part (DESIGN.md §4.3 has the
     /// table). Allocated capacity is counted, not length, and payload
     /// another holder also references is counted at most once: the
-    /// `engine interner` row is [`crate::Interner::approx_bytes`] (an
-    /// upper bound — it includes value payload shared with the event
-    /// source), and the `outputs` row is its segments only (each
-    /// output's payload belongs to the event that carried it). The
-    /// ordered dirty/failing sets are charged their element bytes.
+    /// `outputs` row is its segments only (each output's payload belongs
+    /// to the event that carried it), and the pending keys and the ordered
+    /// dirty/failing sets are charged their element bytes. There is no
+    /// interner row: the decider holds none.
     pub fn approx_bytes_by_part(&self) -> Vec<(&'static str, usize)> {
         let agg = self.agg.borrow();
         let sets = (agg.dirty_ops.len() + agg.failing_ops.len() + agg.order_bad.len())
@@ -638,8 +665,9 @@ impl IncrementalState {
         let mut parts = self.engine.byte_parts().to_vec();
         parts.extend([
             (
-                "request keys + index",
-                agg.op_keys.capacity() * size_of::<KeySyms>()
+                "request index + held keys",
+                agg.op_hashes.capacity() * size_of::<u32>()
+                    + agg.pending.len() * size_of::<(u32, (ActionName, Value))>()
                     + agg.invalid.capacity() * size_of::<(usize, ActionId, Value)>()
                     + agg.op_lookup.heap_bytes(),
             ),
@@ -658,16 +686,17 @@ impl IncrementalState {
     /// undeclared group and the decision of each touched request, each
     /// group question answered by the engine's shape memo. O(dirty),
     /// independent of the total group count.
-    fn refresh<H: HistoryRead + ?Sized>(&self, h: &H) {
+    fn refresh<H: HistoryRead + ?Sized>(&self, interner: &Interner, h: &H) {
         let mut agg = self.agg.borrow_mut();
         let agg = &mut *agg;
+        agg.last_tracked = None;
         self.obs.refreshes.inc();
         self.obs
             .dirty_undeclared
             .record(agg.dirty_undeclared.len() as u64);
         self.obs.dirty_ops.record(agg.dirty_ops.len() as u64);
         while let Some(sym) = agg.dirty_undeclared.pop_first() {
-            match self.engine.erases(sym, h) {
+            match self.engine.erases(interner, sym, h) {
                 EraseOutcome::Erases => {
                     agg.undeclared_fail.remove(&sym);
                 }
@@ -681,7 +710,7 @@ impl IncrementalState {
             }
         }
         while let Some(op) = agg.dirty_ops.pop_first() {
-            agg.entries[op].state = match self.decide_op(&agg.entries[op], h) {
+            agg.entries[op].state = match self.decide_op(&agg.entries[op], interner, h) {
                 Ok((output, anchor)) => {
                     agg.outputs.set(op, output);
                     agg.failing_ops.remove(&op);
@@ -706,6 +735,7 @@ impl IncrementalState {
     fn decide_op<H: HistoryRead + ?Sized>(
         &self,
         entry: &OpEntry,
+        interner: &Interner,
         h: &H,
     ) -> Result<(Value, u32), OpFail> {
         let exec_sym = match (entry.plain != NONE, entry.stamped != NONE) {
@@ -725,7 +755,7 @@ impl IncrementalState {
                     if sym == committed {
                         continue;
                     }
-                    match self.engine.erases(sym, h) {
+                    match self.engine.erases(interner, sym, h) {
                         EraseOutcome::Erases => {}
                         EraseOutcome::Stuck => return Err(OpFail::RoundNotErasing(sym)),
                         EraseOutcome::Budget => return Err(OpFail::RoundEraseBudget(sym)),
@@ -734,7 +764,7 @@ impl IncrementalState {
                 committed
             }
         };
-        match self.engine.exec(exec_sym, h) {
+        match self.engine.exec(interner, exec_sym, h) {
             // The anchor indexes an observed event, so it fits (`id32`
             // bounded the event count).
             ExecOutcome::Reduced { output, anchor, .. } => Ok((output, anchor as u32)),
@@ -770,14 +800,14 @@ impl IncrementalState {
     }
 
     /// The declared request `op`, as a [`Request`].
-    fn request(&self, agg: &Aggregate, op: usize) -> Request {
-        let (action, input) = self.request_at(agg, op);
+    fn request(&self, agg: &Aggregate, interner: &Interner, op: usize) -> Request {
+        let (action, input) = self.request_at(agg, interner, op);
         Request::new(action, input)
     }
 
     /// The verdict reporting the failing request `op`.
-    fn op_fail_verdict(&self, agg: &Aggregate, op: usize) -> Verdict {
-        let request = self.request(agg, op);
+    fn op_fail_verdict(&self, agg: &Aggregate, interner: &Interner, op: usize) -> Verdict {
+        let request = self.request(agg, interner, op);
         let OpState::Bad(fail) = agg.entries[op].state else {
             unreachable!("only failing requests are materialized")
         };
@@ -790,7 +820,7 @@ impl IncrementalState {
                 self.fail(Cause::CommittedRounds { request, rounds })
             }
             OpFail::RoundNotErasing(sym) | OpFail::RoundEraseBudget(sym) => {
-                let stamp = self.engine.interner().value(self.engine.key(sym).1);
+                let stamp = interner.value(self.engine.key(sym).1);
                 let (_, round) = stamp
                     .round_stamp()
                     .expect("a round's input is a round stamp");
@@ -813,6 +843,7 @@ impl IncrementalState {
     fn assemble<H: HistoryRead + ?Sized>(
         &self,
         agg: &Aggregate,
+        interner: &Interner,
         h: &H,
         executed: usize,
         erasable: Range<usize>,
@@ -826,24 +857,23 @@ impl IncrementalState {
             return Verdict::Unknown { cause };
         }
         if let Some(&op) = agg.failing_ops.range(..executed).next() {
-            return self.op_fail_verdict(agg, op);
+            return self.op_fail_verdict(agg, interner, op);
         }
         for op in erasable {
             let entry = &agg.entries[op];
             let plain = (entry.plain != NONE).then_some(entry.plain);
             for sym in plain.into_iter().chain(self.engine.siblings(entry.stamped)) {
-                let budget = match self.engine.erases(sym, h) {
+                let budget = match self.engine.erases(interner, sym, h) {
                     EraseOutcome::Erases => continue,
                     EraseOutcome::Stuck => false,
                     EraseOutcome::Budget => true,
                 };
-                let what = Erasing::AbandonedRequest(self.request(agg, op));
+                let what = Erasing::AbandonedRequest(self.request(agg, interner, op));
                 return self.not_erasing(what, budget);
             }
         }
         if let Some((&sym, how)) = agg.undeclared_fail.iter().next() {
             let (ns, vs) = self.engine.key(sym);
-            let interner = self.engine.interner();
             let key = Request::new(
                 ActionId::base(interner.action(ns).clone()),
                 interner.value(vs).clone(),
@@ -880,6 +910,7 @@ impl IncrementalState {
     /// completion earned.
     fn with_refreshed<H: HistoryRead + ?Sized>(
         &self,
+        interner: &Interner,
         h: &H,
         answer: impl FnOnce(&Aggregate) -> Verdict,
     ) -> Verdict {
@@ -894,25 +925,26 @@ impl IncrementalState {
             };
         }
         self.obs.verdicts.inc();
-        self.refresh(h);
+        self.refresh(interner, h);
         answer(&self.agg.borrow())
     }
 
     /// The R3 verdict for the consumed prefix, read from `h` — the stream
-    /// this state has been observing, which must hold exactly the
-    /// [`consumed`](IncrementalState::consumed) events in order: x-able
-    /// with respect to [`requests()`](Self::requests) `R₁…Rₙ`, or to
-    /// `R₁…Rₙ₋₁` with `Rₙ`'s events erasing.
+    /// this decider has been observing, which must hold exactly the
+    /// [`consumed`](Decider::consumed) events in order — and from
+    /// `interner`, the one its symbols came from: x-able with respect to
+    /// [`requests()`](Self::requests) `R₁…Rₙ`, or to `R₁…Rₙ₋₁` with `Rₙ`'s
+    /// events erasing.
     ///
-    /// Computed in O(groups touched since the last verdict); a cold state
-    /// fed the whole prefix answers exactly what
+    /// Computed in O(groups touched since the last verdict); a cold
+    /// decider fed the whole prefix answers exactly what
     /// `FastChecker::check_requests` does, because that is how
     /// `FastChecker` answers.
-    pub fn verdict_over<H: HistoryRead + ?Sized>(&self, h: &H) -> Verdict {
-        self.with_refreshed(h, |agg| {
-            combine_r3_attempts(agg.op_keys.len(), |executed, abandoned| {
+    pub fn verdict_over<H: HistoryRead + ?Sized>(&self, interner: &Interner, h: &H) -> Verdict {
+        self.with_refreshed(interner, h, |agg| {
+            combine_r3_attempts(agg.entries.len(), |executed, abandoned| {
                 let erasable = abandoned.map_or(0..0, |last| last..last + 1);
-                self.assemble(agg, h, executed, erasable)
+                self.assemble(agg, interner, h, executed, erasable)
             })
         })
     }
@@ -921,13 +953,204 @@ impl IncrementalState {
     /// R3 fallback: the first `executed` declared requests execute and the
     /// declared requests in `erasable` erase — `FastChecker::check`'s
     /// `(ops, erasable)` question, declared as `ops` then `erasable`.
+    fn attempt_over<H: HistoryRead + ?Sized>(
+        &self,
+        interner: &Interner,
+        h: &H,
+        executed: usize,
+        erasable: Range<usize>,
+    ) -> Verdict {
+        self.with_refreshed(interner, h, |agg| {
+            self.assemble(agg, interner, h, executed, erasable)
+        })
+    }
+}
+
+/// The storage-free core of the online checker: a [`Decider`] and the
+/// interner its symbols come from — everything the incremental verdict
+/// needs *except* the events themselves.
+///
+/// An `IncrementalState` is a **cursor** over an event stream that lives
+/// elsewhere: [`observe`](IncrementalState::observe) consumes the next
+/// event (amortized O(1)) and advances the cursor, and
+/// [`verdict_over`](IncrementalState::verdict_over) answers the R3
+/// question against any [`HistoryRead`] holding the consumed prefix. The
+/// self-contained [`IncrementalChecker`] wraps one of these around an
+/// owned [`History`], and [`super::FastChecker`] builds a cold one per
+/// question and [`catch_up`](IncrementalState::catch_up)s it with the
+/// whole source. Where the events already sit interned — a service
+/// ledger's trace store — a bare [`Decider`] reads the store's symbols
+/// instead, and nothing is interned twice.
+///
+/// # Examples
+///
+/// ```
+/// use xability_core::xable::IncrementalState;
+/// use xability_core::{ActionId, ActionName, Event, History, Value};
+///
+/// let get = ActionId::base(ActionName::idempotent("get"));
+/// let mut shared = History::empty(); // stand-in for a shared store
+/// let mut monitor = IncrementalState::new();
+/// monitor.declare(get.clone(), Value::from(1));
+///
+/// for event in [
+///     Event::start(get.clone(), Value::from(1)),
+///     Event::complete(get, Value::from(42)),
+/// ] {
+///     monitor.observe(&event); // O(1), no event copy retained
+///     shared.push(event);
+/// }
+/// assert!(monitor.verdict_over(&shared).is_xable());
+/// ```
+#[derive(Debug, Default)]
+pub struct IncrementalState {
+    /// The symbols of the events consumed so far, and only theirs — the
+    /// base names and the start inputs: declared keys and round bases are
+    /// matched by content, as under a store's interner.
+    interner: Interner,
+    decider: Decider,
+}
+
+impl IncrementalState {
+    /// An empty state. Every per-group search runs under the fast tier's
+    /// one constant budget,
+    /// [`SearchBudget::small`](crate::xable::SearchBudget::small).
+    pub fn new() -> Self {
+        IncrementalState::default()
+    }
+
+    /// Binds this checker's instruments (dirty-set size histograms,
+    /// refresh/verdict counters, budget-escalation counters) to a shared
+    /// metrics registry. Inert (noop handles) until called.
+    pub fn attach_obs(&mut self, obs: &Obs) {
+        self.decider.attach_obs(obs);
+    }
+
+    /// Appends an expected request to the declared R3 sequence (see
+    /// [`Decider::declare`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX - 1` declared requests (DESIGN.md §7).
+    pub fn declare(&mut self, action: ActionId, input: Value) {
+        self.decider.declare(&self.interner, action, input);
+    }
+
+    /// Appends an expected [`Request`] to the declared R3 sequence.
+    pub fn declare_request(&mut self, request: &Request) {
+        self.declare(request.action().clone(), request.input().clone());
+    }
+
+    /// Consumes the next event of the stream, in amortized O(1): one
+    /// attribution step, one chain link, one dirty mark — a batch of one
+    /// through [`observe_batch`](Self::observe_batch). The event itself is
+    /// not retained — only its index joins the partition.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX - 1` events (DESIGN.md §7).
+    pub fn observe(&mut self, event: &Event) {
+        self.observe_batch(slice::from_ref(event));
+    }
+
+    /// Consumes a slice of events — the state's one ingest path; how the
+    /// slice is cut never changes a later verdict (pinned by the
+    /// `observe_batch` proptests). Each event's name and start input are
+    /// interned through one [`BatchMemo`] per slice (one hash probe per
+    /// *distinct* name/input in the batch instead of one per event) and
+    /// the symbols fed to the decider.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX - 1` events (DESIGN.md §7).
+    pub fn observe_batch(&mut self, events: &[Event]) {
+        let mut memo = BatchMemo::default();
+        for event in events {
+            let symbols = EventSymbols::intern(&mut memo, &mut self.interner, event);
+            self.decider.observe(&self.interner, symbols);
+        }
+    }
+
+    /// Consumes the events of `h` past the cursor — `h` holds the
+    /// consumed prefix and maybe more — through
+    /// [`observe_batch`](Self::observe_batch), a chunk of 1 024 events at
+    /// a time. How [`super::FastChecker`] reads a whole source into a
+    /// cold state.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX - 1` events (DESIGN.md §7).
+    pub fn catch_up<H: HistoryRead + ?Sized>(&mut self, h: &H) {
+        let unread = self.consumed()..h.len();
+        let mut chunk = Vec::with_capacity(unread.len().min(CATCH_UP_CHUNK));
+        for index in unread {
+            chunk.push(h.event_at(index));
+            if chunk.len() == CATCH_UP_CHUNK {
+                self.observe_batch(&chunk);
+                chunk.clear();
+            }
+        }
+        self.observe_batch(&chunk);
+    }
+
+    /// The cursor position: how many events have been consumed.
+    pub fn consumed(&self) -> usize {
+        self.decider.consumed()
+    }
+
+    /// Returns `true` if no event has been consumed yet.
+    pub fn is_empty(&self) -> bool {
+        self.consumed() == 0
+    }
+
+    /// How many requests have been declared.
+    pub fn declared_len(&self) -> usize {
+        self.decider.declared_len()
+    }
+
+    /// The declared request sequence, in declaration order (see
+    /// [`Decider::requests`]).
+    pub fn requests(&self) -> impl Iterator<Item = (ActionId, Value)> + '_ {
+        self.decider.requests(&self.interner)
+    }
+
+    /// Approximate heap bytes the state holds — the sum of
+    /// [`approx_bytes_by_part`](Self::approx_bytes_by_part).
+    pub fn approx_bytes(&self) -> usize {
+        self.approx_bytes_by_part()
+            .iter()
+            .map(|(_, bytes)| bytes)
+            .sum()
+    }
+
+    /// The state's heap bytes, part by part: the `engine interner` row —
+    /// [`Interner::approx_bytes`], an upper bound, since it includes value
+    /// payload shared with the event source — and then the decider's
+    /// ([`Decider::approx_bytes_by_part`]).
+    pub fn approx_bytes_by_part(&self) -> Vec<(&'static str, usize)> {
+        let mut parts = vec![("engine interner", self.interner.approx_bytes())];
+        parts.extend(self.decider.approx_bytes_by_part());
+        parts
+    }
+
+    /// The R3 verdict for the consumed prefix, read from `h` — the stream
+    /// this state has been observing, which must hold exactly the
+    /// [`consumed`](IncrementalState::consumed) events in order (see
+    /// [`Decider::verdict_over`]).
+    pub fn verdict_over<H: HistoryRead + ?Sized>(&self, h: &H) -> Verdict {
+        self.decider.verdict_over(&self.interner, h)
+    }
+
+    /// One explicit attempt over the consumed prefix held by `h`, with no
+    /// R3 fallback (see [`Decider`]'s private `attempt_over`).
     pub(crate) fn attempt_over<H: HistoryRead + ?Sized>(
         &self,
         h: &H,
         executed: usize,
         erasable: Range<usize>,
     ) -> Verdict {
-        self.with_refreshed(h, |agg| self.assemble(agg, h, executed, erasable))
+        self.decider
+            .attempt_over(&self.interner, h, executed, erasable)
     }
 }
 
@@ -1550,7 +1773,7 @@ mod tests {
         // the cancelled round's erase.
         let searches = |requests, verdict_every_event| {
             let inc = replay_mixed(requests, verdict_every_event);
-            inc.state.engine.searches_run()
+            inc.state.decider.engine.searches_run()
         };
         assert_eq!(searches(200, false), searches(2_000, false));
         assert_eq!(searches(2_000, false), 4);
@@ -1572,7 +1795,7 @@ mod tests {
             assert_eq!(inc.verdict(), batch(&inc));
             assert!(inc.verdict().is_xable());
         }
-        assert_eq!(inc.state.engine.searches_run(), 4 + 2);
+        assert_eq!(inc.state.decider.engine.searches_run(), 4 + 2);
     }
 
     #[test]
@@ -1602,6 +1825,7 @@ mod tests {
         assert_eq!(v, batch(&inc));
         assert_eq!(
             inc.state
+                .decider
                 .agg
                 .borrow()
                 .undeclared_fail
@@ -1614,10 +1838,10 @@ mod tests {
 
         inc.declare(u.clone(), Value::from("r0"));
         {
-            let agg = inc.state.agg.borrow();
+            let agg = inc.state.decider.agg.borrow();
             let entry = &agg.entries[0];
             assert_eq!((entry.plain, entry.stamped, entry.committed), (NONE, 0, 1));
-            let rounds: Vec<_> = inc.state.engine.siblings(entry.stamped).collect();
+            let rounds: Vec<_> = inc.state.decider.engine.siblings(entry.stamped).collect();
             assert_eq!(rounds, [0, 2], "first-seen order, the other parent skipped");
             assert_eq!(agg.watchers[2].stamped_op, 0);
             assert_eq!(
@@ -1644,7 +1868,7 @@ mod tests {
         // Declared in the order their effects occurred? No: r1 committed
         // first. Declared the other way round the prefix is x-able.
         assert_eq!(v.cause().cloned(), ambiguous(Cause::OutOfOrder), "{v}");
-        assert!(inc.state.agg.borrow().undeclared_fail.is_empty());
+        assert!(inc.state.decider.agg.borrow().undeclared_fail.is_empty());
     }
 
     #[test]
@@ -1686,11 +1910,12 @@ mod tests {
         inc.declare(b.clone(), Value::from(2));
         inc.push_all([s(&a, 1), c(&a, 5)]);
         let _ = inc.verdict();
-        assert!(inc.state.agg.borrow().dirty_ops.is_empty());
-        assert!(inc.state.agg.borrow().dirty_undeclared.is_empty());
+        assert!(inc.state.decider.agg.borrow().dirty_ops.is_empty());
+        assert!(inc.state.decider.agg.borrow().dirty_undeclared.is_empty());
         inc.push(s(&b, 2));
         assert_eq!(
             inc.state
+                .decider
                 .agg
                 .borrow()
                 .dirty_ops

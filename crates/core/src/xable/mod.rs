@@ -26,9 +26,11 @@
 //! * [`IncrementalChecker`] — the online decider: `push(event)` in
 //!   amortized O(1), a verdict at any prefix. Its storage-free core,
 //!   [`IncrementalState`], is a cursor over an event stream owned by
-//!   someone else (a shared trace store), for monitoring without a
-//!   second copy of the trace — and it is [`FastChecker`]'s decider too:
-//!   a fast check is a cold state fed the whole history at once.
+//!   someone else, for monitoring without a second copy of the trace —
+//!   and it is [`FastChecker`]'s decider too: a fast check is a cold state
+//!   fed the whole history at once. Under it sits the [`Decider`], which
+//!   owns no interner either: it reads the symbols a shared trace store
+//!   already assigned, so a monitored event is interned once.
 //!
 //! The submodule [`search`] and the crate-private `fast` hold the
 //! respective engines; [`incremental`] assembles the fast engine's
@@ -44,6 +46,6 @@ pub use checker::{
     contains_round_stamped, escalate, Cause, Checker, Erasing, FastChecker, SearchChecker, Verdict,
     Witness, ESCALATE_MAX_EVENTS,
 };
-pub use incremental::{IncrementalChecker, IncrementalState};
+pub use incremental::{Decider, EventSymbols, IncrementalChecker, IncrementalState};
 pub use outputs::Outputs;
 pub use search::{is_xable_search, search_reduction, SearchBudget, SearchResult};

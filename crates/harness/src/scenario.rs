@@ -553,7 +553,7 @@ pub struct R3Outcome {
 
 /// Evaluates R3 for a submitted request sequence against a ledger.
 ///
-/// The ledger's online [`IncrementalState`](xability_core::xable::IncrementalState)
+/// The ledger's online [`Decider`](xability_core::xable::Decider)
 /// monitor observed every event during the run as a cursor over the
 /// ledger's shared trace store, so its verdict is the fast tier's answer
 /// over the whole history: a definite one is final, and an `Unknown` is

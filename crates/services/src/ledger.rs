@@ -9,14 +9,18 @@
 //! directly against effect records.
 //!
 //! The event stream itself lives in **one** interned
-//! [`TraceStore`]: the attached online monitor
-//! is a storage-free [`IncrementalState`] cursor over that store (no
-//! second `Vec<Event>`/`History` copy), [`Ledger::history`] is a zero-copy
-//! [`HistoryView`], and [`Ledger::store`] feeds the binary trace
-//! recorder. Recording has one body: [`Ledger::record_event`] is a batch of
-//! one through the path [`Ledger::record_batch`] takes (store, monitor and
-//! spill each ingest a slice), and only `record_batch` counts batches. An
-//! event's time and observing service are not kept: nothing reads them.
+//! [`TraceStore`], under **one** interner: the attached online monitor is
+//! a [`Decider`] — a cursor over that store that owns neither events nor
+//! symbol tables — fed each new event as the symbols the store assigned
+//! ([`TraceStore::repr`]), and resolving them through the store's
+//! interner, which it never writes into (DESIGN.md §7). [`Ledger::history`]
+//! is a zero-copy [`HistoryView`], and [`Ledger::store`] feeds the binary
+//! trace recorder. Recording has one body: [`Ledger::record_event`] is a
+//! batch of one through the path [`Ledger::record_batch`] takes — the
+//! store appends the slice, then the monitor reads what was appended, then
+//! the spill seals what is due — and only `record_batch` counts batches.
+//! An event's time and observing service are not kept: nothing reads
+//! them.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -26,13 +30,13 @@ use std::path::Path;
 use std::rc::Rc;
 use std::slice;
 
-use xability_core::xable::{IncrementalState, Verdict};
-use xability_core::{ActionName, Event, Request, Value};
+use xability_core::xable::{Decider, EventSymbols, Verdict};
+use xability_core::{ActionId, ActionName, Event, Interner, Request, Value};
 
 use xability_obs::{Counter, Histogram, Obs};
 use xability_sim::SimTime;
 use xability_store::{
-    recover_store, HistoryView, RecoveryReport, SegmentLog, TierConfig, TraceStore,
+    recover_store, EventRepr, HistoryView, RecoveryReport, SegmentLog, TierConfig, TraceStore,
 };
 
 /// What kind of externally visible effect a record describes.
@@ -112,8 +116,8 @@ struct EffectTally {
 /// simulator is single-threaded and time is monotone.
 ///
 /// The formal event stream is stored once, interned and packed, in a
-/// [`TraceStore`]; the attached monitor and every reader work over views
-/// of that store.
+/// [`TraceStore`]; the attached monitor reads the store's symbols, and
+/// every reader works over views of that store.
 ///
 /// A ledger carries an online R3 monitor **by default**: the incremental
 /// checker's dirty-tracked aggregate makes a per-event observation (and a
@@ -126,9 +130,58 @@ pub struct Ledger {
     store: TraceStore,
     effects: Vec<EffectRecord>,
     violations: Vec<String>,
-    monitor: Option<IncrementalState>,
+    monitor: Option<Decider>,
     spill: Option<Spill>,
     obs: LedgerObs,
+}
+
+/// The ledger's online monitor, read through the store's interner — what
+/// [`Ledger::monitor`] returns.
+#[derive(Debug, Clone, Copy)]
+pub struct MonitorView<'a> {
+    decider: &'a Decider,
+    interner: &'a Interner,
+}
+
+impl<'a> MonitorView<'a> {
+    /// How many of the store's events the monitor has consumed.
+    pub fn consumed(&self) -> usize {
+        self.decider.consumed()
+    }
+
+    /// How many requests have been declared.
+    pub fn declared_len(&self) -> usize {
+        self.decider.declared_len()
+    }
+
+    /// The declared request sequence, in declaration order.
+    pub fn requests(&self) -> impl Iterator<Item = (ActionId, Value)> + 'a {
+        self.decider.requests(self.interner)
+    }
+
+    /// The monitor's heap bytes, part by part
+    /// ([`Decider::approx_bytes_by_part`]): the store's interner, which
+    /// the monitor only reads, is not among them.
+    pub fn approx_bytes_by_part(&self) -> Vec<(&'static str, usize)> {
+        self.decider.approx_bytes_by_part()
+    }
+}
+
+/// The symbols a store gave one event, as the monitor reads them.
+fn symbols(repr: EventRepr) -> EventSymbols {
+    EventSymbols {
+        name: repr.action_symbol(),
+        role: repr.role(),
+        input: (!repr.is_complete()).then(|| repr.value_symbol()),
+    }
+}
+
+/// Feeds `monitor` the events of `store` past its cursor, as the symbols
+/// the store assigned — no event is decoded and nothing is interned.
+fn catch_up(monitor: &mut Decider, store: &TraceStore) {
+    for index in monitor.consumed()..store.len() {
+        monitor.observe(store.interner(), symbols(store.repr(index)));
+    }
 }
 
 /// Ledger instruments: inert (noop handles) until
@@ -232,7 +285,7 @@ impl Ledger {
     /// Creates an empty ledger with a default online monitor attached.
     pub fn new() -> Self {
         Ledger {
-            monitor: Some(IncrementalState::new()),
+            monitor: Some(Decider::new()),
             ..Ledger::without_monitor()
         }
     }
@@ -264,20 +317,21 @@ impl Ledger {
     /// online monitor is attached, it observes the event too (amortized
     /// O(1)), so the R3 obligation is tracked *while* the run executes
     /// instead of by re-reducing the full history afterwards. The event
-    /// itself is stored exactly once, in the shared [`TraceStore`].
+    /// itself is stored and interned exactly once, in the shared
+    /// [`TraceStore`].
     ///
     /// `service` is not read; the argument stays only because the
-    /// benchmark passes it, and goes in its next refresh (ROADMAP item 7).
+    /// benchmark passes it, and goes in its next refresh (ROADMAP item 1).
     pub fn record_event(&mut self, event: Event, at: SimTime, service: &str) {
         let _ = service;
         self.ingest(slice::from_ref(&event), at);
     }
 
     /// Records a slice of events observed together (same instant, same
-    /// service), driving the monitor once per slice
-    /// ([`IncrementalState::observe_batch`]) and the store's
-    /// batch-amortized interning ([`TraceStore::push_batch`]), and counting
-    /// the batch. `service` is not read, as in [`Ledger::record_event`].
+    /// service) through the store's batch-amortized interning
+    /// ([`TraceStore::push_batch`]), feeds the monitor the appended
+    /// events' symbols, and counts the batch. `service` is not read, as in
+    /// [`Ledger::record_event`].
     pub fn record_batch(&mut self, events: &[Event], at: SimTime, service: &str) {
         let _ = service;
         self.ingest(events, at);
@@ -285,13 +339,14 @@ impl Ledger {
         self.obs.batch_size.record(events.len() as u64);
     }
 
-    /// The one recording body: the monitor, the store and the spill each
-    /// take the slice.
+    /// The one recording body: the store interns and appends the slice,
+    /// the monitor reads the appended events' symbols, and the spill seals
+    /// what is due.
     fn ingest(&mut self, events: &[Event], at: SimTime) {
-        if let Some(monitor) = &mut self.monitor {
-            monitor.observe_batch(events);
-        }
         self.store.push_batch(events);
+        if let Some(monitor) = &mut self.monitor {
+            catch_up(monitor, &self.store);
+        }
         self.obs.record_ingest(at, events.len() as u64);
         self.maybe_spill();
     }
@@ -378,8 +433,8 @@ impl Ledger {
 
     /// Rebuilds a ledger from a spill directory after a crash or
     /// shutdown: recovers the longest valid segment chain (quarantining a
-    /// torn tail, see [`recover_store`]) and replays the recovered events
-    /// through a fresh online monitor.
+    /// torn tail, see [`recover_store`]) and feeds a fresh online monitor
+    /// the recovered events' symbols — none is decoded.
     ///
     /// The monitor starts with no declared requests — re-declare the run's
     /// submitted sequence with [`Ledger::declare_requests`] before asking
@@ -394,8 +449,8 @@ impl Ledger {
     /// (nothing is created), and with any IO error recovery meets.
     pub fn reopen_spill(dir: impl AsRef<Path>) -> io::Result<(Ledger, RecoveryReport)> {
         let (store, report) = recover_store(dir)?;
-        let mut monitor = IncrementalState::new();
-        monitor.catch_up(&store.view());
+        let mut monitor = Decider::new();
+        catch_up(&mut monitor, &store);
         let mut ledger = Ledger::without_monitor();
         ledger.store = store;
         ledger.monitor = Some(monitor);
@@ -403,9 +458,11 @@ impl Ledger {
     }
 
     /// Attaches an online R3 monitor. Events already recorded are fed to
-    /// it from the store ([`IncrementalState::catch_up`]), so attaching
-    /// mid-run observes the same prefix a monitor attached at creation
-    /// would have. When [`Ledger::attach_obs`] bound the ledger to a live
+    /// it from the store, as the store's symbols, so attaching mid-run
+    /// observes the same prefix a monitor attached at creation would have.
+    /// `monitor` must know the store's symbols only: whatever it declared
+    /// or observed before went through this store's interner (a fresh
+    /// [`Decider`], or one with declarations only, always qualifies). When [`Ledger::attach_obs`] bound the ledger to a live
     /// registry, the monitor's instruments are bound to it too, as they
     /// would have been had the monitor been there first; a monitor
     /// attached to a bare ledger keeps whatever registry its caller bound.
@@ -417,27 +474,24 @@ impl Ledger {
     /// replacing it would silently discard the previous monitor's declared
     /// request sequence and warm per-group state. Build the ledger with
     /// [`Ledger::without_monitor`] to control attachment explicitly.
-    pub fn attach_monitor(
-        &mut self,
-        mut monitor: IncrementalState,
-    ) -> Result<(), MonitorAlreadyAttached> {
+    pub fn attach_monitor(&mut self, mut monitor: Decider) -> Result<(), MonitorAlreadyAttached> {
         if self.monitor.is_some() {
             return Err(MonitorAlreadyAttached);
         }
         if self.obs.obs.is_enabled() {
             monitor.attach_obs(&self.obs.obs);
         }
-        monitor.catch_up(&self.store.view());
+        catch_up(&mut monitor, &self.store);
         self.monitor = Some(monitor);
         Ok(())
     }
 
-    /// [`Ledger::attach_monitor`] with a default [`IncrementalState`],
-    /// under its old pipelined name: `workers` is ignored, and there is no
-    /// code path of its own. Kept only because the benchmark's
+    /// [`Ledger::attach_monitor`] with a default [`Decider`], under its old
+    /// pipelined name: `workers` is ignored, and there is no code path of
+    /// its own. Kept only because the benchmark's
     /// `services.pipelined_speedup_2w` probe calls it; the method goes
     /// together with that probe in the next benchmark refresh (ROADMAP
-    /// item 7).
+    /// item 1).
     ///
     /// # Errors
     ///
@@ -447,19 +501,23 @@ impl Ledger {
         &mut self,
         _workers: usize,
     ) -> Result<(), MonitorAlreadyAttached> {
-        self.attach_monitor(IncrementalState::new())
+        self.attach_monitor(Decider::new())
     }
 
-    /// The attached online monitor, if any.
-    pub fn monitor(&self) -> Option<&IncrementalState> {
-        self.monitor.as_ref()
+    /// The attached online monitor, if any, read through the store's
+    /// interner.
+    pub fn monitor(&self) -> Option<MonitorView<'_>> {
+        let interner = self.store.interner();
+        (self.monitor.as_ref()).map(|decider| MonitorView { decider, interner })
     }
 
     /// The monitor's R3 verdict over the shared store, if a monitor is
     /// attached. The monitor reads the prefix it has consumed through a
-    /// zero-copy view — it never owns a second copy of the trace.
+    /// zero-copy view and the store's interner — it never owns a second
+    /// copy of the trace or of its symbols.
     pub fn monitor_verdict(&self) -> Option<Verdict> {
-        let verdict = self.monitor.as_ref()?.verdict_over(&self.store.view());
+        let monitor = self.monitor.as_ref()?;
+        let verdict = monitor.verdict_over(self.store.interner(), &self.store.view());
         // The verdict's staleness window: ticks of history consumed since
         // the previous verdict (the anchor is the last recorded event's
         // tick — the registry itself never reads a clock).
@@ -479,13 +537,15 @@ impl Ledger {
     /// attached monitor. `submitted` must *extend* the monitor's declared
     /// sequence (debug builds assert it): re-declaring a reordered or
     /// shortened sequence would silently diverge from the monitor's warm
-    /// state. No-op when no monitor is attached.
+    /// state. No-op when no monitor is attached. A request's key is looked
+    /// up in the store's interner, never interned: until an event carries
+    /// it, the monitor holds the request's pair.
     pub fn declare_requests(&mut self, submitted: &[Request]) {
         // A release build reads the declared count only; the debug check
         // walks the monitor's request iterator and materialises nothing.
         fn assert_extends(
             declared: usize,
-            requests: impl Iterator<Item = (xability_core::ActionId, Value)>,
+            requests: impl Iterator<Item = (ActionId, Value)>,
             submitted: &[Request],
         ) {
             debug_assert!(
@@ -497,10 +557,11 @@ impl Ledger {
             );
         }
         if let Some(monitor) = self.monitor.as_mut() {
+            let interner = self.store.interner();
             let declared = monitor.declared_len();
-            assert_extends(declared, monitor.requests(), submitted);
+            assert_extends(declared, monitor.requests(interner), submitted);
             for request in submitted.iter().skip(declared) {
-                monitor.declare_request(request);
+                monitor.declare(interner, request.action().clone(), request.input().clone());
             }
         }
     }
@@ -678,7 +739,6 @@ pub fn shared_ledger() -> SharedLedger {
 mod tests {
     use super::*;
     use xability_core::xable::{Cause, Checker, Erasing, FastChecker};
-    use xability_core::ActionId;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -758,8 +818,8 @@ mod tests {
         let a = ActionId::base(ActionName::idempotent("a"));
         // One event recorded *before* the monitor exists…
         ledger.record_event(Event::start(a.clone(), Value::from(1)), t(1), "svc");
-        let mut monitor = IncrementalState::new();
-        monitor.declare(a.clone(), Value::from(1));
+        let mut monitor = Decider::new();
+        monitor.declare(ledger.store().interner(), a.clone(), Value::from(1));
         ledger.attach_monitor(monitor).expect("no monitor yet");
         // …and one after: the monitor must see both.
         ledger.record_event(Event::complete(a.clone(), Value::from(2)), t(2), "svc");
@@ -774,8 +834,8 @@ mod tests {
         let mut ledger = Ledger::without_monitor();
         ledger.attach_obs(&obs);
         let a = ActionId::base(ActionName::idempotent("a"));
-        let mut monitor = IncrementalState::new();
-        monitor.declare(a.clone(), Value::from(1));
+        let mut monitor = Decider::new();
+        monitor.declare(ledger.store().interner(), a.clone(), Value::from(1));
         ledger.attach_monitor(monitor).expect("no monitor yet");
         ledger.record_event(Event::start(a.clone(), Value::from(1)), t(1), "svc");
         ledger.record_event(Event::complete(a, Value::from(2)), t(2), "svc");
@@ -788,7 +848,7 @@ mod tests {
         // A default ledger already carries a monitor…
         let mut ledger = Ledger::new();
         let err = ledger
-            .attach_monitor(IncrementalState::new())
+            .attach_monitor(Decider::new())
             .expect_err("default monitor already attached");
         assert_eq!(err, MonitorAlreadyAttached);
         assert!(format!("{err}").contains("already has an online monitor"));
@@ -799,9 +859,8 @@ mod tests {
         assert_eq!(ledger.monitor().expect("original").consumed(), 1);
         // A bare ledger accepts exactly one attachment.
         let mut bare = Ledger::without_monitor();
-        bare.attach_monitor(IncrementalState::new()).expect("first");
-        bare.attach_monitor(IncrementalState::new())
-            .expect_err("second");
+        bare.attach_monitor(Decider::new()).expect("first");
+        bare.attach_monitor(Decider::new()).expect_err("second");
     }
 
     #[test]
@@ -942,7 +1001,7 @@ mod tests {
                 ledger.record_event(Event::complete(a.clone(), Value::from(-k)), t(1), "svc");
             }
         }
-        late.attach_monitor(IncrementalState::new()).expect("bare");
+        late.attach_monitor(Decider::new()).expect("bare");
         assert_eq!(late.monitor().unwrap().consumed(), 2 * n as usize);
         live.declare_requests(&requests);
         late.declare_requests(&requests);
@@ -1026,7 +1085,7 @@ mod tests {
             if i == 5 {
                 forwarded.attach_pipelined_monitor(2).expect("bare ledger");
                 attached
-                    .attach_monitor(IncrementalState::new())
+                    .attach_monitor(Decider::new())
                     .expect("bare ledger");
             }
             for ledger in [&mut forwarded, &mut attached] {
@@ -1048,6 +1107,157 @@ mod tests {
             forwarded.monitor().unwrap().consumed(),
             attached.monitor().unwrap().consumed()
         );
+    }
+
+    /// A ledger script: the requests, in submission order, and the
+    /// batches of events recorded.
+    struct Script {
+        requests: Vec<Request>,
+        batches: Vec<Vec<Event>>,
+    }
+
+    /// Every way to declare `n` requests in order around `m` batches: the
+    /// batch each request is declared before (`m` is after the last), as
+    /// a non-decreasing sequence.
+    fn schedules(n: usize, m: usize) -> Vec<Vec<usize>> {
+        let mut all = vec![Vec::new()];
+        for _ in 0..n {
+            all = (all.into_iter())
+                .flat_map(|at: Vec<usize>| {
+                    let from = at.last().copied().unwrap_or(0);
+                    (from..=m).map(move |b| [at.as_slice(), &[b]].concat())
+                })
+                .collect();
+        }
+        all
+    }
+
+    /// Replays `script` with the declarations placed by `at`, one request
+    /// per `declare_requests` call, and checks at every checkpoint — after
+    /// each declaration and each batch — that the monitor, which reads the
+    /// store's symbols and finds keys by content, answers what a cold
+    /// check of the ledger's history answers, that it lists the declared
+    /// requests, and that the store interned exactly what a ledger without
+    /// a monitor interns.
+    fn replay_agrees(script: &Script, at: &[usize]) {
+        let mut ledger = Ledger::new();
+        let mut bare = Ledger::without_monitor();
+        let mut declared = 0;
+        let check = |ledger: &Ledger, bare: &Ledger, declared: usize, when: &str| {
+            let requests = &script.requests[..declared];
+            let online = ledger.monitor_verdict().expect("default monitor");
+            let cold = FastChecker.check_requests(&ledger.history(), requests);
+            let context = format!("declared at {at:?}, {when}");
+            assert_eq!(online, cold, "{context}");
+            assert_eq!(online.to_string(), cold.to_string(), "{context}");
+            let listed: Vec<Request> = (ledger.monitor().expect("default monitor").requests())
+                .map(|(action, input)| Request::new(action, input))
+                .collect();
+            assert_eq!(listed, requests, "{context}");
+            let values = |l: &Ledger| l.store().interner().value_count();
+            assert_eq!(values(ledger), values(bare), "{context}");
+        };
+        for (b, batch) in script.batches.iter().chain([&Vec::new()]).enumerate() {
+            while declared < at.len() && at[declared] == b {
+                declared += 1;
+                ledger.declare_requests(&script.requests[..declared]);
+                check(
+                    &ledger,
+                    &bare,
+                    declared,
+                    &format!("request {declared} declared"),
+                );
+            }
+            if b < script.batches.len() {
+                ledger.record_batch(batch, t(b as u64), "svc");
+                bare.record_batch(batch, t(b as u64), "svc");
+                check(&ledger, &bare, declared, &format!("batch {b} recorded"));
+            }
+        }
+    }
+
+    #[test]
+    fn declarations_anywhere_around_recording_agree_with_a_cold_check() {
+        let put = ActionId::base(ActionName::idempotent("put"));
+        let get = ActionId::base(ActionName::idempotent("get"));
+        let xfer = ActionId::base(ActionName::undoable("xfer"));
+        let (cancel, commit) = (xfer.cancel().unwrap(), xfer.commit().unwrap());
+        let key = |k: &str| Value::from(k);
+        let round = |k: &str, r: i64| Value::round_stamped(key(k), r);
+        let s = |a: &ActionId, v: Value| Event::start(a.clone(), v);
+        let c = |a: &ActionId, v: Value| Event::complete(a.clone(), v);
+        let request = |a: &ActionId, k: &str| Request::new(a.clone(), key(k));
+        let committed = |k: &str, r: i64, output: i64| {
+            vec![
+                s(&xfer, round(k, r)),
+                c(&xfer, Value::from(output)),
+                s(&commit, round(k, r)),
+                c(&commit, Value::Nil),
+            ]
+        };
+        let scripts = [
+            // k1 runs at once, and its output is k5's key: the store holds
+            // that value before k5 is declared, in no group. k2's first
+            // round is cancelled, its second committed. k3 starts in one
+            // batch and completes in the next. k4 runs plain, then stamped.
+            // k5 never executes.
+            Script {
+                requests: vec![
+                    request(&put, "k1"),
+                    request(&xfer, "k2"),
+                    request(&put, "k3"),
+                    request(&xfer, "k4"),
+                    request(&put, "k5"),
+                ],
+                batches: vec![
+                    vec![s(&put, key("k1")), c(&put, key("k5"))],
+                    vec![
+                        s(&xfer, round("k2", 1)),
+                        s(&cancel, round("k2", 1)),
+                        c(&cancel, Value::Nil),
+                    ],
+                    [committed("k2", 2, 7), vec![s(&put, key("k3"))]].concat(),
+                    vec![
+                        c(&put, Value::from(3)),
+                        s(&xfer, key("k4")),
+                        c(&xfer, Value::from(4)),
+                    ],
+                    committed("k4", 1, 4),
+                ],
+            },
+            // An orphan completion between two requests.
+            Script {
+                requests: vec![request(&put, "k1"), request(&put, "k2")],
+                batches: vec![
+                    vec![s(&put, key("k1")), c(&put, Value::from(1))],
+                    vec![c(&get, Value::from(0))],
+                    vec![s(&put, key("k2")), c(&put, Value::from(2))],
+                ],
+            },
+            // A duplicate declaration, and a non-base one.
+            Script {
+                requests: vec![
+                    request(&put, "k1"),
+                    request(&xfer, "k2"),
+                    request(&put, "k1"),
+                    request(&cancel, "k3"),
+                ],
+                batches: vec![
+                    vec![s(&put, key("k1")), c(&put, Value::from(1))],
+                    committed("k2", 1, 2),
+                    vec![s(&put, key("k1")), c(&put, Value::from(1))],
+                ],
+            },
+        ];
+        let mut replayed = 0;
+        for script in &scripts {
+            for at in schedules(script.requests.len(), script.batches.len()) {
+                replay_agrees(script, &at);
+                replayed += 1;
+            }
+        }
+        // C(5 + 5, 5) + C(2 + 3, 2) + C(4 + 3, 4) placements.
+        assert_eq!(replayed, 252 + 10 + 35);
     }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {

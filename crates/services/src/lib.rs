@@ -59,7 +59,8 @@ pub mod logic;
 
 pub use core::{FailurePlan, InvokeOutcome, OpKind, ServiceConfig, ServiceCore, ServiceRequest};
 pub use ledger::{
-    shared_ledger, EffectKind, EffectRecord, Ledger, MonitorAlreadyAttached, SharedLedger,
+    shared_ledger, EffectKind, EffectRecord, Ledger, MonitorAlreadyAttached, MonitorView,
+    SharedLedger,
 };
 pub use logic::BusinessLogic;
 

@@ -28,8 +28,6 @@ pub(crate) const EVENT_SEGMENT: usize = 1 << 16;
 
 /// Role tag: the base action `a`.
 const ROLE_BASE: u8 = 0;
-/// Role tag: the cancellation action `a⁻¹`.
-const ROLE_CANCEL: u8 = 1;
 /// Role tag: the commit action `aᶜ`.
 const ROLE_COMMIT: u8 = 2;
 
@@ -67,8 +65,9 @@ impl EventRepr {
         self.tag & 1 == 1
     }
 
-    /// The action role bits (0 base, 1 cancel, 2 commit).
-    pub(crate) fn role(&self) -> u8 {
+    /// The action's role, as [`ActionId::role`] codes it (0 base, 1
+    /// cancel, 2 commit).
+    pub fn role(&self) -> u8 {
         (self.tag >> 1) & 0b11
     }
 
@@ -356,11 +355,7 @@ fn packed_shape_codes(
 
 /// Decodes a packed repr given its resolved action name and value.
 fn decode(repr: EventRepr, name: xability_core::ActionName, value: Value) -> Event {
-    let action = match repr.role() {
-        ROLE_BASE => ActionId::Base(name),
-        ROLE_CANCEL => ActionId::Cancel(name),
-        _ => ActionId::Commit(name),
-    };
+    let action = ActionId::with_role(name, repr.role());
     if repr.is_complete() {
         Event::complete(action, value)
     } else {
@@ -549,10 +544,15 @@ mod tests {
     #[test]
     fn role_tags_are_the_action_role_codes() {
         // The tags are the trace format's; `ActionId::role` is what every
-        // writer packs, so the two must never drift apart.
+        // writer packs and `ActionId::with_role` what the reader decodes,
+        // so the tags the store validates must be theirs.
         let u = undo("xfer");
-        let roles = [u.clone(), u.cancel().unwrap(), u.commit().unwrap()].map(|a| a.role());
-        assert_eq!(roles, [ROLE_BASE, ROLE_CANCEL, ROLE_COMMIT]);
+        let actions = [u.clone(), u.cancel().unwrap(), u.commit().unwrap()];
+        for action in &actions {
+            let name = action.base_name().clone();
+            assert_eq!(&ActionId::with_role(name, action.role()), action);
+        }
+        assert_eq!(actions.map(|a| a.role()), [ROLE_BASE, 1, ROLE_COMMIT]);
     }
 
     #[test]

@@ -880,7 +880,7 @@ mod tests {
         bytes.push(0); // Nil
         bytes.extend_from_slice(&0u32.to_le_bytes()); // no requests
         bytes.extend_from_slice(&1u64.to_le_bytes()); // one event:
-        bytes.push(0b010); // start, ROLE_CANCEL
+        bytes.push(0b010); // start, the cancel role
         bytes.extend_from_slice(&0u32.to_le_bytes()); // action 0
         bytes.extend_from_slice(&0u32.to_le_bytes()); // value 0
         let err = read_trace(&mut bytes.as_slice()).unwrap_err();

@@ -5,7 +5,10 @@
 //! (`obs.attach_overhead_pct`), not asserted here.
 
 use xability::core::xable::IncrementalState;
+use xability::core::Request;
 use xability::obs::Obs;
+use xability::services::Ledger;
+use xability::sim::SimTime;
 use xability::store::TraceStore;
 use xability_bench::{n_mixed_requests, n_retried_requests};
 
@@ -70,5 +73,47 @@ fn monitor_holds_under_eighty_bytes_per_event() {
     assert!(
         per_event < 80.0,
         "{per_event:.1} bytes per event without the interner: {parts:?}"
+    );
+}
+
+/// The same shapes through a [`Ledger`], in 4-request batches with the
+/// requests declared one batch ahead: the ledger's monitor reads the
+/// store's symbols, so it holds no interner of its own — no row of its
+/// table is one — and under 58 bytes per event in all, allocated capacity
+/// included (≈ 49; a monitor that interns every event again holds ≈ 78).
+#[test]
+fn a_ledger_monitor_holds_no_interner_and_under_58_bytes_per_event() {
+    let count = 20_000;
+    let (h, ops) = n_mixed_requests(count);
+    let requests: Vec<Request> = (ops.into_iter())
+        .map(|(a, iv)| Request::new(a, iv))
+        .collect();
+    let mut ledger = Ledger::new();
+    // One cycle of the four shapes: 16 events, request-aligned.
+    for (k, batch) in h.events().chunks(16).enumerate() {
+        ledger.declare_requests(&requests[..(4 * k + 8).min(count)]);
+        ledger.record_batch(batch, SimTime::ZERO, "svc");
+        if k % 500 == 250 {
+            // The batch declared ahead has not run yet.
+            let verdict = ledger.monitor_verdict().expect("default monitor");
+            assert!(!verdict.is_xable(), "{verdict}");
+        }
+    }
+    let verdict = ledger.monitor_verdict().expect("default monitor");
+    assert!(verdict.is_xable(), "{verdict}");
+    let monitor = ledger.monitor().expect("default monitor");
+    assert_eq!(monitor.consumed(), h.len());
+    assert_eq!(monitor.declared_len(), count);
+
+    let parts = monitor.approx_bytes_by_part();
+    assert!(
+        parts.iter().all(|(part, _)| !part.contains("interner")),
+        "{parts:?}"
+    );
+    let total: usize = parts.iter().map(|(_, bytes)| bytes).sum();
+    let per_event = total as f64 / h.len() as f64;
+    assert!(
+        per_event < 58.0,
+        "{per_event:.1} bytes per event: {parts:?}"
     );
 }
