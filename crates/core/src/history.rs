@@ -17,7 +17,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::action::{ActionId, ActionName};
 use crate::event::Event;
+use crate::intern::Interner;
 use crate::value::Value;
+use crate::xable::Decider;
 
 /// The longest index list [`HistoryRead::shape_codes`] accepts: 30 events
 /// and a non-nil target carry at most 31 distinct values, which is what
@@ -73,9 +75,10 @@ fn shape_codes_of<'a>(
 /// owned [`History`] (the theory's value type) or a compact interned store
 /// (the `xability-store` crate's `HistoryView`). `HistoryRead` is exactly
 /// what the checkers read — length, per-index decode, index-set gathering,
-/// full iteration, an owned copy for the search tier, and the shape codes
-/// the fast checker keys its memo with — so they can run over either
-/// without the caller materializing a `Vec<Event>` copy first.
+/// full iteration, an owned copy for the search tier, the shape codes the
+/// fast checker keys its memo with, and — from a source that has them —
+/// the symbols its events were interned under — so they can run over
+/// either without the caller materializing a `Vec<Event>` copy first.
 ///
 /// The trait is object safe: checkers accept `&dyn HistoryRead`.
 ///
@@ -184,6 +187,20 @@ pub trait HistoryRead {
     ) -> bool {
         let events: Vec<Event> = indices.iter().map(|&i| self.event_at(i)).collect();
         shape_codes_of(events.iter(), name, target, codes)
+    }
+
+    /// For a source whose events already sit interned: feeds `decider` the
+    /// events past its cursor as the symbols they were interned under, and
+    /// lends it that interner — the one every later call on `decider`
+    /// about this source must be given. Nothing is decoded or interned.
+    ///
+    /// The default has no symbols: it feeds nothing and answers `None`, and
+    /// the caller interns the events itself (an
+    /// [`IncrementalState`](crate::xable::IncrementalState) does). A store
+    /// view answers from the store's own symbols.
+    fn feed_symbols(&self, decider: &mut Decider) -> Option<&Interner> {
+        let _ = decider;
+        None
     }
 }
 

@@ -94,13 +94,19 @@ impl Interner {
     /// lookup that never inserts (for deciders answering questions about
     /// keys the history may never have mentioned).
     pub fn lookup_action(&self, name: &ActionName) -> Option<u32> {
-        lookup(&self.actions, &self.action_index, name)
+        lookup(&self.actions, &self.action_index, name, hash_of(name))
     }
 
     /// The symbol of `value` if it has already been interned — a pure
     /// lookup that never inserts.
     pub fn lookup_value(&self, value: &Value) -> Option<u32> {
-        lookup(&self.values, &self.value_index, value)
+        self.lookup_value_hashed(value, hash_of(value))
+    }
+
+    /// [`lookup_value`](Self::lookup_value) for a caller that already
+    /// holds `hash_of(value)`.
+    pub(crate) fn lookup_value_hashed(&self, value: &Value, hash: u64) -> Option<u32> {
+        lookup(&self.values, &self.value_index, value, hash)
     }
 
     /// Resolves an action symbol.
@@ -408,9 +414,9 @@ fn intern<T: Hash + Eq + Clone>(log: &mut AppendLog<T>, index: &mut SymbolIndex,
 }
 
 /// The read-only probe behind [`Interner::lookup_action`] /
-/// [`Interner::lookup_value`].
-fn lookup<T: Hash + Eq + Clone>(log: &AppendLog<T>, index: &SymbolIndex, item: &T) -> Option<u32> {
-    index.find(hash_of(item), |sym| log.get(sym as usize) == item)
+/// [`Interner::lookup_value`], for `item` whose [`hash_of`] is `hash`.
+fn lookup<T: Eq>(log: &AppendLog<T>, index: &SymbolIndex, item: &T, hash: u64) -> Option<u32> {
+    index.find(hash, |sym| log.get(sym as usize) == item)
 }
 
 /// Approximate heap bytes behind a [`Value`] (not counting the inline

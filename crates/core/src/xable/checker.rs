@@ -7,9 +7,10 @@
 //! * [`FastChecker`] — the polynomial checker for protocol-shaped
 //!   histories (per-group decisions plus effect ordering, DESIGN.md §4.3).
 //!   Answers [`Verdict::Unknown`] outside its class. It has no decision
-//!   code of its own: each question builds a cold
-//!   [`IncrementalState`], feeds it the whole source, declares the
-//!   question's requests and reads the online checker's aggregate once.
+//!   code of its own: each question builds a cold [`Decider`], feeds it
+//!   the whole source — as the symbols a store view already holds, or
+//!   interned into a cold [`IncrementalState`] — declares the question's
+//!   requests and reads the online checker's aggregate once.
 //! * [`escalate`] — the R3 escalation rule over a fast-tier verdict the
 //!   caller already holds (batch or online alike): a definite verdict is
 //!   final, and an `Unknown` goes to the exhaustive search when the
@@ -57,8 +58,9 @@ use std::fmt;
 use crate::action::{ActionId, Request};
 use crate::failure_free::failure_free_sequence_outputs;
 use crate::history::{History, HistoryRead};
+use crate::intern::Interner;
 use crate::value::Value;
-use crate::xable::incremental::IncrementalState;
+use crate::xable::incremental::{Decider, IncrementalState};
 use crate::xable::outputs::Outputs;
 use crate::xable::search::{is_xable_search, SearchBudget, SearchResult};
 
@@ -524,21 +526,33 @@ impl FastChecker {
         self.check_requests(h, requests)
     }
 
-    /// The one decider fed all at once: a cold [`IncrementalState`] with
-    /// every event of `h` consumed and then `requests` declared in order.
-    /// Declared after the events, every key an event carries is already
-    /// interned, so no request waits as a pending pair.
-    fn cold_state<'a>(
+    /// The one decider fed all at once: a cold [`Decider`] with every
+    /// event of `h` consumed and then `requests` declared in order, read
+    /// once by `answer`. A source whose events sit interned feeds the
+    /// decider its own symbols ([`HistoryRead::feed_symbols`]); any other
+    /// is interned into a cold [`IncrementalState`]. Declared after the
+    /// events, a key no event carries waits as a pending pair, under
+    /// either interner.
+    fn cold<'a>(
         &self,
         h: &dyn HistoryRead,
         requests: impl Iterator<Item = (&'a ActionId, &'a Value)>,
-    ) -> IncrementalState {
-        let mut state = IncrementalState::new();
-        state.catch_up(h);
+        answer: impl FnOnce(&Decider, &Interner) -> Verdict,
+    ) -> Verdict {
+        let mut fed = Decider::new();
+        let mut owned: IncrementalState;
+        let (decider, interner) = match h.feed_symbols(&mut fed) {
+            Some(interner) => (&mut fed, interner),
+            None => {
+                owned = IncrementalState::new();
+                owned.catch_up(h);
+                owned.parts_mut()
+            }
+        };
         for (action, input) in requests {
-            state.declare(action.clone(), input.clone());
+            decider.declare(interner, action.clone(), input.clone());
         }
-        state
+        answer(decider, interner)
     }
 }
 
@@ -558,15 +572,19 @@ impl Checker for FastChecker {
     ) -> Verdict {
         let declared = ops.iter().chain(erasable).map(|(a, v)| (a, v));
         let executed = ops.len();
-        self.cold_state(h, declared)
-            .attempt_over(h, executed, executed..executed + erasable.len())
+        let erasing = executed..executed + erasable.len();
+        self.cold(h, declared, |decider, interner| {
+            decider.attempt_over(interner, h, executed, erasing)
+        })
     }
 
     /// Overridden to read the source once into one state, whose aggregate
     /// the full-sequence and last-request-abandoned attempts share.
     fn check_requests(&self, h: &dyn HistoryRead, requests: &[Request]) -> Verdict {
         let declared = requests.iter().map(|r| (r.action(), r.input()));
-        self.cold_state(h, declared).verdict_over(h)
+        self.cold(h, declared, |decider, interner| {
+            decider.verdict_over(interner, h)
+        })
     }
 }
 

@@ -43,9 +43,11 @@
 //! outcomes into a verdict: the per-request case analysis, one attempt
 //! over the first `n` declared requests executing and a range of declared
 //! requests erasing, and the R3 combination of two attempts. The batch
-//! [`super::FastChecker`] is a *cold* state — the question's requests
-//! declared, the whole source fed through
-//! [`catch_up`](IncrementalState::catch_up) — read once. So the online
+//! [`super::FastChecker`] is a *cold* decider — the whole source fed as
+//! the symbols a store view already holds
+//! ([`HistoryRead::feed_symbols`]), or interned through
+//! [`catch_up`](IncrementalState::catch_up), then the question's requests
+//! declared — read once. So the online
 //! verdict at any prefix equals `FastChecker::check_requests` on that
 //! prefix because both are this code; what the property tests in
 //! `tests/incremental_props.rs` and `tests/checker_scaling.rs` still pin,
@@ -239,6 +241,82 @@ enum EraseFail {
     Budget,
 }
 
+/// A set of row ids — requests or groups — drained in ascending order:
+/// the ids in the order they were marked, and one mark bit per row, so
+/// marking, unmarking and draining a row each touch one word and no tree.
+/// An unmarked id may linger in the list until the drain skips it.
+#[derive(Debug, Default)]
+struct DirtyRows {
+    /// Every id marked since the last drain, once per marking.
+    ids: Vec<u32>,
+    /// Bit `id % 64` of word `id / 64`: whether row `id` is marked.
+    marks: Vec<u64>,
+    /// How many rows are marked.
+    len: usize,
+}
+
+/// Row `id`'s word in a [`DirtyRows`] bitset, and its bit in that word.
+fn mark_of(id: u32) -> (usize, u64) {
+    (id as usize / 64, 1 << (id % 64))
+}
+
+impl DirtyRows {
+    /// Marks row `id`; a no-op when it is marked already.
+    fn insert(&mut self, id: u32) {
+        let (word, bit) = mark_of(id);
+        if word >= self.marks.len() {
+            self.marks.resize(word + 1, 0);
+        }
+        if self.marks[word] & bit == 0 {
+            self.marks[word] |= bit;
+            self.ids.push(id);
+            self.len += 1;
+        }
+    }
+
+    /// Unmarks row `id`, leaving its list entry for the drain to skip.
+    fn remove(&mut self, id: u32) {
+        let (word, bit) = mark_of(id);
+        if let Some(word) = self.marks.get_mut(word) {
+            if *word & bit != 0 {
+                *word &= !bit;
+                self.len -= 1;
+            }
+        }
+    }
+
+    /// The marked rows, ascending, each once; every mark is cleared. The
+    /// list goes back through [`recycle`](Self::recycle) once it is read.
+    fn take_sorted(&mut self) -> Vec<u32> {
+        let mut ids = std::mem::take(&mut self.ids);
+        ids.sort_unstable();
+        let marks = &mut self.marks;
+        ids.retain(|&id| {
+            let (word, bit) = mark_of(id);
+            let marked = marks[word] & bit != 0;
+            marks[word] &= !bit;
+            marked
+        });
+        self.len = 0;
+        ids
+    }
+
+    /// Takes back, emptied, a list [`take_sorted`](Self::take_sorted) gave
+    /// out, to hold the next marks: a verdict every few batches then
+    /// allocates nothing for its dirty sets (a fresh list per refresh left
+    /// ≈ 0.6 MB more resident in a `verify_online` replay).
+    fn recycle(&mut self, mut ids: Vec<u32>) {
+        debug_assert!(self.ids.is_empty(), "nothing is marked during a drain");
+        ids.clear();
+        self.ids = ids;
+    }
+
+    /// Heap bytes allocated for the list and the marks.
+    fn heap_bytes(&self) -> usize {
+        self.ids.capacity() * size_of::<u32>() + self.marks.capacity() * size_of::<u64>()
+    }
+}
+
 /// The maintained aggregate behind O(dirty) verdicts. The invariant — the
 /// reason a verdict may skip every clean request — is:
 ///
@@ -288,9 +366,10 @@ struct Aggregate {
     /// the same dirty marks.
     last_tracked: Option<GroupSym>,
     /// Requests whose groups changed since the last verdict.
-    dirty_ops: BTreeSet<usize>,
-    /// Unwatched groups that changed since the last verdict.
-    dirty_undeclared: BTreeSet<GroupSym>,
+    dirty_ops: DirtyRows,
+    /// Unwatched groups that changed since the last verdict; a declaration
+    /// that adopts one unmarks it.
+    dirty_undeclared: DirtyRows,
     /// Unwatched groups currently failing to erase (ascending symbol
     /// order: a verdict reports the first-seen one).
     undeclared_fail: BTreeMap<GroupSym, EraseFail>,
@@ -390,7 +469,7 @@ impl Aggregate {
         }
         for op in [w.plain_op, w.stamped_op] {
             if op != NONE {
-                self.dirty_ops.insert(op as usize);
+                self.dirty_ops.insert(op);
             }
         }
         if w.is_undeclared() {
@@ -467,6 +546,9 @@ pub struct Decider {
     /// the cached per-request decisions, which is logically a cache fill
     /// behind the `&self` query API.
     agg: RefCell<Aggregate>,
+    /// The last declared name the interner knew, and its symbol: a run of
+    /// declarations of one action resolves its name once.
+    last_name: Option<(ActionName, u32)>,
     obs: CheckerObs,
 }
 
@@ -521,6 +603,7 @@ impl Decider {
             engine: Engine::default(),
             orphan: None,
             agg: RefCell::new(Aggregate::default()),
+            last_name: None,
             obs: CheckerObs::default(),
         }
     }
@@ -547,27 +630,36 @@ impl Decider {
         let op = idx as usize;
         agg.entries.push(OpEntry::default());
         agg.outputs.push(Value::Nil);
-        agg.dirty_ops.insert(op);
-        let input_hash = short_hash(hash_of(&input));
+        agg.dirty_ops.insert(idx);
+        let hash = hash_of(&input);
+        let input_hash = short_hash(hash);
         agg.op_hashes.push(input_hash);
-        let name = match &action {
-            ActionId::Base(name)
-                if agg.op_with_key(&self.engine, interner, (name, &input), input_hash) == NONE =>
-            {
-                name.clone()
-            }
-            _ => {
+        let duplicate = matches!(&action, ActionId::Base(name)
+            if agg.op_with_key(&self.engine, interner, (name, &input), input_hash) != NONE);
+        let name = match action {
+            ActionId::Base(name) if !duplicate => name,
+            action => {
                 agg.invalid.push((op, action, input));
                 return;
             }
         };
         let mut adopt = |sym: GroupSym| {
-            agg.dirty_undeclared.remove(&sym);
+            agg.dirty_undeclared.remove(sym);
             agg.undeclared_fail.remove(&sym);
         };
-        let ns = interner.lookup_action(&name);
-        let plain =
-            (ns.zip(interner.lookup_value(&input))).and_then(|key| self.engine.group_with_key(key));
+        let ns = match &self.last_name {
+            Some((last, sym)) if *last == name => Some(*sym),
+            _ => {
+                let ns = interner.lookup_action(&name);
+                if let Some(sym) = ns {
+                    self.last_name = Some((name.clone(), sym));
+                }
+                ns
+            }
+        };
+        let plain = ns
+            .and_then(|ns| Some((ns, interner.lookup_value_hashed(&input, hash)?)))
+            .and_then(|key| self.engine.group_with_key(key));
         if let Some(sym) = plain {
             agg.entries[op].plain = sym;
             agg.watchers[sym as usize].plain_op = idx;
@@ -658,9 +750,9 @@ impl Decider {
     /// interner row: the decider holds none.
     pub fn approx_bytes_by_part(&self) -> Vec<(&'static str, usize)> {
         let agg = self.agg.borrow();
-        let sets = (agg.dirty_ops.len() + agg.failing_ops.len() + agg.order_bad.len())
-            * size_of::<usize>()
-            + agg.dirty_undeclared.len() * size_of::<GroupSym>()
+        let sets = agg.dirty_ops.heap_bytes()
+            + agg.dirty_undeclared.heap_bytes()
+            + (agg.failing_ops.len() + agg.order_bad.len()) * size_of::<usize>()
             + agg.undeclared_fail.len() * size_of::<(GroupSym, EraseFail)>();
         let mut parts = self.engine.byte_parts().to_vec();
         parts.extend([
@@ -693,9 +785,10 @@ impl Decider {
         self.obs.refreshes.inc();
         self.obs
             .dirty_undeclared
-            .record(agg.dirty_undeclared.len() as u64);
-        self.obs.dirty_ops.record(agg.dirty_ops.len() as u64);
-        while let Some(sym) = agg.dirty_undeclared.pop_first() {
+            .record(agg.dirty_undeclared.len as u64);
+        self.obs.dirty_ops.record(agg.dirty_ops.len as u64);
+        let groups = agg.dirty_undeclared.take_sorted();
+        for &sym in &groups {
             match self.engine.erases(interner, sym, h) {
                 EraseOutcome::Erases => {
                     agg.undeclared_fail.remove(&sym);
@@ -709,7 +802,10 @@ impl Decider {
                 }
             }
         }
-        while let Some(op) = agg.dirty_ops.pop_first() {
+        agg.dirty_undeclared.recycle(groups);
+        let ops = agg.dirty_ops.take_sorted();
+        for &op in &ops {
+            let op = op as usize;
             agg.entries[op].state = match self.decide_op(&agg.entries[op], interner, h) {
                 Ok((output, anchor)) => {
                     agg.outputs.set(op, output);
@@ -726,6 +822,7 @@ impl Decider {
             };
             agg.refresh_order_pairs(op);
         }
+        agg.dirty_ops.recycle(ops);
     }
 
     /// One request's decision, `(output, effect anchor)` or why not: its
@@ -953,7 +1050,7 @@ impl Decider {
     /// R3 fallback: the first `executed` declared requests execute and the
     /// declared requests in `erasable` erase — `FastChecker::check`'s
     /// `(ops, erasable)` question, declared as `ops` then `erasable`.
-    fn attempt_over<H: HistoryRead + ?Sized>(
+    pub(crate) fn attempt_over<H: HistoryRead + ?Sized>(
         &self,
         interner: &Interner,
         h: &H,
@@ -977,9 +1074,10 @@ impl Decider {
 /// question against any [`HistoryRead`] holding the consumed prefix. The
 /// self-contained [`IncrementalChecker`] wraps one of these around an
 /// owned [`History`], and [`super::FastChecker`] builds a cold one per
-/// question and [`catch_up`](IncrementalState::catch_up)s it with the
-/// whole source. Where the events already sit interned — a service
-/// ledger's trace store — a bare [`Decider`] reads the store's symbols
+/// question over a source without symbols and
+/// [`catch_up`](IncrementalState::catch_up)s it with the whole source.
+/// Where the events already sit interned — a service ledger's trace store,
+/// or any view of one — a bare [`Decider`] reads the store's symbols
 /// instead, and nothing is interned twice.
 ///
 /// # Examples
@@ -1074,8 +1172,8 @@ impl IncrementalState {
     /// Consumes the events of `h` past the cursor — `h` holds the
     /// consumed prefix and maybe more — through
     /// [`observe_batch`](Self::observe_batch), a chunk of 1 024 events at
-    /// a time. How [`super::FastChecker`] reads a whole source into a
-    /// cold state.
+    /// a time. How [`super::FastChecker`] reads a source that has no
+    /// symbols of its own into a cold state.
     ///
     /// # Panics
     ///
@@ -1141,16 +1239,10 @@ impl IncrementalState {
         self.decider.verdict_over(&self.interner, h)
     }
 
-    /// One explicit attempt over the consumed prefix held by `h`, with no
-    /// R3 fallback (see [`Decider`]'s private `attempt_over`).
-    pub(crate) fn attempt_over<H: HistoryRead + ?Sized>(
-        &self,
-        h: &H,
-        executed: usize,
-        erasable: Range<usize>,
-    ) -> Verdict {
-        self.decider
-            .attempt_over(&self.interner, h, executed, erasable)
+    /// The decider, to declare into and read, and the interner its
+    /// symbols come from.
+    pub(crate) fn parts_mut(&mut self) -> (&mut Decider, &Interner) {
+        (&mut self.decider, &self.interner)
     }
 }
 
@@ -1910,19 +2002,16 @@ mod tests {
         inc.declare(b.clone(), Value::from(2));
         inc.push_all([s(&a, 1), c(&a, 5)]);
         let _ = inc.verdict();
-        assert!(inc.state.decider.agg.borrow().dirty_ops.is_empty());
-        assert!(inc.state.decider.agg.borrow().dirty_undeclared.is_empty());
+        let dirty = |inc: &IncrementalChecker| {
+            let agg = inc.state.decider.agg.borrow();
+            let (ops, groups) = (&agg.dirty_ops, &agg.dirty_undeclared);
+            ((ops.len, ops.ids.clone()), (groups.len, groups.ids.clone()))
+        };
+        assert_eq!(dirty(&inc), ((0, vec![]), (0, vec![])));
         inc.push(s(&b, 2));
         assert_eq!(
-            inc.state
-                .decider
-                .agg
-                .borrow()
-                .dirty_ops
-                .iter()
-                .copied()
-                .collect::<Vec<_>>(),
-            vec![1],
+            dirty(&inc),
+            ((1, vec![1]), (0, vec![])),
             "only request b is dirty"
         );
         inc.push(c(&b, 6));

@@ -30,13 +30,13 @@ use std::path::Path;
 use std::rc::Rc;
 use std::slice;
 
-use xability_core::xable::{Decider, EventSymbols, Verdict};
-use xability_core::{ActionId, ActionName, Event, Interner, Request, Value};
+use xability_core::xable::{Decider, Verdict};
+use xability_core::{ActionId, ActionName, Event, HistoryRead, Interner, Request, Value};
 
 use xability_obs::{Counter, Histogram, Obs};
 use xability_sim::SimTime;
 use xability_store::{
-    recover_store, EventRepr, HistoryView, RecoveryReport, SegmentLog, TierConfig, TraceStore,
+    recover_store, HistoryView, RecoveryReport, SegmentLog, TierConfig, TraceStore,
 };
 
 /// What kind of externally visible effect a record describes.
@@ -164,23 +164,6 @@ impl<'a> MonitorView<'a> {
     /// the monitor only reads, is not among them.
     pub fn approx_bytes_by_part(&self) -> Vec<(&'static str, usize)> {
         self.decider.approx_bytes_by_part()
-    }
-}
-
-/// The symbols a store gave one event, as the monitor reads them.
-fn symbols(repr: EventRepr) -> EventSymbols {
-    EventSymbols {
-        name: repr.action_symbol(),
-        role: repr.role(),
-        input: (!repr.is_complete()).then(|| repr.value_symbol()),
-    }
-}
-
-/// Feeds `monitor` the events of `store` past its cursor, as the symbols
-/// the store assigned — no event is decoded and nothing is interned.
-fn catch_up(monitor: &mut Decider, store: &TraceStore) {
-    for index in monitor.consumed()..store.len() {
-        monitor.observe(store.interner(), symbols(store.repr(index)));
     }
 }
 
@@ -345,7 +328,7 @@ impl Ledger {
     fn ingest(&mut self, events: &[Event], at: SimTime) {
         self.store.push_batch(events);
         if let Some(monitor) = &mut self.monitor {
-            catch_up(monitor, &self.store);
+            self.store.view().feed_symbols(monitor);
         }
         self.obs.record_ingest(at, events.len() as u64);
         self.maybe_spill();
@@ -450,7 +433,7 @@ impl Ledger {
     pub fn reopen_spill(dir: impl AsRef<Path>) -> io::Result<(Ledger, RecoveryReport)> {
         let (store, report) = recover_store(dir)?;
         let mut monitor = Decider::new();
-        catch_up(&mut monitor, &store);
+        store.view().feed_symbols(&mut monitor);
         let mut ledger = Ledger::without_monitor();
         ledger.store = store;
         ledger.monitor = Some(monitor);
@@ -481,7 +464,7 @@ impl Ledger {
         if self.obs.obs.is_enabled() {
             monitor.attach_obs(&self.obs.obs);
         }
-        catch_up(&mut monitor, &self.store);
+        self.store.view().feed_symbols(&mut monitor);
         self.monitor = Some(monitor);
         Ok(())
     }

@@ -18,6 +18,7 @@ use std::slice;
 
 use xability_core::intern::BatchMemo;
 use xability_core::seglog::AppendLog;
+use xability_core::xable::{Decider, EventSymbols};
 use xability_core::{ActionId, ActionName, Event, History, HistoryRead, Interner, Value};
 
 /// Events per store segment. 64k × 12 bytes ≈ 768 KiB per segment: large
@@ -79,6 +80,17 @@ impl EventRepr {
     /// The interned value symbol.
     pub fn value_symbol(&self) -> u32 {
         self.value
+    }
+
+    /// The symbols a [`Decider`] reads off this event: its name, its role
+    /// and — for a start — its input. A completion's output is not among
+    /// them.
+    pub fn symbols(&self) -> EventSymbols {
+        EventSymbols {
+            name: self.action,
+            role: self.role(),
+            input: (!self.is_complete()).then_some(self.value),
+        }
     }
 
     /// The raw tag byte (for the trace format).
@@ -485,6 +497,18 @@ impl HistoryRead for HistoryView<'_> {
             self.store.repr(self.start + index)
         });
         packed_shape_codes(self.store.interner(), reprs, name, target, codes)
+    }
+
+    /// The store's symbols for the events past the decider's cursor, and
+    /// the store's interner — which may hold values no event of this
+    /// view carries; the decider matches keys by content, so it answers as
+    /// if it had interned the view alone.
+    fn feed_symbols(&self, decider: &mut Decider) -> Option<&Interner> {
+        let interner = self.store.interner();
+        for index in self.start + decider.consumed()..self.end {
+            decider.observe(interner, self.store.repr(index).symbols());
+        }
+        Some(interner)
     }
 }
 

@@ -1,6 +1,5 @@
-//! Public-API snapshot: the `pub` surface of `xability-core`,
-//! `xability-obs` and `xability-store` is recorded in
-//! `tests/public_api.txt` and diffed
+//! Public-API snapshot: the `pub` surface of every workspace crate and of
+//! the `xability` facade is recorded in `tests/public_api.txt` and diffed
 //! here, so API churn is always a deliberate, reviewed change (this
 //! PR-visible file must be updated together with the code).
 //!
@@ -17,8 +16,19 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// The snapshotted crates: the theory, observability and store surfaces.
-const CRATE_ROOTS: [&str; 3] = ["crates/core/src", "crates/obs/src", "crates/store/src"];
+/// The snapshotted crates: the facade and all nine workspace crates.
+const CRATE_ROOTS: [&str; 10] = [
+    "src",
+    "crates/bench/src",
+    "crates/consensus/src",
+    "crates/core/src",
+    "crates/harness/src",
+    "crates/obs/src",
+    "crates/protocol/src",
+    "crates/services/src",
+    "crates/sim/src",
+    "crates/store/src",
+];
 /// Where the snapshot lives, relative to the workspace root.
 const SNAPSHOT: &str = "tests/public_api.txt";
 
@@ -26,7 +36,7 @@ const SNAPSHOT: &str = "tests/public_api.txt";
 /// `root` — what [`SNAPSHOT`] must hold.
 fn derive_snapshot(root: &Path) -> Result<String, String> {
     let mut actual = String::from(
-        "# Public API of xability-core, xability-obs and xability-store (first lines of `pub` declarations and `pub trait` methods).\n\
+        "# Public API of the xability facade and its nine workspace crates (first lines of `pub` declarations and `pub trait` methods).\n\
          # Regenerate with: UPDATE_PUBLIC_API=1 cargo test --test public_api\n",
     );
     for crate_root in CRATE_ROOTS {
@@ -185,7 +195,7 @@ fn public_api_matches_snapshot() {
             }
         }
         panic!(
-            "the public API of xability-core changed:\n{diff}\n\
+            "the public API changed:\n{diff}\n\
              If intentional, update the snapshot:\n  \
              UPDATE_PUBLIC_API=1 cargo test --test public_api"
         );
