@@ -28,6 +28,7 @@
 //! contribute to majorities — in the replication protocol of §5, typically
 //! only one or two replicas propose to a given instance.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -141,6 +142,8 @@ enum Phase {
     Acked,
 }
 
+/// A running instance: everything a participant needs until it decides.
+/// A decided instance is only its value (see [`ConsensusEngine`]).
 #[derive(Debug)]
 struct Instance<V> {
     estimate: Option<(V, u64)>,
@@ -153,9 +156,6 @@ struct Instance<V> {
     acks: BTreeSet<ProcessId>,
     /// Coordinator state: whether this round's proposal went out.
     proposed: bool,
-    decided: Option<V>,
-    /// Whether this process broadcast the decision already.
-    decision_relayed: bool,
     participating: bool,
 }
 
@@ -169,8 +169,6 @@ impl<V> Instance<V> {
             estimates: BTreeMap::new(),
             acks: BTreeSet::new(),
             proposed: false,
-            decided: None,
-            decision_relayed: false,
             participating: false,
         }
     }
@@ -183,30 +181,32 @@ impl<V> Instance<V> {
 /// [`ConsensusEngine::on_tick`] periodically (a few times per failure
 /// detector timeout), and collects newly decided `(instance, value)` pairs
 /// from both calls.
+///
+/// An instance lives in one of two maps: `running` until it decides, then
+/// `decided`, where it is only its value. The entry point that reaches a
+/// decision moves it across before it returns, so a live instance is found
+/// among a few entries and everything a late message can still ask of a
+/// decided one — its value — is all that stays resident.
 #[derive(Debug)]
 pub struct ConsensusEngine<V> {
     me: ProcessId,
     peers: Vec<ProcessId>,
     round_timeout: SimDuration,
-    instances: BTreeMap<InstanceId, Instance<V>>,
-    /// The instances the tick can still act on: participating and
-    /// undecided. Entered where `participating` is set, left in `decide`.
-    active: BTreeSet<InstanceId>,
-    /// Decisions reached during one entry point (a peer's `Decide`, a
-    /// majority of acks, or a singleton coordinator's own implicit ack);
-    /// drained by the public entry points so callers observe every
-    /// decision exactly once.
-    undrained: Vec<(InstanceId, V)>,
+    /// Undecided instances: joined, or only heard of from a stray message.
+    running: BTreeMap<InstanceId, Instance<V>>,
+    decided: BTreeMap<InstanceId, V>,
 }
 
-/// The engine with its instance map taken out: what one instance's step
-/// reads and updates besides the instance itself. Each entry point looks
-/// its instance up once and hands the `&mut Instance` to these methods.
+/// The engine with its instance maps taken out: what one instance's step
+/// reads besides the instance itself, and the decision the step reaches.
+/// Each entry point looks its instance up once, hands the `&mut Instance`
+/// to these methods, and then moves a reached decision to `decided`.
 struct Member<'a, V> {
     me: ProcessId,
     peers: &'a [ProcessId],
-    active: &'a mut BTreeSet<InstanceId>,
-    undrained: &'a mut Vec<(InstanceId, V)>,
+    /// The decision this step reached (at most one: a step drives one
+    /// instance, and nothing moves an instance once it decides).
+    decision: Option<(InstanceId, V)>,
 }
 
 impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
@@ -226,26 +226,35 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
             me,
             peers,
             round_timeout,
-            instances: BTreeMap::new(),
-            active: BTreeSet::new(),
-            undrained: Vec::new(),
+            running: BTreeMap::new(),
+            decided: BTreeMap::new(),
         }
     }
 
-    /// The one lookup of an entry point: the instance (created at `now`
-    /// if unseen) beside the rest of the engine.
-    fn instance(&mut self, id: &InstanceId, now: SimTime) -> (&mut Instance<V>, Member<'_, V>) {
-        let inst = self
-            .instances
-            .entry(id.clone())
-            .or_insert_with(|| Instance::new(now));
-        let member = Member {
-            me: self.me,
-            peers: &self.peers,
-            active: &mut self.active,
-            undrained: &mut self.undrained,
+    /// The one lookup of an entry point: the running instance (created at
+    /// `now` if unseen) beside the rest of the engine, or the decision of a
+    /// decided one. `running` is probed first, so a message for a live
+    /// instance searches only the undecided ones.
+    fn instance(
+        &mut self,
+        id: &InstanceId,
+        now: SimTime,
+    ) -> Result<(&mut Instance<V>, Member<'_, V>), &V> {
+        let inst = match self.running.entry(id.clone()) {
+            Entry::Occupied(live) => live.into_mut(),
+            Entry::Vacant(unseen) => match self.decided.get(id) {
+                Some(value) => return Err(value),
+                None => unseen.insert(Instance::new(now)),
+            },
         };
-        (inst, member)
+        Ok((inst, Member::new(self.me, &self.peers)))
+    }
+
+    /// Moves an instance that just decided from `running` to `decided`.
+    fn settle(&mut self, id: &InstanceId, value: &V) {
+        let live = self.running.remove(id);
+        debug_assert!(live.is_some(), "only a running instance decides");
+        self.decided.insert(id.clone(), value.clone());
     }
 
     /// The paper's `propose()` (§5.2): proposes `value` for `instance`.
@@ -260,18 +269,19 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
         instance: InstanceId,
         value: V,
     ) -> Option<V> {
-        let (inst, mut member) = self.instance(&instance, net.now());
-        if let Some(d) = &inst.decided {
-            return Some(d.clone());
-        }
+        let (inst, mut member) = match self.instance(&instance, net.now()) {
+            Ok(live) => live,
+            Err(decided) => return Some(decided.clone()),
+        };
         if inst.estimate.is_none() {
             inst.estimate = Some((value, 0));
         }
         member.join(net, &instance, inst);
         // A coordinator alone in a singleton group decides synchronously;
-        // the decision is returned here, not drained later.
-        member.undrained.retain(|(id, _)| id != &instance);
-        inst.decided.clone()
+        // the decision is returned here, not reported later.
+        let (_, decision) = member.decision?;
+        self.settle(&instance, &decision);
+        Some(decision)
     }
 
     /// The paper's `read()` (§5.2): the locally known decision, if any.
@@ -279,14 +289,12 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
     /// `None` means "no decision known here" — the instance may already be
     /// decided elsewhere; proposing then returns that decision.
     pub fn read(&self, instance: &InstanceId) -> Option<&V> {
-        self.instances.get(instance)?.decided.as_ref()
+        self.decided.get(instance)
     }
 
     /// All instances with locally known decisions, in instance order.
     pub fn decided_instances(&self) -> impl Iterator<Item = (&InstanceId, &V)> {
-        self.instances
-            .iter()
-            .filter_map(|(id, inst)| inst.decided.as_ref().map(|v| (id, v)))
+        self.decided.iter()
     }
 
     /// Handles an incoming consensus message, returning newly decided
@@ -297,24 +305,26 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
         from: ProcessId,
         msg: ConsensusMsg<V>,
     ) -> Vec<(InstanceId, V)> {
-        let (inst, mut member) = self.instance(msg.instance(), net.now());
-        if let Some(decided) = &inst.decided {
-            // Help late peers: re-send the decision to the sender.
-            if !matches!(msg, ConsensusMsg::Decide { .. }) {
-                net.send(
-                    from,
-                    ConsensusMsg::Decide {
-                        instance: msg.instance().clone(),
-                        value: decided.clone(),
-                    },
-                );
+        let (inst, mut member) = match self.instance(msg.instance(), net.now()) {
+            Ok(live) => live,
+            Err(decided) => {
+                // Help late peers: re-send the decision to the sender.
+                if !matches!(msg, ConsensusMsg::Decide { .. }) {
+                    net.send(
+                        from,
+                        ConsensusMsg::Decide {
+                            instance: msg.instance().clone(),
+                            value: decided.clone(),
+                        },
+                    );
+                }
+                return Vec::new();
             }
-            return Vec::new();
-        }
+        };
 
         match msg {
             ConsensusMsg::Decide { instance, value } => {
-                member.decide(net, &instance, inst, value);
+                member.decide(net, &instance, value);
             }
             ConsensusMsg::Estimate {
                 instance,
@@ -360,7 +370,7 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
                             .clone()
                             .map(|(v, _)| v)
                             .expect("coordinator proposed, so it has an estimate");
-                        member.decide(net, &instance, inst, value);
+                        member.decide(net, &instance, value);
                     }
                 }
             }
@@ -370,32 +380,28 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
                 }
             }
         }
-        std::mem::take(&mut self.undrained)
+        let Some((id, value)) = member.decision else {
+            return Vec::new();
+        };
+        self.settle(&id, &value);
+        vec![(id, value)]
     }
 
     /// Periodic driver: applies round timeouts and failure-detector
-    /// suspicions to every participating, undecided instance, in instance
+    /// suspicions to every participating running instance, in instance
     /// order, returning newly decided pairs. A tick itself only nacks and
     /// advances rounds: with two or more peers a decision takes a peer's
     /// message, so nothing is decided here. The one path that decides
     /// without a message is a singleton group's coordinator re-proposing
-    /// as it enters a round, and that decision is drained here as in
+    /// as it enters a round, and that decision is returned here as in
     /// [`ConsensusEngine::on_message`].
     ///
     /// Costs O(undecided instances), not O(instances ever seen).
     pub fn on_tick(&mut self, net: &mut dyn ConsensusNet<V>) -> Vec<(InstanceId, V)> {
-        let ids: Vec<InstanceId> = self.active.iter().cloned().collect();
-        debug_assert!(
-            ids.iter().eq(self
-                .instances
-                .iter()
-                .filter(|(_, i)| i.decided.is_none() && i.participating)
-                .map(|(id, _)| id)),
-            "the active set is exactly the participating, undecided instances"
-        );
         let (now, round_timeout) = (net.now(), self.round_timeout);
-        for id in ids {
-            let (inst, mut member) = self.instance(&id, now);
+        let mut decided = Vec::new();
+        for (id, inst) in self.running.iter_mut().filter(|(_, i)| i.participating) {
+            let mut member = Member::new(self.me, &self.peers);
             let coord = member.coordinator(inst.round);
             let timed_out = now.since(inst.round_started_at) > round_timeout;
             let suspected = coord != member.me && net.suspects(coord);
@@ -408,14 +414,26 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
                         round,
                     },
                 );
-                member.advance_to(net, &id, inst, round + 1);
+                member.advance_to(net, id, inst, round + 1);
             }
+            decided.extend(member.decision);
         }
-        std::mem::take(&mut self.undrained)
+        for (id, value) in &decided {
+            self.settle(id, value);
+        }
+        decided
     }
 }
 
-impl<V: Clone> Member<'_, V> {
+impl<'a, V: Clone> Member<'a, V> {
+    fn new(me: ProcessId, peers: &'a [ProcessId]) -> Self {
+        Member {
+            me,
+            peers,
+            decision: None,
+        }
+    }
+
     /// The majority threshold.
     fn majority(&self) -> usize {
         self.peers.len() / 2 + 1
@@ -433,7 +451,6 @@ impl<V: Clone> Member<'_, V> {
         }
         inst.participating = true;
         inst.round_started_at = net.now();
-        self.active.insert(id.clone());
         self.broadcast_estimate(net, id, inst);
     }
 
@@ -505,12 +522,12 @@ impl<V: Clone> Member<'_, V> {
         // The coordinator implicitly acks its own proposal; in a singleton
         // group that already is a majority.
         if 1 >= majority {
-            self.decide(net, id, inst, value);
+            self.decide(net, id, value);
         }
     }
 
     /// Moves to a later round (a no-op for an earlier or the current
-    /// round, or a decided instance) and, if participating, sends the
+    /// round, or once this step decided) and, if participating, sends the
     /// estimate for it.
     fn advance_to(
         &mut self,
@@ -519,7 +536,7 @@ impl<V: Clone> Member<'_, V> {
         inst: &mut Instance<V>,
         round: u64,
     ) {
-        if round <= inst.round || inst.decided.is_some() {
+        if round <= inst.round || self.decision.is_some() {
             return;
         }
         inst.round = round;
@@ -533,40 +550,25 @@ impl<V: Clone> Member<'_, V> {
         }
     }
 
-    /// Records the decision (once) for the entry point to drain.
-    fn decide(
-        &mut self,
-        net: &mut dyn ConsensusNet<V>,
-        id: &InstanceId,
-        inst: &mut Instance<V>,
-        value: V,
-    ) {
+    /// Records the decision (once) and relays it to every peer; the entry
+    /// point then moves the instance to `decided`.
+    fn decide(&mut self, net: &mut dyn ConsensusNet<V>, id: &InstanceId, value: V) {
         let me = self.me;
-        if inst.decided.is_some() {
+        if self.decision.is_some() {
             return;
         }
-        inst.decided = Some(value.clone());
-        // Every path that reads the per-round state returns first on a
-        // decided instance, so only the decision is kept from here on.
-        inst.estimate = None;
-        inst.estimates.clear();
-        inst.acks.clear();
-        self.active.remove(id);
-        if !inst.decision_relayed {
-            inst.decision_relayed = true;
-            for &p in self.peers {
-                if p != me {
-                    net.send(
-                        p,
-                        ConsensusMsg::Decide {
-                            instance: id.clone(),
-                            value: value.clone(),
-                        },
-                    );
-                }
+        for &p in self.peers {
+            if p != me {
+                net.send(
+                    p,
+                    ConsensusMsg::Decide {
+                        instance: id.clone(),
+                        value: value.clone(),
+                    },
+                );
             }
         }
-        self.undrained.push((id.clone(), value));
+        self.decision = Some((id.clone(), value));
     }
 }
 
@@ -650,6 +652,15 @@ mod tests {
         }
     }
 
+    /// The instances a tick acts on: the running ones this process joined.
+    fn joined(engine: &ConsensusEngine<u32>) -> Vec<&InstanceId> {
+        let running = engine.running.iter();
+        running
+            .filter(|(_, i)| i.participating)
+            .map(|(id, _)| id)
+            .collect()
+    }
+
     #[test]
     fn tick_drives_only_participating_undecided_instances() {
         let [p0, p1, p2] = [0, 1, 2].map(ProcessId);
@@ -674,7 +685,14 @@ mod tests {
             round: 0,
         };
         assert!(engine.on_message(&mut net, p2, stray).is_empty());
-        assert_eq!(engine.active.iter().collect::<Vec<_>>(), [&live]);
+        assert_eq!(joined(&engine), [&live]);
+        // A decided instance is only its value.
+        assert_eq!(
+            engine.running.keys().collect::<Vec<_>>(),
+            [&live, &stranger]
+        );
+        let decided = BTreeMap::from([(learned.clone(), 9), (settled.clone(), 9)]);
+        assert_eq!(engine.decided, decided);
 
         // Rounds time out and every coordinator but us is suspected, tick
         // after tick: the live instance is nacked and advanced each time,
@@ -691,16 +709,17 @@ mod tests {
             .iter()
             .filter(|(_, m)| matches!(m, ConsensusMsg::Nack { .. }));
         assert_eq!(nacks.count(), 100);
-        assert_eq!(engine.instances[&live].round, 100);
-        for idle in [&learned, &settled, &stranger] {
-            assert_eq!(engine.instances[idle].round, 0);
-        }
+        assert_eq!(engine.running[&live].round, 100);
+        assert_eq!(engine.running[&stranger].round, 0);
+        assert_eq!(engine.decided, decided);
         assert_eq!(engine.read(&learned), Some(&9));
         assert_eq!(engine.read(&stranger), None);
 
         // Once decided, the live instance leaves the tick too.
         assert_eq!(engine.on_message(&mut net, p0, decide(&live)).len(), 1);
-        assert!(engine.active.is_empty());
+        assert!(joined(&engine).is_empty());
+        assert_eq!(engine.running.keys().collect::<Vec<_>>(), [&stranger]);
+        assert_eq!(engine.decided[&live], 9);
         net.sent.clear();
         net.now = SimTime::from_secs(60);
         assert!(engine.on_tick(&mut net).is_empty());
@@ -723,7 +742,7 @@ mod tests {
             ts: 0,
         };
         assert!(engine.on_message(&mut net, p1, estimate).is_empty());
-        let inst = &engine.instances[&id];
+        let inst = &engine.running[&id];
         assert!(inst.estimate.is_some() && inst.estimates.len() == 2 && inst.proposed);
         let ack = ConsensusMsg::Ack {
             instance: id.clone(),
@@ -732,10 +751,10 @@ mod tests {
         // Equal timestamps: the estimate of the highest process id wins.
         assert_eq!(engine.on_message(&mut net, p1, ack), [(id.clone(), 8)]);
 
-        let inst = &engine.instances[&id];
-        assert_eq!(inst.decided, Some(8));
-        assert_eq!(inst.estimate, None);
-        assert!(inst.estimates.is_empty() && inst.acks.is_empty());
+        // The deciding entry point moved the instance across: what stays
+        // resident is its value, nothing of its rounds.
+        assert!(engine.running.is_empty());
+        assert_eq!(engine.decided, BTreeMap::from([(id.clone(), 8)]));
 
         // Whatever a late peer still sends, at this round or a later one,
         // it gets the decision back and nothing else happens.
@@ -781,7 +800,8 @@ mod tests {
         assert!(engine.on_tick(&mut net).is_empty());
         assert!(net.sent.is_empty());
         assert_eq!(engine.propose(&mut net, id.clone(), 1), Some(8));
-        assert_eq!(engine.instances[&id].round, 0);
+        assert!(engine.running.is_empty());
+        assert_eq!(engine.decided, BTreeMap::from([(id.clone(), 8)]));
     }
 
     #[test]
@@ -810,10 +830,10 @@ mod tests {
             net.sent,
             [(p0, mine(0)), (p2, mine(0)), (p0, mine(2)), (p2, mine(2))]
         );
-        let inst = &engine.instances[&id];
+        let inst = &engine.running[&id];
         assert_eq!((inst.round, inst.phase), (2, Phase::Estimating));
         assert!(inst.participating && inst.estimates.is_empty());
-        assert_eq!(engine.active.iter().collect::<Vec<_>>(), [&id]);
+        assert_eq!(joined(&engine), [&id]);
         net.sent.clear();
         assert!(engine.on_tick(&mut net).is_empty());
         assert!(net.sent.is_empty(), "neither timed out nor suspected yet");
@@ -826,7 +846,7 @@ mod tests {
         let mut engine = ConsensusEngine::new(me, vec![me], SimDuration::from_millis(50));
         let id = InstanceId::new("solo");
         assert_eq!(engine.propose(&mut net, id.clone(), 4), Some(4));
-        assert!(engine.active.is_empty());
+        assert!(engine.running.is_empty());
         net.now = SimTime::from_secs(1);
         assert!(engine.on_tick(&mut net).is_empty());
         assert!(net.sent.is_empty());

@@ -497,135 +497,38 @@ impl Default for GroupCell {
     }
 }
 
-/// The open starts of one `(action, role)`, with the number of *distinct*
-/// open inputs tracked incrementally so a completion's ambiguity test is
-/// O(1) instead of a scan over the whole stack (the streaming checker pays
-/// this on every completion). Entries are input-value symbols.
+/// The open starts of one `(action, role)`: a stack of input-value
+/// symbols, with the number of adjacent entries that differ kept beside it.
+/// Two or more distinct inputs are open exactly when that count is above
+/// zero, so a completion's ambiguity test is O(1) and costs no memory that
+/// scales with the value symbols (the streaming checker asks it on every
+/// completion, and retried requests leak one abandoned open start each).
 #[derive(Debug, Default)]
 struct OpenStarts {
     stack: Vec<u32>,
-    multiplicity: Multiplicity,
-}
-
-/// Distinct-open-input bookkeeping for one slot. Starts as a short
-/// linear-scanned list (a stream usually holds a handful of concurrently
-/// open inputs per action, where a scan beats a hash probe on the
-/// per-event path) and upgrades to a dense value-symbol-indexed table the
-/// first time the list outgrows [`MULTIPLICITY_SMALL_MAX`] — retried
-/// requests leak one abandoned open start each, so heavy traces hold
-/// *millions* of open inputs and a scan would make attribution quadratic.
-#[derive(Debug)]
-enum Multiplicity {
-    /// `(input symbol, open count)`; order is insertion-driven and never
-    /// read — only the entry *count* matters.
-    Small(Vec<(u32, usize)>),
-    /// `counts[input symbol]` (value symbols are dense interner indices),
-    /// with the non-zero entry count maintained alongside.
-    Dense { counts: Vec<u32>, distinct: usize },
-}
-
-/// Distinct open inputs a slot tracks by linear scan before upgrading to
-/// the dense table.
-const MULTIPLICITY_SMALL_MAX: usize = 16;
-
-impl Default for Multiplicity {
-    fn default() -> Self {
-        Multiplicity::Small(Vec::new())
-    }
-}
-
-impl Multiplicity {
-    fn push(&mut self, input: u32) {
-        match self {
-            Multiplicity::Small(entries) => {
-                if let Some(entry) = entries.iter_mut().find(|(v, _)| *v == input) {
-                    entry.1 += 1;
-                    return;
-                }
-                if entries.len() < MULTIPLICITY_SMALL_MAX {
-                    entries.push((input, 1));
-                    return;
-                }
-                // Upgrade: dense table over value symbols, then insert.
-                let top = entries
-                    .iter()
-                    .map(|&(v, _)| v)
-                    .max()
-                    .unwrap_or(0)
-                    .max(input);
-                let mut counts = vec![0u32; top as usize + 1];
-                for &(v, n) in entries.iter() {
-                    counts[v as usize] = n as u32;
-                }
-                let distinct = entries.len();
-                *self = Multiplicity::Dense { counts, distinct };
-                self.push(input);
-            }
-            Multiplicity::Dense { counts, distinct } => {
-                if input as usize >= counts.len() {
-                    counts.resize(input as usize + 1, 0);
-                }
-                counts[input as usize] += 1;
-                if counts[input as usize] == 1 {
-                    *distinct += 1;
-                }
-            }
-        }
-    }
-
-    fn pop(&mut self, input: u32) {
-        match self {
-            Multiplicity::Small(entries) => {
-                if let Some(pos) = entries.iter().position(|(v, _)| *v == input) {
-                    entries[pos].1 -= 1;
-                    if entries[pos].1 == 0 {
-                        entries.swap_remove(pos);
-                    }
-                }
-            }
-            Multiplicity::Dense { counts, distinct } => {
-                if let Some(count) = counts.get_mut(input as usize) {
-                    if *count > 0 {
-                        *count -= 1;
-                        if *count == 0 {
-                            *distinct -= 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn distinct(&self) -> usize {
-        match self {
-            Multiplicity::Small(entries) => entries.len(),
-            Multiplicity::Dense { distinct, .. } => *distinct,
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        match self {
-            Multiplicity::Small(entries) => entries.capacity() * size_of::<(u32, usize)>(),
-            Multiplicity::Dense { counts, .. } => counts.capacity() * size_of::<u32>(),
-        }
-    }
+    /// Adjacent `stack` entries that differ.
+    changes: usize,
 }
 
 impl OpenStarts {
     fn push(&mut self, input: u32) {
-        self.multiplicity.push(input);
+        if self.stack.last().is_some_and(|&top| top != input) {
+            self.changes += 1;
+        }
         self.stack.push(input);
     }
 
     fn pop(&mut self) -> Option<u32> {
         let input = self.stack.pop()?;
-        self.multiplicity.pop(input);
+        if self.stack.last().is_some_and(|&top| top != input) {
+            self.changes -= 1;
+        }
         Some(input)
     }
 
-    /// How many distinct inputs are currently open.
-    fn distinct(&self) -> usize {
-        self.multiplicity.distinct()
+    /// Whether two or more distinct inputs are open.
+    fn ambiguous(&self) -> bool {
+        self.changes > 0
     }
 }
 
@@ -840,7 +743,7 @@ impl Engine {
     ) -> Result<u32, Cause> {
         let slot = self.attribution.slot(ns, role);
         let open = &mut self.attribution.open[slot];
-        if open.distinct() > 1 {
+        if open.ambiguous() {
             self.ambiguous = true;
         }
         match open.pop() {
@@ -1104,7 +1007,7 @@ impl Engine {
     pub(crate) fn byte_parts(&self) -> [(&'static str, usize); 6] {
         let attribution = &self.attribution;
         let open_heap: usize = (attribution.open.iter())
-            .map(|open| open.stack.capacity() * size_of::<u32>() + open.multiplicity.heap_bytes())
+            .map(|open| open.stack.capacity() * size_of::<u32>())
             .sum();
         [
             (
@@ -1141,7 +1044,9 @@ mod tests {
     use crate::failure_free::eventsof;
     use crate::intern::BatchMemo;
     use crate::xable::checker::{Checker, FastChecker, Verdict};
+    use crate::xable::IncrementalState;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn idem(name: &str) -> ActionId {
         ActionId::base(ActionName::idempotent(name))
@@ -1941,6 +1846,56 @@ mod tests {
             prop_assert_eq!(&batch_reference.rounds, &reference.rounds);
             prop_assert_eq!(batched.ambiguous, single.ambiguous);
         }
+    }
+
+    /// The O(1) ambiguity test against its definition, over every
+    /// push/pop sequence of three inputs up to length 8 (prefixes are
+    /// checked step by step): the count of differing neighbours is above
+    /// zero exactly when two or more distinct inputs are open.
+    #[test]
+    fn open_starts_flag_exactly_two_or_more_distinct_open_inputs() {
+        const STEPS: u32 = 8;
+        for code in 0..4u32.pow(STEPS) {
+            let (mut open, mut reference) = (OpenStarts::default(), Vec::new());
+            let mut ops = code;
+            for _ in 0..STEPS {
+                // 0..=2 push that input; 3 pops.
+                match ops % 4 {
+                    3 => assert_eq!(open.pop(), reference.pop(), "{code:#x}"),
+                    input => {
+                        open.push(input);
+                        reference.push(input);
+                    }
+                }
+                ops /= 4;
+                let distinct = reference.iter().collect::<BTreeSet<_>>().len();
+                assert_eq!(open.ambiguous(), distinct >= 2, "{code:#x}: {reference:?}");
+            }
+        }
+    }
+
+    /// Retried requests leak one open start each. What the attribution
+    /// holds for them follows the starts still open, not the number of
+    /// values interned before them.
+    #[test]
+    fn attribution_bytes_follow_the_open_starts_not_the_value_symbols() {
+        let a = idem("a");
+        let attribution = |closed: i64, leaked: i64| {
+            let mut events = Vec::new();
+            for v in 0..closed {
+                events.extend([s(&a, v), c(&a, v)]);
+            }
+            events.extend((closed..closed + leaked).map(|v| s(&a, v)));
+            let mut state = IncrementalState::new();
+            state.observe_batch(&events);
+            let parts = state.approx_bytes_by_part();
+            let row = parts.iter().find(|(part, _)| *part == "attribution");
+            row.expect("an attribution row").1
+        };
+        let leaked = 1_000;
+        let alone = attribution(0, leaked);
+        assert_eq!(attribution(20_000, leaked), alone);
+        assert!(alone <= 256 + 8 * leaked as usize, "{alone} bytes");
     }
 
     #[test]

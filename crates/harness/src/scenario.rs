@@ -112,57 +112,53 @@ impl Workload {
         }
     }
 
+    /// The client's plan. Each workload builds its action name and the
+    /// constant parts of its payload once and clones them into every
+    /// request; values compare, hash and encode by content, so sharing
+    /// changes no trace, verdict or metric.
     fn requests(&self, service: ProcessId) -> Vec<LogicalRequest> {
-        let mk = |i: usize, action: ActionName, payload: Value| {
-            LogicalRequest::new(format!("req-{i}"), action, payload, service)
+        let plan = |count: usize, action: ActionName, payload: &dyn Fn(usize) -> Value| {
+            (0..count)
+                .map(|i| {
+                    LogicalRequest::new(format!("req-{i}"), action.clone(), payload(i), service)
+                })
+                .collect()
         };
+        let field = |name: &str, value: Value| Value::pair(Value::from(name), value);
         match self {
-            Workload::BankTransfers { count, amount } => (0..*count)
-                .map(|i| {
-                    mk(
-                        i,
-                        ActionName::undoable("transfer"),
-                        Value::list([
-                            Value::pair(Value::from("from"), Value::from("src")),
-                            Value::pair(Value::from("to"), Value::from("dst")),
-                            Value::pair(Value::from("amount"), Value::from(*amount)),
-                        ]),
-                    )
+            Workload::BankTransfers { count, amount } => {
+                let transfer = Value::list([
+                    field("from", Value::from("src")),
+                    field("to", Value::from("dst")),
+                    field("amount", Value::from(*amount)),
+                ]);
+                plan(*count, ActionName::undoable("transfer"), &|_| {
+                    transfer.clone()
                 })
-                .collect(),
-            Workload::KvPuts { count } => (0..*count)
-                .map(|i| {
-                    mk(
-                        i,
-                        ActionName::idempotent("put"),
-                        Value::list([
-                            Value::pair(Value::from("k"), Value::from(format!("key-{i}"))),
-                            Value::pair(Value::from("v"), Value::from(i as i64)),
-                        ]),
-                    )
+            }
+            Workload::KvPuts { count } => {
+                let (k, v) = (Value::from("k"), Value::from("v"));
+                let put = |i: usize| {
+                    Value::list([
+                        Value::pair(k.clone(), Value::from(format!("key-{i}"))),
+                        Value::pair(v.clone(), Value::from(i as i64)),
+                    ])
+                };
+                plan(*count, ActionName::idempotent("put"), &put)
+            }
+            Workload::TokenIssues { count } => {
+                plan(*count, ActionName::idempotent("issue"), &|_| Value::Nil)
+            }
+            Workload::Reservations { count, seats } => {
+                let reserve = Value::list([field("seats", Value::from(*seats))]);
+                plan(*count, ActionName::undoable("reserve"), &|_| {
+                    reserve.clone()
                 })
-                .collect(),
-            Workload::TokenIssues { count } => (0..*count)
-                .map(|i| mk(i, ActionName::idempotent("issue"), Value::Nil))
-                .collect(),
-            Workload::Reservations { count, seats } => (0..*count)
-                .map(|i| {
-                    mk(
-                        i,
-                        ActionName::undoable("reserve"),
-                        Value::list([Value::pair(Value::from("seats"), Value::from(*seats))]),
-                    )
-                })
-                .collect(),
-            Workload::CounterBumps { count } => (0..*count)
-                .map(|i| {
-                    mk(
-                        i,
-                        ActionName::idempotent("bump"),
-                        Value::list([Value::pair(Value::from("by"), Value::from(1))]),
-                    )
-                })
-                .collect(),
+            }
+            Workload::CounterBumps { count } => {
+                let bump = Value::list([field("by", Value::from(1))]);
+                plan(*count, ActionName::idempotent("bump"), &|_| bump.clone())
+            }
         }
     }
 }

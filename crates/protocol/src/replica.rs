@@ -46,6 +46,7 @@
 //! replicas run rounds concurrently (active-replication flavour), with the
 //! consensus objects arbitrating exactly-once semantics.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -120,7 +121,63 @@ impl ReplicaObs {
     }
 }
 
-/// Per-request bookkeeping.
+/// A request table key: the request itself, ordered and looked up by its
+/// id (through `Borrow<str>`), so a table keeps no copy of the id.
+#[derive(Debug, Clone)]
+struct ReqKey(Arc<LogicalRequest>);
+
+impl ReqKey {
+    fn id(&self) -> &str {
+        &self.0.id
+    }
+}
+
+impl PartialEq for ReqKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.id() == other.id()
+    }
+}
+
+impl Eq for ReqKey {}
+
+impl PartialOrd for ReqKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ReqKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.id().cmp(other.id())
+    }
+}
+
+impl std::borrow::Borrow<str> for ReqKey {
+    fn borrow(&self) -> &str {
+        self.id()
+    }
+}
+
+/// Puts `x` at `at` in a sorted `Vec`, growing it one slot at a time: the
+/// round sets of a request almost always hold a single entry.
+fn insert_at<T>(set: &mut Vec<T>, at: usize, x: T) {
+    set.reserve_exact(1);
+    set.insert(at, x);
+}
+
+/// Inserts `x` into the sorted `set` unless it is there already, and says
+/// whether it was new.
+fn insert_sorted<T: Ord>(set: &mut Vec<T>, x: T) -> bool {
+    match set.binary_search(&x) {
+        Ok(_) => false,
+        Err(at) => {
+            insert_at(set, at, x);
+            true
+        }
+    }
+}
+
+/// Per-request bookkeeping. The round sets are sorted `Vec`s.
 #[derive(Debug)]
 struct RequestState {
     /// Shared with the owner-agreement messages that carried it here: one
@@ -131,14 +188,14 @@ struct RequestState {
     /// replica; results are delivered to all of them (resubmitted requests
     /// come from fresh stubs — R1 makes this safe).
     extra_clients: BTreeSet<ProcessId>,
-    /// Known owners per round (from owner-agreement decisions).
-    rounds: BTreeMap<u64, ProcessId>,
+    /// Known owners per round (from owner-agreement decisions), by round.
+    rounds: Vec<(u64, ProcessId)>,
     /// The agreed result, once known.
     result: Option<Value>,
     /// Rounds this replica initiated cleaning for.
-    cleaning: BTreeSet<u64>,
+    cleaning: Vec<u64>,
     /// Rounds this replica owns and has started executing.
-    owned: BTreeSet<u64>,
+    owned: Vec<u64>,
     /// Whether this replica already sent the result to the client.
     delivered_by_me: bool,
     /// Whether a client submitted this request directly to this replica
@@ -149,7 +206,22 @@ struct RequestState {
 impl RequestState {
     /// The highest known round and its owner.
     fn top(&self) -> Option<(u64, ProcessId)> {
-        self.rounds.iter().next_back().map(|(&r, &o)| (r, o))
+        self.rounds.last().copied()
+    }
+
+    /// Whether the owner of `round` is known.
+    fn knows_round(&self, round: u64) -> bool {
+        self.rounds
+            .binary_search_by_key(&round, |&(r, _)| r)
+            .is_ok()
+    }
+
+    /// Records the owner of `round` (replacing one already known).
+    fn learn_owner(&mut self, round: u64, owner: ProcessId) {
+        match self.rounds.binary_search_by_key(&round, |&(r, _)| r) {
+            Ok(at) => self.rounds[at].1 = owner,
+            Err(at) => insert_at(&mut self.rounds, at, (round, owner)),
+        }
     }
 
     /// Whether a cleaner pass has nothing left to do for this request at
@@ -160,7 +232,7 @@ impl RequestState {
     fn inert_at(&self, round: u64) -> bool {
         self.result.is_some()
             && self.delivered_by_me
-            && (!self.req.action.is_undoable() || self.cleaning.contains(&round))
+            && (!self.req.action.is_undoable() || self.cleaning.binary_search(&round).is_ok())
     }
 }
 
@@ -211,12 +283,13 @@ pub struct XReplica {
     me: ProcessId,
     engine: ConsensusEngine<Decision>,
     config: XReplicaConfig,
-    requests: BTreeMap<String, RequestState>,
-    /// The cleaner's index: request ids filed under the owner of their
+    /// Keyed by the request each state holds, in request-id order.
+    requests: BTreeMap<ReqKey, RequestState>,
+    /// The cleaner's index: requests filed under the owner of their
     /// highest known round, so a pass visits only what suspected owners
     /// left behind. A request is re-filed when a higher round's owner is
     /// learned and dropped once a pass finds it inert at its top round.
-    by_owner: BTreeMap<ProcessId, BTreeSet<String>>,
+    by_owner: BTreeMap<ProcessId, BTreeSet<ReqKey>>,
     /// Instances this replica proposed and has not yet seen decided.
     awaiting: BTreeSet<InstanceId>,
     pending: BTreeMap<u64, InFlight>,
@@ -281,21 +354,20 @@ impl XReplica {
         client: ProcessId,
     ) -> &mut RequestState {
         let orphan = self.orphan_results.remove(&req.id);
-        if !self.requests.contains_key(&req.id) {
-            let fresh = RequestState {
+        let entry = self
+            .requests
+            .entry(ReqKey(Arc::clone(req)))
+            .or_insert_with(|| RequestState {
                 req: Arc::clone(req),
                 client,
                 extra_clients: BTreeSet::new(),
-                rounds: BTreeMap::new(),
+                rounds: Vec::new(),
                 result: None,
-                cleaning: BTreeSet::new(),
-                owned: BTreeSet::new(),
+                cleaning: Vec::new(),
+                owned: Vec::new(),
                 delivered_by_me: false,
                 received_directly: false,
-            };
-            self.requests.insert(req.id.clone(), fresh);
-        }
-        let entry = self.requests.get_mut(&req.id).expect("just ensured");
+            });
         if entry.result.is_none() {
             entry.result = orphan;
         }
@@ -462,7 +534,7 @@ impl XReplica {
         let Some(st) = self.requests.get_mut(req_id) else {
             return;
         };
-        if st.result.is_some() || !st.owned.insert(round) {
+        if st.result.is_some() || !insert_sorted(&mut st.owned, round) {
             return;
         }
         self.obs.rounds_owned.inc();
@@ -479,7 +551,7 @@ impl XReplica {
         if self
             .requests
             .get(req_id)
-            .is_some_and(|st| st.owned.contains(&round))
+            .is_some_and(|st| st.owned.binary_search(&round).is_ok())
         {
             self.obs
                 .obs
@@ -491,7 +563,7 @@ impl XReplica {
         let Some(st) = self.requests.get(req_id) else {
             return;
         };
-        if st.result.is_some() || st.rounds.contains_key(&next) {
+        if st.result.is_some() || st.knows_round(next) {
             return;
         }
         let (req, client) = (Arc::clone(&st.req), st.client);
@@ -505,33 +577,34 @@ impl XReplica {
     /// already-known result). Visits the suspected owners' filed requests
     /// in ascending request-id order — the order of a walk over `requests`.
     fn cleaning_scan(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
-        let mut candidates: Vec<(String, u64, ProcessId)> = Vec::new();
+        let mut candidates: Vec<(ReqKey, u64, ProcessId)> = Vec::new();
         for &owner in ctx.suspected_set().iter().filter(|&&o| o != self.me) {
-            for id in self.by_owner.get(&owner).into_iter().flatten() {
-                let (round, _) = self.requests[id].top().expect("filed with a round");
-                candidates.push((id.clone(), round, owner));
+            for key in self.by_owner.get(&owner).into_iter().flatten() {
+                let (round, _) = self.requests[key].top().expect("filed with a round");
+                candidates.push((key.clone(), round, owner));
             }
         }
         candidates.sort_unstable();
         debug_assert!(
             candidates
                 .iter()
-                .filter(|(id, round, _)| !self.requests[id].inert_at(*round))
+                .filter(|(key, round, _)| !self.requests[key].inert_at(*round))
                 .cloned()
-                .eq(self.requests.iter().filter_map(|(id, st)| {
+                .eq(self.requests.iter().filter_map(|(key, st)| {
                     let (round, owner) = st.top()?;
                     (owner != self.me && ctx.suspects(owner) && !st.inert_at(round))
-                        .then(|| (id.clone(), round, owner))
+                        .then(|| (key.clone(), round, owner))
                 })),
             "the index lists what a scan of every request would act on, in its order"
         );
-        for (req_id, round, owner) in candidates {
-            let st = self.requests.get(&req_id).expect("listed");
+        for (key, round, owner) in candidates {
+            let req_id = key.id();
+            let st = self.requests.get(req_id).expect("listed");
             // A pass changes only requests it has already visited.
             debug_assert_eq!(st.top(), Some((round, owner)));
             if st.inert_at(round) {
                 if let Some(filed) = self.by_owner.get_mut(&owner) {
-                    filed.remove(&req_id);
+                    filed.remove(req_id);
                 }
                 continue;
             }
@@ -540,7 +613,7 @@ impl XReplica {
                 // Deviation 2: the owner may have crashed after agreement
                 // but before replying; send the agreed result once.
                 if !st.delivered_by_me {
-                    self.reply(ctx, &req_id, v);
+                    self.reply(ctx, req_id, v);
                 }
                 if !undoable {
                     continue;
@@ -554,8 +627,8 @@ impl XReplica {
                 // continuation helps the commit (idempotent, rule 20) or
                 // cancels the round.
             }
-            let st = self.requests.get_mut(&req_id).expect("listed");
-            if !st.cleaning.insert(round) {
+            let st = self.requests.get_mut(req_id).expect("listed");
+            if !insert_sorted(&mut st.cleaning, round) {
                 continue;
             }
             self.obs.cleanings.inc();
@@ -564,10 +637,10 @@ impl XReplica {
                     abort: true,
                     value: None,
                 };
-                self.propose(ctx, outcome_instance(&req_id, round), abort);
+                self.propose(ctx, outcome_instance(req_id, round), abort);
             } else {
                 let empty = Decision::ResultAgreed(None);
-                self.propose(ctx, result_instance(&req_id, round), empty);
+                self.propose(ctx, result_instance(req_id, round), empty);
             }
         }
     }
@@ -605,15 +678,13 @@ impl XReplica {
                 let (owner, client) = (*owner, *client);
                 let st = self.ensure_request(req, client);
                 let prev_top = st.top();
-                st.rounds.insert(round, owner);
+                st.learn_owner(round, owner);
                 if prev_top.map_or(true, |(top, _)| round > top) {
+                    let key = ReqKey(Arc::clone(&st.req));
                     if let Some(filed) = prev_top.and_then(|(_, o)| self.by_owner.get_mut(&o)) {
                         filed.remove(req_id);
                     }
-                    self.by_owner
-                        .entry(owner)
-                        .or_default()
-                        .insert(req_id.to_owned());
+                    self.by_owner.entry(owner).or_default().insert(key);
                 }
                 if owner == self.me {
                     self.start_execution(ctx, req_id, round);
@@ -661,7 +732,7 @@ impl XReplica {
                 let executed = self
                     .requests
                     .get(req_id)
-                    .is_some_and(|st| st.owned.contains(&round));
+                    .is_some_and(|st| st.owned.binary_search(&round).is_ok());
                 self.end_round_span(ctx, req_id, round);
                 match v {
                     Some(v) => self.reply(ctx, req_id, v),
@@ -775,7 +846,7 @@ impl Actor<ProtoMsg> for XReplica {
         match msg {
             ProtoMsg::ClientRequest { req } => {
                 // Fig. 6 main loop: req.round := 1; process-request.
-                if let Some(st) = self.requests.get_mut(&req.id) {
+                if let Some(st) = self.requests.get_mut(req.id.as_str()) {
                     // Remember this (possibly new) client incarnation.
                     st.received_directly = true;
                     if st.client != from {
@@ -800,7 +871,7 @@ impl Actor<ProtoMsg> for XReplica {
                 }
                 let req = Arc::new(req);
                 self.process_request(ctx, Arc::clone(&req), from, 1);
-                if let Some(st) = self.requests.get_mut(&req.id) {
+                if let Some(st) = self.requests.get_mut(req.id.as_str()) {
                     st.received_directly = true;
                 }
             }
@@ -854,6 +925,7 @@ mod tests {
     use rand::rngs::StdRng;
     use xability_consensus::ConsensusMsg;
     use xability_core::ActionName;
+    use xability_services::catalog::Bank;
     use xability_services::{shared_ledger, BusinessLogic, ServiceConfig, ServiceCore};
     use xability_sim::{SimConfig, SimTime, World};
 
@@ -1060,6 +1132,58 @@ mod tests {
         }
     }
 
+    /// What a finished request leaves behind. After a fault-free n = 3
+    /// bank session, every instance each replica's engine saw has decided
+    /// and is kept only as its value — two per request, owner and outcome
+    /// agreement of round 1 — and each request knows its one round's owner.
+    #[test]
+    fn a_finished_session_leaves_only_decisions_behind() {
+        const REQUESTS: usize = 200;
+        let replicas = [0, 1, 2].map(ProcessId);
+        let [service, client] = [3, 4].map(ProcessId);
+        let transfer = Value::list([
+            Value::pair(Value::from("from"), Value::from("src")),
+            Value::pair(Value::from("to"), Value::from("dst")),
+            Value::pair(Value::from("amount"), Value::from(1)),
+        ]);
+        let plan: Vec<LogicalRequest> = (0..REQUESTS)
+            .map(|i| {
+                let action = ActionName::undoable("transfer");
+                LogicalRequest::new(format!("req-{i}"), action, transfer.clone(), service)
+            })
+            .collect();
+
+        let mut world: World<ProtoMsg> = World::new(SimConfig::with_seed(5));
+        for id in replicas {
+            let replica = XReplica::new(id, replicas.to_vec(), XReplicaConfig::default());
+            world.add_process(format!("replica{}", id.0), Box::new(replica));
+        }
+        let bank = Bank::new([("src".to_owned(), 1_000), ("dst".to_owned(), 0)]);
+        let core = ServiceCore::new(Box::new(bank), ServiceConfig::default(), shared_ledger());
+        world.add_process("service", Box::new(ServiceActor::new(core)));
+        world.add_process("client", Box::new(Client::new(replicas.to_vec(), plan)));
+        let done = |w: &World<ProtoMsg>| w.actor_as::<Client>(client).expect("client").is_done();
+        assert!(world.run_while(|w| !done(w), SimTime::from_secs(60)));
+        world.run_until(world.now() + SimDuration::from_millis(500));
+
+        for id in replicas {
+            let replica = world.actor_as::<XReplica>(id).expect("replica");
+            // The engine's maps are private to its crate (and its public
+            // surface is pinned); its derived `Debug` form shows them.
+            let engine = format!("{:?}", replica.engine);
+            assert!(engine.contains("running: {}"), "{id}: {engine}");
+            assert_eq!(
+                replica.engine.decided_instances().count(),
+                2 * REQUESTS,
+                "{id}"
+            );
+            assert_eq!(replica.requests.len(), REQUESTS, "{id}");
+            for st in replica.requests.values() {
+                assert_eq!(st.rounds.len(), 1, "{id}: {}", st.req);
+            }
+        }
+    }
+
     /// Business logic that keeps the payloads it is asked to apply.
     struct Recorder(Rc<RefCell<Vec<Value>>>);
 
@@ -1124,7 +1248,10 @@ mod tests {
             };
             for id in replicas {
                 let replica = world.actor_as::<XReplica>(id).expect("replica");
-                assert!(Arc::ptr_eq(&replica.requests[&req.id].req, decided), "{id}");
+                assert!(
+                    Arc::ptr_eq(&replica.requests[req.id.as_str()].req, decided),
+                    "{id}"
+                );
             }
         }
     }
