@@ -35,39 +35,20 @@ use std::sync::Arc;
 
 use xability_sim::{ProcessId, SimDuration, SimTime};
 
-/// Names one consensus instance (one logical consensus object of §5.2,
-/// e.g. `owner-agreement[4]` or `result-agreement[req]`).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct InstanceId(Arc<str>);
-
-impl InstanceId {
-    /// Creates an instance id from a name. Equal names denote the same
-    /// consensus object across all processes.
-    pub fn new(name: impl AsRef<str>) -> Self {
-        InstanceId(Arc::from(name.as_ref()))
-    }
-
-    /// The instance name.
-    pub fn name(&self) -> &str {
-        &self.0
-    }
-}
-
-impl fmt::Display for InstanceId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "⟨{}⟩", self.0)
-    }
-}
+/// The default instance key, a name (`xbench`'s consensus probe keys by
+/// it). Any `Ord + Clone + Debug` type keys instances; the replication
+/// protocol's is the typed `xability_protocol::messages::Instance`.
+pub type InstanceId = Arc<String>;
 
 /// Messages exchanged by the consensus engines. The embedding actor wraps
 /// these into its own message type and routes incoming ones to
 /// [`ConsensusEngine::on_message`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConsensusMsg<V> {
+pub enum ConsensusMsg<V, K = InstanceId> {
     /// A participant's current estimate for a round (phase 1).
     Estimate {
         /// Target instance.
-        instance: InstanceId,
+        instance: K,
         /// Round number.
         round: u64,
         /// The estimate value.
@@ -78,7 +59,7 @@ pub enum ConsensusMsg<V> {
     /// The coordinator's proposal for a round (phase 2).
     Propose {
         /// Target instance.
-        instance: InstanceId,
+        instance: K,
         /// Round number.
         round: u64,
         /// The proposed value.
@@ -87,29 +68,29 @@ pub enum ConsensusMsg<V> {
     /// Positive acknowledgement of a proposal (phase 3).
     Ack {
         /// Target instance.
-        instance: InstanceId,
+        instance: K,
         /// Round number.
         round: u64,
     },
     /// Negative acknowledgement: the sender moved past this round.
     Nack {
         /// Target instance.
-        instance: InstanceId,
+        instance: K,
         /// Round number.
         round: u64,
     },
     /// Reliable broadcast of a decision (phase 4).
     Decide {
         /// Target instance.
-        instance: InstanceId,
+        instance: K,
         /// The decided value.
         value: V,
     },
 }
 
-impl<V> ConsensusMsg<V> {
+impl<V, K> ConsensusMsg<V, K> {
     /// The instance this message belongs to.
-    pub fn instance(&self) -> &InstanceId {
+    pub fn instance(&self) -> &K {
         match self {
             ConsensusMsg::Estimate { instance, .. }
             | ConsensusMsg::Propose { instance, .. }
@@ -124,9 +105,9 @@ impl<V> ConsensusMsg<V> {
 ///
 /// Implementations wrap a [`xability_sim::Context`], translating
 /// [`ConsensusMsg`] into the actor's own message type.
-pub trait ConsensusNet<V> {
+pub trait ConsensusNet<V, K = InstanceId> {
     /// Sends a consensus message to a peer.
-    fn send(&mut self, to: ProcessId, msg: ConsensusMsg<V>);
+    fn send(&mut self, to: ProcessId, msg: ConsensusMsg<V, K>);
     /// The current time.
     fn now(&self) -> SimTime;
     /// The failure-detector query `suspect(p)`.
@@ -182,34 +163,36 @@ impl<V> Instance<V> {
 /// detector timeout), and collects newly decided `(instance, value)` pairs
 /// from both calls.
 ///
+/// Instances are keyed by `K` (one key per logical consensus object, equal
+/// at every participant), and a tick visits them in `K`'s order.
 /// An instance lives in one of two maps: `running` until it decides, then
 /// `decided`, where it is only its value. The entry point that reaches a
 /// decision moves it across before it returns, so a live instance is found
 /// among a few entries and everything a late message can still ask of a
 /// decided one — its value — is all that stays resident.
 #[derive(Debug)]
-pub struct ConsensusEngine<V> {
+pub struct ConsensusEngine<V, K = InstanceId> {
     me: ProcessId,
     peers: Vec<ProcessId>,
     round_timeout: SimDuration,
     /// Undecided instances: joined, or only heard of from a stray message.
-    running: BTreeMap<InstanceId, Instance<V>>,
-    decided: BTreeMap<InstanceId, V>,
+    running: BTreeMap<K, Instance<V>>,
+    decided: BTreeMap<K, V>,
 }
 
 /// The engine with its instance maps taken out: what one instance's step
 /// reads besides the instance itself, and the decision the step reaches.
 /// Each entry point looks its instance up once, hands the `&mut Instance`
 /// to these methods, and then moves a reached decision to `decided`.
-struct Member<'a, V> {
+struct Member<'a, V, K> {
     me: ProcessId,
     peers: &'a [ProcessId],
     /// The decision this step reached (at most one: a step drives one
     /// instance, and nothing moves an instance once it decides).
-    decision: Option<(InstanceId, V)>,
+    decision: Option<(K, V)>,
 }
 
-impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
+impl<V: Clone + Eq + fmt::Debug, K: Ord + Clone + fmt::Debug> ConsensusEngine<V, K> {
     /// Creates an engine for participant `me` among `peers` (which must
     /// include `me` and be identical at every participant).
     ///
@@ -237,9 +220,9 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
     /// instance searches only the undecided ones.
     fn instance(
         &mut self,
-        id: &InstanceId,
+        id: &K,
         now: SimTime,
-    ) -> Result<(&mut Instance<V>, Member<'_, V>), &V> {
+    ) -> Result<(&mut Instance<V>, Member<'_, V, K>), &V> {
         let inst = match self.running.entry(id.clone()) {
             Entry::Occupied(live) => live.into_mut(),
             Entry::Vacant(unseen) => match self.decided.get(id) {
@@ -251,7 +234,7 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
     }
 
     /// Moves an instance that just decided from `running` to `decided`.
-    fn settle(&mut self, id: &InstanceId, value: &V) {
+    fn settle(&mut self, id: &K, value: &V) {
         let live = self.running.remove(id);
         debug_assert!(live.is_some(), "only a running instance decides");
         self.decided.insert(id.clone(), value.clone());
@@ -265,8 +248,8 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
     /// [`ConsensusEngine::on_tick`] call.
     pub fn propose(
         &mut self,
-        net: &mut dyn ConsensusNet<V>,
-        instance: InstanceId,
+        net: &mut dyn ConsensusNet<V, K>,
+        instance: K,
         value: V,
     ) -> Option<V> {
         let (inst, mut member) = match self.instance(&instance, net.now()) {
@@ -288,12 +271,12 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
     ///
     /// `None` means "no decision known here" — the instance may already be
     /// decided elsewhere; proposing then returns that decision.
-    pub fn read(&self, instance: &InstanceId) -> Option<&V> {
+    pub fn read(&self, instance: &K) -> Option<&V> {
         self.decided.get(instance)
     }
 
     /// All instances with locally known decisions, in instance order.
-    pub fn decided_instances(&self) -> impl Iterator<Item = (&InstanceId, &V)> {
+    pub fn decided_instances(&self) -> impl Iterator<Item = (&K, &V)> {
         self.decided.iter()
     }
 
@@ -301,10 +284,10 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
     /// `(instance, value)` pairs (at most one).
     pub fn on_message(
         &mut self,
-        net: &mut dyn ConsensusNet<V>,
+        net: &mut dyn ConsensusNet<V, K>,
         from: ProcessId,
-        msg: ConsensusMsg<V>,
-    ) -> Vec<(InstanceId, V)> {
+        msg: ConsensusMsg<V, K>,
+    ) -> Vec<(K, V)> {
         let (inst, mut member) = match self.instance(msg.instance(), net.now()) {
             Ok(live) => live,
             Err(decided) => {
@@ -397,7 +380,7 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
     /// [`ConsensusEngine::on_message`].
     ///
     /// Costs O(undecided instances), not O(instances ever seen).
-    pub fn on_tick(&mut self, net: &mut dyn ConsensusNet<V>) -> Vec<(InstanceId, V)> {
+    pub fn on_tick(&mut self, net: &mut dyn ConsensusNet<V, K>) -> Vec<(K, V)> {
         let (now, round_timeout) = (net.now(), self.round_timeout);
         let mut decided = Vec::new();
         for (id, inst) in self.running.iter_mut().filter(|(_, i)| i.participating) {
@@ -425,7 +408,7 @@ impl<V: Clone + Eq + fmt::Debug> ConsensusEngine<V> {
     }
 }
 
-impl<'a, V: Clone> Member<'a, V> {
+impl<'a, V: Clone, K: Clone> Member<'a, V, K> {
     fn new(me: ProcessId, peers: &'a [ProcessId]) -> Self {
         Member {
             me,
@@ -445,7 +428,7 @@ impl<'a, V: Clone> Member<'a, V> {
 
     /// Marks the instance as participating and sends the current-round
     /// estimate if not already done.
-    fn join(&mut self, net: &mut dyn ConsensusNet<V>, id: &InstanceId, inst: &mut Instance<V>) {
+    fn join(&mut self, net: &mut dyn ConsensusNet<V, K>, id: &K, inst: &mut Instance<V>) {
         if inst.participating {
             return;
         }
@@ -456,8 +439,8 @@ impl<'a, V: Clone> Member<'a, V> {
 
     fn broadcast_estimate(
         &mut self,
-        net: &mut dyn ConsensusNet<V>,
-        id: &InstanceId,
+        net: &mut dyn ConsensusNet<V, K>,
+        id: &K,
         inst: &mut Instance<V>,
     ) {
         let me = self.me;
@@ -486,12 +469,7 @@ impl<'a, V: Clone> Member<'a, V> {
     }
 
     /// Coordinator: propose once a majority of estimates is gathered.
-    fn maybe_propose(
-        &mut self,
-        net: &mut dyn ConsensusNet<V>,
-        id: &InstanceId,
-        inst: &mut Instance<V>,
-    ) {
+    fn maybe_propose(&mut self, net: &mut dyn ConsensusNet<V, K>, id: &K, inst: &mut Instance<V>) {
         let me = self.me;
         let round = inst.round;
         let majority = self.majority();
@@ -531,8 +509,8 @@ impl<'a, V: Clone> Member<'a, V> {
     /// estimate for it.
     fn advance_to(
         &mut self,
-        net: &mut dyn ConsensusNet<V>,
-        id: &InstanceId,
+        net: &mut dyn ConsensusNet<V, K>,
+        id: &K,
         inst: &mut Instance<V>,
         round: u64,
     ) {
@@ -552,7 +530,7 @@ impl<'a, V: Clone> Member<'a, V> {
 
     /// Records the decision (once) and relays it to every peer; the entry
     /// point then moves the instance to `decided`.
-    fn decide(&mut self, net: &mut dyn ConsensusNet<V>, id: &InstanceId, value: V) {
+    fn decide(&mut self, net: &mut dyn ConsensusNet<V, K>, id: &K, value: V) {
         let me = self.me;
         if self.decision.is_some() {
             return;
@@ -577,41 +555,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn instance_id_semantics() {
-        let a = InstanceId::new("owner/1");
-        let b = InstanceId::new("owner/1");
-        let c = InstanceId::new("owner/2");
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a.name(), "owner/1");
-        assert_eq!(format!("{a}"), "⟨owner/1⟩");
-    }
-
-    #[test]
     fn message_instance_accessor() {
-        let id = InstanceId::new("x");
-        let msgs: Vec<ConsensusMsg<u32>> = vec![
+        let id = 7;
+        let msgs: Vec<ConsensusMsg<u32, u32>> = vec![
             ConsensusMsg::Estimate {
-                instance: id.clone(),
+                instance: id,
                 round: 0,
                 value: 1,
                 ts: 0,
             },
             ConsensusMsg::Propose {
-                instance: id.clone(),
+                instance: id,
                 round: 0,
                 value: 1,
             },
             ConsensusMsg::Ack {
-                instance: id.clone(),
+                instance: id,
                 round: 0,
             },
             ConsensusMsg::Nack {
-                instance: id.clone(),
+                instance: id,
                 round: 0,
             },
             ConsensusMsg::Decide {
-                instance: id.clone(),
+                instance: id,
                 value: 1,
             },
         ];
@@ -623,23 +590,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "peers must include")]
     fn engine_requires_membership() {
-        let _ = ConsensusEngine::<u32>::new(
+        let _ = ConsensusEngine::<u32, u32>::new(
             ProcessId(9),
             vec![ProcessId(0), ProcessId(1)],
             SimDuration::from_millis(50),
         );
     }
 
+    /// Instances are keyed by name.
+    type Key = &'static str;
+
     /// A network that records sends, with a settable clock and suspicions.
     #[derive(Default)]
     struct TestNet {
         now: SimTime,
         suspected: BTreeSet<ProcessId>,
-        sent: Vec<(ProcessId, ConsensusMsg<u32>)>,
+        sent: Vec<(ProcessId, ConsensusMsg<u32, Key>)>,
     }
 
-    impl ConsensusNet<u32> for TestNet {
-        fn send(&mut self, to: ProcessId, msg: ConsensusMsg<u32>) {
+    impl ConsensusNet<u32, Key> for TestNet {
+        fn send(&mut self, to: ProcessId, msg: ConsensusMsg<u32, Key>) {
             self.sent.push((to, msg));
         }
 
@@ -653,7 +623,7 @@ mod tests {
     }
 
     /// The instances a tick acts on: the running ones this process joined.
-    fn joined(engine: &ConsensusEngine<u32>) -> Vec<&InstanceId> {
+    fn joined(engine: &ConsensusEngine<u32, Key>) -> Vec<&Key> {
         let running = engine.running.iter();
         running
             .filter(|(_, i)| i.participating)
@@ -666,22 +636,19 @@ mod tests {
         let [p0, p1, p2] = [0, 1, 2].map(ProcessId);
         let mut net = TestNet::default();
         let mut engine = ConsensusEngine::new(p1, vec![p0, p1, p2], SimDuration::from_millis(50));
-        let [live, learned, settled, stranger] = ["a", "b", "c", "d"].map(InstanceId::new);
-        let decide = |instance: &InstanceId| ConsensusMsg::Decide {
-            instance: instance.clone(),
-            value: 9,
-        };
+        let [live, learned, settled, stranger] = ["a", "b", "c", "d"];
+        let decide = |instance: Key| ConsensusMsg::Decide { instance, value: 9 };
 
         // Participating and undecided: the only one a tick may touch.
-        assert_eq!(engine.propose(&mut net, live.clone(), 1), None);
+        assert_eq!(engine.propose(&mut net, live, 1), None);
         // Decided without ever participating (learned from a peer).
-        assert_eq!(engine.on_message(&mut net, p0, decide(&learned)).len(), 1);
+        assert_eq!(engine.on_message(&mut net, p0, decide(learned)).len(), 1);
         // Participating, then decided.
-        assert_eq!(engine.propose(&mut net, settled.clone(), 3), None);
-        assert_eq!(engine.on_message(&mut net, p0, decide(&settled)).len(), 1);
+        assert_eq!(engine.propose(&mut net, settled, 3), None);
+        assert_eq!(engine.on_message(&mut net, p0, decide(settled)).len(), 1);
         // Known but never joined: a stray ack creates the entry only.
         let stray = ConsensusMsg::Ack {
-            instance: stranger.clone(),
+            instance: stranger,
             round: 0,
         };
         assert!(engine.on_message(&mut net, p2, stray).is_empty());
@@ -691,7 +658,7 @@ mod tests {
             engine.running.keys().collect::<Vec<_>>(),
             [&live, &stranger]
         );
-        let decided = BTreeMap::from([(learned.clone(), 9), (settled.clone(), 9)]);
+        let decided = BTreeMap::from([(learned, 9), (settled, 9)]);
         assert_eq!(engine.decided, decided);
 
         // Rounds time out and every coordinator but us is suspected, tick
@@ -716,7 +683,7 @@ mod tests {
         assert_eq!(engine.read(&stranger), None);
 
         // Once decided, the live instance leaves the tick too.
-        assert_eq!(engine.on_message(&mut net, p0, decide(&live)).len(), 1);
+        assert_eq!(engine.on_message(&mut net, p0, decide(live)).len(), 1);
         assert!(joined(&engine).is_empty());
         assert_eq!(engine.running.keys().collect::<Vec<_>>(), [&stranger]);
         assert_eq!(engine.decided[&live], 9);
@@ -733,10 +700,10 @@ mod tests {
         // p0 coordinates round 0: its own estimate plus p1's is a majority,
         // and p1's ack on top of its own implicit one decides.
         let mut engine = ConsensusEngine::new(p0, vec![p0, p1, p2], SimDuration::from_millis(50));
-        let id = InstanceId::new("i");
-        assert_eq!(engine.propose(&mut net, id.clone(), 7), None);
+        let id: Key = "i";
+        assert_eq!(engine.propose(&mut net, id, 7), None);
         let estimate = ConsensusMsg::Estimate {
-            instance: id.clone(),
+            instance: id,
             round: 0,
             value: 8,
             ts: 0,
@@ -745,38 +712,38 @@ mod tests {
         let inst = &engine.running[&id];
         assert!(inst.estimate.is_some() && inst.estimates.len() == 2 && inst.proposed);
         let ack = ConsensusMsg::Ack {
-            instance: id.clone(),
+            instance: id,
             round: 0,
         };
         // Equal timestamps: the estimate of the highest process id wins.
-        assert_eq!(engine.on_message(&mut net, p1, ack), [(id.clone(), 8)]);
+        assert_eq!(engine.on_message(&mut net, p1, ack), [(id, 8)]);
 
         // The deciding entry point moved the instance across: what stays
         // resident is its value, nothing of its rounds.
         assert!(engine.running.is_empty());
-        assert_eq!(engine.decided, BTreeMap::from([(id.clone(), 8)]));
+        assert_eq!(engine.decided, BTreeMap::from([(id, 8)]));
 
         // Whatever a late peer still sends, at this round or a later one,
         // it gets the decision back and nothing else happens.
         for round in [0, 3] {
             let late = [
                 ConsensusMsg::Estimate {
-                    instance: id.clone(),
+                    instance: id,
                     round,
                     value: 9,
                     ts: round,
                 },
                 ConsensusMsg::Propose {
-                    instance: id.clone(),
+                    instance: id,
                     round,
                     value: 9,
                 },
                 ConsensusMsg::Ack {
-                    instance: id.clone(),
+                    instance: id,
                     round,
                 },
                 ConsensusMsg::Nack {
-                    instance: id.clone(),
+                    instance: id,
                     round,
                 },
             ];
@@ -784,7 +751,7 @@ mod tests {
                 net.sent.clear();
                 assert!(engine.on_message(&mut net, p2, msg).is_empty());
                 let decide = ConsensusMsg::Decide {
-                    instance: id.clone(),
+                    instance: id,
                     value: 8,
                 };
                 assert_eq!(net.sent, [(p2, decide)]);
@@ -792,16 +759,16 @@ mod tests {
         }
         net.sent.clear();
         let other = ConsensusMsg::Decide {
-            instance: id.clone(),
+            instance: id,
             value: 8,
         };
         assert!(engine.on_message(&mut net, p2, other).is_empty());
         net.now = SimTime::from_secs(60);
         assert!(engine.on_tick(&mut net).is_empty());
         assert!(net.sent.is_empty());
-        assert_eq!(engine.propose(&mut net, id.clone(), 1), Some(8));
+        assert_eq!(engine.propose(&mut net, id, 1), Some(8));
         assert!(engine.running.is_empty());
-        assert_eq!(engine.decided, BTreeMap::from([(id.clone(), 8)]));
+        assert_eq!(engine.decided, BTreeMap::from([(id, 8)]));
     }
 
     #[test]
@@ -810,9 +777,9 @@ mod tests {
         let mut net = TestNet::default();
         // p1 never proposed and coordinates neither round 0 nor round 2.
         let mut engine = ConsensusEngine::new(p1, vec![p0, p1, p2], SimDuration::from_millis(50));
-        let id = InstanceId::new("late");
+        let id: Key = "late";
         let estimate = ConsensusMsg::Estimate {
-            instance: id.clone(),
+            instance: id,
             round: 2,
             value: 5,
             ts: 1,
@@ -821,7 +788,7 @@ mod tests {
         // It adopts the value with timestamp 0, joins at round 0, then
         // advances to the sender's round: one estimate per peer per round.
         let mine = |round| ConsensusMsg::Estimate {
-            instance: id.clone(),
+            instance: id,
             round,
             value: 5,
             ts: 0,
@@ -844,8 +811,8 @@ mod tests {
         let me = ProcessId(0);
         let mut net = TestNet::default();
         let mut engine = ConsensusEngine::new(me, vec![me], SimDuration::from_millis(50));
-        let id = InstanceId::new("solo");
-        assert_eq!(engine.propose(&mut net, id.clone(), 4), Some(4));
+        let id: Key = "solo";
+        assert_eq!(engine.propose(&mut net, id, 4), Some(4));
         assert!(engine.running.is_empty());
         net.now = SimTime::from_secs(1);
         assert!(engine.on_tick(&mut net).is_empty());

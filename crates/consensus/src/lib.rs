@@ -7,8 +7,8 @@
 //! * `read()` — returns the decided value, or ⊥ if none is known.
 //!
 //! This crate *builds* that abstraction instead of assuming it: a
-//! [`ConsensusEngine`] multiplexes any number of named instances
-//! ([`InstanceId`]) over an asynchronous network, running Chandra–Toueg
+//! [`ConsensusEngine`] multiplexes any number of instances, each named by a
+//! key of the embedder's choosing, over an asynchronous network, running Chandra–Toueg
 //! rotating-coordinator consensus per instance. It tolerates a minority of
 //! crash failures and relies only on the eventually-perfect failure detector
 //! provided by `xability-sim` (a ◇S detector suffices for safety+liveness;
@@ -46,18 +46,18 @@ use xability_sim::{Context, ProcessId, SimTime};
 ///
 /// `wrap` converts a consensus message into the actor's message type.
 #[derive(Debug)]
-pub struct CtxNet<'a, 'b, M, V, F>
+pub struct CtxNet<'a, 'b, M, V, K, F>
 where
-    F: Fn(ConsensusMsg<V>) -> M,
+    F: Fn(ConsensusMsg<V, K>) -> M,
 {
     ctx: &'a mut Context<'b, M>,
     wrap: F,
-    _marker: std::marker::PhantomData<V>,
+    _marker: std::marker::PhantomData<(V, K)>,
 }
 
-impl<'a, 'b, M, V, F> CtxNet<'a, 'b, M, V, F>
+impl<'a, 'b, M, V, K, F> CtxNet<'a, 'b, M, V, K, F>
 where
-    F: Fn(ConsensusMsg<V>) -> M,
+    F: Fn(ConsensusMsg<V, K>) -> M,
 {
     /// Wraps a context.
     pub fn new(ctx: &'a mut Context<'b, M>, wrap: F) -> Self {
@@ -69,11 +69,11 @@ where
     }
 }
 
-impl<M, V, F> ConsensusNet<V> for CtxNet<'_, '_, M, V, F>
+impl<M, V, K, F> ConsensusNet<V, K> for CtxNet<'_, '_, M, V, K, F>
 where
-    F: Fn(ConsensusMsg<V>) -> M,
+    F: Fn(ConsensusMsg<V, K>) -> M,
 {
-    fn send(&mut self, to: ProcessId, msg: ConsensusMsg<V>) {
+    fn send(&mut self, to: ProcessId, msg: ConsensusMsg<V, K>) {
         let wrapped = (self.wrap)(msg);
         self.ctx.send(to, wrapped);
     }
@@ -92,20 +92,21 @@ mod tests {
     use super::*;
     use xability_sim::{Actor, LatencyModel, SimConfig, SimDuration, TimerId, World};
 
-    /// Test message type: just the consensus traffic.
-    type Msg = ConsensusMsg<u64>;
+    /// Test message type: just the consensus traffic, instances keyed by
+    /// number.
+    type Msg = ConsensusMsg<u64, u32>;
 
     /// A participant that proposes a fixed value to a set of instances at
     /// start, and records decisions.
     struct Participant {
-        engine: ConsensusEngine<u64>,
-        proposals: Vec<(InstanceId, u64)>,
-        decided: Vec<(InstanceId, u64)>,
+        engine: ConsensusEngine<u64, u32>,
+        proposals: Vec<(u32, u64)>,
+        decided: Vec<(u32, u64)>,
         tick: SimDuration,
     }
 
     impl Participant {
-        fn new(me: ProcessId, peers: Vec<ProcessId>, proposals: Vec<(InstanceId, u64)>) -> Self {
+        fn new(me: ProcessId, peers: Vec<ProcessId>, proposals: Vec<(u32, u64)>) -> Self {
             Participant {
                 engine: ConsensusEngine::new(me, peers, SimDuration::from_millis(60)),
                 proposals,
@@ -119,7 +120,7 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
             let mut net = CtxNet::new(ctx, |m| m);
             for (inst, v) in self.proposals.clone() {
-                if let Some(d) = self.engine.propose(&mut net, inst.clone(), v) {
+                if let Some(d) = self.engine.propose(&mut net, inst, v) {
                     self.decided.push((inst, d));
                 }
             }
@@ -142,7 +143,7 @@ mod tests {
 
     fn build(
         n: usize,
-        proposals: impl Fn(usize) -> Vec<(InstanceId, u64)>,
+        proposals: impl Fn(usize) -> Vec<(u32, u64)>,
         config: SimConfig,
     ) -> (World<Msg>, Vec<ProcessId>) {
         let mut world = World::new(config);
@@ -155,23 +156,19 @@ mod tests {
         (world, ids)
     }
 
-    fn decisions_of(world: &World<Msg>, p: ProcessId, inst: &InstanceId) -> Option<u64> {
+    fn decisions_of(world: &World<Msg>, p: ProcessId, inst: u32) -> Option<u64> {
         let part: &Participant = world.actor_as(p).unwrap();
-        part.engine.read(inst).copied()
+        part.engine.read(&inst).copied()
     }
 
     #[test]
     fn all_correct_processes_decide_the_same_value() {
-        let inst = InstanceId::new("i1");
-        let (mut world, ids) = build(
-            3,
-            |i| vec![(inst.clone(), 100 + i as u64)],
-            SimConfig::with_seed(1),
-        );
+        let inst = 1;
+        let (mut world, ids) = build(3, |i| vec![(inst, 100 + i as u64)], SimConfig::with_seed(1));
         world.run_until(SimTime::from_secs(2));
-        let d0 = decisions_of(&world, ids[0], &inst).expect("p0 decided");
+        let d0 = decisions_of(&world, ids[0], inst).expect("p0 decided");
         for &p in &ids {
-            assert_eq!(decisions_of(&world, p, &inst), Some(d0));
+            assert_eq!(decisions_of(&world, p, inst), Some(d0));
         }
         // Validity: the decision is one of the proposals.
         assert!((100..103).contains(&d0));
@@ -179,12 +176,12 @@ mod tests {
 
     #[test]
     fn decides_with_single_proposer() {
-        let inst = InstanceId::new("solo");
+        let inst = 2;
         let (mut world, ids) = build(
             5,
             |i| {
                 if i == 2 {
-                    vec![(inst.clone(), 777)]
+                    vec![(inst, 777)]
                 } else {
                     vec![]
                 }
@@ -194,7 +191,7 @@ mod tests {
         world.run_until(SimTime::from_secs(2));
         for &p in &ids {
             assert_eq!(
-                decisions_of(&world, p, &inst),
+                decisions_of(&world, p, inst),
                 Some(777),
                 "{p} missing decision"
             );
@@ -203,32 +200,25 @@ mod tests {
 
     #[test]
     fn survives_coordinator_crash() {
-        let inst = InstanceId::new("crash");
+        let inst = 3;
         // Round 0's coordinator is p0; crash it immediately so another
         // coordinator must finish the instance.
-        let (mut world, ids) = build(
-            3,
-            |i| vec![(inst.clone(), 10 + i as u64)],
-            SimConfig::with_seed(3),
-        );
+        let (mut world, ids) = build(3, |i| vec![(inst, 10 + i as u64)], SimConfig::with_seed(3));
         world.schedule_crash(ids[0], SimTime::from_millis(1));
         world.run_until(SimTime::from_secs(3));
-        let d1 = decisions_of(&world, ids[1], &inst).expect("p1 decided");
-        let d2 = decisions_of(&world, ids[2], &inst).expect("p2 decided");
+        let d1 = decisions_of(&world, ids[1], inst).expect("p1 decided");
+        let d2 = decisions_of(&world, ids[2], inst).expect("p2 decided");
         assert_eq!(d1, d2);
     }
 
     #[test]
     fn agreement_under_partial_synchrony() {
-        let inst = InstanceId::new("ps");
+        let inst = 4;
         let mut config = SimConfig::with_seed(4);
         config.latency = LatencyModel::partially_synchronous(0.3, SimTime::from_millis(500));
-        let (mut world, ids) = build(5, |i| vec![(inst.clone(), i as u64)], config);
+        let (mut world, ids) = build(5, |i| vec![(inst, i as u64)], config);
         world.run_until(SimTime::from_secs(5));
-        let d: Vec<Option<u64>> = ids
-            .iter()
-            .map(|&p| decisions_of(&world, p, &inst))
-            .collect();
+        let d: Vec<Option<u64>> = ids.iter().map(|&p| decisions_of(&world, p, inst)).collect();
         let first = d[0].expect("decided despite false suspicions");
         for v in &d {
             assert_eq!(*v, Some(first));
@@ -237,21 +227,20 @@ mod tests {
 
     #[test]
     fn many_concurrent_instances() {
-        let instances: Vec<InstanceId> =
-            (0..20).map(|k| InstanceId::new(format!("m{k}"))).collect();
+        let instances: Vec<u32> = (100..120).collect();
         let insts = instances.clone();
         let (mut world, ids) = build(
             3,
             move |i| {
                 insts
                     .iter()
-                    .map(|inst| (inst.clone(), (i * 1000) as u64))
+                    .map(|&inst| (inst, (i * 1000) as u64))
                     .collect()
             },
             SimConfig::with_seed(5),
         );
         world.run_until(SimTime::from_secs(5));
-        for inst in &instances {
+        for &inst in &instances {
             let d0 = decisions_of(&world, ids[0], inst).expect("decided");
             for &p in &ids {
                 assert_eq!(decisions_of(&world, p, inst), Some(d0));
@@ -261,12 +250,12 @@ mod tests {
 
     #[test]
     fn propose_after_decision_returns_decided_value() {
-        let inst = InstanceId::new("late");
+        let inst = 6;
         let (mut world, ids) = build(
             3,
             |i| {
                 if i == 0 {
-                    vec![(inst.clone(), 42)]
+                    vec![(inst, 42)]
                 } else {
                     vec![]
                 }
@@ -274,13 +263,13 @@ mod tests {
             SimConfig::with_seed(6),
         );
         world.run_until(SimTime::from_secs(2));
-        assert_eq!(decisions_of(&world, ids[1], &inst), Some(42));
+        assert_eq!(decisions_of(&world, ids[1], inst), Some(42));
         // A late proposal must observe the existing decision, not override it.
         let part: &mut Participant = world.actor_as_mut(ids[1]).unwrap();
         // Direct engine access: a decided instance answers immediately.
         struct NullNet;
-        impl ConsensusNet<u64> for NullNet {
-            fn send(&mut self, _: ProcessId, _: ConsensusMsg<u64>) {
+        impl ConsensusNet<u64, u32> for NullNet {
+            fn send(&mut self, _: ProcessId, _: Msg) {
                 panic!("decided instance must not send");
             }
             fn now(&self) -> SimTime {
@@ -290,23 +279,20 @@ mod tests {
                 false
             }
         }
-        let got = part.engine.propose(&mut NullNet, inst.clone(), 9999);
+        let got = part.engine.propose(&mut NullNet, inst, 9999);
         assert_eq!(got, Some(42));
     }
 
     #[test]
     fn read_returns_none_before_any_decision() {
         let (world, ids) = build(3, |_| vec![], SimConfig::with_seed(7));
-        assert_eq!(
-            decisions_of(&world, ids[0], &InstanceId::new("never")),
-            None
-        );
+        assert_eq!(decisions_of(&world, ids[0], 7), None);
     }
 
     #[test]
     fn decided_instances_are_enumerable() {
-        let inst = InstanceId::new("enum");
-        let (mut world, ids) = build(3, |_| vec![(inst.clone(), 5)], SimConfig::with_seed(8));
+        let inst = 8;
+        let (mut world, ids) = build(3, |_| vec![(inst, 5)], SimConfig::with_seed(8));
         world.run_until(SimTime::from_secs(2));
         let part: &Participant = world.actor_as(ids[0]).unwrap();
         let all: Vec<_> = part.engine.decided_instances().collect();
@@ -316,14 +302,14 @@ mod tests {
     #[test]
     fn deterministic_across_identical_runs() {
         let run = |seed| {
-            let inst = InstanceId::new("det");
+            let inst = 9;
             let (mut world, ids) = build(
                 4,
-                |i| vec![(inst.clone(), i as u64 * 7)],
+                |i| vec![(inst, i as u64 * 7)],
                 SimConfig::with_seed(seed),
             );
             world.run_until(SimTime::from_secs(2));
-            decisions_of(&world, ids[3], &inst)
+            decisions_of(&world, ids[3], inst)
         };
         assert_eq!(run(9), run(9));
     }

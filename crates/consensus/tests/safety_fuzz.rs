@@ -2,20 +2,21 @@
 //! every seed, crash pattern and asynchrony level (termination requires a
 //! correct majority and eventual accuracy, which the configs below grant).
 
-use xability_consensus::{ConsensusEngine, ConsensusMsg, CtxNet, InstanceId};
+use xability_consensus::{ConsensusEngine, ConsensusMsg, CtxNet};
 use xability_sim::{
     Actor, Context, LatencyModel, ProcessId, SimConfig, SimDuration, SimTime, TimerId, World,
 };
 
-type Msg = ConsensusMsg<u64>;
+/// Consensus traffic, instances keyed by number.
+type Msg = ConsensusMsg<u64, u32>;
 
 struct Participant {
-    engine: ConsensusEngine<u64>,
-    proposals: Vec<(InstanceId, u64)>,
+    engine: ConsensusEngine<u64, u32>,
+    proposals: Vec<(u32, u64)>,
 }
 
 impl Participant {
-    fn new(me: ProcessId, peers: Vec<ProcessId>, proposals: Vec<(InstanceId, u64)>) -> Self {
+    fn new(me: ProcessId, peers: Vec<ProcessId>, proposals: Vec<(u32, u64)>) -> Self {
         Participant {
             engine: ConsensusEngine::new(me, peers, SimDuration::from_millis(60)),
             proposals,
@@ -52,13 +53,11 @@ fn check(seed: u64, n: usize, instances: usize, crash_first: bool, spike: f64) {
     config.latency = LatencyModel::partially_synchronous(spike, SimTime::from_millis(400));
     let mut world: World<Msg> = World::new(config);
     let ids: Vec<ProcessId> = (0..n).map(ProcessId).collect();
-    let insts: Vec<InstanceId> = (0..instances)
-        .map(|k| InstanceId::new(format!("i{k}")))
-        .collect();
+    let insts: Vec<u32> = (0..instances as u32).collect();
     for (i, &id) in ids.iter().enumerate() {
-        let proposals: Vec<(InstanceId, u64)> = insts
+        let proposals: Vec<(u32, u64)> = insts
             .iter()
-            .map(|inst| (inst.clone(), (i * 100 + 1) as u64))
+            .map(|&inst| (inst, (i * 100 + 1) as u64))
             .collect();
         world.add_process(
             format!("p{i}"),

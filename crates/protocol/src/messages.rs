@@ -1,10 +1,11 @@
 //! The wire protocol: one message enum shared by clients, replicas and
 //! external services, plus the consensus decision values.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
-use xability_consensus::{ConsensusMsg, InstanceId};
+use xability_consensus::ConsensusMsg;
 use xability_core::{ActionName, Value};
 use xability_services::{InvokeOutcome, ServiceRequest};
 use xability_sim::ProcessId;
@@ -14,7 +15,9 @@ use xability_sim::ProcessId;
 ///
 /// `id` is the unique request identity (the formal input value `iv` of the
 /// theory and the deduplication key at the external service). It must not
-/// contain `/` (instance names are `kind/id/round`).
+/// contain `/`: consensus instances ([`Instance`]) are ordered as their
+/// text form `kind/id/round`, and only for `/`-free ids is that an order
+/// of the ids themselves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogicalRequest {
     /// Unique request id.
@@ -65,15 +68,11 @@ impl fmt::Display for LogicalRequest {
 /// Values decided by the consensus instances of §5.2.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Decision {
-    /// `owner-agreement[round]`: who owns a round of a request.
+    /// `owner-agreement[req, round]`: who owns a round of a request. The
+    /// request itself travels in the instance key, so every replica learns it.
     Owner {
         /// The owning replica.
         owner: ProcessId,
-        /// The request (carried so every replica learns it). Shared: the
-        /// estimates, proposals and decisions of an owner agreement, and
-        /// every replica's bookkeeping for the request, hold the owner's
-        /// one allocation.
-        req: Arc<LogicalRequest>,
         /// The client to answer.
         client: ProcessId,
     },
@@ -90,33 +89,107 @@ pub enum Decision {
     },
 }
 
-/// Builds the instance id of `owner-agreement[req, round]`.
-pub fn owner_instance(req_id: &str, round: u64) -> InstanceId {
-    InstanceId::new(format!("owner/{req_id}/{round}"))
+/// A request handle ordered and compared by id, and looked up by `&str`
+/// through `Borrow<str>`: a replica's request tables and the consensus
+/// instances of a request hold the request itself, never a copy of its id.
+#[derive(Debug, Clone)]
+pub(crate) struct ReqKey(pub(crate) Arc<LogicalRequest>);
+
+impl ReqKey {
+    pub(crate) fn id(&self) -> &str {
+        &self.0.id
+    }
 }
 
-/// Builds the instance id of `result-agreement[req, round]`.
-///
-/// The paper indexes `result-agreement` by request only; we index per round
-/// so that a cleaning-mode `empty-result` blocks exactly the suspected
-/// round's reply without poisoning later rounds (see DESIGN.md §5 for why
-/// the per-request reading starves the client).
-pub fn result_instance(req_id: &str, round: u64) -> InstanceId {
-    InstanceId::new(format!("result/{req_id}/{round}"))
+impl PartialEq for ReqKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.id() == other.id()
+    }
 }
 
-/// Builds the instance id of `outcome-agreement[req, round]`.
-pub fn outcome_instance(req_id: &str, round: u64) -> InstanceId {
-    InstanceId::new(format!("outcome/{req_id}/{round}"))
+impl Eq for ReqKey {}
+
+impl PartialOrd for ReqKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
-/// Parses an instance id back into `(kind, request id, round)`.
-pub fn parse_instance(id: &InstanceId) -> Option<(&str, &str, u64)> {
-    let mut parts = id.name().splitn(3, '/');
-    let kind = parts.next()?;
-    let req = parts.next()?;
-    let round = parts.next()?.parse().ok()?;
-    Some((kind, req, round))
+impl Ord for ReqKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.id().cmp(other.id())
+    }
+}
+
+impl std::borrow::Borrow<str> for ReqKey {
+    fn borrow(&self) -> &str {
+        self.id()
+    }
+}
+
+/// Which consensus object of §5.2 an [`Instance`] is, declared in the
+/// byte order of the names `outcome` < `owner` < `result`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Agreement {
+    /// `outcome-agreement[req, round]`.
+    Outcome,
+    /// `owner-agreement[req, round]`.
+    Owner,
+    /// `result-agreement[req, round]`: per round, where the paper has one
+    /// per request (DESIGN.md §5.1).
+    Result,
+}
+
+/// The key of one consensus instance, `kind-agreement[req, round]`.
+/// Ordered as its text form `"{kind}/{id}/{round}"` bytewise, because the
+/// engine's tick visits instances in key order and the protocol's pinned
+/// behaviour is that order: by kind, then by id with a `/` terminator
+/// (`req-1` before `req`, as `-` < `/`), then by round as decimal text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Instance {
+    pub(crate) kind: Agreement,
+    pub(crate) req: ReqKey,
+    pub(crate) round: u64,
+}
+
+impl PartialOrd for Instance {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Instance {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let ids = || {
+            let (a, b) = (self.req.id().as_bytes(), other.req.id().as_bytes());
+            let n = a.len().min(b.len());
+            // Past the common length, an id goes on with its next byte or `/`.
+            let next = |id: &[u8]| id.get(n).copied().unwrap_or(b'/');
+            (&a[..n], next(a)).cmp(&(&b[..n], next(b)))
+        };
+        self.kind
+            .cmp(&other.kind)
+            .then_with(ids)
+            .then_with(|| cmp_as_decimal_text(self.round, other.round))
+    }
+}
+
+/// Orders two numbers as their decimal text, without rendering it: pad the
+/// one with fewer digits with zeros on the right (9 against 10 compares 90
+/// with 10); on a tie the shorter text, a prefix of the longer, is first.
+fn cmp_as_decimal_text(a: u64, b: u64) -> Ordering {
+    let digits = |n: u64| n.checked_ilog10().unwrap_or(0);
+    let padded = |n: u64, by: u32| u128::from(n) * 10u128.pow(by);
+    let (da, db) = (digits(a), digits(b));
+    padded(a, db.saturating_sub(da))
+        .cmp(&padded(b, da.saturating_sub(db)))
+        .then(da.cmp(&db))
+}
+
+/// An instance's kind, request id and round; never `None`. Kept, `Option`
+/// and all, for `xbench`, which names the request of consensus traffic by it.
+pub fn parse_instance(inst: &Instance) -> Option<(Agreement, &str, u64)> {
+    Some((inst.kind, inst.req.id(), inst.round))
 }
 
 /// The system-wide message type.
@@ -136,7 +209,7 @@ pub enum ProtoMsg {
         result: Value,
     },
     /// Replica ↔ replica: consensus traffic.
-    Consensus(ConsensusMsg<Decision>),
+    Consensus(ConsensusMsg<Decision, Instance>),
     /// Replica → service: invoke an action (execute / cancel / commit).
     Invoke {
         /// Correlation token chosen by the caller.
@@ -164,21 +237,84 @@ pub enum ProtoMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn instance_round_trip() {
-        let id = owner_instance("req-1", 3);
-        assert_eq!(parse_instance(&id), Some(("owner", "req-1", 3)));
-        let id = result_instance("r", 1);
-        assert_eq!(parse_instance(&id), Some(("result", "r", 1)));
-        let id = outcome_instance("r", 9);
-        assert_eq!(parse_instance(&id), Some(("outcome", "r", 9)));
+    /// An instance's text form, whose byte order `Instance` keeps.
+    fn text_form(inst: &Instance) -> String {
+        let kind = match inst.kind {
+            Agreement::Outcome => "outcome",
+            Agreement::Owner => "owner",
+            Agreement::Result => "result",
+        };
+        format!("{kind}/{}/{}", inst.req.id(), inst.round)
     }
 
+    fn instance(kind: Agreement, id: &str, round: u64) -> Instance {
+        let action = ActionName::idempotent("a");
+        let req = LogicalRequest::new(id, action, Value::Nil, ProcessId(0));
+        Instance {
+            kind,
+            req: ReqKey(Arc::new(req)),
+            round,
+        }
+    }
+
+    fn arb_kind() -> impl Strategy<Value = Agreement> {
+        prop_oneof![
+            Just(Agreement::Outcome),
+            Just(Agreement::Owner),
+            Just(Agreement::Result)
+        ]
+    }
+
+    /// `/`-free ids of up to four pieces: bytes on both sides of `/`
+    /// (`-` and `.` below it, digits and letters above) and the prefix
+    /// `req`, so pairs like `req`/`req-1`/`req-10` come up often.
+    fn arb_id() -> impl Strategy<Value = String> {
+        const PIECES: [&str; 9] = ["req", "-", ".", "0", "1", "9", "R", "q", "r"];
+        let pieces = prop::collection::vec(0..PIECES.len(), 0..5);
+        pieces.prop_map(|ix| ix.into_iter().map(|i| PIECES[i]).collect())
+    }
+
+    /// Small rounds (where one is often a decimal prefix of the other),
+    /// rounds up to 10 000, and any round.
+    fn arb_round() -> impl Strategy<Value = u64> {
+        prop_oneof![0..=20u64, 0..=10_000u64, 0..=u64::MAX]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn instance_order_is_the_byte_order_of_the_text_form(
+            kind_a in arb_kind(), id_a in arb_id(), round_a in arb_round(),
+            kind_b in arb_kind(), id_b in arb_id(), round_b in arb_round(),
+        ) {
+            let a = instance(kind_a, &id_a, round_a);
+            let b = instance(kind_b, &id_b, round_b);
+            prop_assert_eq!(a.cmp(&b), text_form(&a).cmp(&text_form(&b)), "{a:?} vs {b:?}");
+            prop_assert_eq!(a == b, text_form(&a) == text_form(&b));
+        }
+    }
+
+    /// Every instance of a prefix family of ids at every round up to
+    /// 10 000 sorts as its text form does.
     #[test]
-    fn parse_rejects_malformed() {
-        assert_eq!(parse_instance(&InstanceId::new("garbage")), None);
-        assert_eq!(parse_instance(&InstanceId::new("owner/x/notanumber")), None);
+    fn instance_order_sorts_a_prefix_family_like_the_text_form() {
+        let mut all = Vec::new();
+        for kind in [Agreement::Result, Agreement::Owner, Agreement::Outcome] {
+            for id in ["req-10", "req", "req1", "req-1", "re"] {
+                let req = instance(kind, id, 0).req;
+                for round in (0..=10_000).rev() {
+                    let req = req.clone();
+                    all.push(Instance { kind, req, round });
+                }
+            }
+        }
+        let mut by_name = all.clone();
+        by_name.sort_by_cached_key(text_form);
+        all.sort();
+        assert!(all.iter().map(text_form).eq(by_name.iter().map(text_form)));
     }
 
     #[test]

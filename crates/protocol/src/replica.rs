@@ -8,15 +8,15 @@
 //! | Paper (Fig. 6/7) | Here |
 //! |---|---|
 //! | `receive [Request,req]` main loop | [`XReplica::on_message`] on [`ProtoMsg::ClientRequest`] |
-//! | `owner-agreement[round].propose(my-id,req,client)` | a proposal on the `owner/<req>/<round>` instance; the continuation runs in `on_decision` |
+//! | `owner-agreement[round].propose(my-id,req,client)` | a proposal on the instance `Owner[req, round]`; the continuation runs in `on_decision` |
 //! | `execute-until-success(req)` | an `execute` invocation, retried in `on_invoke_reply` |
-//! | `result-coordination(req, res-val)` (execution mode) | a proposal on `result/…` (idempotent) or `outcome/…` (undoable) for a round this replica owns |
+//! | `result-coordination(req, res-val)` (execution mode) | a proposal on `Result[req, round]` (idempotent) or `Outcome[req, round]` (undoable) for a round this replica owns |
 //! | `result-coordination(req, empty-result)` (cleaning mode) | the same instances, proposed by the cleaner for a round owned elsewhere |
 //! | `execute-until-success(cancel(req))` / `(commit(req))` | `cancel` / `commit` invocations with retries |
 //! | `cleaner()` loop | the cleaning scan in `on_timer` / `on_suspicion` |
 //!
-//! A continuation stores nothing of its own: a decision's instance id
-//! spells its kind, request and round, and an invocation's retransmitted
+//! A continuation stores nothing of its own: a decision's [`Instance`] key
+//! holds its kind, request and round, and an invocation's retransmitted
 //! [`ServiceRequest`] its operation, request and round.
 //!
 //! ## Deviations from the paper's pseudo-code (see DESIGN.md)
@@ -46,20 +46,16 @@
 //! replicas run rounds concurrently (active-replication flavour), with the
 //! consensus objects arbitrating exactly-once semantics.
 
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use xability_consensus::{ConsensusEngine, CtxNet, InstanceId};
+use xability_consensus::{ConsensusEngine, CtxNet};
 use xability_core::Value;
 use xability_obs::{Counter, Obs};
 use xability_services::{InvokeOutcome, OpKind, ServiceRequest};
 use xability_sim::{Actor, Context, ProcessId, SimDuration, TimerId};
 
-use crate::messages::{
-    outcome_instance, owner_instance, parse_instance, result_instance, Decision, LogicalRequest,
-    ProtoMsg,
-};
+use crate::messages::{Agreement, Decision, Instance, LogicalRequest, ProtoMsg, ReqKey};
 
 /// Counters describing one replica's activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -121,43 +117,6 @@ impl ReplicaObs {
     }
 }
 
-/// A request table key: the request itself, ordered and looked up by its
-/// id (through `Borrow<str>`), so a table keeps no copy of the id.
-#[derive(Debug, Clone)]
-struct ReqKey(Arc<LogicalRequest>);
-
-impl ReqKey {
-    fn id(&self) -> &str {
-        &self.0.id
-    }
-}
-
-impl PartialEq for ReqKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.id() == other.id()
-    }
-}
-
-impl Eq for ReqKey {}
-
-impl PartialOrd for ReqKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ReqKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.id().cmp(other.id())
-    }
-}
-
-impl std::borrow::Borrow<str> for ReqKey {
-    fn borrow(&self) -> &str {
-        self.id()
-    }
-}
-
 /// Puts `x` at `at` in a sorted `Vec`, growing it one slot at a time: the
 /// round sets of a request almost always hold a single entry.
 fn insert_at<T>(set: &mut Vec<T>, at: usize, x: T) {
@@ -180,8 +139,8 @@ fn insert_sorted<T: Ord>(set: &mut Vec<T>, x: T) -> bool {
 /// Per-request bookkeeping. The round sets are sorted `Vec`s.
 #[derive(Debug)]
 struct RequestState {
-    /// Shared with the owner-agreement messages that carried it here: one
-    /// allocation per submission, not one per replica.
+    /// Shared with the consensus instances of the request (their keys
+    /// carried it here): one allocation per submission, not one per replica.
     req: Arc<LogicalRequest>,
     client: ProcessId,
     /// Every client incarnation that submitted this request to this
@@ -281,7 +240,7 @@ pub struct XReplicaConfig {
 #[derive(Debug)]
 pub struct XReplica {
     me: ProcessId,
-    engine: ConsensusEngine<Decision>,
+    engine: ConsensusEngine<Decision, Instance>,
     config: XReplicaConfig,
     /// Keyed by the request each state holds, in request-id order.
     requests: BTreeMap<ReqKey, RequestState>,
@@ -291,10 +250,11 @@ pub struct XReplica {
     /// learned and dropped once a pass finds it inert at its top round.
     by_owner: BTreeMap<ProcessId, BTreeSet<ReqKey>>,
     /// Instances this replica proposed and has not yet seen decided.
-    awaiting: BTreeSet<InstanceId>,
+    awaiting: BTreeSet<Instance>,
     pending: BTreeMap<u64, InFlight>,
-    /// Results learned before the request itself (decision reordering).
-    orphan_results: BTreeMap<String, Value>,
+    /// Results learned before the request itself (decision reordering),
+    /// keyed by the request their decision's instance carries.
+    orphan_results: BTreeMap<ReqKey, Value>,
     next_invocation: u64,
     obs: ReplicaObs,
 }
@@ -353,7 +313,7 @@ impl XReplica {
         req: &Arc<LogicalRequest>,
         client: ProcessId,
     ) -> &mut RequestState {
-        let orphan = self.orphan_results.remove(&req.id);
+        let orphan = self.orphan_results.remove(req.id.as_str());
         let entry = self
             .requests
             .entry(ReqKey(Arc::clone(req)))
@@ -390,30 +350,33 @@ impl XReplica {
         }
     }
 
-    fn record_result(&mut self, req_id: &str, value: Value) {
-        match self.requests.get_mut(req_id) {
+    /// Records a decided result: on the request if it is known here, as
+    /// an orphan under the decision's request otherwise.
+    fn record_result(&mut self, req: &ReqKey, value: Value) {
+        match self.requests.get_mut(req.id()) {
             Some(st) => {
                 if st.result.is_none() {
                     st.result = Some(value);
                 }
             }
             None => {
-                self.orphan_results
-                    .entry(req_id.to_owned())
-                    .or_insert(value);
+                self.orphan_results.entry(req.clone()).or_insert(value);
             }
         }
     }
 
+    /// Sends `value` to every client of a known request, in id order, and
+    /// records it as the result unless one is recorded already.
     fn reply(&mut self, ctx: &mut Context<'_, ProtoMsg>, req_id: &str, value: Value) {
-        self.record_result(req_id, value.clone());
         let Some(st) = self.requests.get_mut(req_id) else {
             return;
         };
+        st.result.get_or_insert_with(|| value.clone());
         st.delivered_by_me = true;
-        let mut clients = st.extra_clients.clone();
-        clients.insert(st.client);
-        for client in clients {
+        // `extra_clients` never holds `client`: merge it in, in id order.
+        let (client, extra) = (st.client, &st.extra_clients);
+        let (below, above) = (extra.range(..client), extra.range(client..));
+        for &client in below.chain([&client]).chain(above) {
             self.obs.replies_sent.inc();
             ctx.send(
                 client,
@@ -425,8 +388,20 @@ impl XReplica {
         }
     }
 
-    /// Proposes `value` on `inst`; its continuation runs in `on_decision`.
-    fn propose(&mut self, ctx: &mut Context<'_, ProtoMsg>, inst: InstanceId, value: Decision) {
+    /// Proposes `value` on `kind[req, round]` of a known request, keyed by
+    /// the request this replica files; the continuation runs in
+    /// `on_decision`.
+    fn propose(
+        &mut self,
+        ctx: &mut Context<'_, ProtoMsg>,
+        (kind, req_id, round): (Agreement, &str, u64),
+        value: Decision,
+    ) {
+        let Some((req, _)) = self.requests.get_key_value(req_id) else {
+            return;
+        };
+        let req = req.clone();
+        let inst = Instance { kind, req, round };
         // Await first: a singleton group decides inside `propose`.
         self.awaiting.insert(inst.clone());
         let decided = {
@@ -520,14 +495,12 @@ impl XReplica {
         client: ProcessId,
         round: u64,
     ) {
-        let inst = owner_instance(&req.id, round);
         self.ensure_request(&req, client);
         let proposal = Decision::Owner {
             owner: self.me,
-            req,
             client,
         };
-        self.propose(ctx, inst, proposal);
+        self.propose(ctx, (Agreement::Owner, &req.id, round), proposal);
     }
 
     fn start_execution(&mut self, ctx: &mut Context<'_, ProtoMsg>, req_id: &str, round: u64) {
@@ -637,10 +610,10 @@ impl XReplica {
                     abort: true,
                     value: None,
                 };
-                self.propose(ctx, outcome_instance(req_id, round), abort);
+                self.propose(ctx, (Agreement::Outcome, req_id, round), abort);
             } else {
                 let empty = Decision::ResultAgreed(None);
-                self.propose(ctx, result_instance(req_id, round), empty);
+                self.propose(ctx, (Agreement::Result, req_id, round), empty);
             }
         }
     }
@@ -650,18 +623,16 @@ impl XReplica {
     fn on_decisions(
         &mut self,
         ctx: &mut Context<'_, ProtoMsg>,
-        decided: Vec<(InstanceId, Decision)>,
+        decided: Vec<(Instance, Decision)>,
     ) {
         for (inst, dec) in decided {
             self.on_decision(ctx, inst, dec);
         }
     }
 
-    fn on_decision(&mut self, ctx: &mut Context<'_, ProtoMsg>, inst: InstanceId, dec: Decision) {
+    fn on_decision(&mut self, ctx: &mut Context<'_, ProtoMsg>, inst: Instance, dec: Decision) {
         let proposed = self.awaiting.remove(&inst);
-        let Some((kind, req_id, round)) = parse_instance(&inst) else {
-            return;
-        };
+        let (kind, req_id, round) = (inst.kind, inst.req.id(), inst.round);
 
         // Causal waypoint: a decision landing for an instance this replica
         // proposed (one event per proposer, not one per learner).
@@ -674,9 +645,8 @@ impl XReplica {
         // Passive learning: every replica tracks owners and results from
         // decisions regardless of who proposed.
         match (kind, &dec) {
-            ("owner", Decision::Owner { owner, req, client }) => {
-                let (owner, client) = (*owner, *client);
-                let st = self.ensure_request(req, client);
+            (Agreement::Owner, &Decision::Owner { owner, client }) => {
+                let st = self.ensure_request(&inst.req.0, client);
                 let prev_top = st.top();
                 st.learn_owner(round, owner);
                 if prev_top.map_or(true, |(top, _)| round > top) {
@@ -690,15 +660,15 @@ impl XReplica {
                     self.start_execution(ctx, req_id, round);
                 }
             }
-            ("result", Decision::ResultAgreed(Some(v)))
+            (Agreement::Result, Decision::ResultAgreed(Some(v)))
             | (
-                "outcome",
+                Agreement::Outcome,
                 Decision::Outcome {
                     abort: false,
                     value: Some(v),
                 },
             ) => {
-                self.record_result(req_id, v.clone());
+                self.record_result(&inst.req, v.clone());
                 self.deliver_to_local_submitters(ctx, req_id);
             }
             _ => {}
@@ -710,11 +680,11 @@ impl XReplica {
         // Continuations (the blocked pseudo-code resuming). Owner
         // agreement's continuation, executing a won round, ran above.
         match (kind, dec) {
-            ("outcome", Decision::Outcome { abort: true, .. }) => {
+            (Agreement::Outcome, Decision::Outcome { abort: true, .. }) => {
                 self.abort_round(ctx, req_id, round);
             }
             (
-                "outcome",
+                Agreement::Outcome,
                 Decision::Outcome {
                     abort: false,
                     value: Some(v),
@@ -725,7 +695,7 @@ impl XReplica {
                 debug_assert_eq!(self.request_result(req_id), Some(&v));
                 self.invoke_round(ctx, req_id, round, OpKind::Commit);
             }
-            ("result", Decision::ResultAgreed(v)) => {
+            (Agreement::Result, Decision::ResultAgreed(v)) => {
                 // Only a round's unique owner executes it, and the cleaner
                 // cleans only rounds owned elsewhere: `owned` tells
                 // execution mode from cleaning mode.
@@ -782,10 +752,10 @@ impl XReplica {
                         abort: false,
                         value: Some(v),
                     };
-                    self.propose(ctx, outcome_instance(req_id, round), commit);
+                    self.propose(ctx, (Agreement::Outcome, req_id, round), commit);
                 } else {
                     let agreed = Decision::ResultAgreed(Some(v));
-                    self.propose(ctx, result_instance(req_id, round), agreed);
+                    self.propose(ctx, (Agreement::Result, req_id, round), agreed);
                 }
             }
             (OpKind::Execute, InvokeOutcome::Failure { terminal, .. }) => {
@@ -802,7 +772,7 @@ impl XReplica {
                         abort: true,
                         value: None,
                     };
-                    self.propose(ctx, outcome_instance(req_id, round), abort);
+                    self.propose(ctx, (Agreement::Outcome, req_id, round), abort);
                 } else {
                     // Idempotent action: plain retry (Fig. 7).
                     self.invoke(ctx, service, sreq);
@@ -957,7 +927,9 @@ mod tests {
         }
     }
 
-    fn decide(instance: InstanceId, value: Decision) -> ProtoMsg {
+    fn decide(kind: Agreement, req: &Arc<LogicalRequest>, round: u64, value: Decision) -> ProtoMsg {
+        let req = ReqKey(Arc::clone(req));
+        let instance = Instance { kind, req, round };
         ProtoMsg::Consensus(ConsensusMsg::Decide { instance, value })
     }
 
@@ -977,26 +949,23 @@ mod tests {
             ActionName::undoable("reserve"),
         ] {
             let req = LogicalRequest::new("req-0", action.clone(), Value::Nil, service);
+            let req = Arc::new(req);
             let late = if action.is_undoable() {
                 let commit = Decision::Outcome {
                     abort: false,
                     value: Some(value.clone()),
                 };
-                decide(outcome_instance("req-0", 2), commit)
+                decide(Agreement::Outcome, &req, 2, commit)
             } else {
                 let agreed = Decision::ResultAgreed(Some(value.clone()));
-                decide(result_instance("req-0", 2), agreed)
+                decide(Agreement::Result, &req, 2, agreed)
             };
-            let owned = Decision::Owner {
-                owner,
-                req: Arc::new(req),
-                client,
-            };
+            let owned = Decision::Owner { owner, client };
             let script = vec![
                 (
                     SimDuration::from_millis(1),
                     me,
-                    decide(owner_instance("req-0", 1), owned),
+                    decide(Agreement::Owner, &req, 1, owned),
                 ),
                 (SimDuration::from_millis(150), me, late),
             ];
@@ -1064,7 +1033,6 @@ mod tests {
         for round_owner in [me, owner] {
             let owned = Decision::Owner {
                 owner: round_owner,
-                req: Arc::clone(&req),
                 client,
             };
             let empty = Decision::ResultAgreed(None);
@@ -1072,12 +1040,12 @@ mod tests {
                 (
                     SimDuration::from_millis(1),
                     me,
-                    decide(owner_instance("req-0", 1), owned),
+                    decide(Agreement::Owner, &req, 1, owned),
                 ),
                 (
                     SimDuration::from_millis(150),
                     me,
-                    decide(result_instance("req-0", 1), empty),
+                    decide(Agreement::Result, &req, 1, empty),
                 ),
             ];
             // The owner's execution succeeds; a cleaner invokes nothing.
@@ -1112,7 +1080,7 @@ mod tests {
             assert_eq!(replica.metrics().executions, u64::from(executing));
             assert_eq!(replica.metrics().cleanings, u64::from(!executing));
             assert_eq!(replica.metrics().replies_sent, 0);
-            let proposed: BTreeSet<&str> = world
+            let proposed: BTreeSet<(Agreement, &str, u64)> = world
                 .actor_as::<Puppet>(peer)
                 .expect("peer")
                 .received
@@ -1120,13 +1088,16 @@ mod tests {
                 .filter_map(|msg| match msg {
                     // Decisions are relayed; only the rest is proposing.
                     ProtoMsg::Consensus(ConsensusMsg::Decide { .. }) => None,
-                    ProtoMsg::Consensus(cm) => Some(cm.instance().name()),
+                    ProtoMsg::Consensus(cm) => {
+                        let inst = cm.instance();
+                        Some((inst.kind, inst.req.id(), inst.round))
+                    }
                     _ => None,
                 })
                 .collect();
-            let mut expected = BTreeSet::from(["result/req-0/1"]);
+            let mut expected = BTreeSet::from([(Agreement::Result, "req-0", 1)]);
             if !executing {
-                expected.insert("owner/req-0/2");
+                expected.insert((Agreement::Owner, "req-0", 2));
             }
             assert_eq!(proposed, expected, "owner {round_owner}");
         }
@@ -1203,8 +1174,10 @@ mod tests {
     }
 
     /// The request path shares, end to end: the payload the service
-    /// executes is the client's allocation, and all three replicas file the
-    /// request under the one `LogicalRequest` the owner agreement decided.
+    /// executes is the client's allocation, all three replicas file the
+    /// request under the one `LogicalRequest` the owner agreement decided,
+    /// and every consensus instance a replica decided keys by that same
+    /// allocation.
     #[test]
     fn a_request_is_one_allocation_from_client_plan_to_service_and_replicas() {
         let replicas = [0, 1, 2].map(ProcessId);
@@ -1242,8 +1215,13 @@ mod tests {
             assert!(same_list(&req.payload, &payload), "{req}");
 
             let first = world.actor_as::<XReplica>(replicas[0]).expect("replica");
-            let decided = match first.engine.read(&owner_instance(&req.id, 1)) {
-                Some(Decision::Owner { req, .. }) => req,
+            let owner = Instance {
+                kind: Agreement::Owner,
+                req: ReqKey(Arc::new(req.clone())),
+                round: 1,
+            };
+            let decided = match first.engine.decided_instances().find(|(k, _)| **k == owner) {
+                Some((inst, Decision::Owner { .. })) => &inst.req.0,
                 other => panic!("{req}: owner agreement decided {other:?}"),
             };
             for id in replicas {
@@ -1252,6 +1230,14 @@ mod tests {
                     Arc::ptr_eq(&replica.requests[req.id.as_str()].req, decided),
                     "{id}"
                 );
+            }
+        }
+        for id in replicas {
+            let replica = world.actor_as::<XReplica>(id).expect("replica");
+            assert_eq!(replica.engine.decided_instances().count(), 2 * plan.len());
+            for (inst, _) in replica.engine.decided_instances() {
+                let filed = &replica.requests[inst.req.id()].req;
+                assert!(Arc::ptr_eq(&inst.req.0, filed), "{id}: {inst:?}");
             }
         }
     }
