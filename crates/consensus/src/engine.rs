@@ -31,13 +31,16 @@
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::hash::Hash;
 use std::sync::Arc;
 
+use xability_core::index::{hash_of, SymbolIndex};
+use xability_core::seglog::AppendLog;
 use xability_sim::{ProcessId, SimDuration, SimTime};
 
 /// The default instance key, a name (`xbench`'s consensus probe keys by
-/// it). Any `Ord + Clone + Debug` type keys instances; the replication
-/// protocol's is the typed `xability_protocol::messages::Instance`.
+/// it). Any `Ord + Hash + Clone + Debug` type keys instances; the
+/// replication protocol's is the typed `xability_protocol::messages::Instance`.
 pub type InstanceId = Arc<String>;
 
 /// Messages exchanged by the consensus engines. The embedding actor wraps
@@ -155,6 +158,55 @@ impl<V> Instance<V> {
     }
 }
 
+/// Decided instances per segment of the engine's decision column.
+const DECIDED_SEGMENT: usize = 1024;
+
+/// The decided instances: `(key, value)` rows in decision order, an
+/// append-only column that never moves a row once written, and the
+/// workspace's id index over it, so finding a key is one hashed probe
+/// that compares against the one row its tag matches.
+#[derive(Debug)]
+struct Decisions<K, V> {
+    column: AppendLog<(K, V)>,
+    index: SymbolIndex,
+}
+
+impl<K: Hash + Eq, V> Decisions<K, V> {
+    fn new() -> Self {
+        Decisions {
+            column: AppendLog::new(DECIDED_SEGMENT),
+            index: SymbolIndex::default(),
+        }
+    }
+
+    fn get(&self, id: &K) -> Option<&V> {
+        let column = &self.column;
+        let row = self
+            .index
+            .find(hash_of(id), |row| column.get(row as usize).0 == *id)?;
+        Some(&column.get(row as usize).1)
+    }
+
+    /// Appends the decision of an instance that had none.
+    fn push(&mut self, id: K, value: V) {
+        debug_assert!(self.get(&id).is_none(), "an instance decides once");
+        let hash = hash_of(&id);
+        let row = u32::try_from(self.column.len()).expect("fewer than 2^32 decided instances");
+        self.column.push((id, value));
+        let column = &self.column;
+        self.index.insert(hash, row, |filed| {
+            Some(hash_of(&column.get(filed as usize).0))
+        });
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        (0..self.column.len()).map(|row| {
+            let (id, value) = self.column.get(row);
+            (id, value)
+        })
+    }
+}
+
 /// A multiplexed set of consensus objects for one participant process.
 ///
 /// The engine is transport-agnostic: the embedding actor forwards incoming
@@ -165,11 +217,12 @@ impl<V> Instance<V> {
 ///
 /// Instances are keyed by `K` (one key per logical consensus object, equal
 /// at every participant), and a tick visits them in `K`'s order.
-/// An instance lives in one of two maps: `running` until it decides, then
-/// `decided`, where it is only its value. The entry point that reaches a
-/// decision moves it across before it returns, so a live instance is found
-/// among a few entries and everything a late message can still ask of a
-/// decided one — its value — is all that stays resident.
+/// An instance lives in one of two tables: the ordered map `running` until
+/// it decides, then `decided`, where it is only its value, filed under its
+/// key's hash. The entry point that reaches a decision moves it across
+/// before it returns, so a live instance is found among a few entries and
+/// everything a late message can still ask of a decided one — its value —
+/// is all that stays resident, one hashed probe away.
 #[derive(Debug)]
 pub struct ConsensusEngine<V, K = InstanceId> {
     me: ProcessId,
@@ -177,7 +230,7 @@ pub struct ConsensusEngine<V, K = InstanceId> {
     round_timeout: SimDuration,
     /// Undecided instances: joined, or only heard of from a stray message.
     running: BTreeMap<K, Instance<V>>,
-    decided: BTreeMap<K, V>,
+    decided: Decisions<K, V>,
 }
 
 /// The engine with its instance maps taken out: what one instance's step
@@ -192,7 +245,7 @@ struct Member<'a, V, K> {
     decision: Option<(K, V)>,
 }
 
-impl<V: Clone + Eq + fmt::Debug, K: Ord + Clone + fmt::Debug> ConsensusEngine<V, K> {
+impl<V: Clone + Eq + fmt::Debug, K: Ord + Hash + Clone + fmt::Debug> ConsensusEngine<V, K> {
     /// Creates an engine for participant `me` among `peers` (which must
     /// include `me` and be identical at every participant).
     ///
@@ -210,14 +263,15 @@ impl<V: Clone + Eq + fmt::Debug, K: Ord + Clone + fmt::Debug> ConsensusEngine<V,
             peers,
             round_timeout,
             running: BTreeMap::new(),
-            decided: BTreeMap::new(),
+            decided: Decisions::new(),
         }
     }
 
     /// The one lookup of an entry point: the running instance (created at
     /// `now` if unseen) beside the rest of the engine, or the decision of a
     /// decided one. `running` is probed first, so a message for a live
-    /// instance searches only the undecided ones.
+    /// instance searches only the undecided ones; a miss costs one hashed
+    /// probe of `decided`.
     fn instance(
         &mut self,
         id: &K,
@@ -237,7 +291,7 @@ impl<V: Clone + Eq + fmt::Debug, K: Ord + Clone + fmt::Debug> ConsensusEngine<V,
     fn settle(&mut self, id: &K, value: &V) {
         let live = self.running.remove(id);
         debug_assert!(live.is_some(), "only a running instance decides");
-        self.decided.insert(id.clone(), value.clone());
+        self.decided.push(id.clone(), value.clone());
     }
 
     /// The paper's `propose()` (§5.2): proposes `value` for `instance`.
@@ -275,19 +329,21 @@ impl<V: Clone + Eq + fmt::Debug, K: Ord + Clone + fmt::Debug> ConsensusEngine<V,
         self.decided.get(instance)
     }
 
-    /// All instances with locally known decisions, in instance order.
+    /// All instances with locally known decisions, in the order they
+    /// decided here.
     pub fn decided_instances(&self) -> impl Iterator<Item = (&K, &V)> {
         self.decided.iter()
     }
 
-    /// Handles an incoming consensus message, returning newly decided
-    /// `(instance, value)` pairs (at most one).
+    /// Handles an incoming consensus message, returning the
+    /// `(instance, value)` it decided, if any (a message drives one
+    /// instance, so at most one).
     pub fn on_message(
         &mut self,
         net: &mut dyn ConsensusNet<V, K>,
         from: ProcessId,
         msg: ConsensusMsg<V, K>,
-    ) -> Vec<(K, V)> {
+    ) -> Option<(K, V)> {
         let (inst, mut member) = match self.instance(msg.instance(), net.now()) {
             Ok(live) => live,
             Err(decided) => {
@@ -301,7 +357,7 @@ impl<V: Clone + Eq + fmt::Debug, K: Ord + Clone + fmt::Debug> ConsensusEngine<V,
                         },
                     );
                 }
-                return Vec::new();
+                return None;
             }
         };
 
@@ -363,11 +419,9 @@ impl<V: Clone + Eq + fmt::Debug, K: Ord + Clone + fmt::Debug> ConsensusEngine<V,
                 }
             }
         }
-        let Some((id, value)) = member.decision else {
-            return Vec::new();
-        };
+        let (id, value) = member.decision?;
         self.settle(&id, &value);
-        vec![(id, value)]
+        Some((id, value))
     }
 
     /// Periodic driver: applies round timeouts and failure-detector
@@ -622,6 +676,11 @@ mod tests {
         }
     }
 
+    /// The decided instances, in decision order.
+    fn decided(engine: &ConsensusEngine<u32, Key>) -> Vec<(Key, u32)> {
+        engine.decided_instances().map(|(&k, &v)| (k, v)).collect()
+    }
+
     /// The instances a tick acts on: the running ones this process joined.
     fn joined(engine: &ConsensusEngine<u32, Key>) -> Vec<&Key> {
         let running = engine.running.iter();
@@ -642,24 +701,24 @@ mod tests {
         // Participating and undecided: the only one a tick may touch.
         assert_eq!(engine.propose(&mut net, live, 1), None);
         // Decided without ever participating (learned from a peer).
-        assert_eq!(engine.on_message(&mut net, p0, decide(learned)).len(), 1);
+        assert!(engine.on_message(&mut net, p0, decide(learned)).is_some());
         // Participating, then decided.
         assert_eq!(engine.propose(&mut net, settled, 3), None);
-        assert_eq!(engine.on_message(&mut net, p0, decide(settled)).len(), 1);
+        assert!(engine.on_message(&mut net, p0, decide(settled)).is_some());
         // Known but never joined: a stray ack creates the entry only.
         let stray = ConsensusMsg::Ack {
             instance: stranger,
             round: 0,
         };
-        assert!(engine.on_message(&mut net, p2, stray).is_empty());
+        assert!(engine.on_message(&mut net, p2, stray).is_none());
         assert_eq!(joined(&engine), [&live]);
         // A decided instance is only its value.
         assert_eq!(
             engine.running.keys().collect::<Vec<_>>(),
             [&live, &stranger]
         );
-        let decided = BTreeMap::from([(learned, 9), (settled, 9)]);
-        assert_eq!(engine.decided, decided);
+        let settled_first = [(learned, 9), (settled, 9)];
+        assert_eq!(decided(&engine), settled_first);
 
         // Rounds time out and every coordinator but us is suspected, tick
         // after tick: the live instance is nacked and advanced each time,
@@ -678,15 +737,16 @@ mod tests {
         assert_eq!(nacks.count(), 100);
         assert_eq!(engine.running[&live].round, 100);
         assert_eq!(engine.running[&stranger].round, 0);
-        assert_eq!(engine.decided, decided);
+        assert_eq!(decided(&engine), settled_first);
         assert_eq!(engine.read(&learned), Some(&9));
         assert_eq!(engine.read(&stranger), None);
 
         // Once decided, the live instance leaves the tick too.
-        assert_eq!(engine.on_message(&mut net, p0, decide(live)).len(), 1);
+        assert!(engine.on_message(&mut net, p0, decide(live)).is_some());
         assert!(joined(&engine).is_empty());
         assert_eq!(engine.running.keys().collect::<Vec<_>>(), [&stranger]);
-        assert_eq!(engine.decided[&live], 9);
+        // Decision order, not key order: `live` < `learned` < `settled`.
+        assert_eq!(decided(&engine), [(learned, 9), (settled, 9), (live, 9)]);
         net.sent.clear();
         net.now = SimTime::from_secs(60);
         assert!(engine.on_tick(&mut net).is_empty());
@@ -708,7 +768,7 @@ mod tests {
             value: 8,
             ts: 0,
         };
-        assert!(engine.on_message(&mut net, p1, estimate).is_empty());
+        assert!(engine.on_message(&mut net, p1, estimate).is_none());
         let inst = &engine.running[&id];
         assert!(inst.estimate.is_some() && inst.estimates.len() == 2 && inst.proposed);
         let ack = ConsensusMsg::Ack {
@@ -716,12 +776,12 @@ mod tests {
             round: 0,
         };
         // Equal timestamps: the estimate of the highest process id wins.
-        assert_eq!(engine.on_message(&mut net, p1, ack), [(id, 8)]);
+        assert_eq!(engine.on_message(&mut net, p1, ack), Some((id, 8)));
 
         // The deciding entry point moved the instance across: what stays
         // resident is its value, nothing of its rounds.
         assert!(engine.running.is_empty());
-        assert_eq!(engine.decided, BTreeMap::from([(id, 8)]));
+        assert_eq!(decided(&engine), [(id, 8)]);
 
         // Whatever a late peer still sends, at this round or a later one,
         // it gets the decision back and nothing else happens.
@@ -749,7 +809,7 @@ mod tests {
             ];
             for msg in late {
                 net.sent.clear();
-                assert!(engine.on_message(&mut net, p2, msg).is_empty());
+                assert!(engine.on_message(&mut net, p2, msg).is_none());
                 let decide = ConsensusMsg::Decide {
                     instance: id,
                     value: 8,
@@ -762,13 +822,13 @@ mod tests {
             instance: id,
             value: 8,
         };
-        assert!(engine.on_message(&mut net, p2, other).is_empty());
+        assert!(engine.on_message(&mut net, p2, other).is_none());
         net.now = SimTime::from_secs(60);
         assert!(engine.on_tick(&mut net).is_empty());
         assert!(net.sent.is_empty());
         assert_eq!(engine.propose(&mut net, id, 1), Some(8));
         assert!(engine.running.is_empty());
-        assert_eq!(engine.decided, BTreeMap::from([(id, 8)]));
+        assert_eq!(decided(&engine), [(id, 8)]);
     }
 
     #[test]
@@ -784,7 +844,7 @@ mod tests {
             value: 5,
             ts: 1,
         };
-        assert!(engine.on_message(&mut net, p2, estimate).is_empty());
+        assert!(engine.on_message(&mut net, p2, estimate).is_none());
         // It adopts the value with timestamp 0, joins at round 0, then
         // advances to the sender's round: one estimate per peer per round.
         let mine = |round| ConsensusMsg::Estimate {

@@ -17,9 +17,10 @@
 //! a clone (O(#segments), sharing the segments) keeps the prefix it was
 //! taken at while the original keeps interning.
 
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
 use crate::action::ActionName;
+use crate::index::{hash_of, SymbolIndex};
 use crate::seglog::AppendLog;
 use crate::value::Value;
 
@@ -226,175 +227,6 @@ impl<'a> BatchMemo<'a> {
     }
 }
 
-/// The hasher behind every [`SymbolIndex`] — the interner's two and the
-/// checker engine's symbol-pair indexes: each word is folded in with a
-/// rotate, an xor and one multiplication, which is about as little work as
-/// a hash can be.
-///
-/// It is **deterministic** — no per-process seed, so a table's layout is a
-/// pure function of its keys — and **not collision-resistant**: whoever
-/// chooses the keys can make them collide. That is the right trade for
-/// tables keyed by the program's own dense symbols and by trace values a
-/// collision can only slow down (every probe ends in an equality check),
-/// and none of these tables is ever iterated, so the layout reaches no
-/// output. Do not key a table on adversarial input with it.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct SymbolHasher(u64);
-
-impl SymbolHasher {
-    /// 2⁶⁴ / φ, odd: the multiplier of Fibonacci hashing.
-    const MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
-
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::MULTIPLIER);
-    }
-}
-
-impl Hasher for SymbolHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.add(u64::from_le_bytes(
-                chunk.try_into().expect("chunks_exact yields 8 bytes"),
-            ));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    /// The product's high bits are its best-mixed ones; folding them onto
-    /// the low half serves tables that index by the low bits.
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
-pub(crate) fn hash_of<T: Hash>(item: &T) -> u64 {
-    let mut hasher = SymbolHasher::default();
-    item.hash(&mut hasher);
-    hasher.finish()
-}
-
-/// The 4 bytes of a [`hash_of`] that a column keeps per row when its key
-/// is *content* the column does not hold: an index over such a column is
-/// filed under `hash_of(&short)`, so growing it re-files from the column
-/// alone instead of re-reading and re-hashing every key. They are the
-/// hash's top half — the product's high bits, its best-mixed ones (the low
-/// half of a short key's hash depends on its first bytes only).
-pub(crate) fn short_hash(hash: u64) -> u32 {
-    (hash >> 32) as u32
-}
-
-/// The crate's one lookup index: an open-addressed, linearly probed table
-/// of `u32` ids into a column the *caller* owns — the interner's symbol
-/// logs, the engine's group and round-parent key columns, the aggregate's
-/// request keys. It stores no key — a probe compares against the column,
-/// the single authority — only, beside each id, a one-byte tag of the
-/// key's hash, so a probe walks a dense byte array and reaches into the
-/// column (a cache miss per distinct id) almost only for the slot that
-/// matches: 5 bytes per slot. Ids are never removed, so there are no
-/// tombstones; the table doubles when an insert would take it past 7/8
-/// full and re-files in id order — one sequential pass over the caller's
-/// column, which measures faster than walking the old slots (that reads
-/// the column at random). Ids are filed in ascending order but need not be
-/// dense: the aggregate files no invalid declaration, and says so when
-/// asked to re-file that row.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SymbolIndex {
-    /// Per slot: [`SymbolIndex::VACANT`], or a tag with the high bit set.
-    tags: Vec<u8>,
-    /// Per slot: the id, meaningful where the tag is not vacant.
-    ids: Vec<u32>,
-    /// Occupied slots.
-    len: usize,
-}
-
-impl SymbolIndex {
-    const VACANT: u8 = 0;
-
-    /// The tag is cut from the hash's top bits and the home slot from its
-    /// low bits, so the keys that crowd one neighbourhood still differ in
-    /// their tags.
-    fn tag(hash: u64) -> u8 {
-        0x80 | (hash >> 57) as u8
-    }
-
-    /// The id filed under `hash` for which `is_match` holds, if any.
-    pub(crate) fn find(&self, hash: u64, mut is_match: impl FnMut(u32) -> bool) -> Option<u32> {
-        if self.tags.is_empty() {
-            return None;
-        }
-        let mask = self.tags.len() - 1;
-        let tag = Self::tag(hash);
-        let mut slot = hash as usize & mask;
-        // Terminates: the table is never full.
-        while self.tags[slot] != Self::VACANT {
-            if self.tags[slot] == tag && is_match(self.ids[slot]) {
-                return Some(self.ids[slot]);
-            }
-            slot = (slot + 1) & mask;
-        }
-        None
-    }
-
-    /// Files `id` — larger than every id filed so far — under `hash`. The
-    /// caller has established, with [`find`](Self::find), that no filed id
-    /// matches the key. Growing re-files every row below `id`, in order,
-    /// under `rehash(row)`: its key's hash as the caller's column gives
-    /// it, or `None` for a row that was never filed.
-    pub(crate) fn insert(&mut self, hash: u64, id: u32, rehash: impl Fn(u32) -> Option<u64>) {
-        debug_assert!(self.len <= id as usize, "ids are filed in ascending order");
-        if (self.len + 1) * 8 > self.tags.len() * 7 {
-            let slots = (self.tags.len() * 2).max(2);
-            self.tags = vec![Self::VACANT; slots];
-            self.ids = vec![0; slots];
-            self.len = 0;
-            for row in 0..id {
-                if let Some(hash) = rehash(row) {
-                    self.place(hash, row);
-                }
-            }
-        }
-        self.place(hash, id);
-    }
-
-    fn place(&mut self, hash: u64, id: u32) {
-        let mask = self.tags.len() - 1;
-        let mut slot = hash as usize & mask;
-        while self.tags[slot] != Self::VACANT {
-            slot = (slot + 1) & mask;
-        }
-        self.tags[slot] = Self::tag(hash);
-        self.ids[slot] = id;
-        self.len += 1;
-    }
-
-    /// Heap bytes allocated for the slots.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.tags.capacity() + self.ids.capacity() * std::mem::size_of::<u32>()
-    }
-}
-
 /// The one interning routine behind both symbol tables: probe the index
 /// against the log (the single authority for the interned items),
 /// appending on a miss.
@@ -441,11 +273,14 @@ fn value_heap_bytes(value: &Value) -> usize {
 
 // The reference models are std's `HashMap`: the interner must agree with
 // it key for key. Every check is per key (a lookup, or a sweep asserting
-// each entry), so hash order cannot change a result.
+// each entry), so hash order cannot change a result. The tests of
+// `crate::index` (the table and its hash) live here too, beside the
+// table's first user.
 #[cfg(test)]
 #[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
+    use crate::index::short_hash;
     use std::collections::HashMap;
 
     #[test]
@@ -597,7 +432,7 @@ mod tests {
                 assert_eq!(find(&index, key), Some(earlier as u32));
             }
         }
-        assert_eq!(index.len, keys.len());
+        assert_eq!(index.len(), keys.len());
         // 200 symbols fit a 256-slot table at 7/8 load.
         assert_eq!(index.heap_bytes(), 256 * 5);
     }
@@ -633,14 +468,11 @@ mod tests {
                     });
                     model.insert(key, row as u32);
                 }
-                assert_eq!(index.len, model.len());
+                assert_eq!(index.len(), model.len());
             }
             assert!(model.len() * 3 > rows as usize, "most rows were filed");
             assert!(model.len() < column.len(), "and some were not");
-            assert!(
-                constant || index.tags.len() >= 1 << 10,
-                "at least 4 doublings"
-            );
+            assert!(constant || index.slots() >= 1 << 10, "at least 4 doublings");
             for (key, &id) in &model {
                 assert_eq!(
                     index.find(hash(key), |id| column[id as usize] == *key),
@@ -663,9 +495,9 @@ mod tests {
         for sym in 0..5_000u32 {
             let hash = |s: u32| hash_of(&s);
             index.insert(hash(sym), sym, |s| Some(hash(s)));
-            assert!(index.tags.len().is_power_of_two());
-            assert!(index.len * 8 <= index.tags.len() * 7, "load over 7/8");
-            assert!(index.heap_bytes() <= 12 * index.len, "at {sym}");
+            assert!(index.slots().is_power_of_two());
+            assert!(index.len() * 8 <= index.slots() * 7, "load over 7/8");
+            assert!(index.heap_bytes() <= 12 * index.len(), "at {sym}");
         }
     }
 

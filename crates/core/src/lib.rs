@@ -27,6 +27,7 @@
 //! | [`signature`] | §3.3 | history signatures (rules 24–25) |
 //! | [`spec`] | §4 | requirements R1–R4, R3's [`spec::check_r3`] and its [`spec::Violation`] |
 //! | [`seglog`] | — | segmented append-only log that never moves a closed segment |
+//! | [`index`] | — | the one open-addressed lookup index over a caller's column, and its hash |
 //! | [`intern`] | — | `u32` symbol interning, shared by the checker engine and the trace store |
 //!
 //! ## Quick start
@@ -73,6 +74,7 @@ pub mod action;
 pub mod event;
 pub mod failure_free;
 pub mod history;
+pub mod index;
 pub mod intern;
 pub mod pattern;
 pub mod reduce;

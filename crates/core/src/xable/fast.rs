@@ -72,7 +72,7 @@
 //!   once, and the shape memo (below) answers a repeated question without
 //!   a search.
 //! * every **lookup** — group by key, round parent by key — is the
-//!   crate's one open-addressed index type, `intern::SymbolIndex`: 5 bytes
+//!   crate's one open-addressed index type, `index::SymbolIndex`: 5 bytes
 //!   a slot, no stored key, probed against the column that holds the keys.
 //!
 //! **The shape memo.** A protocol run produces hundreds of thousands of
@@ -139,7 +139,8 @@ use crate::action::{ActionId, ActionKind, ActionName};
 use crate::event::Event;
 use crate::failure_free::failure_free_output;
 use crate::history::{History, HistoryRead};
-use crate::intern::{hash_of, short_hash, Interner, SymbolIndex};
+use crate::index::{hash_of, short_hash, SymbolIndex};
+use crate::intern::Interner;
 use crate::seglog::AppendLog;
 use crate::value::Value;
 use crate::xable::checker::Cause;

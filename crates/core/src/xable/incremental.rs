@@ -104,7 +104,8 @@ use xability_obs::{Counter, Histogram, Obs};
 use crate::action::{ActionId, ActionName, Request};
 use crate::event::Event;
 use crate::history::{History, HistoryRead};
-use crate::intern::{hash_of, short_hash, BatchMemo, Interner, SymbolIndex};
+use crate::index::{hash_of, short_hash, SymbolIndex};
+use crate::intern::{BatchMemo, Interner};
 use crate::value::Value;
 use crate::xable::checker::{combine_r3_attempts, Cause, Erasing, Verdict, Witness};
 use crate::xable::fast::{id32, Engine, EraseOutcome, ExecOutcome, GroupSym, Observed, NONE};

@@ -3,6 +3,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use xability_consensus::ConsensusMsg;
@@ -89,9 +90,12 @@ pub enum Decision {
     },
 }
 
-/// A request handle ordered and compared by id, and looked up by `&str`
-/// through `Borrow<str>`: a replica's request tables and the consensus
-/// instances of a request hold the request itself, never a copy of its id.
+/// A request handle ordered, compared and hashed by id, and looked up by
+/// `&str` through `Borrow<str>`: the consensus instances of a request and
+/// a replica's orphaned results hold the request itself, never a copy of
+/// its id. A request is one allocation end to end (§5.8 of DESIGN.md), so
+/// two keys of one request almost always share it, and a comparison reads
+/// the ids only when they do not.
 #[derive(Debug, Clone)]
 pub(crate) struct ReqKey(pub(crate) Arc<LogicalRequest>);
 
@@ -99,11 +103,16 @@ impl ReqKey {
     pub(crate) fn id(&self) -> &str {
         &self.0.id
     }
+
+    /// Whether both keys hold the same allocation (and so the same id).
+    fn same(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
 }
 
 impl PartialEq for ReqKey {
     fn eq(&self, other: &Self) -> bool {
-        self.id() == other.id()
+        self.same(other) || self.id() == other.id()
     }
 }
 
@@ -117,7 +126,16 @@ impl PartialOrd for ReqKey {
 
 impl Ord for ReqKey {
     fn cmp(&self, other: &Self) -> Ordering {
+        if self.same(other) {
+            return Ordering::Equal;
+        }
         self.id().cmp(other.id())
+    }
+}
+
+impl Hash for ReqKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.id().hash(state);
     }
 }
 
@@ -129,7 +147,7 @@ impl std::borrow::Borrow<str> for ReqKey {
 
 /// Which consensus object of §5.2 an [`Instance`] is, declared in the
 /// byte order of the names `outcome` < `owner` < `result`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Agreement {
     /// `outcome-agreement[req, round]`.
     Outcome,
@@ -145,7 +163,9 @@ pub enum Agreement {
 /// engine's tick visits instances in key order and the protocol's pinned
 /// behaviour is that order: by kind, then by id with a `/` terminator
 /// (`req-1` before `req`, as `-` < `/`), then by round as decimal text.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Hashed by kind, id and round, for the engine's table of decided
+/// instances.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Instance {
     pub(crate) kind: Agreement,
     pub(crate) req: ReqKey,
@@ -161,6 +181,9 @@ impl PartialOrd for Instance {
 impl Ord for Instance {
     fn cmp(&self, other: &Self) -> Ordering {
         let ids = || {
+            if self.req.same(&other.req) {
+                return Ordering::Equal;
+            }
             let (a, b) = (self.req.id().as_bytes(), other.req.id().as_bytes());
             let n = a.len().min(b.len());
             // Past the common length, an id goes on with its next byte or `/`.

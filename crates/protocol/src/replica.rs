@@ -47,9 +47,11 @@
 //! consensus objects arbitrating exactly-once semantics.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 use xability_consensus::{ConsensusEngine, CtxNet};
+use xability_core::index::{hash_of, SymbolIndex};
 use xability_core::Value;
 use xability_obs::{Counter, Obs};
 use xability_services::{InvokeOutcome, OpKind, ServiceRequest};
@@ -195,6 +197,58 @@ impl RequestState {
     }
 }
 
+/// A replica's requests: a dense column of [`RequestState`]s, in the order
+/// this replica first heard of them, and the workspace's id index over it,
+/// so finding a request by id is one hashed probe. A request's row is its
+/// *slot* at this replica for good: requests are never removed. Nothing
+/// iterates the table in an order that reaches a message — the cleaner
+/// sorts what it visits by id.
+#[derive(Debug, Default)]
+struct Requests {
+    column: Vec<RequestState>,
+    index: SymbolIndex,
+}
+
+impl Requests {
+    /// The slot of the request with id `req_id`, if it is known here.
+    fn slot(&self, req_id: &str) -> Option<u32> {
+        let column = &self.column;
+        self.index.find(hash_of(req_id), |slot| {
+            column[slot as usize].req.id == req_id
+        })
+    }
+
+    fn get(&self, req_id: &str) -> Option<&RequestState> {
+        self.slot(req_id).map(|slot| &self[slot])
+    }
+
+    /// Files a request that is not known here, returning its slot.
+    fn push(&mut self, st: RequestState) -> u32 {
+        let hash = hash_of(st.req.id.as_str());
+        let slot = u32::try_from(self.column.len()).expect("fewer than 2^32 requests");
+        self.column.push(st);
+        let column = &self.column;
+        self.index.insert(hash, slot, |filed| {
+            Some(hash_of(column[filed as usize].req.id.as_str()))
+        });
+        slot
+    }
+}
+
+impl Index<u32> for Requests {
+    type Output = RequestState;
+
+    fn index(&self, slot: u32) -> &RequestState {
+        &self.column[slot as usize]
+    }
+}
+
+impl IndexMut<u32> for Requests {
+    fn index_mut(&mut self, slot: u32) -> &mut RequestState {
+        &mut self.column[slot as usize]
+    }
+}
+
 /// One in-flight external invocation (a blocking point of Fig. 7): the
 /// message, kept so it can be retransmitted, is also its continuation.
 #[derive(Debug, Clone)]
@@ -242,13 +296,12 @@ pub struct XReplica {
     me: ProcessId,
     engine: ConsensusEngine<Decision, Instance>,
     config: XReplicaConfig,
-    /// Keyed by the request each state holds, in request-id order.
-    requests: BTreeMap<ReqKey, RequestState>,
-    /// The cleaner's index: requests filed under the owner of their
+    requests: Requests,
+    /// The cleaner's index: request slots filed under the owner of their
     /// highest known round, so a pass visits only what suspected owners
     /// left behind. A request is re-filed when a higher round's owner is
     /// learned and dropped once a pass finds it inert at its top round.
-    by_owner: BTreeMap<ProcessId, BTreeSet<ReqKey>>,
+    by_owner: BTreeMap<ProcessId, BTreeSet<u32>>,
     /// Instances this replica proposed and has not yet seen decided.
     awaiting: BTreeSet<Instance>,
     pending: BTreeMap<u64, InFlight>,
@@ -267,7 +320,7 @@ impl XReplica {
             me,
             engine: ConsensusEngine::new(me, peers, CONSENSUS_ROUND_TIMEOUT),
             config,
-            requests: BTreeMap::new(),
+            requests: Requests::default(),
             by_owner: BTreeMap::new(),
             awaiting: BTreeSet::new(),
             pending: BTreeMap::new(),
@@ -308,69 +361,61 @@ impl XReplica {
 
     // ---- helpers ----
 
-    fn ensure_request(
-        &mut self,
-        req: &Arc<LogicalRequest>,
-        client: ProcessId,
-    ) -> &mut RequestState {
-        let orphan = self.orphan_results.remove(req.id.as_str());
-        let entry = self
-            .requests
-            .entry(ReqKey(Arc::clone(req)))
-            .or_insert_with(|| RequestState {
-                req: Arc::clone(req),
-                client,
-                extra_clients: BTreeSet::new(),
-                rounds: Vec::new(),
-                result: None,
-                cleaning: Vec::new(),
-                owned: Vec::new(),
-                delivered_by_me: false,
-                received_directly: false,
-            });
-        if entry.result.is_none() {
-            entry.result = orphan;
+    /// The slot of `req`, filing it on first sight.
+    fn ensure_request(&mut self, req: &Arc<LogicalRequest>, client: ProcessId) -> u32 {
+        match self.requests.slot(&req.id) {
+            Some(slot) => slot,
+            None => self.file_request(req, client),
         }
-        entry
+    }
+
+    /// Files a request that is not known here, with any result decided
+    /// before it arrived, and returns its slot.
+    fn file_request(&mut self, req: &Arc<LogicalRequest>, client: ProcessId) -> u32 {
+        let result = self.orphan_results.remove(req.id.as_str());
+        self.requests.push(RequestState {
+            req: Arc::clone(req),
+            client,
+            extra_clients: BTreeSet::new(),
+            rounds: Vec::new(),
+            result,
+            cleaning: Vec::new(),
+            owned: Vec::new(),
+            delivered_by_me: false,
+            received_directly: false,
+        })
     }
 
     /// Delivers a passively learned result to clients that submitted the
     /// request directly to this replica (the owner path replies on its own;
     /// this covers replicas the client contacted that did not win
     /// ownership).
-    fn deliver_to_local_submitters(&mut self, ctx: &mut Context<'_, ProtoMsg>, req_id: &str) {
-        let Some(st) = self.requests.get(req_id) else {
-            return;
-        };
+    fn deliver_to_local_submitters(&mut self, ctx: &mut Context<'_, ProtoMsg>, slot: u32) {
+        let st = &self.requests[slot];
         if !st.received_directly || st.delivered_by_me {
             return;
         }
         if let Some(v) = st.result.clone() {
-            self.reply(ctx, req_id, v);
+            self.reply(ctx, slot, v);
         }
     }
 
-    /// Records a decided result: on the request if it is known here, as
-    /// an orphan under the decision's request otherwise.
-    fn record_result(&mut self, req: &ReqKey, value: Value) {
-        match self.requests.get_mut(req.id()) {
-            Some(st) => {
-                if st.result.is_none() {
-                    st.result = Some(value);
-                }
-            }
-            None => {
-                self.orphan_results.entry(req.clone()).or_insert(value);
-            }
-        }
-    }
-
-    /// Sends `value` to every client of a known request, in id order, and
-    /// records it as the result unless one is recorded already.
-    fn reply(&mut self, ctx: &mut Context<'_, ProtoMsg>, req_id: &str, value: Value) {
-        let Some(st) = self.requests.get_mut(req_id) else {
-            return;
+    /// Records a decided result: on the request if it is known here
+    /// (returning its slot), as an orphan under the decision's request
+    /// otherwise.
+    fn record_result(&mut self, req: &ReqKey, value: Value) -> Option<u32> {
+        let Some(slot) = self.requests.slot(req.id()) else {
+            self.orphan_results.entry(req.clone()).or_insert(value);
+            return None;
         };
+        self.requests[slot].result.get_or_insert(value);
+        Some(slot)
+    }
+
+    /// Sends `value` to every client of a request, in id order, and
+    /// records it as the result unless one is recorded already.
+    fn reply(&mut self, ctx: &mut Context<'_, ProtoMsg>, slot: u32, value: Value) {
+        let st = &mut self.requests[slot];
         st.result.get_or_insert_with(|| value.clone());
         st.delivered_by_me = true;
         // `extra_clients` never holds `client`: merge it in, in id order.
@@ -381,26 +426,23 @@ impl XReplica {
             ctx.send(
                 client,
                 ProtoMsg::ClientResult {
-                    req_id: req_id.to_owned(),
+                    req_id: st.req.id.clone(),
                     result: value.clone(),
                 },
             );
         }
     }
 
-    /// Proposes `value` on `kind[req, round]` of a known request, keyed by
-    /// the request this replica files; the continuation runs in
+    /// Proposes `value` on `kind[req, round]` of the request in `slot`,
+    /// keyed by the request this replica files; the continuation runs in
     /// `on_decision`.
     fn propose(
         &mut self,
         ctx: &mut Context<'_, ProtoMsg>,
-        (kind, req_id, round): (Agreement, &str, u64),
+        (kind, slot, round): (Agreement, u32, u64),
         value: Decision,
     ) {
-        let Some((req, _)) = self.requests.get_key_value(req_id) else {
-            return;
-        };
-        let req = req.clone();
+        let req = ReqKey(Arc::clone(&self.requests[slot].req));
         let inst = Instance { kind, req, round };
         // Await first: a singleton group decides inside `propose`.
         self.awaiting.insert(inst.clone());
@@ -438,17 +480,9 @@ impl XReplica {
         ctx.send(service, ProtoMsg::Invoke { invocation, sreq });
     }
 
-    /// Sends `op` for `round` of a known request.
-    fn invoke_round(
-        &mut self,
-        ctx: &mut Context<'_, ProtoMsg>,
-        req_id: &str,
-        round: u64,
-        op: OpKind,
-    ) {
-        let Some(st) = self.requests.get(req_id) else {
-            return;
-        };
+    /// Sends `op` for `round` of the request in `slot`.
+    fn invoke_round(&mut self, ctx: &mut Context<'_, ProtoMsg>, slot: u32, round: u64, op: OpKind) {
+        let st = &self.requests[slot];
         let (service, sreq) = (st.req.service, st.req.service_request(round));
         self.invoke(ctx, service, ServiceRequest { op, ..sreq });
     }
@@ -485,62 +519,47 @@ impl XReplica {
 
     // ---- process-request (Fig. 6) ----
 
-    /// Proposes this replica as owner of `round` for the request. The
-    /// continuation (executing if we win) runs when owner agreement
-    /// decides.
-    fn process_request(
-        &mut self,
-        ctx: &mut Context<'_, ProtoMsg>,
-        req: Arc<LogicalRequest>,
-        client: ProcessId,
-        round: u64,
-    ) {
-        self.ensure_request(&req, client);
+    /// Proposes this replica as owner of `round` for the request in
+    /// `slot`, on behalf of its client. The continuation (executing if we
+    /// win) runs when owner agreement decides.
+    fn process_request(&mut self, ctx: &mut Context<'_, ProtoMsg>, slot: u32, round: u64) {
         let proposal = Decision::Owner {
             owner: self.me,
-            client,
+            client: self.requests[slot].client,
         };
-        self.propose(ctx, (Agreement::Owner, &req.id, round), proposal);
+        self.propose(ctx, (Agreement::Owner, slot, round), proposal);
     }
 
-    fn start_execution(&mut self, ctx: &mut Context<'_, ProtoMsg>, req_id: &str, round: u64) {
-        let Some(st) = self.requests.get_mut(req_id) else {
-            return;
-        };
+    fn start_execution(&mut self, ctx: &mut Context<'_, ProtoMsg>, slot: u32, round: u64) {
+        let st = &mut self.requests[slot];
         if st.result.is_some() || !insert_sorted(&mut st.owned, round) {
             return;
         }
         self.obs.rounds_owned.inc();
         self.obs
             .obs
-            .span_start("replica.round", req_id, round, ctx.now().as_micros());
-        self.invoke_round(ctx, req_id, round, OpKind::Execute);
+            .span_start("replica.round", &st.req.id, round, ctx.now().as_micros());
+        self.invoke_round(ctx, slot, round, OpKind::Execute);
     }
 
     /// Closes the `replica.round` span for a round this replica owns
     /// (no-op for rounds executed elsewhere, so helping a commit or
     /// cleaning a foreign round never fabricates a span).
-    fn end_round_span(&mut self, ctx: &Context<'_, ProtoMsg>, req_id: &str, round: u64) {
-        if self
-            .requests
-            .get(req_id)
-            .is_some_and(|st| st.owned.binary_search(&round).is_ok())
-        {
+    fn end_round_span(&mut self, ctx: &Context<'_, ProtoMsg>, slot: u32, round: u64) {
+        let st = &self.requests[slot];
+        if st.owned.binary_search(&round).is_ok() {
             self.obs
                 .obs
-                .span_end("replica.round", req_id, round, ctx.now().as_micros());
+                .span_end("replica.round", &st.req.id, round, ctx.now().as_micros());
         }
     }
 
-    fn start_next_round(&mut self, ctx: &mut Context<'_, ProtoMsg>, req_id: &str, next: u64) {
-        let Some(st) = self.requests.get(req_id) else {
-            return;
-        };
+    fn start_next_round(&mut self, ctx: &mut Context<'_, ProtoMsg>, slot: u32, next: u64) {
+        let st = &self.requests[slot];
         if st.result.is_some() || st.knows_round(next) {
             return;
         }
-        let (req, client) = (Arc::clone(&st.req), st.client);
-        self.process_request(ctx, req, client, next);
+        self.process_request(ctx, slot, next);
     }
 
     // ---- the cleaner (Fig. 6, bottom) ----
@@ -548,36 +567,44 @@ impl XReplica {
     /// One pass of the cleaner: for every request whose highest-round owner
     /// is suspected, run cleaning-mode result coordination (or send the
     /// already-known result). Visits the suspected owners' filed requests
-    /// in ascending request-id order — the order of a walk over `requests`.
+    /// in ascending request-id order.
     fn cleaning_scan(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
-        let mut candidates: Vec<(ReqKey, u64, ProcessId)> = Vec::new();
+        let mut candidates: Vec<(u32, u64, ProcessId)> = Vec::new();
         for &owner in ctx.suspected_set().iter().filter(|&&o| o != self.me) {
-            for key in self.by_owner.get(&owner).into_iter().flatten() {
-                let (round, _) = self.requests[key].top().expect("filed with a round");
-                candidates.push((key.clone(), round, owner));
+            for &slot in self.by_owner.get(&owner).into_iter().flatten() {
+                let (round, _) = self.requests[slot].top().expect("filed with a round");
+                candidates.push((slot, round, owner));
             }
         }
-        candidates.sort_unstable();
+        let requests = &self.requests;
+        let id = |&(slot, ..): &(u32, u64, ProcessId)| requests[slot].req.id.as_str();
+        candidates.sort_unstable_by(|a, b| id(a).cmp(id(b)));
         debug_assert!(
-            candidates
-                .iter()
-                .filter(|(key, round, _)| !self.requests[key].inert_at(*round))
-                .cloned()
-                .eq(self.requests.iter().filter_map(|(key, st)| {
-                    let (round, owner) = st.top()?;
-                    (owner != self.me && ctx.suspects(owner) && !st.inert_at(round))
-                        .then(|| (key.clone(), round, owner))
-                })),
+            {
+                // Every request, in id order, that the pass acts on.
+                let mut scan: Vec<_> = (0..requests.column.len() as u32)
+                    .filter_map(|slot| {
+                        let st = &requests[slot];
+                        let (round, owner) = st.top()?;
+                        (owner != self.me && ctx.suspects(owner) && !st.inert_at(round))
+                            .then_some((slot, round, owner))
+                    })
+                    .collect();
+                scan.sort_unstable_by(|a, b| id(a).cmp(id(b)));
+                let listed = candidates
+                    .iter()
+                    .filter(|&&(slot, round, _)| !requests[slot].inert_at(round));
+                listed.copied().eq(scan)
+            },
             "the index lists what a scan of every request would act on, in its order"
         );
-        for (key, round, owner) in candidates {
-            let req_id = key.id();
-            let st = self.requests.get(req_id).expect("listed");
+        for (slot, round, owner) in candidates {
+            let st = &self.requests[slot];
             // A pass changes only requests it has already visited.
             debug_assert_eq!(st.top(), Some((round, owner)));
             if st.inert_at(round) {
                 if let Some(filed) = self.by_owner.get_mut(&owner) {
-                    filed.remove(req_id);
+                    filed.remove(&slot);
                 }
                 continue;
             }
@@ -586,7 +613,7 @@ impl XReplica {
                 // Deviation 2: the owner may have crashed after agreement
                 // but before replying; send the agreed result once.
                 if !st.delivered_by_me {
-                    self.reply(ctx, req_id, v);
+                    self.reply(ctx, slot, v);
                 }
                 if !undoable {
                     continue;
@@ -600,7 +627,7 @@ impl XReplica {
                 // continuation helps the commit (idempotent, rule 20) or
                 // cancels the round.
             }
-            let st = self.requests.get_mut(req_id).expect("listed");
+            let st = &mut self.requests[slot];
             if !insert_sorted(&mut st.cleaning, round) {
                 continue;
             }
@@ -610,10 +637,10 @@ impl XReplica {
                     abort: true,
                     value: None,
                 };
-                self.propose(ctx, (Agreement::Outcome, req_id, round), abort);
+                self.propose(ctx, (Agreement::Outcome, slot, round), abort);
             } else {
                 let empty = Decision::ResultAgreed(None);
-                self.propose(ctx, (Agreement::Result, req_id, round), empty);
+                self.propose(ctx, (Agreement::Result, slot, round), empty);
             }
         }
     }
@@ -632,33 +659,38 @@ impl XReplica {
 
     fn on_decision(&mut self, ctx: &mut Context<'_, ProtoMsg>, inst: Instance, dec: Decision) {
         let proposed = self.awaiting.remove(&inst);
-        let (kind, req_id, round) = (inst.kind, inst.req.id(), inst.round);
+        let (kind, round) = (inst.kind, inst.round);
 
         // Causal waypoint: a decision landing for an instance this replica
         // proposed (one event per proposer, not one per learner).
         if proposed {
-            self.obs
-                .obs
-                .span_event("consensus.decide", req_id, round, ctx.now().as_micros());
+            self.obs.obs.span_event(
+                "consensus.decide",
+                inst.req.id(),
+                round,
+                ctx.now().as_micros(),
+            );
         }
 
         // Passive learning: every replica tracks owners and results from
-        // decisions regardless of who proposed.
-        match (kind, &dec) {
+        // decisions regardless of who proposed. Each arm that learns looks
+        // the request up once and keeps its slot for the continuation.
+        let learned = match (kind, &dec) {
             (Agreement::Owner, &Decision::Owner { owner, client }) => {
-                let st = self.ensure_request(&inst.req.0, client);
+                let slot = self.ensure_request(&inst.req.0, client);
+                let st = &mut self.requests[slot];
                 let prev_top = st.top();
                 st.learn_owner(round, owner);
                 if prev_top.map_or(true, |(top, _)| round > top) {
-                    let key = ReqKey(Arc::clone(&st.req));
                     if let Some(filed) = prev_top.and_then(|(_, o)| self.by_owner.get_mut(&o)) {
-                        filed.remove(req_id);
+                        filed.remove(&slot);
                     }
-                    self.by_owner.entry(owner).or_default().insert(key);
+                    self.by_owner.entry(owner).or_default().insert(slot);
                 }
                 if owner == self.me {
-                    self.start_execution(ctx, req_id, round);
+                    self.start_execution(ctx, slot, round);
                 }
+                Some(slot)
             }
             (Agreement::Result, Decision::ResultAgreed(Some(v)))
             | (
@@ -668,20 +700,27 @@ impl XReplica {
                     value: Some(v),
                 },
             ) => {
-                self.record_result(&inst.req, v.clone());
-                self.deliver_to_local_submitters(ctx, req_id);
+                let slot = self.record_result(&inst.req, v.clone());
+                if let Some(slot) = slot {
+                    self.deliver_to_local_submitters(ctx, slot);
+                }
+                slot
             }
-            _ => {}
-        }
+            _ => None,
+        };
         if !proposed {
             return;
         }
+        // A proposer files the request before it proposes.
+        let Some(slot) = learned.or_else(|| self.requests.slot(inst.req.id())) else {
+            return;
+        };
 
         // Continuations (the blocked pseudo-code resuming). Owner
         // agreement's continuation, executing a won round, ran above.
         match (kind, dec) {
             (Agreement::Outcome, Decision::Outcome { abort: true, .. }) => {
-                self.abort_round(ctx, req_id, round);
+                self.abort_round(ctx, slot, round);
             }
             (
                 Agreement::Outcome,
@@ -692,24 +731,21 @@ impl XReplica {
             ) => {
                 // The owner commits its round and a cleaner helps it; on
                 // success both reply with the value recorded above.
-                debug_assert_eq!(self.request_result(req_id), Some(&v));
-                self.invoke_round(ctx, req_id, round, OpKind::Commit);
+                debug_assert_eq!(self.requests[slot].result, Some(v));
+                self.invoke_round(ctx, slot, round, OpKind::Commit);
             }
             (Agreement::Result, Decision::ResultAgreed(v)) => {
                 // Only a round's unique owner executes it, and the cleaner
                 // cleans only rounds owned elsewhere: `owned` tells
                 // execution mode from cleaning mode.
-                let executed = self
-                    .requests
-                    .get(req_id)
-                    .is_some_and(|st| st.owned.binary_search(&round).is_ok());
-                self.end_round_span(ctx, req_id, round);
+                let executed = self.requests[slot].owned.binary_search(&round).is_ok();
+                self.end_round_span(ctx, slot, round);
                 match v {
-                    Some(v) => self.reply(ctx, req_id, v),
+                    Some(v) => self.reply(ctx, slot, v),
                     // A cleaner blocked this round's result and drives the
                     // next round; the owner executed but must not respond
                     // (res-val == empty-result in Fig. 6).
-                    None if !executed => self.start_next_round(ctx, req_id, round + 1),
+                    None if !executed => self.start_next_round(ctx, slot, round + 1),
                     None => {}
                 }
             }
@@ -724,11 +760,11 @@ impl XReplica {
     /// [`XReplicaConfig::unsound_skip_abort_cancel`] weakness planted, the
     /// cancel is skipped and its success continuation runs directly —
     /// leaving any post-effect tentative state dangling forever.
-    fn abort_round(&mut self, ctx: &mut Context<'_, ProtoMsg>, req_id: &str, round: u64) {
+    fn abort_round(&mut self, ctx: &mut Context<'_, ProtoMsg>, slot: u32, round: u64) {
         if self.config.unsound_skip_abort_cancel {
-            self.start_next_round(ctx, req_id, round + 1);
+            self.start_next_round(ctx, slot, round + 1);
         } else {
-            self.invoke_round(ctx, req_id, round, OpKind::Cancel);
+            self.invoke_round(ctx, slot, round, OpKind::Cancel);
         }
     }
 
@@ -741,7 +777,8 @@ impl XReplica {
         let Some(InFlight { service, sreq, .. }) = self.pending.remove(&invocation) else {
             return;
         };
-        let Some(req_id) = sreq.key.as_str() else {
+        // Only a filed request is invoked for, and requests stay filed.
+        let Some(slot) = sreq.key.as_str().and_then(|id| self.requests.slot(id)) else {
             return;
         };
         let round = sreq.round;
@@ -752,10 +789,10 @@ impl XReplica {
                         abort: false,
                         value: Some(v),
                     };
-                    self.propose(ctx, (Agreement::Outcome, req_id, round), commit);
+                    self.propose(ctx, (Agreement::Outcome, slot, round), commit);
                 } else {
                     let agreed = Decision::ResultAgreed(Some(v));
-                    self.propose(ctx, (Agreement::Result, req_id, round), agreed);
+                    self.propose(ctx, (Agreement::Result, slot, round), agreed);
                 }
             }
             (OpKind::Execute, InvokeOutcome::Failure { terminal, .. }) => {
@@ -772,20 +809,20 @@ impl XReplica {
                         abort: true,
                         value: None,
                     };
-                    self.propose(ctx, (Agreement::Outcome, req_id, round), abort);
+                    self.propose(ctx, (Agreement::Outcome, slot, round), abort);
                 } else {
                     // Idempotent action: plain retry (Fig. 7).
                     self.invoke(ctx, service, sreq);
                 }
             }
             (OpKind::Cancel, InvokeOutcome::Success(_)) => {
-                self.end_round_span(ctx, req_id, round);
-                self.start_next_round(ctx, req_id, round + 1);
+                self.end_round_span(ctx, slot, round);
+                self.start_next_round(ctx, slot, round + 1);
             }
             (OpKind::Commit, InvokeOutcome::Success(_)) => {
-                self.end_round_span(ctx, req_id, round);
-                if let Some(v) = self.request_result(req_id).cloned() {
-                    self.reply(ctx, req_id, v);
+                self.end_round_span(ctx, slot, round);
+                if let Some(v) = self.requests[slot].result.clone() {
+                    self.reply(ctx, slot, v);
                 }
             }
             (
@@ -816,7 +853,8 @@ impl Actor<ProtoMsg> for XReplica {
         match msg {
             ProtoMsg::ClientRequest { req } => {
                 // Fig. 6 main loop: req.round := 1; process-request.
-                if let Some(st) = self.requests.get_mut(req.id.as_str()) {
+                if let Some(slot) = self.requests.slot(&req.id) {
+                    let st = &mut self.requests[slot];
                     // Remember this (possibly new) client incarnation.
                     st.received_directly = true;
                     if st.client != from {
@@ -829,7 +867,7 @@ impl Actor<ProtoMsg> for XReplica {
                         ctx.send(
                             from,
                             ProtoMsg::ClientResult {
-                                req_id: req.id.clone(),
+                                req_id: req.id,
                                 result: v,
                             },
                         );
@@ -839,18 +877,18 @@ impl Actor<ProtoMsg> for XReplica {
                     // already responsible for it.
                     return;
                 }
-                let req = Arc::new(req);
-                self.process_request(ctx, Arc::clone(&req), from, 1);
-                if let Some(st) = self.requests.get_mut(req.id.as_str()) {
-                    st.received_directly = true;
-                }
+                let slot = self.file_request(&Arc::new(req), from);
+                self.process_request(ctx, slot, 1);
+                self.requests[slot].received_directly = true;
             }
             ProtoMsg::Consensus(cm) => {
                 let decided = {
                     let mut net = CtxNet::new(ctx, ProtoMsg::Consensus);
                     self.engine.on_message(&mut net, from, cm)
                 };
-                self.on_decisions(ctx, decided);
+                if let Some((inst, dec)) = decided {
+                    self.on_decision(ctx, inst, dec);
+                }
             }
             ProtoMsg::InvokeReply {
                 invocation,
@@ -990,7 +1028,8 @@ mod tests {
             assert!(world.suspected_by(me).contains(&owner));
             assert_eq!(replica.metrics().cleanings, 1);
             assert_eq!(replica.metrics().replies_sent, 0);
-            assert!(replica.by_owner[&owner].contains("req-0"));
+            let slot = replica.requests.slot("req-0").expect("filed");
+            assert!(replica.by_owner[&owner].contains(&slot));
 
             // The result arrives; the next pass delivers it once, after
             // which the request is inert and leaves the index.
@@ -999,7 +1038,7 @@ mod tests {
             assert_eq!(replica.request_result("req-0"), Some(&value));
             assert_eq!(replica.metrics().cleanings, 1);
             assert_eq!(replica.metrics().replies_sent, 1, "{action}");
-            assert!(!replica.by_owner[&owner].contains("req-0"));
+            assert!(!replica.by_owner[&owner].contains(&slot));
             let replies: Vec<&ProtoMsg> = world
                 .actor_as::<Puppet>(client)
                 .expect("client")
@@ -1148,9 +1187,93 @@ mod tests {
                 2 * REQUESTS,
                 "{id}"
             );
-            assert_eq!(replica.requests.len(), REQUESTS, "{id}");
-            for st in replica.requests.values() {
+            assert_eq!(replica.requests.column.len(), REQUESTS, "{id}");
+            for st in &replica.requests.column {
                 assert_eq!(st.rounds.len(), 1, "{id}: {}", st.req);
+            }
+        }
+    }
+
+    /// Request ids that are prefixes of one another (`req`, `req-1`,
+    /// `req-10`) or share their first 8 bytes (`request-…`), submitted
+    /// out of id order, through a crash of the replica the client talks
+    /// to. The survivors' cleaner visits every request the crashed owner
+    /// left behind, sorted by id — in debug builds each pass also checks
+    /// that list against a scan of the whole table — and every id finds
+    /// its own slot at every survivor.
+    #[test]
+    fn prefix_sharing_request_ids_survive_a_crash_and_its_cleaning() {
+        const IDS: [&str; 8] = [
+            "request-0002",
+            "req-10",
+            "requests",
+            "req",
+            "request-0001",
+            "req-100",
+            "req-1",
+            "request-",
+        ];
+        const CLIENT: ProcessId = ProcessId(4);
+        let replicas = [0, 1, 2].map(ProcessId);
+        let service = ProcessId(3);
+        let transfer = Value::list([
+            Value::pair(Value::from("from"), Value::from("src")),
+            Value::pair(Value::from("to"), Value::from("dst")),
+            Value::pair(Value::from("amount"), Value::from(1)),
+        ]);
+        let plan: Vec<LogicalRequest> = IDS
+            .iter()
+            .map(|id| {
+                let action = ActionName::undoable("transfer");
+                LogicalRequest::new(*id, action, transfer.clone(), service)
+            })
+            .collect();
+
+        let mut world: World<ProtoMsg> = World::new(SimConfig::with_seed(3));
+        for id in replicas {
+            let replica = XReplica::new(id, replicas.to_vec(), XReplicaConfig::default());
+            world.add_process(format!("replica{}", id.0), Box::new(replica));
+        }
+        let bank = Bank::new([("src".to_owned(), 1_000), ("dst".to_owned(), 0)]);
+        let core = ServiceCore::new(Box::new(bank), ServiceConfig::default(), shared_ledger());
+        world.add_process("service", Box::new(ServiceActor::new(core)));
+        let client = world.add_process("client", Box::new(Client::new(replicas.to_vec(), plan)));
+        assert_eq!(client, CLIENT);
+        fn client_of(w: &World<ProtoMsg>) -> &Client {
+            w.actor_as::<Client>(CLIENT).expect("client")
+        }
+
+        // Half the plan completes at r0, which owns each of those rounds;
+        // then r0 crashes.
+        let half = |w: &World<ProtoMsg>| client_of(w).completed_requests().len() < IDS.len() / 2;
+        assert!(world.run_while(half, SimTime::from_secs(10)));
+        world.schedule_crash(replicas[0], world.now() + SimDuration::from_millis(1));
+        assert!(world.run_while(|w| !client_of(w).is_done(), SimTime::from_secs(60)));
+        world.run_until(world.now() + SimDuration::from_millis(500));
+
+        for id in &replicas[1..] {
+            let replica = world.actor_as::<XReplica>(*id).expect("replica");
+            assert!(replica.metrics().cleanings > 0, "{id}");
+            // Every request r0 owned was cleaned and left the index.
+            assert_eq!(
+                replica.by_owner.get(&replicas[0]).map(BTreeSet::len),
+                Some(0)
+            );
+            let mut slots = BTreeSet::new();
+            for req_id in IDS {
+                let slot = replica.requests.slot(req_id).expect("filed");
+                assert_eq!(replica.requests[slot].req.id, req_id, "{id}");
+                assert!(slots.insert(slot), "{id}: {req_id} shares a slot");
+                let result = replica.request_result(req_id);
+                assert_eq!(
+                    result,
+                    client_of(&world).result_of(req_id),
+                    "{id}: {req_id}"
+                );
+                assert!(result.is_some(), "{id}: {req_id}");
+            }
+            for absent in ["re", "req-", "request-000", "request-00011", "requests-"] {
+                assert_eq!(replica.requests.slot(absent), None, "{id}: {absent}");
             }
         }
     }
@@ -1226,18 +1349,16 @@ mod tests {
             };
             for id in replicas {
                 let replica = world.actor_as::<XReplica>(id).expect("replica");
-                assert!(
-                    Arc::ptr_eq(&replica.requests[req.id.as_str()].req, decided),
-                    "{id}"
-                );
+                let filed = replica.requests.get(&req.id).expect("filed");
+                assert!(Arc::ptr_eq(&filed.req, decided), "{id}");
             }
         }
         for id in replicas {
             let replica = world.actor_as::<XReplica>(id).expect("replica");
             assert_eq!(replica.engine.decided_instances().count(), 2 * plan.len());
             for (inst, _) in replica.engine.decided_instances() {
-                let filed = &replica.requests[inst.req.id()].req;
-                assert!(Arc::ptr_eq(&inst.req.0, filed), "{id}: {inst:?}");
+                let filed = replica.requests.get(inst.req.id()).expect("filed");
+                assert!(Arc::ptr_eq(&inst.req.0, &filed.req), "{id}: {inst:?}");
             }
         }
     }
